@@ -33,7 +33,6 @@ from .linalg import (
 )
 from .maps import (
     MapParams,
-    apply_choi_map,
     apply_map,
     choi_matrix,
     cp_threshold,

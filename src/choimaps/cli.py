@@ -2,8 +2,9 @@
 reports and figure-data sweeps with deterministic machine-readable output.
 
 Exit codes: 0 success, 1 usage error (including `spanning` on a map that is
-not positive and `witness` with b <= 0), 2 unsupported angle, 3 constructed
-witness does not detect, 4 I/O error.
+not positive, `witness` with b <= 0, and `figure-data 3` with more than
+1000000 rows: it writes 3*points^3 rows, so --points at most 69), 2
+unsupported angle, 3 constructed witness does not detect, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     ThetaOutOfRangeError,
     UnsupportedThetaError,
 )
-from .faces import FaceKind, classify_face
+from .faces import FaceKind, classify_face, require_generic_theta
 from .linalg import hermitian_eigenvalues, partial_transpose
 from .maps import MapParams, choi_matrix, cp_threshold
 from .optimality import classify_optimality
@@ -36,6 +37,9 @@ EXIT_USAGE = 1
 EXIT_UNSUPPORTED_THETA = 2
 EXIT_NO_DETECTION = 3
 EXIT_IO = 4
+
+#: Largest number of rows `figure-data 3` may write.
+FIGURE3_MAX_ROWS = 1_000_000
 
 _ANGLE_RE = re.compile(r"^([+-]?)(\d+)?pi(?:/(\d+))?$")
 
@@ -244,10 +248,12 @@ def _sweep_rows(theta: float, grid_n: int, plane: str, box: float):
         raise ValueError(f"unknown plane {plane!r}")
 
 
-def _write_text(path: str, text: str) -> int:
+def _write_lines(path: str, lines) -> int:
+    """Write each line of the iterable ``lines`` to ``path`` as it is produced."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for line in lines:
+                fh.write(line + "\n")
     except OSError as exc:
         sys.stderr.write(f"error: cannot write {path}: {exc}\n")
         return EXIT_IO
@@ -263,32 +269,34 @@ def cmd_sweep(args) -> int:
     if not 1 <= args.grid_n <= 2000:
         sys.stderr.write(f"sweep: grid_n must be in [1, 2000], got {args.grid_n}\n")
         return EXIT_USAGE
+    if not 0.0 <= args.box < math.inf:
+        sys.stderr.write(f"sweep: box must be finite and nonnegative, got {args.box}\n")
+        return EXIT_USAGE
     try:
-        cp_threshold_ok = 1.0 + 1e-12 < cp_threshold(theta) < 2.0 - 1e-12
-        if not cp_threshold_ok:
-            raise UnsupportedThetaError(f"sweep needs cp_threshold in (1, 2) at theta={theta}")
-        lines = [_SWEEP_HEADER]
-        for a, b, c in _sweep_rows(theta, args.grid_n, args.plane, args.box):
-            p = MapParams(a, b, c, theta)
-            face = classify_face(p)
-            lines.append(
-                ",".join(
-                    (
-                        _fmt(a),
-                        _fmt(b),
-                        _fmt(c),
-                        _fmt(theta),
-                        face.kind.value,
-                        str(int(is_completely_positive(p))),
-                        str(int(is_completely_copositive(p))),
-                        str(int(is_positive(p))),
-                    )
-                )
-            )
+        require_generic_theta(theta)
     except UnsupportedThetaError as exc:
         sys.stderr.write(f"sweep: {exc}\n")
         return EXIT_UNSUPPORTED_THETA
-    return _write_text(args.out, "\n".join(lines) + "\n")
+
+    def lines():
+        yield _SWEEP_HEADER
+        for a, b, c in _sweep_rows(theta, args.grid_n, args.plane, args.box):
+            p = MapParams(a, b, c, theta)
+            face = classify_face(p)
+            yield ",".join(
+                (
+                    _fmt(a),
+                    _fmt(b),
+                    _fmt(c),
+                    _fmt(theta),
+                    face.kind.value,
+                    str(int(is_completely_positive(p))),
+                    str(int(is_completely_copositive(p))),
+                    str(int(is_positive(p))),
+                )
+            )
+
+    return _write_lines(args.out, lines())
 
 
 def cmd_figure_data(args) -> int:
@@ -304,23 +312,30 @@ def cmd_figure_data(args) -> int:
         lines = ["theta,p_theta"]
         for th in np.linspace(-math.pi, math.pi, args.points):
             lines.append(f"{_fmt(th)},{_fmt(cp_threshold(th))}")
-    elif args.figure == "2":
+        return _write_lines(args.out, lines)
+    if args.figure == "2":
         ns = argparse.Namespace(
             theta=args.theta, grid_n=args.points, plane="abc_simplex", box=2.5, out=args.out
         )
         return cmd_sweep(ns)
-    else:  # figure 3: positivity scans at thresholds 1, the given angle, 2
-        lines = ["label,theta,a,b,c,positive"]
+    # figure 3: positivity scans at thresholds 1, the given angle, 2
+    rows = 3 * args.points**3
+    if rows > FIGURE3_MAX_ROWS:
+        msg = f"figure 3 would write 3*points^3 = {rows} rows, above the cap of {FIGURE3_MAX_ROWS}"
+        sys.stderr.write(f"figure-data: {msg}\n")
+        return EXIT_USAGE
+
+    def scans():
+        yield "label,theta,a,b,c,positive"
+        axis = np.linspace(0.0, 2.5, args.points)
         for label, th in (("p=1", math.pi / 3.0), ("1<p<2", theta), ("p=2", 0.0)):
-            axis = np.linspace(0.0, 2.5, args.points)
             for a in axis:
                 for b in axis:
                     for c in axis:
-                        p = MapParams(a, b, c, th)
-                        lines.append(
-                            f"{label},{_fmt(th)},{_fmt(a)},{_fmt(b)},{_fmt(c)},{int(is_positive(p))}"
-                        )
-    return _write_text(args.out, "\n".join(lines) + "\n")
+                        positive = int(is_positive(MapParams(a, b, c, th)))
+                        yield f"{label},{_fmt(th)},{_fmt(a)},{_fmt(b)},{_fmt(c)},{positive}"
+
+    return _write_lines(args.out, scans())
 
 
 def build_parser() -> _Parser:

@@ -3,8 +3,9 @@
 For a fixed angle with cp_threshold strictly between 1 and 2, the body
 cut out by conditions (p1)/(p2) has four 2-dimensional faces, six kinds of
 1-dimensional faces and four kinds of vertices.  ``classify_face`` returns
-the finest face containing a point; the property table records which faces
-carry the spanning / co-spanning / optimality properties.
+the finest face containing a point from the shared predicates ``on_sum`` and
+``on_surface`` and ``FACE_TOL`` (see ``positivity``); the property table
+records which faces carry the spanning / co-spanning / optimality properties.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import NotAFaceError, UnsupportedThetaError
 from .maps import MapParams, cp_threshold
-from .positivity import is_positive
+from .positivity import FACE_TOL, is_positive, on_sum, on_surface
 
 
 class FaceKind(enum.Enum):
@@ -120,11 +121,15 @@ def boundary_parametrization(theta: float, t: float) -> tuple[float, float, floa
     return (a, b, c)
 
 
-def classify_face(p: MapParams, tol: float = 1e-9) -> FaceLabel:
+def _near(x: float, y: float) -> bool:
+    return abs(x - y) <= FACE_TOL
+
+
+def classify_face(p: MapParams) -> FaceLabel:
     """Finest face of the positivity body containing ``p``.
 
     Lower-dimensional faces win when several membership predicates hold
-    within ``tol``; non-positive points classify as ``exterior``.
+    within ``FACE_TOL``; non-positive points classify as ``exterior``.
     """
     pth = require_generic_theta(p.theta)
     if not is_positive(p):
@@ -132,44 +137,43 @@ def classify_face(p: MapParams, tol: float = 1e-9) -> FaceLabel:
 
     a, b, c = p.abc
     s = a + b + c
-
-    def near(x: float, y: float) -> bool:
-        return abs(x - y) <= tol
+    tol = FACE_TOL
 
     # vertices
-    if near(a, pth) and near(b, 0.0) and near(c, 0.0):
+    if _near(a, pth) and _near(b, 0.0) and _near(c, 0.0):
         return FaceLabel(FaceKind.V_P00)
-    if near(a, 1.0) and near(b, 0.0) and near(c, pth - 1.0):
+    if _near(a, 1.0) and _near(b, 0.0) and _near(c, pth - 1.0):
         return FaceLabel(FaceKind.V_10C)
-    if near(a, 1.0) and near(b, pth - 1.0) and near(c, 0.0):
+    if _near(a, 1.0) and _near(b, pth - 1.0) and _near(c, 0.0):
         return FaceLabel(FaceKind.V_1B0)
-    if near(a, 0.0) and b > tol and near(b * c, 1.0):
+    if _near(a, 0.0) and b > tol and _near(b * c, 1.0):
         return FaceLabel(FaceKind.V_0T, t_value=b)
-    if near(s, pth) and b > tol and c > tol and near(b * c, (1.0 - a) ** 2) and a <= 1.0 + tol:
+    if b > tol and c > tol and on_surface(p) and on_sum(p):
         return FaceLabel(FaceKind.V_PARAM_T, t_value=math.sqrt(b / c))
 
     # 1-dimensional faces
-    if near(b, 0.0) and near(c, 0.0) and a >= pth - tol:
+    if _near(b, 0.0) and _near(c, 0.0) and a >= pth - tol:
         return FaceLabel(FaceKind.E_A, interior_of_face=a > pth + tol)
-    if near(a, 1.0) and near(c, 0.0) and b >= pth - 1.0 - tol:
+    if _near(a, 1.0) and _near(c, 0.0) and b >= pth - 1.0 - tol:
         return FaceLabel(FaceKind.E_B, interior_of_face=b > pth - 1.0 + tol)
-    if near(a, 1.0) and near(b, 0.0) and c >= pth - 1.0 - tol:
+    if _near(a, 1.0) and _near(b, 0.0) and c >= pth - 1.0 - tol:
         return FaceLabel(FaceKind.E_C, interior_of_face=c > pth - 1.0 + tol)
-    if near(c, 0.0) and near(a + b, pth) and 1.0 - tol <= a <= pth + tol:
+    if _near(c, 0.0) and _near(a + b, pth) and 1.0 - tol <= a <= pth + tol:
         return FaceLabel(FaceKind.E_AB, interior_of_face=1.0 + tol < a < pth - tol)
-    if near(b, 0.0) and near(a + c, pth) and 1.0 - tol <= a <= pth + tol:
+    if _near(b, 0.0) and _near(a + c, pth) and 1.0 - tol <= a <= pth + tol:
         return FaceLabel(FaceKind.E_AC, interior_of_face=1.0 + tol < a < pth - tol)
-    if near(b * c, (1.0 - a) ** 2) and a >= -tol and b > tol and c > tol and s > pth + tol:
+    # the spanning piece of the surface (0 <= a < 1), off the sum face
+    if a < 1.0 - tol and b > tol and c > tol and s > pth + tol and on_surface(p):
         return FaceLabel(FaceKind.E_T, t_value=b / (1.0 - a))
 
     # 2-dimensional faces
-    if near(c, 0.0) and a >= 1.0 - tol and a + b >= pth - tol:
+    if _near(c, 0.0) and a >= 1.0 - tol and a + b >= pth - tol:
         return FaceLabel(FaceKind.F_AB, interior_of_face=a > 1.0 + tol and a + b > pth + tol)
-    if near(b, 0.0) and a >= 1.0 - tol and a + c >= pth - tol:
+    if _near(b, 0.0) and a >= 1.0 - tol and a + c >= pth - tol:
         return FaceLabel(FaceKind.F_AC, interior_of_face=a > 1.0 + tol and a + c > pth + tol)
-    if near(a, 0.0) and b * c >= 1.0 - tol:
+    if _near(a, 0.0) and b * c >= 1.0 - tol:
         return FaceLabel(FaceKind.F_BC, interior_of_face=b * c > 1.0 + tol)
-    if near(s, pth):
+    if on_sum(p):
         strict = b > tol and c > tol and (a > 1.0 + tol or b * c > (1.0 - a) ** 2 + tol)
         return FaceLabel(FaceKind.F_ABC, interior_of_face=strict)
 

@@ -188,11 +188,6 @@ def map_from_choi(w) -> Array:
     return w.reshape(3, 3, 3, 3)
 
 
-def apply_choi_map(w, x) -> Array:
-    """Apply the map with Choi matrix ``w`` to a 3x3 matrix."""
-    return np.einsum("ik,ijkl->jl", as_complex(x), map_from_choi(w))
-
-
 def tensor_unit(i: int, j: int) -> Array:
     """9-vector e_i (x) e_j (0-based)."""
     v = np.zeros(9, dtype=complex)

@@ -33,8 +33,8 @@ from .faces import (
 )
 from .linalg import Array, require_hermitian
 from .maps import MapParams, choi_matrix, cp_threshold, map_from_choi, pairing_value
-from .positivity import _sphere_grid, _xi_from_angles, block_positivity_oracle
-from .spanning import sampled_kernel_vectors
+from .positivity import FACE_TOL, _sphere_grid, _xi_from_angles, block_positivity_oracle, is_positive
+from .spanning import has_cospanning_property, has_spanning_property, sampled_kernel_vectors
 
 OPTIMAL_TOL = 1e-9
 NOT_OPTIMAL_TOL = 1e-6
@@ -70,7 +70,7 @@ def orthocomplement_basis(p: MapParams) -> list[Array]:
     rank = int(np.count_nonzero(s > 1e-10 * s[0]))
     basis = [vh[k].conj() for k in range(rank, 9)]
 
-    if _vertex_side(p) is not None and abs(p.theta) < math.pi / 3.0:
+    if abs(p.theta) < math.pi / 3.0 and classify_face(p).kind in _VERTEX_SIDE:
         if len(basis) != 2:
             raise AssertionError(f"vertex orthocomplement has dimension {len(basis)}")
         off = [k for k in range(9) if k not in (0, 4, 8)]
@@ -80,14 +80,8 @@ def orthocomplement_basis(p: MapParams) -> list[Array]:
     return basis
 
 
-def _vertex_side(p: MapParams) -> str | None:
-    pth = cp_threshold(p.theta)
-    a, b, c = p.abc
-    if abs(a - 1.0) <= 1e-9 and abs(b - (pth - 1.0)) <= 1e-9 and abs(c) <= 1e-9:
-        return "b_side"
-    if abs(a - 1.0) <= 1e-9 and abs(c - (pth - 1.0)) <= 1e-9 and abs(b) <= 1e-9:
-        return "c_side"
-    return None
+#: The two named vertices with first coordinate 1, by their nonzero partner.
+_VERTEX_SIDE = {FaceKind.V_1B0: "b_side", FaceKind.V_10C: "c_side"}
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +449,10 @@ def cooptimality_subtraction(p: MapParams) -> CooptimalitySubtraction:
     pth = require_generic_theta(p.theta)
     a, b, c = p.abc
     if not (
-        abs(a - 1.0) <= 1e-9
+        abs(a - 1.0) <= FACE_TOL
         and b > 1e-12
         and c > 1e-12
-        and abs(b + c - (pth - 1.0)) <= 1e-9
+        and abs(b + c - (pth - 1.0)) <= FACE_TOL
         and 0.0 < abs(p.theta) < math.pi / 3.0
     ):
         raise UnsupportedCaseError(
@@ -478,8 +472,6 @@ def cooptimality_subtraction(p: MapParams) -> CooptimalitySubtraction:
     sums = new_params.a + new_params.b + new_params.c
     if abs(sums - cp_threshold(theta_prime)) > 1e-10:
         raise AssertionError("subtraction threshold sum identity failed")
-    from .positivity import is_positive
-
     if not is_positive(new_params):
         raise AssertionError("rescaled parameters are not positive")
     return CooptimalitySubtraction(weight, new_params, theta_prime)
@@ -508,8 +500,6 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
     explicit subtraction when the point is on its unit-first-coordinate
     slice.
     """
-    from .spanning import has_cospanning_property, has_spanning_property
-
     face = classify_face(p)
     if face.kind is FaceKind.EXTERIOR:
         raise NotPositiveMapError(f"map {p} is not positive")
@@ -541,7 +531,7 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
     if row.spanning:
         evidence["optimal"] = "spanning property implies optimality"
     elif row.optimal:
-        side = _vertex_side(p)
+        side = _VERTEX_SIDE.get(face.kind)
         if side is not None and abs(p.theta) < math.pi / 3.0:
             if not vertex_optimality_analytic(p.theta, side):
                 raise AssertionError(f"analytic vertex certificate failed at {p}")
@@ -554,9 +544,10 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
     else:
         evidence["optimal"] = "facial structure (smallest face contains CP maps)"
 
+    unit_slice = abs(p.a - 1.0) <= FACE_TOL and 0.0 < abs(p.theta) < math.pi / 3.0
     if row.co_spanning:
         evidence["co_optimal"] = "co-spanning property implies co-optimality"
-    elif face.kind is FaceKind.F_ABC and abs(p.a - 1.0) <= 1e-9 and 0.0 < abs(p.theta) < math.pi / 3.0:
+    elif face.kind is FaceKind.F_ABC and unit_slice:
         sub = cooptimality_subtraction(p)
         evidence["co_optimal"] = {
             "source": "explicit copositive subtraction",

@@ -7,6 +7,9 @@ complete copositivity iff b*c >= 1, and positivity iff both
     (p1)  a + b + c >= cp_threshold(theta)
     (p2)  a <= 1  implies  b*c >= (1 - a)^2.
 
+The boundary pieces of the body are the equality cases: ``on_sum`` and
+``on_surface``, within the one face-band tolerance ``FACE_TOL``.
+
 The block-positivity oracle minimizes the smallest eigenvalue of the map
 applied to rank-1 projectors over a deterministic grid on the unit sphere of
 C^3 followed by Nelder-Mead refinement, and never trusts a closed form.
@@ -22,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import NegativeInputError, NotApplicableError
-from .linalg import Array, require_hermitian
+from .linalg import Array, hermitian_eigenvalues, partial_transpose, require_hermitian
 from .maps import (
     MapParams,
     choi_matrix,
@@ -32,6 +35,7 @@ from .maps import (
 )
 
 INCLUSION_SLACK = 1e-12  # closed sets: boundary points classify as members
+FACE_TOL = 1e-9  # half-width of the band around each boundary piece
 
 
 def is_completely_positive(p: MapParams) -> bool:
@@ -51,6 +55,17 @@ def is_positive(p: MapParams) -> bool:
     if p.a > 1.0 + INCLUSION_SLACK:
         return True
     return p.b * p.c >= (1.0 - p.a) ** 2 - INCLUSION_SLACK
+
+
+def on_sum(p: MapParams) -> bool:
+    """Equality case of (p1): |a + b + c - cp_threshold(theta)| <= FACE_TOL."""
+    return abs(p.a + p.b + p.c - cp_threshold(p.theta)) <= FACE_TOL
+
+
+def on_surface(p: MapParams) -> bool:
+    """Equality case of (p2): |b*c - (1 - a)^2| <= FACE_TOL with a <= 1 + FACE_TOL
+    (the mirror branch b*c = (a - 1)^2, a > 1 is not on the boundary)."""
+    return p.a <= 1.0 + FACE_TOL and abs(p.b * p.c - (1.0 - p.a) ** 2) <= FACE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +307,7 @@ class IndecomposabilityCertificate:
 def indecomposability_certificate(p: MapParams) -> IndecomposabilityCertificate | None:
     """Certify indecomposability of a map on the surface b*c = (1 - a)^2.
 
-    Requires 0 < a <= 1, b, c > 0, b*c = (1 - a)^2 within 1e-9, and theta
+    Requires 0 < a <= 1, b, c > 0, ``on_surface``, and theta
     away from 0 (where the construction is not used).  Returns None when the
     pairing value is not negative (theta = +-pi/3 or +-pi, where the
     threshold equals 2); otherwise returns the PPT certificate state with
@@ -307,7 +322,7 @@ def indecomposability_certificate(p: MapParams) -> IndecomposabilityCertificate 
         raise NotApplicableError("certificate requires b, c > 0")
     if not 0 <= a <= 1 + 1e-12:
         raise NotApplicableError(f"certificate requires 0 <= a <= 1, got a={a}")
-    if abs(b * c - (1.0 - a) ** 2) > 1e-9:
+    if not on_surface(p):
         raise NotApplicableError("certificate requires b*c = (1-a)^2")
 
     theta_c = math.pi - p.theta
@@ -315,8 +330,6 @@ def indecomposability_certificate(p: MapParams) -> IndecomposabilityCertificate 
     t = math.sqrt(c / b)
     state = MapParams(pc, t, 1.0 / t, theta_c)
     w = choi_matrix(state)
-    from .linalg import hermitian_eigenvalues, partial_transpose  # local: avoid cycle noise
-
     if hermitian_eigenvalues(w)[0] < -1e-9:
         raise AssertionError("certificate state failed the PSD eigensolve check")
     if hermitian_eigenvalues(partial_transpose(w))[0] < -1e-9:

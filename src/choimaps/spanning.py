@@ -17,12 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveMapError, UnsupportedCaseError
-from .faces import require_generic_theta
+from .faces import FaceKind, classify_face, require_generic_theta
 from .linalg import Array, numeric_rank
-from .maps import MapParams, apply_map, cp_threshold
-from .positivity import is_positive
-
-EQ_TOL = 1e-9
+from .maps import MapParams, apply_map
+from .positivity import FACE_TOL, is_positive, on_sum, on_surface
 
 #: Default unimodular phase samples: pairs feed the three-vector boundary
 #: families, triples feed the equal-modulus family.
@@ -159,22 +157,20 @@ def _axis_vectors(p: MapParams) -> list[ProductVector]:
     return out
 
 
+#: Closed-form kernel case of each face: (i) the surface off the sum face,
+#: (ii) the surface on the sum face, (iii) a = 0 with b*c = 1, (iv) the rest
+#: of the sum face.
+_KERNEL_CASE = {
+    **dict.fromkeys((FaceKind.E_T, FaceKind.E_B, FaceKind.E_C), "i"),
+    **dict.fromkeys((FaceKind.V_PARAM_T, FaceKind.V_1B0, FaceKind.V_10C), "ii"),
+    FaceKind.V_0T: "iii",
+    **dict.fromkeys((FaceKind.F_ABC, FaceKind.E_AB, FaceKind.E_AC, FaceKind.V_P00), "iv"),
+}
+
+
 def _boundary_case(p: MapParams) -> str | None:
     """Which closed-form kernel case the parameters fall in, if any."""
-    pth = cp_threshold(p.theta)
-    a, b, c = p.abc
-    s = a + b + c
-    on_surface = abs(b * c - (1.0 - a) ** 2) <= EQ_TOL and a <= 1.0 + EQ_TOL
-    on_sum = abs(s - pth) <= EQ_TOL
-    if a <= EQ_TOL and abs(b * c - 1.0) <= EQ_TOL:
-        return "iii"
-    if on_surface and on_sum and a >= 2.0 - pth - EQ_TOL:
-        return "ii"
-    if on_surface and a > EQ_TOL and s > pth + EQ_TOL:
-        return "i"
-    if on_sum:
-        return "iv"
-    return None
+    return _KERNEL_CASE.get(classify_face(p).kind)
 
 
 def kernel_family(
@@ -317,20 +313,14 @@ def has_spanning_property(p: MapParams) -> SpanningReport:
     require_generic_theta(p.theta)
     if not is_positive(p):
         raise NotPositiveMapError(f"map {p} is not positive")
-    a, b, c = p.abc
-    verdict = (
-        a >= -EQ_TOL and a < 1.0 - EQ_TOL and abs(b * c - (1.0 - a) ** 2) <= EQ_TOL
-    )
+    verdict = p.a < 1.0 - FACE_TOL and on_surface(p)
 
     case = _boundary_case(p)
     det_abs = None
     det_closed = spanning_det_closed_form(p)
-    if det_closed is not None and case in ("i", "ii"):
-        cols = _nine_columns([pv for al, be in DEFAULT_PAIRS for pv in _surface_family(p, al, be)])
-        if cols is not None:
-            det_abs = float(abs(np.linalg.det(cols)))
-    elif det_closed is not None and case == "iii":
-        cols = _nine_columns([pv for al, be in DEFAULT_PAIRS for pv in _copositive_family(p, al, be)])
+    if det_closed is not None:
+        family = _copositive_family if case == "iii" else _surface_family
+        cols = _nine_columns([pv for al, be in DEFAULT_PAIRS for pv in family(p, al, be)])
         if cols is not None:
             det_abs = float(abs(np.linalg.det(cols)))
     rank = _extended_rank(p, conjugate=False)
@@ -365,17 +355,9 @@ def has_cospanning_property(p: MapParams) -> SpanningReport:
     pth = require_generic_theta(p.theta)
     if not is_positive(p):
         raise NotPositiveMapError(f"map {p} is not positive")
-    a, b, c = p.abc
-    on_sum = abs(a + b + c - pth) <= EQ_TOL
-    surface_piece = (
-        on_sum
-        and 2.0 - pth - EQ_TOL <= a <= 1.0 + EQ_TOL
-        and abs(b * c - (1.0 - a) ** 2) <= EQ_TOL
-    )
-    coordinate_piece = (
-        on_sum and 1.0 - EQ_TOL <= a <= pth + EQ_TOL and min(b, c) <= EQ_TOL
-    )
-    verdict = surface_piece or coordinate_piece
+    surface_piece = p.a >= 2.0 - pth - FACE_TOL and on_surface(p)
+    coordinate_piece = 1.0 - FACE_TOL <= p.a <= pth + FACE_TOL and min(p.b, p.c) <= FACE_TOL
+    verdict = on_sum(p) and (surface_piece or coordinate_piece)
 
     det_abs = None
     det_closed = cospanning_det_closed_form(p)

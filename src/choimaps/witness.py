@@ -22,6 +22,7 @@ from .errors import NoDetectingChoiceError, OutOfRangeError, ThetaOutOfRangeErro
 from .linalg import Array, hermitian_eigenvalues, partial_transpose
 from .maps import MapParams, choi_matrix, cp_threshold, edge_state, pairing_value
 from .positivity import block_positivity_oracle
+from .spanning import has_cospanning_property, has_spanning_property
 
 ALPHA_MARGIN = 1e-3  # auto-scan margin, relative to the interval width
 
@@ -141,8 +142,6 @@ def _assemble(theta: float, b: float, alpha_tilde: float, beta: float, gamma: fl
 def _validate(spec: WitnessSpec) -> None:
     """Check the constructed witness is block-positive but neither PSD nor
     co-PSD, with normalized parameters on the bi-spanning boundary piece."""
-    from .spanning import has_cospanning_property, has_spanning_property
-
     if hermitian_eigenvalues(spec.matrix)[0] >= -1e-6:
         raise AssertionError("witness is PSD within tolerance; it cannot detect anything")
     if hermitian_eigenvalues(partial_transpose(spec.matrix))[0] >= -1e-6:

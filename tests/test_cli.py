@@ -50,6 +50,22 @@ class TestClassify:
         assert out["flags"]["positive"] is False
         assert out["flags"]["face"] == "exterior"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # b*c = (a - 1)^2 with a > 1: the mirror of the spanning surface
+            ["2", "1", "1", "pi/6"],
+            # a = 1 with b*c inside the face band, above the sum face
+            ["1", "2e-4", "4e-6", repr(math.pi / 3 - 1e-4)],
+        ],
+    )
+    def test_off_boundary_surface_points_are_interior(self, args, capsys):
+        code = main(["classify", *args])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "face: interior" in captured.out.splitlines()
+        assert captured.err == ""
+
     def test_unsupported_theta_exit_code(self, capsys):
         assert main(["classify", "1", "1", "1", "0"]) == 2
         assert "cp_threshold" in capsys.readouterr().err
@@ -114,6 +130,12 @@ class TestSweep:
     def test_grid_n_zero_usage_error(self, tmp_path):
         assert main(["sweep", "pi/6", "0", "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("box", ["-1", "inf", "nan"])
+    def test_bad_box_usage_error(self, tmp_path, box):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "pi/6", "5", "--out", str(out), "--plane", "ab", "--box", box]) == 1
+        assert not out.exists()
+
     def test_unsupported_theta(self, tmp_path):
         assert main(["sweep", "0", "10", "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -156,6 +178,15 @@ class TestFigureData:
         assert lines[0] == "label,theta,a,b,c,positive"
         labels = {ln.split(",")[0] for ln in lines[1:]}
         assert labels == {"p=1", "1<p<2", "p=2"}
+
+    def test_body_scans_row_cap(self, tmp_path, capsys):
+        # the default --points 1000 would mean 3e9 rows: refused before any work
+        out = tmp_path / "fig3.csv"
+        for points in ("1000", "70"):  # 3 * 70^3 is the first count above the cap
+            assert main(["figure-data", "3", "--out", str(out), "--points", points]) == 1
+            assert "1000000" in capsys.readouterr().err
+            assert not out.exists()
+        assert main(["figure-data", "3", "--out", str(out)]) == 1
 
 
 class TestSpanningCommand:

@@ -1,13 +1,21 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from choimaps import (
+    FaceKind,
     MapParams,
     NotPositiveMapError,
     ProductVector,
+    PropertyRow,
     UnsupportedCaseError,
     boundary_parametrization,
+    classify_face,
     cp_threshold,
+    face_properties,
     has_cospanning_property,
     has_spanning_property,
     kernel_family,
@@ -244,3 +252,110 @@ def test_product_vector_validation():
     pv = ProductVector(np.array([1, 0, 0]), np.array([0, 1j, 0]))
     assert pv.tensor()[1] == 1j
     assert pv.partial_conjugate().eta[1] == -1j
+
+
+# ---------------------------------------------------------------------------
+# Property test: on every boundary piece the face table, the spanning closed
+# forms and the sampled-kernel rank tell the same story.
+# ---------------------------------------------------------------------------
+
+#: Fractional distance kept from the ends of each piece, and additive distance
+#: from the sum face, so no draw lands in a neighbouring piece's tolerance band.
+MARGIN = 0.02
+
+_thetas = st.floats(-np.pi, np.pi).filter(lambda th: 1 + 1e-3 <= cp_threshold(th) <= 2 - 1e-3)
+_fractions = st.floats(MARGIN, 1 - MARGIN)
+_ratios = st.floats(0.2, 5.0)
+
+# Each sampler takes (draw, theta) and returns (a, b, c), or None to reject.
+
+
+def _e_t(draw, th):
+    a, t = draw(_fractions), draw(_ratios)
+    b, c = (1 - a) * t, (1 - a) / t
+    return (a, b, c) if a + b + c > cp_threshold(th) + MARGIN else None
+
+
+def _curve(draw, th):
+    return boundary_parametrization(th, draw(_ratios))
+
+
+def _sum_face(draw, th):
+    pth = cp_threshold(th)
+    a = 2 - pth + 2 * (pth - 1) * draw(_fractions)
+    r, v = pth - a, draw(_fractions)
+    if a >= 1:
+        b = r * v
+    else:  # between the roots of b (r - b) = (1 - a)^2, so (p2) holds strictly
+        half = math.sqrt(r * r / 4 - (1 - a) ** 2)
+        b = r / 2 - half + 2 * half * v
+    return a, b, r - b
+
+
+def _e_ab(draw, th):
+    pth = cp_threshold(th)
+    a = 1 + (pth - 1) * draw(_fractions)
+    return a, pth - a, 0.0
+
+
+def _e_b(draw, th):
+    return 1.0, cp_threshold(th) - 1 + MARGIN + 2 * draw(_fractions), 0.0
+
+
+def _v_0t(draw, th):
+    t = draw(_ratios)
+    return 0.0, t, 1 / t
+
+
+def _mirror(draw, th):
+    x, t = 2 * draw(_fractions), draw(_ratios)
+    a, b, c = 1 + x, x * t, x / t
+    return (a, b, c) if a + b + c > cp_threshold(th) + MARGIN else None
+
+
+def _swap_bc(sampler):
+    def swapped(draw, th):
+        abc = sampler(draw, th)
+        return None if abc is None else (abc[0], abc[2], abc[1])
+
+    return swapped
+
+
+#: piece -> (sampler, expected face kind)
+BOUNDARY_PIECES = {
+    "e_t": (_e_t, FaceKind.E_T),
+    "curve": (_curve, FaceKind.V_PARAM_T),
+    "sum_face": (_sum_face, FaceKind.F_ABC),
+    "e_ab": (_e_ab, FaceKind.E_AB),
+    "e_ac": (_swap_bc(_e_ab), FaceKind.E_AC),
+    "e_b": (_e_b, FaceKind.E_B),
+    "e_c": (_swap_bc(_e_b), FaceKind.E_C),
+    "v_p00": (lambda draw, th: (cp_threshold(th), 0.0, 0.0), FaceKind.V_P00),
+    "v_1b0": (lambda draw, th: (1.0, cp_threshold(th) - 1, 0.0), FaceKind.V_1B0),
+    "v_10c": (lambda draw, th: (1.0, 0.0, cp_threshold(th) - 1), FaceKind.V_10C),
+    "v_0t": (_v_0t, FaceKind.V_0T),
+    # b*c = (a - 1)^2 with a > 1 is not on the boundary: it lies inside the body
+    "surface_mirror": (_mirror, FaceKind.INTERIOR),
+    "surface_mirror_bc": (_swap_bc(_mirror), FaceKind.INTERIOR),
+}
+
+
+@pytest.mark.parametrize("piece", BOUNDARY_PIECES)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_face_table_spanning_closed_forms_and_kernel_rank_agree(piece, data):
+    sampler, kind = BOUNDARY_PIECES[piece]
+    th = data.draw(_thetas, label="theta")
+    abc = sampler(data.draw, th)
+    assume(abc is not None)
+    p = MapParams(*abc, th)
+
+    face = classify_face(p)
+    assert face.kind is kind
+    interior = kind is FaceKind.INTERIOR
+    row = PropertyRow(False, False, False, False) if interior else face_properties(face)
+    span, cospan = has_spanning_property(p), has_cospanning_property(p)
+    assert span.has_property is row.spanning
+    assert cospan.has_property is row.co_spanning
+    assert (span.rank == 9) is row.spanning
+    assert (cospan.rank == 9) is row.co_spanning
