@@ -4,6 +4,7 @@ optimal PPTES witnesses for the type-{6,8} edge states."""
 
 from .errors import (
     ConstraintViolatedError,
+    InternalConsistencyError,
     NegativeInputError,
     NoDetectingChoiceError,
     NonHermitianError,

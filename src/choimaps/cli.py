@@ -4,7 +4,9 @@ reports and figure-data sweeps with deterministic machine-readable output.
 Exit codes: 0 success, 1 usage error (including `spanning` on a map that is
 not positive, `witness` with b <= 0, and `figure-data 3` with more than
 1000000 rows: it writes 3*points^3 rows, so --points at most 69), 2
-unsupported angle, 3 constructed witness does not detect, 4 I/O error.
+unsupported angle, 3 constructed witness does not detect, 4 I/O error, 5
+internal consistency check failed (a defect of the program, not of the
+input; the one-line message names the failing evidence).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import sys
 import numpy as np
 
 from .errors import (
+    InternalConsistencyError,
     NoDetectingChoiceError,
     NotPositiveMapError,
     OutOfRangeError,
@@ -37,6 +40,7 @@ EXIT_USAGE = 1
 EXIT_UNSUPPORTED_THETA = 2
 EXIT_NO_DETECTION = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 #: Largest number of rows `figure-data 3` may write.
 FIGURE3_MAX_ROWS = 1_000_000
@@ -388,7 +392,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InternalConsistencyError as exc:
+        message = " ".join(str(exc).split())
+        sys.stderr.write(f"{args.command}: internal consistency check failed: {message}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

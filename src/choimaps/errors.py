@@ -45,3 +45,10 @@ class OutOfRangeError(ValueError):
 
 class NoDetectingChoiceError(RuntimeError):
     """No scanned witness parameter produced a negative detection pairing."""
+
+
+class InternalConsistencyError(RuntimeError):
+    """A self-check of the program failed: two routes to the same quantity
+    disagree, or a constructed object lacks a property it must have.  The
+    message carries the failing evidence.  This is a defect of the program,
+    not of its input."""

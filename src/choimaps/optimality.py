@@ -22,7 +22,12 @@ from scipy.optimize import minimize
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .errors import NotPositiveMapError, UnsupportedCaseError, UnsupportedThetaError
+from .errors import (
+    InternalConsistencyError,
+    NotPositiveMapError,
+    UnsupportedCaseError,
+    UnsupportedThetaError,
+)
 from .faces import (
     FaceKind,
     FaceLabel,
@@ -32,8 +37,15 @@ from .faces import (
     require_generic_theta,
 )
 from .linalg import Array, require_hermitian
-from .maps import MapParams, choi_matrix, cp_threshold, map_from_choi, pairing_value
-from .positivity import FACE_TOL, _sphere_grid, _xi_from_angles, block_positivity_oracle, is_positive
+from .maps import MapParams, choi_matrix, cp_threshold, pairing_value
+from .positivity import (
+    FACE_TOL,
+    _apply_kernel,
+    _kernel_matrix,
+    _sphere_grid,
+    block_positivity_oracle,
+    is_positive,
+)
 from .spanning import has_cospanning_property, has_spanning_property, sampled_kernel_vectors
 
 OPTIMAL_TOL = 1e-9
@@ -72,11 +84,17 @@ def orthocomplement_basis(p: MapParams) -> list[Array]:
 
     if abs(p.theta) < math.pi / 3.0 and classify_face(p).kind in _VERTEX_SIDE:
         if len(basis) != 2:
-            raise AssertionError(f"vertex orthocomplement has dimension {len(basis)}")
+            raise InternalConsistencyError(
+                f"vertex orthocomplement at {p} has dimension {len(basis)}, not 2"
+            )
         off = [k for k in range(9) if k not in (0, 4, 8)]
         for v in basis:
-            if np.abs(v[off]).max() > 1e-9 or abs(v[0] + v[4] + v[8]) > 1e-9:
-                raise AssertionError("vertex orthocomplement is not diagonal-slot with zero sum")
+            off_max, total = float(np.abs(v[off]).max()), abs(v[0] + v[4] + v[8])
+            if off_max > 1e-9 or total > 1e-9:
+                raise InternalConsistencyError(
+                    f"vertex orthocomplement at {p} is not diagonal-slot with zero sum: "
+                    f"off-diagonal {off_max!r}, slot sum {total!r}"
+                )
     return basis
 
 
@@ -116,8 +134,11 @@ def _diag_pairing_form(family) -> Array:
     for t in (0.25, 2.0):
         xi, eta = family(t)
         zt = np.kron(xi, eta)[[0, 4, 8]]
-        if np.abs(zt - t * ell).max() > 1e-12 * max(1.0, t):
-            raise AssertionError("probe family diagonal slots are not linear in t")
+        drift = float(np.abs(zt - t * ell).max())
+        if drift > 1e-12 * max(1.0, t):
+            raise InternalConsistencyError(
+                f"probe family diagonal slots are not linear in t: deviation {drift!r} at t={t}"
+            )
     return np.outer(ell.conj(), ell)
 
 
@@ -155,7 +176,9 @@ def vertex_optimality_analytic(theta: float, vertex: str = "b_side") -> bool:
             vals.append(pairing_value(np.outer(z, z.conj()), w))
         coeffs = np.polynomial.polynomial.polyfit(ts, np.array(vals), 3)
         if np.abs(coeffs[:3]).max() > 1e-10 or abs(coeffs[3] - (pth - 1.0)) > 1e-10:
-            raise AssertionError(f"probe family pairing is not the expected cubic: {coeffs}")
+            raise InternalConsistencyError(
+                f"probe family pairing is not the expected cubic with leading {pth - 1.0!r}: {coeffs}"
+            )
         forms.append(_diag_pairing_form(family))
 
     stack = np.vstack(forms + [np.ones((1, 3), dtype=complex)])
@@ -225,7 +248,18 @@ def _ratio_on_grid(lam: Array, u: Array, directions_b: Array, lam_floor: Array) 
         return np.where(denom > 0, 1.0 / denom, np.inf)
 
 
-def _ratio_at(w_blocks: Array, m: Array, params) -> float:
+def _xi_from_angles(params) -> Array:
+    f1, f2, s1, s2 = params
+    return np.array(
+        [
+            math.cos(f1),
+            math.sin(f1) * math.cos(f2) * complex(math.cos(s1), math.sin(s1)),
+            math.sin(f1) * math.sin(f2) * complex(math.cos(s2), math.sin(s2)),
+        ]
+    )
+
+
+def _ratio_at(kernel: Array, m: Array, params) -> float:
     """Largest weight p with (map(xi xi*) - p b b*) PSD at one grid point,
     b = m^T xi."""
     xi = _xi_from_angles(params)
@@ -233,7 +267,7 @@ def _ratio_at(w_blocks: Array, m: Array, params) -> float:
     if n2 < 1e-30:
         return math.inf
     xi = xi / math.sqrt(n2)
-    a = np.einsum("ik,ijkl->jl", np.outer(xi, xi.conj()), w_blocks)
+    a = _apply_kernel(kernel, np.outer(xi, xi.conj()))[0]
     b = m.T @ xi
     nb2 = float(np.vdot(b, b).real)
     if nb2 < 1e-30:
@@ -255,49 +289,56 @@ def _ratio_at(w_blocks: Array, m: Array, params) -> float:
 # noise floor that caps a direct grid descent around 1e-9.
 
 
-def _real_tangent(x: Array) -> tuple[Array, Array]:
-    dxi = x[0:3] + 1j * x[3:6]
-    deta = x[6:9] + 1j * x[9:12]
-    return dxi, deta
+#: Real tangents x = (Re dxi, Im dxi, Re deta, Im deta) whose second
+#: derivatives give the Hessian by polarization: the 12 coordinate vectors,
+#: then e_i + e_j for each pair i < j.
+_PAIRS = np.triu_indices(12, k=1)
+_TANGENTS = np.vstack([np.eye(12), np.eye(12)[_PAIRS[0]] + np.eye(12)[_PAIRS[1]]])
+
+
+def _tangent_jacobian(xi0: Array, eta0: Array) -> Array:
+    """Complex 9x12 matrix J with J x = dxi (x) eta0 + xi0 (x) deta, the
+    first-order change of xi0 (x) eta0 along the real tangent x."""
+    first = np.kron(np.eye(3), eta0[:, None])  # columns e_i (x) eta0
+    second = np.kron(xi0[:, None], np.eye(3))  # columns xi0 (x) e_j
+    return np.hstack([first, 1j * first, second, 1j * second])
 
 
 def _kernel_hessian(w: Array, xi0: Array, eta0: Array) -> tuple[Array, Array]:
     """Eigendecomposition of the 12x12 real Hessian of the map pairing along
     the product manifold at a kernel point (validates the vanishing linear
-    term)."""
+    term along every evaluated tangent)."""
     z0 = np.kron(xi0, eta0)
     wz0 = w @ z0.conj()
     scale = max(1.0, float(np.linalg.norm(wz0)) * float(np.linalg.norm(z0)))
 
-    def q2(x: Array) -> float:
-        dxi, deta = _real_tangent(x)
-        w1 = np.kron(dxi, eta0) + np.kron(xi0, deta)
-        w2 = np.kron(dxi, deta)
-        linear = (z0 @ (w @ w1.conj())).real
-        if abs(linear) > 1e-8 * scale * max(1.0, float(np.linalg.norm(w1))):
-            raise AssertionError("kernel point is not stationary on the product manifold")
-        return float((w1 @ (w @ w1.conj())).real + 2.0 * (z0 @ (w @ w2.conj())).real)
+    w1 = _TANGENTS @ _tangent_jacobian(xi0, eta0).T
+    dxi = _TANGENTS[:, 0:3] + 1j * _TANGENTS[:, 3:6]
+    deta = _TANGENTS[:, 6:9] + 1j * _TANGENTS[:, 9:12]
+    w2 = np.einsum("ni,nj->nij", dxi, deta).reshape(-1, 9)
+    z0w = z0 @ w
+    linear = (w1.conj() @ z0w).real
+    limit = 1e-8 * scale * np.maximum(1.0, np.linalg.norm(w1, axis=1))
+    if np.any(np.abs(linear) > limit):
+        k = int(np.argmax(np.abs(linear) / limit))
+        raise InternalConsistencyError(
+            "kernel point is not stationary on the product manifold: "
+            f"linear term {linear[k]!r} along tangent {k} exceeds {limit[k]!r}"
+        )
+    q2 = np.sum((w1 @ w) * w1.conj(), axis=1).real + 2.0 * (w2.conj() @ z0w).real
 
-    basis = np.eye(12)
-    diag = np.array([q2(basis[i]) for i in range(12)])
-    h = np.diag(diag)
-    for i in range(12):
-        for j in range(i + 1, 12):
-            h[i, j] = h[j, i] = (q2(basis[i] + basis[j]) - diag[i] - diag[j]) / 2.0
+    h = np.diag(q2[:12])
+    i, j = _PAIRS
+    h[i, j] = h[j, i] = (q2[12:] - q2[i] - q2[j]) / 2.0
     mu, e = np.linalg.eigh(h)
     return mu, e
 
 
-def _penalty_rows(v: Array, xi0: Array, eta0: Array) -> Array:
-    """2x12 real matrix of the linearized penalty amplitude v^T w1."""
-    rows = np.empty((2, 12))
-    basis = np.eye(12)
-    for k in range(12):
-        dxi, deta = _real_tangent(basis[k])
-        amp = v @ (np.kron(dxi, eta0) + np.kron(xi0, deta))
-        rows[0, k] = amp.real
-        rows[1, k] = amp.imag
-    return rows
+def _penalty_rows(directions: Array, xi0: Array, eta0: Array) -> Array:
+    """(ndir, 2, 12) real matrices of the linearized penalty amplitudes
+    v^T w1, one per direction v."""
+    amp = directions @ _tangent_jacobian(xi0, eta0)
+    return np.stack([amp.real, amp.imag], axis=1)
 
 
 def _kernel_limit_ratio(mu: Array, e: Array, rows: Array) -> float:
@@ -342,7 +383,7 @@ def optimality_probe(
     if not math.isfinite(p_max) or p_max <= 0:
         raise ValueError(f"p_max must be positive, got {p_max}")
     w = choi_matrix(p)
-    w_blocks = map_from_choi(w)
+    kernel = _kernel_matrix(w)
 
     try:
         basis = orthocomplement_basis(p)
@@ -362,21 +403,23 @@ def optimality_probe(
     matrices = directions.reshape(-1, 3, 3)
 
     angles, xi_grid, projectors = _sphere_grid(grid_n)
-    lam, u = np.linalg.eigh(np.einsum("nik,ijkl->njl", projectors, w_blocks))
+    lam, u = np.linalg.eigh(_apply_kernel(kernel, projectors))
     lam_floor = np.maximum(lam, 1e-18 * np.maximum(lam[:, -1:], 1.0))
     directions_b = np.einsum("dji,nj->dni", matrices, xi_grid)
     grid_ratios = _ratio_on_grid(lam, u, directions_b, lam_floor)
 
-    kernels = sampled_kernel_vectors(p)
-    hessians = [_kernel_hessian(w, pv.xi, pv.eta) for pv in kernels]
+    limits = [
+        (*_kernel_hessian(w, pv.xi, pv.eta), _penalty_rows(directions, pv.xi, pv.eta))
+        for pv in sampled_kernel_vectors(p)
+    ]
 
     best = 0.0
     best_dir = None
     per_direction = np.empty(len(directions))
     for d in range(len(directions)):
         r_best = math.inf
-        for pv, (mu, e) in zip(kernels, hessians):
-            r_best = min(r_best, _kernel_limit_ratio(mu, e, _penalty_rows(directions[d], pv.xi, pv.eta)))
+        for mu, e, rows in limits:
+            r_best = min(r_best, _kernel_limit_ratio(mu, e, rows[d]))
             if r_best <= 0.0:
                 break
         m = matrices[d]
@@ -388,7 +431,7 @@ def optimality_probe(
                 if r_best <= OPTIMAL_TOL / 10:
                     break
                 res = minimize(
-                    lambda x: math.log(min(max(_ratio_at(w_blocks, m, x), 1e-300), 1e9)),
+                    lambda x: math.log(min(max(_ratio_at(kernel, m, x), 1e-300), 1e9)),
                     angles[idx],
                     method="Nelder-Mead",
                     options={"maxiter": refine_steps, "xatol": 1e-13, "fatol": 1e-13},
@@ -467,13 +510,19 @@ def cooptimality_subtraction(p: MapParams) -> CooptimalitySubtraction:
 
     lhs = choi_matrix(p) - weight * choi_matrix(MapParams(0.0, 1.0, 1.0, 0.0))
     rhs = scale * choi_matrix(new_params)
-    if np.abs(lhs - rhs).max() > 1e-10:
-        raise AssertionError("subtraction matrix identity failed")
+    residue = float(np.abs(lhs - rhs).max())
+    if residue > 1e-10:
+        raise InternalConsistencyError(
+            f"subtraction matrix identity failed at {p}: entrywise residue {residue!r}"
+        )
     sums = new_params.a + new_params.b + new_params.c
     if abs(sums - cp_threshold(theta_prime)) > 1e-10:
-        raise AssertionError("subtraction threshold sum identity failed")
+        raise InternalConsistencyError(
+            f"subtraction threshold sum identity failed at {p}: "
+            f"{sums!r} vs cp_threshold {cp_threshold(theta_prime)!r}"
+        )
     if not is_positive(new_params):
-        raise AssertionError("rescaled parameters are not positive")
+        raise InternalConsistencyError(f"rescaled parameters {new_params} are not positive")
     return CooptimalitySubtraction(weight, new_params, theta_prime)
 
 
@@ -514,7 +563,10 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
     span = has_spanning_property(p)
     cospan = has_cospanning_property(p)
     if span.has_property != row.spanning or cospan.has_property != row.co_spanning:
-        raise AssertionError(f"closed-form spanning flags disagree with the table at {p}")
+        raise InternalConsistencyError(
+            f"closed-form spanning flags ({span.has_property}, {cospan.has_property}) disagree "
+            f"with the table row ({row.spanning}, {row.co_spanning}) at {p}"
+        )
     evidence["spanning"] = {
         "source": "closed form",
         "rank": span.rank,
@@ -534,12 +586,15 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
         side = _VERTEX_SIDE.get(face.kind)
         if side is not None and abs(p.theta) < math.pi / 3.0:
             if not vertex_optimality_analytic(p.theta, side):
-                raise AssertionError(f"analytic vertex certificate failed at {p}")
+                raise InternalConsistencyError(f"analytic vertex certificate failed at {p}")
             evidence["optimal"] = f"analytic vertex certificate ({side})"
         else:
             report = optimality_probe(p)
             if report.verdict != "optimal":
-                raise AssertionError(f"numeric probe verdict {report.verdict} at {p}")
+                raise InternalConsistencyError(
+                    f"numeric probe verdict {report.verdict} at the optimal face point {p}: "
+                    f"max subtractable {report.max_subtractable!r}"
+                )
             evidence["optimal"] = "numeric subtraction probe"
     else:
         evidence["optimal"] = "facial structure (smallest face contains CP maps)"

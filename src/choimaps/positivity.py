@@ -11,8 +11,12 @@ The boundary pieces of the body are the equality cases: ``on_sum`` and
 ``on_surface``, within the one face-band tolerance ``FACE_TOL``.
 
 The block-positivity oracle minimizes the smallest eigenvalue of the map
-applied to rank-1 projectors over a deterministic grid on the unit sphere of
-C^3 followed by Nelder-Mead refinement, and never trusts a closed form.
+applied to rank-1 projectors, and never trusts a closed form of the map.  It
+ranks a deterministic grid on the unit sphere of C^3 by the closed-form
+smallest eigenvalue of a 3x3 Hermitian matrix, then runs a batched descent
+from the best cells that alternates exact minimizations over the two factors
+of the product vector and adds second-order (Newton) steps on both.  The map
+acts on a stack of projectors as one matmul with a 9x9 kernel matrix.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import NegativeInputError, NotApplicableError
+from .errors import InternalConsistencyError, NegativeInputError, NotApplicableError
 from .linalg import Array, hermitian_eigenvalues, partial_transpose, require_hermitian
 from .maps import (
     MapParams,
@@ -149,7 +152,7 @@ def stationary_form_determinant(p: MapParams) -> float:
     t = p.a + p.b + p.c
     closed = (fc.p - fc.s) ** 2 * (t**3 - 3.0 * t - 2.0 * math.cos(3.0 * p.theta))
     if abs(direct - closed) > 1e-9 * max(1.0, abs(closed)):
-        raise AssertionError(
+        raise InternalConsistencyError(
             f"stationary determinant mismatch: direct {direct!r} vs factored {closed!r}"
         )
     return closed
@@ -162,12 +165,13 @@ def stationary_form_determinant(p: MapParams) -> float:
 
 @dataclass(frozen=True)
 class BlockPositivityReport:
-    """Outcome of the grid + refinement minimization of the smallest
+    """Outcome of the grid + descent minimization of the smallest
     eigenvalue of the map applied to rank-1 projectors.
 
     ``min_value`` is the refined minimum, ``argmin_xi``/``argmin_eta`` the
     unit product-vector factors witnessing it, ``grid_points`` the size of
-    the coarse scan and ``refined`` whether Nelder-Mead improved on it.
+    the coarse scan and ``refined`` whether the descent improved on the best
+    grid cell.
     """
 
     min_value: float
@@ -187,17 +191,6 @@ class BlockPositivityReport:
         if self.min_value >= self.CERTIFIED_NONNEGATIVE:
             return "nonnegative"
         return "inconclusive"
-
-
-def _xi_from_angles(params) -> Array:
-    f1, f2, s1, s2 = params
-    return np.array(
-        [
-            math.cos(f1),
-            math.sin(f1) * math.cos(f2) * complex(math.cos(s1), math.sin(s1)),
-            math.sin(f1) * math.sin(f2) * complex(math.cos(s2), math.sin(s2)),
-        ]
-    )
 
 
 @functools.lru_cache(maxsize=4)
@@ -223,10 +216,109 @@ def _sphere_grid(grid_n: int) -> tuple[Array, Array, Array]:
     return angles, xi, projectors
 
 
-def _map_on_projectors(w_blocks: Array, projectors: Array) -> Array:
-    """Batched application of the map with block tensor ``w_blocks`` to a
-    stack of rank-1 projectors."""
-    return np.einsum("nik,ijkl->njl", projectors, w_blocks)
+def _kernel_matrix(w: Array) -> Array:
+    """9x9 matrix K of the map with Choi matrix ``w`` on flattened 3x3
+    arguments: K[(i,k),(j,l)] = W[i,j,k,l], so Phi(X) = vec(X) K.
+
+    K.T acts on the second tensor factor instead: vec(Y) K.T is the matrix
+    M with M_{ik} = sum_{jl} Y_{jl} W[i,j,k,l].
+    """
+    return map_from_choi(w).transpose(0, 2, 1, 3).reshape(9, 9)
+
+
+def _apply_kernel(kernel: Array, x: Array) -> Array:
+    """The map with kernel matrix ``kernel`` applied to each 3x3 matrix of
+    the stack ``x``, as one matmul; returns an (n, 3, 3) stack."""
+    return (x.reshape(-1, 9) @ kernel).reshape(-1, 3, 3)
+
+
+def _smallest_eigenvalues(a: Array) -> Array:
+    """Smallest eigenvalue of each Hermitian 3x3 matrix of the stack ``a``,
+    in closed trigonometric form (O. K. Smith, CACM 4:168, 1961; J. Kopp,
+    arXiv:physics/0610206).
+
+    With q = tr/3, p = |A - qI|_F / sqrt(6) and r = det(A - qI) / (2p^3),
+    the eigenvalues are q + 2p cos(acos(r)/3 + 2k pi/3).  Near r = 1 (a
+    double smallest eigenvalue) that form loses half the digits, so for
+    r > 0 the two lower eigenvalues come from the accurate largest one, h,
+    instead: they are m -+ g/2 with m = (3q - h)/2, and
+    |(A - mI)(A - hI)|_F^2 = (g^2/4)(2(h - m)^2 + g^2/2) fixes g^2.
+    Agrees with LAPACK to a few ulps of |A|.
+    """
+    d = np.stack([a[:, 0, 0].real, a[:, 1, 1].real, a[:, 2, 2].real])
+    u, v, w = a[:, 0, 1], a[:, 1, 2], a[:, 0, 2]
+    uu, vv, ww = np.abs(u) ** 2, np.abs(v) ** 2, np.abs(w) ** 2
+    q = d.sum(axis=0) / 3.0
+    e0, e1, e2 = d - q
+    p = np.sqrt((e0 * e0 + e1 * e1 + e2 * e2 + 2.0 * (uu + vv + ww)) / 6.0)
+    det = e0 * e1 * e2 + 2.0 * (u * v * w.conj()).real - e0 * vv - e1 * ww - e2 * uu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(p > 0.0, np.clip(det / (2.0 * p**3), -1.0, 1.0), 1.0)
+    angle = np.arccos(r) / 3.0
+    low = q + 2.0 * p * np.cos(angle + 2.0 * math.pi / 3.0)
+    high = q + 2.0 * p * np.cos(angle)
+    m = (3.0 * q - high) / 2.0
+    # (A - mI)(A - hI) is Hermitian: both factors are polynomials in A.
+    x, y, s = d - m, d - high, d - (m + high) / 2.0
+    f = (
+        (x[0] * y[0] + uu + ww) ** 2
+        + (x[1] * y[1] + uu + vv) ** 2
+        + (x[2] * y[2] + vv + ww) ** 2
+        + 2.0 * np.abs(u * (s[0] + s[1]) + w * v.conj()) ** 2
+        + 2.0 * np.abs(w * (s[0] + s[2]) + u * v) ** 2
+        + 2.0 * np.abs(v * (s[1] + s[2]) + u.conj() * w) ** 2
+    )
+    h2 = (high - m) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap2 = np.where(h2 > 0.0, 4.0 * f / (np.sqrt(h2 * h2 + 2.0 * f) + h2), 0.0)
+    return np.where(r > 0.0, m - np.sqrt(gap2) / 2.0, low)
+
+
+def _newton_candidates(w: Array, xi: Array, value: Array, evecs: Array) -> list[Array]:
+    """Second-order candidates for the next first factor of each start.
+
+    With a = conj(xi) and b = conj(eta), the smallest eigenvector of
+    Phi(xi xi*) in ``evecs`` (whose other two columns span b's complement),
+    the pairing is the Hermitian form y* W y at y = a (x) b, with value h =
+    ``value`` (the smallest eigenvalue).  Along unit tangents
+    da = A(t_1 + i t_2) and db = B(t_3 + i t_4), with A and B orthonormal
+    bases of the complements of a and b, it is h + g.x + x^T Q x to second
+    order in the 8 real coordinates x, where
+    Q = Re(J* W J) + (the da (x) db terms) - h I and J is the tangent map.
+    Returns the Newton step with |eigenvalues| of Q (so a saddle repels it),
+    and, where Q has negative curvature, steps of 0.5 and 0.05 along it.
+    """
+    n = len(xi)
+    a, b = xi.conj(), evecs[:, :, 0]
+    a_perp = np.linalg.eigh(a[:, :, None] * xi[:, None, :])[1][:, :, :2]
+    da = np.concatenate([a_perp, 1j * a_perp], axis=2)
+    db = np.concatenate([evecs[:, :, 1:], 1j * evecs[:, :, 1:]], axis=2)
+    jac = np.concatenate(
+        [
+            (da[:, :, None, :] * b[:, None, :, None]).reshape(n, 9, 4),
+            (a[:, :, None, None] * db[:, None, :, :]).reshape(n, 9, 4),
+        ],
+        axis=2,
+    )
+    wy = (a[:, :, None] * b[:, None, :]).reshape(n, 9) @ w.T
+    grad = 2.0 * np.einsum("nik,ni->nk", jac.conj(), wy).real
+    q = np.einsum("nik,ij,njl->nkl", jac.conj(), w, jac).real
+    cross = np.einsum("nij,nik,njl->nkl", wy.conj().reshape(n, 3, 3), da, db).real
+    q[:, :4, 4:] += cross
+    q[:, 4:, :4] += cross.transpose(0, 2, 1)
+    q -= value[:, None, None] * np.eye(8)
+
+    mu, e = np.linalg.eigh(q)
+    slope = np.einsum("nkl,nk->nl", e, grad)
+    floor = 1e-8 * np.abs(mu).max(axis=1, keepdims=True) + 1e-300
+    steps = [-np.einsum("nkl,nl->nk", e, slope / (2.0 * np.maximum(np.abs(mu), floor)))]
+    downhill = np.where(slope[:, :1] > 0.0, -e[:, :, 0], e[:, :, 0])
+    steps += [np.where(mu[:, :1] < 0.0, size * downhill, 0.0) for size in (0.5, 0.05)]
+    out = []
+    for x in steps:
+        moved = a + np.einsum("nik,nk->ni", a_perp, x[:, 0:2] + 1j * x[:, 2:4])
+        out.append((moved / np.linalg.norm(moved, axis=1)[:, None]).conj())
+    return out
 
 
 def block_positivity_oracle(
@@ -235,53 +327,67 @@ def block_positivity_oracle(
     """Minimize the smallest eigenvalue of the map with Choi matrix ``w``
     applied to rank-1 projectors, over the unit sphere of C^3.
 
-    A grid of ``grid_n`` points per angle axis (grid_n^4 cells) is scanned,
-    then Nelder-Mead runs from the 10 best cells for at most ``refine_steps``
-    iterations each.  The reported minimum is re-evaluated with the exact
-    eigensolver at the winning point, and is independent of evaluation order
+    A grid of ``grid_n`` points per angle axis (grid_n^4 cells) is ranked
+    by the closed-form smallest eigenvalue.  The 10 best cells start a
+    descent on the pairing of ``w`` with the product projector of
+    xi (x) eta, batched over the starts.  Each iteration offers every start
+    the alternating step (with eta fixed at the smallest eigenvector of
+    Phi(xi xi*), the best xi comes from that of the second-factor map
+    M(eta)) and the second-order steps of ``_newton_candidates``, and keeps
+    the one with the lowest exact value, so no value increases.  The
+    alternating step alone stalls at saddles (a start on a coordinate
+    subspace stays on it) and crawls at flat minima; the Newton steps
+    leave the one and converge at the other.  The descent stops when no
+    start decreases by more than 1e-15 * max(1, |value|), or after
+    ``refine_steps`` iterations.  Every reported value comes from LAPACK at
+    the reported point, and the result is independent of evaluation order
     (ties resolve to the lexicographically first cell).
     """
     w = require_hermitian(w)
-    w_blocks = map_from_choi(w)
-    angles, _, projectors = _sphere_grid(grid_n)
-    values = np.linalg.eigvalsh(_map_on_projectors(w_blocks, projectors))[:, 0]
-
-    def objective(params) -> float:
-        xi = _xi_from_angles(params)
-        n2 = float(np.vdot(xi, xi).real)
-        if n2 < 1e-30:
-            return float("inf")
-        rho = np.outer(xi, xi.conj()) / n2
-        return float(np.linalg.eigvalsh(np.einsum("ik,ijkl->jl", rho, w_blocks))[0])
-
-    order = np.argsort(values, kind="stable")
-    best_params = angles[order[0]]
-    best_value = float(values[order[0]])
-    refined = False
-    for idx in order[:10]:
-        res = minimize(
-            objective,
-            angles[idx],
-            method="Nelder-Mead",
-            options={"maxiter": refine_steps, "xatol": 1e-12, "fatol": 1e-14},
-        )
-        if res.fun < best_value:
-            best_value = float(res.fun)
-            best_params = np.asarray(res.x)
-            refined = True
-
-    xi = _xi_from_angles(best_params)
-    xi = xi / np.linalg.norm(xi)
-    evals, evecs = np.linalg.eigh(
-        np.einsum("ik,ijkl->jl", np.outer(xi, xi.conj()), w_blocks)
+    kernel = _kernel_matrix(w)
+    angles, xi_grid, projectors = _sphere_grid(grid_n)
+    images = _apply_kernel(kernel, projectors)
+    # scanned in blocks, so its temporaries stay small next to ``images``
+    values = np.concatenate(
+        [_smallest_eigenvalues(images[k : k + 4096]) for k in range(0, len(images), 4096)]
     )
+    starts = np.argsort(values, kind="stable")[:10]
+
+    xi = xi_grid[starts]
+    evals, evecs = np.linalg.eigh(images[starts])
+    grid_value, grid_xi, grid_vec = float(evals[0, 0]), xi[0], evecs[0, :, 0]
+    value = evals[:, 0]
+    rows = np.arange(len(xi))
+    for _ in range(refine_steps):
+        # With vec = conj(eta) the pairing is vec* Phi(xi xi*) vec, and also
+        # u* M u with u = conj(xi), M = M(conj(vec) vec^T): each is minimized
+        # by a smallest eigenvector.
+        vec = evecs[:, :, 0]
+        second = _apply_kernel(kernel.T, vec.conj()[:, :, None] * vec[:, None, :])
+        alternating = np.linalg.eigh(second)[1][:, :, 0].conj()
+        candidates = np.stack([alternating, *_newton_candidates(w, xi, value, evecs)], axis=1)
+        flat = candidates.reshape(-1, 3)
+        cand_evals, cand_evecs = np.linalg.eigh(
+            _apply_kernel(kernel, flat[:, :, None] * flat.conj()[:, None, :])
+        )
+        pick = np.argmin(cand_evals[:, 0].reshape(len(xi), -1), axis=1) + rows * candidates.shape[1]
+        previous = value
+        xi, value, evecs = flat[pick], cand_evals[pick, 0], cand_evecs[pick]
+        if not np.any(previous - value > 1e-15 * np.maximum(1.0, np.abs(value))):
+            break
+
+    best = int(np.argmin(value))
+    refined = bool(value[best] < grid_value)
+    if refined:
+        min_value, xi_best, vec_best = float(value[best]), xi[best], evecs[best, :, 0]
+    else:
+        min_value, xi_best, vec_best = grid_value, grid_xi, grid_vec
     # pairing(z z*, map) = <map(xi xi*) eta_bar, eta_bar>, so eta is the
     # conjugate of the minimizing eigenvector.
-    eta = evecs[:, 0].conj()
     return BlockPositivityReport(
-        min_value=float(evals[0]),
-        argmin_xi=xi,
-        argmin_eta=eta,
+        min_value=min_value,
+        argmin_xi=xi_best,
+        argmin_eta=vec_best.conj(),
         grid_points=int(angles.shape[0]),
         refined=refined,
     )
@@ -330,15 +436,21 @@ def indecomposability_certificate(p: MapParams) -> IndecomposabilityCertificate 
     t = math.sqrt(c / b)
     state = MapParams(pc, t, 1.0 / t, theta_c)
     w = choi_matrix(state)
-    if hermitian_eigenvalues(w)[0] < -1e-9:
-        raise AssertionError("certificate state failed the PSD eigensolve check")
-    if hermitian_eigenvalues(partial_transpose(w))[0] < -1e-9:
-        raise AssertionError("certificate state failed the PPT eigensolve check")
+    low = hermitian_eigenvalues(w)[0]
+    if low < -1e-9:
+        raise InternalConsistencyError(
+            f"certificate state {state} failed the PSD eigensolve check: smallest eigenvalue {low!r}"
+        )
+    low = hermitian_eigenvalues(partial_transpose(w))[0]
+    if low < -1e-9:
+        raise InternalConsistencyError(
+            f"certificate state {state} failed the PPT eigensolve check: smallest eigenvalue {low!r}"
+        )
 
     value = pairing(w, p)
     closed = 3.0 * a * (pc - 2.0)
     if abs(value - closed) > 1e-9 * max(1.0, abs(closed)):
-        raise AssertionError(f"certificate pairing mismatch: {value} vs {closed}")
+        raise InternalConsistencyError(f"certificate pairing mismatch: {value} vs {closed}")
     if value >= -1e-12:
         return None
     return IndecomposabilityCertificate(state_params=state, value=value)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveMapError, UnsupportedCaseError
+from .errors import InternalConsistencyError, NotPositiveMapError, UnsupportedCaseError
 from .faces import FaceKind, classify_face, require_generic_theta
 from .linalg import Array, numeric_rank
 from .maps import MapParams, apply_map
@@ -186,16 +186,21 @@ def kernel_family(
     require_generic_theta(p.theta)
     if not is_positive(p):
         raise NotPositiveMapError(f"map {p} is not positive")
-    case = _boundary_case(p)
+    if phase_samples is None:
+        phase_samples = DEFAULT_PAIRS + DEFAULT_TRIPLES
+    return _kernel_family(p, _boundary_case(p), phase_samples)
+
+
+def _kernel_family(
+    p: MapParams, case: str | None, phase_samples: tuple | list
+) -> list[ProductVector]:
+    """``kernel_family`` for a positive map whose kernel case is known."""
     if case is None:
         raise UnsupportedCaseError(
             f"parameters {p.abc} at theta={p.theta} are not in a kernel case"
         )
-    if phase_samples is None:
-        pairs, triples = DEFAULT_PAIRS, DEFAULT_TRIPLES
-    else:
-        pairs = tuple(s for s in phase_samples if len(s) == 2)
-        triples = tuple(s for s in phase_samples if len(s) == 3)
+    pairs = tuple(s for s in phase_samples if len(s) == 2)
+    triples = tuple(s for s in phase_samples if len(s) == 3)
 
     vectors: list[ProductVector] = []
     if case in ("i", "ii"):
@@ -209,10 +214,16 @@ def kernel_family(
             vectors.append(_equal_modulus_vector(p.theta, al, be, ga))
     vectors.extend(_axis_vectors(p))
 
+    _check_membership(p, vectors, f"case {case} family")
+    return vectors
+
+
+def _check_membership(p: MapParams, vectors: list[ProductVector], source: str) -> None:
     for pv in vectors:
         if not kernel_membership(p, pv):
-            raise AssertionError(f"generated vector failed kernel membership for {p}")
-    return vectors
+            raise InternalConsistencyError(
+                f"{source} vector xi={pv.xi}, eta={pv.eta} failed kernel membership for {p}"
+            )
 
 
 def sampled_kernel_vectors(p: MapParams) -> list[ProductVector]:
@@ -220,14 +231,19 @@ def sampled_kernel_vectors(p: MapParams) -> list[ProductVector]:
     map: the closed-form family at generic phases when the parameters lie on
     a boundary case, otherwise just the coordinate vectors (possibly none,
     for strictly interior maps)."""
-    try:
-        return kernel_family(p, GENERIC_PAIRS + GENERIC_TRIPLES)
-    except UnsupportedCaseError:
-        vectors = _axis_vectors(p)
-        for pv in vectors:
-            if not kernel_membership(p, pv):
-                raise AssertionError(f"axis vector failed kernel membership for {p}")
-        return vectors
+    require_generic_theta(p.theta)
+    if not is_positive(p):
+        raise NotPositiveMapError(f"map {p} is not positive")
+    return _sampled_kernel_vectors(p, _boundary_case(p))
+
+
+def _sampled_kernel_vectors(p: MapParams, case: str | None) -> list[ProductVector]:
+    """``sampled_kernel_vectors`` for a positive map whose kernel case is known."""
+    if case is not None:
+        return _kernel_family(p, case, GENERIC_PAIRS + GENERIC_TRIPLES)
+    vectors = _axis_vectors(p)
+    _check_membership(p, vectors, "axis")
+    return vectors
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +267,9 @@ class SpanningReport:
         return self.has_property
 
 
-def _extended_rank(p: MapParams, conjugate: bool) -> int | None:
+def _extended_rank(p: MapParams, case: str | None, conjugate: bool) -> int | None:
     """Rank of the generically sampled kernel (or its partial conjugates)."""
-    vectors = sampled_kernel_vectors(p)
+    vectors = _sampled_kernel_vectors(p, case)
     if not vectors:
         return None
     if conjugate:
@@ -271,7 +287,10 @@ def _nine_columns(vectors: list[ProductVector], conjugate: bool = False) -> Arra
 
 def spanning_det_closed_form(p: MapParams) -> float | None:
     """Closed-form |det| of the nine canonical kernel columns, when defined."""
-    case = _boundary_case(p)
+    return _spanning_det_closed_form(p, _boundary_case(p))
+
+
+def _spanning_det_closed_form(p: MapParams, case: str | None) -> float | None:
     b, c = p.b, p.c
     if case in ("i", "ii"):
         return 64.0 * b**4.5 * c**2.25 * abs(1.0 + cmath.exp(-3j * p.theta))
@@ -283,7 +302,11 @@ def spanning_det_closed_form(p: MapParams) -> float | None:
 def cospanning_det_closed_form(p: MapParams) -> float | None:
     """Closed-form |det| of the partially conjugated canonical columns on the
     sum-threshold surface case, branchwise in theta."""
-    if _boundary_case(p) != "ii":
+    return _cospanning_det_closed_form(p, _boundary_case(p))
+
+
+def _cospanning_det_closed_form(p: MapParams, case: str | None) -> float | None:
+    if case != "ii":
         return None
     third = math.pi / 3.0
     if -math.pi < p.theta < -third:
@@ -317,13 +340,13 @@ def has_spanning_property(p: MapParams) -> SpanningReport:
 
     case = _boundary_case(p)
     det_abs = None
-    det_closed = spanning_det_closed_form(p)
+    det_closed = _spanning_det_closed_form(p, case)
     if det_closed is not None:
         family = _copositive_family if case == "iii" else _surface_family
         cols = _nine_columns([pv for al, be in DEFAULT_PAIRS for pv in family(p, al, be)])
         if cols is not None:
             det_abs = float(abs(np.linalg.det(cols)))
-    rank = _extended_rank(p, conjugate=False)
+    rank = _extended_rank(p, case, conjugate=False)
     return SpanningReport(verdict, case, rank, det_abs, det_closed)
 
 
@@ -331,7 +354,11 @@ def cospanning_columns(p: MapParams) -> Array | None:
     """The nine partially conjugated canonical kernel columns on the
     sum-threshold surface case: six surface vectors at phase pairs
     (1, +-1) plus the three default equal-modulus triples."""
-    if _boundary_case(p) != "ii":
+    return _cospanning_columns(p, _boundary_case(p))
+
+
+def _cospanning_columns(p: MapParams, case: str | None) -> Array | None:
+    if case != "ii":
         return None
     vectors = []
     for al, be in ((1.0, 1.0), (1.0, -1.0)):
@@ -359,12 +386,12 @@ def has_cospanning_property(p: MapParams) -> SpanningReport:
     coordinate_piece = 1.0 - FACE_TOL <= p.a <= pth + FACE_TOL and min(p.b, p.c) <= FACE_TOL
     verdict = on_sum(p) and (surface_piece or coordinate_piece)
 
+    case = _boundary_case(p)
     det_abs = None
-    det_closed = cospanning_det_closed_form(p)
+    det_closed = _cospanning_det_closed_form(p, case)
     if det_closed is not None:
-        cols = cospanning_columns(p)
+        cols = _cospanning_columns(p, case)
         if cols is not None:
             det_abs = float(abs(np.linalg.det(cols)))
-    rank = _extended_rank(p, conjugate=True)
-    case = _boundary_case(p)
+    rank = _extended_rank(p, case, conjugate=True)
     return SpanningReport(verdict, case, rank, det_abs, det_closed)

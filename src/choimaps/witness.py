@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoDetectingChoiceError, OutOfRangeError, ThetaOutOfRangeError
+from .errors import (
+    InternalConsistencyError,
+    NoDetectingChoiceError,
+    OutOfRangeError,
+    ThetaOutOfRangeError,
+)
 from .linalg import Array, hermitian_eigenvalues, partial_transpose
 from .maps import MapParams, choi_matrix, cp_threshold, edge_state, pairing_value
 from .positivity import block_positivity_oracle
@@ -58,11 +63,15 @@ def solve_beta_gamma(theta: float, alpha_tilde: float) -> tuple[float, float]:
     prod = (2.0 * t - alpha_tilde) ** 2
     disc = s * s - 4.0 * prod
     if disc < -1e-12:
-        raise AssertionError(f"negative discriminant {disc} inside the admissible interval")
+        raise InternalConsistencyError(
+            f"negative discriminant {disc!r} inside the admissible interval at alpha~={alpha_tilde!r}"
+        )
     half = math.sqrt(max(disc, 0.0)) / 2.0
     beta, gamma = s / 2.0 + half, s / 2.0 - half
     if beta <= 0 or gamma <= 0:
-        raise AssertionError(f"roots not positive: {(beta, gamma)}")
+        raise InternalConsistencyError(
+            f"roots not positive: {(beta, gamma)} at theta={theta!r}, alpha~={alpha_tilde!r}"
+        )
     return beta, gamma
 
 
@@ -142,16 +151,31 @@ def _assemble(theta: float, b: float, alpha_tilde: float, beta: float, gamma: fl
 def _validate(spec: WitnessSpec) -> None:
     """Check the constructed witness is block-positive but neither PSD nor
     co-PSD, with normalized parameters on the bi-spanning boundary piece."""
-    if hermitian_eigenvalues(spec.matrix)[0] >= -1e-6:
-        raise AssertionError("witness is PSD within tolerance; it cannot detect anything")
-    if hermitian_eigenvalues(partial_transpose(spec.matrix))[0] >= -1e-6:
-        raise AssertionError("witness is co-PSD within tolerance")
-    if block_positivity_oracle(spec.matrix).min_value < -1e-6:
-        raise AssertionError("witness failed the block-positivity oracle")
+    where = f"theta={spec.theta!r}, b={spec.b!r}, alpha~={spec.alpha_tilde!r}"
+    low = hermitian_eigenvalues(spec.matrix)[0]
+    if low >= -1e-6:
+        raise InternalConsistencyError(
+            f"witness at {where} is PSD within tolerance (smallest eigenvalue {low!r}); "
+            "it cannot detect anything"
+        )
+    low = hermitian_eigenvalues(partial_transpose(spec.matrix))[0]
+    if low >= -1e-6:
+        raise InternalConsistencyError(
+            f"witness at {where} is co-PSD within tolerance (smallest eigenvalue {low!r})"
+        )
+    low = block_positivity_oracle(spec.matrix).min_value
+    if low < -1e-6:
+        raise InternalConsistencyError(
+            f"witness at {where} failed the block-positivity oracle: minimum {low!r}"
+        )
     if not has_spanning_property(spec.normalized_params).has_property:
-        raise AssertionError("normalized parameters lost the spanning property")
+        raise InternalConsistencyError(
+            f"normalized parameters {spec.normalized_params} lost the spanning property"
+        )
     if not has_cospanning_property(spec.normalized_params).has_property:
-        raise AssertionError("normalized parameters lost the co-spanning property")
+        raise InternalConsistencyError(
+            f"normalized parameters {spec.normalized_params} lost the co-spanning property"
+        )
 
 
 def build_witness(
@@ -223,11 +247,15 @@ def edge_kernel_vectors(b: float, theta: float) -> tuple[Array, Array, Array, Ar
 
     rho = edge_state(b, theta)
     rho_pt = partial_transpose(rho)
-    if abs(pairing_value(np.outer(z, z.conj()), rho)) > 1e-10:
-        raise AssertionError("state kernel vector pairing is nonzero")
-    for w in (w1, w2, w3):
-        if abs(pairing_value(np.outer(w, w.conj()), rho_pt)) > 1e-10:
-            raise AssertionError("partial-transpose kernel vector pairing is nonzero")
+    value = pairing_value(np.outer(z, z.conj()), rho)
+    if abs(value) > 1e-10:
+        raise InternalConsistencyError(f"state kernel vector pairing is nonzero: {value!r}")
+    for k, w in enumerate((w1, w2, w3), start=1):
+        value = pairing_value(np.outer(w, w.conj()), rho_pt)
+        if abs(value) > 1e-10:
+            raise InternalConsistencyError(
+                f"partial-transpose kernel vector w{k} pairing is nonzero: {value!r}"
+            )
     return z, w1, w2, w3
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from choimaps.cli import main, parse_angle
+from choimaps.positivity import BlockPositivityReport
 from choimaps.reporting import ReportDocument, render_plain
 
 
@@ -107,6 +108,22 @@ class TestWitness:
 
     def test_nonpositive_b_usage_error(self, capsys):
         assert main(["witness", "pi/6", "0"]) == 1
+
+    def test_failed_self_check_exit_five(self, capsys, monkeypatch):
+        # a validation failure is a program defect: exit 5, one stderr line
+        import choimaps.witness
+
+        def negative_oracle(w, *args, **kwargs):
+            return BlockPositivityReport(-0.5, np.eye(3)[0], np.eye(3)[1], 1, False)
+
+        monkeypatch.setattr(choimaps.witness, "block_positivity_oracle", negative_oracle)
+        assert main(["witness", "pi/6", "1.0"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("witness: internal consistency check failed: ")
+        assert "block-positivity oracle: minimum -0.5" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestSweep:

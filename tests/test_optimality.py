@@ -22,6 +22,9 @@ from choimaps import (
     subtraction_budget,
     vertex_optimality_analytic,
 )
+from choimaps.errors import InternalConsistencyError
+from choimaps.optimality import _kernel_hessian, _penalty_rows
+from choimaps.spanning import sampled_kernel_vectors
 
 
 class TestOrthocomplement:
@@ -227,3 +230,48 @@ def test_subtraction_budget_positive_in_branch():
         assert subtraction_budget(th) > 0
     with pytest.raises(UnsupportedThetaError):
         subtraction_budget(0.0)
+
+
+def _loop_hessian(w, xi0, eta0):
+    """Reference: the Hessian by polarization and the tangent map w1, one
+    tangent direction at a time."""
+
+    def w1(x):
+        return np.kron(x[0:3] + 1j * x[3:6], eta0) + np.kron(xi0, x[6:9] + 1j * x[9:12])
+
+    def q2(x):
+        z0 = np.kron(xi0, eta0)
+        w2 = np.kron(x[0:3] + 1j * x[3:6], x[6:9] + 1j * x[9:12])
+        return (w1(x) @ (w @ w1(x).conj())).real + 2.0 * (z0 @ (w @ w2.conj())).real
+
+    basis = np.eye(12)
+    diag = [q2(basis[i]) for i in range(12)]
+    h = np.diag(diag)
+    for i in range(12):
+        for j in range(i + 1, 12):
+            h[i, j] = h[j, i] = (q2(basis[i] + basis[j]) - diag[i] - diag[j]) / 2.0
+    return h, np.array([w1(basis[k]) for k in range(12)])
+
+
+def test_batched_kernel_hessian_matches_loop():
+    th = np.pi / 6
+    pth = cp_threshold(th)
+    rng = np.random.default_rng(3)
+    directions = rng.normal(size=(3, 9)) + 1j * rng.normal(size=(3, 9))
+    for abc in ((1, pth - 1, 0), (1.2, (pth - 1.2) / 2, (pth - 1.2) / 2), (1.5, 0.5, 0)):
+        p = MapParams(*abc, th)
+        w = choi_matrix(p)
+        for pv in sampled_kernel_vectors(p)[::4]:
+            h, tangents = _loop_hessian(w, pv.xi, pv.eta)
+            mu, e = _kernel_hessian(w, pv.xi, pv.eta)
+            assert np.abs((e * mu) @ e.T - h).max() <= 1e-12 * max(1.0, np.abs(h).max())
+            amp = directions @ tangents.T
+            rows = _penalty_rows(directions, pv.xi, pv.eta)
+            assert np.abs(rows - np.stack([amp.real, amp.imag], axis=1)).max() <= 1e-12
+
+
+def test_non_stationary_point_is_an_internal_error():
+    w = choi_matrix(MapParams(2, 2, 2, np.pi / 6))
+    xi = eta = np.array([1.0, 0.5, 0.25], dtype=complex)
+    with pytest.raises(InternalConsistencyError, match="not stationary"):
+        _kernel_hessian(w, xi, eta)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choimaps import (
     MapParams,
@@ -18,8 +20,16 @@ from choimaps import (
     is_completely_positive,
     is_positive,
     pairing,
+    pairing_value,
     partial_transpose,
     stationary_form_determinant,
+)
+from choimaps.maps import apply_map
+from choimaps.positivity import (
+    _apply_kernel,
+    _kernel_matrix,
+    _smallest_eigenvalues,
+    _sphere_grid,
 )
 
 
@@ -219,6 +229,117 @@ class TestBlockPositivityOracle:
         assert report.min_value >= -1e-9
         assert report.status == "nonnegative"
         assert report.grid_points == 8**4
+
+
+def _random_unitaries(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))).Q
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+def test_closed_form_smallest_eigenvalue_matches_lapack(seed, scale):
+    rng = np.random.default_rng(seed)
+    n = 40
+    lo, hi = np.sort(rng.normal(size=(2, n)), axis=0)
+    spectra = np.concatenate(
+        [
+            rng.normal(size=(n, 3)),  # generic
+            np.repeat(lo[:, None], 3, axis=1),  # scalar
+            np.stack([0 * lo, 0 * lo, hi - lo], axis=1),  # rank 1 (PSD)
+            np.stack([lo, lo, hi], axis=1),  # double smallest
+            np.stack([lo, hi, hi], axis=1),  # double largest
+        ]
+    )
+    u = _random_unitaries(rng, len(spectra))
+    a = scale * (u * spectra[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    a = (a + a.conj().transpose(0, 2, 1)) / 2
+    # exact scalar and zero matrices: p = 0
+    a = np.concatenate([a, scale * lo[:, None, None] * np.eye(3), np.zeros((1, 3, 3))])
+    reference = np.linalg.eigvalsh(a)[:, 0]
+    bound = 1e-10 * np.maximum(1.0, np.linalg.norm(a, axis=(1, 2)))
+    assert np.all(np.abs(_smallest_eigenvalues(a) - reference) <= bound)
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_kernel_matmul_is_the_map(seed):
+    rng = np.random.default_rng(seed)
+    p = MapParams(*rng.uniform(0.0, 2.5, 3), rng.uniform(-np.pi, np.pi))
+    xi, eta = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    kernel = _kernel_matrix(choi_matrix(p))
+    image = _apply_kernel(kernel, np.outer(xi, xi.conj()))[0]
+    assert np.abs(image - apply_map(p, np.outer(xi, xi.conj()))).max() <= 1e-12 * np.vdot(xi, xi).real
+    # the transposed kernel is the map on the second factor: both give the pairing
+    z = np.kron(xi, eta)
+    value = pairing(np.outer(z, z.conj()), p)
+    vec, u = eta.conj(), xi.conj()
+    second = _apply_kernel(kernel.T, np.outer(vec.conj(), vec))[0]
+    assert abs(np.vdot(vec, image @ vec) - value) <= 1e-10 * max(1.0, abs(value))
+    assert abs(np.vdot(u, second @ u) - value) <= 1e-10 * max(1.0, abs(value))
+
+
+def _checked_oracle(w, **kwargs):
+    """The oracle's report, after checking that the closed-form ranking puts
+    a cell at the exact (LAPACK) grid minimum first, and that ``refined``
+    says whether the descent went below that cell's exact value.  Cells tied
+    up to rounding are ordered by rounding, so the check is against the
+    first-ranked cell, not the smallest rounded value."""
+    report = block_positivity_oracle(w, **kwargs)
+    _, _, projectors = _sphere_grid(kwargs.get("grid_n", 16))
+    images = _apply_kernel(_kernel_matrix(w), projectors)
+    exact = np.linalg.eigh(images)[0][:, 0]
+    best = exact[np.argmin(_smallest_eigenvalues(images))]
+    assert best <= exact.min() + 1e-12 * max(1.0, np.abs(w).max())
+    assert report.refined == (report.min_value < best)
+    return report
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), family=st.booleans())
+def test_oracle_minimum_is_sandwiched(seed, family):
+    # lambda_min(W) <= oracle minimum <= every sampled product-vector pairing
+    rng = np.random.default_rng(seed)
+    if family:
+        w = choi_matrix(MapParams(*rng.uniform(0.0, 2.5, 3), rng.uniform(-np.pi, np.pi)))
+    else:
+        g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        w = (g + g.conj().T) / 2
+    report = _checked_oracle(w, grid_n=8)
+    xi, eta = rng.normal(size=(2, 200, 3)) + 1j * rng.normal(size=(2, 200, 3))
+    xi /= np.linalg.norm(xi, axis=1)[:, None]
+    eta /= np.linalg.norm(eta, axis=1)[:, None]
+    z = np.einsum("ni,nj->nij", xi, eta).reshape(-1, 9)
+    sampled = np.einsum("na,ab,nb->n", z.conj(), w, z).real
+    assert hermitian_eigenvalues(w)[0] - 1e-12 <= report.min_value <= sampled.min() + 1e-12
+    zbest = np.kron(report.argmin_xi, report.argmin_eta)
+    value = pairing_value(np.outer(zbest, zbest.conj()), w)
+    assert abs(value - report.min_value) <= 1e-10 * max(1.0, np.abs(w).max())
+
+
+def test_oracle_refined_flag_on_boundary_maps():
+    th = np.pi / 6
+    for p in (MapParams(1, cp_threshold(th) - 1, 0, th), MapParams(0.5, 1, 0.25, th),
+              MapParams(0.5, 0.1, 0.1, th), MapParams(2, 0, 0, th)):
+        _checked_oracle(choi_matrix(p), grid_n=8)
+    _checked_oracle(edge_state(1.0, th), grid_n=8, refine_steps=0)
+
+
+def test_descent_leaves_a_coordinate_saddle():
+    # W on the diagonal tensor slots only: the best grid cells all have
+    # xi_3 = 0, a subspace the alternating step never leaves.  Its best point
+    # there (-0.32171) is a saddle; the minimum needs xi_3 != 0.
+    g = np.array(
+        [
+            [0.53, -0.81 + 0.05j, -0.18 - 1.14j],
+            [-0.81 - 0.05j, -0.04, -0.47 + 0.65j],
+            [-0.18 + 1.14j, -0.47 - 0.65j, 1.22],
+        ]
+    )
+    w = np.zeros((9, 9), dtype=complex)
+    w[np.ix_([0, 4, 8], [0, 4, 8])] = g
+    report = _checked_oracle(w, grid_n=8)
+    assert -0.32218 < report.min_value < -0.32216
+    assert abs(report.argmin_xi[2]) > 0.1
 
 
 class TestIndecomposability:
