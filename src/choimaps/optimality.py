@@ -4,11 +4,12 @@ subtracted from a map while it stays block-positive.
 Candidate directions live in the orthocomplement of the sampled kernel
 product vectors.  Per direction the largest subtractable weight equals the
 infimum over product vectors of the ratio (pairing with the map) /
-(pairing with the direction); the probe measures that ratio on a grid with
-Nelder-Mead descent, which stays meaningful even where boundary violations
-are cubically suppressed and the plain bisection-on-the-oracle test loses
-resolution.  The two named vertices also get a closed-form optimality
-certificate extracted from the probe families the proof uses.
+(pairing with the direction), which stays meaningful even where boundary
+violations are cubically suppressed and the plain bisection-on-the-oracle
+test loses resolution.  The probe refines it from a grid by Dinkelbach
+rounds, each one iteration of the oracle's descent (``refine_steps`` caps
+them per direction).  The two named vertices also get a closed-form
+optimality certificate extracted from the probe families the proof uses.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import (
     InternalConsistencyError,
@@ -41,6 +39,7 @@ from .maps import MapParams, choi_matrix, cp_threshold, pairing_value
 from .positivity import (
     FACE_TOL,
     _apply_kernel,
+    _descend,
     _kernel_matrix,
     _sphere_grid,
     block_positivity_oracle,
@@ -219,64 +218,61 @@ class OptimalityProbeReport:
         return (complex(v[0]), complex(v[4]), complex(v[8]))
 
 
-def _sobol_directions(dim: int, n: int) -> Array:
-    """Deterministic low-discrepancy unit vectors in C^dim (2*dim reals).
-
-    Degenerate draws (the midpoint sample maps to the zero vector under the
-    Gaussian quantile) are dropped, so exactly ``n`` unit vectors return.
-    """
-    sampler = qmc.Sobol(d=2 * dim, scramble=False)
-    sampler.fast_forward(1)
-    u = np.clip(sampler.random(2 * n + 4), 1e-9, 1.0 - 1e-9)
-    g = ndtri(u)
-    v = g[:, :dim] + 1j * g[:, dim:]
-    norms = np.linalg.norm(v, axis=1)
-    keep = norms > 1e-6
-    v = v[keep][:n]
+def _directions(dim: int, n: int) -> Array:
+    """Deterministic low-discrepancy unit vectors in C^dim: the Kronecker
+    sequence R_2dim (frac(1/2 + k g^-j), g^(2dim+1) = g + 1), paired by
+    Box-Muller into complex Gaussians sqrt(-ln(1 - u1)) e^(2 pi i u2) and
+    normalized.  Zero-norm draws are dropped, so exactly ``n`` return."""
+    g = 2.0
+    for _ in range(60):  # contracts to the root of g^(2dim+1) = g + 1
+        g = (1.0 + g) ** (1.0 / (2 * dim + 1))
+    u = (0.5 + np.arange(1, 2 * n + 5)[:, None] * g ** -np.arange(1.0, 2 * dim + 1)) % 1.0
+    v = np.sqrt(-np.log1p(-u[:, 0::2])) * np.exp(2j * math.pi * u[:, 1::2])
+    v = v[np.linalg.norm(v, axis=1) > 1e-6][:n]
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def _ratio_on_grid(lam: Array, u: Array, directions_b: Array, lam_floor: Array) -> Array:
-    """Largest subtractable weight at each grid point for each direction.
-
-    lam, u: batched eigendecompositions of the map on the grid projectors;
-    directions_b: (ndir, ngrid, 3) transformed direction vectors.
-    """
+def _ratio_on_grid(kernel: Array, matrices: Array, xi: Array) -> Array:
+    """(ndir, n) largest subtractable weights 1/(b* A^+ b), A = Phi(xi xi*),
+    b = m^T xi, for the (ndir, 3, 3) direction ``matrices`` at the (n, 3)
+    unit vectors ``xi``: the largest p with A - p b b* PSD.  Eigenvalues of A
+    below 1e-8 max(1, lambda_max) are raised to it, which only raises
+    ratios: near a kernel vector the ratio of two vanishing terms would be
+    rounding noise, and the exact kernel limits cover those points."""
+    lam, u = np.linalg.eigh(_apply_kernel(kernel, xi[:, :, None] * xi.conj()[:, None, :]))
+    lam_floor = np.maximum(lam, 1e-8 * np.maximum(lam[:, -1:], 1.0))
+    directions_b = np.einsum("dji,nj->dni", matrices, xi)
     beta2 = np.abs(np.einsum("nij,dni->dnj", u.conj(), directions_b)) ** 2
     denom = np.sum(beta2 / lam_floor[None, :, :], axis=2)
     with np.errstate(divide="ignore"):
         return np.where(denom > 0, 1.0 / denom, np.inf)
 
 
-def _xi_from_angles(params) -> Array:
-    f1, f2, s1, s2 = params
-    return np.array(
-        [
-            math.cos(f1),
-            math.sin(f1) * math.cos(f2) * complex(math.cos(s1), math.sin(s1)),
-            math.sin(f1) * math.sin(f2) * complex(math.cos(s2), math.sin(s2)),
-        ]
-    )
-
-
-def _ratio_at(kernel: Array, m: Array, params) -> float:
-    """Largest weight p with (map(xi xi*) - p b b*) PSD at one grid point,
-    b = m^T xi."""
-    xi = _xi_from_angles(params)
-    n2 = float(np.vdot(xi, xi).real)
-    if n2 < 1e-30:
-        return math.inf
-    xi = xi / math.sqrt(n2)
-    a = _apply_kernel(kernel, np.outer(xi, xi.conj()))[0]
-    b = m.T @ xi
-    nb2 = float(np.vdot(b, b).real)
-    if nb2 < 1e-30:
-        return math.inf
-    lam, u = np.linalg.eigh(a)
-    floor = 1e-18 * max(lam[-1], 1.0)
-    beta2 = np.abs(u.conj().T @ b) ** 2
-    denom = float(np.sum(beta2 / np.maximum(lam, floor)))
-    return 1.0 / denom if denom > 0 else math.inf
+def _dinkelbach(w: Array, kernel: Array, v: Array, xi: Array, ratios: Array, steps: int) -> float:
+    """Smallest ratio of the direction ``v`` reached by Dinkelbach rounds (W.
+    Dinkelbach, Management Science 13:492, 1967) from the unit vectors
+    ``xi`` with their ``ratios``: one ``_descend`` iteration on W - r v v*,
+    r the smallest ratio so far, then the exact ratios at the new xi; no
+    round raises r.  Stops after ``steps`` rounds, when r falls by less than
+    1e-9 r, or once r <= OPTIMAL_TOL / 10.  The starts are the best vectors
+    of the 20 best moduli patterns: the map commutes with diagonal phases,
+    so phase copies are duplicate starts, and a descent drawn to a kernel
+    vector (where the ratio only tends to its kernel limit) must not decide.
+    """
+    order = np.argsort(ratios, kind="stable")
+    _, first = np.unique(np.round(np.abs(xi[order]), 9), axis=0, return_index=True)
+    xi = xi[order[np.sort(first)[:20]]]
+    r = float(ratios[order[0]])
+    vv = np.outer(v, v.conj())
+    for _ in range(steps):
+        if not OPTIMAL_TOL / 10 < r < math.inf:
+            break
+        shifted = w - r * vv
+        xi = _descend(shifted, _kernel_matrix(shifted), xi, 1)[0]
+        r, previous = min(r, float(_ratio_on_grid(kernel, v.reshape(1, 3, 3), xi).min())), r
+        if r > previous - 1e-9 * previous:
+            break
+    return r
 
 
 # -- exact ratio limits at the sampled kernel vectors -----------------------
@@ -375,13 +371,18 @@ def optimality_probe(
 
     Directions sweep the unit sphere of the kernel orthocomplement (the full
     space when no kernel vector is known).  Per direction the measured
-    quantity is the infimum over product vectors of the pairing ratio, from
-    a grid scan plus Nelder-Mead descent on its logarithm; a candidate above
-    the not-optimal threshold is re-verified by bisection against the
-    block-positivity oracle.
+    quantity is the infimum over product vectors of the pairing ratio: the
+    smaller of its exact limits at the kernel vectors and ``_dinkelbach``
+    from the best grid cells, whose rounds (one descent iteration each)
+    ``refine_steps`` caps.  A candidate above the not-optimal threshold is
+    re-verified against the block-positivity oracle.  Raises ValueError
+    unless p_max > 0, n_directions >= 1, grid_n >= 1 and refine_steps >= 0.
     """
     if not math.isfinite(p_max) or p_max <= 0:
         raise ValueError(f"p_max must be positive, got {p_max}")
+    if n_directions < 1 or grid_n < 1 or refine_steps < 0:
+        got = f"{n_directions}, {grid_n}, {refine_steps}"
+        raise ValueError(f"n_directions and grid_n must be >= 1 and refine_steps >= 0, got {got}")
     w = choi_matrix(p)
     kernel = _kernel_matrix(w)
 
@@ -398,15 +399,9 @@ def optimality_probe(
         )
 
     basis_mat = np.array(basis)  # (dim, 9)
-    coeffs = _sobol_directions(len(basis), n_directions)
-    directions = coeffs @ basis_mat  # (ndir, 9)
-    matrices = directions.reshape(-1, 3, 3)
-
-    angles, xi_grid, projectors = _sphere_grid(grid_n)
-    lam, u = np.linalg.eigh(_apply_kernel(kernel, projectors))
-    lam_floor = np.maximum(lam, 1e-18 * np.maximum(lam[:, -1:], 1.0))
-    directions_b = np.einsum("dji,nj->dni", matrices, xi_grid)
-    grid_ratios = _ratio_on_grid(lam, u, directions_b, lam_floor)
+    directions = _directions(len(basis), n_directions) @ basis_mat  # (ndir, 9)
+    _, xi_grid, _ = _sphere_grid(grid_n)
+    grid_ratios = _ratio_on_grid(kernel, directions.reshape(-1, 3, 3), xi_grid)
 
     limits = [
         (*_kernel_hessian(w, pv.xi, pv.eta), _penalty_rows(directions, pv.xi, pv.eta))
@@ -422,22 +417,9 @@ def optimality_probe(
             r_best = min(r_best, _kernel_limit_ratio(mu, e, rows[d]))
             if r_best <= 0.0:
                 break
-        m = matrices[d]
         if r_best > OPTIMAL_TOL / 10:
-            vals = grid_ratios[d]
-            order = np.argsort(vals, kind="stable")[:3]
-            r_best = min(r_best, float(vals[order[0]]))
-            for idx in order:
-                if r_best <= OPTIMAL_TOL / 10:
-                    break
-                res = minimize(
-                    lambda x: math.log(min(max(_ratio_at(kernel, m, x), 1e-300), 1e9)),
-                    angles[idx],
-                    method="Nelder-Mead",
-                    options={"maxiter": refine_steps, "xatol": 1e-13, "fatol": 1e-13},
-                )
-                if math.isfinite(res.fun):
-                    r_best = min(r_best, math.exp(res.fun))
+            refined = _dinkelbach(w, kernel, directions[d], xi_grid, grid_ratios[d], refine_steps)
+            r_best = min(r_best, refined)
         per_direction[d] = min(r_best, p_max)
         if per_direction[d] > best:
             best = per_direction[d]

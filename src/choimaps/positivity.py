@@ -16,7 +16,8 @@ ranks a deterministic grid on the unit sphere of C^3 by the closed-form
 smallest eigenvalue of a 3x3 Hermitian matrix, then runs a batched descent
 from the best cells that alternates exact minimizations over the two factors
 of the product vector and adds second-order (Newton) steps on both.  The map
-acts on a stack of projectors as one matmul with a 9x9 kernel matrix.
+acts on a stack of projectors as one matmul with a 9x9 kernel matrix.  The
+optimality probe shares the descent, ``_descend``.
 """
 
 from __future__ import annotations
@@ -321,44 +322,22 @@ def _newton_candidates(w: Array, xi: Array, value: Array, evecs: Array) -> list[
     return out
 
 
-def block_positivity_oracle(
-    w, grid_n: int = 16, refine_steps: int = 200
-) -> BlockPositivityReport:
-    """Minimize the smallest eigenvalue of the map with Choi matrix ``w``
-    applied to rank-1 projectors, over the unit sphere of C^3.
-
-    A grid of ``grid_n`` points per angle axis (grid_n^4 cells) is ranked
-    by the closed-form smallest eigenvalue.  The 10 best cells start a
-    descent on the pairing of ``w`` with the product projector of
-    xi (x) eta, batched over the starts.  Each iteration offers every start
-    the alternating step (with eta fixed at the smallest eigenvector of
-    Phi(xi xi*), the best xi comes from that of the second-factor map
-    M(eta)) and the second-order steps of ``_newton_candidates``, and keeps
-    the one with the lowest exact value, so no value increases.  The
-    alternating step alone stalls at saddles (a start on a coordinate
-    subspace stays on it) and crawls at flat minima; the Newton steps
-    leave the one and converge at the other.  The descent stops when no
-    start decreases by more than 1e-15 * max(1, |value|), or after
-    ``refine_steps`` iterations.  Every reported value comes from LAPACK at
-    the reported point, and the result is independent of evaluation order
-    (ties resolve to the lexicographically first cell).
+def _descend(w: Array, kernel: Array, xi: Array, steps: int) -> tuple[Array, Array, Array]:
+    """Batched descent on the pairing of ``w`` (kernel matrix ``kernel``)
+    with the product projector of xi (x) eta, from the unit vectors ``xi``;
+    returns the final xi, the smallest eigenvalue of Phi(xi xi*) (LAPACK)
+    and its eigenvectors.  Each iteration offers every start the
+    alternating step (eta at the smallest eigenvector of Phi(xi xi*), then
+    xi at that of the second-factor map M(eta)) and the Newton steps of
+    ``_newton_candidates``, and keeps the lowest exact value, so no value
+    increases; the Newton steps leave the saddles where the alternating step
+    alone stalls.  Stops when no start decreases by more than
+    1e-15 * max(1, |value|), or after ``steps`` iterations.
     """
-    w = require_hermitian(w)
-    kernel = _kernel_matrix(w)
-    angles, xi_grid, projectors = _sphere_grid(grid_n)
-    images = _apply_kernel(kernel, projectors)
-    # scanned in blocks, so its temporaries stay small next to ``images``
-    values = np.concatenate(
-        [_smallest_eigenvalues(images[k : k + 4096]) for k in range(0, len(images), 4096)]
-    )
-    starts = np.argsort(values, kind="stable")[:10]
-
-    xi = xi_grid[starts]
-    evals, evecs = np.linalg.eigh(images[starts])
-    grid_value, grid_xi, grid_vec = float(evals[0, 0]), xi[0], evecs[0, :, 0]
+    evals, evecs = np.linalg.eigh(_apply_kernel(kernel, xi[:, :, None] * xi.conj()[:, None, :]))
     value = evals[:, 0]
     rows = np.arange(len(xi))
-    for _ in range(refine_steps):
+    for _ in range(steps):
         # With vec = conj(eta) the pairing is vec* Phi(xi xi*) vec, and also
         # u* M u with u = conj(xi), M = M(conj(vec) vec^T): each is minimized
         # by a smallest eigenvector.
@@ -375,6 +354,35 @@ def block_positivity_oracle(
         xi, value, evecs = flat[pick], cand_evals[pick, 0], cand_evecs[pick]
         if not np.any(previous - value > 1e-15 * np.maximum(1.0, np.abs(value))):
             break
+    return xi, value, evecs
+
+
+def block_positivity_oracle(
+    w, grid_n: int = 16, refine_steps: int = 200
+) -> BlockPositivityReport:
+    """Minimize the smallest eigenvalue of the map with Choi matrix ``w``
+    applied to rank-1 projectors, over the unit sphere of C^3: the 10 best
+    of grid_n^4 grid cells, ranked by the closed-form smallest eigenvalue,
+    start ``_descend`` for at most ``refine_steps`` iterations.  Reported
+    values come from LAPACK at the reported point, and ties resolve to the
+    lexicographically first cell.  Raises ValueError unless grid_n >= 1 and
+    refine_steps >= 0.
+    """
+    if grid_n < 1 or refine_steps < 0:
+        raise ValueError(f"grid_n must be >= 1 and refine_steps >= 0, got {grid_n}, {refine_steps}")
+    w = require_hermitian(w)
+    kernel = _kernel_matrix(w)
+    angles, xi_grid, projectors = _sphere_grid(grid_n)
+    images = _apply_kernel(kernel, projectors)
+    # scanned in blocks, so its temporaries stay small next to ``images``
+    values = np.concatenate(
+        [_smallest_eigenvalues(images[k : k + 4096]) for k in range(0, len(images), 4096)]
+    )
+    starts = np.argsort(values, kind="stable")[:10]
+
+    evals, evecs = np.linalg.eigh(images[starts[:1]])
+    grid_value, grid_xi, grid_vec = float(evals[0, 0]), xi_grid[starts[0]], evecs[0, :, 0]
+    xi, value, evecs = _descend(w, kernel, xi_grid[starts], refine_steps)
 
     best = int(np.argmin(value))
     refined = bool(value[best] < grid_value)

@@ -124,14 +124,14 @@ class WitnessSpec:
         return self.detection_value < 0.0
 
 
-def _assemble(theta: float, b: float, alpha_tilde: float, beta: float, gamma: float,
+def _assemble(theta: float, b: float, rho: Array, alpha_tilde: float, beta: float, gamma: float,
               b_slot: float, c_slot: float) -> WitnessSpec:
     t = math.cos(theta / 2.0)
     w = witness_matrix(theta, alpha_tilde, b_slot, c_slot)
     params = MapParams(
         alpha_tilde / (2.0 * t), b_slot / (2.0 * t), c_slot / (2.0 * t), math.pi - theta / 2.0
     )
-    detection = pairing_value(edge_state(b, theta), w)
+    detection = pairing_value(rho, w)
     return WitnessSpec(
         theta=theta,
         b=b,
@@ -200,10 +200,11 @@ def build_witness(
         yield at, beta, gamma, beta, gamma
         yield at, beta, gamma, gamma, beta
 
+    rho = edge_state(b, theta)
     best: WitnessSpec | None = None
     if alpha_tilde is not None:
         for at, beta, gamma, bs, cs in candidates(alpha_tilde):
-            spec = _assemble(theta, b, at, beta, gamma, bs, cs)
+            spec = _assemble(theta, b, rho, at, beta, gamma, bs, cs)
             if best is None or spec.detection_value < best.detection_value:
                 best = spec
     else:
@@ -211,7 +212,7 @@ def build_witness(
         margin = ALPHA_MARGIN * (hi - lo)
         for at in np.linspace(lo + margin, hi - margin, 64):
             for at_, beta, gamma, bs, cs in candidates(float(at)):
-                spec = _assemble(theta, b, at_, beta, gamma, bs, cs)
+                spec = _assemble(theta, b, rho, at_, beta, gamma, bs, cs)
                 if best is None or spec.detection_value < best.detection_value:
                     best = spec
         if best is None or best.detection_value >= -1e-9:

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import choimaps
 from choimaps.cli import main, parse_angle
 from choimaps.positivity import BlockPositivityReport
 from choimaps.reporting import ReportDocument, render_plain
@@ -231,3 +236,12 @@ class TestSpanningCommand:
 
 def test_unknown_command_usage():
     assert main(["frobnicate"]) == 1
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so modules imported by other tests do not count
+    src = str(Path(choimaps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, choimaps.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert res.stdout.strip() == "[]"

@@ -23,7 +23,8 @@ from choimaps import (
     vertex_optimality_analytic,
 )
 from choimaps.errors import InternalConsistencyError
-from choimaps.optimality import _kernel_hessian, _penalty_rows
+from choimaps.maps import apply_map
+from choimaps.optimality import _directions, _kernel_hessian, _penalty_rows
 from choimaps.spanning import sampled_kernel_vectors
 
 
@@ -275,3 +276,69 @@ def test_non_stationary_point_is_an_internal_error():
     xi = eta = np.array([1.0, 0.5, 0.25], dtype=complex)
     with pytest.raises(InternalConsistencyError, match="not stationary"):
         _kernel_hessian(w, xi, eta)
+
+
+_F_AB = MapParams(1.5, 0.5, 0, np.pi / 6)
+
+
+@pytest.mark.parametrize(
+    "call, kwargs",
+    [
+        ("probe", {"n_directions": 0}),
+        ("probe", {"n_directions": -3}),
+        ("probe", {"grid_n": 0}),
+        ("probe", {"refine_steps": -1}),
+        ("oracle", {"grid_n": 0}),
+        ("oracle", {"refine_steps": -1}),
+    ],
+)
+def test_bad_budgets_are_value_errors(call, kwargs):
+    # n_directions=0 used to report 'optimal' for this not-optimal map
+    with pytest.raises(ValueError, match="must be"):
+        if call == "probe":
+            optimality_probe(_F_AB, **kwargs)
+        else:
+            block_positivity_oracle(choi_matrix(_F_AB), **kwargs)
+
+
+@pytest.mark.parametrize("dim", [2, 9])
+@pytest.mark.parametrize("n", [1, 64])
+def test_directions_are_distinct_deterministic_unit_vectors(dim, n):
+    v = _directions(dim, n)
+    assert v.shape == (n, dim)
+    assert np.all(np.isfinite(v))
+    assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= 1e-12
+    assert np.array_equal(v, _directions(dim, n))
+    gaps = np.abs(v[:, None, :] - v[None, :, :]).max(axis=2) + 2.0 * np.eye(n)
+    assert gaps.min() > 1e-6
+
+
+def _sampled_ratio_minimum(p: MapParams, v, n: int = 2000) -> float:
+    """Smallest largest-subtractable weight of the direction ``v`` over n
+    seeded random unit xi: the largest r with Phi(xi xi*) - r b b* PSD is
+    1/(b* A^-1 b), where b = m^T xi is the direction's map on xi xi*."""
+    rng = np.random.default_rng(11)
+    xi = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    xi /= np.linalg.norm(xi, axis=1)[:, None]
+    lam, u = np.linalg.eigh(np.array([apply_map(p, np.outer(x, x.conj())) for x in xi]))
+    b = xi @ np.asarray(v).reshape(3, 3)
+    beta2 = np.abs(np.einsum("nji,nj->ni", u.conj(), b)) ** 2
+    return float((1.0 / np.sum(beta2 / lam, axis=1)).min())
+
+
+_PTH = cp_threshold(np.pi / 6)
+_E_AB = MapParams((1 + _PTH) / 2, (_PTH - 1) / 2, 0, np.pi / 6)
+
+
+@pytest.mark.parametrize("p", [_F_AB, _E_AB], ids=["f_ab", "e_ab"])
+def test_refined_weight_is_tight(p):
+    report = optimality_probe(p, n_directions=1)
+    r, v = report.max_subtractable, report.witness_direction
+    assert r > 1e-6
+    # no sampled product vector beats the refined weight ...
+    assert r <= _sampled_ratio_minimum(p, v) + 1e-12 * r
+    # ... half of it can be subtracted, and twice it cannot
+    vv = np.outer(v, v.conj())
+    w = choi_matrix(p)
+    assert block_positivity_oracle(w - 0.5 * r * vv).min_value >= -1e-9
+    assert block_positivity_oracle(w - 2.0 * r * vv).min_value < -1e-9
