@@ -25,7 +25,6 @@ from .faces import (
     face_properties,
 )
 from .linalg import (
-    Tolerances,
     determinant,
     hermitian_eigenvalues,
     kron,

@@ -1,12 +1,18 @@
 """Command-line interface: classification, witness construction, spanning
 reports and figure-data sweeps with deterministic machine-readable output.
 
-Exit codes: 0 success, 1 usage error (including `spanning` on a map that is
-not positive, `witness` with b <= 0, and `figure-data 3` with more than
-1000000 rows: it writes 3*points^3 rows, so --points at most 69), 2
-unsupported angle, 3 constructed witness does not detect, 4 I/O error, 5
-internal consistency check failed (a defect of the program, not of the
-input; the one-line message names the failing evidence).
+Exit codes:
+  0  success
+  1  usage error: a bad argument or angle literal, a negative or non-finite
+     coordinate (OutOfRangeError), `spanning` on a map that is not positive
+     (NotPositiveMapError), `witness` with b <= 0, and `figure-data 3` with
+     more than 1000000 rows (it writes 3*points^3 rows, so --points at most 69)
+  2  unsupported angle (UnsupportedThetaError, ThetaOutOfRangeError)
+  3  the constructed witness does not detect (NoDetectingChoiceError)
+  4  I/O error
+  5  internal consistency check failed (InternalConsistencyError: a defect
+     of the program, not of the input; the one-line message names the
+     failing evidence)
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .linalg import hermitian_eigenvalues, partial_transpose
 from .maps import MapParams, choi_matrix, cp_threshold
 from .optimality import classify_optimality
 from .positivity import is_completely_copositive, is_completely_positive, is_positive
-from .reporting import ReportDocument, render_plain, round_real
+from .reporting import ReportDocument, render_plain
 from .spanning import has_cospanning_property, has_spanning_property
 from .witness import build_witness
 
@@ -42,6 +48,16 @@ EXIT_NO_DETECTION = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
 
+#: Exit code of each error a command may raise, the first match winning.
+_EXIT_CODES = {
+    InternalConsistencyError: EXIT_INTERNAL,
+    NoDetectingChoiceError: EXIT_NO_DETECTION,
+    UnsupportedThetaError: EXIT_UNSUPPORTED_THETA,
+    ThetaOutOfRangeError: EXIT_UNSUPPORTED_THETA,
+    NotPositiveMapError: EXIT_USAGE,
+    OutOfRangeError: EXIT_USAGE,
+}
+
 #: Largest number of rows `figure-data 3` may write.
 FIGURE3_MAX_ROWS = 1_000_000
 
@@ -50,7 +66,7 @@ _ANGLE_RE = re.compile(r"^([+-]?)(\d+)?pi(?:/(\d+))?$")
 
 def parse_angle(text: str) -> float:
     """Parse an angle: decimal radians or a rational multiple of pi such as
-    'pi/6', '-2pi/3' or '2pi'."""
+    'pi/6', '-2pi/3' or '2pi'.  Raises ValueError on any other text."""
     s = text.strip().lower().replace(" ", "")
     m = _ANGLE_RE.match(s)
     if m:
@@ -60,14 +76,11 @@ def parse_angle(text: str) -> float:
         if den == 0:
             raise ValueError(f"bad angle literal {text!r}")
         return sign * num * math.pi / den
-    try:
-        return float(s)
-    except ValueError:
-        raise ValueError(f"bad angle literal {text!r}") from None
+    return float(s)
 
 
 def _fmt(x: float) -> str:
-    return f"{round_real(x):.15g}"
+    return f"{x:.15g}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,35 +145,14 @@ def _emit(doc: ReportDocument, as_json: bool) -> None:
 
 
 def cmd_classify(args) -> int:
-    try:
-        p = MapParams(args.a, args.b, args.c, parse_angle(args.theta))
-    except ValueError as exc:
-        sys.stderr.write(f"classify: {exc}\n")
-        return EXIT_USAGE
-    try:
-        doc = _classification_document(p)
-    except UnsupportedThetaError as exc:
-        sys.stderr.write(f"classify: {exc}\n")
-        return EXIT_UNSUPPORTED_THETA
-    _emit(doc, args.json)
+    _emit(_classification_document(MapParams(args.a, args.b, args.c, args.theta)), args.json)
     return EXIT_OK
 
 
 def cmd_spanning(args) -> int:
-    try:
-        p = MapParams(args.a, args.b, args.c, parse_angle(args.theta))
-    except ValueError as exc:
-        sys.stderr.write(f"spanning: {exc}\n")
-        return EXIT_USAGE
-    try:
-        span = has_spanning_property(p)
-        cospan = has_cospanning_property(p)
-    except UnsupportedThetaError as exc:
-        sys.stderr.write(f"spanning: {exc}\n")
-        return EXIT_UNSUPPORTED_THETA
-    except NotPositiveMapError as exc:
-        sys.stderr.write(f"spanning: {exc}\n")
-        return EXIT_USAGE
+    p = MapParams(args.a, args.b, args.c, args.theta)
+    span = has_spanning_property(p)
+    cospan = has_cospanning_property(p)
     doc = ReportDocument(
         params={"a": p.a, "b": p.b, "c": p.c, "theta": p.theta},
         flags={
@@ -178,22 +170,7 @@ def cmd_spanning(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    try:
-        theta = parse_angle(args.theta)
-    except ValueError as exc:
-        sys.stderr.write(f"witness: {exc}\n")
-        return EXIT_USAGE
-    try:
-        spec = build_witness(theta, args.b, args.alpha_tilde)
-    except (ThetaOutOfRangeError, UnsupportedThetaError) as exc:
-        sys.stderr.write(f"witness: {exc}\n")
-        return EXIT_UNSUPPORTED_THETA
-    except OutOfRangeError as exc:
-        sys.stderr.write(f"witness: {exc}\n")
-        return EXIT_USAGE
-    except NoDetectingChoiceError as exc:
-        sys.stderr.write(f"witness: {exc}\n")
-        return EXIT_NO_DETECTION
+    spec = build_witness(args.theta, args.b, args.alpha_tilde)
     doc = ReportDocument(
         params={"theta": spec.theta, "b": spec.b, "t": spec.t},
         flags={
@@ -265,34 +242,23 @@ def _write_lines(path: str, lines) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        theta = parse_angle(args.theta)
-    except ValueError as exc:
-        sys.stderr.write(f"sweep: {exc}\n")
-        return EXIT_USAGE
     if not 1 <= args.grid_n <= 2000:
-        sys.stderr.write(f"sweep: grid_n must be in [1, 2000], got {args.grid_n}\n")
-        return EXIT_USAGE
+        raise OutOfRangeError(f"grid_n must be in [1, 2000], got {args.grid_n}")
     if not 0.0 <= args.box < math.inf:
-        sys.stderr.write(f"sweep: box must be finite and nonnegative, got {args.box}\n")
-        return EXIT_USAGE
-    try:
-        require_generic_theta(theta)
-    except UnsupportedThetaError as exc:
-        sys.stderr.write(f"sweep: {exc}\n")
-        return EXIT_UNSUPPORTED_THETA
+        raise OutOfRangeError(f"box must be finite and nonnegative, got {args.box}")
+    require_generic_theta(args.theta)
 
     def lines():
         yield _SWEEP_HEADER
-        for a, b, c in _sweep_rows(theta, args.grid_n, args.plane, args.box):
-            p = MapParams(a, b, c, theta)
+        for a, b, c in _sweep_rows(args.theta, args.grid_n, args.plane, args.box):
+            p = MapParams(a, b, c, args.theta)
             face = classify_face(p)
             yield ",".join(
                 (
                     _fmt(a),
                     _fmt(b),
                     _fmt(c),
-                    _fmt(theta),
+                    _fmt(args.theta),
                     face.kind.value,
                     str(int(is_completely_positive(p))),
                     str(int(is_completely_copositive(p))),
@@ -304,14 +270,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_figure_data(args) -> int:
-    try:
-        theta = parse_angle(args.theta)
-    except ValueError as exc:
-        sys.stderr.write(f"figure-data: {exc}\n")
-        return EXIT_USAGE
     if not 2 <= args.points <= 100000:
-        sys.stderr.write(f"figure-data: points must be in [2, 100000], got {args.points}\n")
-        return EXIT_USAGE
+        raise OutOfRangeError(f"points must be in [2, 100000], got {args.points}")
     if args.figure == "1":
         lines = ["theta,p_theta"]
         for th in np.linspace(-math.pi, math.pi, args.points):
@@ -325,14 +285,14 @@ def cmd_figure_data(args) -> int:
     # figure 3: positivity scans at thresholds 1, the given angle, 2
     rows = 3 * args.points**3
     if rows > FIGURE3_MAX_ROWS:
-        msg = f"figure 3 would write 3*points^3 = {rows} rows, above the cap of {FIGURE3_MAX_ROWS}"
-        sys.stderr.write(f"figure-data: {msg}\n")
-        return EXIT_USAGE
+        raise OutOfRangeError(
+            f"figure 3 would write 3*points^3 = {rows} rows, above the cap of {FIGURE3_MAX_ROWS}"
+        )
 
     def scans():
         yield "label,theta,a,b,c,positive"
         axis = np.linspace(0.0, 2.5, args.points)
-        for label, th in (("p=1", math.pi / 3.0), ("1<p<2", theta), ("p=2", 0.0)):
+        for label, th in (("p=1", math.pi / 3.0), ("1<p<2", args.theta), ("p=2", 0.0)):
             for a in axis:
                 for b in axis:
                     for c in axis:
@@ -350,7 +310,7 @@ def build_parser() -> _Parser:
     pc.add_argument("a", type=float)
     pc.add_argument("b", type=float)
     pc.add_argument("c", type=float)
-    pc.add_argument("theta", type=str)
+    pc.add_argument("theta", type=parse_angle)
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(func=cmd_classify)
 
@@ -358,19 +318,19 @@ def build_parser() -> _Parser:
     ps.add_argument("a", type=float)
     ps.add_argument("b", type=float)
     ps.add_argument("c", type=float)
-    ps.add_argument("theta", type=str)
+    ps.add_argument("theta", type=parse_angle)
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(func=cmd_spanning)
 
     pw = sub.add_parser("witness", help="construct an edge-state witness")
-    pw.add_argument("theta", type=str)
+    pw.add_argument("theta", type=parse_angle)
     pw.add_argument("b", type=float)
     pw.add_argument("--alpha-tilde", type=float, default=None)
     pw.add_argument("--json", action="store_true")
     pw.set_defaults(func=cmd_witness)
 
     pv = sub.add_parser("sweep", help="classification sweep to CSV")
-    pv.add_argument("theta", type=str)
+    pv.add_argument("theta", type=parse_angle)
     pv.add_argument("grid_n", type=int)
     pv.add_argument("--out", required=True)
     pv.add_argument("--plane", choices=("abc_simplex", "ab", "ac", "bc"), default="abc_simplex")
@@ -380,7 +340,7 @@ def build_parser() -> _Parser:
     pf = sub.add_parser("figure-data", help="emit figure data CSV")
     pf.add_argument("figure", choices=("1", "2", "3"))
     pf.add_argument("--out", required=True)
-    pf.add_argument("--theta", type=str, default="pi/6")
+    pf.add_argument("--theta", type=parse_angle, default="pi/6")
     pf.add_argument("--points", type=int, default=1000)
     pf.set_defaults(func=cmd_figure_data)
     return parser
@@ -394,10 +354,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InternalConsistencyError as exc:
+    except tuple(_EXIT_CODES) as exc:
+        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
         message = " ".join(str(exc).split())
-        sys.stderr.write(f"{args.command}: internal consistency check failed: {message}\n")
-        return EXIT_INTERNAL
+        if code == EXIT_INTERNAL:
+            message = f"internal consistency check failed: {message}"
+        sys.stderr.write(f"{args.command}: {message}\n")
+        return code
 
 
 if __name__ == "__main__":

@@ -7,8 +7,6 @@ row-major index identification (i, j) -> 3*i + j of the tensor factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonHermitianError
@@ -16,25 +14,8 @@ from .errors import NonHermitianError
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds shared by the rank/eigenvalue helpers.
-
-    eig_zero   absolute threshold below which an eigenvalue counts as zero
-    rank_rel   singular values below rank_rel * sigma_max are discarded
-    entry_eq   entrywise tolerance for matrix equality / symmetry checks
-    """
-
-    eig_zero: float = 1e-9
-    rank_rel: float = 1e-8
-    entry_eq: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not (self.eig_zero > 0 and self.rank_rel > 0 and self.entry_eq > 0):
-            raise ValueError("all tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerances()
+#: Singular values below this fraction of the largest do not count to the rank.
+RANK_REL = 1e-8
 
 
 def as_complex(m) -> Array:
@@ -48,7 +29,7 @@ def hermiticity_defect(m) -> float:
     return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
 
 
-def require_hermitian(m, tol: float = DEFAULT_TOL.entry_eq) -> Array:
+def require_hermitian(m, tol: float = 1e-10) -> Array:
     """Validate Hermiticity within ``tol`` and return the symmetrized matrix."""
     m = as_complex(m)
     defect = hermiticity_defect(m)
@@ -57,16 +38,16 @@ def require_hermitian(m, tol: float = DEFAULT_TOL.entry_eq) -> Array:
     return (m + m.conj().T) / 2
 
 
-def hermitian_eigenvalues(m, tol: Tolerances = DEFAULT_TOL) -> Array:
+def hermitian_eigenvalues(m) -> Array:
     """Eigenvalues of a Hermitian matrix, ascending.
 
-    Raises NonHermitianError if the symmetry defect exceeds ``tol.entry_eq``.
+    Raises NonHermitianError if the symmetry defect exceeds 1e-10.
     """
-    return np.linalg.eigvalsh(require_hermitian(m, tol.entry_eq))
+    return np.linalg.eigvalsh(require_hermitian(m))
 
 
-def numeric_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of singular values above ``tol.rank_rel`` relative to the largest.
+def numeric_rank(m) -> int:
+    """Number of singular values above ``RANK_REL`` relative to the largest.
 
     The zero matrix has rank 0.
     """
@@ -76,7 +57,7 @@ def numeric_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
     s = np.linalg.svd(m, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    return int(np.count_nonzero(s > RANK_REL * s[0]))
 
 
 def determinant(m) -> complex:

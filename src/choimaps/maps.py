@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolatedError, ThetaOutOfRangeError
+from .errors import ConstraintViolatedError, OutOfRangeError, ThetaOutOfRangeError
 from .linalg import Array, as_complex, basis_matrix, require_hermitian
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
@@ -34,7 +34,7 @@ class MapParams:
     """The tuple (a, b, c, theta) naming one map of the family.
 
     a, b, c are finite nonnegative reals; theta is stored normalized to
-    (-pi, pi].
+    (-pi, pi].  Raises OutOfRangeError otherwise.
     """
 
     a: float
@@ -46,9 +46,9 @@ class MapParams:
         for name in ("a", "b", "c"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+                raise OutOfRangeError(f"{name} must be finite and nonnegative, got {v}")
         if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
+            raise OutOfRangeError(f"theta must be finite, got {self.theta}")
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "c", float(self.c))

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     InternalConsistencyError,
-    NotPositiveMapError,
     UnsupportedCaseError,
     UnsupportedThetaError,
 )
@@ -30,7 +29,6 @@ from .faces import (
     FaceKind,
     FaceLabel,
     PropertyRow,
-    classify_face,
     face_properties,
     require_generic_theta,
 )
@@ -45,7 +43,7 @@ from .positivity import (
     block_positivity_oracle,
     is_positive,
 )
-from .spanning import has_cospanning_property, has_spanning_property, sampled_kernel_vectors
+from .spanning import _kernel_point, has_cospanning_property, has_spanning_property, sampled_kernel_vectors
 
 OPTIMAL_TOL = 1e-9
 NOT_OPTIMAL_TOL = 1e-6
@@ -81,7 +79,7 @@ def orthocomplement_basis(p: MapParams) -> list[Array]:
     rank = int(np.count_nonzero(s > 1e-10 * s[0]))
     basis = [vh[k].conj() for k in range(rank, 9)]
 
-    if abs(p.theta) < math.pi / 3.0 and classify_face(p).kind in _VERTEX_SIDE:
+    if abs(p.theta) < math.pi / 3.0 and _kernel_point(p).face.kind in _VERTEX_SIDE:
         if len(basis) != 2:
             raise InternalConsistencyError(
                 f"vertex orthocomplement at {p} has dimension {len(basis)}, not 2"
@@ -531,9 +529,7 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
     explicit subtraction when the point is on its unit-first-coordinate
     slice.
     """
-    face = classify_face(p)
-    if face.kind is FaceKind.EXTERIOR:
-        raise NotPositiveMapError(f"map {p} is not positive")
+    face = _kernel_point(p).face
     evidence: dict = {"face": face.kind.value}
     if face.kind is FaceKind.INTERIOR:
         evidence["optimal"] = "interior point: smallest face is the whole body"

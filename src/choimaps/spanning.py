@@ -6,18 +6,23 @@ applied to the projector of xi kills the conjugate of eta.  On the boundary
 pieces of the positivity body the kernel is known in closed form; sampling
 it at fixed phase choices gives square matrices whose determinants have
 closed-form absolute values, used here as regression oracles.
+
+Each point gets one record, built once and cached by its parameters: its
+face, its kernel case and its membership-checked kernel sample.  Every
+function here, and the optimality code, reads that record.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalConsistencyError, NotPositiveMapError, UnsupportedCaseError
-from .faces import FaceKind, classify_face, require_generic_theta
+from .faces import FaceKind, FaceLabel, classify_face, require_generic_theta
 from .linalg import Array, numeric_rank
 from .maps import MapParams, apply_map
 from .positivity import FACE_TOL, is_positive, on_sum, on_surface
@@ -168,9 +173,31 @@ _KERNEL_CASE = {
 }
 
 
-def _boundary_case(p: MapParams) -> str | None:
-    """Which closed-form kernel case the parameters fall in, if any."""
-    return _KERNEL_CASE.get(classify_face(p).kind)
+@dataclass(frozen=True)
+class _KernelPoint:
+    """What the kernel code knows about one positive map: its threshold, its
+    face, its kernel case and its membership-checked generic kernel sample."""
+
+    pth: float
+    face: FaceLabel
+    case: str | None
+    sample: tuple[ProductVector, ...]
+
+
+@functools.lru_cache(maxsize=32)
+def _kernel_point(p: MapParams) -> _KernelPoint:
+    """The record of ``p``, built once per point.  Raises
+    UnsupportedThetaError at an endpoint angle and NotPositiveMapError when
+    the map is not positive."""
+    pth = require_generic_theta(p.theta)
+    if not is_positive(p):
+        raise NotPositiveMapError(f"map {p} is not positive")
+    face = classify_face(p)
+    case = _KERNEL_CASE.get(face.kind)
+    sample = _case_vectors(p, case, GENERIC_PAIRS + GENERIC_TRIPLES)
+    for pv in sample:  # shared by every caller of the cache
+        pv.xi.flags.writeable = pv.eta.flags.writeable = False
+    return _KernelPoint(pth, face, case, tuple(sample))
 
 
 def kernel_family(
@@ -183,22 +210,19 @@ def kernel_family(
     determinant regression values.  Raises UnsupportedCaseError off the
     boundary cases; every returned vector is membership-checked.
     """
-    require_generic_theta(p.theta)
-    if not is_positive(p):
-        raise NotPositiveMapError(f"map {p} is not positive")
-    if phase_samples is None:
-        phase_samples = DEFAULT_PAIRS + DEFAULT_TRIPLES
-    return _kernel_family(p, _boundary_case(p), phase_samples)
-
-
-def _kernel_family(
-    p: MapParams, case: str | None, phase_samples: tuple | list
-) -> list[ProductVector]:
-    """``kernel_family`` for a positive map whose kernel case is known."""
+    case = _kernel_point(p).case
     if case is None:
         raise UnsupportedCaseError(
             f"parameters {p.abc} at theta={p.theta} are not in a kernel case"
         )
+    if phase_samples is None:
+        phase_samples = DEFAULT_PAIRS + DEFAULT_TRIPLES
+    return _case_vectors(p, case, phase_samples)
+
+
+def _case_vectors(p: MapParams, case: str | None, phase_samples: tuple | list) -> list[ProductVector]:
+    """Membership-checked kernel vectors of the case at the given phases,
+    plus the coordinate vectors (only those off the cases)."""
     pairs = tuple(s for s in phase_samples if len(s) == 2)
     triples = tuple(s for s in phase_samples if len(s) == 3)
 
@@ -214,16 +238,13 @@ def _kernel_family(
             vectors.append(_equal_modulus_vector(p.theta, al, be, ga))
     vectors.extend(_axis_vectors(p))
 
-    _check_membership(p, vectors, f"case {case} family")
-    return vectors
-
-
-def _check_membership(p: MapParams, vectors: list[ProductVector], source: str) -> None:
+    source = "axis" if case is None else f"case {case} family"
     for pv in vectors:
         if not kernel_membership(p, pv):
             raise InternalConsistencyError(
                 f"{source} vector xi={pv.xi}, eta={pv.eta} failed kernel membership for {p}"
             )
+    return vectors
 
 
 def sampled_kernel_vectors(p: MapParams) -> list[ProductVector]:
@@ -231,19 +252,7 @@ def sampled_kernel_vectors(p: MapParams) -> list[ProductVector]:
     map: the closed-form family at generic phases when the parameters lie on
     a boundary case, otherwise just the coordinate vectors (possibly none,
     for strictly interior maps)."""
-    require_generic_theta(p.theta)
-    if not is_positive(p):
-        raise NotPositiveMapError(f"map {p} is not positive")
-    return _sampled_kernel_vectors(p, _boundary_case(p))
-
-
-def _sampled_kernel_vectors(p: MapParams, case: str | None) -> list[ProductVector]:
-    """``sampled_kernel_vectors`` for a positive map whose kernel case is known."""
-    if case is not None:
-        return _kernel_family(p, case, GENERIC_PAIRS + GENERIC_TRIPLES)
-    vectors = _axis_vectors(p)
-    _check_membership(p, vectors, "axis")
-    return vectors
+    return list(_kernel_point(p).sample)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +264,8 @@ def _sampled_kernel_vectors(p: MapParams, case: str | None) -> list[ProductVecto
 class SpanningReport:
     """Closed-form verdict plus numeric evidence (rank of the sampled kernel,
     and |det| of the nine canonical columns against its closed form when a
-    determinant case applies)."""
+    determinant case applies).  Both determinants are None when either one
+    is not a finite double."""
 
     has_property: bool
     case: str | None
@@ -267,14 +277,20 @@ class SpanningReport:
         return self.has_property
 
 
-def _extended_rank(p: MapParams, case: str | None, conjugate: bool) -> int | None:
-    """Rank of the generically sampled kernel (or its partial conjugates)."""
-    vectors = _sampled_kernel_vectors(p, case)
-    if not vectors:
-        return None
-    if conjugate:
-        vectors = [pv.partial_conjugate() for pv in vectors]
-    return numeric_rank(np.array([pv.tensor() for pv in vectors]))
+def _report(
+    verdict: bool, k: _KernelPoint, conjugate: bool, cols: Array | None, det_closed: float | None
+) -> SpanningReport:
+    """The report, with |det| of the canonical columns when given and the
+    rank of the (partially conjugated) sample."""
+    det_abs = None
+    if cols is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            det_abs = float(abs(np.linalg.det(cols)))
+    if any(x is not None and not math.isfinite(x) for x in (det_abs, det_closed)):
+        det_abs = det_closed = None
+    vectors = [pv.partial_conjugate() for pv in k.sample] if conjugate else k.sample
+    rank = numeric_rank(np.array([pv.tensor() for pv in vectors])) if vectors else None
+    return SpanningReport(verdict, k.case, rank, det_abs, det_closed)
 
 
 def _nine_columns(vectors: list[ProductVector], conjugate: bool = False) -> Array | None:
@@ -286,27 +302,27 @@ def _nine_columns(vectors: list[ProductVector], conjugate: bool = False) -> Arra
 
 
 def spanning_det_closed_form(p: MapParams) -> float | None:
-    """Closed-form |det| of the nine canonical kernel columns, when defined."""
-    return _spanning_det_closed_form(p, _boundary_case(p))
-
-
-def _spanning_det_closed_form(p: MapParams, case: str | None) -> float | None:
+    """Closed-form |det| of the nine canonical kernel columns, when defined;
+    inf when it overflows a double.  Raises NotPositiveMapError on a map
+    that is not positive (it used to return None there)."""
+    case = _kernel_point(p).case
     b, c = p.b, p.c
-    if case in ("i", "ii"):
-        return 64.0 * b**4.5 * c**2.25 * abs(1.0 + cmath.exp(-3j * p.theta))
-    if case == "iii":
-        return 64.0 * b**3 * abs(1.0 + b**3 * cmath.exp(3j * p.theta))
+    try:
+        if case in ("i", "ii"):
+            return 64.0 * b**4.5 * c**2.25 * abs(1.0 + cmath.exp(-3j * p.theta))
+        if case == "iii":
+            return 64.0 * b**3 * abs(1.0 + b**3 * cmath.exp(3j * p.theta))
+    except OverflowError:
+        return math.inf
     return None
 
 
 def cospanning_det_closed_form(p: MapParams) -> float | None:
     """Closed-form |det| of the partially conjugated canonical columns on the
-    sum-threshold surface case, branchwise in theta."""
-    return _cospanning_det_closed_form(p, _boundary_case(p))
-
-
-def _cospanning_det_closed_form(p: MapParams, case: str | None) -> float | None:
-    if case != "ii":
+    sum-threshold surface case, branchwise in theta.  Raises
+    NotPositiveMapError on a map that is not positive (it used to return
+    None there)."""
+    if _kernel_point(p).case != "ii":
         return None
     third = math.pi / 3.0
     if -math.pi < p.theta < -third:
@@ -333,32 +349,24 @@ def has_spanning_property(p: MapParams) -> SpanningReport:
     canonical columns against the closed form.  Raises NotPositiveMapError
     when the map is not positive: spanning is defined only for positive maps.
     """
-    require_generic_theta(p.theta)
-    if not is_positive(p):
-        raise NotPositiveMapError(f"map {p} is not positive")
+    k = _kernel_point(p)
     verdict = p.a < 1.0 - FACE_TOL and on_surface(p)
 
-    case = _boundary_case(p)
-    det_abs = None
-    det_closed = _spanning_det_closed_form(p, case)
+    cols = None
+    det_closed = spanning_det_closed_form(p)
     if det_closed is not None:
-        family = _copositive_family if case == "iii" else _surface_family
+        family = _copositive_family if k.case == "iii" else _surface_family
         cols = _nine_columns([pv for al, be in DEFAULT_PAIRS for pv in family(p, al, be)])
-        if cols is not None:
-            det_abs = float(abs(np.linalg.det(cols)))
-    rank = _extended_rank(p, case, conjugate=False)
-    return SpanningReport(verdict, case, rank, det_abs, det_closed)
+    return _report(verdict, k, False, cols, det_closed)
 
 
 def cospanning_columns(p: MapParams) -> Array | None:
     """The nine partially conjugated canonical kernel columns on the
     sum-threshold surface case: six surface vectors at phase pairs
-    (1, +-1) plus the three default equal-modulus triples."""
-    return _cospanning_columns(p, _boundary_case(p))
-
-
-def _cospanning_columns(p: MapParams, case: str | None) -> Array | None:
-    if case != "ii":
+    (1, +-1) plus the three default equal-modulus triples.  Raises
+    NotPositiveMapError on a map that is not positive (it used to return
+    None there)."""
+    if _kernel_point(p).case != "ii":
         return None
     vectors = []
     for al, be in ((1.0, 1.0), (1.0, -1.0)):
@@ -379,19 +387,8 @@ def has_cospanning_property(p: MapParams) -> SpanningReport:
     NotPositiveMapError when the map is not positive: co-spanning is defined
     only for positive maps.
     """
-    pth = require_generic_theta(p.theta)
-    if not is_positive(p):
-        raise NotPositiveMapError(f"map {p} is not positive")
-    surface_piece = p.a >= 2.0 - pth - FACE_TOL and on_surface(p)
-    coordinate_piece = 1.0 - FACE_TOL <= p.a <= pth + FACE_TOL and min(p.b, p.c) <= FACE_TOL
+    k = _kernel_point(p)
+    surface_piece = p.a >= 2.0 - k.pth - FACE_TOL and on_surface(p)
+    coordinate_piece = 1.0 - FACE_TOL <= p.a <= k.pth + FACE_TOL and min(p.b, p.c) <= FACE_TOL
     verdict = on_sum(p) and (surface_piece or coordinate_piece)
-
-    case = _boundary_case(p)
-    det_abs = None
-    det_closed = _cospanning_det_closed_form(p, case)
-    if det_closed is not None:
-        cols = _cospanning_columns(p, case)
-        if cols is not None:
-            det_abs = float(abs(np.linalg.det(cols)))
-    rank = _extended_rank(p, case, conjugate=True)
-    return SpanningReport(verdict, case, rank, det_abs, det_closed)
+    return _report(verdict, k, True, cospanning_columns(p), cospanning_det_closed_form(p))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import choimaps
+from choimaps import MapParams
 from choimaps.cli import main, parse_angle
 from choimaps.positivity import BlockPositivityReport
 from choimaps.reporting import ReportDocument, render_plain
@@ -87,6 +88,67 @@ class TestClassify:
         doc = ReportDocument.from_json(text)
         assert doc.to_json() + "\n" == text
         assert render_plain(doc)
+
+    def test_each_kernel_vector_checked_once(self, capsys, monkeypatch):
+        # the point's record is built once and read by spanning, co-spanning
+        # and optimality alike
+        import choimaps.spanning as spanning
+
+        p = MapParams(0.5, 1, 0.25, parse_angle("pi/6"))
+        expected = len(spanning.sampled_kernel_vectors(p))
+        spanning._kernel_point.cache_clear()
+        calls = []
+        original = spanning.kernel_membership
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(spanning, "kernel_membership", counted)
+        assert main(["classify", "0.5", "1", "0.25", "pi/6", "--json"]) == 0
+        assert len(calls) == expected == 18
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "1", "1", "1", "pie"],
+        ["spanning", "1", "1", "1", "pie"],
+        ["classify", "-1", "1", "1", "pi/6"],
+        ["classify", "nan", "1", "1", "pi/6"],
+        ["spanning", "1", "-1", "1", "pi/6"],
+        ["spanning", "1", "1", "nan", "pi/6"],
+        ["witness", "pie", "1"],
+    ],
+)
+def test_bad_input_is_usage_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err
+    assert "Traceback" not in captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spanning", "1", "1e69", "0", "pi/6"],  # E_B: b**4.5 overflows
+        ["classify", "1", "1e69", "0", "pi/6"],
+        ["spanning", "1", "0", "1e138", "pi/6"],  # E_C: c**2.25 overflows
+        ["spanning", "0", "1e103", "1e-103", "pi/6"],  # V_0T: b**3 overflows
+        ["classify", "0", "1e103", "1e-103", "pi/6"],
+    ],
+)
+def test_overflowing_determinants_are_null(argv, capsys):
+    assert main([*argv, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    for key in ("spanning", "co_spanning"):
+        assert out["evidence"][key]["det_abs"] is None
+        assert out["evidence"][key]["det_closed_form"] is None
 
 
 class TestWitness:

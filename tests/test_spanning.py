@@ -24,8 +24,8 @@ from choimaps import (
 )
 from choimaps.spanning import (
     DEFAULT_TRIPLES,
-    _boundary_case,
     _equal_modulus_vector,
+    _kernel_point,
     cospanning_columns,
     cospanning_det_closed_form,
     sampled_kernel_vectors,
@@ -221,12 +221,12 @@ class TestCaseDetection:
     def test_cases(self):
         th = np.pi / 6
         pth = cp_threshold(th)
-        assert _boundary_case(MapParams(0.5, 1, 0.25, th)) == "i"
+        assert _kernel_point(MapParams(0.5, 1, 0.25, th)).case == "i"
         a, b, c = boundary_parametrization(th, 2.0)
-        assert _boundary_case(MapParams(a, b, c, th)) == "ii"
-        assert _boundary_case(MapParams(0, 2, 0.5, th)) == "iii"
-        assert _boundary_case(MapParams(1.2, (pth - 1.2), 0, th)) == "iv"
-        assert _boundary_case(MapParams(2, 2, 2, th)) is None
+        assert _kernel_point(MapParams(a, b, c, th)).case == "ii"
+        assert _kernel_point(MapParams(0, 2, 0.5, th)).case == "iii"
+        assert _kernel_point(MapParams(1.2, (pth - 1.2), 0, th)).case == "iv"
+        assert _kernel_point(MapParams(2, 2, 2, th)).case is None
 
     def test_spanning_closed_forms_defined_per_case(self):
         th = np.pi / 6
