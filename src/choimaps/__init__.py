@@ -22,6 +22,7 @@ from .faces import (
     PropertyRow,
     boundary_parametrization,
     classify_face,
+    classify_faces,
     face_properties,
 )
 from .linalg import (

@@ -3,9 +3,11 @@ reports and figure-data sweeps with deterministic machine-readable output.
 
 Exit codes:
   0  success
-  1  usage error: a bad argument or angle literal, a negative or non-finite
-     coordinate (OutOfRangeError), `spanning` on a map that is not positive
-     (NotPositiveMapError), `witness` with b <= 0, and `figure-data 3` with
+  1  usage error: a bad argument or angle literal (a non-finite angle such
+     as inf or nan included), a negative or non-finite coordinate
+     (OutOfRangeError), `spanning` on a map that is not positive
+     (NotPositiveMapError), `witness` with b <= 0 or with b so large or so
+     small that the edge state's pairing overflows, and `figure-data 3` with
      more than 1000000 rows (it writes 3*points^3 rows, so --points at most 69)
   2  unsupported angle (UnsupportedThetaError, ThetaOutOfRangeError)
   3  the constructed witness does not detect (NoDetectingChoiceError)
@@ -21,6 +23,7 @@ import argparse
 import math
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,11 +35,18 @@ from .errors import (
     ThetaOutOfRangeError,
     UnsupportedThetaError,
 )
-from .faces import FaceKind, classify_face, require_generic_theta
+from .faces import FACE_KINDS, FaceKind, classify_face, classify_faces, require_generic_theta
 from .linalg import hermitian_eigenvalues, partial_transpose
-from .maps import MapParams, choi_matrix, cp_threshold
+from .maps import MapParams, choi_matrix, cp_threshold, normalize_angle
 from .optimality import classify_optimality
-from .positivity import is_completely_copositive, is_completely_positive, is_positive
+from .positivity import (
+    completely_copositive_at,
+    completely_positive_at,
+    is_completely_copositive,
+    is_completely_positive,
+    is_positive,
+    positive_at,
+)
 from .reporting import ReportDocument, render_plain
 from .spanning import has_cospanning_property, has_spanning_property
 from .witness import build_witness
@@ -65,18 +75,21 @@ _ANGLE_RE = re.compile(r"^([+-]?)(\d+)?pi(?:/(\d+))?$")
 
 
 def parse_angle(text: str) -> float:
-    """Parse an angle: decimal radians or a rational multiple of pi such as
-    'pi/6', '-2pi/3' or '2pi'.  Raises ValueError on any other text."""
+    """Parse an angle: finite decimal radians or a rational multiple of pi
+    such as 'pi/6', '-2pi/3' or '2pi'.  Raises ValueError on any other text,
+    'inf' and 'nan' included."""
     s = text.strip().lower().replace(" ", "")
     m = _ANGLE_RE.match(s)
     if m:
         sign = -1.0 if m.group(1) == "-" else 1.0
         num = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
-        if den == 0:
-            raise ValueError(f"bad angle literal {text!r}")
-        return sign * num * math.pi / den
-    return float(s)
+        value = sign * num * math.pi / den if den else math.nan
+    else:
+        value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"bad angle literal {text!r}")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -90,20 +103,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _spanning_evidence(report) -> dict:
-    return {
-        "has_property": report.has_property,
-        "case": report.case,
-        "rank": report.rank,
-        "det_abs": report.det_abs,
-        "det_closed_form": report.det_closed_form,
+def _spanning_parts(p: MapParams) -> tuple[dict, dict]:
+    """Flags and evidence of the spanning and co-spanning reports of ``p``."""
+    span, cospan = has_spanning_property(p), has_cospanning_property(p)
+    flags = {
+        "spanning": span.has_property,
+        "co_spanning": cospan.has_property,
+        "bi_spanning": span.has_property and cospan.has_property,
     }
+    return flags, {"spanning": asdict(span), "co_spanning": asdict(cospan)}
 
 
 def _classification_document(p: MapParams) -> ReportDocument:
     w = choi_matrix(p)
-    eigs = hermitian_eigenvalues(w)
-    pt_eigs = hermitian_eigenvalues(partial_transpose(w))
     face = classify_face(p)
     flags: dict = {
         "cp": is_completely_positive(p),
@@ -115,29 +127,19 @@ def _classification_document(p: MapParams) -> ReportDocument:
     }
     evidence: dict = {
         "cp_threshold": cp_threshold(p.theta),
-        "choi_eigenvalues": list(eigs),
-        "partial_transpose_eigenvalues": list(pt_eigs),
+        "choi_eigenvalues": list(hermitian_eigenvalues(w)),
+        "partial_transpose_eigenvalues": list(hermitian_eigenvalues(partial_transpose(w))),
     }
     if flags["positive"]:
-        span = has_spanning_property(p)
-        cospan = has_cospanning_property(p)
-        flags.update(
-            spanning=span.has_property,
-            co_spanning=cospan.has_property,
-            bi_spanning=span.has_property and cospan.has_property,
-        )
-        evidence["spanning"] = _spanning_evidence(span)
-        evidence["co_spanning"] = _spanning_evidence(cospan)
+        span_flags, span_evidence = _spanning_parts(p)
+        flags.update(span_flags)
+        evidence.update(span_evidence)
         if face.kind not in (FaceKind.INTERIOR, FaceKind.EXTERIOR):
             cls = classify_optimality(p)
-            flags.update(
-                optimal=cls.row.optimal,
-                co_optimal=cls.row.co_optimal,
-                bi_optimal=cls.row.bi_optimal,
-            )
+            row = cls.row
+            flags.update(optimal=row.optimal, co_optimal=row.co_optimal, bi_optimal=row.bi_optimal)
             evidence["optimality"] = cls.evidence
-    params = {"a": p.a, "b": p.b, "c": p.c, "theta": p.theta}
-    return ReportDocument(params=params, flags=flags, evidence=evidence)
+    return ReportDocument(params=asdict(p), flags=flags, evidence=evidence)
 
 
 def _emit(doc: ReportDocument, as_json: bool) -> None:
@@ -151,21 +153,7 @@ def cmd_classify(args) -> int:
 
 def cmd_spanning(args) -> int:
     p = MapParams(args.a, args.b, args.c, args.theta)
-    span = has_spanning_property(p)
-    cospan = has_cospanning_property(p)
-    doc = ReportDocument(
-        params={"a": p.a, "b": p.b, "c": p.c, "theta": p.theta},
-        flags={
-            "spanning": span.has_property,
-            "co_spanning": cospan.has_property,
-            "bi_spanning": span.has_property and cospan.has_property,
-        },
-        evidence={
-            "spanning": _spanning_evidence(span),
-            "co_spanning": _spanning_evidence(cospan),
-        },
-    )
-    _emit(doc, args.json)
+    _emit(ReportDocument(asdict(p), *_spanning_parts(p)), args.json)
     return EXIT_OK
 
 
@@ -173,10 +161,7 @@ def cmd_witness(args) -> int:
     spec = build_witness(args.theta, args.b, args.alpha_tilde)
     doc = ReportDocument(
         params={"theta": spec.theta, "b": spec.b, "t": spec.t},
-        flags={
-            "detects": spec.detects,
-            "detection_value": spec.detection_value,
-        },
+        flags={"detects": spec.detects, "detection_value": spec.detection_value},
         evidence={
             "alpha_tilde": spec.alpha_tilde,
             "beta_tilde": spec.beta_tilde,
@@ -184,12 +169,7 @@ def cmd_witness(args) -> int:
             "b_slot": spec.b_slot,
             "c_slot": spec.c_slot,
             "scale": spec.scale,
-            "normalized_params": {
-                "a": spec.normalized_params.a,
-                "b": spec.normalized_params.b,
-                "c": spec.normalized_params.c,
-                "theta": spec.normalized_params.theta,
-            },
+            "normalized_params": asdict(spec.normalized_params),
         },
     )
     _emit(doc, args.json)
@@ -199,34 +179,11 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-_SWEEP_HEADER = "a,b,c,theta,face,cp,ccp,positive"
+#: Coordinates (0 = a, 1 = b, 2 = c) that the two grid axes of each sweep plane carry.
+_PLANE_AXES = {"abc_simplex": (0, 1), "ab": (0, 1), "ac": (0, 2), "bc": (1, 2)}
 
-
-def _sweep_rows(theta: float, grid_n: int, plane: str, box: float):
-    pth = cp_threshold(theta)
-    axis = np.linspace(0.0, box, grid_n)
-    if plane == "abc_simplex":
-        axis = np.linspace(0.0, pth, grid_n)
-        for a in axis:
-            for b in axis:
-                c = pth - a - b
-                if c < -1e-12:
-                    continue
-                yield a, b, max(c, 0.0)
-    elif plane == "ab":
-        for a in axis:
-            for b in axis:
-                yield a, b, 0.0
-    elif plane == "ac":
-        for a in axis:
-            for c in axis:
-                yield a, 0.0, c
-    elif plane == "bc":
-        for b in axis:
-            for c in axis:
-                yield 0.0, b, c
-    else:
-        raise ValueError(f"unknown plane {plane!r}")
+#: Grid points classified per block, which bounds the memory of a sweep.
+_BLOCK = 1 << 12
 
 
 def _write_lines(path: str, lines) -> int:
@@ -241,47 +198,65 @@ def _write_lines(path: str, lines) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    if not 1 <= args.grid_n <= 2000:
-        raise OutOfRangeError(f"grid_n must be in [1, 2000], got {args.grid_n}")
-    if not 0.0 <= args.box < math.inf:
-        raise OutOfRangeError(f"box must be finite and nonnegative, got {args.box}")
-    require_generic_theta(args.theta)
+def _sweep(theta: float, grid_n: int, plane: str, box: float, out: str) -> int:
+    """Write the face and the cp / ccp / positive flags of each point of a
+    grid_n^2 grid on ``plane`` over [0, box]^2, or over [0, pth]^2 on the
+    simplex (keeping c = pth - a - b >= -1e-12, clipped at 0), classified by
+    ``classify_faces`` in blocks of whole outer-axis rows."""
+    if not 1 <= grid_n <= 2000:
+        raise OutOfRangeError(f"grid_n must be in [1, 2000], got {grid_n}")
+    if not 0.0 <= box < math.inf:
+        raise OutOfRangeError(f"box must be finite and nonnegative, got {box}")
+    require_generic_theta(theta)
+    pth = cp_threshold(theta)
+    simplex = plane == "abc_simplex"
+    axis = np.linspace(0.0, pth if simplex else box, grid_n)
+    labels = np.array([_fmt(x) for x in axis], dtype=object)
+    slots = _PLANE_AXES[plane]
+    cp_pth = cp_threshold(normalize_angle(theta))  # the threshold MapParams would use
+    # one row tail per (face, cp, ccp); positive is every face but exterior
+    tails = [
+        f",{_fmt(theta)},{kind.value},{cp},{ccp},{int(kind is not FaceKind.EXTERIOR)}"
+        for kind in FACE_KINDS for cp in (0, 1) for ccp in (0, 1)
+    ]
 
     def lines():
-        yield _SWEEP_HEADER
-        for a, b, c in _sweep_rows(args.theta, args.grid_n, args.plane, args.box):
-            p = MapParams(a, b, c, args.theta)
-            face = classify_face(p)
-            yield ",".join(
-                (
-                    _fmt(a),
-                    _fmt(b),
-                    _fmt(c),
-                    _fmt(args.theta),
-                    face.kind.value,
-                    str(int(is_completely_positive(p))),
-                    str(int(is_completely_copositive(p))),
-                    str(int(is_positive(p))),
-                )
+        yield "a,b,c,theta,face,cp,ccp,positive"
+        step = max(1, _BLOCK // grid_n)
+        for start in range(0, grid_n, step):
+            i, j = np.divmod(np.arange(start * grid_n, min(start + step, grid_n) * grid_n), grid_n)
+            x, y = axis[i], axis[j]
+            coords, texts = [np.zeros_like(x)] * 3, [["0"] * len(x)] * 3
+            if simplex:
+                z = pth - x - y
+                keep = z >= -1e-12
+                i, j, x, y, z = i[keep], j[keep], x[keep], y[keep], np.maximum(z[keep], 0.0)
+                coords[2], texts[2] = z, [_fmt(v) for v in z]
+            coords[slots[0]], coords[slots[1]] = x, y
+            texts[slots[0]], texts[slots[1]] = labels[i], labels[j]
+            a, b, c = coords
+            codes = classify_faces(a, b, c, theta)[0].astype(int) * 4
+            codes += 2 * completely_positive_at(a, cp_pth) + completely_copositive_at(b, c)
+            yield "\n".join(
+                [f"{ta},{tb},{tc}{tails[k]}" for ta, tb, tc, k in zip(*texts, codes.tolist())]
             )
 
-    return _write_lines(args.out, lines())
+    return _write_lines(out, lines())
+
+
+def cmd_sweep(args) -> int:
+    return _sweep(args.theta, args.grid_n, args.plane, args.box, args.out)
 
 
 def cmd_figure_data(args) -> int:
     if not 2 <= args.points <= 100000:
         raise OutOfRangeError(f"points must be in [2, 100000], got {args.points}")
     if args.figure == "1":
-        lines = ["theta,p_theta"]
-        for th in np.linspace(-math.pi, math.pi, args.points):
-            lines.append(f"{_fmt(th)},{_fmt(cp_threshold(th))}")
-        return _write_lines(args.out, lines)
+        thetas = np.linspace(-math.pi, math.pi, args.points)
+        lines = [f"{_fmt(th)},{_fmt(cp_threshold(th))}" for th in thetas]
+        return _write_lines(args.out, ["theta,p_theta", *lines])
     if args.figure == "2":
-        ns = argparse.Namespace(
-            theta=args.theta, grid_n=args.points, plane="abc_simplex", box=2.5, out=args.out
-        )
-        return cmd_sweep(ns)
+        return _sweep(args.theta, args.points, "abc_simplex", 2.5, args.out)
     # figure 3: positivity scans at thresholds 1, the given angle, 2
     rows = 3 * args.points**3
     if rows > FIGURE3_MAX_ROWS:
@@ -292,35 +267,35 @@ def cmd_figure_data(args) -> int:
     def scans():
         yield "label,theta,a,b,c,positive"
         axis = np.linspace(0.0, 2.5, args.points)
+        labels = [_fmt(x) for x in axis]
+        b, c = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+        pairs = [f"{tb},{tc}," for tb in labels for tc in labels]
         for label, th in (("p=1", math.pi / 3.0), ("1<p<2", args.theta), ("p=2", 0.0)):
-            for a in axis:
-                for b in axis:
-                    for c in axis:
-                        positive = int(is_positive(MapParams(a, b, c, th)))
-                        yield f"{label},{_fmt(th)},{_fmt(a)},{_fmt(b)},{_fmt(c)},{positive}"
+            pth = cp_threshold(normalize_angle(th))
+            for a, ta in zip(axis, labels):
+                head = f"{label},{_fmt(th)},{ta},"
+                flags = positive_at(a, b, c, pth).tolist()
+                yield "\n".join([head + bc + "01"[f] for bc, f in zip(pairs, flags)])
 
     return _write_lines(args.out, scans())
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="choimaps", description=__doc__)
+    parser = _Parser(
+        prog="choimaps", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("classify", help="classify one parameter tuple")
-    pc.add_argument("a", type=float)
-    pc.add_argument("b", type=float)
-    pc.add_argument("c", type=float)
-    pc.add_argument("theta", type=parse_angle)
-    pc.add_argument("--json", action="store_true")
-    pc.set_defaults(func=cmd_classify)
-
-    ps = sub.add_parser("spanning", help="spanning / co-spanning report for a point")
-    ps.add_argument("a", type=float)
-    ps.add_argument("b", type=float)
-    ps.add_argument("c", type=float)
-    ps.add_argument("theta", type=parse_angle)
-    ps.add_argument("--json", action="store_true")
-    ps.set_defaults(func=cmd_spanning)
+    for name, func, about in (
+        ("classify", cmd_classify, "classify one parameter tuple"),
+        ("spanning", cmd_spanning, "spanning / co-spanning report for a point"),
+    ):
+        pp = sub.add_parser(name, help=about)
+        for coordinate in "abc":
+            pp.add_argument(coordinate, type=float)
+        pp.add_argument("theta", type=parse_angle)
+        pp.add_argument("--json", action="store_true")
+        pp.set_defaults(func=func)
 
     pw = sub.add_parser("witness", help="construct an edge-state witness")
     pw.add_argument("theta", type=parse_angle)

@@ -2,21 +2,28 @@
 
 For a fixed angle with cp_threshold strictly between 1 and 2, the body
 cut out by conditions (p1)/(p2) has four 2-dimensional faces, six kinds of
-1-dimensional faces and four kinds of vertices.  ``classify_face`` returns
-the finest face containing a point from the shared predicates ``on_sum`` and
-``on_surface`` and ``FACE_TOL`` (see ``positivity``); the property table
-records which faces carry the spanning / co-spanning / optimality properties.
+1-dimensional faces and four kinds of vertices.  One ordered face table of
+(kind, membership, interior-of-face, t) rules, built from the predicate
+bodies of ``positivity`` that work on floats and arrays alike, decides the
+finest face containing a point: the first rule that holds wins, from the
+exterior through the vertices, the 1- and 2-dimensional faces to the
+interior, so lower-dimensional faces win within ``FACE_TOL``.
+``classify_face`` runs the table at one point, ``classify_faces`` over a
+grid.  The property table records which faces carry the spanning /
+co-spanning / optimality properties.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
-from .errors import NotAFaceError, UnsupportedThetaError
-from .maps import MapParams, cp_threshold
-from .positivity import FACE_TOL, is_positive, on_sum, on_surface
+import numpy as np
+
+from .errors import NotAFaceError, OutOfRangeError, UnsupportedThetaError
+from .linalg import Array
+from .maps import MapParams, cp_threshold, normalize_angle
+from .positivity import FACE_TOL, on_sum_at, on_surface_at, positive_at, surface_sides
 
 
 class FaceKind(enum.Enum):
@@ -121,63 +128,73 @@ def boundary_parametrization(theta: float, t: float) -> tuple[float, float, floa
     return (a, b, c)
 
 
-def _near(x: float, y: float) -> bool:
-    return abs(x - y) <= FACE_TOL
+def _face_table(a, b, c, pth):
+    """The ordered face table at nonnegative (a, b, c), floats or arrays:
+    (kind, membership, interior of the face, t) per kind, where t is None or
+    computes the label's parameter (called only where its rule wins)."""
+    K, tol, q = FaceKind, FACE_TOL, pth - 1.0
+    a0, b0, c0, a1 = a <= tol, b <= tol, c <= tol, abs(a - 1.0) <= tol  # bands of 0 and 1
+    a_from_1, a_past_1, inner_bc = a >= 1.0 - tol, a > 1.0 + tol, (b > tol) & (c > tol)
+    bc, square = surface_sides(a, b, c)
+    on_sum, on_surface = on_sum_at(a, b, c, pth), on_surface_at(a, b, c)
+    return (
+        (K.EXTERIOR, np.logical_not(positive_at(a, b, c, pth)), False, None),
+        (K.V_P00, (abs(a - pth) <= tol) & b0 & c0, True, None),
+        (K.V_10C, a1 & b0 & (abs(c - q) <= tol), True, None),
+        (K.V_1B0, a1 & (abs(b - q) <= tol) & c0, True, None),
+        (K.V_0T, a0 & (b > tol) & (abs(bc - 1.0) <= tol), True, lambda: b),
+        (K.V_PARAM_T, inner_bc & on_surface & on_sum, True, lambda: np.sqrt(b / c)),
+        (K.E_A, b0 & c0 & (a >= pth - tol), a > pth + tol, None),
+        (K.E_B, a1 & c0 & (b >= q - tol), b > q + tol, None),
+        (K.E_C, a1 & b0 & (c >= q - tol), c > q + tol, None),
+        (K.E_AB, c0 & (abs(a + b - pth) <= tol) & a_from_1 & (a <= pth + tol),
+         a_past_1 & (a < pth - tol), None),
+        (K.E_AC, b0 & (abs(a + c - pth) <= tol) & a_from_1 & (a <= pth + tol),
+         a_past_1 & (a < pth - tol), None),
+        # the spanning piece of the surface (0 <= a < 1), off the sum face
+        (K.E_T, (a < 1.0 - tol) & inner_bc & (a + b + c > pth + tol) & on_surface, True,
+         lambda: b / (1.0 - a)),
+        (K.F_AB, c0 & a_from_1 & (a + b >= pth - tol), a_past_1 & (a + b > pth + tol), None),
+        (K.F_AC, b0 & a_from_1 & (a + c >= pth - tol), a_past_1 & (a + c > pth + tol), None),
+        (K.F_BC, a0 & (bc >= 1.0 - tol), bc > 1.0 + tol, None),
+        (K.F_ABC, on_sum, inner_bc & (a_past_1 | (bc > square + tol)), None),
+        (K.INTERIOR, True, True, None),
+    )
 
 
 def classify_face(p: MapParams) -> FaceLabel:
-    """Finest face of the positivity body containing ``p``.
-
-    Lower-dimensional faces win when several membership predicates hold
-    within ``FACE_TOL``; non-positive points classify as ``exterior``.
-    """
+    """Finest face of the positivity body containing ``p``: the first rule
+    of the face table that holds at ``p``."""
     pth = require_generic_theta(p.theta)
-    if not is_positive(p):
-        return FaceLabel(FaceKind.EXTERIOR, interior_of_face=False)
+    for kind, member, interior, t in _face_table(p.a, p.b, p.c, pth):
+        if member:
+            return FaceLabel(kind, None if t is None else float(t()), bool(interior))
 
-    a, b, c = p.abc
-    s = a + b + c
-    tol = FACE_TOL
 
-    # vertices
-    if _near(a, pth) and _near(b, 0.0) and _near(c, 0.0):
-        return FaceLabel(FaceKind.V_P00)
-    if _near(a, 1.0) and _near(b, 0.0) and _near(c, pth - 1.0):
-        return FaceLabel(FaceKind.V_10C)
-    if _near(a, 1.0) and _near(b, pth - 1.0) and _near(c, 0.0):
-        return FaceLabel(FaceKind.V_1B0)
-    if _near(a, 0.0) and b > tol and _near(b * c, 1.0):
-        return FaceLabel(FaceKind.V_0T, t_value=b)
-    if b > tol and c > tol and on_surface(p) and on_sum(p):
-        return FaceLabel(FaceKind.V_PARAM_T, t_value=math.sqrt(b / c))
+#: Kind of each code that ``classify_faces`` returns.
+FACE_KINDS = tuple(FaceKind)
 
-    # 1-dimensional faces
-    if _near(b, 0.0) and _near(c, 0.0) and a >= pth - tol:
-        return FaceLabel(FaceKind.E_A, interior_of_face=a > pth + tol)
-    if _near(a, 1.0) and _near(c, 0.0) and b >= pth - 1.0 - tol:
-        return FaceLabel(FaceKind.E_B, interior_of_face=b > pth - 1.0 + tol)
-    if _near(a, 1.0) and _near(b, 0.0) and c >= pth - 1.0 - tol:
-        return FaceLabel(FaceKind.E_C, interior_of_face=c > pth - 1.0 + tol)
-    if _near(c, 0.0) and _near(a + b, pth) and 1.0 - tol <= a <= pth + tol:
-        return FaceLabel(FaceKind.E_AB, interior_of_face=1.0 + tol < a < pth - tol)
-    if _near(b, 0.0) and _near(a + c, pth) and 1.0 - tol <= a <= pth + tol:
-        return FaceLabel(FaceKind.E_AC, interior_of_face=1.0 + tol < a < pth - tol)
-    # the spanning piece of the surface (0 <= a < 1), off the sum face
-    if a < 1.0 - tol and b > tol and c > tol and s > pth + tol and on_surface(p):
-        return FaceLabel(FaceKind.E_T, t_value=b / (1.0 - a))
 
-    # 2-dimensional faces
-    if _near(c, 0.0) and a >= 1.0 - tol and a + b >= pth - tol:
-        return FaceLabel(FaceKind.F_AB, interior_of_face=a > 1.0 + tol and a + b > pth + tol)
-    if _near(b, 0.0) and a >= 1.0 - tol and a + c >= pth - tol:
-        return FaceLabel(FaceKind.F_AC, interior_of_face=a > 1.0 + tol and a + c > pth + tol)
-    if _near(a, 0.0) and b * c >= 1.0 - tol:
-        return FaceLabel(FaceKind.F_BC, interior_of_face=b * c > 1.0 + tol)
-    if on_sum(p):
-        strict = b > tol and c > tol and (a > 1.0 + tol or b * c > (1.0 - a) ** 2 + tol)
-        return FaceLabel(FaceKind.F_ABC, interior_of_face=strict)
-
-    return FaceLabel(FaceKind.INTERIOR)
+def classify_faces(a, b, c, theta: float) -> tuple[Array, Array, Array]:
+    """The face table over coordinate arrays (broadcast together) at one
+    angle: the kind codes (indices into ``FACE_KINDS``), the interior-of-face
+    flags and the t values (NaN where the kind has none), equal point by
+    point to ``classify_face``.  Raises OutOfRangeError unless every
+    coordinate is finite and nonnegative, and UnsupportedThetaError."""
+    pth = require_generic_theta(normalize_angle(theta))
+    a, b, c = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c)))
+    if not all(np.all(np.isfinite(x) & (x >= 0.0)) for x in (a, b, c)):
+        raise OutOfRangeError("a, b and c must be finite and nonnegative")
+    codes, interiors = np.full(a.shape, -1, np.int8), np.zeros(a.shape, bool)
+    ts = np.full(a.shape, np.nan)
+    with np.errstate(all="ignore"):  # t formulas off their rule, products near overflow
+        for kind, member, interior, t in _face_table(a, b, c, pth):
+            hit = (codes < 0) & member
+            codes[hit] = FACE_KINDS.index(kind)
+            interiors = np.where(hit, interior, interiors)
+            if t is not None:
+                ts = np.where(hit, t(), ts)
+    return codes, interiors, ts
 
 
 def face_properties(label: FaceLabel | FaceKind) -> PropertyRow:

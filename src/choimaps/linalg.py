@@ -30,12 +30,15 @@ def hermiticity_defect(m) -> float:
 
 
 def require_hermitian(m, tol: float = 1e-10) -> Array:
-    """Validate Hermiticity within ``tol`` and return the symmetrized matrix."""
+    """Validate Hermiticity within ``tol`` and return the symmetrized matrix.
+
+    The halves are summed, not halved after summing, so entries near the
+    largest double do not overflow (halving a normal double is exact)."""
     m = as_complex(m)
     defect = hermiticity_defect(m)
     if defect > tol:
         raise NonHermitianError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.1e}")
-    return (m + m.conj().T) / 2
+    return m / 2 + m.conj().T / 2
 
 
 def hermitian_eigenvalues(m) -> Array:

@@ -10,6 +10,7 @@ the phases -e^{i theta} (cyclic slots (0,1), (1,2), (2,0)) and -e^{-i theta}
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from .linalg import Array, as_complex, basis_matrix, require_hermitian
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
 
-def _normalize_angle(theta: float) -> float:
+def normalize_angle(theta: float) -> float:
     """Reduce an angle to the interval (-pi, pi]."""
     t = math.remainder(theta, 2.0 * math.pi)
     if t <= -math.pi:
@@ -52,7 +53,7 @@ class MapParams:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "theta", _normalize_angle(float(self.theta)))
+        object.__setattr__(self, "theta", normalize_angle(float(self.theta)))
 
     @property
     def abc(self) -> tuple[float, float, float]:
@@ -134,11 +135,14 @@ def pairing_value(a, c) -> float:
     """Bilinear pairing Tr(A C^t) of two Hermitian 9x9 matrices.
 
     Equals the entrywise (unconjugated) sum of products.  The imaginary
-    residue must not exceed 1e-10.
-    """
+    residue must not exceed 1e-10.  Raises OutOfRangeError when the sum
+    overflows."""
     a = as_complex(a)
     c = as_complex(c)
-    v = complex(np.sum(a * c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = complex(np.sum(a * c))
+    if not cmath.isfinite(v):
+        raise OutOfRangeError(f"the pairing cannot be formed in finite doubles: it sums to {v}")
     if abs(v.imag) > 1e-10:
         raise ValueError(f"pairing has imaginary residue {v.imag:.3e}")
     return v.real

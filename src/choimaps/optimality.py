@@ -153,16 +153,12 @@ def vertex_optimality_analytic(theta: float, vertex: str = "b_side") -> bool:
             f"analytic vertex certificate covers |theta| < pi/3, got {theta}"
         )
     pth = require_generic_theta(theta)
-    if vertex == "b_side":
-        p = MapParams(1.0, pth - 1.0, 0.0, theta)
-    elif vertex == "c_side":
-        p = MapParams(1.0, 0.0, pth - 1.0, theta)
-    else:
-        raise ValueError(f"vertex must be 'b_side' or 'c_side', got {vertex!r}")
-    w = choi_matrix(p)
+    families = _probe_families(theta, vertex)  # raises ValueError on any other vertex
+    bc = (pth - 1.0, 0.0) if vertex == "b_side" else (0.0, pth - 1.0)
+    w = choi_matrix(MapParams(1.0, *bc, theta))
 
     forms = []
-    for family in _probe_families(theta, vertex):
+    for family in families:
         # pairing against the vertex map: fit to a polynomial and require a
         # pure cubic with the expected leading coefficient
         ts = np.array([0.2, 0.5, 1.0, 1.7, 2.4])
@@ -533,9 +529,7 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
     evidence: dict = {"face": face.kind.value}
     if face.kind is FaceKind.INTERIOR:
         evidence["optimal"] = "interior point: smallest face is the whole body"
-        return OptimalityClassification(
-            face, PropertyRow(False, False, False, False), evidence
-        )
+        return OptimalityClassification(face, PropertyRow(False, False, False, False), evidence)
 
     row = face_properties(face)
     span = has_spanning_property(p)
@@ -545,18 +539,9 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
             f"closed-form spanning flags ({span.has_property}, {cospan.has_property}) disagree "
             f"with the table row ({row.spanning}, {row.co_spanning}) at {p}"
         )
-    evidence["spanning"] = {
-        "source": "closed form",
-        "rank": span.rank,
-        "det_abs": span.det_abs,
-        "det_closed_form": span.det_closed_form,
-    }
-    evidence["co_spanning"] = {
-        "source": "closed form",
-        "rank": cospan.rank,
-        "det_abs": cospan.det_abs,
-        "det_closed_form": cospan.det_closed_form,
-    }
+    for key, r in (("spanning", span), ("co_spanning", cospan)):
+        closed = {"rank": r.rank, "det_abs": r.det_abs, "det_closed_form": r.det_closed_form}
+        evidence[key] = {"source": "closed form", **closed}
 
     if row.spanning:
         evidence["optimal"] = "spanning property implies optimality"

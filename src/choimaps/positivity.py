@@ -7,8 +7,8 @@ complete copositivity iff b*c >= 1, and positivity iff both
     (p1)  a + b + c >= cp_threshold(theta)
     (p2)  a <= 1  implies  b*c >= (1 - a)^2.
 
-The boundary pieces of the body are the equality cases: ``on_sum`` and
-``on_surface``, within the one face-band tolerance ``FACE_TOL``.
+The boundary pieces of the body are the equality cases: ``on_sum_at`` and
+``on_surface_at``, within the one face-band tolerance ``FACE_TOL``.
 
 The block-positivity oracle minimizes the smallest eigenvalue of the map
 applied to rank-1 projectors, and never trusts a closed form of the map.  It
@@ -42,34 +42,55 @@ INCLUSION_SLACK = 1e-12  # closed sets: boundary points classify as members
 FACE_TOL = 1e-9  # half-width of the band around each boundary piece
 
 
+# One body per predicate, on the coordinates and pth = cp_threshold(theta)
+# as plain floats or as numpy arrays alike; the MapParams predicates below
+# are one-point calls of them.
+
+
+def completely_positive_at(a, pth):
+    return a >= pth - INCLUSION_SLACK
+
+
+def completely_copositive_at(b, c):
+    return b * c >= 1.0 - INCLUSION_SLACK
+
+
+def surface_sides(a, b, c):
+    """The two sides of (p2), b*c and (1 - a)^2."""
+    return b * c, (1.0 - a) * (1.0 - a)
+
+
+def positive_at(a, b, c, pth):
+    bc, square = surface_sides(a, b, c)
+    p2 = (a > 1.0 + INCLUSION_SLACK) | (bc >= square - INCLUSION_SLACK)
+    return (a + b + c >= pth - INCLUSION_SLACK) & p2
+
+
+def on_sum_at(a, b, c, pth):
+    """Equality case of (p1): |a + b + c - pth| <= FACE_TOL."""
+    return abs(a + b + c - pth) <= FACE_TOL
+
+
+def on_surface_at(a, b, c):
+    """Equality case of (p2): |b*c - (1 - a)^2| <= FACE_TOL with a <= 1 + FACE_TOL
+    (the mirror branch b*c = (a - 1)^2, a > 1 is not on the boundary)."""
+    bc, square = surface_sides(a, b, c)
+    return (a <= 1.0 + FACE_TOL) & (abs(bc - square) <= FACE_TOL)
+
+
 def is_completely_positive(p: MapParams) -> bool:
     """True iff a >= cp_threshold(theta) (so the Choi matrix is PSD)."""
-    return p.a >= cp_threshold(p.theta) - INCLUSION_SLACK
+    return completely_positive_at(p.a, cp_threshold(p.theta))
 
 
 def is_completely_copositive(p: MapParams) -> bool:
     """True iff b*c >= 1 (so the partially transposed Choi matrix is PSD)."""
-    return p.b * p.c >= 1.0 - INCLUSION_SLACK
+    return completely_copositive_at(p.b, p.c)
 
 
 def is_positive(p: MapParams) -> bool:
     """True iff the map is positive: condition (p1) and, when a <= 1, (p2)."""
-    if p.a + p.b + p.c < cp_threshold(p.theta) - INCLUSION_SLACK:
-        return False
-    if p.a > 1.0 + INCLUSION_SLACK:
-        return True
-    return p.b * p.c >= (1.0 - p.a) ** 2 - INCLUSION_SLACK
-
-
-def on_sum(p: MapParams) -> bool:
-    """Equality case of (p1): |a + b + c - cp_threshold(theta)| <= FACE_TOL."""
-    return abs(p.a + p.b + p.c - cp_threshold(p.theta)) <= FACE_TOL
-
-
-def on_surface(p: MapParams) -> bool:
-    """Equality case of (p2): |b*c - (1 - a)^2| <= FACE_TOL with a <= 1 + FACE_TOL
-    (the mirror branch b*c = (a - 1)^2, a > 1 is not on the boundary)."""
-    return p.a <= 1.0 + FACE_TOL and abs(p.b * p.c - (1.0 - p.a) ** 2) <= FACE_TOL
+    return positive_at(p.a, p.b, p.c, cp_threshold(p.theta))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +442,7 @@ class IndecomposabilityCertificate:
 def indecomposability_certificate(p: MapParams) -> IndecomposabilityCertificate | None:
     """Certify indecomposability of a map on the surface b*c = (1 - a)^2.
 
-    Requires 0 < a <= 1, b, c > 0, ``on_surface``, and theta
+    Requires 0 < a <= 1, b, c > 0, ``on_surface_at``, and theta
     away from 0 (where the construction is not used).  Returns None when the
     pairing value is not negative (theta = +-pi/3 or +-pi, where the
     threshold equals 2); otherwise returns the PPT certificate state with
@@ -436,7 +457,7 @@ def indecomposability_certificate(p: MapParams) -> IndecomposabilityCertificate 
         raise NotApplicableError("certificate requires b, c > 0")
     if not 0 <= a <= 1 + 1e-12:
         raise NotApplicableError(f"certificate requires 0 <= a <= 1, got a={a}")
-    if not on_surface(p):
+    if not on_surface_at(a, b, c):
         raise NotApplicableError("certificate requires b*c = (1-a)^2")
 
     theta_c = math.pi - p.theta

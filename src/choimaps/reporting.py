@@ -60,13 +60,7 @@ class ReportDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
-        data = json.loads(text)
-        return cls(
-            params=data["params"],
-            flags=data["flags"],
-            evidence=data["evidence"],
-            schema_version=data["schema_version"],
-        )
+        return cls(**json.loads(text))
 
 
 def render_plain(doc: ReportDocument) -> str:

@@ -25,7 +25,7 @@ from .errors import InternalConsistencyError, NotPositiveMapError, UnsupportedCa
 from .faces import FaceKind, FaceLabel, classify_face, require_generic_theta
 from .linalg import Array, numeric_rank
 from .maps import MapParams, apply_map
-from .positivity import FACE_TOL, is_positive, on_sum, on_surface
+from .positivity import FACE_TOL, is_positive, on_sum_at, on_surface_at
 
 #: Default unimodular phase samples: pairs feed the three-vector boundary
 #: families, triples feed the equal-modulus family.
@@ -350,7 +350,7 @@ def has_spanning_property(p: MapParams) -> SpanningReport:
     when the map is not positive: spanning is defined only for positive maps.
     """
     k = _kernel_point(p)
-    verdict = p.a < 1.0 - FACE_TOL and on_surface(p)
+    verdict = p.a < 1.0 - FACE_TOL and on_surface_at(*p.abc)
 
     cols = None
     det_closed = spanning_det_closed_form(p)
@@ -388,7 +388,7 @@ def has_cospanning_property(p: MapParams) -> SpanningReport:
     only for positive maps.
     """
     k = _kernel_point(p)
-    surface_piece = p.a >= 2.0 - k.pth - FACE_TOL and on_surface(p)
+    surface_piece = p.a >= 2.0 - k.pth - FACE_TOL and on_surface_at(*p.abc)
     coordinate_piece = 1.0 - FACE_TOL <= p.a <= k.pth + FACE_TOL and min(p.b, p.c) <= FACE_TOL
-    verdict = on_sum(p) and (surface_piece or coordinate_piece)
+    verdict = on_sum_at(*p.abc, k.pth) and (surface_piece or coordinate_piece)
     return _report(verdict, k, True, cospanning_columns(p), cospanning_det_closed_form(p))

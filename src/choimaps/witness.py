@@ -189,7 +189,8 @@ def build_witness(
     ``detects``).  Without it, 64 samples across the admissible interval
     (with a relative margin of 1e-3 at both ends) are scanned over both
     assignments and the minimizer is kept; if no choice pairs below -1e-9,
-    NoDetectingChoiceError is raised.
+    NoDetectingChoiceError is raised.  Raises OutOfRangeError when b is so
+    large or so small that the pairing with the edge state overflows.
     """
     _check_theta(theta)
     if not b > 0:
@@ -237,13 +238,10 @@ def edge_kernel_vectors(b: float, theta: float) -> tuple[Array, Array, Array, Ar
         raise ValueError(f"b must be positive, got {b}")
     e = cmath.exp(1j * theta)
     sb = math.sqrt(b)
-    z = np.zeros(9, dtype=complex)
+    z, w1, w2, w3 = np.zeros((4, 9), dtype=complex)
     z[[0, 4, 8]] = 1.0
-    w1 = np.zeros(9, dtype=complex)
     w1[1], w1[3] = sb, e / sb
-    w2 = np.zeros(9, dtype=complex)
     w2[5], w2[7] = sb, e / sb
-    w3 = np.zeros(9, dtype=complex)
     w3[2], w3[6] = e / sb, sb
 
     rho = edge_state(b, theta)

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 
 import choimaps
 from choimaps import MapParams
-from choimaps.cli import main, parse_angle
+from choimaps.cli import _EXIT_CODES, main, parse_angle
 from choimaps.positivity import BlockPositivityReport
 from choimaps.reporting import ReportDocument, render_plain
 
@@ -28,9 +31,26 @@ class TestParseAngle:
         assert parse_angle("-1.2") == pytest.approx(-1.2)
 
     def test_rejects_garbage(self):
-        for bad in ("pie", "pi/x", "2pi/0", ""):
+        for bad in ("pie", "pi/x", "2pi/0", "", "inf", "-inf", "nan", "1e999", "9" * 400 + "pi"):
             with pytest.raises(ValueError):
                 parse_angle(bad)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "inf", "5"],
+        ["sweep", "nan", "5"],
+        ["figure-data", "2", "--theta", "inf"],
+    ],
+)
+def test_non_finite_angle_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "invalid parse_angle value" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
 
 
 class TestClassify:
@@ -151,7 +171,27 @@ def test_overflowing_determinants_are_null(argv, capsys):
         assert out["evidence"][key]["det_closed_form"] is None
 
 
+def test_near_overflow_coordinate_classifies(capsys):
+    # symmetrizing the Choi matrix must not overflow before halving
+    assert main(["classify", "1e308", "0", "0", "pi/6", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["flags"]["face"] == "e_a"
+    assert out["flags"]["cp"] is True
+
+
 class TestWitness:
+    @pytest.mark.parametrize("b", ["1e308", "1e-308"])
+    def test_overflowing_pairing_usage_error(self, b, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["witness", "pi/6", b])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert caught == []
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("witness: the pairing cannot be formed in finite doubles")
+
     def test_detecting(self, capsys):
         code = main(["witness", "pi/6", "1", "--json"])
         out = json.loads(capsys.readouterr().out)
@@ -273,6 +313,25 @@ class TestFigureData:
         assert main(["figure-data", "3", "--out", str(out)]) == 1
 
 
+#: SHA-256 of outputs of the row-by-row classifier that ``classify_faces``
+#: replaced; the grid code must reproduce them byte for byte.
+GOLDEN_CSV = {
+    ("sweep", "pi/6", "25", "--plane", "abc_simplex"): "6a54a9eab6415e25116ed743d2026293c87837b918f3ff03b5bea9c9e2d3bf03",
+    ("sweep", "pi/6", "25", "--plane", "ab"): "f318879a997dad10bd935470720d067aeca276b023efb9c601ab29eb6b46eb2c",
+    ("sweep", "pi/6", "25", "--plane", "ac"): "d92668c70efc066f3521fa97b786928c0d1baa1c14aff91a0a268cb06035a6af",
+    ("sweep", "pi/6", "25", "--plane", "bc"): "540dfbf8cf75a60f2a31c6e58ced5cbe8e6fb8319325c9f64f43e4f11074eecb",
+    ("figure-data", "2", "--points", "15"): "792c4ef77af0dd383b4b8fe4386ebacdd81a7e4777aebbf03c4196907ee6788a",
+    ("figure-data", "3", "--points", "6"): "a1c851dd906c052471ac68485f82919e2b6bd23fcf57f3922f6bacffdbbd4519",
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_CSV, ids=" ".join)
+def test_grid_output_matches_golden_hash(argv, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV[argv]
+
+
 class TestSpanningCommand:
     def test_report(self, capsys):
         code = main(["spanning", "0.5", "1", "0.25", "pi/6", "--json"])
@@ -298,6 +357,15 @@ class TestSpanningCommand:
 
 def test_unknown_command_usage():
     assert main(["frobnicate"]) == 1
+
+
+def test_help_names_every_exit_code(capsys):
+    assert main(["--help"]) == 0
+    help_text = capsys.readouterr().out
+    # the table in the help text: an entry per code, "  <code>  <text>"
+    entries = dict(re.findall(r"^  (\d)  (.*?)(?=^  \d  |^\S|\Z)", help_text, re.M | re.S))
+    for error, code in _EXIT_CODES.items():
+        assert error.__name__ in entries[str(code)], (error.__name__, code)
 
 
 def test_cli_import_loads_no_scipy():

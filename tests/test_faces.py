@@ -6,6 +6,7 @@ from choimaps import (
     FaceLabel,
     MapParams,
     NotAFaceError,
+    OutOfRangeError,
     UnsupportedThetaError,
     boundary_parametrization,
     classify_face,
@@ -13,7 +14,7 @@ from choimaps import (
     face_properties,
     is_positive,
 )
-from choimaps.faces import PROPERTY_TABLE
+from choimaps.faces import FACE_KINDS, PROPERTY_TABLE, classify_faces
 
 
 def classify(a, b, c, th):
@@ -120,6 +121,33 @@ class TestClassifyFace:
     def test_unsupported_theta(self):
         with pytest.raises(UnsupportedThetaError):
             classify(1, 1, 1, 0.0)
+
+
+class TestClassifyFaces:
+    def test_grid_agrees_with_points(self):
+        th = np.pi / 6 + 2 * np.pi  # normalized like MapParams
+        axis = np.linspace(0.0, 2.5, 41)
+        a, b, c = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
+        codes, interiors, ts = classify_faces(a, b, c, th)
+        for k in range(0, len(a), 7):
+            label = classify(a[k], b[k], c[k], th)
+            assert FACE_KINDS[codes[k]] is label.kind
+            assert interiors[k] == label.interior_of_face
+            assert (None if np.isnan(ts[k]) else ts[k]) == label.t_value
+
+    def test_broadcasts_scalars(self):
+        codes, interiors, ts = classify_faces(0.5, np.array([1.0, 2.0]), 0.25, np.pi / 6)
+        assert [FACE_KINDS[k] for k in codes] == [FaceKind.E_T, FaceKind.INTERIOR]
+        assert ts[0] == pytest.approx(2.0) and np.isnan(ts[1])
+
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+    def test_rejects_bad_coordinates(self, bad):
+        with pytest.raises(OutOfRangeError):
+            classify_faces(np.array([1.0, bad]), 0.0, 0.0, np.pi / 6)
+
+    def test_unsupported_theta(self):
+        with pytest.raises(UnsupportedThetaError):
+            classify_faces(np.ones(3), 1.0, 1.0, 0.0)
 
 
 class TestPropertyTable:

@@ -10,7 +10,7 @@ from choimaps import (
     partial_transpose,
     phase_circulant,
 )
-from choimaps.linalg import basis_matrix
+from choimaps.linalg import basis_matrix, require_hermitian
 
 
 def random_unitary(rng, n=3):
@@ -42,6 +42,18 @@ def test_circulant_threshold_root_has_zero_eigenvalue():
 def test_non_hermitian_rejected():
     with pytest.raises(NonHermitianError):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_symmetrizing_near_the_largest_double():
+    m = np.diag([1e308, 0.0, 1.0]).astype(complex)
+    m[0, 1], m[1, 0] = 1e308j, -1e308j
+    out = require_hermitian(m)
+    assert np.isfinite(out).all()
+    assert np.array_equal(out, m)
+    # on normal entries the result is bit for bit the halved sum
+    rng = np.random.default_rng(3)
+    h = random_hermitian(rng, 9) + 1e-12 * rng.normal(size=(9, 9))
+    assert np.array_equal(require_hermitian(h), (h + h.conj().T) / 2)
 
 
 def test_eigenvalue_sum_matches_trace():

@@ -22,6 +22,7 @@ from choimaps import (
     kernel_membership,
     pairing,
 )
+from choimaps.faces import FACE_KINDS, classify_faces
 from choimaps.spanning import (
     DEFAULT_TRIPLES,
     _equal_modulus_vector,
@@ -352,6 +353,17 @@ def test_face_table_spanning_closed_forms_and_kernel_rank_agree(piece, data):
 
     face = classify_face(p)
     assert face.kind is kind
+    # the grid path: the point inside a batch of random points at its angle
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    batch = rng.uniform(0.0, 2.5, size=(32, 3))
+    slot = data.draw(st.integers(0, len(batch) - 1), label="slot")
+    batch[slot] = abc
+    codes, interiors, ts = classify_faces(*batch.T, th)
+    for k, row in enumerate(batch):
+        label = face if k == slot else classify_face(MapParams(*row, th))
+        assert FACE_KINDS[codes[k]] is label.kind
+        assert interiors[k] == label.interior_of_face
+        assert (None if math.isnan(ts[k]) else ts[k]) == label.t_value
     interior = kind is FaceKind.INTERIOR
     row = PropertyRow(False, False, False, False) if interior else face_properties(face)
     span, cospan = has_spanning_property(p), has_cospanning_property(p)
