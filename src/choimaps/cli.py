@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedThetaError,
 )
 from .faces import FACE_KINDS, FaceKind, classify_face, classify_faces, require_generic_theta
-from .linalg import hermitian_eigenvalues, partial_transpose
+from .linalg import INCLUSION_SLACK, hermitian_eigenvalues, partial_transpose
 from .maps import MapParams, choi_matrix, cp_threshold, normalize_angle
 from .optimality import classify_optimality
 from .positivity import (
@@ -70,6 +70,8 @@ _EXIT_CODES = {
 
 #: Largest number of rows `figure-data 3` may write.
 FIGURE3_MAX_ROWS = 1_000_000
+#: Largest grid of `sweep`, and so largest --points of `figure-data 2`.
+SWEEP_MAX_N = 2000
 
 _ANGLE_RE = re.compile(r"^([+-]?)(\d+)?pi(?:/(\d+))?$")
 
@@ -201,10 +203,10 @@ def _write_lines(path: str, lines) -> int:
 def _sweep(theta: float, grid_n: int, plane: str, box: float, out: str) -> int:
     """Write the face and the cp / ccp / positive flags of each point of a
     grid_n^2 grid on ``plane`` over [0, box]^2, or over [0, pth]^2 on the
-    simplex (keeping c = pth - a - b >= -1e-12, clipped at 0), classified by
+    simplex (keeping c = pth - a - b >= -INCLUSION_SLACK, clipped at 0), classified by
     ``classify_faces`` in blocks of whole outer-axis rows."""
-    if not 1 <= grid_n <= 2000:
-        raise OutOfRangeError(f"grid_n must be in [1, 2000], got {grid_n}")
+    if not 1 <= grid_n <= SWEEP_MAX_N:
+        raise OutOfRangeError(f"grid_n must be in [1, {SWEEP_MAX_N}], got {grid_n}")
     if not 0.0 <= box < math.inf:
         raise OutOfRangeError(f"box must be finite and nonnegative, got {box}")
     require_generic_theta(theta)
@@ -229,7 +231,7 @@ def _sweep(theta: float, grid_n: int, plane: str, box: float, out: str) -> int:
             coords, texts = [np.zeros_like(x)] * 3, [["0"] * len(x)] * 3
             if simplex:
                 z = pth - x - y
-                keep = z >= -1e-12
+                keep = z >= -INCLUSION_SLACK
                 i, j, x, y, z = i[keep], j[keep], x[keep], y[keep], np.maximum(z[keep], 0.0)
                 coords[2], texts[2] = z, [_fmt(v) for v in z]
             coords[slots[0]], coords[slots[1]] = x, y
@@ -256,6 +258,8 @@ def cmd_figure_data(args) -> int:
         lines = [f"{_fmt(th)},{_fmt(cp_threshold(th))}" for th in thetas]
         return _write_lines(args.out, ["theta,p_theta", *lines])
     if args.figure == "2":
+        if args.points > SWEEP_MAX_N:
+            raise OutOfRangeError(f"figure 2 takes points in [2, {SWEEP_MAX_N}], got {args.points}")
         return _sweep(args.theta, args.points, "abc_simplex", 2.5, args.out)
     # figure 3: positivity scans at thresholds 1, the given angle, 2
     rows = 3 * args.points**3
@@ -316,7 +320,9 @@ def build_parser() -> _Parser:
     pf.add_argument("figure", choices=("1", "2", "3"))
     pf.add_argument("--out", required=True)
     pf.add_argument("--theta", type=parse_angle, default="pi/6")
-    pf.add_argument("--points", type=int, default=1000)
+    most = int((FIGURE3_MAX_ROWS / 3) ** (1 / 3))  # figure 3 writes 3*points^3 rows
+    pf.add_argument("--points", type=int, default=1000, help=(
+        f"points per axis: at most 100000 for figure 1, {SWEEP_MAX_N} for figure 2, {most} for figure 3"))
     pf.set_defaults(func=cmd_figure_data)
     return parser
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAFaceError, OutOfRangeError, UnsupportedThetaError
-from .linalg import Array
+from .linalg import FACE_TOL, INCLUSION_SLACK, Array
 from .maps import MapParams, cp_threshold, normalize_angle
-from .positivity import FACE_TOL, on_sum_at, on_surface_at, positive_at, surface_sides
+from .positivity import on_sum_at, on_surface_at, positive_at, surface_sides
 
 
 class FaceKind(enum.Enum):
@@ -104,7 +104,7 @@ PROPERTY_TABLE: dict[FaceKind, PropertyRow] = {
 def require_generic_theta(theta: float) -> float:
     """Return cp_threshold(theta), requiring it strictly inside (1, 2)."""
     pth = cp_threshold(theta)
-    if not 1.0 + 1e-12 < pth < 2.0 - 1e-12:
+    if not 1.0 + INCLUSION_SLACK < pth < 2.0 - INCLUSION_SLACK:
         raise UnsupportedThetaError(
             f"facial analysis requires cp_threshold in (1, 2); theta={theta} gives {pth}"
         )

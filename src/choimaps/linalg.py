@@ -1,8 +1,14 @@
-"""Deterministic dense complex linear algebra at the two sizes used here.
+"""Deterministic dense complex linear algebra at the two sizes used here,
+and the tolerance policy: each threshold role, named once for every module.
 
 Everything operates on plain ``numpy`` arrays.  Matrices are 3x3 or 9x9;
 9x9 matrices are always understood as operators on C^3 (x) C^3 with the
 row-major index identification (i, j) -> 3*i + j of the tensor factors.
+
+The roles: membership slack (an equality of exact arithmetic passes within
+it, so boundary points of closed sets are members), the face band, the rank
+cut, eigenvalue floors, self-check residues (two routes to one quantity, or
+a quantity zero in exact arithmetic) and the certified sign of a minimum.
 """
 
 from __future__ import annotations
@@ -14,8 +20,16 @@ from .errors import NonHermitianError
 Array = np.ndarray
 
 
-#: Singular values below this fraction of the largest do not count to the rank.
-RANK_REL = 1e-8
+INCLUSION_SLACK = 1e-12  # membership slack
+FACE_TOL = 1e-9  # face band: half-width around each boundary piece of the body
+RANK_REL = 1e-8  # rank cut: components below this fraction of the largest do not count
+EIG_FLOOR = 1e-8  # eigenvalue floor at sampled product vectors, relative to the largest
+HESSIAN_FLOOR = 1e-10  # eigenvalue floor of the exact Hessian at a kernel vector
+RESIDUE_ABS = 1e-10  # self-check residue, entrywise
+RESIDUE_REL = 1e-9  # self-check residue, relative to the scale of the quantity
+STATIONARY_REL = 1e-8  # first-order residue at a kernel vector, itself within RESIDUE_REL
+CERTIFIED_SIGN = 1e-6  # certified sign: a minimum below -CERTIFIED_SIGN is negative
+CERTIFIED_ZERO = 1e-9  # ... at or above -CERTIFIED_ZERO nonnegative; a weight at most it is zero
 
 
 def as_complex(m) -> Array:
@@ -29,22 +43,22 @@ def hermiticity_defect(m) -> float:
     return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
 
 
-def require_hermitian(m, tol: float = 1e-10) -> Array:
-    """Validate Hermiticity within ``tol`` and return the symmetrized matrix.
+def require_hermitian(m) -> Array:
+    """Validate Hermiticity within RESIDUE_ABS and return the symmetrized matrix.
 
     The halves are summed, not halved after summing, so entries near the
     largest double do not overflow (halving a normal double is exact)."""
     m = as_complex(m)
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NonHermitianError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.1e}")
+    if defect > RESIDUE_ABS:
+        raise NonHermitianError(f"matrix is not Hermitian: defect {defect:.3e} > {RESIDUE_ABS:.1e}")
     return m / 2 + m.conj().T / 2
 
 
 def hermitian_eigenvalues(m) -> Array:
     """Eigenvalues of a Hermitian matrix, ascending.
 
-    Raises NonHermitianError if the symmetry defect exceeds 1e-10.
+    Raises NonHermitianError if the symmetry defect exceeds the residue RESIDUE_ABS.
     """
     return np.linalg.eigvalsh(require_hermitian(m))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolatedError, OutOfRangeError, ThetaOutOfRangeError
-from .linalg import Array, as_complex, basis_matrix, require_hermitian
+from .linalg import INCLUSION_SLACK, RESIDUE_ABS, Array, as_complex, basis_matrix, require_hermitian
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
@@ -135,7 +135,7 @@ def pairing_value(a, c) -> float:
     """Bilinear pairing Tr(A C^t) of two Hermitian 9x9 matrices.
 
     Equals the entrywise (unconjugated) sum of products.  The imaginary
-    residue must not exceed 1e-10.  Raises OutOfRangeError when the sum
+    residue must not exceed RESIDUE_ABS.  Raises OutOfRangeError when the sum
     overflows."""
     a = as_complex(a)
     c = as_complex(c)
@@ -143,7 +143,7 @@ def pairing_value(a, c) -> float:
         v = complex(np.sum(a * c))
     if not cmath.isfinite(v):
         raise OutOfRangeError(f"the pairing cannot be formed in finite doubles: it sums to {v}")
-    if abs(v.imag) > 1e-10:
+    if abs(v.imag) > RESIDUE_ABS:
         raise ValueError(f"pairing has imaginary residue {v.imag:.3e}")
     return v.real
 
@@ -174,7 +174,7 @@ def edge_state(b: float, theta: float, normalized: bool = False) -> Array:
 def subtraction_generator(xi: complex, eta: complex, zeta: complex) -> Array:
     """Rank-1 PSD matrix v v* with v supported on the diagonal tensor slots
     (0,0), (1,1), (2,2) and coordinates (xi, eta, zeta) summing to zero."""
-    if abs(xi + eta + zeta) > 1e-12:
+    if abs(xi + eta + zeta) > INCLUSION_SLACK:
         raise ConstraintViolatedError(
             f"coordinates must sum to zero, got {xi + eta + zeta}"
         )

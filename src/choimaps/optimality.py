@@ -32,10 +32,10 @@ from .faces import (
     face_properties,
     require_generic_theta,
 )
-from .linalg import Array, require_hermitian
+from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, HESSIAN_FLOOR, INCLUSION_SLACK
+from .linalg import RANK_REL, RESIDUE_ABS, RESIDUE_REL, STATIONARY_REL, Array
 from .maps import MapParams, choi_matrix, cp_threshold, pairing_value
 from .positivity import (
-    FACE_TOL,
     _apply_kernel,
     _descend,
     _kernel_matrix,
@@ -45,8 +45,9 @@ from .positivity import (
 )
 from .spanning import _kernel_point, has_cospanning_property, has_spanning_property, sampled_kernel_vectors
 
-OPTIMAL_TOL = 1e-9
-NOT_OPTIMAL_TOL = 1e-6
+_MIN_DRAW_NORM = 1e-6  # ``_directions`` drops draws this close to zero
+_DINKELBACH_STOP = 1e-9  # relative fall of the ratio below which the rounds stop
+_TINY = 1e-300  # a top eigenvalue at or below it leaves the kernel limit infinite
 
 
 def subtraction_budget(theta: float) -> float:
@@ -76,7 +77,7 @@ def orthocomplement_basis(p: MapParams) -> list[Array]:
     # bilinear one: v must annihilate every kernel tensor under v^T z.
     rows = np.array([pv.tensor() for pv in vectors])
     _, s, vh = np.linalg.svd(rows)
-    rank = int(np.count_nonzero(s > 1e-10 * s[0]))
+    rank = int(np.count_nonzero(s > RANK_REL * s[0]))
     basis = [vh[k].conj() for k in range(rank, 9)]
 
     if abs(p.theta) < math.pi / 3.0 and _kernel_point(p).face.kind in _VERTEX_SIDE:
@@ -87,7 +88,7 @@ def orthocomplement_basis(p: MapParams) -> list[Array]:
         off = [k for k in range(9) if k not in (0, 4, 8)]
         for v in basis:
             off_max, total = float(np.abs(v[off]).max()), abs(v[0] + v[4] + v[8])
-            if off_max > 1e-9 or total > 1e-9:
+            if off_max > RESIDUE_REL or total > RESIDUE_REL:  # unit vectors: absolute is relative
                 raise InternalConsistencyError(
                     f"vertex orthocomplement at {p} is not diagonal-slot with zero sum: "
                     f"off-diagonal {off_max!r}, slot sum {total!r}"
@@ -132,7 +133,7 @@ def _diag_pairing_form(family) -> Array:
         xi, eta = family(t)
         zt = np.kron(xi, eta)[[0, 4, 8]]
         drift = float(np.abs(zt - t * ell).max())
-        if drift > 1e-12 * max(1.0, t):
+        if drift > INCLUSION_SLACK * max(1.0, t):
             raise InternalConsistencyError(
                 f"probe family diagonal slots are not linear in t: deviation {drift!r} at t={t}"
             )
@@ -168,7 +169,7 @@ def vertex_optimality_analytic(theta: float, vertex: str = "b_side") -> bool:
             z = np.kron(xi, eta)
             vals.append(pairing_value(np.outer(z, z.conj()), w))
         coeffs = np.polynomial.polynomial.polyfit(ts, np.array(vals), 3)
-        if np.abs(coeffs[:3]).max() > 1e-10 or abs(coeffs[3] - (pth - 1.0)) > 1e-10:
+        if np.abs(coeffs[:3]).max() > RESIDUE_ABS or abs(coeffs[3] - (pth - 1.0)) > RESIDUE_ABS:
             raise InternalConsistencyError(
                 f"probe family pairing is not the expected cubic with leading {pth - 1.0!r}: {coeffs}"
             )
@@ -176,7 +177,7 @@ def vertex_optimality_analytic(theta: float, vertex: str = "b_side") -> bool:
 
     stack = np.vstack(forms + [np.ones((1, 3), dtype=complex)])
     smin = np.linalg.svd(stack, compute_uv=False)[-1]
-    return bool(smin > 1e-9)
+    return bool(smin > CERTIFIED_ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +189,9 @@ def vertex_optimality_analytic(theta: float, vertex: str = "b_side") -> bool:
 class OptimalityProbeReport:
     """Largest subtractable weight found over the probed directions.
 
-    verdict 'optimal' needs every direction at or below 1e-9; 'not_optimal'
-    needs a direction above 1e-6 whose subtraction was re-verified with the
-    block-positivity oracle; anything else is 'inconclusive'.
+    By the certified sign: 'optimal' needs every direction at or below
+    CERTIFIED_ZERO; 'not_optimal' needs one above CERTIFIED_SIGN whose half
+    subtraction the oracle certified nonnegative; else 'inconclusive'.
     """
 
     direction_count: int
@@ -198,18 +199,6 @@ class OptimalityProbeReport:
     verdict: str
     witness_direction: Array | None = None
     verification: dict = field(default_factory=dict)
-
-    @property
-    def witness_diag_triple(self) -> tuple[complex, complex, complex] | None:
-        """The (xi, eta, zeta) diagonal-slot coordinates of the witness
-        direction, when it is supported there."""
-        v = self.witness_direction
-        if v is None:
-            return None
-        off = [k for k in range(9) if k not in (0, 4, 8)]
-        if np.abs(v[off]).max() > 1e-8:
-            return None
-        return (complex(v[0]), complex(v[4]), complex(v[8]))
 
 
 def _directions(dim: int, n: int) -> Array:
@@ -222,7 +211,7 @@ def _directions(dim: int, n: int) -> Array:
         g = (1.0 + g) ** (1.0 / (2 * dim + 1))
     u = (0.5 + np.arange(1, 2 * n + 5)[:, None] * g ** -np.arange(1.0, 2 * dim + 1)) % 1.0
     v = np.sqrt(-np.log1p(-u[:, 0::2])) * np.exp(2j * math.pi * u[:, 1::2])
-    v = v[np.linalg.norm(v, axis=1) > 1e-6][:n]
+    v = v[np.linalg.norm(v, axis=1) > _MIN_DRAW_NORM][:n]
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
@@ -230,11 +219,11 @@ def _ratio_on_grid(kernel: Array, matrices: Array, xi: Array) -> Array:
     """(ndir, n) largest subtractable weights 1/(b* A^+ b), A = Phi(xi xi*),
     b = m^T xi, for the (ndir, 3, 3) direction ``matrices`` at the (n, 3)
     unit vectors ``xi``: the largest p with A - p b b* PSD.  Eigenvalues of A
-    below 1e-8 max(1, lambda_max) are raised to it, which only raises
-    ratios: near a kernel vector the ratio of two vanishing terms would be
-    rounding noise, and the exact kernel limits cover those points."""
+    below the eigenvalue floor EIG_FLOOR max(1, lambda_max) are raised to it,
+    which only raises ratios: near a kernel vector the ratio of two vanishing
+    terms is rounding noise, and the exact kernel limits cover those points."""
     lam, u = np.linalg.eigh(_apply_kernel(kernel, xi[:, :, None] * xi.conj()[:, None, :]))
-    lam_floor = np.maximum(lam, 1e-8 * np.maximum(lam[:, -1:], 1.0))
+    lam_floor = np.maximum(lam, EIG_FLOOR * np.maximum(lam[:, -1:], 1.0))
     directions_b = np.einsum("dji,nj->dni", matrices, xi)
     beta2 = np.abs(np.einsum("nij,dni->dnj", u.conj(), directions_b)) ** 2
     denom = np.sum(beta2 / lam_floor[None, :, :], axis=2)
@@ -248,10 +237,11 @@ def _dinkelbach(w: Array, kernel: Array, v: Array, xi: Array, ratios: Array, ste
     ``xi`` with their ``ratios``: one ``_descend`` iteration on W - r v v*,
     r the smallest ratio so far, then the exact ratios at the new xi; no
     round raises r.  Stops after ``steps`` rounds, when r falls by less than
-    1e-9 r, or once r <= OPTIMAL_TOL / 10.  The starts are the best vectors
-    of the 20 best moduli patterns: the map commutes with diagonal phases,
-    so phase copies are duplicate starts, and a descent drawn to a kernel
-    vector (where the ratio only tends to its kernel limit) must not decide.
+    _DINKELBACH_STOP r, or at a tenth of the zero weight CERTIFIED_ZERO.
+    The starts are the best vectors of the 20 best moduli patterns: the map
+    commutes with diagonal phases, so phase copies are duplicate starts, and
+    a descent drawn to a kernel vector (where the ratio only tends to its
+    kernel limit) must not decide.
     """
     order = np.argsort(ratios, kind="stable")
     _, first = np.unique(np.round(np.abs(xi[order]), 9), axis=0, return_index=True)
@@ -259,12 +249,12 @@ def _dinkelbach(w: Array, kernel: Array, v: Array, xi: Array, ratios: Array, ste
     r = float(ratios[order[0]])
     vv = np.outer(v, v.conj())
     for _ in range(steps):
-        if not OPTIMAL_TOL / 10 < r < math.inf:
+        if not CERTIFIED_ZERO / 10 < r < math.inf:
             break
         shifted = w - r * vv
         xi = _descend(shifted, _kernel_matrix(shifted), xi, 1)[0]
         r, previous = min(r, float(_ratio_on_grid(kernel, v.reshape(1, 3, 3), xi).min())), r
-        if r > previous - 1e-9 * previous:
+        if r > previous - _DINKELBACH_STOP * previous:
             break
     return r
 
@@ -308,7 +298,7 @@ def _kernel_hessian(w: Array, xi0: Array, eta0: Array) -> tuple[Array, Array]:
     w2 = np.einsum("ni,nj->nij", dxi, deta).reshape(-1, 9)
     z0w = z0 @ w
     linear = (w1.conj() @ z0w).real
-    limit = 1e-8 * scale * np.maximum(1.0, np.linalg.norm(w1, axis=1))
+    limit = STATIONARY_REL * scale * np.maximum(1.0, np.linalg.norm(w1, axis=1))
     if np.any(np.abs(linear) > limit):
         k = int(np.argmax(np.abs(linear) / limit))
         raise InternalConsistencyError(
@@ -337,19 +327,19 @@ def _kernel_limit_ratio(mu: Array, e: Array, rows: Array) -> float:
     the reciprocal largest eigenvalue of L Q2^+ L^T."""
     b = rows @ e
     mu_max = max(float(mu[-1]), 0.0)
-    cut = max(1e-10 * mu_max, 1e-12)
+    cut = max(HESSIAN_FLOOR * mu_max, INCLUSION_SLACK)
     null = mu <= cut
     row_scale = float(np.linalg.norm(rows))
-    if row_scale < 1e-12:
+    if row_scale < INCLUSION_SLACK:
         return math.inf
-    if null.any() and float(np.linalg.norm(b[:, null])) > 1e-8 * row_scale:
+    if null.any() and float(np.linalg.norm(b[:, null])) > RANK_REL * row_scale:
         return 0.0
     pos = ~null
     if not pos.any():
         return math.inf
     m2 = (b[:, pos] / mu[pos]) @ b[:, pos].T
     top = float(np.linalg.eigvalsh(m2)[-1])
-    return 1.0 / top if top > 1e-300 else math.inf
+    return 1.0 / top if top > _TINY else math.inf
 
 
 def optimality_probe(
@@ -411,7 +401,7 @@ def optimality_probe(
             r_best = min(r_best, _kernel_limit_ratio(mu, e, rows[d]))
             if r_best <= 0.0:
                 break
-        if r_best > OPTIMAL_TOL / 10:
+        if r_best > CERTIFIED_ZERO / 10:
             refined = _dinkelbach(w, kernel, directions[d], xi_grid, grid_ratios[d], refine_steps)
             r_best = min(r_best, refined)
         per_direction[d] = min(r_best, p_max)
@@ -421,14 +411,14 @@ def optimality_probe(
 
     verification: dict = {}
     verdict = "inconclusive"
-    if best <= OPTIMAL_TOL:
+    if best <= CERTIFIED_ZERO:
         verdict = "optimal"
-    elif best > NOT_OPTIMAL_TOL:
+    elif best > CERTIFIED_SIGN:
         vv = np.outer(best_dir, best_dir.conj())
-        keep = block_positivity_oracle(w - 0.5 * best * vv, grid_n=grid_n).min_value
+        keep = block_positivity_oracle(w - 0.5 * best * vv, grid_n=grid_n)
         brk = block_positivity_oracle(w - min(2.0 * best, p_max) * vv, grid_n=grid_n).min_value
-        verification = {"oracle_at_half": keep, "oracle_at_double": brk}
-        if keep >= -OPTIMAL_TOL:
+        verification = {"oracle_at_half": keep.min_value, "oracle_at_double": brk}
+        if keep.status == "nonnegative":
             verdict = "not_optimal"
     return OptimalityProbeReport(
         direction_count=len(directions),
@@ -462,15 +452,15 @@ def cooptimality_subtraction(p: MapParams) -> CooptimalitySubtraction:
     The weight is half the budget at which the rotated angle reaches pi/3 in
     magnitude, additionally capped by the smaller diagonal coefficient (the
     rescaled parameters must stay nonnegative).  Verifies the matrix identity
-    entrywise to 1e-10, that the rescaled parameters are positive (hence the
-    original map is not co-optimal), and the threshold sum identity to 1e-10.
+    entrywise to the residue RESIDUE_ABS, that the rescaled parameters are
+    positive (so the map is not co-optimal), and the threshold sum identity.
     """
     pth = require_generic_theta(p.theta)
     a, b, c = p.abc
     if not (
         abs(a - 1.0) <= FACE_TOL
-        and b > 1e-12
-        and c > 1e-12
+        and b > INCLUSION_SLACK
+        and c > INCLUSION_SLACK
         and abs(b + c - (pth - 1.0)) <= FACE_TOL
         and 0.0 < abs(p.theta) < math.pi / 3.0
     ):
@@ -487,12 +477,12 @@ def cooptimality_subtraction(p: MapParams) -> CooptimalitySubtraction:
     lhs = choi_matrix(p) - weight * choi_matrix(MapParams(0.0, 1.0, 1.0, 0.0))
     rhs = scale * choi_matrix(new_params)
     residue = float(np.abs(lhs - rhs).max())
-    if residue > 1e-10:
+    if residue > RESIDUE_ABS:
         raise InternalConsistencyError(
             f"subtraction matrix identity failed at {p}: entrywise residue {residue!r}"
         )
     sums = new_params.a + new_params.b + new_params.c
-    if abs(sums - cp_threshold(theta_prime)) > 1e-10:
+    if abs(sums - cp_threshold(theta_prime)) > RESIDUE_ABS:
         raise InternalConsistencyError(
             f"subtraction threshold sum identity failed at {p}: "
             f"{sums!r} vs cp_threshold {cp_threshold(theta_prime)!r}"

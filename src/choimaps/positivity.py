@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, NegativeInputError, NotApplicableError
+from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK, RESIDUE_REL
 from .linalg import Array, hermitian_eigenvalues, partial_transpose, require_hermitian
 from .maps import (
     MapParams,
@@ -38,8 +39,8 @@ from .maps import (
     pairing,
 )
 
-INCLUSION_SLACK = 1e-12  # closed sets: boundary points classify as members
-FACE_TOL = 1e-9  # half-width of the band around each boundary piece
+_DESCENT_STOP = 1e-15  # relative decrease below which ``_descend`` stops
+_TINY = 1e-300  # keeps the Newton floor positive where every curvature vanishes
 
 
 # One body per predicate, on the coordinates and pth = cp_threshold(theta)
@@ -164,7 +165,7 @@ def stationary_form_determinant(p: MapParams) -> float:
 
     Returns the factored value (p - s)^2 * (t^3 - 3t - 2cos(3 theta)) with
     t = a + b + c, after asserting it agrees with the direct 3x3 determinant
-    to 1e-9 relative.
+    to the residue RESIDUE_REL.
     """
     fc = form_coefficients(p)
     d = fc.p + fc.q + fc.r
@@ -173,7 +174,7 @@ def stationary_form_determinant(p: MapParams) -> float:
     direct = float(np.linalg.det(m))
     t = p.a + p.b + p.c
     closed = (fc.p - fc.s) ** 2 * (t**3 - 3.0 * t - 2.0 * math.cos(3.0 * p.theta))
-    if abs(direct - closed) > 1e-9 * max(1.0, abs(closed)):
+    if abs(direct - closed) > RESIDUE_REL * max(1.0, abs(closed)):
         raise InternalConsistencyError(
             f"stationary determinant mismatch: direct {direct!r} vs factored {closed!r}"
         )
@@ -202,15 +203,12 @@ class BlockPositivityReport:
     grid_points: int
     refined: bool
 
-    CERTIFIED_NEGATIVE = -1e-6
-    CERTIFIED_NONNEGATIVE = -1e-9
-
     @property
     def status(self) -> str:
-        """Tri-state verdict: 'negative', 'nonnegative' or 'inconclusive'."""
-        if self.min_value < self.CERTIFIED_NEGATIVE:
+        """'negative', 'nonnegative' or 'inconclusive' (NaN too) by the certified sign."""
+        if self.min_value < -CERTIFIED_SIGN:
             return "negative"
-        if self.min_value >= self.CERTIFIED_NONNEGATIVE:
+        if self.min_value >= -CERTIFIED_ZERO:
             return "nonnegative"
         return "inconclusive"
 
@@ -332,7 +330,7 @@ def _newton_candidates(w: Array, xi: Array, value: Array, evecs: Array) -> list[
 
     mu, e = np.linalg.eigh(q)
     slope = np.einsum("nkl,nk->nl", e, grad)
-    floor = 1e-8 * np.abs(mu).max(axis=1, keepdims=True) + 1e-300
+    floor = EIG_FLOOR * np.abs(mu).max(axis=1, keepdims=True) + _TINY
     steps = [-np.einsum("nkl,nl->nk", e, slope / (2.0 * np.maximum(np.abs(mu), floor)))]
     downhill = np.where(slope[:, :1] > 0.0, -e[:, :, 0], e[:, :, 0])
     steps += [np.where(mu[:, :1] < 0.0, size * downhill, 0.0) for size in (0.5, 0.05)]
@@ -353,7 +351,7 @@ def _descend(w: Array, kernel: Array, xi: Array, steps: int) -> tuple[Array, Arr
     ``_newton_candidates``, and keeps the lowest exact value, so no value
     increases; the Newton steps leave the saddles where the alternating step
     alone stalls.  Stops when no start decreases by more than
-    1e-15 * max(1, |value|), or after ``steps`` iterations.
+    _DESCENT_STOP * max(1, |value|), or after ``steps`` iterations.
     """
     evals, evecs = np.linalg.eigh(_apply_kernel(kernel, xi[:, :, None] * xi.conj()[:, None, :]))
     value = evals[:, 0]
@@ -373,7 +371,7 @@ def _descend(w: Array, kernel: Array, xi: Array, steps: int) -> tuple[Array, Arr
         pick = np.argmin(cand_evals[:, 0].reshape(len(xi), -1), axis=1) + rows * candidates.shape[1]
         previous = value
         xi, value, evecs = flat[pick], cand_evals[pick, 0], cand_evecs[pick]
-        if not np.any(previous - value > 1e-15 * np.maximum(1.0, np.abs(value))):
+        if not np.any(previous - value > _DESCENT_STOP * np.maximum(1.0, np.abs(value))):
             break
     return xi, value, evecs
 
@@ -451,11 +449,11 @@ def indecomposability_certificate(p: MapParams) -> IndecomposabilityCertificate 
     against the direct trace.
     """
     a, b, c = p.abc
-    if abs(p.theta) <= 1e-12:
+    if abs(p.theta) <= INCLUSION_SLACK:
         raise NotApplicableError("certificate construction not applicable at theta = 0")
     if not (b > 0 and c > 0):
         raise NotApplicableError("certificate requires b, c > 0")
-    if not 0 <= a <= 1 + 1e-12:
+    if not 0 <= a <= 1 + INCLUSION_SLACK:
         raise NotApplicableError(f"certificate requires 0 <= a <= 1, got a={a}")
     if not on_surface_at(a, b, c):
         raise NotApplicableError("certificate requires b*c = (1-a)^2")
@@ -465,21 +463,17 @@ def indecomposability_certificate(p: MapParams) -> IndecomposabilityCertificate 
     t = math.sqrt(c / b)
     state = MapParams(pc, t, 1.0 / t, theta_c)
     w = choi_matrix(state)
-    low = hermitian_eigenvalues(w)[0]
-    if low < -1e-9:
-        raise InternalConsistencyError(
-            f"certificate state {state} failed the PSD eigensolve check: smallest eigenvalue {low!r}"
-        )
-    low = hermitian_eigenvalues(partial_transpose(w))[0]
-    if low < -1e-9:
-        raise InternalConsistencyError(
-            f"certificate state {state} failed the PPT eigensolve check: smallest eigenvalue {low!r}"
-        )
+    for name, m in (("PSD", w), ("PPT", partial_transpose(w))):
+        low = hermitian_eigenvalues(m)[0]
+        if low < -CERTIFIED_ZERO:
+            raise InternalConsistencyError(
+                f"certificate state {state} failed the {name} eigensolve check: smallest eigenvalue {low!r}"
+            )
 
     value = pairing(w, p)
     closed = 3.0 * a * (pc - 2.0)
-    if abs(value - closed) > 1e-9 * max(1.0, abs(closed)):
+    if abs(value - closed) > RESIDUE_REL * max(1.0, abs(closed)):
         raise InternalConsistencyError(f"certificate pairing mismatch: {value} vs {closed}")
-    if value >= -1e-12:
+    if value >= -INCLUSION_SLACK:
         return None
     return IndecomposabilityCertificate(state_params=state, value=value)

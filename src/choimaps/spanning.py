@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import InternalConsistencyError, NotPositiveMapError, UnsupportedCaseError
 from .faces import FaceKind, FaceLabel, classify_face, require_generic_theta
-from .linalg import Array, numeric_rank
+from .linalg import FACE_TOL, INCLUSION_SLACK, RESIDUE_REL, Array, numeric_rank
 from .maps import MapParams, apply_map
-from .positivity import FACE_TOL, is_positive, on_sum_at, on_surface_at
+from .positivity import is_positive, on_sum_at, on_surface_at
 
 #: Default unimodular phase samples: pairs feed the three-vector boundary
 #: families, triples feed the equal-modulus family.
@@ -75,13 +75,13 @@ class ProductVector:
 
 
 def kernel_membership(p: MapParams, pv: ProductVector) -> bool:
-    """True iff the map applied to the projector of xi annihilates conj(eta)."""
+    """True iff Phi(xi xi*) annihilates conj(eta), to the residue RESIDUE_REL |xi|^2 |eta|."""
     if not is_positive(p):
         raise NotPositiveMapError(f"map {p} is not positive")
     xi, eta = pv.xi, pv.eta
     residue = np.linalg.norm(apply_map(p, np.outer(xi, xi.conj())) @ eta.conj())
     scale = float(np.vdot(xi, xi).real) * float(np.linalg.norm(eta))
-    return residue <= 1e-9 * scale
+    return residue <= RESIDUE_REL * scale
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def _axis_vectors(p: MapParams) -> list[ProductVector]:
     out = []
     for i, row in enumerate(diag_rows):
         for j, val in enumerate(row):
-            if val <= 1e-12:
+            if val <= INCLUSION_SLACK:
                 out.append(ProductVector(basis[i], basis[j]))
     return out
 

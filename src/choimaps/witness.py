@@ -24,7 +24,8 @@ from .errors import (
     OutOfRangeError,
     ThetaOutOfRangeError,
 )
-from .linalg import Array, hermitian_eigenvalues, partial_transpose
+from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, INCLUSION_SLACK, RESIDUE_ABS, Array
+from .linalg import hermitian_eigenvalues, partial_transpose
 from .maps import MapParams, choi_matrix, cp_threshold, edge_state, pairing_value
 from .positivity import block_positivity_oracle
 from .spanning import has_cospanning_property, has_spanning_property
@@ -55,14 +56,14 @@ def solve_beta_gamma(theta: float, alpha_tilde: float) -> tuple[float, float]:
     """
     t = _check_theta(theta)
     lo, hi = alpha_range(theta)
-    if not lo - 1e-12 <= alpha_tilde < hi - 1e-12:
+    if not lo - INCLUSION_SLACK <= alpha_tilde < hi - INCLUSION_SLACK:
         raise OutOfRangeError(
             f"alpha~ must lie in [{lo!r}, {hi!r}) for theta={theta}, got {alpha_tilde}"
         )
     s = 2.0 * t * (t + math.sqrt(3.0 * (1.0 - t * t))) - alpha_tilde
     prod = (2.0 * t - alpha_tilde) ** 2
     disc = s * s - 4.0 * prod
-    if disc < -1e-12:
+    if disc < -INCLUSION_SLACK:
         raise InternalConsistencyError(
             f"negative discriminant {disc!r} inside the admissible interval at alpha~={alpha_tilde!r}"
         )
@@ -152,21 +153,16 @@ def _validate(spec: WitnessSpec) -> None:
     """Check the constructed witness is block-positive but neither PSD nor
     co-PSD, with normalized parameters on the bi-spanning boundary piece."""
     where = f"theta={spec.theta!r}, b={spec.b!r}, alpha~={spec.alpha_tilde!r}"
-    low = hermitian_eigenvalues(spec.matrix)[0]
-    if low >= -1e-6:
+    for name, m in (("PSD", spec.matrix), ("co-PSD", partial_transpose(spec.matrix))):
+        low = hermitian_eigenvalues(m)[0]
+        if low >= -CERTIFIED_SIGN:
+            raise InternalConsistencyError(
+                f"witness at {where} is {name} within tolerance (smallest eigenvalue {low!r})"
+            )
+    report = block_positivity_oracle(spec.matrix)
+    if report.status == "negative":
         raise InternalConsistencyError(
-            f"witness at {where} is PSD within tolerance (smallest eigenvalue {low!r}); "
-            "it cannot detect anything"
-        )
-    low = hermitian_eigenvalues(partial_transpose(spec.matrix))[0]
-    if low >= -1e-6:
-        raise InternalConsistencyError(
-            f"witness at {where} is co-PSD within tolerance (smallest eigenvalue {low!r})"
-        )
-    low = block_positivity_oracle(spec.matrix).min_value
-    if low < -1e-6:
-        raise InternalConsistencyError(
-            f"witness at {where} failed the block-positivity oracle: minimum {low!r}"
+            f"witness at {where} failed the block-positivity oracle: minimum {report.min_value!r}"
         )
     if not has_spanning_property(spec.normalized_params).has_property:
         raise InternalConsistencyError(
@@ -187,10 +183,10 @@ def build_witness(
     diagonal slots both ways and the assignment with the smaller detection
     pairing is kept (a nonnegative pairing is allowed but flagged through
     ``detects``).  Without it, 64 samples across the admissible interval
-    (with a relative margin of 1e-3 at both ends) are scanned over both
-    assignments and the minimizer is kept; if no choice pairs below -1e-9,
-    NoDetectingChoiceError is raised.  Raises OutOfRangeError when b is so
-    large or so small that the pairing with the edge state overflows.
+    (with the relative margin ALPHA_MARGIN at both ends) are scanned over
+    both assignments and the minimizer is kept; if none pairs below the
+    certified sign -CERTIFIED_ZERO, NoDetectingChoiceError is raised.  Raises
+    OutOfRangeError when b is so large or small that the pairing overflows.
     """
     _check_theta(theta)
     if not b > 0:
@@ -216,7 +212,7 @@ def build_witness(
                 spec = _assemble(theta, b, rho, at_, beta, gamma, bs, cs)
                 if best is None or spec.detection_value < best.detection_value:
                     best = spec
-        if best is None or best.detection_value >= -1e-9:
+        if best is None or best.detection_value >= -CERTIFIED_ZERO:
             raise NoDetectingChoiceError(
                 f"no scanned alpha~ detects the edge state at theta={theta}, b={b}"
             )
@@ -231,7 +227,7 @@ def edge_kernel_vectors(b: float, theta: float) -> tuple[Array, Array, Array, Ar
     of its partial transpose.
 
     Validated: the pairing of the first against the edge state and of the
-    others against its partial transpose vanish to 1e-10.
+    others against its partial transpose vanish to the residue RESIDUE_ABS.
     """
     _check_theta(theta)
     if not b > 0:
@@ -247,11 +243,11 @@ def edge_kernel_vectors(b: float, theta: float) -> tuple[Array, Array, Array, Ar
     rho = edge_state(b, theta)
     rho_pt = partial_transpose(rho)
     value = pairing_value(np.outer(z, z.conj()), rho)
-    if abs(value) > 1e-10:
+    if abs(value) > RESIDUE_ABS:
         raise InternalConsistencyError(f"state kernel vector pairing is nonzero: {value!r}")
     for k, w in enumerate((w1, w2, w3), start=1):
         value = pairing_value(np.outer(w, w.conj()), rho_pt)
-        if abs(value) > 1e-10:
+        if abs(value) > RESIDUE_ABS:
             raise InternalConsistencyError(
                 f"partial-transpose kernel vector w{k} pairing is nonzero: {value!r}"
             )

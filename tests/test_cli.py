@@ -312,6 +312,19 @@ class TestFigureData:
             assert not out.exists()
         assert main(["figure-data", "3", "--out", str(out)]) == 1
 
+    def test_face_plane_points_limit(self, tmp_path, capsys):
+        out = tmp_path / "fig2.csv"
+        assert main(["figure-data", "2", "--out", str(out), "--points", "2001"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("figure-data: ") and "points" in err and "2000" in err
+        assert "grid_n" not in err
+        assert not out.exists()
+
+    def test_points_help_states_each_limit(self, capsys):
+        assert main(["figure-data", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "100000 for figure 1, 2000 for figure 2, 69 for figure 3" in help_text
+
 
 #: SHA-256 of outputs of the row-by-row classifier that ``classify_faces``
 #: replaced; the grid code must reproduce them byte for byte.

@@ -1,6 +1,12 @@
+import ast
+import io
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import choimaps
 from choimaps import (
     NonHermitianError,
     determinant,
@@ -10,7 +16,7 @@ from choimaps import (
     partial_transpose,
     phase_circulant,
 )
-from choimaps.linalg import basis_matrix, require_hermitian
+from choimaps.linalg import RANK_REL, basis_matrix, require_hermitian
 
 
 def random_unitary(rng, n=3):
@@ -54,6 +60,61 @@ def test_symmetrizing_near_the_largest_double():
     rng = np.random.default_rng(3)
     h = random_hermitian(rng, 9) + 1e-12 * rng.normal(size=(9, 9))
     assert np.array_equal(require_hermitian(h), (h + h.conj().T) / 2)
+
+
+def test_hermiticity_defect_edge():
+    # a defect of exactly the absolute self-check residue passes, twice it does not
+    m = np.eye(3, dtype=complex)
+    m[0, 1] = 1e-10
+    np.testing.assert_array_equal(require_hermitian(m), (m + m.conj().T) / 2)
+    m[0, 1] = 2e-10
+    with pytest.raises(NonHermitianError):
+        require_hermitian(m)
+
+
+def test_rank_cut_edge():
+    assert numeric_rank(np.diag([1.0, RANK_REL])) == 1
+    assert numeric_rank(np.diag([1.0, 2.0 * RANK_REL])) == 2
+
+
+def _literal_constants(tree: ast.Module) -> dict[int, str]:
+    """Line and name of each module-level ``NAME = literal`` assignment."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [type(t) for t in node.targets] == [ast.Name]:
+            try:
+                ast.literal_eval(node.value)
+            except ValueError:
+                continue
+            found[node.lineno] = node.targets[0].id
+    return found
+
+
+def test_tolerances_are_named_in_linalg_only():
+    # Outside linalg.py a number below 1e-2 may appear in code only as a
+    # module-level named constant, and no module but linalg assigns a name of
+    # the tolerance policy, so the policy cannot scatter again.
+    src = Path(choimaps.__file__).parent
+    policy = set(_literal_constants(ast.parse((src / "linalg.py").read_text())).values())
+    assert {"INCLUSION_SLACK", "FACE_TOL", "RANK_REL"} <= policy
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        text = path.read_text()
+        tree = ast.parse(text)
+        named = _literal_constants(tree)
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NUMBER and tok.start[0] not in named:
+                if 0 < abs(ast.literal_eval(tok.string)) < 1e-2:
+                    found.append(f"{path.name}:{tok.start[0]}: {tok.line.strip()}")
+        for node in ast.walk(tree):
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+            for t in targets:
+                name = getattr(t, "id", "")
+                if name in policy or name in ("OPTIMAL_TOL", "NOT_OPTIMAL_TOL") or name.startswith("CERTIFIED_"):
+                    found.append(f"{path.name}:{node.lineno}: assigns {name}")
+    assert found == []
 
 
 def test_eigenvalue_sum_matches_trace():

@@ -17,6 +17,7 @@ from choimaps import (
     cooptimality_subtraction,
     cp_threshold,
     face_properties,
+    numeric_rank,
     optimality_probe,
     orthocomplement_basis,
     subtraction_budget,
@@ -26,6 +27,9 @@ from choimaps.errors import InternalConsistencyError
 from choimaps.maps import apply_map
 from choimaps.optimality import _directions, _kernel_hessian, _penalty_rows
 from choimaps.spanning import sampled_kernel_vectors
+
+
+PTH = cp_threshold(np.pi / 6)
 
 
 class TestOrthocomplement:
@@ -48,6 +52,25 @@ class TestOrthocomplement:
         pth = cp_threshold(th)
         basis = orthocomplement_basis(MapParams(1.2, (pth - 1.2) / 2, (pth - 1.2) / 2, th))
         assert len(basis) == 2
+
+    @pytest.mark.parametrize(
+        "abc",
+        [
+            (0.5, 1.0, 0.25),  # case (i), e_t
+            (1.0, PTH - 1.0, 0.0),  # case (ii), v_1b0
+            (0.0, 2.0, 0.5),  # case (iii), v_0t
+            (1.2, (PTH - 1.2) / 2, (PTH - 1.2) / 2),  # case (iv), f_abc
+            (1.5, 1.0, 0.0),  # inside f_ab: the axis vectors only
+        ],
+    )
+    def test_kernel_sample_rank_is_far_from_any_cut(self, abc):
+        # no singular value lies near the rank cut, so any cut in the gap gives
+        # the same rank and the same orthocomplement
+        p = MapParams(*abc, np.pi / 6)
+        rows = np.array([pv.tensor() for pv in sampled_kernel_vectors(p)])
+        s = np.linalg.svd(rows, compute_uv=False)
+        assert not np.any((s > 1e-12 * s[0]) & (s < 1e-4 * s[0])), s / s[0]
+        assert len(orthocomplement_basis(p)) == 9 - numeric_rank(rows)
 
     def test_strict_interior_unsupported(self):
         with pytest.raises(UnsupportedCaseError):

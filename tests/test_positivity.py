@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choimaps import (
+    BlockPositivityReport,
     MapParams,
     NegativeInputError,
     NotApplicableError,
@@ -229,6 +230,20 @@ class TestBlockPositivityOracle:
         assert report.min_value >= -1e-9
         assert report.status == "nonnegative"
         assert report.grid_points == 8**4
+
+    @pytest.mark.parametrize(
+        "value, status",
+        [
+            (-1e-9, "nonnegative"),
+            (np.nextafter(-1e-9, -np.inf), "inconclusive"),
+            (-1e-6, "inconclusive"),
+            (np.nextafter(-1e-6, -np.inf), "negative"),
+            (np.nan, "inconclusive"),
+        ],
+    )
+    def test_status_at_the_certified_sign_edges(self, value, status):
+        report = BlockPositivityReport(float(value), np.ones(3), np.ones(3), 1, False)
+        assert report.status == status
 
 
 def _random_unitaries(rng, n):
