@@ -120,7 +120,7 @@ def boundary_parametrization(theta: float, t: float) -> tuple[float, float, floa
     """
     pth = require_generic_theta(theta)
     if not t > 0:
-        raise ValueError(f"parametrization requires t > 0, got {t}")
+        raise OutOfRangeError(f"parametrization requires t > 0, got {t}")
     q = 1.0 - t + t * t
     a = 1.0 - (pth - 1.0) * t / q
     b = (pth - 1.0) * t * t / q

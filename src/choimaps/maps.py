@@ -164,7 +164,7 @@ def edge_state(b: float, theta: float, normalized: bool = False) -> Array:
     if not 0.0 < abs(theta) < math.pi / 3.0:
         raise ThetaOutOfRangeError(f"edge state requires 0 < |theta| < pi/3, got {theta}")
     if not b > 0:
-        raise ValueError(f"edge state requires b > 0, got {b}")
+        raise OutOfRangeError(f"edge state requires b > 0, got {b}")
     w = choi_matrix(MapParams(2.0 * math.cos(theta), b, 1.0 / b, theta))
     if normalized:
         w = w / np.trace(w).real

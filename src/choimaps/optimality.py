@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     InternalConsistencyError,
+    OutOfRangeError,
     UnsupportedCaseError,
     UnsupportedThetaError,
 )
@@ -38,6 +39,7 @@ from .maps import MapParams, choi_matrix, cp_threshold, pairing_value
 from .positivity import (
     _apply_kernel,
     _descend,
+    _distinct_starts,
     _kernel_matrix,
     _sphere_grid,
     block_positivity_oracle,
@@ -233,26 +235,22 @@ def _ratio_on_grid(kernel: Array, matrices: Array, xi: Array) -> Array:
 
 def _dinkelbach(w: Array, kernel: Array, v: Array, xi: Array, ratios: Array, steps: int) -> float:
     """Smallest ratio of the direction ``v`` reached by Dinkelbach rounds (W.
-    Dinkelbach, Management Science 13:492, 1967) from the unit vectors
-    ``xi`` with their ``ratios``: one ``_descend`` iteration on W - r v v*,
-    r the smallest ratio so far, then the exact ratios at the new xi; no
-    round raises r.  Stops after ``steps`` rounds, when r falls by less than
-    _DINKELBACH_STOP r, or at a tenth of the zero weight CERTIFIED_ZERO.
-    The starts are the best vectors of the 20 best moduli patterns: the map
-    commutes with diagonal phases, so phase copies are duplicate starts, and
-    a descent drawn to a kernel vector (where the ratio only tends to its
-    kernel limit) must not decide.
+    Dinkelbach, Management Science 13:492, 1967) from the ``_sphere_grid``
+    vectors ``xi`` with their ``ratios``: one ``_descend`` iteration on
+    W - r v v*, r the smallest ratio so far, then the exact ratios at the new
+    xi; no round raises r.  Stops after ``steps`` rounds, when r falls by less
+    than _DINKELBACH_STOP r, or at a tenth of the zero weight CERTIFIED_ZERO.
+    The starts are the best cells of the 20 best moduli patterns
+    (``_distinct_starts``), so a descent drawn to a kernel vector (where the
+    ratio only tends to its kernel limit) does not decide alone.
     """
-    order = np.argsort(ratios, kind="stable")
-    _, first = np.unique(np.round(np.abs(xi[order]), 9), axis=0, return_index=True)
-    xi = xi[order[np.sort(first)[:20]]]
-    r = float(ratios[order[0]])
+    starts = _distinct_starts(ratios, xi, 20)
+    xi, r = xi[starts], float(ratios[starts[0]])
     vv = np.outer(v, v.conj())
     for _ in range(steps):
         if not CERTIFIED_ZERO / 10 < r < math.inf:
             break
-        shifted = w - r * vv
-        xi = _descend(shifted, _kernel_matrix(shifted), xi, 1)[0]
+        xi = _descend(w - r * vv, xi, 1)[0]
         r, previous = min(r, float(_ratio_on_grid(kernel, v.reshape(1, 3, 3), xi).min())), r
         if r > previous - _DINKELBACH_STOP * previous:
             break
@@ -359,14 +357,14 @@ def optimality_probe(
     smaller of its exact limits at the kernel vectors and ``_dinkelbach``
     from the best grid cells, whose rounds (one descent iteration each)
     ``refine_steps`` caps.  A candidate above the not-optimal threshold is
-    re-verified against the block-positivity oracle.  Raises ValueError
+    re-verified against the block-positivity oracle.  Raises OutOfRangeError
     unless p_max > 0, n_directions >= 1, grid_n >= 1 and refine_steps >= 0.
     """
     if not math.isfinite(p_max) or p_max <= 0:
-        raise ValueError(f"p_max must be positive, got {p_max}")
+        raise OutOfRangeError(f"p_max must be positive, got {p_max}")
     if n_directions < 1 or grid_n < 1 or refine_steps < 0:
         got = f"{n_directions}, {grid_n}, {refine_steps}"
-        raise ValueError(f"n_directions and grid_n must be >= 1 and refine_steps >= 0, got {got}")
+        raise OutOfRangeError(f"n_directions and grid_n must be >= 1 and refine_steps >= 0, got {got}")
     w = choi_matrix(p)
     kernel = _kernel_matrix(w)
 

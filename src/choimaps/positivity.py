@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, NegativeInputError, NotApplicableError
+from .errors import InternalConsistencyError, NegativeInputError, NotApplicableError, OutOfRangeError
 from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK, RESIDUE_REL
 from .linalg import Array, hermitian_eigenvalues, partial_transpose, require_hermitian
 from .maps import (
@@ -219,6 +219,8 @@ def _sphere_grid(grid_n: int) -> tuple[Array, Array, Array]:
 
     Returns (angle tuples, unit vectors, rank-1 projectors); the polar
     angles run over [0, pi/2] inclusive and the two phases over [0, 2pi).
+    Cells are ij-ordered over (phi_1, phi_2, psi_1, psi_2): each run of
+    grid_n^2 consecutive cells holds the phase copies of one |xi|.
     """
     phi = np.linspace(0.0, math.pi / 2.0, grid_n)
     psi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
@@ -234,6 +236,21 @@ def _sphere_grid(grid_n: int) -> tuple[Array, Array, Array]:
     )
     projectors = np.einsum("ni,nj->nij", xi, xi.conj())
     return angles, xi, projectors
+
+
+def _distinct_starts(values: Array, xi: Array, k: int) -> Array:
+    """Indices of the best cell of each of the ``k`` best moduli patterns
+    |xi| of the ``_sphere_grid`` vectors ``xi`` with ``values``, best first.
+    The family map commutes with diagonal phases, Phi(DXD*) = D Phi(X) D*,
+    so the best cells are phase copies of one cell whose descents end at one
+    point.  Each run of phase copies gives its first smallest cell, ranked
+    stably; the runs at phi_1 = 0 share one rounded |xi| and count once.
+    """
+    rows = values.reshape(math.isqrt(len(values)), -1)
+    best = np.argmin(rows, axis=1) + rows.shape[1] * np.arange(len(rows))
+    best = best[np.argsort(values[best], kind="stable")]
+    _, first = np.unique(np.round(np.abs(xi[best]), 9), axis=0, return_index=True)
+    return best[np.sort(first)[:k]]
 
 
 def _kernel_matrix(w: Array) -> Array:
@@ -341,18 +358,18 @@ def _newton_candidates(w: Array, xi: Array, value: Array, evecs: Array) -> list[
     return out
 
 
-def _descend(w: Array, kernel: Array, xi: Array, steps: int) -> tuple[Array, Array, Array]:
-    """Batched descent on the pairing of ``w`` (kernel matrix ``kernel``)
-    with the product projector of xi (x) eta, from the unit vectors ``xi``;
-    returns the final xi, the smallest eigenvalue of Phi(xi xi*) (LAPACK)
-    and its eigenvectors.  Each iteration offers every start the
-    alternating step (eta at the smallest eigenvector of Phi(xi xi*), then
-    xi at that of the second-factor map M(eta)) and the Newton steps of
-    ``_newton_candidates``, and keeps the lowest exact value, so no value
-    increases; the Newton steps leave the saddles where the alternating step
-    alone stalls.  Stops when no start decreases by more than
-    _DESCENT_STOP * max(1, |value|), or after ``steps`` iterations.
+def _descend(w: Array, xi: Array, steps: int) -> tuple[Array, Array, Array]:
+    """Batched descent on the pairing of ``w`` with the product projector
+    of xi (x) eta, from the unit vectors ``xi``; returns the final xi, the
+    smallest eigenvalue of Phi(xi xi*) (LAPACK) and its eigenvectors.  Each
+    iteration offers every start the alternating step (eta at the smallest
+    eigenvector of Phi(xi xi*), then xi at that of the second-factor map
+    M(eta)) and the Newton steps of ``_newton_candidates``, and keeps the
+    lowest exact value, so no value increases; the Newton steps leave the
+    saddles where the alternating step alone stalls.  Stops when no start
+    decreases by more than _DESCENT_STOP * max(1, |value|) or after ``steps``.
     """
+    kernel = _kernel_matrix(w)
     evals, evecs = np.linalg.eigh(_apply_kernel(kernel, xi[:, :, None] * xi.conj()[:, None, :]))
     value = evals[:, 0]
     rows = np.arange(len(xi))
@@ -380,15 +397,16 @@ def block_positivity_oracle(
     w, grid_n: int = 16, refine_steps: int = 200
 ) -> BlockPositivityReport:
     """Minimize the smallest eigenvalue of the map with Choi matrix ``w``
-    applied to rank-1 projectors, over the unit sphere of C^3: the 10 best
-    of grid_n^4 grid cells, ranked by the closed-form smallest eigenvalue,
-    start ``_descend`` for at most ``refine_steps`` iterations.  Reported
-    values come from LAPACK at the reported point, and ties resolve to the
-    lexicographically first cell.  Raises ValueError unless grid_n >= 1 and
-    refine_steps >= 0.
+    applied to rank-1 projectors, over the unit sphere of C^3: of the grid_n^4
+    grid cells, ranked by the closed-form smallest eigenvalue, the best cell
+    of each of the 10 best moduli patterns (``_distinct_starts``) starts
+    ``_descend`` for at most ``refine_steps`` iterations.  Reported values
+    come from LAPACK at the reported point, and ties resolve to the
+    lexicographically first cell.  Raises OutOfRangeError unless grid_n >= 1
+    and refine_steps >= 0.
     """
     if grid_n < 1 or refine_steps < 0:
-        raise ValueError(f"grid_n must be >= 1 and refine_steps >= 0, got {grid_n}, {refine_steps}")
+        raise OutOfRangeError(f"grid_n must be >= 1 and refine_steps >= 0, got {grid_n}, {refine_steps}")
     w = require_hermitian(w)
     kernel = _kernel_matrix(w)
     angles, xi_grid, projectors = _sphere_grid(grid_n)
@@ -397,11 +415,11 @@ def block_positivity_oracle(
     values = np.concatenate(
         [_smallest_eigenvalues(images[k : k + 4096]) for k in range(0, len(images), 4096)]
     )
-    starts = np.argsort(values, kind="stable")[:10]
+    starts = _distinct_starts(values, xi_grid, 10)
 
     evals, evecs = np.linalg.eigh(images[starts[:1]])
     grid_value, grid_xi, grid_vec = float(evals[0, 0]), xi_grid[starts[0]], evecs[0, :, 0]
-    xi, value, evecs = _descend(w, kernel, xi_grid[starts], refine_steps)
+    xi, value, evecs = _descend(w, xi_grid[starts], refine_steps)
 
     best = int(np.argmin(value))
     refined = bool(value[best] < grid_value)

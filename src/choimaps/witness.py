@@ -192,31 +192,23 @@ def build_witness(
     if not b > 0:
         raise OutOfRangeError(f"witness construction requires b > 0, got {b}")
 
-    def candidates(at: float):
-        beta, gamma = solve_beta_gamma(theta, at)
-        yield at, beta, gamma, beta, gamma
-        yield at, beta, gamma, gamma, beta
-
-    rho = edge_state(b, theta)
-    best: WitnessSpec | None = None
     if alpha_tilde is not None:
-        for at, beta, gamma, bs, cs in candidates(alpha_tilde):
-            spec = _assemble(theta, b, rho, at, beta, gamma, bs, cs)
-            if best is None or spec.detection_value < best.detection_value:
-                best = spec
+        scan = [alpha_tilde]
     else:
         lo, hi = alpha_range(theta)
         margin = ALPHA_MARGIN * (hi - lo)
-        for at in np.linspace(lo + margin, hi - margin, 64):
-            for at_, beta, gamma, bs, cs in candidates(float(at)):
-                spec = _assemble(theta, b, rho, at_, beta, gamma, bs, cs)
-                if best is None or spec.detection_value < best.detection_value:
-                    best = spec
-        if best is None or best.detection_value >= -CERTIFIED_ZERO:
-            raise NoDetectingChoiceError(
-                f"no scanned alpha~ detects the edge state at theta={theta}, b={b}"
-            )
-    assert best is not None
+        scan = [float(at) for at in np.linspace(lo + margin, hi - margin, 64)]
+    rho = edge_state(b, theta)
+    specs = []
+    for at in scan:
+        beta, gamma = solve_beta_gamma(theta, at)
+        specs.append(_assemble(theta, b, rho, at, beta, gamma, beta, gamma))
+        specs.append(_assemble(theta, b, rho, at, beta, gamma, gamma, beta))
+    best = min(specs, key=lambda spec: spec.detection_value)
+    if alpha_tilde is None and best.detection_value >= -CERTIFIED_ZERO:
+        raise NoDetectingChoiceError(
+            f"no scanned alpha~ detects the edge state at theta={theta}, b={b}"
+        )
     if validate:
         _validate(best)
     return best
@@ -231,7 +223,7 @@ def edge_kernel_vectors(b: float, theta: float) -> tuple[Array, Array, Array, Ar
     """
     _check_theta(theta)
     if not b > 0:
-        raise ValueError(f"b must be positive, got {b}")
+        raise OutOfRangeError(f"b must be positive, got {b}")
     e = cmath.exp(1j * theta)
     sb = math.sqrt(b)
     z, w1, w2, w3 = np.zeros((4, 9), dtype=complex)
@@ -259,7 +251,7 @@ def equal_subtraction_restriction(b: float, theta: float) -> bool:
     (b, theta): requires b + 1/b <= 2 - sqrt(3) + sqrt(6 sqrt(3) - 6) and
     cos(theta/2) <= (3 + sqrt(21)) / 8."""
     if not b > 0:
-        raise ValueError(f"b must be positive, got {b}")
+        raise OutOfRangeError(f"b must be positive, got {b}")
     bound_b = 2.0 - math.sqrt(3.0) + math.sqrt(6.0 * math.sqrt(3.0) - 6.0)
     bound_t = (3.0 + math.sqrt(21.0)) / 8.0
     return b + 1.0 / b <= bound_b and math.cos(theta / 2.0) <= bound_t

@@ -117,6 +117,18 @@ def test_tolerances_are_named_in_linalg_only():
     assert found == []
 
 
+def test_no_assert_statements_in_the_package():
+    # ``python -O`` strips assert statements, so a check in src/ must raise.
+    src = Path(choimaps.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_eigenvalue_sum_matches_trace():
     rng = np.random.default_rng(0)
     for _ in range(50):

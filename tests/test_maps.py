@@ -5,13 +5,19 @@ from choimaps import (
     ConstraintViolatedError,
     MapParams,
     NonHermitianError,
+    OutOfRangeError,
     ThetaOutOfRangeError,
     apply_map,
+    block_positivity_oracle,
+    boundary_parametrization,
     choi_matrix,
     cp_threshold,
+    edge_kernel_vectors,
     edge_state,
+    equal_subtraction_restriction,
     hermitian_eigenvalues,
     numeric_rank,
+    optimality_probe,
     pairing,
     pairing_value,
     partial_transpose,
@@ -224,3 +230,26 @@ def test_tensor_unit_indexing():
 def test_pairing_value_imaginary_residue_guard():
     with pytest.raises(ValueError):
         pairing_value(1j * np.eye(9), np.eye(9))
+
+
+_VERTEX = MapParams(2.0, 0.0, 0.0, np.pi / 6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: edge_state(0.0, np.pi / 6),
+        lambda: edge_kernel_vectors(-1.0, np.pi / 6),
+        lambda: equal_subtraction_restriction(0.0, np.pi / 6),
+        lambda: boundary_parametrization(np.pi / 6, 0.0),
+        lambda: block_positivity_oracle(np.eye(9), grid_n=0),
+        lambda: block_positivity_oracle(np.eye(9), refine_steps=-1),
+        lambda: optimality_probe(_VERTEX, p_max=0.0),
+        lambda: optimality_probe(_VERTEX, n_directions=0),
+    ],
+    ids=["edge_state", "edge_kernel_vectors", "equal_subtraction_restriction",
+         "boundary_parametrization", "oracle_grid", "oracle_steps", "probe_p_max", "probe_directions"],
+)
+def test_bad_scalar_argument_is_out_of_range(call):
+    with pytest.raises(OutOfRangeError):
+        call()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from choimaps import (
@@ -26,8 +26,10 @@ from choimaps import (
     stationary_form_determinant,
 )
 from choimaps.maps import apply_map
+from choimaps.optimality import _directions, _ratio_on_grid, orthocomplement_basis
 from choimaps.positivity import (
     _apply_kernel,
+    _distinct_starts,
     _kernel_matrix,
     _smallest_eigenvalues,
     _sphere_grid,
@@ -355,6 +357,75 @@ def test_descent_leaves_a_coordinate_saddle():
     report = _checked_oracle(w, grid_n=8)
     assert -0.32218 < report.min_value < -0.32216
     assert abs(report.argmin_xi[2]) > 0.1
+
+
+_F_ABC = (0.37412049805440506, 0.895179117126941, 0.4935846058809257, -0.49188934318176736)
+_F_AB = (1.3137, 2.0038, 0.0, -2.7823)
+
+
+@pytest.mark.parametrize(
+    "point, dim, row, weight",
+    [
+        # f_abc: the best grid cells are phase copies that all descend to a
+        # kernel vector, while a cell with |xi| ~ (0, 0.77, 0.63) reaches -1.03e-3
+        (_F_ABC, 2, 8, 1.05 * 0.249513),
+        # f_ab: a general (not phase-covariant) W, -1.45e-4
+        (_F_AB, 6, 5, 1.02 * 0.55946),
+    ],
+    ids=["f_abc", "f_ab"],
+)
+def test_oracle_finds_the_negative_beside_a_kernel_vector(point, dim, row, weight):
+    p = MapParams(*point)
+    basis = np.array(orthocomplement_basis(p))
+    assert len(basis) == dim
+    v = (_directions(dim, 16) @ basis)[row]
+    w = choi_matrix(p) - weight * np.outer(v, v.conj())
+    report = block_positivity_oracle(w)
+    assert report.status == "negative"
+    z = np.kron(report.argmin_xi, report.argmin_eta)
+    assert pairing_value(np.outer(z, z.conj()), w) == pytest.approx(report.min_value, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_sphere_grid_moduli_are_constant_on_each_run_of_phase_cells(n):
+    _, xi, _ = _sphere_grid(n)
+    moduli = np.abs(xi).reshape(n * n, n * n, 3)
+    assert np.abs(moduli - moduli[:, :1]).max() <= 1e-15
+
+
+def _reference_starts(values, xi, k):
+    """The start rule over all cells: rank every cell stably and keep the
+    first cell of each rounded |xi|, best first."""
+    order = np.argsort(values, kind="stable")
+    _, first = np.unique(np.round(np.abs(xi[order]), 9), axis=0, return_index=True)
+    return order[np.sort(first)[:k]]
+
+
+@pytest.mark.parametrize("n, k", [(8, 20), (16, 10)])
+def test_distinct_starts_match_the_rule_over_all_cells(n, k):
+    _, xi, _ = _sphere_grid(n)
+    rng = np.random.default_rng(n)
+    noise = rng.normal(size=len(xi))
+    samples = [noise, np.round(noise, 1)]  # the rounded copy has many ties
+    for point in (_F_ABC, _F_AB, (1.5, 0.5, 0.0, np.pi / 6)):
+        p = MapParams(*point)
+        basis = np.array(orthocomplement_basis(p))
+        directions = _directions(len(basis), 2) @ basis
+        samples += list(_ratio_on_grid(_kernel_matrix(choi_matrix(p)), directions.reshape(-1, 3, 3), xi))
+    for values in samples:
+        np.testing.assert_array_equal(_distinct_starts(values, xi, k), _reference_starts(values, xi, k))
+
+
+@settings(max_examples=40)
+@given(abc=st.tuples(*[st.floats(0.0, 1.5)] * 3), theta=st.floats(-np.pi, np.pi))
+def test_oracle_status_agrees_with_the_closed_form(abc, theta):
+    # a margin of 0.02 from both sides of (p1) and (p2)
+    a, b, c = abc
+    assume(abs(a + b + c - cp_threshold(theta)) >= 0.02)
+    assume(a > 1.0 or abs(b * c - (1.0 - a) ** 2) >= 0.02)
+    p = MapParams(a, b, c, theta)
+    report = block_positivity_oracle(choi_matrix(p))
+    assert (report.status == "nonnegative") == is_positive(p)
 
 
 class TestIndecomposability:
