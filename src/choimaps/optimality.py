@@ -233,18 +233,19 @@ def _ratio_on_grid(kernel: Array, matrices: Array, xi: Array) -> Array:
         return np.where(denom > 0, 1.0 / denom, np.inf)
 
 
-def _dinkelbach(w: Array, kernel: Array, v: Array, xi: Array, ratios: Array, steps: int) -> float:
+def _dinkelbach(w: Array, kernel: Array, v: Array, xi: Array, ratios: Array, run: int, steps: int) -> float:
     """Smallest ratio of the direction ``v`` reached by Dinkelbach rounds (W.
     Dinkelbach, Management Science 13:492, 1967) from the ``_sphere_grid``
-    vectors ``xi`` with their ``ratios``: one ``_descend`` iteration on
-    W - r v v*, r the smallest ratio so far, then the exact ratios at the new
-    xi; no round raises r.  Stops after ``steps`` rounds, when r falls by less
-    than _DINKELBACH_STOP r, or at a tenth of the zero weight CERTIFIED_ZERO.
+    vectors ``xi`` of phase-run length ``run`` with their ``ratios``: one
+    ``_descend`` iteration on W - r v v*, r the smallest ratio so far, then
+    the exact ratios at the new xi; no round raises r.  Stops after ``steps``
+    rounds, when r falls by less than _DINKELBACH_STOP r, or at a tenth of
+    the zero weight CERTIFIED_ZERO.
     The starts are the best cells of the 20 best moduli patterns
     (``_distinct_starts``), so a descent drawn to a kernel vector (where the
     ratio only tends to its kernel limit) does not decide alone.
     """
-    starts = _distinct_starts(ratios, xi, 20)
+    starts = _distinct_starts(ratios, xi, run, 20)
     xi, r = xi[starts], float(ratios[starts[0]])
     vv = np.outer(v, v.conj())
     for _ in range(steps):
@@ -382,7 +383,7 @@ def optimality_probe(
 
     basis_mat = np.array(basis)  # (dim, 9)
     directions = _directions(len(basis), n_directions) @ basis_mat  # (ndir, 9)
-    _, xi_grid, _ = _sphere_grid(grid_n)
+    xi_grid, _ = _sphere_grid(grid_n, grid_n)
     grid_ratios = _ratio_on_grid(kernel, directions.reshape(-1, 3, 3), xi_grid)
 
     limits = [
@@ -400,7 +401,9 @@ def optimality_probe(
             if r_best <= 0.0:
                 break
         if r_best > CERTIFIED_ZERO / 10:
-            refined = _dinkelbach(w, kernel, directions[d], xi_grid, grid_ratios[d], refine_steps)
+            refined = _dinkelbach(
+                w, kernel, directions[d], xi_grid, grid_ratios[d], grid_n * grid_n, refine_steps
+            )
             r_best = min(r_best, refined)
         per_direction[d] = min(r_best, p_max)
         if per_direction[d] > best:

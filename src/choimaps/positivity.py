@@ -18,11 +18,20 @@ from the best cells that alternates exact minimizations over the two factors
 of the product vector and adds second-order (Newton) steps on both.  The map
 acts on a stack of projectors as one matmul with a 9x9 kernel matrix.  The
 optimality probe shares the descent, ``_descend``.
+
+A Choi matrix that vanishes off the covariant slots ``_COVARIANT`` (every
+family Choi matrix, edge state and witness) gives a map with
+Phi(DXD*) = D Phi(X) D* for diagonal unitaries D.  Writing xi = D|xi|,
+Phi(xi xi*) is then unitarily similar to Phi(|xi| |xi|^T), so its spectrum
+depends on the moduli |xi| only, and the oracle scans a finer real grid of
+moduli instead of the phase copies (Cho, Kye and Lee, Linear Algebra Appl.
+171, 1992).  Any other Choi matrix gets the full grid.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -192,9 +201,10 @@ class BlockPositivityReport:
     eigenvalue of the map applied to rank-1 projectors.
 
     ``min_value`` is the refined minimum, ``argmin_xi``/``argmin_eta`` the
-    unit product-vector factors witnessing it, ``grid_points`` the size of
-    the coarse scan and ``refined`` whether the descent improved on the best
-    grid cell.
+    unit product-vector factors witnessing it, ``grid_points`` the number of
+    grid cells scanned (grid_n^4 on the full grid, (4(grid_n - 1) + 1)^2 on
+    the moduli grid of a covariant W) and ``refined`` whether the descent
+    improved on the best grid cell.
     """
 
     min_value: float
@@ -213,41 +223,60 @@ class BlockPositivityReport:
         return "inconclusive"
 
 
+#: The slots (i, j, k, l) of W[i, j, k, l] with {i, l} = {j, k}, as a 9x9
+#: mask: Phi(DXD*) = D Phi(X) D* for every diagonal unitary D iff W vanishes
+#: off them, since the slot scales by d_i conj(d_k) conj(d_j) d_l.
+_COVARIANT = np.array(
+    [{i, l} == {j, k} for i, j, k, l in itertools.product(range(3), repeat=4)]
+).reshape(9, 9)
+
+
 @functools.lru_cache(maxsize=4)
-def _sphere_grid(grid_n: int) -> tuple[Array, Array, Array]:
+def _sphere_grid(polar_n: int, phase_n: int) -> tuple[Array, Array]:
     """Deterministic grid on unit vectors of C^3 (first coordinate real).
 
-    Returns (angle tuples, unit vectors, rank-1 projectors); the polar
-    angles run over [0, pi/2] inclusive and the two phases over [0, 2pi).
-    Cells are ij-ordered over (phi_1, phi_2, psi_1, psi_2): each run of
-    grid_n^2 consecutive cells holds the phase copies of one |xi|.
+    Returns (unit vectors, rank-1 projectors); the two polar angles take
+    polar_n values in [0, pi/2] inclusive and the two phases phase_n values
+    in [0, 2pi).  Cells are ij-ordered over (phi_1, phi_2, psi_1, psi_2):
+    each run of phase_n^2 consecutive cells holds the phase copies of one
+    |xi|.  With phase_n = 1 the vectors are real: the grid of moduli.
     """
-    phi = np.linspace(0.0, math.pi / 2.0, grid_n)
-    psi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
-    f1, f2, s1, s2 = np.meshgrid(phi, phi, psi, psi, indexing="ij")
-    angles = np.stack([f1.ravel(), f2.ravel(), s1.ravel(), s2.ravel()], axis=1)
+    phi = np.linspace(0.0, math.pi / 2.0, polar_n)
+    psi = np.linspace(0.0, 2.0 * math.pi, phase_n, endpoint=False)
+    f1, f2, s1, s2 = (g.ravel() for g in np.meshgrid(phi, phi, psi, psi, indexing="ij"))
     xi = np.stack(
         [
-            np.cos(angles[:, 0]) + 0j,
-            np.sin(angles[:, 0]) * np.cos(angles[:, 1]) * np.exp(1j * angles[:, 2]),
-            np.sin(angles[:, 0]) * np.sin(angles[:, 1]) * np.exp(1j * angles[:, 3]),
+            np.cos(f1) + 0j,
+            np.sin(f1) * np.cos(f2) * np.exp(1j * s1),
+            np.sin(f1) * np.sin(f2) * np.exp(1j * s2),
         ],
         axis=1,
     )
     projectors = np.einsum("ni,nj->nij", xi, xi.conj())
-    return angles, xi, projectors
+    return xi, projectors
 
 
-def _distinct_starts(values: Array, xi: Array, k: int) -> Array:
+def _scan_grid(w: Array, grid_n: int) -> tuple[Array, Array, int]:
+    """The oracle's grid for ``w`` at ``grid_n``: (unit vectors, projectors,
+    phase-run length).  A covariant W (exactly zero off ``_COVARIANT``) gets
+    the moduli grid of 4(grid_n - 1) + 1 polar angles, whose cells include
+    every |xi| of the full grid; any other W the full grid_n^4 grid."""
+    if np.any(w[~_COVARIANT]):
+        return (*_sphere_grid(grid_n, grid_n), grid_n * grid_n)
+    return (*_sphere_grid(4 * (grid_n - 1) + 1, 1), 1)
+
+
+def _distinct_starts(values: Array, xi: Array, run: int, k: int) -> Array:
     """Indices of the best cell of each of the ``k`` best moduli patterns
-    |xi| of the ``_sphere_grid`` vectors ``xi`` with ``values``, best first.
-    The family map commutes with diagonal phases, Phi(DXD*) = D Phi(X) D*,
-    so the best cells are phase copies of one cell whose descents end at one
-    point.  Each run of phase copies gives its first smallest cell, ranked
-    stably; the runs at phi_1 = 0 share one rounded |xi| and count once.
+    |xi| of the ``_sphere_grid`` vectors ``xi`` with ``values``, best first;
+    ``run`` is the grid's phase-run length phase_n^2.  The family map
+    commutes with diagonal phases, Phi(DXD*) = D Phi(X) D*, so the best cells
+    are phase copies of one cell whose descents end at one point.  Each run of
+    phase copies gives its first smallest cell, ranked stably; the runs at
+    phi_1 = 0 share one rounded |xi| and count once.
     """
-    rows = values.reshape(math.isqrt(len(values)), -1)
-    best = np.argmin(rows, axis=1) + rows.shape[1] * np.arange(len(rows))
+    rows = values.reshape(-1, run)
+    best = np.argmin(rows, axis=1) + run * np.arange(len(rows))
     best = best[np.argsort(values[best], kind="stable")]
     _, first = np.unique(np.round(np.abs(xi[best]), 9), axis=0, return_index=True)
     return best[np.sort(first)[:k]]
@@ -397,25 +426,28 @@ def block_positivity_oracle(
     w, grid_n: int = 16, refine_steps: int = 200
 ) -> BlockPositivityReport:
     """Minimize the smallest eigenvalue of the map with Choi matrix ``w``
-    applied to rank-1 projectors, over the unit sphere of C^3: of the grid_n^4
-    grid cells, ranked by the closed-form smallest eigenvalue, the best cell
-    of each of the 10 best moduli patterns (``_distinct_starts``) starts
-    ``_descend`` for at most ``refine_steps`` iterations.  Reported values
-    come from LAPACK at the reported point, and ties resolve to the
-    lexicographically first cell.  Raises OutOfRangeError unless grid_n >= 1
-    and refine_steps >= 0.
+    applied to rank-1 projectors, over the unit sphere of C^3: of the grid
+    cells (``_scan_grid``), ranked by the closed-form smallest eigenvalue,
+    the best cell of each of the 10 best moduli patterns
+    (``_distinct_starts``) starts ``_descend`` for at most ``refine_steps``
+    iterations.  A covariant W, zero off ``_COVARIANT``, has a spectrum of
+    Phi(xi xi*) that depends on |xi| only, so it scans the real moduli grid
+    of (4(grid_n - 1) + 1)^2 cells; any other W scans the grid_n^4 cells of
+    moduli and phases.  Reported values come from LAPACK at the reported
+    point, and ties resolve to the lexicographically first cell.  Raises
+    OutOfRangeError unless grid_n >= 1 and refine_steps >= 0.
     """
     if grid_n < 1 or refine_steps < 0:
         raise OutOfRangeError(f"grid_n must be >= 1 and refine_steps >= 0, got {grid_n}, {refine_steps}")
     w = require_hermitian(w)
     kernel = _kernel_matrix(w)
-    angles, xi_grid, projectors = _sphere_grid(grid_n)
+    xi_grid, projectors, run = _scan_grid(w, grid_n)
     images = _apply_kernel(kernel, projectors)
     # scanned in blocks, so its temporaries stay small next to ``images``
     values = np.concatenate(
         [_smallest_eigenvalues(images[k : k + 4096]) for k in range(0, len(images), 4096)]
     )
-    starts = _distinct_starts(values, xi_grid, 10)
+    starts = _distinct_starts(values, xi_grid, run, 10)
 
     evals, evecs = np.linalg.eigh(images[starts[:1]])
     grid_value, grid_xi, grid_vec = float(evals[0, 0]), xi_grid[starts[0]], evecs[0, :, 0]
@@ -433,7 +465,7 @@ def block_positivity_oracle(
         min_value=min_value,
         argmin_xi=xi_best,
         argmin_eta=vec_best.conj(),
-        grid_points=int(angles.shape[0]),
+        grid_points=len(xi_grid),
         refined=refined,
     )
 

@@ -381,10 +381,21 @@ def test_help_names_every_exit_code(capsys):
         assert error.__name__ in entries[str(code)], (error.__name__, code)
 
 
-def test_cli_import_loads_no_scipy():
-    # a fresh interpreter, so modules imported by other tests do not count
+def _fresh_output(code):
+    """Stdout of ``code`` in a fresh interpreter, so that modules imported
+    and caches filled by other tests do not count."""
     src = str(Path(choimaps.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, choimaps.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, choimaps.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _fresh_output(code) == "[]"
+
+
+def test_cli_import_builds_no_grid():
+    # the oracle's grids are built on first use, so no scan work moves into import
+    code = "import choimaps.cli, choimaps.positivity as p; print(p._sphere_grid.cache_info().currsize)"
+    assert _fresh_output(code) == "0"

@@ -9,6 +9,7 @@ from choimaps import (
     NegativeInputError,
     NotApplicableError,
     block_positivity_oracle,
+    build_witness,
     choi_matrix,
     cp_threshold,
     cubic_form,
@@ -25,12 +26,15 @@ from choimaps import (
     partial_transpose,
     stationary_form_determinant,
 )
-from choimaps.maps import apply_map
+from choimaps.maps import apply_map, map_from_choi
 from choimaps.optimality import _directions, _ratio_on_grid, orthocomplement_basis
 from choimaps.positivity import (
+    _COVARIANT,
     _apply_kernel,
+    _descend,
     _distinct_starts,
     _kernel_matrix,
+    _scan_grid,
     _smallest_eigenvalues,
     _sphere_grid,
 )
@@ -228,10 +232,16 @@ class TestBlockPositivityOracle:
         assert np.linalg.norm(report.argmin_eta) == pytest.approx(1.0, abs=1e-12)
 
     def test_psd_matrix_is_block_positive(self):
-        report = block_positivity_oracle(edge_state(1.0, np.pi / 6), grid_n=8, refine_steps=80)
-        assert report.min_value >= -1e-9
-        assert report.status == "nonnegative"
-        assert report.grid_points == 8**4
+        # the edge state is covariant, so it scans the moduli grid; a local
+        # unitary U (x) V turns it into a PSD matrix that is not, which scans
+        # the full grid
+        w = edge_state(1.0, np.pi / 6)
+        u = np.kron(*_random_unitaries(np.random.default_rng(0), 2))
+        for m, cells in ((w, 29**2), (u @ w @ u.conj().T, 8**4)):
+            report = block_positivity_oracle(m, grid_n=8, refine_steps=80)
+            assert report.min_value >= -1e-9
+            assert report.status == "nonnegative"
+            assert report.grid_points == cells
 
     @pytest.mark.parametrize(
         "value, status",
@@ -302,7 +312,8 @@ def _checked_oracle(w, **kwargs):
     up to rounding are ordered by rounding, so the check is against the
     first-ranked cell, not the smallest rounded value."""
     report = block_positivity_oracle(w, **kwargs)
-    _, _, projectors = _sphere_grid(kwargs.get("grid_n", 16))
+    _, projectors, _ = _scan_grid(w, kwargs.get("grid_n", 16))
+    assert report.grid_points == len(projectors)
     images = _apply_kernel(_kernel_matrix(w), projectors)
     exact = np.linalg.eigh(images)[0][:, 0]
     best = exact[np.argmin(_smallest_eigenvalues(images))]
@@ -342,9 +353,10 @@ def test_oracle_refined_flag_on_boundary_maps():
 
 
 def test_descent_leaves_a_coordinate_saddle():
-    # W on the diagonal tensor slots only: the best grid cells all have
-    # xi_3 = 0, a subspace the alternating step never leaves.  Its best point
-    # there (-0.32171) is a saddle; the minimum needs xi_3 != 0.
+    # W on the diagonal tensor slots only.  The best cell of the full grid 8
+    # has xi_3 = 0, a subspace the alternating step never leaves.  Its best
+    # point there (-0.32171) is a saddle; the minimum needs xi_3 != 0.  The
+    # oracle scans the moduli grid for this covariant W and reaches it too.
     g = np.array(
         [
             [0.53, -0.81 + 0.05j, -0.18 - 1.14j],
@@ -354,6 +366,13 @@ def test_descent_leaves_a_coordinate_saddle():
     )
     w = np.zeros((9, 9), dtype=complex)
     w[np.ix_([0, 4, 8], [0, 4, 8])] = g
+    xi, projectors = _sphere_grid(8, 8)
+    values = _smallest_eigenvalues(_apply_kernel(_kernel_matrix(w), projectors))
+    start = xi[_distinct_starts(values, xi, 8 * 8, 1)]
+    assert start[0, 2] == 0.0
+    final, value, _ = _descend(w, start, 200)
+    assert -0.32218 < value[0] < -0.32216
+    assert abs(final[0, 2]) > 0.1
     report = _checked_oracle(w, grid_n=8)
     assert -0.32218 < report.min_value < -0.32216
     assert abs(report.argmin_xi[2]) > 0.1
@@ -361,6 +380,16 @@ def test_descent_leaves_a_coordinate_saddle():
 
 _F_ABC = (0.37412049805440506, 0.895179117126941, 0.4935846058809257, -0.49188934318176736)
 _F_AB = (1.3137, 2.0038, 0.0, -2.7823)
+
+
+def _fix_first_matrix(point, dim, row, weight):
+    """W - weight v v* at a family point, v a probe direction in the
+    orthocomplement of dimension ``dim``."""
+    p = MapParams(*point)
+    basis = np.array(orthocomplement_basis(p))
+    assert len(basis) == dim
+    v = (_directions(dim, 16) @ basis)[row]
+    return choi_matrix(p) - weight * np.outer(v, v.conj())
 
 
 @pytest.mark.parametrize(
@@ -375,22 +404,97 @@ _F_AB = (1.3137, 2.0038, 0.0, -2.7823)
     ids=["f_abc", "f_ab"],
 )
 def test_oracle_finds_the_negative_beside_a_kernel_vector(point, dim, row, weight):
-    p = MapParams(*point)
-    basis = np.array(orthocomplement_basis(p))
-    assert len(basis) == dim
-    v = (_directions(dim, 16) @ basis)[row]
-    w = choi_matrix(p) - weight * np.outer(v, v.conj())
+    w = _fix_first_matrix(point, dim, row, weight)
     report = block_positivity_oracle(w)
     assert report.status == "negative"
+    # off the covariant slots by rounding (f_abc) or by construction (f_ab)
+    assert report.grid_points == 16**4
     z = np.kron(report.argmin_xi, report.argmin_eta)
     assert pairing_value(np.outer(z, z.conj()), w) == pytest.approx(report.min_value, abs=1e-12)
 
 
+def _status(value):
+    return BlockPositivityReport(float(value), np.ones(3), np.ones(3), 1, False).status
+
+
+def _full_grid_minimum(w, grid_n=16):
+    """The oracle's minimum on the full grid_n^4 grid of moduli and phases,
+    rebuilt from its parts: the reference for the moduli grid."""
+    xi, projectors = _sphere_grid(grid_n, grid_n)
+    images = _apply_kernel(_kernel_matrix(w), projectors)
+    starts = _distinct_starts(_smallest_eigenvalues(images), xi, grid_n * grid_n, 10)
+    grid = np.linalg.eigvalsh(images[starts[0]])[0]
+    return min(grid, _descend(w, xi[starts], 200)[1].min())
+
+
+def _assert_grids_agree(w):
+    report = block_positivity_oracle(w)
+    assert report.grid_points == 61**2
+    full = _full_grid_minimum(w)
+    assert report.status == _status(full)
+    assert report.min_value <= full + 1e-12 * max(1.0, np.abs(w).max())
+    return report, full
+
+
+def test_covariant_slots_are_where_the_map_commutes_with_diagonal_phases():
+    # phases whose pairwise sums differ mod 2pi: no slot commutes by accident
+    d = np.diag(np.exp(1j * np.array([0.3, 1.1, 2.9])))
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+
+    def image(w, m):  # Phi(X)_{jl} = sum_{ik} X_{ik} W[i, j, k, l]
+        return np.einsum("ik,ijkl->jl", m, map_from_choi(w))
+
+    commutes = np.zeros((9, 9), dtype=bool)
+    for r, s in np.ndindex(9, 9):
+        unit = np.zeros((9, 9))
+        unit[r, s] = 1.0
+        gap = image(unit, d @ x @ d.conj().T) - d @ image(unit, x) @ d.conj().T
+        commutes[r, s] = np.abs(gap).max() <= 1e-12
+    np.testing.assert_array_equal(commutes, _COVARIANT)
+    assert commutes.sum() == 15
+
+
+def test_any_off_slot_entry_takes_the_full_grid():
+    w = edge_state(1.0, np.pi / 6)
+    assert block_positivity_oracle(w).grid_points == 61**2
+    assert not _COVARIANT[0, 1]
+    w[0, 1] += 1e-300
+    w[1, 0] += 1e-300
+    assert block_positivity_oracle(w).grid_points == 16**4
+
+
+@pytest.mark.parametrize("theta", [np.pi / 6, -np.pi / 6, 0.9, -0.9])
+def test_moduli_grid_agrees_with_the_full_grid_on_witnesses(theta):
+    for b in (0.5, 2.0):
+        _assert_grids_agree(build_witness(theta, b, validate=False).matrix)
+
+
+@settings(max_examples=15)
+@given(abc=st.tuples(*[st.floats(0.0, 2.0)] * 3), theta=st.floats(-np.pi, np.pi))
+def test_moduli_grid_agrees_with_the_full_grid_on_the_family(abc, theta):
+    _assert_grids_agree(choi_matrix(MapParams(*abc, theta)))
+
+
+def test_projected_f_abc_matrix_reads_negative_on_the_moduli_grid():
+    w = _fix_first_matrix(_F_ABC, 2, 8, 1.05 * 0.249513)
+    assert 0.0 < np.abs(w[~_COVARIANT]).max() <= 1e-15
+    w[~_COVARIANT] = 0.0
+    report, full = _assert_grids_agree(w)
+    assert report.status == "negative"
+    assert report.min_value == pytest.approx(full, abs=1e-12)
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_sphere_grid_moduli_are_constant_on_each_run_of_phase_cells(n):
-    _, xi, _ = _sphere_grid(n)
+    xi, _ = _sphere_grid(n, n)
     moduli = np.abs(xi).reshape(n * n, n * n, 3)
     assert np.abs(moduli - moduli[:, :1]).max() <= 1e-15
+    # the moduli grid of a covariant W holds every |xi| of the full grid
+    real, _ = _sphere_grid(4 * (n - 1) + 1, 1)
+    assert not np.any(real.imag)
+    full = {tuple(m) for m in np.round(moduli[:, 0], 12)}
+    assert full <= {tuple(m) for m in np.round(real.real, 12)}
 
 
 def _reference_starts(values, xi, k):
@@ -401,10 +505,12 @@ def _reference_starts(values, xi, k):
     return order[np.sort(first)[:k]]
 
 
-@pytest.mark.parametrize("n, k", [(8, 20), (16, 10)])
-def test_distinct_starts_match_the_rule_over_all_cells(n, k):
-    _, xi, _ = _sphere_grid(n)
-    rng = np.random.default_rng(n)
+@pytest.mark.parametrize(
+    "polar_n, phase_n, k", [(8, 8, 20), (16, 16, 10), (61, 1, 10)], ids=["8-20", "16-10", "moduli-61-10"]
+)
+def test_distinct_starts_match_the_rule_over_all_cells(polar_n, phase_n, k):
+    xi, _ = _sphere_grid(polar_n, phase_n)
+    rng = np.random.default_rng(polar_n)
     noise = rng.normal(size=len(xi))
     samples = [noise, np.round(noise, 1)]  # the rounded copy has many ties
     for point in (_F_ABC, _F_AB, (1.5, 0.5, 0.0, np.pi / 6)):
@@ -413,7 +519,9 @@ def test_distinct_starts_match_the_rule_over_all_cells(n, k):
         directions = _directions(len(basis), 2) @ basis
         samples += list(_ratio_on_grid(_kernel_matrix(choi_matrix(p)), directions.reshape(-1, 3, 3), xi))
     for values in samples:
-        np.testing.assert_array_equal(_distinct_starts(values, xi, k), _reference_starts(values, xi, k))
+        np.testing.assert_array_equal(
+            _distinct_starts(values, xi, phase_n * phase_n, k), _reference_starts(values, xi, k)
+        )
 
 
 @settings(max_examples=40)
