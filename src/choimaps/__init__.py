@@ -3,13 +3,10 @@ structure of the parameter body, spanning properties, optimality probes and
 optimal PPTES witnesses for the type-{6,8} edge states."""
 
 from .errors import (
-    ConstraintViolatedError,
     InternalConsistencyError,
-    NegativeInputError,
     NoDetectingChoiceError,
     NonHermitianError,
     NotAFaceError,
-    NotApplicableError,
     NotPositiveMapError,
     OutOfRangeError,
     ThetaOutOfRangeError,
@@ -25,23 +22,14 @@ from .faces import (
     classify_faces,
     face_properties,
 )
-from .linalg import (
-    determinant,
-    hermitian_eigenvalues,
-    kron,
-    numeric_rank,
-    partial_transpose,
-)
+from .linalg import hermitian_eigenvalues, numeric_rank, partial_transpose
 from .maps import (
     MapParams,
     apply_map,
     choi_matrix,
     cp_threshold,
     edge_state,
-    pairing,
     pairing_value,
-    phase_circulant,
-    subtraction_generator,
 )
 from .optimality import (
     CooptimalitySubtraction,
@@ -56,32 +44,22 @@ from .optimality import (
 )
 from .positivity import (
     BlockPositivityReport,
-    FormCoefficients,
-    IndecomposabilityCertificate,
     block_positivity_oracle,
-    cubic_form,
-    cubic_form_gradient,
-    form_coefficients,
-    indecomposability_certificate,
     is_completely_copositive,
     is_completely_positive,
     is_positive,
-    stationary_form_determinant,
 )
 from .spanning import (
     ProductVector,
     SpanningReport,
     has_cospanning_property,
     has_spanning_property,
-    kernel_family,
     kernel_membership,
 )
 from .witness import (
     WitnessSpec,
     alpha_range,
     build_witness,
-    edge_kernel_vectors,
-    equal_subtraction_restriction,
     solve_beta_gamma,
     witness_matrix,
 )

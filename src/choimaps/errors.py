@@ -14,20 +14,8 @@ class UnsupportedThetaError(ValueError):
     the facial analysis does not apply."""
 
 
-class ConstraintViolatedError(ValueError):
-    """An algebraic side constraint on the inputs does not hold."""
-
-
-class NegativeInputError(ValueError):
-    """An input required to be nonnegative is negative."""
-
-
 class NotPositiveMapError(ValueError):
     """The map is not positive, so the requested analysis is undefined."""
-
-
-class NotApplicableError(ValueError):
-    """The certificate construction does not apply to these parameters."""
 
 
 class UnsupportedCaseError(ValueError):

@@ -77,14 +77,6 @@ def numeric_rank(m) -> int:
     return int(np.count_nonzero(s > RANK_REL * s[0]))
 
 
-def determinant(m) -> complex:
-    """LU-based determinant of a square complex matrix."""
-    m = as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"determinant requires a square matrix, got {m.shape}")
-    return complex(np.linalg.det(m))
-
-
 def partial_transpose(m) -> Array:
     """Transpose the second tensor factor of a 9x9 matrix.
 
@@ -95,19 +87,3 @@ def partial_transpose(m) -> Array:
     if m.shape != (9, 9):
         raise ValueError(f"partial_transpose requires a 9x9 matrix, got {m.shape}")
     return np.ascontiguousarray(m.reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9))
-
-
-def kron(a, b) -> Array:
-    """Kronecker product of two 3x3 matrices, row-major block layout."""
-    a = as_complex(a)
-    b = as_complex(b)
-    if a.shape != (3, 3) or b.shape != (3, 3):
-        raise ValueError(f"kron requires 3x3 factors, got {a.shape} and {b.shape}")
-    return np.kron(a, b)
-
-
-def basis_matrix(i: int, j: int, n: int = 3) -> Array:
-    """Matrix unit e_ij (0-based indices)."""
-    e = np.zeros((n, n), dtype=complex)
-    e[i, j] = 1.0
-    return e

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolatedError, OutOfRangeError, ThetaOutOfRangeError
-from .linalg import INCLUSION_SLACK, RESIDUE_ABS, Array, as_complex, basis_matrix, require_hermitian
+from .errors import OutOfRangeError, ThetaOutOfRangeError
+from .linalg import RESIDUE_ABS, Array, as_complex
 
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
@@ -94,7 +94,6 @@ def apply_map(p: MapParams, x) -> Array:
     return out
 
 
-_DIAG_SLOTS = (0, 4, 8)
 # Diagonal of the Choi matrix as (a, b, c)-selectors per global index.
 _DIAG_PATTERN = ("a", "c", "b", "b", "a", "c", "c", "b", "a")
 
@@ -116,21 +115,6 @@ def choi_matrix(p: MapParams) -> Array:
     return w
 
 
-def phase_circulant(a: float, theta: float) -> Array:
-    """Hermitian 3x3 matrix with constant diagonal ``a`` and cyclic phase
-    off-diagonals; its positivity decides complete positivity of the map.
-
-    det = a^3 - 3a - 2cos(3 theta).
-    """
-    e = complex(math.cos(theta), math.sin(theta))
-    m = np.full((3, 3), 0.0, dtype=complex)
-    np.fill_diagonal(m, a)
-    for u, v in ((0, 1), (1, 2), (2, 0)):
-        m[u, v] = -e
-        m[v, u] = -e.conjugate()
-    return m
-
-
 def pairing_value(a, c) -> float:
     """Bilinear pairing Tr(A C^t) of two Hermitian 9x9 matrices.
 
@@ -148,39 +132,18 @@ def pairing_value(a, c) -> float:
     return v.real
 
 
-def pairing(a, p: MapParams) -> float:
-    """Pairing Tr(A C^t) of a Hermitian matrix A with the map named by ``p``."""
-    a = require_hermitian(a)
-    return pairing_value(a, choi_matrix(p))
-
-
-def edge_state(b: float, theta: float, normalized: bool = False) -> Array:
-    """The PPT entangled edge state with parameters (2cos theta, b, 1/b; theta).
+def edge_state(b: float, theta: float) -> Array:
+    """The PPT entangled edge state with parameters (2cos theta, b, 1/b; theta),
+    as its unnormalized Choi matrix.
 
     Defined for 0 < |theta| < pi/3 and b > 0; the matrix is PSD with PSD
-    partial transpose and rank pair {8, 6}.  With ``normalized=True`` the
-    trace-1 density matrix is returned instead of the raw Choi matrix.
+    partial transpose and rank pair {8, 6}.
     """
     if not 0.0 < abs(theta) < math.pi / 3.0:
         raise ThetaOutOfRangeError(f"edge state requires 0 < |theta| < pi/3, got {theta}")
     if not b > 0:
         raise OutOfRangeError(f"edge state requires b > 0, got {b}")
-    w = choi_matrix(MapParams(2.0 * math.cos(theta), b, 1.0 / b, theta))
-    if normalized:
-        w = w / np.trace(w).real
-    return w
-
-
-def subtraction_generator(xi: complex, eta: complex, zeta: complex) -> Array:
-    """Rank-1 PSD matrix v v* with v supported on the diagonal tensor slots
-    (0,0), (1,1), (2,2) and coordinates (xi, eta, zeta) summing to zero."""
-    if abs(xi + eta + zeta) > INCLUSION_SLACK:
-        raise ConstraintViolatedError(
-            f"coordinates must sum to zero, got {xi + eta + zeta}"
-        )
-    v = np.zeros(9, dtype=complex)
-    v[0], v[4], v[8] = xi, eta, zeta
-    return np.outer(v, v.conj())
+    return choi_matrix(MapParams(2.0 * math.cos(theta), b, 1.0 / b, theta))
 
 
 def map_from_choi(w) -> Array:
@@ -190,20 +153,3 @@ def map_from_choi(w) -> Array:
     if w.shape != (9, 9):
         raise ValueError(f"expected a 9x9 Choi matrix, got {w.shape}")
     return w.reshape(3, 3, 3, 3)
-
-
-def tensor_unit(i: int, j: int) -> Array:
-    """9-vector e_i (x) e_j (0-based)."""
-    v = np.zeros(9, dtype=complex)
-    v[3 * i + j] = 1.0
-    return v
-
-
-def choi_from_blocks(p: MapParams) -> Array:
-    """Choi matrix assembled as sum_ij e_ij (x) apply_map(e_ij); used as an
-    independent route for testing the direct construction."""
-    w = np.zeros((9, 9), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            w += np.kron(basis_matrix(i, j), apply_map(p, basis_matrix(i, j)))
-    return w

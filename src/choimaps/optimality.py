@@ -50,6 +50,7 @@ from .spanning import _kernel_point, has_cospanning_property, has_spanning_prope
 _MIN_DRAW_NORM = 1e-6  # ``_directions`` drops draws this close to zero
 _DINKELBACH_STOP = 1e-9  # relative fall of the ratio below which the rounds stop
 _TINY = 1e-300  # a top eigenvalue at or below it leaves the kernel limit infinite
+_P_MAX = 10.0  # cap on each direction's subtractable weight in ``optimality_probe``
 
 
 def subtraction_budget(theta: float) -> float:
@@ -344,7 +345,6 @@ def _kernel_limit_ratio(mu: Array, e: Array, rows: Array) -> float:
 def optimality_probe(
     p: MapParams,
     n_directions: int = 64,
-    p_max: float = 10.0,
     *,
     grid_n: int = 8,
     refine_steps: int = 250,
@@ -357,12 +357,11 @@ def optimality_probe(
     quantity is the infimum over product vectors of the pairing ratio: the
     smaller of its exact limits at the kernel vectors and ``_dinkelbach``
     from the best grid cells, whose rounds (one descent iteration each)
-    ``refine_steps`` caps.  A candidate above the not-optimal threshold is
-    re-verified against the block-positivity oracle.  Raises OutOfRangeError
-    unless p_max > 0, n_directions >= 1, grid_n >= 1 and refine_steps >= 0.
+    ``refine_steps`` caps; no direction counts above ``_P_MAX``.  A candidate
+    above the not-optimal threshold is re-verified against the
+    block-positivity oracle.  Raises OutOfRangeError unless n_directions >= 1,
+    grid_n >= 1 and refine_steps >= 0.
     """
-    if not math.isfinite(p_max) or p_max <= 0:
-        raise OutOfRangeError(f"p_max must be positive, got {p_max}")
     if n_directions < 1 or grid_n < 1 or refine_steps < 0:
         got = f"{n_directions}, {grid_n}, {refine_steps}"
         raise OutOfRangeError(f"n_directions and grid_n must be >= 1 and refine_steps >= 0, got {got}")
@@ -405,7 +404,7 @@ def optimality_probe(
                 w, kernel, directions[d], xi_grid, grid_ratios[d], grid_n * grid_n, refine_steps
             )
             r_best = min(r_best, refined)
-        per_direction[d] = min(r_best, p_max)
+        per_direction[d] = min(r_best, _P_MAX)
         if per_direction[d] > best:
             best = per_direction[d]
             best_dir = directions[d]
@@ -417,7 +416,7 @@ def optimality_probe(
     elif best > CERTIFIED_SIGN:
         vv = np.outer(best_dir, best_dir.conj())
         keep = block_positivity_oracle(w - 0.5 * best * vv, grid_n=grid_n)
-        brk = block_positivity_oracle(w - min(2.0 * best, p_max) * vv, grid_n=grid_n).min_value
+        brk = block_positivity_oracle(w - min(2.0 * best, _P_MAX) * vv, grid_n=grid_n).min_value
         verification = {"oracle_at_half": keep.min_value, "oracle_at_double": brk}
         if keep.status == "nonnegative":
             verdict = "not_optimal"

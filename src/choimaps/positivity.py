@@ -37,16 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, NegativeInputError, NotApplicableError, OutOfRangeError
-from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK, RESIDUE_REL
-from .linalg import Array, hermitian_eigenvalues, partial_transpose, require_hermitian
-from .maps import (
-    MapParams,
-    choi_matrix,
-    cp_threshold,
-    map_from_choi,
-    pairing,
-)
+from .errors import OutOfRangeError
+from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK
+from .linalg import Array, require_hermitian
+from .maps import MapParams, cp_threshold, map_from_choi
 
 _DESCENT_STOP = 1e-15  # relative decrease below which ``_descend`` stops
 _TINY = 1e-300  # keeps the Newton floor positive where every curvature vanishes
@@ -101,93 +95,6 @@ def is_completely_copositive(p: MapParams) -> bool:
 def is_positive(p: MapParams) -> bool:
     """True iff the map is positive: condition (p1) and, when a <= 1, (p2)."""
     return positive_at(p.a, p.b, p.c, cp_threshold(p.theta))
-
-
-# ---------------------------------------------------------------------------
-# The degree-3 form controlling positivity, and its gradient bookkeeping.
-# ---------------------------------------------------------------------------
-
-
-def cubic_form(p: MapParams, x: float, y: float, z: float) -> float:
-    """The homogeneous degree-3 form whose nonnegativity on the closed
-    octant is equivalent to positivity of the map.
-
-    Equals the determinant of ``apply_map`` evaluated on the rank-1 projector
-    of (x', y', z') with |x'|^2 = x etc. (phases cancel in the determinant).
-    """
-    if x < 0 or y < 0 or z < 0:
-        raise NegativeInputError(f"cubic form requires nonnegative inputs, got {(x, y, z)}")
-    a, b, c = p.abc
-    l1 = a * x + b * y + c * z
-    l2 = c * x + a * y + b * z
-    l3 = b * x + c * y + a * z
-    return (
-        l1 * l2 * l3
-        - 2.0 * math.cos(3.0 * p.theta) * x * y * z
-        - l1 * y * z
-        - l2 * z * x
-        - l3 * x * y
-    )
-
-
-@dataclass(frozen=True)
-class FormCoefficients:
-    """Coefficients of the three quadratic forms giving the gradient of
-    ``cubic_form``; p = 3abc exactly and
-    2s = a^3 + b^3 + c^3 + 3abc - 3a - 2cos(3 theta)."""
-
-    p: float
-    q: float
-    r: float
-    s: float
-
-
-def form_coefficients(p: MapParams) -> FormCoefficients:
-    """Compute the gradient quadratic-form coefficients for ``p``."""
-    a, b, c = p.abc
-    return FormCoefficients(
-        p=3.0 * a * b * c,
-        q=a * a * c + b * b * a + c * c * b - c,
-        r=a * a * b + b * b * c + c * c * a - b,
-        s=(a**3 + b**3 + c**3 + 3.0 * a * b * c - 3.0 * a - 2.0 * math.cos(3.0 * p.theta)) / 2.0,
-    )
-
-
-def _gradient_matrices(fc: FormCoefficients) -> tuple[Array, Array, Array]:
-    p, q, r, s = fc.p, fc.q, fc.r, fc.s
-    gx = np.array([[p, r, q], [r, q, s], [q, s, r]])
-    gy = np.array([[r, q, s], [q, p, r], [s, r, q]])
-    gz = np.array([[q, s, r], [s, r, q], [r, q, p]])
-    return gx, gy, gz
-
-
-def cubic_form_gradient(p: MapParams, x: float, y: float, z: float) -> tuple[float, float, float]:
-    """Gradient of ``cubic_form`` as the three quadratic forms in (x, y, z)."""
-    v = np.array([x, y, z], dtype=float)
-    gx, gy, gz = _gradient_matrices(form_coefficients(p))
-    return (float(v @ gx @ v), float(v @ gy @ v), float(v @ gz @ v))
-
-
-def stationary_form_determinant(p: MapParams) -> float:
-    """Determinant of the circulant matrix combining the three gradient
-    forms at a stationary point.
-
-    Returns the factored value (p - s)^2 * (t^3 - 3t - 2cos(3 theta)) with
-    t = a + b + c, after asserting it agrees with the direct 3x3 determinant
-    to the residue RESIDUE_REL.
-    """
-    fc = form_coefficients(p)
-    d = fc.p + fc.q + fc.r
-    e = fc.q + fc.r + fc.s
-    m = np.array([[d, e, e], [e, d, e], [e, e, d]])
-    direct = float(np.linalg.det(m))
-    t = p.a + p.b + p.c
-    closed = (fc.p - fc.s) ** 2 * (t**3 - 3.0 * t - 2.0 * math.cos(3.0 * p.theta))
-    if abs(direct - closed) > RESIDUE_REL * max(1.0, abs(closed)):
-        raise InternalConsistencyError(
-            f"stationary determinant mismatch: direct {direct!r} vs factored {closed!r}"
-        )
-    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -468,62 +375,3 @@ def block_positivity_oracle(
         grid_points=len(xi_grid),
         refined=refined,
     )
-
-
-# ---------------------------------------------------------------------------
-# Indecomposability certificate.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IndecomposabilityCertificate:
-    """A PPT state with a strictly negative pairing against the map.
-
-    ``state_params`` names the certificate state and ``value`` the pairing
-    3a(cp_threshold(pi - theta) - 2) < 0.
-    """
-
-    state_params: MapParams
-    value: float
-
-
-def indecomposability_certificate(p: MapParams) -> IndecomposabilityCertificate | None:
-    """Certify indecomposability of a map on the surface b*c = (1 - a)^2.
-
-    Requires 0 < a <= 1, b, c > 0, ``on_surface_at``, and theta
-    away from 0 (where the construction is not used).  Returns None when the
-    pairing value is not negative (theta = +-pi/3 or +-pi, where the
-    threshold equals 2); otherwise returns the PPT certificate state with
-    parameters (cp_threshold(pi - theta), sqrt(c/b), sqrt(b/c); pi - theta)
-    and the pairing value, verified PPT by eigensolve and cross-checked
-    against the direct trace.
-    """
-    a, b, c = p.abc
-    if abs(p.theta) <= INCLUSION_SLACK:
-        raise NotApplicableError("certificate construction not applicable at theta = 0")
-    if not (b > 0 and c > 0):
-        raise NotApplicableError("certificate requires b, c > 0")
-    if not 0 <= a <= 1 + INCLUSION_SLACK:
-        raise NotApplicableError(f"certificate requires 0 <= a <= 1, got a={a}")
-    if not on_surface_at(a, b, c):
-        raise NotApplicableError("certificate requires b*c = (1-a)^2")
-
-    theta_c = math.pi - p.theta
-    pc = cp_threshold(theta_c)
-    t = math.sqrt(c / b)
-    state = MapParams(pc, t, 1.0 / t, theta_c)
-    w = choi_matrix(state)
-    for name, m in (("PSD", w), ("PPT", partial_transpose(w))):
-        low = hermitian_eigenvalues(m)[0]
-        if low < -CERTIFIED_ZERO:
-            raise InternalConsistencyError(
-                f"certificate state {state} failed the {name} eigensolve check: smallest eigenvalue {low!r}"
-            )
-
-    value = pairing(w, p)
-    closed = 3.0 * a * (pc - 2.0)
-    if abs(value - closed) > RESIDUE_REL * max(1.0, abs(closed)):
-        raise InternalConsistencyError(f"certificate pairing mismatch: {value} vs {closed}")
-    if value >= -INCLUSION_SLACK:
-        return None
-    return IndecomposabilityCertificate(state_params=state, value=value)

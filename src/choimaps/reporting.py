@@ -7,7 +7,7 @@ digits, so serialize -> parse -> serialize is byte-stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

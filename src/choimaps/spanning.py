@@ -27,8 +27,8 @@ from .linalg import FACE_TOL, INCLUSION_SLACK, RESIDUE_REL, Array, numeric_rank
 from .maps import MapParams, apply_map
 from .positivity import is_positive, on_sum_at, on_surface_at
 
-#: Default unimodular phase samples: pairs feed the three-vector boundary
-#: families, triples feed the equal-modulus family.
+#: Unimodular phase samples of the nine canonical determinant columns: pairs
+#: feed the three-vector boundary families, triples the equal-modulus family.
 DEFAULT_PAIRS = ((1.0, 1.0), (1.0, -1.0), (1.0, 1j))
 DEFAULT_TRIPLES = ((1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1j, -1j))
 
@@ -194,47 +194,25 @@ def _kernel_point(p: MapParams) -> _KernelPoint:
         raise NotPositiveMapError(f"map {p} is not positive")
     face = classify_face(p)
     case = _KERNEL_CASE.get(face.kind)
-    sample = _case_vectors(p, case, GENERIC_PAIRS + GENERIC_TRIPLES)
+    sample = _case_vectors(p, case)
     for pv in sample:  # shared by every caller of the cache
         pv.xi.flags.writeable = pv.eta.flags.writeable = False
     return _KernelPoint(pth, face, case, tuple(sample))
 
 
-def kernel_family(
-    p: MapParams, phase_samples: tuple | list | None = None
-) -> list[ProductVector]:
-    """Sampled kernel product vectors for parameters on a boundary case.
-
-    ``phase_samples`` may mix pairs (fed to the three-vector families) and
-    triples (fed to the equal-modulus family); defaults reproduce the
-    determinant regression values.  Raises UnsupportedCaseError off the
-    boundary cases; every returned vector is membership-checked.
-    """
-    case = _kernel_point(p).case
-    if case is None:
-        raise UnsupportedCaseError(
-            f"parameters {p.abc} at theta={p.theta} are not in a kernel case"
-        )
-    if phase_samples is None:
-        phase_samples = DEFAULT_PAIRS + DEFAULT_TRIPLES
-    return _case_vectors(p, case, phase_samples)
-
-
-def _case_vectors(p: MapParams, case: str | None, phase_samples: tuple | list) -> list[ProductVector]:
-    """Membership-checked kernel vectors of the case at the given phases,
-    plus the coordinate vectors (only those off the cases)."""
-    pairs = tuple(s for s in phase_samples if len(s) == 2)
-    triples = tuple(s for s in phase_samples if len(s) == 3)
-
+def _case_vectors(p: MapParams, case: str | None) -> list[ProductVector]:
+    """Membership-checked kernel vectors of the case at the generic phases
+    ``GENERIC_PAIRS`` and ``GENERIC_TRIPLES``, plus the coordinate vectors
+    (only those off the cases)."""
     vectors: list[ProductVector] = []
     if case in ("i", "ii"):
-        for al, be in pairs:
+        for al, be in GENERIC_PAIRS:
             vectors.extend(_surface_family(p, al, be))
     if case == "iii":
-        for al, be in pairs:
+        for al, be in GENERIC_PAIRS:
             vectors.extend(_copositive_family(p, al, be))
     if case in ("ii", "iv"):
-        for al, be, ga in triples:
+        for al, be, ga in GENERIC_TRIPLES:
             vectors.append(_equal_modulus_vector(p.theta, al, be, ga))
     vectors.extend(_axis_vectors(p))
 

@@ -7,7 +7,8 @@ positive multiple of a family member at the rotated angle pi - theta/2 whose
 normalized parameters sit on the bi-spanning part of the boundary curve.
 The quadratic system fixing (beta~, gamma~) from alpha~ keeps them there.
 Detection is decided by the direct trace pairing against the unnormalized
-edge state.
+edge state; the family pairing identity (``detection_closed_form``) checks
+it on every witness.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .errors import (
     OutOfRangeError,
     ThetaOutOfRangeError,
 )
-from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, INCLUSION_SLACK, RESIDUE_ABS, Array
+from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, INCLUSION_SLACK, RESIDUE_REL, Array
 from .linalg import hermitian_eigenvalues, partial_transpose
-from .maps import MapParams, choi_matrix, cp_threshold, edge_state, pairing_value
+from .maps import MapParams, cp_threshold, edge_state, pairing_value
 from .positivity import block_positivity_oracle
 from .spanning import has_cospanning_property, has_spanning_property
 
@@ -149,10 +150,29 @@ def _assemble(theta: float, b: float, rho: Array, alpha_tilde: float, beta: floa
     )
 
 
+def detection_closed_form(theta: float, b: float, alpha_tilde: float,
+                          b_slot: float, c_slot: float) -> float:
+    """Detection pairing of the unnormalized ansatz against the edge state
+    via the family pairing identity; independent of the 9x9 trace route."""
+    t = math.cos(theta / 2.0)
+    pth = cp_threshold(theta)
+    return 3.0 * (pth * alpha_tilde + b * b_slot + c_slot / b - 4.0 * t * t)
+
+
 def _validate(spec: WitnessSpec) -> None:
-    """Check the constructed witness is block-positive but neither PSD nor
-    co-PSD, with normalized parameters on the bi-spanning boundary piece."""
+    """Check the trace pairing against ``detection_closed_form``, and that the
+    constructed witness is block-positive but neither PSD nor co-PSD, with
+    normalized parameters on the bi-spanning boundary piece."""
     where = f"theta={spec.theta!r}, b={spec.b!r}, alpha~={spec.alpha_tilde!r}"
+    closed = detection_closed_form(spec.theta, spec.b, spec.alpha_tilde, spec.b_slot, spec.c_slot)
+    # the terms cancel, so the residue is relative to the sum of their sizes,
+    # 3(p_theta alpha~ + b b_slot + c_slot / b + 4t^2)
+    scale = closed + 24.0 * spec.t * spec.t
+    if abs(spec.detection_value - closed) > RESIDUE_REL * scale:
+        raise InternalConsistencyError(
+            f"witness at {where}: trace pairing {spec.detection_value!r} "
+            f"differs from the family pairing identity {closed!r}"
+        )
     for name, m in (("PSD", spec.matrix), ("co-PSD", partial_transpose(spec.matrix))):
         low = hermitian_eigenvalues(m)[0]
         if low >= -CERTIFIED_SIGN:
@@ -174,9 +194,7 @@ def _validate(spec: WitnessSpec) -> None:
         )
 
 
-def build_witness(
-    theta: float, b: float, alpha_tilde: float | None = None, validate: bool = True
-) -> WitnessSpec:
+def build_witness(theta: float, b: float, alpha_tilde: float | None = None) -> WitnessSpec:
     """Construct a witness for the edge state with parameters (b, theta).
 
     With ``alpha_tilde`` given, the quadratic roots are placed in the two
@@ -186,7 +204,8 @@ def build_witness(
     (with the relative margin ALPHA_MARGIN at both ends) are scanned over
     both assignments and the minimizer is kept; if none pairs below the
     certified sign -CERTIFIED_ZERO, NoDetectingChoiceError is raised.  Raises
-    OutOfRangeError when b is so large or small that the pairing overflows.
+    OutOfRangeError when b is so large or small that the pairing overflows,
+    and InternalConsistencyError when the kept witness fails ``_validate``.
     """
     _check_theta(theta)
     if not b > 0:
@@ -209,58 +228,5 @@ def build_witness(
         raise NoDetectingChoiceError(
             f"no scanned alpha~ detects the edge state at theta={theta}, b={b}"
         )
-    if validate:
-        _validate(best)
+    _validate(best)
     return best
-
-
-def edge_kernel_vectors(b: float, theta: float) -> tuple[Array, Array, Array, Array]:
-    """The kernel 9-vector of the edge state and the three kernel 9-vectors
-    of its partial transpose.
-
-    Validated: the pairing of the first against the edge state and of the
-    others against its partial transpose vanish to the residue RESIDUE_ABS.
-    """
-    _check_theta(theta)
-    if not b > 0:
-        raise OutOfRangeError(f"b must be positive, got {b}")
-    e = cmath.exp(1j * theta)
-    sb = math.sqrt(b)
-    z, w1, w2, w3 = np.zeros((4, 9), dtype=complex)
-    z[[0, 4, 8]] = 1.0
-    w1[1], w1[3] = sb, e / sb
-    w2[5], w2[7] = sb, e / sb
-    w3[2], w3[6] = e / sb, sb
-
-    rho = edge_state(b, theta)
-    rho_pt = partial_transpose(rho)
-    value = pairing_value(np.outer(z, z.conj()), rho)
-    if abs(value) > RESIDUE_ABS:
-        raise InternalConsistencyError(f"state kernel vector pairing is nonzero: {value!r}")
-    for k, w in enumerate((w1, w2, w3), start=1):
-        value = pairing_value(np.outer(w, w.conj()), rho_pt)
-        if abs(value) > RESIDUE_ABS:
-            raise InternalConsistencyError(
-                f"partial-transpose kernel vector w{k} pairing is nonzero: {value!r}"
-            )
-    return z, w1, w2, w3
-
-
-def equal_subtraction_restriction(b: float, theta: float) -> bool:
-    """Whether the equal-parameter witness shortcut can be optimal at
-    (b, theta): requires b + 1/b <= 2 - sqrt(3) + sqrt(6 sqrt(3) - 6) and
-    cos(theta/2) <= (3 + sqrt(21)) / 8."""
-    if not b > 0:
-        raise OutOfRangeError(f"b must be positive, got {b}")
-    bound_b = 2.0 - math.sqrt(3.0) + math.sqrt(6.0 * math.sqrt(3.0) - 6.0)
-    bound_t = (3.0 + math.sqrt(21.0)) / 8.0
-    return b + 1.0 / b <= bound_b and math.cos(theta / 2.0) <= bound_t
-
-
-def detection_closed_form(theta: float, b: float, alpha_tilde: float,
-                          b_slot: float, c_slot: float) -> float:
-    """Detection pairing of the unnormalized ansatz against the edge state
-    via the family pairing identity; independent of the 9x9 trace route."""
-    t = math.cos(theta / 2.0)
-    pth = cp_threshold(theta)
-    return 3.0 * (pth * alpha_tilde + b * b_slot + c_slot / b - 4.0 * t * t)

@@ -1,0 +1,76 @@
+"""Paper lemmas that more than one test module checks the package against.
+
+No verdict of the package reaches them, so they live beside the tests as
+independent references: the pairing with a family member, the phase
+circulant that decides complete positivity, and the kernel vectors and the
+equal-subtraction restriction of the {6,8} edge states.
+"""
+
+import cmath
+import math
+
+import numpy as np
+
+from choimaps import InternalConsistencyError, MapParams, OutOfRangeError, choi_matrix, edge_state
+from choimaps import pairing_value, partial_transpose
+from choimaps.linalg import RESIDUE_ABS, require_hermitian
+
+
+def pairing(a, p: MapParams) -> float:
+    """Pairing Tr(A C^t) of a Hermitian matrix A with the map named by ``p``."""
+    return pairing_value(require_hermitian(a), choi_matrix(p))
+
+
+def phase_circulant(a: float, theta: float) -> np.ndarray:
+    """Hermitian 3x3 matrix with constant diagonal ``a`` and cyclic phase
+    off-diagonals; its positivity decides complete positivity of the map.
+
+    det = a^3 - 3a - 2cos(3 theta).
+    """
+    e = complex(math.cos(theta), math.sin(theta))
+    m = np.full((3, 3), 0.0, dtype=complex)
+    np.fill_diagonal(m, a)
+    for u, v in ((0, 1), (1, 2), (2, 0)):
+        m[u, v] = -e
+        m[v, u] = -e.conjugate()
+    return m
+
+
+def edge_kernel_vectors(b: float, theta: float):
+    """The kernel 9-vector of the edge state and the three kernel 9-vectors
+    of its partial transpose.
+
+    Validated: the pairing of the first against the edge state and of the
+    others against its partial transpose vanish to the residue RESIDUE_ABS.
+    """
+    rho = edge_state(b, theta)  # validates b and theta
+    e = cmath.exp(1j * theta)
+    sb = math.sqrt(b)
+    z, w1, w2, w3 = np.zeros((4, 9), dtype=complex)
+    z[[0, 4, 8]] = 1.0
+    w1[1], w1[3] = sb, e / sb
+    w2[5], w2[7] = sb, e / sb
+    w3[2], w3[6] = e / sb, sb
+
+    rho_pt = partial_transpose(rho)
+    value = pairing_value(np.outer(z, z.conj()), rho)
+    if abs(value) > RESIDUE_ABS:
+        raise InternalConsistencyError(f"state kernel vector pairing is nonzero: {value!r}")
+    for k, w in enumerate((w1, w2, w3), start=1):
+        value = pairing_value(np.outer(w, w.conj()), rho_pt)
+        if abs(value) > RESIDUE_ABS:
+            raise InternalConsistencyError(
+                f"partial-transpose kernel vector w{k} pairing is nonzero: {value!r}"
+            )
+    return z, w1, w2, w3
+
+
+def equal_subtraction_restriction(b: float, theta: float) -> bool:
+    """Whether the equal-parameter witness shortcut can be optimal at
+    (b, theta): requires b + 1/b <= 2 - sqrt(3) + sqrt(6 sqrt(3) - 6) and
+    cos(theta/2) <= (3 + sqrt(21)) / 8."""
+    if not b > 0:
+        raise OutOfRangeError(f"b must be positive, got {b}")
+    bound_b = 2.0 - math.sqrt(3.0) + math.sqrt(6.0 * math.sqrt(3.0) - 6.0)
+    bound_t = (3.0 + math.sqrt(21.0)) / 8.0
+    return b + 1.0 / b <= bound_b and math.cos(theta / 2.0) <= bound_t

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from choimaps import (
-    ConstraintViolatedError,
     MapParams,
     NonHermitianError,
     OutOfRangeError,
@@ -12,24 +11,44 @@ from choimaps import (
     boundary_parametrization,
     choi_matrix,
     cp_threshold,
-    edge_kernel_vectors,
     edge_state,
-    equal_subtraction_restriction,
     hermitian_eigenvalues,
     numeric_rank,
     optimality_probe,
-    pairing,
     pairing_value,
     partial_transpose,
-    phase_circulant,
-    subtraction_generator,
 )
-from choimaps.linalg import basis_matrix
-from choimaps.maps import choi_from_blocks, tensor_unit
+from choimaps.linalg import INCLUSION_SLACK
+from lemmas import edge_kernel_vectors, equal_subtraction_restriction, pairing, phase_circulant
 
 
 def random_params(rng, amax=2.5):
     return MapParams(*rng.uniform(0.0, amax, 3), rng.uniform(-np.pi, np.pi))
+
+
+def basis_matrix(i: int, j: int) -> np.ndarray:
+    """Matrix unit e_ij (0-based indices)."""
+    return np.outer(np.eye(3)[i], np.eye(3)[j]).astype(complex)
+
+
+def choi_from_blocks(p: MapParams) -> np.ndarray:
+    """Choi matrix assembled as sum_ij e_ij (x) apply_map(e_ij): an
+    independent route to the direct construction."""
+    w = np.zeros((9, 9), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            w += np.kron(basis_matrix(i, j), apply_map(p, basis_matrix(i, j)))
+    return w
+
+
+def subtraction_generator(xi: complex, eta: complex, zeta: complex) -> np.ndarray:
+    """Rank-1 PSD matrix v v* with v supported on the diagonal tensor slots
+    (0,0), (1,1), (2,2) and coordinates (xi, eta, zeta) summing to zero."""
+    if abs(xi + eta + zeta) > INCLUSION_SLACK:
+        raise ValueError(f"coordinates must sum to zero, got {xi + eta + zeta}")
+    v = np.zeros(9, dtype=complex)
+    v[0], v[4], v[8] = xi, eta, zeta
+    return np.outer(v, v.conj())
 
 
 class TestMapParams:
@@ -196,10 +215,6 @@ class TestEdgeState:
         with pytest.raises(ThetaOutOfRangeError):
             edge_state(1.0, np.pi / 3)
 
-    def test_normalized_copy(self):
-        w = edge_state(2.0, 0.4, normalized=True)
-        assert np.trace(w).real == pytest.approx(1.0)
-
 
 class TestSubtractionGenerator:
     def test_zero_triple(self):
@@ -213,18 +228,13 @@ class TestSubtractionGenerator:
         assert np.count_nonzero(v) == 4
 
     def test_constraint_enforced(self):
-        with pytest.raises(ConstraintViolatedError):
+        with pytest.raises(ValueError):
             subtraction_generator(1, 1, 1)
 
     def test_rank_one_psd(self):
         v = subtraction_generator(1 + 1j, -2, 1 - 1j)
         assert numeric_rank(v) == 1
         assert hermitian_eigenvalues(v)[0] >= -1e-12
-
-
-def test_tensor_unit_indexing():
-    v = tensor_unit(1, 2)
-    assert v[5] == 1.0 and np.count_nonzero(v) == 1
 
 
 def test_pairing_value_imaginary_residue_guard():
@@ -244,11 +254,10 @@ _VERTEX = MapParams(2.0, 0.0, 0.0, np.pi / 6)
         lambda: boundary_parametrization(np.pi / 6, 0.0),
         lambda: block_positivity_oracle(np.eye(9), grid_n=0),
         lambda: block_positivity_oracle(np.eye(9), refine_steps=-1),
-        lambda: optimality_probe(_VERTEX, p_max=0.0),
         lambda: optimality_probe(_VERTEX, n_directions=0),
     ],
     ids=["edge_state", "edge_kernel_vectors", "equal_subtraction_restriction",
-         "boundary_parametrization", "oracle_grid", "oracle_steps", "probe_p_max", "probe_directions"],
+         "boundary_parametrization", "oracle_grid", "oracle_steps", "probe_directions"],
 )
 def test_bad_scalar_argument_is_out_of_range(call):
     with pytest.raises(OutOfRangeError):

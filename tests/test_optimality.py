@@ -132,7 +132,7 @@ class TestProbe:
         for th in (np.pi / 12, -np.pi / 12, np.pi / 6, -np.pi / 6, np.pi / 4, -np.pi / 4):
             pth = cp_threshold(th)
             assert vertex_optimality_analytic(th, "b_side")
-            report = optimality_probe(MapParams(1, pth - 1, 0, th), p_max=10.0)
+            report = optimality_probe(MapParams(1, pth - 1, 0, th))
             assert report.verdict == "optimal", (th, report.max_subtractable)
 
     def test_other_branch_vertex_via_probe(self):

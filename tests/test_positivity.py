@@ -1,3 +1,6 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,27 +8,21 @@ from hypothesis import strategies as st
 
 from choimaps import (
     BlockPositivityReport,
+    InternalConsistencyError,
     MapParams,
-    NegativeInputError,
-    NotApplicableError,
     block_positivity_oracle,
     build_witness,
     choi_matrix,
     cp_threshold,
-    cubic_form,
-    cubic_form_gradient,
     edge_state,
-    form_coefficients,
     hermitian_eigenvalues,
-    indecomposability_certificate,
     is_completely_copositive,
     is_completely_positive,
     is_positive,
-    pairing,
     pairing_value,
     partial_transpose,
-    stationary_form_determinant,
 )
+from choimaps.linalg import CERTIFIED_ZERO, INCLUSION_SLACK, RESIDUE_REL
 from choimaps.maps import apply_map, map_from_choi
 from choimaps.optimality import _directions, _ratio_on_grid, orthocomplement_basis
 from choimaps.positivity import (
@@ -37,11 +34,157 @@ from choimaps.positivity import (
     _scan_grid,
     _smallest_eigenvalues,
     _sphere_grid,
+    on_surface_at,
 )
+from lemmas import pairing
 
 
 def random_params(rng, amax=2.5):
     return MapParams(*rng.uniform(0.0, amax, 3), rng.uniform(-np.pi, np.pi))
+
+
+# ---------------------------------------------------------------------------
+# The degree-3 form controlling positivity and its gradient bookkeeping (Cho,
+# Kye and Lee, Linear Algebra Appl. 171, 1992), and the indecomposability
+# certificate on the surface face: references the package is checked against.
+# ---------------------------------------------------------------------------
+
+
+def cubic_form(p: MapParams, x: float, y: float, z: float) -> float:
+    """The homogeneous degree-3 form whose nonnegativity on the closed
+    octant is equivalent to positivity of the map.
+
+    Equals the determinant of ``apply_map`` evaluated on the rank-1 projector
+    of (x', y', z') with |x'|^2 = x etc. (phases cancel in the determinant).
+    """
+    if x < 0 or y < 0 or z < 0:
+        raise ValueError(f"cubic form requires nonnegative inputs, got {(x, y, z)}")
+    a, b, c = p.abc
+    l1 = a * x + b * y + c * z
+    l2 = c * x + a * y + b * z
+    l3 = b * x + c * y + a * z
+    return (
+        l1 * l2 * l3
+        - 2.0 * math.cos(3.0 * p.theta) * x * y * z
+        - l1 * y * z
+        - l2 * z * x
+        - l3 * x * y
+    )
+
+
+@dataclass(frozen=True)
+class FormCoefficients:
+    """Coefficients of the three quadratic forms giving the gradient of
+    ``cubic_form``; p = 3abc exactly and
+    2s = a^3 + b^3 + c^3 + 3abc - 3a - 2cos(3 theta)."""
+
+    p: float
+    q: float
+    r: float
+    s: float
+
+
+def form_coefficients(p: MapParams) -> FormCoefficients:
+    """Compute the gradient quadratic-form coefficients for ``p``."""
+    a, b, c = p.abc
+    return FormCoefficients(
+        p=3.0 * a * b * c,
+        q=a * a * c + b * b * a + c * c * b - c,
+        r=a * a * b + b * b * c + c * c * a - b,
+        s=(a**3 + b**3 + c**3 + 3.0 * a * b * c - 3.0 * a - 2.0 * math.cos(3.0 * p.theta)) / 2.0,
+    )
+
+
+def _gradient_matrices(fc: FormCoefficients):
+    p, q, r, s = fc.p, fc.q, fc.r, fc.s
+    gx = np.array([[p, r, q], [r, q, s], [q, s, r]])
+    gy = np.array([[r, q, s], [q, p, r], [s, r, q]])
+    gz = np.array([[q, s, r], [s, r, q], [r, q, p]])
+    return gx, gy, gz
+
+
+def cubic_form_gradient(p: MapParams, x: float, y: float, z: float) -> tuple[float, float, float]:
+    """Gradient of ``cubic_form`` as the three quadratic forms in (x, y, z)."""
+    v = np.array([x, y, z], dtype=float)
+    gx, gy, gz = _gradient_matrices(form_coefficients(p))
+    return (float(v @ gx @ v), float(v @ gy @ v), float(v @ gz @ v))
+
+
+def stationary_form_determinant(p: MapParams) -> float:
+    """Determinant of the circulant matrix combining the three gradient
+    forms at a stationary point.
+
+    Returns the factored value (p - s)^2 * (t^3 - 3t - 2cos(3 theta)) with
+    t = a + b + c, after checking it agrees with the direct 3x3 determinant
+    to the residue RESIDUE_REL.
+    """
+    fc = form_coefficients(p)
+    d = fc.p + fc.q + fc.r
+    e = fc.q + fc.r + fc.s
+    m = np.array([[d, e, e], [e, d, e], [e, e, d]])
+    direct = float(np.linalg.det(m))
+    t = p.a + p.b + p.c
+    closed = (fc.p - fc.s) ** 2 * (t**3 - 3.0 * t - 2.0 * math.cos(3.0 * p.theta))
+    if abs(direct - closed) > RESIDUE_REL * max(1.0, abs(closed)):
+        raise InternalConsistencyError(
+            f"stationary determinant mismatch: direct {direct!r} vs factored {closed!r}"
+        )
+    return closed
+
+
+@dataclass(frozen=True)
+class IndecomposabilityCertificate:
+    """A PPT state with a strictly negative pairing against the map.
+
+    ``state_params`` names the certificate state and ``value`` the pairing
+    3a(cp_threshold(pi - theta) - 2) < 0.
+    """
+
+    state_params: MapParams
+    value: float
+
+
+def indecomposability_certificate(p: MapParams) -> IndecomposabilityCertificate | None:
+    """Certify indecomposability of a map on the surface b*c = (1 - a)^2.
+
+    Requires 0 < a <= 1, b, c > 0, ``on_surface_at``, and theta
+    away from 0 (where the construction is not used); raises ValueError
+    otherwise.  Returns None when the pairing value is not negative
+    (theta = +-pi/3 or +-pi, where the threshold equals 2); otherwise returns
+    the PPT certificate state with parameters
+    (cp_threshold(pi - theta), sqrt(c/b), sqrt(b/c); pi - theta) and the
+    pairing value, verified PPT by eigensolve and cross-checked against the
+    direct trace.
+    """
+    a, b, c = p.abc
+    if abs(p.theta) <= INCLUSION_SLACK:
+        raise ValueError("certificate construction not applicable at theta = 0")
+    if not (b > 0 and c > 0):
+        raise ValueError("certificate requires b, c > 0")
+    if not 0 <= a <= 1 + INCLUSION_SLACK:
+        raise ValueError(f"certificate requires 0 <= a <= 1, got a={a}")
+    if not on_surface_at(a, b, c):
+        raise ValueError("certificate requires b*c = (1-a)^2")
+
+    theta_c = math.pi - p.theta
+    pc = cp_threshold(theta_c)
+    t = math.sqrt(c / b)
+    state = MapParams(pc, t, 1.0 / t, theta_c)
+    w = choi_matrix(state)
+    for name, m in (("PSD", w), ("PPT", partial_transpose(w))):
+        low = hermitian_eigenvalues(m)[0]
+        if low < -CERTIFIED_ZERO:
+            raise InternalConsistencyError(
+                f"certificate state {state} failed the {name} eigensolve check: smallest eigenvalue {low!r}"
+            )
+
+    value = pairing(w, p)
+    closed = 3.0 * a * (pc - 2.0)
+    if abs(value - closed) > RESIDUE_REL * max(1.0, abs(closed)):
+        raise InternalConsistencyError(f"certificate pairing mismatch: {value} vs {closed}")
+    if value >= -INCLUSION_SLACK:
+        return None
+    return IndecomposabilityCertificate(state_params=state, value=value)
 
 
 class TestClosedForms:
@@ -107,7 +250,7 @@ class TestCubicForm:
             assert abs(f1 - f2) <= 1e-10 * max(1.0, abs(f2))
 
     def test_negative_input_rejected(self):
-        with pytest.raises(NegativeInputError):
+        with pytest.raises(ValueError):
             cubic_form(MapParams(1, 1, 1, 0), -0.1, 1, 1)
 
     def test_matches_map_determinant_on_projectors(self):
@@ -467,7 +610,7 @@ def test_any_off_slot_entry_takes_the_full_grid():
 @pytest.mark.parametrize("theta", [np.pi / 6, -np.pi / 6, 0.9, -0.9])
 def test_moduli_grid_agrees_with_the_full_grid_on_witnesses(theta):
     for b in (0.5, 2.0):
-        _assert_grids_agree(build_witness(theta, b, validate=False).matrix)
+        _assert_grids_agree(build_witness(theta, b).matrix)
 
 
 @settings(max_examples=15)
@@ -551,11 +694,11 @@ class TestIndecomposability:
         assert indecomposability_certificate(p) is None
 
     def test_not_applicable_cases(self):
-        with pytest.raises(NotApplicableError):
+        with pytest.raises(ValueError):
             indecomposability_certificate(MapParams(0.5, 1, 0.25, 0.0))
-        with pytest.raises(NotApplicableError):
+        with pytest.raises(ValueError):
             indecomposability_certificate(MapParams(1, np.sqrt(3.0) - 1, 0, np.pi / 6))
-        with pytest.raises(NotApplicableError):
+        with pytest.raises(ValueError):
             indecomposability_certificate(MapParams(0.5, 1, 1, np.pi / 6))
 
     def test_zero_value_at_copositive_vertex(self):

@@ -11,20 +11,19 @@ from choimaps import (
     NotPositiveMapError,
     ProductVector,
     PropertyRow,
-    UnsupportedCaseError,
     boundary_parametrization,
     classify_face,
     cp_threshold,
     face_properties,
     has_cospanning_property,
     has_spanning_property,
-    kernel_family,
     kernel_membership,
-    pairing,
 )
 from choimaps.faces import FACE_KINDS, classify_faces
 from choimaps.spanning import (
     DEFAULT_TRIPLES,
+    GENERIC_PAIRS,
+    GENERIC_TRIPLES,
     _equal_modulus_vector,
     _kernel_point,
     cospanning_columns,
@@ -32,6 +31,7 @@ from choimaps.spanning import (
     sampled_kernel_vectors,
     spanning_det_closed_form,
 )
+from lemmas import pairing
 
 
 def surface_point(rng, theta):
@@ -55,7 +55,7 @@ def generic_theta(rng):
 class TestKernelMembership:
     def test_surface_family_member(self):
         p = MapParams(0.5, 1, 0.25, np.pi / 6)
-        pv = kernel_family(p)[0]
+        pv = sampled_kernel_vectors(p)[0]
         assert kernel_membership(p, pv)
 
     def test_basis_tensor_not_in_kernel(self):
@@ -77,17 +77,18 @@ class TestKernelMembership:
 
 class TestKernelFamily:
     def test_surface_case_nine_members(self):
+        # three members per phase pair: nine at the three default pairs
         p = MapParams(0.5, 1, 0.25, np.pi / 6)
-        vectors = kernel_family(p)
-        assert len(vectors) == 9
+        vectors = sampled_kernel_vectors(p)
+        assert len(vectors) == 3 * len(GENERIC_PAIRS)
         for pv in vectors:
             assert kernel_membership(p, pv)
 
     def test_copositive_case_members(self):
-        # nine canonical vectors plus the three diagonal axis vectors
+        # three vectors per phase pair plus the three diagonal axis vectors
         p = MapParams(0, 2, 0.5, np.pi / 6)
-        vectors = kernel_family(p)
-        assert len(vectors) == 12
+        vectors = sampled_kernel_vectors(p)
+        assert len(vectors) == 3 * len(GENERIC_PAIRS) + 3
         for pv in vectors:
             assert kernel_membership(p, pv)
 
@@ -95,21 +96,23 @@ class TestKernelFamily:
         th = np.pi / 6
         pth = cp_threshold(th)
         p = MapParams(1.2, (pth - 1.2) / 2, (pth - 1.2) / 2, th)
-        vectors = kernel_family(p)
-        assert len(vectors) == len(DEFAULT_TRIPLES)
+        vectors = sampled_kernel_vectors(p)
+        assert len(vectors) == len(GENERIC_TRIPLES)
         for pv in vectors:
             assert np.allclose(np.abs(pv.xi), np.abs(pv.xi)[0])
 
     def test_generic_interior_unsupported(self):
-        with pytest.raises(UnsupportedCaseError):
-            kernel_family(MapParams(2, 2, 2, np.pi / 6))
+        # a strictly interior map is in no kernel case and has no kernel vector
+        p = MapParams(2, 2, 2, np.pi / 6)
+        assert has_spanning_property(p).case is None
+        assert sampled_kernel_vectors(p) == []
 
     def test_zero_pairing_invariant(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             th = generic_theta(rng)
             p = surface_point(rng, th)
-            for pv in kernel_family(p):
+            for pv in sampled_kernel_vectors(p):
                 z = pv.tensor()
                 value = pairing(np.outer(z, z.conj()), p)
                 scale = float(np.vdot(z, z).real)

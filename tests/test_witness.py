@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
+import choimaps.witness
 from choimaps import (
-    MapParams,
-    NoDetectingChoiceError,
+    InternalConsistencyError,
     OutOfRangeError,
     ThetaOutOfRangeError,
     alpha_range,
     build_witness,
     cp_threshold,
-    edge_kernel_vectors,
     edge_state,
-    equal_subtraction_restriction,
     has_cospanning_property,
     has_spanning_property,
     hermitian_eigenvalues,
@@ -19,7 +17,9 @@ from choimaps import (
     partial_transpose,
     solve_beta_gamma,
 )
+from choimaps.cli import main
 from choimaps.witness import detection_closed_form, witness_matrix
+from lemmas import edge_kernel_vectors, equal_subtraction_restriction
 
 
 class TestAlphaRange:
@@ -104,6 +104,20 @@ class TestBuildWitness:
                 spec = build_witness(th, b)
                 closed = detection_closed_form(th, b, spec.alpha_tilde, spec.b_slot, spec.c_slot)
                 assert spec.detection_value == pytest.approx(closed, abs=1e-9)
+
+    def test_trace_pairing_off_the_identity_fails_the_self_check(self, capsys, monkeypatch):
+        # the family pairing identity checks the trace pairing of every witness:
+        # an error of 1e-6 is far above RESIDUE_REL times the size of its terms
+        def off(a, c):
+            return pairing_value(a, c) + 1e-6
+
+        monkeypatch.setattr(choimaps.witness, "pairing_value", off)
+        with pytest.raises(InternalConsistencyError, match="family pairing identity"):
+            build_witness(np.pi / 6, 1.0)
+        assert main(["witness", "pi/6", "1.0", "--json"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("witness: internal consistency check failed: ")
 
     def test_validations(self):
         spec = build_witness(np.pi / 6, 1.0, 1.14)
