@@ -6,9 +6,12 @@ product vectors.  Per direction the largest subtractable weight equals the
 infimum over product vectors of the ratio (pairing with the map) /
 (pairing with the direction), which stays meaningful even where boundary
 violations are cubically suppressed and the plain bisection-on-the-oracle
-test loses resolution.  The probe refines it from a grid by Dinkelbach
-rounds, each one iteration of the oracle's descent (``refine_steps`` caps
-them per direction).  The two named vertices also get a closed-form
+test loses resolution.  The probe refines it by Dinkelbach rounds, each
+one iteration of the oracle's descent (``refine_steps`` caps them per
+direction), from the smaller of the best grid ratio and the exact kernel
+limit; that limit is the infimum along curves into the sampled kernel
+vectors, so a valid upper bound, and the first round tests whether any
+product vector beats it.  The two named vertices also get a closed-form
 optimality certificate extracted from the probe families the proof uses.
 """
 
@@ -234,7 +237,9 @@ def _ratio_on_grid(kernel: Array, matrices: Array, xi: Array) -> Array:
         return np.where(denom > 0, 1.0 / denom, np.inf)
 
 
-def _dinkelbach(w: Array, kernel: Array, v: Array, xi: Array, ratios: Array, run: int, steps: int) -> float:
+def _dinkelbach(
+    w: Array, kernel: Array, v: Array, xi: Array, ratios: Array, run: int, steps: int, bound: float
+) -> float:
     """Smallest ratio of the direction ``v`` reached by Dinkelbach rounds (W.
     Dinkelbach, Management Science 13:492, 1967) from the ``_sphere_grid``
     vectors ``xi`` of phase-run length ``run`` with their ``ratios``: one
@@ -242,12 +247,16 @@ def _dinkelbach(w: Array, kernel: Array, v: Array, xi: Array, ratios: Array, run
     the exact ratios at the new xi; no round raises r.  Stops after ``steps``
     rounds, when r falls by less than _DINKELBACH_STOP r, or at a tenth of
     the zero weight CERTIFIED_ZERO.
+    r starts at min(best grid ratio, ``bound``), the direction's exact kernel
+    limit (an infimum along curves into kernel vectors, so never below the
+    true infimum): the first round asks whether any product vector beats it,
+    and where the descended starts do not, the rounds stop at ``bound``.
     The starts are the best cells of the 20 best moduli patterns
     (``_distinct_starts``), so a descent drawn to a kernel vector (where the
     ratio only tends to its kernel limit) does not decide alone.
     """
     starts = _distinct_starts(ratios, xi, run, 20)
-    xi, r = xi[starts], float(ratios[starts[0]])
+    xi, r = xi[starts], min(float(ratios[starts[0]]), bound)
     vv = np.outer(v, v.conj())
     for _ in range(steps):
         if not CERTIFIED_ZERO / 10 < r < math.inf:
@@ -279,8 +288,8 @@ _TANGENTS = np.vstack([np.eye(12), np.eye(12)[_PAIRS[0]] + np.eye(12)[_PAIRS[1]]
 def _tangent_jacobian(xi0: Array, eta0: Array) -> Array:
     """Complex 9x12 matrix J with J x = dxi (x) eta0 + xi0 (x) deta, the
     first-order change of xi0 (x) eta0 along the real tangent x."""
-    first = np.kron(np.eye(3), eta0[:, None])  # columns e_i (x) eta0
-    second = np.kron(xi0[:, None], np.eye(3))  # columns xi0 (x) e_j
+    first = (np.eye(3)[:, None, :] * eta0[None, :, None]).reshape(9, 3)  # columns e_i (x) eta0
+    second = (xi0[:, None, None] * np.eye(3)[None, :, :]).reshape(9, 3)  # columns xi0 (x) e_j
     return np.hstack([first, 1j * first, second, 1j * second])
 
 
@@ -288,7 +297,7 @@ def _kernel_hessian(w: Array, xi0: Array, eta0: Array) -> tuple[Array, Array]:
     """Eigendecomposition of the 12x12 real Hessian of the map pairing along
     the product manifold at a kernel point (validates the vanishing linear
     term along every evaluated tangent)."""
-    z0 = np.kron(xi0, eta0)
+    z0 = np.outer(xi0, eta0).ravel()
     wz0 = w @ z0.conj()
     scale = max(1.0, float(np.linalg.norm(wz0)) * float(np.linalg.norm(z0)))
 
@@ -354,11 +363,13 @@ def optimality_probe(
 
     Directions sweep the unit sphere of the kernel orthocomplement (the full
     space when no kernel vector is known).  Per direction the measured
-    quantity is the infimum over product vectors of the pairing ratio: the
-    smaller of its exact limits at the kernel vectors and ``_dinkelbach``
-    from the best grid cells, whose rounds (one descent iteration each)
-    ``refine_steps`` caps; no direction counts above ``_P_MAX``.  A candidate
-    above the not-optimal threshold is re-verified against the
+    quantity is the infimum over product vectors of the pairing ratio, by
+    ``_dinkelbach`` rounds (one descent iteration each, at most
+    ``refine_steps``) from the smaller of the best grid ratio and the exact
+    limit at the kernel vectors; that limit is the infimum along curves into
+    them, so a valid upper bound, and the first round tests whether any
+    product vector beats it.  No direction counts above ``_P_MAX``.  A
+    candidate above the not-optimal threshold is re-verified against the
     block-positivity oracle.  Raises OutOfRangeError unless n_directions >= 1,
     grid_n >= 1 and refine_steps >= 0.
     """
@@ -400,10 +411,9 @@ def optimality_probe(
             if r_best <= 0.0:
                 break
         if r_best > CERTIFIED_ZERO / 10:
-            refined = _dinkelbach(
-                w, kernel, directions[d], xi_grid, grid_ratios[d], grid_n * grid_n, refine_steps
+            r_best = _dinkelbach(
+                w, kernel, directions[d], xi_grid, grid_ratios[d], grid_n * grid_n, refine_steps, r_best
             )
-            r_best = min(r_best, refined)
         per_direction[d] = min(r_best, _P_MAX)
         if per_direction[d] > best:
             best = per_direction[d]

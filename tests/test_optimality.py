@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -23,9 +24,19 @@ from choimaps import (
     subtraction_budget,
     vertex_optimality_analytic,
 )
+from choimaps import optimality, positivity
 from choimaps.errors import InternalConsistencyError
 from choimaps.maps import apply_map
-from choimaps.optimality import _directions, _kernel_hessian, _penalty_rows
+from choimaps.optimality import (
+    _dinkelbach,
+    _directions,
+    _kernel_hessian,
+    _kernel_limit_ratio,
+    _penalty_rows,
+    _ratio_on_grid,
+    _tangent_jacobian,
+)
+from choimaps.positivity import _kernel_matrix, _sphere_grid
 from choimaps.spanning import sampled_kernel_vectors
 
 
@@ -294,6 +305,16 @@ def test_batched_kernel_hessian_matches_loop():
             assert np.abs(rows - np.stack([amp.real, amp.imag], axis=1)).max() <= 1e-12
 
 
+def test_tangent_jacobian_matches_kronecker_build():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        xi0, eta0 = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        first = np.kron(np.eye(3), eta0[:, None])
+        second = np.kron(xi0[:, None], np.eye(3))
+        expected = np.hstack([first, 1j * first, second, 1j * second])
+        assert np.array_equal(_tangent_jacobian(xi0, eta0), expected)
+
+
 def test_non_stationary_point_is_an_internal_error():
     w = choi_matrix(MapParams(2, 2, 2, np.pi / 6))
     xi = eta = np.array([1.0, 0.5, 0.25], dtype=complex)
@@ -365,3 +386,71 @@ def test_refined_weight_is_tight(p):
     w = choi_matrix(p)
     assert block_positivity_oracle(w - 0.5 * r * vv).min_value >= -1e-9
     assert block_positivity_oracle(w - 2.0 * r * vv).min_value < -1e-9
+
+
+_F_ABC = MapParams(1, (_PTH - 1) / 3, 2 * (_PTH - 1) / 3, np.pi / 6)
+
+
+def test_e_ab_rounds_start_at_the_kernel_limit(monkeypatch):
+    # Started from the grid ratio instead, the rounds crawl towards the
+    # kernel limit for 28-34 descent iterations per direction.
+    rounds, inside = [], []  # descent iterations of each _dinkelbach call
+    newton = positivity._newton_candidates
+
+    def counting_newton(*args):
+        if inside:
+            rounds[-1] += 1
+        return newton(*args)
+
+    def counting_dinkelbach(*args):
+        rounds.append(0)
+        inside.append(True)
+        try:
+            return _dinkelbach(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(positivity, "_newton_candidates", counting_newton)
+    monkeypatch.setattr(optimality, "_dinkelbach", counting_dinkelbach)
+    assert optimality_probe(_E_AB, n_directions=4).verdict == "not_optimal"
+    assert len(rounds) == 4
+    assert max(rounds) <= 2
+
+
+# At this f_ab point (a bench/strata draw) the unseeded rounds of directions
+# 2 and 3 pass below the kernel limit towards an interior minimum, 0.35878
+# and 0.34239, while the seeded rounds find no product vector below the
+# limits 0.36632 and 0.34496 in their first round and stop.  The largest
+# direction, and so max_subtractable, is the same either way.
+_F_AB_BELOW_LIMIT = MapParams(1.125292359574031, 2.082723915475503, 0.0, -1.393597384786379)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        _F_AB,
+        _F_ABC,
+        _E_AB,
+        pytest.param(
+            _F_AB_BELOW_LIMIT,
+            marks=pytest.mark.xfail(strict=True, reason="seeded rounds stop at the kernel limit"),
+        ),
+    ],
+    ids=["f_ab", "f_abc", "e_ab", "f_ab_below_limit"],
+)
+def test_seeded_rounds_never_lose(p):
+    # The probe's own directions, grid and kernel limits (n_directions=4).
+    w = choi_matrix(p)
+    kernel = _kernel_matrix(w)
+    basis = np.array(orthocomplement_basis(p))
+    directions = _directions(len(basis), 4) @ basis
+    xi, _ = _sphere_grid(8, 8)
+    ratios = _ratio_on_grid(kernel, directions.reshape(-1, 3, 3), xi)
+    hessians = [(*_kernel_hessian(w, pv.xi, pv.eta), pv) for pv in sampled_kernel_vectors(p)]
+    for d, v in enumerate(directions):
+        limit = min(
+            _kernel_limit_ratio(mu, e, _penalty_rows(directions, pv.xi, pv.eta)[d]) for mu, e, pv in hessians
+        )
+        seeded = _dinkelbach(w, kernel, v, xi, ratios[d], 64, 250, limit)
+        unseeded = _dinkelbach(w, kernel, v, xi, ratios[d], 64, 250, math.inf)
+        assert seeded <= min(limit, unseeded) * (1 + 1e-12)
