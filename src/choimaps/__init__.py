@@ -23,14 +23,7 @@ from .faces import (
     face_properties,
 )
 from .linalg import hermitian_eigenvalues, numeric_rank, partial_transpose
-from .maps import (
-    MapParams,
-    apply_map,
-    choi_matrix,
-    cp_threshold,
-    edge_state,
-    pairing_value,
-)
+from .maps import MapParams, choi_matrix, cp_threshold, edge_state, pairing_value
 from .optimality import (
     CooptimalitySubtraction,
     OptimalityClassification,

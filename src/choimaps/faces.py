@@ -115,12 +115,12 @@ def boundary_parametrization(theta: float, t: float) -> tuple[float, float, floa
     """The curve of parameter triples separating the sum-threshold face from
     the product-surface edges.
 
-    For t > 0 returns (a(t), b(t), c(t)) with a + b + c = cp_threshold(theta),
-    0 <= a <= 1 and b*c = (1 - a)^2.
+    For t > 0 with t^2 a finite double returns (a(t), b(t), c(t)) with
+    a + b + c = cp_threshold(theta), 0 <= a <= 1 and b*c = (1 - a)^2.
     """
     pth = require_generic_theta(theta)
-    if not t > 0:
-        raise OutOfRangeError(f"parametrization requires t > 0, got {t}")
+    if not (t > 0 and t * t < np.inf):  # t^2 = inf would give b = inf / inf
+        raise OutOfRangeError(f"parametrization requires t > 0 with t^2 finite, got {t}")
     q = 1.0 - t + t * t
     a = 1.0 - (pth - 1.0) * t / q
     b = (pth - 1.0) * t * t / q

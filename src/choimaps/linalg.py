@@ -37,20 +37,18 @@ def as_complex(m) -> Array:
     return np.ascontiguousarray(np.asarray(m, dtype=complex))
 
 
-def hermiticity_defect(m) -> float:
-    """Largest entrywise deviation of ``m`` from its conjugate transpose."""
-    m = as_complex(m)
-    return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-
-
 def require_hermitian(m) -> Array:
-    """Validate Hermiticity within RESIDUE_ABS and return the symmetrized matrix.
+    """Validate a finite square matrix, Hermitian within RESIDUE_ABS, and
+    return the symmetrized matrix; raises NonHermitianError otherwise.
 
     The halves are summed, not halved after summing, so entries near the
     largest double do not overflow (halving a normal double is exact)."""
     m = as_complex(m)
-    defect = hermiticity_defect(m)
-    if defect > RESIDUE_ABS:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NonHermitianError(f"matrix is not square: shape {m.shape}")
+    with np.errstate(invalid="ignore"):  # an inf or NaN entry gives a NaN defect
+        defect = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+    if not defect <= RESIDUE_ABS:
         raise NonHermitianError(f"matrix is not Hermitian: defect {defect:.3e} > {RESIDUE_ABS:.1e}")
     return m / 2 + m.conj().T / 2
 
@@ -58,7 +56,7 @@ def require_hermitian(m) -> Array:
 def hermitian_eigenvalues(m) -> Array:
     """Eigenvalues of a Hermitian matrix, ascending.
 
-    Raises NonHermitianError if the symmetry defect exceeds the residue RESIDUE_ABS.
+    Raises NonHermitianError unless ``require_hermitian`` accepts ``m``.
     """
     return np.linalg.eigvalsh(require_hermitian(m))
 

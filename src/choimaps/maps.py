@@ -5,7 +5,7 @@ acts on the diagonal of its argument through the cyclic coefficient pattern
 (a, b, c) / (c, a, b) / (b, c, a) and multiplies the off-diagonal entries by
 the phases -e^{i theta} (cyclic slots (0,1), (1,2), (2,0)) and -e^{-i theta}
 (the transposed slots).  Its Choi matrix is the 9x9 block matrix with blocks
-``apply_map(e_ij)``.
+Phi(e_ij).
 """
 
 from __future__ import annotations
@@ -74,26 +74,6 @@ def cp_threshold(theta: float) -> float:
     )
 
 
-def apply_map(p: MapParams, x) -> Array:
-    """Apply the map named by ``p`` to a 3x3 matrix."""
-    x = as_complex(x)
-    if x.shape != (3, 3):
-        raise ValueError(f"apply_map requires a 3x3 argument, got {x.shape}")
-    e = complex(math.cos(p.theta), math.sin(p.theta))
-    a, b, c = p.a, p.b, p.c
-    out = np.empty((3, 3), dtype=complex)
-    out[0, 0] = a * x[0, 0] + b * x[1, 1] + c * x[2, 2]
-    out[1, 1] = c * x[0, 0] + a * x[1, 1] + b * x[2, 2]
-    out[2, 2] = b * x[0, 0] + c * x[1, 1] + a * x[2, 2]
-    out[0, 1] = -e * x[0, 1]
-    out[1, 2] = -e * x[1, 2]
-    out[2, 0] = -e * x[2, 0]
-    out[0, 2] = -e.conjugate() * x[0, 2]
-    out[1, 0] = -e.conjugate() * x[1, 0]
-    out[2, 1] = -e.conjugate() * x[2, 1]
-    return out
-
-
 # Diagonal of the Choi matrix as (a, b, c)-selectors per global index.
 _DIAG_PATTERN = ("a", "c", "b", "b", "a", "c", "c", "b", "a")
 
@@ -145,11 +125,3 @@ def edge_state(b: float, theta: float) -> Array:
         raise OutOfRangeError(f"edge state requires b > 0, got {b}")
     return choi_matrix(MapParams(2.0 * math.cos(theta), b, 1.0 / b, theta))
 
-
-def map_from_choi(w) -> Array:
-    """Block tensor of the map with Choi matrix ``w``: component (i,j,k,l)
-    multiplies X_{ik} into the output entry (j, l)."""
-    w = as_complex(w)
-    if w.shape != (9, 9):
-        raise ValueError(f"expected a 9x9 Choi matrix, got {w.shape}")
-    return w.reshape(3, 3, 3, 3)

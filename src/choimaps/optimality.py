@@ -7,12 +7,12 @@ infimum over product vectors of the ratio (pairing with the map) /
 (pairing with the direction), which stays meaningful even where boundary
 violations are cubically suppressed and the plain bisection-on-the-oracle
 test loses resolution.  The probe refines it by Dinkelbach rounds, each
-one iteration of the oracle's descent (``refine_steps`` caps them per
-direction), from the smaller of the best grid ratio and the exact kernel
-limit; that limit is the infimum along curves into the sampled kernel
-vectors, so a valid upper bound, and the first round tests whether any
-product vector beats it.  The two named vertices also get a closed-form
-optimality certificate extracted from the probe families the proof uses.
+one iteration of the oracle's descent (at most _ROUNDS per direction), from
+the smaller of the best grid ratio and the exact kernel limit; that limit is
+the infimum along curves into the sampled kernel vectors, so a valid upper
+bound, and the first round tests whether any product vector beats it.  The
+two named vertices also get a closed-form optimality certificate extracted
+from the probe families the proof uses.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ from .positivity import (
     _descend,
     _distinct_starts,
     _kernel_matrix,
+    _pairing_model,
+    _product_jacobian,
     _sphere_grid,
     block_positivity_oracle,
     is_positive,
@@ -54,6 +56,8 @@ _MIN_DRAW_NORM = 1e-6  # ``_directions`` drops draws this close to zero
 _DINKELBACH_STOP = 1e-9  # relative fall of the ratio below which the rounds stop
 _TINY = 1e-300  # a top eigenvalue at or below it leaves the kernel limit infinite
 _P_MAX = 10.0  # cap on each direction's subtractable weight in ``optimality_probe``
+_GRID_N = 8  # the probe's sphere grid, and its oracle checks
+_ROUNDS = 250  # cap on each direction's Dinkelbach rounds
 
 
 def subtraction_budget(theta: float) -> float:
@@ -237,14 +241,12 @@ def _ratio_on_grid(kernel: Array, matrices: Array, xi: Array) -> Array:
         return np.where(denom > 0, 1.0 / denom, np.inf)
 
 
-def _dinkelbach(
-    w: Array, kernel: Array, v: Array, xi: Array, ratios: Array, run: int, steps: int, bound: float
-) -> float:
+def _dinkelbach(w: Array, kernel: Array, v: Array, xi: Array, ratios: Array, run: int, bound: float) -> float:
     """Smallest ratio of the direction ``v`` reached by Dinkelbach rounds (W.
     Dinkelbach, Management Science 13:492, 1967) from the ``_sphere_grid``
     vectors ``xi`` of phase-run length ``run`` with their ``ratios``: one
     ``_descend`` iteration on W - r v v*, r the smallest ratio so far, then
-    the exact ratios at the new xi; no round raises r.  Stops after ``steps``
+    the exact ratios at the new xi; no round raises r.  Stops after _ROUNDS
     rounds, when r falls by less than _DINKELBACH_STOP r, or at a tenth of
     the zero weight CERTIFIED_ZERO.
     r starts at min(best grid ratio, ``bound``), the direction's exact kernel
@@ -258,7 +260,7 @@ def _dinkelbach(
     starts = _distinct_starts(ratios, xi, run, 20)
     xi, r = xi[starts], min(float(ratios[starts[0]]), bound)
     vv = np.outer(v, v.conj())
-    for _ in range(steps):
+    for _ in range(_ROUNDS):
         if not CERTIFIED_ZERO / 10 < r < math.inf:
             break
         xi = _descend(w - r * vv, xi, 1)[0]
@@ -273,60 +275,42 @@ def _dinkelbach(
 # Near a kernel product vector z0, both the map pairing and the subtraction
 # penalty vanish quadratically along curves z(s) = (xi0 + s dxi)(x)(eta0 +
 # s deta), so the attainable ratios converge to Q2(d) / |L d|^2 where Q2 is
-# the second derivative of the map pairing and L the first derivative of the
-# penalty amplitude.  Measuring this limit exactly avoids the eigenvalue
-# noise floor that caps a direct grid descent around 1e-9.
+# the second-order term of the map pairing and L the first derivative of the
+# penalty amplitude; Q2 is the descent's ``_pairing_model`` at y = conj(z0).
+# Measuring this limit exactly avoids the eigenvalue noise floor that caps a
+# direct grid descent around 1e-9.
 
 
-#: Real tangents x = (Re dxi, Im dxi, Re deta, Im deta) whose second
-#: derivatives give the Hessian by polarization: the 12 coordinate vectors,
-#: then e_i + e_j for each pair i < j.
-_PAIRS = np.triu_indices(12, k=1)
-_TANGENTS = np.vstack([np.eye(12), np.eye(12)[_PAIRS[0]] + np.eye(12)[_PAIRS[1]]])
-
-
-def _tangent_jacobian(xi0: Array, eta0: Array) -> Array:
-    """Complex 9x12 matrix J with J x = dxi (x) eta0 + xi0 (x) deta, the
-    first-order change of xi0 (x) eta0 along the real tangent x."""
-    first = (np.eye(3)[:, None, :] * eta0[None, :, None]).reshape(9, 3)  # columns e_i (x) eta0
-    second = (xi0[:, None, None] * np.eye(3)[None, :, :]).reshape(9, 3)  # columns xi0 (x) e_j
-    return np.hstack([first, 1j * first, second, 1j * second])
+#: One factor's real tangents x = (Re d, Im d) as a complex basis of the
+#: conjugated factor: conj(d) = [I, -iI] x.
+_CONJUGATE_BASIS = np.hstack([np.eye(3), -1j * np.eye(3)])[None]
 
 
 def _kernel_hessian(w: Array, xi0: Array, eta0: Array) -> tuple[Array, Array]:
-    """Eigendecomposition of the 12x12 real Hessian of the map pairing along
-    the product manifold at a kernel point (validates the vanishing linear
-    term along every evaluated tangent)."""
-    z0 = np.outer(xi0, eta0).ravel()
-    wz0 = w @ z0.conj()
-    scale = max(1.0, float(np.linalg.norm(wz0)) * float(np.linalg.norm(z0)))
-
-    w1 = _TANGENTS @ _tangent_jacobian(xi0, eta0).T
-    dxi = _TANGENTS[:, 0:3] + 1j * _TANGENTS[:, 3:6]
-    deta = _TANGENTS[:, 6:9] + 1j * _TANGENTS[:, 9:12]
-    w2 = np.einsum("ni,nj->nij", dxi, deta).reshape(-1, 9)
-    z0w = z0 @ w
-    linear = (w1.conj() @ z0w).real
-    limit = STATIONARY_REL * scale * np.maximum(1.0, np.linalg.norm(w1, axis=1))
-    if np.any(np.abs(linear) > limit):
-        k = int(np.argmax(np.abs(linear) / limit))
+    """Eigendecomposition of the 12x12 real Hessian Q2 of the map pairing
+    along the product manifold at a kernel point, in the coordinates
+    x = (Re dxi, Im dxi, Re deta, Im deta).  Raises InternalConsistencyError
+    unless the point is stationary: the gradient may not exceed
+    STATIONARY_REL times the scale |W conj(z0)| |z0| (at least 1)."""
+    a, b = xi0.conj()[None], eta0.conj()[None]
+    _, grad, q = _pairing_model(w, a, b, _CONJUGATE_BASIS, _CONJUGATE_BASIS)
+    y = np.kron(a[0], b[0])
+    scale = max(1.0, float(np.linalg.norm(w @ y)) * float(np.linalg.norm(y)))
+    slope = float(np.linalg.norm(grad))
+    if slope > STATIONARY_REL * scale:
         raise InternalConsistencyError(
-            "kernel point is not stationary on the product manifold: "
-            f"linear term {linear[k]!r} along tangent {k} exceeds {limit[k]!r}"
+            f"kernel point is not stationary on the product manifold: gradient norm {slope!r} "
+            f"exceeds {STATIONARY_REL * scale!r}"
         )
-    q2 = np.sum((w1 @ w) * w1.conj(), axis=1).real + 2.0 * (w2.conj() @ z0w).real
-
-    h = np.diag(q2[:12])
-    i, j = _PAIRS
-    h[i, j] = h[j, i] = (q2[12:] - q2[i] - q2[j]) / 2.0
-    mu, e = np.linalg.eigh(h)
-    return mu, e
+    return np.linalg.eigh(q[0])
 
 
 def _penalty_rows(directions: Array, xi0: Array, eta0: Array) -> Array:
     """(ndir, 2, 12) real matrices of the linearized penalty amplitudes
-    v^T w1, one per direction v."""
-    amp = directions @ _tangent_jacobian(xi0, eta0)
+    v^T J x, one per direction v, with J the Jacobian of xi0 (x) eta0 in the
+    coordinates of ``_kernel_hessian``."""
+    jac = _product_jacobian(xi0.conj()[None], eta0.conj()[None], _CONJUGATE_BASIS, _CONJUGATE_BASIS)
+    amp = directions @ jac[0].conj()
     return np.stack([amp.real, amp.imag], axis=1)
 
 
@@ -351,31 +335,23 @@ def _kernel_limit_ratio(mu: Array, e: Array, rows: Array) -> float:
     return 1.0 / top if top > _TINY else math.inf
 
 
-def optimality_probe(
-    p: MapParams,
-    n_directions: int = 64,
-    *,
-    grid_n: int = 8,
-    refine_steps: int = 250,
-) -> OptimalityProbeReport:
+def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeReport:
     """Probe whether a completely positive direction can be subtracted from
     the map while keeping it block-positive.
 
     Directions sweep the unit sphere of the kernel orthocomplement (the full
     space when no kernel vector is known).  Per direction the measured
     quantity is the infimum over product vectors of the pairing ratio, by
-    ``_dinkelbach`` rounds (one descent iteration each, at most
-    ``refine_steps``) from the smaller of the best grid ratio and the exact
-    limit at the kernel vectors; that limit is the infimum along curves into
-    them, so a valid upper bound, and the first round tests whether any
-    product vector beats it.  No direction counts above ``_P_MAX``.  A
-    candidate above the not-optimal threshold is re-verified against the
-    block-positivity oracle.  Raises OutOfRangeError unless n_directions >= 1,
-    grid_n >= 1 and refine_steps >= 0.
+    ``_dinkelbach`` rounds from the smaller of the best ratio on the grid
+    of _GRID_N and the exact limit at the kernel vectors; that limit is the
+    infimum along curves into them, so a valid upper bound, and the first
+    round tests whether any product vector beats it.  No direction counts
+    above ``_P_MAX``.  A candidate above the not-optimal threshold is
+    re-verified against the block-positivity oracle.  Raises OutOfRangeError
+    unless n_directions >= 1.
     """
-    if n_directions < 1 or grid_n < 1 or refine_steps < 0:
-        got = f"{n_directions}, {grid_n}, {refine_steps}"
-        raise OutOfRangeError(f"n_directions and grid_n must be >= 1 and refine_steps >= 0, got {got}")
+    if n_directions < 1:
+        raise OutOfRangeError(f"n_directions must be >= 1, got {n_directions}")
     w = choi_matrix(p)
     kernel = _kernel_matrix(w)
 
@@ -393,7 +369,7 @@ def optimality_probe(
 
     basis_mat = np.array(basis)  # (dim, 9)
     directions = _directions(len(basis), n_directions) @ basis_mat  # (ndir, 9)
-    xi_grid, _ = _sphere_grid(grid_n, grid_n)
+    xi_grid, _ = _sphere_grid(_GRID_N, _GRID_N)
     grid_ratios = _ratio_on_grid(kernel, directions.reshape(-1, 3, 3), xi_grid)
 
     limits = [
@@ -411,9 +387,7 @@ def optimality_probe(
             if r_best <= 0.0:
                 break
         if r_best > CERTIFIED_ZERO / 10:
-            r_best = _dinkelbach(
-                w, kernel, directions[d], xi_grid, grid_ratios[d], grid_n * grid_n, refine_steps, r_best
-            )
+            r_best = _dinkelbach(w, kernel, directions[d], xi_grid, grid_ratios[d], _GRID_N * _GRID_N, r_best)
         per_direction[d] = min(r_best, _P_MAX)
         if per_direction[d] > best:
             best = per_direction[d]
@@ -425,8 +399,8 @@ def optimality_probe(
         verdict = "optimal"
     elif best > CERTIFIED_SIGN:
         vv = np.outer(best_dir, best_dir.conj())
-        keep = block_positivity_oracle(w - 0.5 * best * vv, grid_n=grid_n)
-        brk = block_positivity_oracle(w - min(2.0 * best, _P_MAX) * vv, grid_n=grid_n).min_value
+        keep = block_positivity_oracle(w - 0.5 * best * vv, grid_n=_GRID_N)
+        brk = block_positivity_oracle(w - min(2.0 * best, _P_MAX) * vv, grid_n=_GRID_N).min_value
         verification = {"oracle_at_half": keep.min_value, "oracle_at_double": brk}
         if keep.status == "nonnegative":
             verdict = "not_optimal"

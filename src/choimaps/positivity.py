@@ -16,8 +16,11 @@ ranks a deterministic grid on the unit sphere of C^3 by the closed-form
 smallest eigenvalue of a 3x3 Hermitian matrix, then runs a batched descent
 from the best cells that alternates exact minimizations over the two factors
 of the product vector and adds second-order (Newton) steps on both.  The map
-acts on a stack of projectors as one matmul with a 9x9 kernel matrix.  The
-optimality probe shares the descent, ``_descend``.
+acts on a stack of projectors as one matmul with a 9x9 kernel matrix; it is
+the package's only way to apply a map.  The optimality probe shares the
+descent, ``_descend``, and its second-order model of the pairing on the
+product manifold, ``_pairing_model``: the Newton step takes it at every
+start, the probe at every kernel vector.
 
 A Choi matrix that vanishes off the covariant slots ``_COVARIANT`` (every
 family Choi matrix, edge state and witness) gives a map with
@@ -40,10 +43,11 @@ import numpy as np
 from .errors import OutOfRangeError
 from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK
 from .linalg import Array, require_hermitian
-from .maps import MapParams, cp_threshold, map_from_choi
+from .maps import MapParams, cp_threshold
 
 _DESCENT_STOP = 1e-15  # relative decrease below which ``_descend`` stops
 _TINY = 1e-300  # keeps the Newton floor positive where every curvature vanishes
+_REFINE_STEPS = 200  # cap on the oracle's descent iterations
 
 
 # One body per predicate, on the coordinates and pth = cp_threshold(theta)
@@ -196,7 +200,7 @@ def _kernel_matrix(w: Array) -> Array:
     K.T acts on the second tensor factor instead: vec(Y) K.T is the matrix
     M with M_{ik} = sum_{jl} Y_{jl} W[i,j,k,l].
     """
-    return map_from_choi(w).transpose(0, 2, 1, 3).reshape(9, 9)
+    return w.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
 
 
 def _apply_kernel(kernel: Array, x: Array) -> Array:
@@ -247,38 +251,54 @@ def _smallest_eigenvalues(a: Array) -> Array:
     return np.where(r > 0.0, m - np.sqrt(gap2) / 2.0, low)
 
 
+def _product_jacobian(a: Array, b: Array, da: Array, db: Array) -> Array:
+    """(n, 9, 2k) complex Jacobian J of y(x) = (a + da x_a) (x) (b + db x_b)
+    at x = 0, for the (n, 3) factors ``a``, ``b`` and the (n, 3, k) tangent
+    bases ``da``, ``db``: J x = (da x_a) (x) b + a (x) (db x_b)."""
+    n = len(a)
+    first = (da[:, :, None, :] * b[:, None, :, None]).reshape(n, 9, -1)
+    second = (a[:, :, None, None] * db[:, None, :, :]).reshape(n, 9, -1)
+    return np.concatenate([first, second], axis=2)
+
+
+def _pairing_model(w: Array, a: Array, b: Array, da: Array, db: Array) -> tuple[Array, Array, Array]:
+    """The second-order model of the pairing y* W y on the product manifold,
+    at the n points y = a (x) b along y(x) = (a + da x_a) (x) (b + db x_b),
+    batched over the (n, 3) factors and the (n, 3, k) complex tangent bases.
+
+    Returns (J, g, Q): the Jacobian J of ``_product_jacobian``, the gradient
+    g = 2 Re(J* W y) and the symmetric Q = Re(J* W J) plus the da (x) db
+    cross block, so that y(x)* W y(x) = y* W y + g.x + x^T Q x + O(|x|^3)
+    in the 2k real coordinates x = (x_a, x_b).
+    """
+    n, k = len(a), da.shape[2]
+    jac = _product_jacobian(a, b, da, db)
+    wy = (a[:, :, None] * b[:, None, :]).reshape(n, 9) @ w.T
+    grad = 2.0 * np.einsum("nik,ni->nk", jac.conj(), wy).real
+    q = np.einsum("nik,ij,njl->nkl", jac.conj(), w, jac).real
+    cross = np.einsum("nij,nik,njl->nkl", wy.conj().reshape(n, 3, 3), da, db).real
+    q[:, :k, k:] += cross
+    q[:, k:, :k] += cross.transpose(0, 2, 1)
+    return jac, grad, q
+
+
 def _newton_candidates(w: Array, xi: Array, value: Array, evecs: Array) -> list[Array]:
     """Second-order candidates for the next first factor of each start.
 
     With a = conj(xi) and b = conj(eta), the smallest eigenvector of
     Phi(xi xi*) in ``evecs`` (whose other two columns span b's complement),
-    the pairing is the Hermitian form y* W y at y = a (x) b, with value h =
-    ``value`` (the smallest eigenvalue).  Along unit tangents
-    da = A(t_1 + i t_2) and db = B(t_3 + i t_4), with A and B orthonormal
-    bases of the complements of a and b, it is h + g.x + x^T Q x to second
-    order in the 8 real coordinates x, where
-    Q = Re(J* W J) + (the da (x) db terms) - h I and J is the tangent map.
-    Returns the Newton step with |eigenvalues| of Q (so a saddle repels it),
-    and, where Q has negative curvature, steps of 0.5 and 0.05 along it.
+    the pairing is y* W y at y = a (x) b, with value h = ``value``.  Along
+    da = A(t_1 + i t_2) and db = B(t_3 + i t_4), A and B orthonormal bases
+    of the complements of a and b, the ``_pairing_model`` g and Q give the
+    pairing on the unit sphere as h + g.x + x^T (Q - h I) x.  Returns the
+    Newton step with |eigenvalues| of Q - h I (so a saddle repels it), and,
+    where it has negative curvature, steps of 0.5 and 0.05 along it.
     """
-    n = len(xi)
     a, b = xi.conj(), evecs[:, :, 0]
     a_perp = np.linalg.eigh(a[:, :, None] * xi[:, None, :])[1][:, :, :2]
     da = np.concatenate([a_perp, 1j * a_perp], axis=2)
     db = np.concatenate([evecs[:, :, 1:], 1j * evecs[:, :, 1:]], axis=2)
-    jac = np.concatenate(
-        [
-            (da[:, :, None, :] * b[:, None, :, None]).reshape(n, 9, 4),
-            (a[:, :, None, None] * db[:, None, :, :]).reshape(n, 9, 4),
-        ],
-        axis=2,
-    )
-    wy = (a[:, :, None] * b[:, None, :]).reshape(n, 9) @ w.T
-    grad = 2.0 * np.einsum("nik,ni->nk", jac.conj(), wy).real
-    q = np.einsum("nik,ij,njl->nkl", jac.conj(), w, jac).real
-    cross = np.einsum("nij,nik,njl->nkl", wy.conj().reshape(n, 3, 3), da, db).real
-    q[:, :4, 4:] += cross
-    q[:, 4:, :4] += cross.transpose(0, 2, 1)
+    _, grad, q = _pairing_model(w, a, b, da, db)
     q -= value[:, None, None] * np.eye(8)
 
     mu, e = np.linalg.eigh(q)
@@ -329,24 +349,25 @@ def _descend(w: Array, xi: Array, steps: int) -> tuple[Array, Array, Array]:
     return xi, value, evecs
 
 
-def block_positivity_oracle(
-    w, grid_n: int = 16, refine_steps: int = 200
-) -> BlockPositivityReport:
-    """Minimize the smallest eigenvalue of the map with Choi matrix ``w``
-    applied to rank-1 projectors, over the unit sphere of C^3: of the grid
-    cells (``_scan_grid``), ranked by the closed-form smallest eigenvalue,
-    the best cell of each of the 10 best moduli patterns
-    (``_distinct_starts``) starts ``_descend`` for at most ``refine_steps``
+def block_positivity_oracle(w, grid_n: int = 16) -> BlockPositivityReport:
+    """Minimize the smallest eigenvalue of the map with the 9x9 Choi matrix
+    ``w`` applied to rank-1 projectors, over the unit sphere of C^3: of the
+    grid cells (``_scan_grid``), ranked by the closed-form smallest
+    eigenvalue, the best cell of each of the 10 best moduli patterns
+    (``_distinct_starts``) starts ``_descend`` for at most _REFINE_STEPS
     iterations.  A covariant W, zero off ``_COVARIANT``, has a spectrum of
     Phi(xi xi*) that depends on |xi| only, so it scans the real moduli grid
     of (4(grid_n - 1) + 1)^2 cells; any other W scans the grid_n^4 cells of
     moduli and phases.  Reported values come from LAPACK at the reported
     point, and ties resolve to the lexicographically first cell.  Raises
-    OutOfRangeError unless grid_n >= 1 and refine_steps >= 0.
+    OutOfRangeError unless grid_n >= 1, NonHermitianError unless ``w`` is a
+    finite Hermitian matrix and ValueError unless it is 9x9.
     """
-    if grid_n < 1 or refine_steps < 0:
-        raise OutOfRangeError(f"grid_n must be >= 1 and refine_steps >= 0, got {grid_n}, {refine_steps}")
+    if grid_n < 1:
+        raise OutOfRangeError(f"grid_n must be >= 1, got {grid_n}")
     w = require_hermitian(w)
+    if w.shape != (9, 9):
+        raise ValueError(f"expected a 9x9 Choi matrix, got {w.shape}")
     kernel = _kernel_matrix(w)
     xi_grid, projectors, run = _scan_grid(w, grid_n)
     images = _apply_kernel(kernel, projectors)
@@ -358,7 +379,7 @@ def block_positivity_oracle(
 
     evals, evecs = np.linalg.eigh(images[starts[:1]])
     grid_value, grid_xi, grid_vec = float(evals[0, 0]), xi_grid[starts[0]], evecs[0, :, 0]
-    xi, value, evecs = _descend(w, xi_grid[starts], refine_steps)
+    xi, value, evecs = _descend(w, xi_grid[starts], _REFINE_STEPS)
 
     best = int(np.argmin(value))
     refined = bool(value[best] < grid_value)

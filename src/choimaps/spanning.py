@@ -24,8 +24,8 @@ import numpy as np
 from .errors import InternalConsistencyError, NotPositiveMapError, UnsupportedCaseError
 from .faces import FaceKind, FaceLabel, classify_face, require_generic_theta
 from .linalg import FACE_TOL, INCLUSION_SLACK, RESIDUE_REL, Array, numeric_rank
-from .maps import MapParams, apply_map
-from .positivity import is_positive, on_sum_at, on_surface_at
+from .maps import MapParams, choi_matrix
+from .positivity import _apply_kernel, _kernel_matrix, is_positive, on_sum_at, on_surface_at
 
 #: Unimodular phase samples of the nine canonical determinant columns: pairs
 #: feed the three-vector boundary families, triples the equal-modulus family.
@@ -79,7 +79,8 @@ def kernel_membership(p: MapParams, pv: ProductVector) -> bool:
     if not is_positive(p):
         raise NotPositiveMapError(f"map {p} is not positive")
     xi, eta = pv.xi, pv.eta
-    residue = np.linalg.norm(apply_map(p, np.outer(xi, xi.conj())) @ eta.conj())
+    image = _apply_kernel(_kernel_matrix(choi_matrix(p)), np.outer(xi, xi.conj()))[0]
+    residue = np.linalg.norm(image @ eta.conj())
     scale = float(np.vdot(xi, xi).real) * float(np.linalg.norm(eta))
     return residue <= RESIDUE_REL * scale
 

@@ -1,9 +1,10 @@
 """Paper lemmas that more than one test module checks the package against.
 
 No verdict of the package reaches them, so they live beside the tests as
-independent references: the pairing with a family member, the phase
-circulant that decides complete positivity, and the kernel vectors and the
-equal-subtraction restriction of the {6,8} edge states.
+independent references: the map itself entry by entry, the pairing with a
+family member, the phase circulant that decides complete positivity, and the
+kernel vectors and the equal-subtraction restriction of the {6,8} edge
+states.
 """
 
 import cmath
@@ -14,6 +15,27 @@ import numpy as np
 from choimaps import InternalConsistencyError, MapParams, OutOfRangeError, choi_matrix, edge_state
 from choimaps import pairing_value, partial_transpose
 from choimaps.linalg import RESIDUE_ABS, require_hermitian
+
+
+def apply_map(p: MapParams, x) -> np.ndarray:
+    """Apply the map named by ``p`` to a 3x3 matrix, entry by entry: the
+    package applies it only through the matmul kernel of its Choi matrix."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (3, 3):
+        raise ValueError(f"apply_map requires a 3x3 argument, got {x.shape}")
+    e = complex(math.cos(p.theta), math.sin(p.theta))
+    a, b, c = p.a, p.b, p.c
+    out = np.empty((3, 3), dtype=complex)
+    out[0, 0] = a * x[0, 0] + b * x[1, 1] + c * x[2, 2]
+    out[1, 1] = c * x[0, 0] + a * x[1, 1] + b * x[2, 2]
+    out[2, 2] = b * x[0, 0] + c * x[1, 1] + a * x[2, 2]
+    out[0, 1] = -e * x[0, 1]
+    out[1, 2] = -e * x[1, 2]
+    out[2, 0] = -e * x[2, 0]
+    out[0, 2] = -e.conjugate() * x[0, 2]
+    out[1, 0] = -e.conjugate() * x[1, 0]
+    out[2, 1] = -e.conjugate() * x[2, 1]
+    return out
 
 
 def pairing(a, p: MapParams) -> float:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import choimaps
-from choimaps import NonHermitianError, hermitian_eigenvalues, numeric_rank, partial_transpose
+from choimaps import NonHermitianError, block_positivity_oracle, hermitian_eigenvalues, numeric_rank
+from choimaps import partial_transpose
 from choimaps.linalg import RANK_REL, require_hermitian
 from lemmas import phase_circulant
 
@@ -53,6 +54,19 @@ def test_symmetrizing_near_the_largest_double():
     rng = np.random.default_rng(3)
     h = random_hermitian(rng, 9) + 1e-12 * rng.normal(size=(9, 9))
     assert np.array_equal(require_hermitian(h), (h + h.conj().T) / 2)
+
+
+@pytest.mark.parametrize("call", [hermitian_eigenvalues, block_positivity_oracle])
+@pytest.mark.parametrize(
+    "m",
+    [np.full((9, 9), np.nan), np.diag(np.full(9, np.inf)), np.zeros((2, 3))],
+    ids=["nan", "inf", "not_square"],
+)
+def test_non_finite_or_non_square_is_not_hermitian(call, m):
+    # NaN > RESIDUE_ABS is False: the check must reject a NaN defect, not
+    # pass it on to an eigensolver that does not converge
+    with pytest.raises(NonHermitianError):
+        call(m)
 
 
 def test_hermiticity_defect_edge():

@@ -6,7 +6,6 @@ from choimaps import (
     NonHermitianError,
     OutOfRangeError,
     ThetaOutOfRangeError,
-    apply_map,
     block_positivity_oracle,
     boundary_parametrization,
     choi_matrix,
@@ -19,7 +18,7 @@ from choimaps import (
     partial_transpose,
 )
 from choimaps.linalg import INCLUSION_SLACK
-from lemmas import edge_kernel_vectors, equal_subtraction_restriction, pairing, phase_circulant
+from lemmas import apply_map, edge_kernel_vectors, equal_subtraction_restriction, pairing, phase_circulant
 
 
 def random_params(rng, amax=2.5):
@@ -252,12 +251,14 @@ _VERTEX = MapParams(2.0, 0.0, 0.0, np.pi / 6)
         lambda: edge_kernel_vectors(-1.0, np.pi / 6),
         lambda: equal_subtraction_restriction(0.0, np.pi / 6),
         lambda: boundary_parametrization(np.pi / 6, 0.0),
+        lambda: boundary_parametrization(np.pi / 6, np.inf),
+        lambda: boundary_parametrization(np.pi / 6, 1e200),
         lambda: block_positivity_oracle(np.eye(9), grid_n=0),
-        lambda: block_positivity_oracle(np.eye(9), refine_steps=-1),
         lambda: optimality_probe(_VERTEX, n_directions=0),
     ],
     ids=["edge_state", "edge_kernel_vectors", "equal_subtraction_restriction",
-         "boundary_parametrization", "oracle_grid", "oracle_steps", "probe_directions"],
+         "boundary_parametrization", "boundary_parametrization_inf", "boundary_parametrization_huge",
+         "oracle_grid", "probe_directions"],
 )
 def test_bad_scalar_argument_is_out_of_range(call):
     with pytest.raises(OutOfRangeError):

@@ -26,7 +26,6 @@ from choimaps import (
 )
 from choimaps import optimality, positivity
 from choimaps.errors import InternalConsistencyError
-from choimaps.maps import apply_map
 from choimaps.optimality import (
     _dinkelbach,
     _directions,
@@ -34,10 +33,10 @@ from choimaps.optimality import (
     _kernel_limit_ratio,
     _penalty_rows,
     _ratio_on_grid,
-    _tangent_jacobian,
 )
 from choimaps.positivity import _kernel_matrix, _sphere_grid
 from choimaps.spanning import sampled_kernel_vectors
+from lemmas import apply_map
 
 
 PTH = cp_threshold(np.pi / 6)
@@ -305,16 +304,6 @@ def test_batched_kernel_hessian_matches_loop():
             assert np.abs(rows - np.stack([amp.real, amp.imag], axis=1)).max() <= 1e-12
 
 
-def test_tangent_jacobian_matches_kronecker_build():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        xi0, eta0 = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-        first = np.kron(np.eye(3), eta0[:, None])
-        second = np.kron(xi0[:, None], np.eye(3))
-        expected = np.hstack([first, 1j * first, second, 1j * second])
-        assert np.array_equal(_tangent_jacobian(xi0, eta0), expected)
-
-
 def test_non_stationary_point_is_an_internal_error():
     w = choi_matrix(MapParams(2, 2, 2, np.pi / 6))
     xi = eta = np.array([1.0, 0.5, 0.25], dtype=complex)
@@ -330,10 +319,7 @@ _F_AB = MapParams(1.5, 0.5, 0, np.pi / 6)
     [
         ("probe", {"n_directions": 0}),
         ("probe", {"n_directions": -3}),
-        ("probe", {"grid_n": 0}),
-        ("probe", {"refine_steps": -1}),
         ("oracle", {"grid_n": 0}),
-        ("oracle", {"refine_steps": -1}),
     ],
 )
 def test_bad_budgets_are_value_errors(call, kwargs):
@@ -451,6 +437,6 @@ def test_seeded_rounds_never_lose(p):
         limit = min(
             _kernel_limit_ratio(mu, e, _penalty_rows(directions, pv.xi, pv.eta)[d]) for mu, e, pv in hessians
         )
-        seeded = _dinkelbach(w, kernel, v, xi, ratios[d], 64, 250, limit)
-        unseeded = _dinkelbach(w, kernel, v, xi, ratios[d], 64, 250, math.inf)
+        seeded = _dinkelbach(w, kernel, v, xi, ratios[d], 64, limit)
+        unseeded = _dinkelbach(w, kernel, v, xi, ratios[d], 64, math.inf)
         assert seeded <= min(limit, unseeded) * (1 + 1e-12)

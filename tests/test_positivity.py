@@ -23,7 +23,6 @@ from choimaps import (
     partial_transpose,
 )
 from choimaps.linalg import CERTIFIED_ZERO, INCLUSION_SLACK, RESIDUE_REL
-from choimaps.maps import apply_map, map_from_choi
 from choimaps.optimality import _directions, _ratio_on_grid, orthocomplement_basis
 from choimaps.positivity import (
     _COVARIANT,
@@ -31,12 +30,13 @@ from choimaps.positivity import (
     _descend,
     _distinct_starts,
     _kernel_matrix,
+    _pairing_model,
     _scan_grid,
     _smallest_eigenvalues,
     _sphere_grid,
     on_surface_at,
 )
-from lemmas import pairing
+from lemmas import apply_map, pairing
 
 
 def random_params(rng, amax=2.5):
@@ -257,8 +257,6 @@ class TestCubicForm:
         # det of the map applied to a rank-1 projector equals the form at
         # the squared moduli (phases cancel)
         rng = np.random.default_rng(4)
-        from choimaps import apply_map
-
         for _ in range(100):
             p = random_params(rng)
             v = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -359,12 +357,12 @@ class TestBlockPositivityOracle:
     def test_vertex_map_is_block_positive(self):
         th = np.pi / 6
         w = choi_matrix(MapParams(1, cp_threshold(th) - 1, 0, th))
-        report = block_positivity_oracle(w, grid_n=10, refine_steps=120)
+        report = block_positivity_oracle(w, grid_n=10)
         assert report.min_value >= -1e-6
 
     def test_violating_map_yields_witness(self):
         p = MapParams(0.5, 0.1, 0.1, np.pi / 6)
-        report = block_positivity_oracle(choi_matrix(p), grid_n=10, refine_steps=120)
+        report = block_positivity_oracle(choi_matrix(p), grid_n=10)
         assert report.min_value < -1e-4
         assert report.status == "negative"
         # the reported product vector reproduces the reported minimum
@@ -381,7 +379,7 @@ class TestBlockPositivityOracle:
         w = edge_state(1.0, np.pi / 6)
         u = np.kron(*_random_unitaries(np.random.default_rng(0), 2))
         for m, cells in ((w, 29**2), (u @ w @ u.conj().T, 8**4)):
-            report = block_positivity_oracle(m, grid_n=8, refine_steps=80)
+            report = block_positivity_oracle(m, grid_n=8)
             assert report.min_value >= -1e-9
             assert report.status == "nonnegative"
             assert report.grid_points == cells
@@ -448,6 +446,35 @@ def test_kernel_matmul_is_the_map(seed):
     assert abs(np.vdot(u, second @ u) - value) <= 1e-10 * max(1.0, abs(value))
 
 
+def test_pairing_model_is_second_order():
+    # y(x)* W y(x) - (y* W y + g.x + x^T Q x) is O(|x|^3): halving x from
+    # |x| = 1e-2 divides it by about 8, at least by 6
+    rng = np.random.default_rng(21)
+    n, k = 16, 2
+    g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    w = (g + g.conj().T) / 2
+    bases = []
+    for _ in range(2):  # unit factor and orthonormal basis of its complement
+        q = np.linalg.qr(rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))).Q
+        bases.append((q[:, :, 0], np.concatenate([q[:, :, 1:], 1j * q[:, :, 1:]], axis=2)))
+    (a, da), (b, db) = bases
+    _, grad, q = _pairing_model(w, a, b, da, db)
+    y0 = np.einsum("ni,nj->nij", a, b).reshape(n, 9)
+    value = np.einsum("ni,ij,nj->n", y0.conj(), w, y0).real
+    x = rng.normal(size=(n, 4 * k))
+    x *= 1e-2 / np.linalg.norm(x, axis=1)[:, None]
+
+    def remainder(x):
+        ya = a + np.einsum("nik,nk->ni", da, x[:, : 2 * k])
+        yb = b + np.einsum("nik,nk->ni", db, x[:, 2 * k :])
+        y = np.einsum("ni,nj->nij", ya, yb).reshape(n, 9)
+        exact = np.einsum("ni,ij,nj->n", y.conj(), w, y).real
+        model = value + np.einsum("nk,nk->n", grad, x) + np.einsum("nk,nkl,nl->n", x, q, x)
+        return np.abs(exact - model)
+
+    assert np.all(remainder(x) >= 6.0 * remainder(x / 2))
+
+
 def _checked_oracle(w, **kwargs):
     """The oracle's report, after checking that the closed-form ranking puts
     a cell at the exact (LAPACK) grid minimum first, and that ``refined``
@@ -492,7 +519,7 @@ def test_oracle_refined_flag_on_boundary_maps():
     for p in (MapParams(1, cp_threshold(th) - 1, 0, th), MapParams(0.5, 1, 0.25, th),
               MapParams(0.5, 0.1, 0.1, th), MapParams(2, 0, 0, th)):
         _checked_oracle(choi_matrix(p), grid_n=8)
-    _checked_oracle(edge_state(1.0, th), grid_n=8, refine_steps=0)
+    _checked_oracle(edge_state(1.0, th), grid_n=8)
 
 
 def test_descent_leaves_a_coordinate_saddle():
@@ -586,7 +613,7 @@ def test_covariant_slots_are_where_the_map_commutes_with_diagonal_phases():
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
 
     def image(w, m):  # Phi(X)_{jl} = sum_{ik} X_{ik} W[i, j, k, l]
-        return np.einsum("ik,ijkl->jl", m, map_from_choi(w))
+        return np.einsum("ik,ijkl->jl", m, w.reshape(3, 3, 3, 3))
 
     commutes = np.zeros((9, 9), dtype=bool)
     for r, s in np.ndindex(9, 9):
