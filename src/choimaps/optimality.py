@@ -6,13 +6,22 @@ product vectors.  Per direction the largest subtractable weight equals the
 infimum over product vectors of the ratio (pairing with the map) /
 (pairing with the direction), which stays meaningful even where boundary
 violations are cubically suppressed and the plain bisection-on-the-oracle
-test loses resolution.  The probe refines it by Dinkelbach rounds, each
-one iteration of the oracle's descent (at most _ROUNDS per direction), from
-the smaller of the best grid ratio and the exact kernel limit; that limit is
-the infimum along curves into the sampled kernel vectors, so a valid upper
-bound, and the first round tests whether any product vector beats it.  The
-two named vertices also get a closed-form optimality certificate extracted
-from the probe families the proof uses.
+test loses resolution.  The probe first takes each direction's exact kernel
+limit, the infimum along curves into the sampled kernel vectors, so a valid
+upper bound.  Only a direction whose limit is above a tenth of
+CERTIFIED_ZERO then gets ratios on the grid, and Dinkelbach rounds, each one
+iteration of the oracle's descent (at most _ROUNDS per direction), from the
+smaller of its best grid ratio and its limit; the first round tests whether
+any product vector beats the limit.  On the outer optimal vertices every
+limit is zero, and no grid is scanned.
+
+A family Choi matrix is covariant (``positivity._COVARIANT``):
+Phi(D X D*) = D Phi(X) D* for diagonal unitaries D (Cho, Kye and Lee, Linear
+Algebra Appl. 171, 1992).  With D = diag(xi / |xi|), Phi(xi xi*) is then
+D Phi(|xi| |xi|^T) D*, so the ratios solve one Hermitian eigenproblem per
+moduli pattern |xi| (64 on the grid of 4096 cells) and rotate the direction
+by D.  The two named vertices also get a closed-form optimality certificate
+extracted from the probe families the proof uses.
 """
 
 from __future__ import annotations
@@ -40,17 +49,18 @@ from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, HESSIAN
 from .linalg import RANK_REL, RESIDUE_ABS, RESIDUE_REL, STATIONARY_REL, Array
 from .maps import MapParams, choi_matrix, cp_threshold, pairing_value
 from .positivity import (
+    _COVARIANT,
     _apply_kernel,
     _descend,
     _distinct_starts,
     _kernel_matrix,
     _pairing_model,
-    _product_jacobian,
     _sphere_grid,
     block_positivity_oracle,
     is_positive,
 )
-from .spanning import _kernel_point, has_cospanning_property, has_spanning_property, sampled_kernel_vectors
+from .spanning import ProductVector, _kernel_point, has_cospanning_property, has_spanning_property
+from .spanning import sampled_kernel_vectors
 
 _MIN_DRAW_NORM = 1e-6  # ``_directions`` drops draws this close to zero
 _DINKELBACH_STOP = 1e-9  # relative fall of the ratio below which the rounds stop
@@ -225,23 +235,37 @@ def _directions(dim: int, n: int) -> Array:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def _ratio_on_grid(kernel: Array, matrices: Array, xi: Array) -> Array:
+def _ratio_on_grid(w: Array, matrices: Array, xi: Array, run: int) -> Array:
     """(ndir, n) largest subtractable weights 1/(b* A^+ b), A = Phi(xi xi*),
     b = m^T xi, for the (ndir, 3, 3) direction ``matrices`` at the (n, 3)
     unit vectors ``xi``: the largest p with A - p b b* PSD.  Eigenvalues of A
     below the eigenvalue floor EIG_FLOOR max(1, lambda_max) are raised to it,
     which only raises ratios: near a kernel vector the ratio of two vanishing
-    terms is rounding noise, and the exact kernel limits cover those points."""
-    lam, u = np.linalg.eigh(_apply_kernel(kernel, xi[:, :, None] * xi.conj()[:, None, :]))
+    terms is rounding noise, and the exact kernel limits cover those points.
+
+    The Choi matrix ``w`` must vanish off ``_COVARIANT`` (every family Choi
+    matrix does; InternalConsistencyError otherwise), so the map commutes
+    with diagonal unitaries: with D = diag(xi / |xi|) (1 where xi_k = 0),
+    A = D Phi(|xi| |xi|^T) D*, and b* A^+ b = (D* b)* Phi(|xi| |xi|^T)^+ (D* b).
+    Each run of ``run`` consecutive vectors shares one |xi| (the phase copies
+    of a ``_sphere_grid`` cell, or run 1 for any vectors), so ``eigh`` runs
+    once per run, on the real moduli, and the phases rotate b instead.
+    """
+    if np.any(w[~_COVARIANT]):
+        raise InternalConsistencyError("grid ratios need a Choi matrix that vanishes off the covariant slots")
+    modulus = np.abs(xi)
+    lead = modulus[::run]
+    lam, u = np.linalg.eigh(_apply_kernel(_kernel_matrix(w), lead[:, :, None] * lead[:, None, :]))
     lam_floor = np.maximum(lam, EIG_FLOOR * np.maximum(lam[:, -1:], 1.0))
-    directions_b = np.einsum("dji,nj->dni", matrices, xi)
-    beta2 = np.abs(np.einsum("nij,dni->dnj", u.conj(), directions_b)) ** 2
-    denom = np.sum(beta2 / lam_floor[None, :, :], axis=2)
+    phase = np.divide(xi, modulus, out=np.ones_like(xi), where=modulus > 0.0)
+    rotated = (phase.conj() * (xi @ matrices)).reshape(len(matrices), len(lead), run, 3)
+    beta2 = np.abs(rotated @ u.conj()) ** 2
+    denom = np.sum(beta2 / lam_floor[:, None, :], axis=3).reshape(len(matrices), -1)
     with np.errstate(divide="ignore"):
         return np.where(denom > 0, 1.0 / denom, np.inf)
 
 
-def _dinkelbach(w: Array, kernel: Array, v: Array, xi: Array, ratios: Array, run: int, bound: float) -> float:
+def _dinkelbach(w: Array, v: Array, xi: Array, ratios: Array, run: int, bound: float) -> float:
     """Smallest ratio of the direction ``v`` reached by Dinkelbach rounds (W.
     Dinkelbach, Management Science 13:492, 1967) from the ``_sphere_grid``
     vectors ``xi`` of phase-run length ``run`` with their ``ratios``: one
@@ -264,7 +288,7 @@ def _dinkelbach(w: Array, kernel: Array, v: Array, xi: Array, ratios: Array, run
         if not CERTIFIED_ZERO / 10 < r < math.inf:
             break
         xi = _descend(w - r * vv, xi, 1)[0]
-        r, previous = min(r, float(_ratio_on_grid(kernel, v.reshape(1, 3, 3), xi).min())), r
+        r, previous = min(r, float(_ratio_on_grid(w, v.reshape(1, 3, 3), xi, 1).min())), r
         if r > previous - _DINKELBACH_STOP * previous:
             break
     return r
@@ -286,32 +310,31 @@ def _dinkelbach(w: Array, kernel: Array, v: Array, xi: Array, ratios: Array, run
 _CONJUGATE_BASIS = np.hstack([np.eye(3), -1j * np.eye(3)])[None]
 
 
-def _kernel_hessian(w: Array, xi0: Array, eta0: Array) -> tuple[Array, Array]:
-    """Eigendecomposition of the 12x12 real Hessian Q2 of the map pairing
-    along the product manifold at a kernel point, in the coordinates
-    x = (Re dxi, Im dxi, Re deta, Im deta).  Raises InternalConsistencyError
-    unless the point is stationary: the gradient may not exceed
+def _kernel_models(w: Array, vectors: list[ProductVector], directions: Array) -> tuple[Array, Array, Array]:
+    """The exact limits' ingredients at the (nonempty) sampled kernel
+    ``vectors``, from one ``_pairing_model`` call over all of them: the
+    eigendecompositions (mu, e) of the 12x12 real Hessians Q2 of the map
+    pairing along the product manifold, in the coordinates
+    x = (Re dxi, Im dxi, Re deta, Im deta), and the (nvec, ndir, 2, 12) real
+    penalty rows of the linearized amplitudes v^T J x, one per direction v,
+    with J the Jacobian of xi0 (x) eta0.  Raises InternalConsistencyError
+    unless every vector is stationary: the gradient may not exceed
     STATIONARY_REL times the scale |W conj(z0)| |z0| (at least 1)."""
-    a, b = xi0.conj()[None], eta0.conj()[None]
-    _, grad, q = _pairing_model(w, a, b, _CONJUGATE_BASIS, _CONJUGATE_BASIS)
-    y = np.kron(a[0], b[0])
-    scale = max(1.0, float(np.linalg.norm(w @ y)) * float(np.linalg.norm(y)))
-    slope = float(np.linalg.norm(grad))
-    if slope > STATIONARY_REL * scale:
-        raise InternalConsistencyError(
-            f"kernel point is not stationary on the product manifold: gradient norm {slope!r} "
-            f"exceeds {STATIONARY_REL * scale!r}"
-        )
-    return np.linalg.eigh(q[0])
-
-
-def _penalty_rows(directions: Array, xi0: Array, eta0: Array) -> Array:
-    """(ndir, 2, 12) real matrices of the linearized penalty amplitudes
-    v^T J x, one per direction v, with J the Jacobian of xi0 (x) eta0 in the
-    coordinates of ``_kernel_hessian``."""
-    jac = _product_jacobian(xi0.conj()[None], eta0.conj()[None], _CONJUGATE_BASIS, _CONJUGATE_BASIS)
-    amp = directions @ jac[0].conj()
-    return np.stack([amp.real, amp.imag], axis=1)
+    a = np.array([pv.xi for pv in vectors]).conj()
+    b = np.array([pv.eta for pv in vectors]).conj()
+    jac, grad, q = _pairing_model(w, a, b, _CONJUGATE_BASIS, _CONJUGATE_BASIS)
+    y = (a[:, :, None] * b[:, None, :]).reshape(len(vectors), 9)
+    scale = np.maximum(1.0, np.linalg.norm(y @ w.T, axis=1) * np.linalg.norm(y, axis=1))
+    slope = np.linalg.norm(grad, axis=1)
+    for norm, bound in zip(slope, STATIONARY_REL * scale):
+        if norm > bound:
+            raise InternalConsistencyError(
+                f"kernel point is not stationary on the product manifold: gradient norm {norm!r} "
+                f"exceeds {bound!r}"
+            )
+    mu, e = np.linalg.eigh(q)
+    amp = directions @ jac.conj()
+    return mu, e, np.stack([amp.real, amp.imag], axis=2)
 
 
 def _kernel_limit_ratio(mu: Array, e: Array, rows: Array) -> float:
@@ -341,19 +364,22 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
 
     Directions sweep the unit sphere of the kernel orthocomplement (the full
     space when no kernel vector is known).  Per direction the measured
-    quantity is the infimum over product vectors of the pairing ratio, by
-    ``_dinkelbach`` rounds from the smaller of the best ratio on the grid
-    of _GRID_N and the exact limit at the kernel vectors; that limit is the
-    infimum along curves into them, so a valid upper bound, and the first
-    round tests whether any product vector beats it.  No direction counts
-    above ``_P_MAX``.  A candidate above the not-optimal threshold is
+    quantity is the infimum over product vectors of the pairing ratio.  The
+    exact limits at all kernel vectors come first, from one batched
+    ``_kernel_models``; each is the infimum along curves into a kernel
+    vector, so a valid upper bound.  A direction whose smallest limit is at
+    most a tenth of CERTIFIED_ZERO keeps it, and needs no grid.  The others
+    get their ratios on the grid of _GRID_N, in one ``_ratio_on_grid`` call
+    (one eigensolve per moduli pattern, by covariance), and ``_dinkelbach``
+    rounds from the smaller of the best grid ratio and the limit; the first
+    round tests whether any product vector beats the limit.  No direction
+    counts above ``_P_MAX``.  A candidate above the not-optimal threshold is
     re-verified against the block-positivity oracle.  Raises OutOfRangeError
     unless n_directions >= 1.
     """
     if n_directions < 1:
         raise OutOfRangeError(f"n_directions must be >= 1, got {n_directions}")
     w = choi_matrix(p)
-    kernel = _kernel_matrix(w)
 
     try:
         basis = orthocomplement_basis(p)
@@ -369,29 +395,27 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
 
     basis_mat = np.array(basis)  # (dim, 9)
     directions = _directions(len(basis), n_directions) @ basis_mat  # (ndir, 9)
-    xi_grid, _ = _sphere_grid(_GRID_N, _GRID_N)
-    grid_ratios = _ratio_on_grid(kernel, directions.reshape(-1, 3, 3), xi_grid)
+    per_direction = np.full(len(directions), math.inf)
+    vectors = sampled_kernel_vectors(p)
+    if vectors:
+        mu, e, rows = _kernel_models(w, vectors, directions)
+        for d in range(len(directions)):
+            for k in range(len(vectors)):
+                per_direction[d] = min(per_direction[d], _kernel_limit_ratio(mu[k], e[k], rows[k, d]))
+                if per_direction[d] <= 0.0:
+                    break
 
-    limits = [
-        (*_kernel_hessian(w, pv.xi, pv.eta), _penalty_rows(directions, pv.xi, pv.eta))
-        for pv in sampled_kernel_vectors(p)
-    ]
-
-    best = 0.0
-    best_dir = None
-    per_direction = np.empty(len(directions))
-    for d in range(len(directions)):
-        r_best = math.inf
-        for mu, e, rows in limits:
-            r_best = min(r_best, _kernel_limit_ratio(mu, e, rows[d]))
-            if r_best <= 0.0:
-                break
-        if r_best > CERTIFIED_ZERO / 10:
-            r_best = _dinkelbach(w, kernel, directions[d], xi_grid, grid_ratios[d], _GRID_N * _GRID_N, r_best)
-        per_direction[d] = min(r_best, _P_MAX)
-        if per_direction[d] > best:
-            best = per_direction[d]
-            best_dir = directions[d]
+    rounds = np.flatnonzero(per_direction > CERTIFIED_ZERO / 10)
+    if len(rounds):
+        xi_grid, _ = _sphere_grid(_GRID_N, _GRID_N)
+        run = _GRID_N * _GRID_N
+        grid_ratios = _ratio_on_grid(w, directions[rounds].reshape(-1, 3, 3), xi_grid, run)
+        for d, ratios in zip(rounds, grid_ratios):
+            per_direction[d] = _dinkelbach(w, directions[d], xi_grid, ratios, run, per_direction[d])
+    per_direction = np.minimum(per_direction, _P_MAX)
+    top = int(np.argmax(per_direction))
+    best = float(per_direction[top])
+    best_dir = directions[top] if best > 0.0 else None
 
     verification: dict = {}
     verdict = "inconclusive"

@@ -28,7 +28,8 @@ Phi(DXD*) = D Phi(X) D* for diagonal unitaries D.  Writing xi = D|xi|,
 Phi(xi xi*) is then unitarily similar to Phi(|xi| |xi|^T), so its spectrum
 depends on the moduli |xi| only, and the oracle scans a finer real grid of
 moduli instead of the phase copies (Cho, Kye and Lee, Linear Algebra Appl.
-171, 1992).  Any other Choi matrix gets the full grid.
+171, 1992); the optimality probe's grid ratios solve once per moduli
+pattern for the same reason.  Any other Choi matrix gets the full grid.
 """
 
 from __future__ import annotations
@@ -274,9 +275,10 @@ def _pairing_model(w: Array, a: Array, b: Array, da: Array, db: Array) -> tuple[
     n, k = len(a), da.shape[2]
     jac = _product_jacobian(a, b, da, db)
     wy = (a[:, :, None] * b[:, None, :]).reshape(n, 9) @ w.T
-    grad = 2.0 * np.einsum("nik,ni->nk", jac.conj(), wy).real
-    q = np.einsum("nik,ij,njl->nkl", jac.conj(), w, jac).real
-    cross = np.einsum("nij,nik,njl->nkl", wy.conj().reshape(n, 3, 3), da, db).real
+    jac_h = jac.conj().transpose(0, 2, 1)
+    grad = 2.0 * (jac_h @ wy[:, :, None])[:, :, 0].real
+    q = (jac_h @ (w @ jac)).real
+    cross = (da.transpose(0, 2, 1) @ wy.conj().reshape(n, 3, 3) @ db).real
     q[:, :k, k:] += cross
     q[:, k:, :k] += cross.transpose(0, 2, 1)
     return jac, grad, q

@@ -78,10 +78,17 @@ def kernel_membership(p: MapParams, pv: ProductVector) -> bool:
     """True iff Phi(xi xi*) annihilates conj(eta), to the residue RESIDUE_REL |xi|^2 |eta|."""
     if not is_positive(p):
         raise NotPositiveMapError(f"map {p} is not positive")
-    xi, eta = pv.xi, pv.eta
-    image = _apply_kernel(_kernel_matrix(choi_matrix(p)), np.outer(xi, xi.conj()))[0]
-    residue = np.linalg.norm(image @ eta.conj())
-    scale = float(np.vdot(xi, xi).real) * float(np.linalg.norm(eta))
+    return bool(_in_kernel(p, [pv])[0])
+
+
+def _in_kernel(p: MapParams, vectors: list[ProductVector]) -> Array:
+    """The ``kernel_membership`` check of each of the ``vectors``, with one
+    kernel matrix and one batched residue."""
+    xi = np.array([pv.xi for pv in vectors]).reshape(-1, 3)
+    eta = np.array([pv.eta for pv in vectors]).reshape(-1, 3)
+    images = _apply_kernel(_kernel_matrix(choi_matrix(p)), xi[:, :, None] * xi.conj()[:, None, :])
+    residue = np.linalg.norm(images @ eta.conj()[:, :, None], axis=(1, 2))
+    scale = np.sum(np.abs(xi) ** 2, axis=1) * np.linalg.norm(eta, axis=1)
     return residue <= RESIDUE_REL * scale
 
 
@@ -218,8 +225,8 @@ def _case_vectors(p: MapParams, case: str | None) -> list[ProductVector]:
     vectors.extend(_axis_vectors(p))
 
     source = "axis" if case is None else f"case {case} family"
-    for pv in vectors:
-        if not kernel_membership(p, pv):
+    for pv, member in zip(vectors, _in_kernel(p, vectors)):
+        if not member:
             raise InternalConsistencyError(
                 f"{source} vector xi={pv.xi}, eta={pv.eta} failed kernel membership for {p}"
             )

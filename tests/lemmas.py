@@ -2,9 +2,9 @@
 
 No verdict of the package reaches them, so they live beside the tests as
 independent references: the map itself entry by entry, the pairing with a
-family member, the phase circulant that decides complete positivity, and the
-kernel vectors and the equal-subtraction restriction of the {6,8} edge
-states.
+family member, the phase circulant that decides complete positivity, the
+probe's subtractable weights by one eigensolve per vector, and the kernel
+vectors and the equal-subtraction restriction of the {6,8} edge states.
 """
 
 import cmath
@@ -14,7 +14,8 @@ import numpy as np
 
 from choimaps import InternalConsistencyError, MapParams, OutOfRangeError, choi_matrix, edge_state
 from choimaps import pairing_value, partial_transpose
-from choimaps.linalg import RESIDUE_ABS, require_hermitian
+from choimaps.linalg import EIG_FLOOR, RESIDUE_ABS, require_hermitian
+from choimaps.positivity import _apply_kernel, _kernel_matrix
 
 
 def apply_map(p: MapParams, x) -> np.ndarray:
@@ -41,6 +42,20 @@ def apply_map(p: MapParams, x) -> np.ndarray:
 def pairing(a, p: MapParams) -> float:
     """Pairing Tr(A C^t) of a Hermitian matrix A with the map named by ``p``."""
     return pairing_value(require_hermitian(a), choi_matrix(p))
+
+
+def full_grid_ratios(w, matrices, xi) -> np.ndarray:
+    """The probe's (ndir, n) subtractable weights 1/(b* A^+ b), A = Phi(xi xi*),
+    b = m^T xi, with the eigenvalue floor EIG_FLOOR max(1, lambda_max), by one
+    ``eigh`` of A at every vector: the package solves once per moduli pattern
+    |xi| and rotates b by the phases instead."""
+    lam, u = np.linalg.eigh(_apply_kernel(_kernel_matrix(w), xi[:, :, None] * xi.conj()[:, None, :]))
+    lam_floor = np.maximum(lam, EIG_FLOOR * np.maximum(lam[:, -1:], 1.0))
+    directions_b = np.einsum("dji,nj->dni", matrices, xi)
+    beta2 = np.abs(np.einsum("nij,dni->dnj", u.conj(), directions_b)) ** 2
+    denom = np.sum(beta2 / lam_floor[None, :, :], axis=2)
+    with np.errstate(divide="ignore"):
+        return np.where(denom > 0, 1.0 / denom, np.inf)
 
 
 def phase_circulant(a: float, theta: float) -> np.ndarray:

@@ -118,15 +118,15 @@ class TestClassify:
         expected = len(spanning.sampled_kernel_vectors(p))
         spanning._kernel_point.cache_clear()
         calls = []
-        original = spanning.kernel_membership
+        original = spanning._in_kernel
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(p, vectors):
+            calls.append(len(vectors))
+            return original(p, vectors)
 
-        monkeypatch.setattr(spanning, "kernel_membership", counted)
+        monkeypatch.setattr(spanning, "_in_kernel", counted)
         assert main(["classify", "0.5", "1", "0.25", "pi/6", "--json"]) == 0
-        assert len(calls) == expected == 18
+        assert calls == [expected] and expected == 18  # one batched check
 
 
 @pytest.mark.parametrize(

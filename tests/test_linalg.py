@@ -124,6 +124,30 @@ def test_tolerances_are_named_in_linalg_only():
     assert found == []
 
 
+def _einsum_operands(node: ast.Call) -> int:
+    """Operand count of an ``einsum`` call: the comma-separated inputs of a
+    literal subscript string, otherwise the positional arguments after it."""
+    first = node.args[0] if node.args else None
+    if isinstance(first, ast.Constant) and isinstance(first.value, str):
+        return first.value.split("->")[0].count(",") + 1
+    return max(len(node.args) - 1, 1)
+
+
+def test_no_einsum_of_three_or_more_operands_in_the_package():
+    # numpy runs a multi-operand einsum as one naive loop over every index,
+    # unless told to optimize; chained matmuls reach BLAS instead
+    src = Path(choimaps.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum"
+        and _einsum_operands(node) >= 3
+    ]
+    assert found == []
+
+
 def test_no_assert_statements_in_the_package():
     # ``python -O`` strips assert statements, so a check in src/ must raise.
     src = Path(choimaps.__file__).parent
@@ -136,9 +160,15 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-#: What a verdict reaches from outside the package: the command line, and the
-#: two functions the benchmark calls.
-_ROOTS = (("cli", "main"), ("optimality", "optimality_probe"), ("faces", "boundary_parametrization"))
+#: What a verdict reaches from outside the package: the command line, the
+#: two functions the benchmark calls, and the public one-vector kernel check
+#: (the benchmark traces it by name; the kernel sample is checked in one batch).
+_ROOTS = (
+    ("cli", "main"),
+    ("optimality", "optimality_probe"),
+    ("faces", "boundary_parametrization"),
+    ("spanning", "kernel_membership"),
+)
 
 
 def _definitions(tree: ast.Module) -> tuple[dict[str, list[ast.AST]], list[ast.AST], dict]:

@@ -18,6 +18,7 @@ from choimaps import (
     cooptimality_subtraction,
     cp_threshold,
     face_properties,
+    is_positive,
     numeric_rank,
     optimality_probe,
     orthocomplement_basis,
@@ -29,14 +30,13 @@ from choimaps.errors import InternalConsistencyError
 from choimaps.optimality import (
     _dinkelbach,
     _directions,
-    _kernel_hessian,
     _kernel_limit_ratio,
-    _penalty_rows,
+    _kernel_models,
     _ratio_on_grid,
 )
-from choimaps.positivity import _kernel_matrix, _sphere_grid
-from choimaps.spanning import sampled_kernel_vectors
-from lemmas import apply_map
+from choimaps.positivity import _sphere_grid
+from choimaps.spanning import ProductVector, sampled_kernel_vectors
+from lemmas import apply_map, full_grid_ratios
 
 
 PTH = cp_threshold(np.pi / 6)
@@ -295,20 +295,23 @@ def test_batched_kernel_hessian_matches_loop():
     for abc in ((1, pth - 1, 0), (1.2, (pth - 1.2) / 2, (pth - 1.2) / 2), (1.5, 0.5, 0)):
         p = MapParams(*abc, th)
         w = choi_matrix(p)
-        for pv in sampled_kernel_vectors(p)[::4]:
+        vectors = sampled_kernel_vectors(p)[::4]
+        mu, e, rows = _kernel_models(w, vectors, directions)
+        for k, pv in enumerate(vectors):
             h, tangents = _loop_hessian(w, pv.xi, pv.eta)
-            mu, e = _kernel_hessian(w, pv.xi, pv.eta)
-            assert np.abs((e * mu) @ e.T - h).max() <= 1e-12 * max(1.0, np.abs(h).max())
+            assert np.abs((e[k] * mu[k]) @ e[k].T - h).max() <= 1e-12 * max(1.0, np.abs(h).max())
             amp = directions @ tangents.T
-            rows = _penalty_rows(directions, pv.xi, pv.eta)
-            assert np.abs(rows - np.stack([amp.real, amp.imag], axis=1)).max() <= 1e-12
+            assert np.abs(rows[k] - np.stack([amp.real, amp.imag], axis=1)).max() <= 1e-12
 
 
 def test_non_stationary_point_is_an_internal_error():
-    w = choi_matrix(MapParams(2, 2, 2, np.pi / 6))
+    p = MapParams(1.5, 0.5, 0, np.pi / 6)
+    w = choi_matrix(p)
     xi = eta = np.array([1.0, 0.5, 0.25], dtype=complex)
+    # every vector is checked, not only the first
+    vectors = [sampled_kernel_vectors(p)[0], ProductVector(xi, eta)]
     with pytest.raises(InternalConsistencyError, match="not stationary"):
-        _kernel_hessian(w, xi, eta)
+        _kernel_models(w, vectors, np.eye(9, dtype=complex)[:1])
 
 
 _F_AB = MapParams(1.5, 0.5, 0, np.pi / 6)
@@ -427,16 +430,79 @@ _F_AB_BELOW_LIMIT = MapParams(1.125292359574031, 2.082723915475503, 0.0, -1.3935
 def test_seeded_rounds_never_lose(p):
     # The probe's own directions, grid and kernel limits (n_directions=4).
     w = choi_matrix(p)
-    kernel = _kernel_matrix(w)
     basis = np.array(orthocomplement_basis(p))
     directions = _directions(len(basis), 4) @ basis
     xi, _ = _sphere_grid(8, 8)
-    ratios = _ratio_on_grid(kernel, directions.reshape(-1, 3, 3), xi)
-    hessians = [(*_kernel_hessian(w, pv.xi, pv.eta), pv) for pv in sampled_kernel_vectors(p)]
+    ratios = _ratio_on_grid(w, directions.reshape(-1, 3, 3), xi, 64)
+    vectors = sampled_kernel_vectors(p)
+    mu, e, rows = _kernel_models(w, vectors, directions)
     for d, v in enumerate(directions):
-        limit = min(
-            _kernel_limit_ratio(mu, e, _penalty_rows(directions, pv.xi, pv.eta)[d]) for mu, e, pv in hessians
-        )
-        seeded = _dinkelbach(w, kernel, v, xi, ratios[d], 64, limit)
-        unseeded = _dinkelbach(w, kernel, v, xi, ratios[d], 64, math.inf)
+        limit = min(_kernel_limit_ratio(mu[k], e[k], rows[k, d]) for k in range(len(vectors)))
+        seeded = _dinkelbach(w, v, xi, ratios[d], 64, limit)
+        unseeded = _dinkelbach(w, v, xi, ratios[d], 64, math.inf)
         assert seeded <= min(limit, unseeded) * (1 + 1e-12)
+
+
+def _random_unit(rng, n):
+    xi = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    return xi / np.linalg.norm(xi, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("cells", ["grid", "random"])
+def test_ratio_on_grid_matches_the_full_eigensolve(cells):
+    # one eigh per moduli pattern and phase-rotated b against one eigh per vector
+    rng = np.random.default_rng(41)
+    xi = _sphere_grid(8, 8)[0] if cells == "grid" else _random_unit(rng, 500)
+    run = 64 if cells == "grid" else 1
+    if cells == "random":  # zero coordinates take the phase 1
+        xi[:50, 0] = 0.0
+        xi[50:100, 1:] = 0.0
+        xi /= np.linalg.norm(xi, axis=1)[:, None]
+    points = [MapParams(*rng.uniform(0.0, 2.5, 3), rng.uniform(-np.pi, np.pi)) for _ in range(40)]
+    positive = [p for p in points if is_positive(p)][:6]  # the probe's maps are positive
+    assert len(positive) == 6
+    for p in positive:
+        w = choi_matrix(p)
+        matrices = (rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))) / 3.0
+        got, want = _ratio_on_grid(w, matrices, xi, run), full_grid_ratios(w, matrices, xi)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * want[finite])
+
+
+def test_ratio_on_grid_needs_a_covariant_choi_matrix():
+    w = choi_matrix(_F_AB)
+    w[0, 1] = w[1, 0] = 1e-3  # slot (0, 0, 0, 1): {0, 1} != {0, 0}
+    xi, _ = _sphere_grid(8, 8)
+    with pytest.raises(InternalConsistencyError, match="covariant"):
+        _ratio_on_grid(w, np.eye(3)[None], xi, 64)
+
+
+_V_1B0_OUTER = MapParams(1, cp_threshold(2.0) - 1, 0, 2.0)
+
+
+@pytest.mark.parametrize("p, grid_eighs", [(_V_1B0_OUTER, []), (_F_AB, [64])], ids=["v_1b0_outer", "f_ab"])
+def test_grid_ratios_solve_once_per_moduli_pattern(monkeypatch, p, grid_eighs):
+    # Every kernel limit of an outer optimal vertex is zero, so its probe scans
+    # no grid; a not-optimal probe solves the 64 moduli patterns of the 8^4
+    # grid, once for all its directions.
+    counts, inside = [], []
+    ratio_on_grid, eigh = optimality._ratio_on_grid, np.linalg.eigh
+
+    def counting_ratio_on_grid(w, matrices, xi, run):
+        inside.append(len(xi) == 8**4)
+        try:
+            return ratio_on_grid(w, matrices, xi, run)
+        finally:
+            inside.pop()
+
+    def counting_eigh(a, *args, **kwargs):
+        if inside and inside[-1]:
+            counts.append(int(np.prod(np.shape(a)[:-2])))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(optimality, "_ratio_on_grid", counting_ratio_on_grid)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    report = optimality_probe(p, n_directions=4)
+    assert report.verdict == ("optimal" if p is _V_1B0_OUTER else "not_optimal")
+    assert counts == grid_eighs

@@ -475,6 +475,26 @@ def test_pairing_model_is_second_order():
     assert np.all(remainder(x) >= 6.0 * remainder(x / 2))
 
 
+def test_pairing_model_matches_the_einsum_reference():
+    # Q = Re(J* W J) and the cross block da^T conj(W y) db, by matmuls, against
+    # the three-operand einsums over the Jacobian
+    rng = np.random.default_rng(22)
+    n, k = 12, 4
+    g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    w = (g + g.conj().T) / 2
+    a, b = (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)) for _ in range(2))
+    da, db = (rng.normal(size=(n, 3, k)) + 1j * rng.normal(size=(n, 3, k)) for _ in range(2))
+    jac, grad, q = _pairing_model(w, a, b, da, db)
+    wy = np.einsum("ni,nj->nij", a, b).reshape(n, 9) @ w.T
+    want = np.einsum("nik,ij,njl->nkl", jac.conj(), w, jac).real
+    cross = np.einsum("nij,nik,njl->nkl", wy.conj().reshape(n, 3, 3), da, db).real
+    want[:, :k, k:] += cross
+    want[:, k:, :k] += cross.transpose(0, 2, 1)
+    scale = np.abs(want).max()
+    assert np.abs(q - want).max() <= 1e-12 * scale
+    assert np.abs(grad - 2.0 * np.einsum("nik,ni->nk", jac.conj(), wy).real).max() <= 1e-12 * scale
+
+
 def _checked_oracle(w, **kwargs):
     """The oracle's report, after checking that the closed-form ranking puts
     a cell at the exact (LAPACK) grid minimum first, and that ``refined``
@@ -687,7 +707,7 @@ def test_distinct_starts_match_the_rule_over_all_cells(polar_n, phase_n, k):
         p = MapParams(*point)
         basis = np.array(orthocomplement_basis(p))
         directions = _directions(len(basis), 2) @ basis
-        samples += list(_ratio_on_grid(_kernel_matrix(choi_matrix(p)), directions.reshape(-1, 3, 3), xi))
+        samples += list(_ratio_on_grid(choi_matrix(p), directions.reshape(-1, 3, 3), xi, phase_n * phase_n))
     for values in samples:
         np.testing.assert_array_equal(
             _distinct_starts(values, xi, phase_n * phase_n, k), _reference_starts(values, xi, k)
