@@ -6,9 +6,11 @@ Exit codes:
   1  usage error: a bad argument or angle literal (a non-finite angle such
      as inf or nan included), a negative or non-finite coordinate
      (OutOfRangeError), `spanning` on a map that is not positive
-     (NotPositiveMapError), `witness` with b <= 0 or with b so large or so
-     small that the edge state's pairing overflows, and `figure-data 3` with
-     more than 1000000 rows (it writes 3*points^3 rows, so --points at most 69)
+     (NotPositiveMapError), `witness` with b <= 0, with b so large or so
+     small that the edge state's trace overflows, or with an alpha~ (given,
+     or the optimum at b or 1/b beyond about 1e8) in the face band below
+     2cos(theta/2), and `figure-data 3` with more than 1000000 rows (it
+     writes 3*points^3 rows, so --points at most 69)
   2  unsupported angle (UnsupportedThetaError, ThetaOutOfRangeError)
   3  the constructed witness does not detect (NoDetectingChoiceError)
   4  I/O error

@@ -32,7 +32,8 @@ class OutOfRangeError(ValueError):
 
 
 class NoDetectingChoiceError(RuntimeError):
-    """No scanned witness parameter produced a negative detection pairing."""
+    """The ansatz's optimal witness parameter does not pair below the
+    certified sign with the edge state."""
 
 
 class InternalConsistencyError(RuntimeError):

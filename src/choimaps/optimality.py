@@ -209,6 +209,11 @@ def vertex_optimality_analytic(theta: float, vertex: str = "b_side") -> bool:
 class OptimalityProbeReport:
     """Largest subtractable weight found over the probed directions.
 
+    ``max_subtractable`` is the minimum of finitely many evaluated ratios
+    and exact kernel limits, so it is an upper bound on the weight that can
+    be subtracted along its best direction, reproducible only to about
+    _DINKELBACH_STOP relative.
+
     By the certified sign: 'optimal' needs every direction at or below
     CERTIFIED_ZERO; 'not_optimal' needs one above CERTIFIED_SIGN whose half
     subtraction the oracle certified nonnegative; else 'inconclusive'.

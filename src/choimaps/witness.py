@@ -9,6 +9,17 @@ The quadratic system fixing (beta~, gamma~) from alpha~ keeps them there.
 Detection is decided by the direct trace pairing against the unnormalized
 edge state; the family pairing identity (``detection_closed_form``) checks
 it on every witness.
+
+The best detector of the ansatz is closed-form.  With t = cos(theta/2),
+p = cp_threshold(theta), [lo, hi) = ``alpha_range``, s = beta~ + gamma~ and
+the better root assignment, the pairing is 3(p alpha~ + (b + 1/b) s/2
+- |b - 1/b| sqrt(D)/2 - 4t^2) with D = (beta~ - gamma~)^2 =
+(alpha~ - lo)(4hi - lo - 3 alpha~) concave, so sqrt(D) is concave and the
+pairing convex in alpha~.  Squaring its stationarity condition and keeping
+the root with the right sign gives
+    alpha~* = lo + (2/3)(hi - lo)(1 - c / sqrt(c^2 + 3d^2)),
+c = 2p - b - 1/b, d = b - 1/b: inside [lo, hi) for every b > 0 as p > 1,
+tending to hi as b or 1/b grows; even under b <-> 1/b; lo at b = 1.
 """
 
 from __future__ import annotations
@@ -25,13 +36,11 @@ from .errors import (
     OutOfRangeError,
     ThetaOutOfRangeError,
 )
-from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, INCLUSION_SLACK, RESIDUE_REL, Array
+from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, FACE_TOL, INCLUSION_SLACK, RESIDUE_REL, Array
 from .linalg import hermitian_eigenvalues, partial_transpose
 from .maps import MapParams, cp_threshold, edge_state, pairing_value
 from .positivity import block_positivity_oracle
 from .spanning import has_cospanning_property, has_spanning_property
-
-ALPHA_MARGIN = 1e-3  # auto-scan margin, relative to the interval width
 
 
 def _check_theta(theta: float) -> float:
@@ -41,8 +50,9 @@ def _check_theta(theta: float) -> float:
 
 
 def alpha_range(theta: float) -> tuple[float, float]:
-    """Open interval of admissible alpha~ values, (2t(2 - t - sqrt(3(1-t^2))), 2t)
-    with t = cos(theta/2); always nonempty on the admissible angles."""
+    """Admissible alpha~ values [lo, hi) = [2t(2 - t - sqrt(3(1-t^2))), 2t)
+    with t = cos(theta/2); always nonempty on the admissible angles.  At lo
+    the roots of ``solve_beta_gamma`` are a double root."""
     t = _check_theta(theta)
     root = math.sqrt(3.0 * (1.0 - t * t))
     return (2.0 * t * (2.0 - t - root), 2.0 * t)
@@ -52,25 +62,28 @@ def solve_beta_gamma(theta: float, alpha_tilde: float) -> tuple[float, float]:
     """The two positive roots (descending) of
     x^2 - [2t(t + sqrt(3(1-t^2))) - alpha~] x + (2t - alpha~)^2 = 0.
 
-    Requires alpha~ in the admissible interval (the lower endpoint is
-    allowed and gives a double root); the discriminant is nonnegative there.
+    Requires alpha~ in [lo, hi (1 - FACE_TOL)), the admissible interval less
+    the face band at hi, where the normalized a = alpha~ / hi is within
+    FACE_TOL of the vertex a = 1; OutOfRangeError otherwise.  The
+    discriminant vanishes at lo: within INCLUSION_SLACK of zero the root is
+    double.  The small root is the product over the large one, which does
+    not cancel near hi.
     """
     t = _check_theta(theta)
     lo, hi = alpha_range(theta)
-    if not lo - INCLUSION_SLACK <= alpha_tilde < hi - INCLUSION_SLACK:
+    if not lo - INCLUSION_SLACK <= alpha_tilde < hi * (1.0 - FACE_TOL):
         raise OutOfRangeError(
-            f"alpha~ must lie in [{lo!r}, {hi!r}) for theta={theta}, got {alpha_tilde}"
+            f"alpha~ must lie in [{lo!r}, {hi * (1.0 - FACE_TOL)!r}) for theta={theta} "
+            f"(nearer {hi!r} the normalized a is within the face band of 1), got {alpha_tilde}"
         )
     s = 2.0 * t * (t + math.sqrt(3.0 * (1.0 - t * t))) - alpha_tilde
     prod = (2.0 * t - alpha_tilde) ** 2
     disc = s * s - 4.0 * prod
-    if disc < -INCLUSION_SLACK:
-        raise InternalConsistencyError(
-            f"negative discriminant {disc!r} inside the admissible interval at alpha~={alpha_tilde!r}"
-        )
-    half = math.sqrt(max(disc, 0.0)) / 2.0
-    beta, gamma = s / 2.0 + half, s / 2.0 - half
-    if beta <= 0 or gamma <= 0:
+    if disc <= INCLUSION_SLACK:
+        return s / 2.0, s / 2.0
+    beta = s / 2.0 + math.sqrt(disc) / 2.0
+    gamma = prod / beta
+    if not gamma > 0:
         raise InternalConsistencyError(
             f"roots not positive: {(beta, gamma)} at theta={theta!r}, alpha~={alpha_tilde!r}"
         )
@@ -126,30 +139,6 @@ class WitnessSpec:
         return self.detection_value < 0.0
 
 
-def _assemble(theta: float, b: float, rho: Array, alpha_tilde: float, beta: float, gamma: float,
-              b_slot: float, c_slot: float) -> WitnessSpec:
-    t = math.cos(theta / 2.0)
-    w = witness_matrix(theta, alpha_tilde, b_slot, c_slot)
-    params = MapParams(
-        alpha_tilde / (2.0 * t), b_slot / (2.0 * t), c_slot / (2.0 * t), math.pi - theta / 2.0
-    )
-    detection = pairing_value(rho, w)
-    return WitnessSpec(
-        theta=theta,
-        b=b,
-        t=t,
-        alpha_tilde=alpha_tilde,
-        beta_tilde=beta,
-        gamma_tilde=gamma,
-        normalized_params=params,
-        scale=2.0 * t / (3.0 * (alpha_tilde + beta + gamma)),
-        detection_value=detection,
-        matrix=w,
-        b_slot=b_slot,
-        c_slot=c_slot,
-    )
-
-
 def detection_closed_form(theta: float, b: float, alpha_tilde: float,
                           b_slot: float, c_slot: float) -> float:
     """Detection pairing of the unnormalized ansatz against the edge state
@@ -197,36 +186,54 @@ def _validate(spec: WitnessSpec) -> None:
 def build_witness(theta: float, b: float, alpha_tilde: float | None = None) -> WitnessSpec:
     """Construct a witness for the edge state with parameters (b, theta).
 
-    With ``alpha_tilde`` given, the quadratic roots are placed in the two
-    diagonal slots both ways and the assignment with the smaller detection
-    pairing is kept (a nonnegative pairing is allowed but flagged through
-    ``detects``).  Without it, 64 samples across the admissible interval
-    (with the relative margin ALPHA_MARGIN at both ends) are scanned over
-    both assignments and the minimizer is kept; if none pairs below the
-    certified sign -CERTIFIED_ZERO, NoDetectingChoiceError is raised.  Raises
-    OutOfRangeError when b is so large or small that the pairing overflows,
-    and InternalConsistencyError when the kept witness fails ``_validate``.
+    Without ``alpha_tilde`` the ansatz's minimizer alpha~* of the module
+    docstring is taken, and NoDetectingChoiceError is raised unless it pairs
+    below the certified sign -CERTIFIED_ZERO; a given ``alpha_tilde`` is
+    kept as it is (a nonnegative pairing is allowed but flagged through
+    ``detects``).  Swapping the roots changes the pairing by
+    (b - 1/b)(b_slot - c_slot), so the b slot takes the smaller root when
+    b > 1 and the larger one otherwise.  Raises OutOfRangeError when b is so
+    large or small that the edge state's trace overflows or alpha~ lies in
+    the face band of ``solve_beta_gamma``, and InternalConsistencyError when
+    the witness fails ``_validate``.
     """
-    _check_theta(theta)
+    t = _check_theta(theta)
     if not b > 0:
         raise OutOfRangeError(f"witness construction requires b > 0, got {b}")
-
-    if alpha_tilde is not None:
-        scan = [alpha_tilde]
-    else:
-        lo, hi = alpha_range(theta)
-        margin = ALPHA_MARGIN * (hi - lo)
-        scan = [float(at) for at in np.linspace(lo + margin, hi - margin, 64)]
-    rho = edge_state(b, theta)
-    specs = []
-    for at in scan:
-        beta, gamma = solve_beta_gamma(theta, at)
-        specs.append(_assemble(theta, b, rho, at, beta, gamma, beta, gamma))
-        specs.append(_assemble(theta, b, rho, at, beta, gamma, gamma, beta))
-    best = min(specs, key=lambda spec: spec.detection_value)
-    if alpha_tilde is None and best.detection_value >= -CERTIFIED_ZERO:
-        raise NoDetectingChoiceError(
-            f"no scanned alpha~ detects the edge state at theta={theta}, b={b}"
+    trace = 3.0 * (2.0 * math.cos(theta) + b + 1.0 / b)
+    if not math.isfinite(trace):
+        raise OutOfRangeError(
+            f"the pairing cannot be formed in finite doubles: the edge state's trace is {trace}"
         )
-    _validate(best)
-    return best
+
+    auto = alpha_tilde is None
+    if auto:
+        lo, hi = alpha_range(theta)
+        c, d = 2.0 * cp_threshold(theta) - b - 1.0 / b, b - 1.0 / b
+        # c / sqrt(c^2 + 3d^2), without overflow; 1 at b = 1
+        alpha_tilde = lo + 2.0 / 3.0 * (hi - lo) * (1.0 - c / math.hypot(c, d, d, d))
+    beta, gamma = solve_beta_gamma(theta, alpha_tilde)
+    b_slot, c_slot = (gamma, beta) if b > 1.0 else (beta, gamma)
+    w = witness_matrix(theta, alpha_tilde, b_slot, c_slot)
+    spec = WitnessSpec(
+        theta=theta,
+        b=b,
+        t=t,
+        alpha_tilde=alpha_tilde,
+        beta_tilde=beta,
+        gamma_tilde=gamma,
+        normalized_params=MapParams(
+            alpha_tilde / (2.0 * t), b_slot / (2.0 * t), c_slot / (2.0 * t), math.pi - theta / 2.0
+        ),
+        scale=2.0 * t / (3.0 * (alpha_tilde + beta + gamma)),
+        detection_value=pairing_value(edge_state(b, theta), w),
+        matrix=w,
+        b_slot=b_slot,
+        c_slot=c_slot,
+    )
+    if auto and spec.detection_value >= -CERTIFIED_ZERO:
+        raise NoDetectingChoiceError(
+            f"alpha~* = {alpha_tilde!r} does not detect the edge state at theta={theta}, b={b}"
+        )
+    _validate(spec)
+    return spec

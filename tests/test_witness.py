@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from choimaps import (
     solve_beta_gamma,
 )
 from choimaps.cli import main
+from choimaps.linalg import FACE_TOL
 from choimaps.witness import detection_closed_form, witness_matrix
 from lemmas import edge_kernel_vectors, equal_subtraction_restriction
 
@@ -60,9 +63,19 @@ class TestSolveBetaGamma:
         assert gamma == pytest.approx(0.17671, abs=1e-4)
 
     def test_double_root_at_lower_endpoint(self):
-        lo, _ = alpha_range(np.pi / 6)
-        beta, gamma = solve_beta_gamma(np.pi / 6, lo)
-        assert beta == pytest.approx(gamma, abs=1e-6)
+        # at 0.239 and 0.676 the discriminant rounds to about +1e-15 at lo
+        for theta in (np.pi / 6, 0.3, -0.9, 0.239, 0.676):
+            lo, _ = alpha_range(theta)
+            beta, gamma = solve_beta_gamma(theta, lo)
+            assert beta == gamma
+
+    @pytest.mark.parametrize("theta", [np.pi / 6, 0.1, -1.0])
+    def test_small_root_does_not_cancel_near_upper_end(self, theta):
+        lo, hi = alpha_range(theta)
+        at = hi - 1e-6 * (hi - lo)
+        beta, gamma = solve_beta_gamma(theta, at)
+        prod = (hi - at) ** 2  # hi = 2t
+        assert abs(beta * gamma - prod) <= 1e-12 * prod
 
     def test_out_of_range(self):
         lo, hi = alpha_range(np.pi / 6)
@@ -70,6 +83,14 @@ class TestSolveBetaGamma:
             solve_beta_gamma(np.pi / 6, lo - 0.01)
         with pytest.raises(OutOfRangeError):
             solve_beta_gamma(np.pi / 6, hi)
+
+    def test_face_band_at_upper_end_is_out_of_range(self):
+        # there the normalized a = alpha~ / hi is within FACE_TOL of the vertex a = 1
+        _, hi = alpha_range(np.pi / 6)
+        solve_beta_gamma(np.pi / 6, hi * (1 - 2 * FACE_TOL))
+        for at in (hi * (1 - FACE_TOL), 1.9318516515781365):
+            with pytest.raises(OutOfRangeError, match="face band"):
+                solve_beta_gamma(np.pi / 6, at)
 
     def test_roots_positive_through_interval(self):
         for th in (np.pi / 12, np.pi / 6, np.pi / 4):
@@ -91,12 +112,27 @@ class TestBuildWitness:
         assert spec.detection_value / 3 == pytest.approx(0.09808, abs=1e-4)
         assert not spec.detects
 
-    def test_auto_scan_picks_lower_end(self):
+    def test_unit_b_takes_lower_end(self):
+        # at b = 1 the pairing is linear in alpha~ with slope 3(p_theta - 1) > 0;
+        # at pi/6 its minimum is 6 sqrt 2 - 9 = -0.514718625761...
         spec = build_witness(np.pi / 6, 1.0)
-        lo, hi = alpha_range(np.pi / 6)
-        assert spec.alpha_tilde == pytest.approx(lo + 1e-3 * (hi - lo), abs=1e-12)
-        assert spec.detection_value < 0
-        assert spec.detection_value / 3 == pytest.approx(-0.1716, abs=1e-3)
+        lo, _ = alpha_range(np.pi / 6)
+        assert spec.alpha_tilde == lo
+        assert spec.beta_tilde == spec.gamma_tilde
+        assert spec.detection_value == pytest.approx(6 * math.sqrt(2) - 9, abs=1e-12)
+
+    def test_one_pairing_per_witness(self, monkeypatch):
+        calls = []
+
+        def counted(a, c):
+            calls.append(1)
+            return pairing_value(a, c)
+
+        monkeypatch.setattr(choimaps.witness, "pairing_value", counted)
+        build_witness(np.pi / 6, 2.0)
+        assert len(calls) == 1
+        build_witness(np.pi / 6, 2.0, 1.2)
+        assert len(calls) == 2
 
     def test_detection_matches_closed_form(self):
         for th in (np.pi / 12, -np.pi / 6, np.pi / 4):
@@ -199,8 +235,56 @@ def test_witness_matrix_layout():
 
 
 def test_auto_scan_detects_at_extreme_parameters():
-    # the scan finds a detecting choice even at extreme state parameters,
-    # picking the root assignment that shrinks the weighted slot
-    for b in (0.01, 100.0):
+    # the optimum detects even at extreme state parameters, where it lies
+    # near the upper end and the root assignment shrinks the weighted slot
+    for b in (0.01, 100.0, 5e5, 1e6, 1e-6):
         spec = build_witness(np.pi / 6, b)
         assert spec.detects
+        assert (spec.b_slot if b > 1 else spec.c_slot) == spec.gamma_tilde
+
+
+def _ansatz_scan_minimum(theta, b, alphas):
+    """Smallest family-identity pairing over ``alphas`` and both root
+    assignments, with the roots of the quadratic computed here."""
+    t, p = math.cos(theta / 2), cp_threshold(theta)
+    s = 2 * t * (t + math.sqrt(3 * (1 - t * t))) - alphas
+    prod = (2 * t - alphas) ** 2
+    big = (s + np.sqrt(np.maximum(s * s - 4 * prod, 0.0))) / 2
+    small = prod / big
+    both = np.minimum(b * big + small / b, b * small + big / b)
+    return float(np.min(3 * (p * alphas + both - 4 * t * t)))
+
+
+def test_closed_form_alpha_is_the_ansatz_optimum():
+    # no scan of the interval, fine or coarse (the 64 points that once chose
+    # alpha~, 1e-3 of the width in from each end), pairs below the optimum
+    rng = np.random.default_rng(20121205)
+    points = [(rng.choice([-1, 1]) * rng.uniform(0.05, 1.04), math.exp(rng.uniform(-6, 6)))
+              for _ in range(36)]
+    points += [(np.pi / 6, 1.0), (-0.9, 1.0), (0.3, 1.0), (1.0, 0.2)]
+    for theta, b in points:
+        spec = build_witness(theta, b)
+        lo, hi = alpha_range(theta)
+        margin = 1e-3 * (hi - lo)
+        alphas = np.concatenate([
+            np.linspace(lo, hi, 20001)[:-1],
+            np.linspace(lo + margin, hi - margin, 64),
+        ])
+        scale = 3 * (cp_threshold(theta) * spec.alpha_tilde + b * spec.b_slot
+                     + spec.c_slot / b + 4 * spec.t ** 2)
+        assert spec.detection_value <= _ansatz_scan_minimum(theta, b, alphas) + 1e-12 * scale
+
+
+_ANGLES = [sign * float(x) for x in np.linspace(0.06, 1.04, 9) for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("b", ["1e8", "1e-8", "1e9", "1e-9", "1e12", "1e-12"])
+def test_extreme_b_detects_or_is_a_usage_error(b, capsys):
+    # far out the optimum enters the face band at hi: a usage error, never exit 5
+    for theta in _ANGLES:
+        code = main(["witness", repr(theta), b, "--json"])
+        captured = capsys.readouterr()
+        assert code in (0, 1), (theta, captured.err)
+        assert "Traceback" not in captured.err
+        if code == 1:
+            assert "face band" in captured.err
