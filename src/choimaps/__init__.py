@@ -33,7 +33,6 @@ from .optimality import (
     optimality_probe,
     orthocomplement_basis,
     subtraction_budget,
-    vertex_optimality_analytic,
 )
 from .positivity import (
     BlockPositivityReport,

@@ -7,11 +7,15 @@ Exit codes:
      as inf or nan included), a negative or non-finite coordinate
      (OutOfRangeError), `spanning` on a map that is not positive
      (NotPositiveMapError), `witness` with b <= 0, with b so large or so
-     small that the edge state's trace overflows, or with an alpha~ (given,
-     or the optimum at b or 1/b beyond about 1e8) in the face band below
-     2cos(theta/2), and `figure-data 3` with more than 1000000 rows (it
-     writes 3*points^3 rows, so --points at most 69)
-  2  unsupported angle (UnsupportedThetaError, ThetaOutOfRangeError)
+     small that the edge state's trace overflows, with b or 1/b so large
+     (beyond about 1e8) that the ansatz's optimal alpha~ lies in the face
+     band below 2cos(theta/2), or with a given alpha~ outside its range
+     (that band included), and `figure-data 3` with more than 1000000 rows
+     (it writes 3*points^3 rows, so --points at most 69)
+  2  unsupported angle (UnsupportedThetaError, ThetaOutOfRangeError),
+     `classify` at the two vertices with first coordinate 1 while
+     cp_threshold(theta) - 1 < 1e-6 (within about 6e-7 of +-pi/3 and pi)
+     included
   3  the constructed witness does not detect (NoDetectingChoiceError)
   4  I/O error
   5  internal consistency check failed (InternalConsistencyError: a defect

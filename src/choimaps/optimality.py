@@ -1,27 +1,31 @@
 """Optimality analysis: which completely positive directions can be
 subtracted from a map while it stays block-positive.
 
-Candidate directions live in the orthocomplement of the sampled kernel
-product vectors.  Per direction the largest subtractable weight equals the
+Candidate directions live in the second-order orthocomplement of the
+sampled kernel product vectors (``orthocomplement_basis``): orthogonal to
+every kernel vector, and to the image of every null direction of the
+pairing's Hessian there.  Where that space is empty, no direction can be
+subtracted and the map is optimal without the spanning property; this
+decides both non-spanning optimal vertices in every theta branch, except
+within _THRESHOLD_GAP of cp_threshold = 1, where the space is refused.
+
+Elsewhere, per direction the largest subtractable weight equals the
 infimum over product vectors of the ratio (pairing with the map) /
 (pairing with the direction), which stays meaningful even where boundary
 violations are cubically suppressed and the plain bisection-on-the-oracle
 test loses resolution.  The probe first takes each direction's exact kernel
 limit, the infimum along curves into the sampled kernel vectors, so a valid
-upper bound.  Only a direction whose limit is above a tenth of
-CERTIFIED_ZERO then gets ratios on the grid, and Dinkelbach rounds, each one
+upper bound; then ratios on the grid, and Dinkelbach rounds, each one
 iteration of the oracle's descent (at most _ROUNDS per direction), from the
 smaller of its best grid ratio and its limit; the first round tests whether
-any product vector beats the limit.  On the outer optimal vertices every
-limit is zero, and no grid is scanned.
+any product vector beats the limit.
 
 A family Choi matrix is covariant (``positivity._COVARIANT``):
 Phi(D X D*) = D Phi(X) D* for diagonal unitaries D (Cho, Kye and Lee, Linear
 Algebra Appl. 171, 1992).  With D = diag(xi / |xi|), Phi(xi xi*) is then
 D Phi(|xi| |xi|^T) D*, so the ratios solve one Hermitian eigenproblem per
 moduli pattern |xi| (64 on the grid of 4096 cells) and rotate the direction
-by D.  The two named vertices also get a closed-form optimality certificate
-extracted from the probe families the proof uses.
+by D.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from .faces import (
     require_generic_theta,
 )
 from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, HESSIAN_FLOOR, INCLUSION_SLACK
-from .linalg import RANK_REL, RESIDUE_ABS, RESIDUE_REL, STATIONARY_REL, Array
-from .maps import MapParams, choi_matrix, cp_threshold, pairing_value
+from .linalg import RANK_REL, RESIDUE_ABS, STATIONARY_REL, Array
+from .maps import MapParams, choi_matrix, cp_threshold
 from .positivity import (
     _COVARIANT,
     _apply_kernel,
@@ -68,6 +72,11 @@ _TINY = 1e-300  # a top eigenvalue at or below it leaves the kernel limit infini
 _P_MAX = 10.0  # cap on each direction's subtractable weight in ``optimality_probe``
 _GRID_N = 8  # the probe's sphere grid, and its oracle checks
 _ROUNDS = 250  # cap on each direction's Dinkelbach rounds
+# cp_threshold - 1 below which ``orthocomplement_basis`` is not resolved: at
+# the vertices the rows that empty it are about 0.26 (cp_threshold - 1) of
+# the largest, and on other faces rounding leaves rows of about
+# 4e-16 / (cp_threshold - 1); at the bound each is 25 times from RANK_REL
+_THRESHOLD_GAP = 1e-6
 
 
 def subtraction_budget(theta: float) -> float:
@@ -79,14 +88,33 @@ def subtraction_budget(theta: float) -> float:
 
 
 def orthocomplement_basis(p: MapParams) -> list[Array]:
-    """Orthonormal basis of the orthogonal complement of the span of the
-    sampled kernel product vectors.
+    """Orthonormal basis of the second-order orthocomplement of the sampled
+    kernel product vectors z0: the directions v with v^T z0 = 0 and
+    v^T J x = 0 for every x in the null space (``_hessian_null``) of the
+    Hessian Q2 of the map pairing at every z0, J the Jacobian of z0 on the
+    product manifold (``_kernel_models``).  Along a curve into z0 with
+    tangent x the pairing is then O(s^3), while subtracting r v v* costs
+    r s^2 |v^T J x|^2, so every direction that can be subtracted with a
+    positive weight lies in this space: an empty space certifies optimality,
+    and a too small kernel sample can only enlarge it.
 
-    Empty for maps with the spanning property.  For the two vertices with
-    first coordinate 1 and a single nonzero partner coordinate (in the
-    middle theta branch) the basis is validated to be 2-dimensional,
-    supported on the diagonal tensor slots with coordinates summing to zero.
+    The first-order space B (v^T z0 = 0) comes from the sample's tensors.
+    The rows J x are restricted to B, and where they vanish there (to
+    RANK_REL of their largest norm) B itself is returned, so the directions
+    drawn from it do not depend on them.  Empty for maps with the spanning
+    property.  Raises UnsupportedCaseError when no kernel vector is known,
+    and UnsupportedThetaError when B is not empty and cp_threshold - 1 is
+    below _THRESHOLD_GAP: the rows that reduce B then shrink with
+    cp_threshold - 1 while their rounding noise grows, and no cut tells
+    them apart.
     """
+    return list(_second_order(p, choi_matrix(p))[0])
+
+
+def _second_order(p: MapParams, w: Array) -> tuple[Array, tuple[Array, Array, Array] | None]:
+    """The (k, 9) basis rows of ``orthocomplement_basis`` at the map with
+    Choi matrix ``w``, and the kernel vectors' model (mu, e, J) of
+    ``_kernel_models`` (None when the first-order space is empty)."""
     vectors = sampled_kernel_vectors(p)
     if not vectors:
         raise UnsupportedCaseError(
@@ -95,109 +123,25 @@ def orthocomplement_basis(p: MapParams) -> list[Array]:
     # The subtraction penalty at a product vector z is |v^T z|^2, so the
     # orthogonality that keeps kernel pairings at zero is the unconjugated
     # bilinear one: v must annihilate every kernel tensor under v^T z.
-    rows = np.array([pv.tensor() for pv in vectors])
-    _, s, vh = np.linalg.svd(rows)
-    rank = int(np.count_nonzero(s > RANK_REL * s[0]))
-    basis = [vh[k].conj() for k in range(rank, 9)]
-
-    if abs(p.theta) < math.pi / 3.0 and _kernel_point(p).face.kind in _VERTEX_SIDE:
-        if len(basis) != 2:
-            raise InternalConsistencyError(
-                f"vertex orthocomplement at {p} has dimension {len(basis)}, not 2"
-            )
-        off = [k for k in range(9) if k not in (0, 4, 8)]
-        for v in basis:
-            off_max, total = float(np.abs(v[off]).max()), abs(v[0] + v[4] + v[8])
-            if off_max > RESIDUE_REL or total > RESIDUE_REL:  # unit vectors: absolute is relative
-                raise InternalConsistencyError(
-                    f"vertex orthocomplement at {p} is not diagonal-slot with zero sum: "
-                    f"off-diagonal {off_max!r}, slot sum {total!r}"
-                )
-    return basis
-
-
-#: The two named vertices with first coordinate 1, by their nonzero partner.
-_VERTEX_SIDE = {FaceKind.V_1B0: "b_side", FaceKind.V_10C: "c_side"}
-
-
-# ---------------------------------------------------------------------------
-# Analytic vertex optimality.
-# ---------------------------------------------------------------------------
-
-
-def _probe_families(theta: float, vertex: str):
-    """Two one-parameter product-vector families whose pairings against the
-    vertex map vanish to third order while pairing quadratically against
-    diagonal-slot subtraction directions."""
-    e_m = cmath.exp(-1j * theta)
-    e_p = cmath.exp(1j * theta)
-    if vertex == "b_side":
-        fam1 = lambda t: (np.array([math.sqrt(t) * e_m, t, 0.0]), np.array([math.sqrt(t), 1.0, 0.0]))
-        fam2 = lambda t: (np.array([0.0, math.sqrt(t) * e_m, t]), np.array([0.0, math.sqrt(t), 1.0]))
-    elif vertex == "c_side":
-        fam1 = lambda t: (np.array([0.0, t, math.sqrt(t) * e_p]), np.array([0.0, 1.0, math.sqrt(t)]))
-        fam2 = lambda t: (np.array([t, math.sqrt(t) * e_p, 0.0]), np.array([1.0, math.sqrt(t), 0.0]))
-    else:
-        raise ValueError(f"vertex must be 'b_side' or 'c_side', got {vertex!r}")
-    return fam1, fam2
-
-
-def _diag_pairing_form(family) -> Array:
-    """Hermitian 3x3 matrix of the quadratic form v -> pairing(z z*, V[v]) / t^2
-    for diagonal-slot directions v, extracted by reading off the linear
-    coefficient of the diagonal tensor slots of the family."""
-    xi, eta = family(1.0)
-    z = np.kron(xi, eta)
-    ell = z[[0, 4, 8]]
-    for t in (0.25, 2.0):
-        xi, eta = family(t)
-        zt = np.kron(xi, eta)[[0, 4, 8]]
-        drift = float(np.abs(zt - t * ell).max())
-        if drift > INCLUSION_SLACK * max(1.0, t):
-            raise InternalConsistencyError(
-                f"probe family diagonal slots are not linear in t: deviation {drift!r} at t={t}"
-            )
-    return np.outer(ell.conj(), ell)
-
-
-def vertex_optimality_analytic(theta: float, vertex: str = "b_side") -> bool:
-    """Closed-form optimality certificate for the vertex maps with first
-    coordinate 1 (middle theta branch).
-
-    Checks that the pairing of the probe families against the vertex map is
-    a pure cubic with coefficient cp_threshold - 1, then that the two
-    quadratic constraint forms combined with the zero-sum condition force
-    every diagonal-slot subtraction direction to vanish.
-    """
-    if not abs(theta) < math.pi / 3.0:
+    _, s, vh = np.linalg.svd(_kernel_point(p).tensors)
+    basis = vh[np.count_nonzero(s > RANK_REL * s[0]):].conj()
+    if not len(basis):
+        return basis, None
+    gap = cp_threshold(p.theta) - 1.0
+    if gap < _THRESHOLD_GAP:
         raise UnsupportedThetaError(
-            f"analytic vertex certificate covers |theta| < pi/3, got {theta}"
+            f"the second-order orthocomplement is not resolved at theta={p.theta}: "
+            f"cp_threshold - 1 = {gap!r} is below {_THRESHOLD_GAP!r}"
         )
-    pth = require_generic_theta(theta)
-    families = _probe_families(theta, vertex)  # raises ValueError on any other vertex
-    bc = (pth - 1.0, 0.0) if vertex == "b_side" else (0.0, pth - 1.0)
-    w = choi_matrix(MapParams(1.0, *bc, theta))
-
-    forms = []
-    for family in families:
-        # pairing against the vertex map: fit to a polynomial and require a
-        # pure cubic with the expected leading coefficient
-        ts = np.array([0.2, 0.5, 1.0, 1.7, 2.4])
-        vals = []
-        for t in ts:
-            xi, eta = family(t)
-            z = np.kron(xi, eta)
-            vals.append(pairing_value(np.outer(z, z.conj()), w))
-        coeffs = np.polynomial.polynomial.polyfit(ts, np.array(vals), 3)
-        if np.abs(coeffs[:3]).max() > RESIDUE_ABS or abs(coeffs[3] - (pth - 1.0)) > RESIDUE_ABS:
-            raise InternalConsistencyError(
-                f"probe family pairing is not the expected cubic with leading {pth - 1.0!r}: {coeffs}"
-            )
-        forms.append(_diag_pairing_form(family))
-
-    stack = np.vstack(forms + [np.ones((1, 3), dtype=complex)])
-    smin = np.linalg.svd(stack, compute_uv=False)[-1]
-    return bool(smin > CERTIFIED_ZERO)
+    model = _kernel_models(w, vectors)
+    mu, e, jac = model
+    # one row J x per Hessian null vector x, zero rows elsewhere
+    rows = (jac @ (e * _hessian_null(mu)[:, None, :])).transpose(0, 2, 1).reshape(-1, 9)
+    _, s, vh = np.linalg.svd(rows @ basis.T, full_matrices=False)  # nvec * 12 >= 9 rows
+    rank = int(np.count_nonzero(s > RANK_REL * np.linalg.norm(rows, axis=1).max()))
+    if rank:
+        basis = vh[rank:].conj() @ basis
+    return basis, model
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +259,16 @@ def _dinkelbach(w: Array, v: Array, xi: Array, ratios: Array, run: int, bound: f
 _CONJUGATE_BASIS = np.hstack([np.eye(3), -1j * np.eye(3)])[None]
 
 
-def _kernel_models(w: Array, vectors: list[ProductVector], directions: Array) -> tuple[Array, Array, Array]:
-    """The exact limits' ingredients at the (nonempty) sampled kernel
-    ``vectors``, from one ``_pairing_model`` call over all of them: the
+def _kernel_models(w: Array, vectors: list[ProductVector]) -> tuple[Array, Array, Array]:
+    """The second-order model at the (nonempty) sampled kernel ``vectors``,
+    from one ``_pairing_model`` call over all of them: the
     eigendecompositions (mu, e) of the 12x12 real Hessians Q2 of the map
     pairing along the product manifold, in the coordinates
-    x = (Re dxi, Im dxi, Re deta, Im deta), and the (nvec, ndir, 2, 12) real
-    penalty rows of the linearized amplitudes v^T J x, one per direction v,
-    with J the Jacobian of xi0 (x) eta0.  Raises InternalConsistencyError
-    unless every vector is stationary: the gradient may not exceed
-    STATIONARY_REL times the scale |W conj(z0)| |z0| (at least 1)."""
+    x = (Re dxi, Im dxi, Re deta, Im deta), and the (nvec, 9, 12) Jacobians J
+    of z0 = xi0 (x) eta0 in those coordinates.  Raises
+    InternalConsistencyError unless every vector is stationary: the gradient
+    may not exceed STATIONARY_REL times the scale |W conj(z0)| |z0| (at
+    least 1)."""
     a = np.array([pv.xi for pv in vectors]).conj()
     b = np.array([pv.eta for pv in vectors]).conj()
     jac, grad, q = _pairing_model(w, a, b, _CONJUGATE_BASIS, _CONJUGATE_BASIS)
@@ -338,24 +282,32 @@ def _kernel_models(w: Array, vectors: list[ProductVector], directions: Array) ->
                 f"exceeds {bound!r}"
             )
     mu, e = np.linalg.eigh(q)
-    amp = directions @ jac.conj()
-    return mu, e, np.stack([amp.real, amp.imag], axis=2)
+    return mu, e, jac.conj()  # y = conj(z0) and x is real, so conj(dy/dx) = dz0/dx
+
+
+def _hessian_null(mu: Array) -> Array:
+    """Which of the ascending Hessian eigenvalues ``mu`` (last axis) are null:
+    those at most max(HESSIAN_FLOOR mu_max, INCLUSION_SLACK)."""
+    return mu <= np.maximum(HESSIAN_FLOOR * np.maximum(mu[..., -1:], 0.0), INCLUSION_SLACK)
+
+
+def _penalty_rows(jac: Array, directions: Array) -> Array:
+    """The (nvec, ndir, 2, 12) real rows of the linearized penalty amplitudes
+    v^T J x, one per direction v, at each kernel vector's Jacobian J."""
+    amp = directions @ jac
+    return np.stack([amp.real, amp.imag], axis=2)
 
 
 def _kernel_limit_ratio(mu: Array, e: Array, rows: Array) -> float:
     """Infimum of Q2 / |L d|^2 from the eigendecomposition of Q2 and the
-    penalty rows L: zero when the penalty sees the Hessian kernel, otherwise
-    the reciprocal largest eigenvalue of L Q2^+ L^T."""
-    b = rows @ e
-    mu_max = max(float(mu[-1]), 0.0)
-    cut = max(HESSIAN_FLOOR * mu_max, INCLUSION_SLACK)
-    null = mu <= cut
-    row_scale = float(np.linalg.norm(rows))
-    if row_scale < INCLUSION_SLACK:
+    penalty rows L: the reciprocal largest eigenvalue of L Q2^+ L^T.  The
+    directions come from the second-order orthocomplement, so L vanishes on
+    the null space of Q2 to the RANK_REL cut (which _THRESHOLD_GAP keeps
+    resolved) and only its positive part counts."""
+    if float(np.linalg.norm(rows)) < INCLUSION_SLACK:
         return math.inf
-    if null.any() and float(np.linalg.norm(b[:, null])) > RANK_REL * row_scale:
-        return 0.0
-    pos = ~null
+    b = rows @ e
+    pos = ~_hessian_null(mu)
     if not pos.any():
         return math.inf
     m2 = (b[:, pos] / mu[pos]) @ b[:, pos].T
@@ -367,60 +319,56 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
     """Probe whether a completely positive direction can be subtracted from
     the map while keeping it block-positive.
 
-    Directions sweep the unit sphere of the kernel orthocomplement (the full
-    space when no kernel vector is known).  Per direction the measured
-    quantity is the infimum over product vectors of the pairing ratio.  The
-    exact limits at all kernel vectors come first, from one batched
-    ``_kernel_models``; each is the infimum along curves into a kernel
-    vector, so a valid upper bound.  A direction whose smallest limit is at
-    most a tenth of CERTIFIED_ZERO keeps it, and needs no grid.  The others
-    get their ratios on the grid of _GRID_N, in one ``_ratio_on_grid`` call
-    (one eigensolve per moduli pattern, by covariance), and ``_dinkelbach``
-    rounds from the smaller of the best grid ratio and the limit; the first
-    round tests whether any product vector beats the limit.  No direction
-    counts above ``_P_MAX``.  A candidate above the not-optimal threshold is
-    re-verified against the block-positivity oracle.  Raises OutOfRangeError
-    unless n_directions >= 1.
+    An empty ``orthocomplement_basis`` is the certificate: the verdict is
+    'optimal' with no direction drawn (the spanning property included).
+    Otherwise directions sweep the unit sphere of that space (the full space
+    when no kernel vector is known).  Per direction the measured quantity is
+    the infimum over product vectors of the pairing ratio.  The exact limits
+    at all kernel vectors come first, from the ``_kernel_models`` that built
+    the space; each is the infimum along curves into a kernel vector, so a
+    valid upper bound.  Then every direction gets its ratios on the grid of
+    _GRID_N, in one ``_ratio_on_grid`` call (one eigensolve per moduli
+    pattern, by covariance), and ``_dinkelbach`` rounds from the smaller of
+    the best grid ratio and the limit; the first round tests whether any
+    product vector beats the limit.  No direction counts above ``_P_MAX``.  A
+    candidate above the not-optimal threshold is re-verified against the
+    block-positivity oracle.  Raises OutOfRangeError unless
+    n_directions >= 1, and UnsupportedThetaError where
+    ``orthocomplement_basis`` does.
     """
     if n_directions < 1:
         raise OutOfRangeError(f"n_directions must be >= 1, got {n_directions}")
     w = choi_matrix(p)
 
     try:
-        basis = orthocomplement_basis(p)
+        basis, model = _second_order(p, w)
     except UnsupportedCaseError:
-        basis = [np.eye(9, dtype=complex)[k] for k in range(9)]
-    if not basis:
+        basis, model = np.eye(9, dtype=complex), None
+    if not len(basis):
         return OptimalityProbeReport(
             direction_count=0,
             max_subtractable=0.0,
             verdict="optimal",
-            verification={"reason": "empty orthocomplement (spanning property)"},
+            verification={"reason": "empty second-order orthocomplement"},
         )
 
-    basis_mat = np.array(basis)  # (dim, 9)
-    directions = _directions(len(basis), n_directions) @ basis_mat  # (ndir, 9)
+    directions = _directions(len(basis), n_directions) @ basis  # (ndir, 9)
     per_direction = np.full(len(directions), math.inf)
-    vectors = sampled_kernel_vectors(p)
-    if vectors:
-        mu, e, rows = _kernel_models(w, vectors, directions)
+    if model is not None:
+        mu, e, jac = model
+        rows = _penalty_rows(jac, directions)
         for d in range(len(directions)):
-            for k in range(len(vectors)):
-                per_direction[d] = min(per_direction[d], _kernel_limit_ratio(mu[k], e[k], rows[k, d]))
-                if per_direction[d] <= 0.0:
-                    break
+            per_direction[d] = min(_kernel_limit_ratio(mu[k], e[k], rows[k, d]) for k in range(len(mu)))
 
-    rounds = np.flatnonzero(per_direction > CERTIFIED_ZERO / 10)
-    if len(rounds):
-        xi_grid, _ = _sphere_grid(_GRID_N, _GRID_N)
-        run = _GRID_N * _GRID_N
-        grid_ratios = _ratio_on_grid(w, directions[rounds].reshape(-1, 3, 3), xi_grid, run)
-        for d, ratios in zip(rounds, grid_ratios):
-            per_direction[d] = _dinkelbach(w, directions[d], xi_grid, ratios, run, per_direction[d])
+    xi_grid, _ = _sphere_grid(_GRID_N, _GRID_N)
+    run = _GRID_N * _GRID_N
+    grid_ratios = _ratio_on_grid(w, directions.reshape(-1, 3, 3), xi_grid, run)
+    for d, ratios in enumerate(grid_ratios):
+        per_direction[d] = _dinkelbach(w, directions[d], xi_grid, ratios, run, per_direction[d])
     per_direction = np.minimum(per_direction, _P_MAX)
     top = int(np.argmax(per_direction))
     best = float(per_direction[top])
-    best_dir = directions[top] if best > 0.0 else None
+    best_dir = directions[top]
 
     verification: dict = {}
     verdict = "inconclusive"
@@ -522,11 +470,13 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
     each flag recorded.
 
     Spanning flags come from the closed forms with rank/determinant
-    evidence; the optimal flag at the two non-spanning optimal vertices is
-    certified analytically in the middle theta branch and numerically
-    elsewhere; the co-optimality disproof on the sum-threshold face runs the
-    explicit subtraction when the point is on its unit-first-coordinate
-    slice.
+    evidence; the optimal flag of every optimal, non-spanning row (the two
+    vertices with first coordinate 1, in every theta branch) comes from
+    ``optimality_probe``, whose empty second-order orthocomplement certifies
+    it (UnsupportedThetaError while cp_threshold - 1 < _THRESHOLD_GAP,
+    where that space is not resolved); the co-optimality disproof on the
+    sum-threshold face runs the explicit subtraction when the point is on
+    its unit-first-coordinate slice.
     """
     face = _kernel_point(p).face
     evidence: dict = {"face": face.kind.value}
@@ -549,19 +499,13 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
     if row.spanning:
         evidence["optimal"] = "spanning property implies optimality"
     elif row.optimal:
-        side = _VERTEX_SIDE.get(face.kind)
-        if side is not None and abs(p.theta) < math.pi / 3.0:
-            if not vertex_optimality_analytic(p.theta, side):
-                raise InternalConsistencyError(f"analytic vertex certificate failed at {p}")
-            evidence["optimal"] = f"analytic vertex certificate ({side})"
-        else:
-            report = optimality_probe(p)
-            if report.verdict != "optimal":
-                raise InternalConsistencyError(
-                    f"numeric probe verdict {report.verdict} at the optimal face point {p}: "
-                    f"max subtractable {report.max_subtractable!r}"
-                )
-            evidence["optimal"] = "numeric subtraction probe"
+        report = optimality_probe(p)
+        if report.verdict != "optimal":
+            raise InternalConsistencyError(
+                f"numeric probe verdict {report.verdict} at the optimal face point {p}: "
+                f"max subtractable {report.max_subtractable!r}"
+            )
+        evidence["optimal"] = report.verification.get("reason", "numeric subtraction probe")
     else:
         evidence["optimal"] = "facial structure (smallest face contains CP maps)"
 

@@ -8,8 +8,9 @@ it at fixed phase choices gives square matrices whose determinants have
 closed-form absolute values, used here as regression oracles.
 
 Each point gets one record, built once and cached by its parameters: its
-face, its kernel case and its membership-checked kernel sample.  Every
-function here, and the optimality code, reads that record.
+face, its kernel case, its membership-checked kernel sample and the
+sample's tensors.  Every function here, and the optimality code, reads that
+record; the spanning and co-spanning reports are cached the same way.
 """
 
 from __future__ import annotations
@@ -184,12 +185,16 @@ _KERNEL_CASE = {
 @dataclass(frozen=True)
 class _KernelPoint:
     """What the kernel code knows about one positive map: its threshold, its
-    face, its kernel case and its membership-checked generic kernel sample."""
+    face, its kernel case, its membership-checked generic kernel sample, and
+    the sample's (n, 9) tensors xi (x) eta and partial conjugates
+    xi (x) conj(eta)."""
 
     pth: float
     face: FaceLabel
     case: str | None
     sample: tuple[ProductVector, ...]
+    tensors: Array
+    conjugate_tensors: Array
 
 
 @functools.lru_cache(maxsize=32)
@@ -203,9 +208,17 @@ def _kernel_point(p: MapParams) -> _KernelPoint:
     face = classify_face(p)
     case = _KERNEL_CASE.get(face.kind)
     sample = _case_vectors(p, case)
-    for pv in sample:  # shared by every caller of the cache
-        pv.xi.flags.writeable = pv.eta.flags.writeable = False
-    return _KernelPoint(pth, face, case, tuple(sample))
+    tensors, conjugate_tensors = _tensors(sample), _tensors(sample, conjugate=True)
+    for x in [tensors, conjugate_tensors] + [f for pv in sample for f in (pv.xi, pv.eta)]:
+        x.flags.writeable = False  # shared by every caller of the cache
+    return _KernelPoint(pth, face, case, tuple(sample), tensors, conjugate_tensors)
+
+
+def _tensors(vectors: list[ProductVector], conjugate: bool = False) -> Array:
+    """The (n, 9) tensors xi (x) eta of the ``vectors``, or xi (x) conj(eta)."""
+    xi = np.array([pv.xi for pv in vectors]).reshape(-1, 3)
+    eta = np.array([pv.eta for pv in vectors]).reshape(-1, 3)
+    return (xi[:, :, None] * (eta.conj() if conjugate else eta)[:, None, :]).reshape(-1, 9)
 
 
 def _case_vectors(p: MapParams, case: str | None) -> list[ProductVector]:
@@ -274,17 +287,12 @@ def _report(
             det_abs = float(abs(np.linalg.det(cols)))
     if any(x is not None and not math.isfinite(x) for x in (det_abs, det_closed)):
         det_abs = det_closed = None
-    vectors = [pv.partial_conjugate() for pv in k.sample] if conjugate else k.sample
-    rank = numeric_rank(np.array([pv.tensor() for pv in vectors])) if vectors else None
+    rank = numeric_rank(k.conjugate_tensors if conjugate else k.tensors) if k.sample else None
     return SpanningReport(verdict, k.case, rank, det_abs, det_closed)
 
 
 def _nine_columns(vectors: list[ProductVector], conjugate: bool = False) -> Array | None:
-    if len(vectors) != 9:
-        return None
-    if conjugate:
-        vectors = [pv.partial_conjugate() for pv in vectors]
-    return np.array([pv.tensor() for pv in vectors]).T
+    return _tensors(vectors, conjugate).T if len(vectors) == 9 else None
 
 
 def spanning_det_closed_form(p: MapParams) -> float | None:
@@ -327,13 +335,15 @@ def cospanning_det_closed_form(p: MapParams) -> float | None:
     )
 
 
+@functools.lru_cache(maxsize=32)
 def has_spanning_property(p: MapParams) -> SpanningReport:
     """Spanning verdict (kernel spans the 9-dimensional tensor space).
 
     Closed form: 0 <= a < 1 and b*c = (1 - a)^2.  Evidence: rank of the
     sampled kernel and, in the determinant cases, |det| of the nine
-    canonical columns against the closed form.  Raises NotPositiveMapError
-    when the map is not positive: spanning is defined only for positive maps.
+    canonical columns against the closed form.  Built once per point, like
+    its record.  Raises NotPositiveMapError when the map is not positive:
+    spanning is defined only for positive maps.
     """
     k = _kernel_point(p)
     verdict = p.a < 1.0 - FACE_TOL and on_surface_at(*p.abc)
@@ -364,14 +374,15 @@ def cospanning_columns(p: MapParams) -> Array | None:
     return _nine_columns(vectors, conjugate=True)
 
 
+@functools.lru_cache(maxsize=32)
 def has_cospanning_property(p: MapParams) -> SpanningReport:
     """Co-spanning verdict (partial conjugates of the kernel span).
 
     Closed form: either the sum-threshold surface piece
     2 - pth <= a <= 1, b*c = (1 - a)^2, a + b + c = pth, or the coordinate
-    piece 1 <= a <= pth, b*c = 0, a + b + c = pth.  Raises
-    NotPositiveMapError when the map is not positive: co-spanning is defined
-    only for positive maps.
+    piece 1 <= a <= pth, b*c = 0, a + b + c = pth.  Built once per point,
+    like its record.  Raises NotPositiveMapError when the map is not
+    positive: co-spanning is defined only for positive maps.
     """
     k = _kernel_point(p)
     surface_piece = p.a >= 2.0 - k.pth - FACE_TOL and on_surface_at(*p.abc)

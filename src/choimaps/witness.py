@@ -193,9 +193,10 @@ def build_witness(theta: float, b: float, alpha_tilde: float | None = None) -> W
     ``detects``).  Swapping the roots changes the pairing by
     (b - 1/b)(b_slot - c_slot), so the b slot takes the smaller root when
     b > 1 and the larger one otherwise.  Raises OutOfRangeError when b is so
-    large or small that the edge state's trace overflows or alpha~ lies in
-    the face band of ``solve_beta_gamma``, and InternalConsistencyError when
-    the witness fails ``_validate``.
+    large or small that the edge state's trace overflows, when b is so
+    extreme that the optimal alpha~* lies in the face band of
+    ``solve_beta_gamma``, or when a given alpha~ lies outside its range, and
+    InternalConsistencyError when the witness fails ``_validate``.
     """
     t = _check_theta(theta)
     if not b > 0:
@@ -212,7 +213,16 @@ def build_witness(theta: float, b: float, alpha_tilde: float | None = None) -> W
         c, d = 2.0 * cp_threshold(theta) - b - 1.0 / b, b - 1.0 / b
         # c / sqrt(c^2 + 3d^2), without overflow; 1 at b = 1
         alpha_tilde = lo + 2.0 / 3.0 * (hi - lo) * (1.0 - c / math.hypot(c, d, d, d))
-    beta, gamma = solve_beta_gamma(theta, alpha_tilde)
+    try:
+        beta, gamma = solve_beta_gamma(theta, alpha_tilde)
+    except OutOfRangeError:
+        if not auto:
+            raise
+        # alpha~* lies in [lo, hi), so only the face band can reject it
+        raise OutOfRangeError(
+            f"b={b!r} is too extreme for the witness ansatz at theta={theta!r}: its optimal "
+            f"alpha~ {alpha_tilde!r} lies in the face band below 2cos(theta/2) = {hi!r}"
+        ) from None
     b_slot, c_slot = (gamma, beta) if b > 1.0 else (beta, gamma)
     w = witness_matrix(theta, alpha_tilde, b_slot, c_slot)
     spec = WitnessSpec(

@@ -1,10 +1,12 @@
-"""Paper lemmas that more than one test module checks the package against.
+"""Paper lemmas that the tests check the package against.
 
 No verdict of the package reaches them, so they live beside the tests as
 independent references: the map itself entry by entry, the pairing with a
 family member, the phase circulant that decides complete positivity, the
-probe's subtractable weights by one eigensolve per vector, and the kernel
-vectors and the equal-subtraction restriction of the {6,8} edge states.
+probe's subtractable weights by one eigensolve per vector, the closed-form
+optimality certificate of the two vertices with first coordinate 1 from the
+probe families of the paper's proof, and the kernel vectors and the
+equal-subtraction restriction of the {6,8} edge states.
 """
 
 import cmath
@@ -12,9 +14,10 @@ import math
 
 import numpy as np
 
-from choimaps import InternalConsistencyError, MapParams, OutOfRangeError, choi_matrix, edge_state
-from choimaps import pairing_value, partial_transpose
-from choimaps.linalg import EIG_FLOOR, RESIDUE_ABS, require_hermitian
+from choimaps import InternalConsistencyError, MapParams, OutOfRangeError, UnsupportedThetaError
+from choimaps import choi_matrix, edge_state, pairing_value, partial_transpose
+from choimaps.faces import require_generic_theta
+from choimaps.linalg import CERTIFIED_ZERO, EIG_FLOOR, INCLUSION_SLACK, RESIDUE_ABS, require_hermitian
 from choimaps.positivity import _apply_kernel, _kernel_matrix
 
 
@@ -71,6 +74,81 @@ def phase_circulant(a: float, theta: float) -> np.ndarray:
         m[u, v] = -e
         m[v, u] = -e.conjugate()
     return m
+
+
+def _probe_families(theta: float, vertex: str):
+    """Two one-parameter product-vector families whose pairings against the
+    vertex map vanish to third order while pairing quadratically against
+    diagonal-slot subtraction directions."""
+    e_m = cmath.exp(-1j * theta)
+    e_p = cmath.exp(1j * theta)
+    if vertex == "b_side":
+        fam1 = lambda t: (np.array([math.sqrt(t) * e_m, t, 0.0]), np.array([math.sqrt(t), 1.0, 0.0]))
+        fam2 = lambda t: (np.array([0.0, math.sqrt(t) * e_m, t]), np.array([0.0, math.sqrt(t), 1.0]))
+    elif vertex == "c_side":
+        fam1 = lambda t: (np.array([0.0, t, math.sqrt(t) * e_p]), np.array([0.0, 1.0, math.sqrt(t)]))
+        fam2 = lambda t: (np.array([t, math.sqrt(t) * e_p, 0.0]), np.array([1.0, math.sqrt(t), 0.0]))
+    else:
+        raise ValueError(f"vertex must be 'b_side' or 'c_side', got {vertex!r}")
+    return fam1, fam2
+
+
+def _diag_pairing_form(family) -> np.ndarray:
+    """Hermitian 3x3 matrix of the quadratic form v -> pairing(z z*, V[v]) / t^2
+    for diagonal-slot directions v, extracted by reading off the linear
+    coefficient of the diagonal tensor slots of the family."""
+    xi, eta = family(1.0)
+    z = np.kron(xi, eta)
+    ell = z[[0, 4, 8]]
+    for t in (0.25, 2.0):
+        xi, eta = family(t)
+        zt = np.kron(xi, eta)[[0, 4, 8]]
+        drift = float(np.abs(zt - t * ell).max())
+        if drift > INCLUSION_SLACK * max(1.0, t):
+            raise InternalConsistencyError(
+                f"probe family diagonal slots are not linear in t: deviation {drift!r} at t={t}"
+            )
+    return np.outer(ell.conj(), ell)
+
+
+def vertex_optimality_analytic(theta: float, vertex: str = "b_side") -> bool:
+    """Closed-form optimality certificate for the vertex maps with first
+    coordinate 1 (middle theta branch).
+
+    Checks that the pairing of the probe families against the vertex map is
+    a pure cubic with coefficient cp_threshold - 1, then that the two
+    quadratic constraint forms combined with the zero-sum condition force
+    every diagonal-slot subtraction direction to vanish.
+    """
+    if not abs(theta) < math.pi / 3.0:
+        raise UnsupportedThetaError(
+            f"analytic vertex certificate covers |theta| < pi/3, got {theta}"
+        )
+    pth = require_generic_theta(theta)
+    families = _probe_families(theta, vertex)  # raises ValueError on any other vertex
+    bc = (pth - 1.0, 0.0) if vertex == "b_side" else (0.0, pth - 1.0)
+    w = choi_matrix(MapParams(1.0, *bc, theta))
+
+    forms = []
+    for family in families:
+        # pairing against the vertex map: fit to a polynomial and require a
+        # pure cubic with the expected leading coefficient
+        ts = np.array([0.2, 0.5, 1.0, 1.7, 2.4])
+        vals = []
+        for t in ts:
+            xi, eta = family(t)
+            z = np.kron(xi, eta)
+            vals.append(pairing_value(np.outer(z, z.conj()), w))
+        coeffs = np.polynomial.polynomial.polyfit(ts, np.array(vals), 3)
+        if np.abs(coeffs[:3]).max() > RESIDUE_ABS or abs(coeffs[3] - (pth - 1.0)) > RESIDUE_ABS:
+            raise InternalConsistencyError(
+                f"probe family pairing is not the expected cubic with leading {pth - 1.0!r}: {coeffs}"
+            )
+        forms.append(_diag_pairing_form(family))
+
+    stack = np.vstack(forms + [np.ones((1, 3), dtype=complex)])
+    smin = np.linalg.svd(stack, compute_uv=False)[-1]
+    return bool(smin > CERTIFIED_ZERO)
 
 
 def edge_kernel_vectors(b: float, theta: float):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import choimaps
-from choimaps import MapParams
+from choimaps import MapParams, cp_threshold
 from choimaps.cli import _EXIT_CODES, main, parse_angle
 from choimaps.positivity import BlockPositivityReport
 from choimaps.reporting import ReportDocument, render_plain
@@ -97,6 +97,24 @@ class TestClassify:
         assert main(["classify", "1", "1", "1", "0"]) == 2
         assert "cp_threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theta", [math.pi / 3, -math.pi / 3, math.pi])
+    def test_vertex_within_the_threshold_gap_is_unsupported(self, theta, capsys):
+        # the second-order orthocomplement is not resolved while
+        # cp_threshold - 1 < 1e-6; it exited 5 at some of these angles
+        for eps in (-3e-8, -1e-8, -1e-9, 1e-9, 1e-8, 3e-8, 3e-6):
+            angle = theta + eps
+            if angle > math.pi:
+                continue
+            gap = cp_threshold(angle) - 1.0
+            for abc in ((1.0, gap, 0.0), (1.0, 0.0, gap)):
+                code = main(["classify", *map(repr, abc), repr(angle), "--json"])
+                captured = capsys.readouterr()
+                if abs(eps) < 1e-6:
+                    assert code == 2 and "not resolved" in captured.err
+                else:
+                    evidence = json.loads(captured.out)["evidence"]["optimality"]
+                    assert code == 0 and evidence["optimal"] == "empty second-order orthocomplement"
+
     def test_plain_output(self, capsys):
         assert main(["classify", "2", "2", "2", "pi/6"]) == 0
         out = capsys.readouterr().out
@@ -127,6 +145,22 @@ class TestClassify:
         monkeypatch.setattr(spanning, "_in_kernel", counted)
         assert main(["classify", "0.5", "1", "0.25", "pi/6", "--json"]) == 0
         assert calls == [expected] and expected == 18  # one batched check
+
+    def test_each_spanning_report_built_once(self, capsys, monkeypatch):
+        # cli._spanning_parts and classify_optimality share the two reports,
+        # and the sample's tensors are built once by broadcasting, not by kron
+        import choimaps.spanning as spanning
+
+        spanning._kernel_point.cache_clear()
+        spanning.has_spanning_property.cache_clear()
+        spanning.has_cospanning_property.cache_clear()
+        reports, krons = [], []
+        report, kron = spanning._report, np.kron
+        monkeypatch.setattr(spanning, "_report", lambda *args: reports.append(args[2]) or report(*args))
+        monkeypatch.setattr(np, "kron", lambda *args: krons.append(1) or kron(*args))
+        assert main(["classify", "1", "0", "0.7320508075688772", "pi/6", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["flags"]["face"] == "v_10c"
+        assert reports == [False, True] and krons == []
 
 
 @pytest.mark.parametrize(
@@ -212,6 +246,16 @@ class TestWitness:
 
     def test_alpha_out_of_range_usage_error(self, capsys):
         assert main(["witness", "pi/6", "1", "--alpha-tilde", "0.5"]) == 1
+
+    @pytest.mark.parametrize("b", ["1e8", "1e-8"])
+    def test_optimum_in_face_band_names_b(self, b, capsys):
+        # no alpha~ given: the message blames b, not an alpha~ the user never chose
+        assert main(["witness", "0.06", b]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"witness: b={float(b)!r} is too extreme for the witness ansatz")
+        assert "face band" in captured.err and "must lie in" not in captured.err
 
     def test_nonpositive_b_usage_error(self, capsys):
         assert main(["witness", "pi/6", "0"]) == 1

@@ -160,14 +160,18 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-#: What a verdict reaches from outside the package: the command line, the
-#: two functions the benchmark calls, and the public one-vector kernel check
-#: (the benchmark traces it by name; the kernel sample is checked in one batch).
+#: What a verdict reaches from outside the package: the command line (it
+#: reaches ``optimality_probe``, which the benchmark also calls, through
+#: ``classify_optimality``), the parametrization the benchmark checks its
+#: sampler against, the public one-vector kernel check (the benchmark
+#: traces it by name; the kernel sample is checked in one batch) and the
+#: public second-order orthocomplement (traced by name too; the probe takes
+#: it together with its kernel model from one ``_second_order`` call).
 _ROOTS = (
     ("cli", "main"),
-    ("optimality", "optimality_probe"),
     ("faces", "boundary_parametrization"),
     ("spanning", "kernel_membership"),
+    ("optimality", "orthocomplement_basis"),
 )
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from choimaps import (
     FaceKind,
@@ -23,7 +25,6 @@ from choimaps import (
     optimality_probe,
     orthocomplement_basis,
     subtraction_budget,
-    vertex_optimality_analytic,
 )
 from choimaps import optimality, positivity
 from choimaps.errors import InternalConsistencyError
@@ -32,11 +33,12 @@ from choimaps.optimality import (
     _directions,
     _kernel_limit_ratio,
     _kernel_models,
+    _penalty_rows,
     _ratio_on_grid,
 )
 from choimaps.positivity import _sphere_grid
-from choimaps.spanning import ProductVector, sampled_kernel_vectors
-from lemmas import apply_map, full_grid_ratios
+from choimaps.spanning import ProductVector, _kernel_point, sampled_kernel_vectors
+from lemmas import apply_map, full_grid_ratios, vertex_optimality_analytic
 
 
 PTH = cp_threshold(np.pi / 6)
@@ -44,14 +46,21 @@ PTH = cp_threshold(np.pi / 6)
 
 class TestOrthocomplement:
     def test_vertex_basis_is_diagonal_with_zero_sum(self):
-        th = np.pi / 6
-        p = MapParams(1, cp_threshold(th) - 1, 0, th)
-        basis = orthocomplement_basis(p)
-        assert len(basis) == 2
+        # In the middle theta branch the kernel sample of each vertex with
+        # first coordinate 1 has rank 7, and its first-order orthocomplement
+        # is the diagonal slots with zero sum; the second-order rows then
+        # remove that plane too.
         off = [k for k in range(9) if k not in (0, 4, 8)]
-        for v in basis:
-            assert np.abs(np.asarray(v)[off]).max() <= 1e-9
-            assert abs(v[0] + v[4] + v[8]) <= 1e-9
+        for th in (np.pi / 6, -np.pi / 4, 0.05):
+            for bc in ((cp_threshold(th) - 1, 0), (0, cp_threshold(th) - 1)):
+                p = MapParams(1, *bc, th)
+                rows = _kernel_point(p).tensors
+                s, vh = np.linalg.svd(rows)[1:]
+                assert numeric_rank(rows) == 7 and s[6] > 1e-4 * s[0]
+                first_order = vh[7:].conj()
+                assert np.abs(first_order[:, off]).max() <= 1e-9
+                assert np.abs(first_order[:, [0, 4, 8]].sum(axis=1)).max() <= 1e-9
+                assert orthocomplement_basis(p) == []
 
     def test_spanning_point_has_empty_basis(self):
         a, b, c = boundary_parametrization(np.pi / 6, 2.0)
@@ -75,12 +84,20 @@ class TestOrthocomplement:
     )
     def test_kernel_sample_rank_is_far_from_any_cut(self, abc):
         # no singular value lies near the rank cut, so any cut in the gap gives
-        # the same rank and the same orthocomplement
+        # the same rank and the same first-order orthocomplement; only the
+        # vertex's second-order rows reduce it further
         p = MapParams(*abc, np.pi / 6)
         rows = np.array([pv.tensor() for pv in sampled_kernel_vectors(p)])
         s = np.linalg.svd(rows, compute_uv=False)
         assert not np.any((s > 1e-12 * s[0]) & (s < 1e-4 * s[0])), s / s[0]
-        assert len(orthocomplement_basis(p)) == 9 - numeric_rank(rows)
+        # the point's record holds the same tensors, and their partial
+        # conjugates, read-only because every caller of the cache shares them
+        k = _kernel_point(p)
+        conjugates = np.array([pv.partial_conjugate().tensor() for pv in sampled_kernel_vectors(p)])
+        assert np.array_equal(rows, k.tensors) and np.array_equal(conjugates, k.conjugate_tensors)
+        assert not (k.tensors.flags.writeable or k.conjugate_tensors.flags.writeable)
+        vertex = abc[0] == 1.0
+        assert len(orthocomplement_basis(p)) == (0 if vertex else 9 - numeric_rank(rows))
 
     def test_strict_interior_unsupported(self):
         with pytest.raises(UnsupportedCaseError):
@@ -112,11 +129,13 @@ class TestVertexAnalytic:
 
 class TestProbe:
     def test_vertex_is_optimal(self):
+        # certified by the empty second-order orthocomplement: no direction drawn
         th = np.pi / 6
         report = optimality_probe(MapParams(1, cp_threshold(th) - 1, 0, th))
         assert report.verdict == "optimal"
         assert report.max_subtractable <= 1e-9
-        assert report.direction_count == 64
+        assert report.direction_count == 0
+        assert report.verification == {"reason": "empty second-order orthocomplement"}
 
     def test_coordinate_face_interior_not_optimal(self):
         report = optimality_probe(MapParams(1.5, 0.5, 0, np.pi / 6))
@@ -203,7 +222,7 @@ class TestClassifyOptimality:
         th = np.pi / 6
         cls = classify_optimality(MapParams(1, 0, cp_threshold(th) - 1, th))
         assert cls.row.optimal and not cls.row.spanning
-        assert "analytic vertex certificate" in cls.evidence["optimal"]
+        assert cls.evidence["optimal"] == "empty second-order orthocomplement"
 
     def test_product_surface_edge(self):
         cls = classify_optimality(MapParams(0.5, 1, 0.25, np.pi / 6))
@@ -296,10 +315,12 @@ def test_batched_kernel_hessian_matches_loop():
         p = MapParams(*abc, th)
         w = choi_matrix(p)
         vectors = sampled_kernel_vectors(p)[::4]
-        mu, e, rows = _kernel_models(w, vectors, directions)
+        mu, e, jac = _kernel_models(w, vectors)
+        rows = _penalty_rows(jac, directions)
         for k, pv in enumerate(vectors):
             h, tangents = _loop_hessian(w, pv.xi, pv.eta)
             assert np.abs((e[k] * mu[k]) @ e[k].T - h).max() <= 1e-12 * max(1.0, np.abs(h).max())
+            assert np.abs(jac[k] - tangents.T).max() <= 1e-12
             amp = directions @ tangents.T
             assert np.abs(rows[k] - np.stack([amp.real, amp.imag], axis=1)).max() <= 1e-12
 
@@ -311,7 +332,7 @@ def test_non_stationary_point_is_an_internal_error():
     # every vector is checked, not only the first
     vectors = [sampled_kernel_vectors(p)[0], ProductVector(xi, eta)]
     with pytest.raises(InternalConsistencyError, match="not stationary"):
-        _kernel_models(w, vectors, np.eye(9, dtype=complex)[:1])
+        _kernel_models(w, vectors)
 
 
 _F_AB = MapParams(1.5, 0.5, 0, np.pi / 6)
@@ -435,7 +456,8 @@ def test_seeded_rounds_never_lose(p):
     xi, _ = _sphere_grid(8, 8)
     ratios = _ratio_on_grid(w, directions.reshape(-1, 3, 3), xi, 64)
     vectors = sampled_kernel_vectors(p)
-    mu, e, rows = _kernel_models(w, vectors, directions)
+    mu, e, jac = _kernel_models(w, vectors)
+    rows = _penalty_rows(jac, directions)
     for d, v in enumerate(directions):
         limit = min(_kernel_limit_ratio(mu[k], e[k], rows[k, d]) for k in range(len(vectors)))
         seeded = _dinkelbach(w, v, xi, ratios[d], 64, limit)
@@ -483,9 +505,9 @@ _V_1B0_OUTER = MapParams(1, cp_threshold(2.0) - 1, 0, 2.0)
 
 @pytest.mark.parametrize("p, grid_eighs", [(_V_1B0_OUTER, []), (_F_AB, [64])], ids=["v_1b0_outer", "f_ab"])
 def test_grid_ratios_solve_once_per_moduli_pattern(monkeypatch, p, grid_eighs):
-    # Every kernel limit of an outer optimal vertex is zero, so its probe scans
-    # no grid; a not-optimal probe solves the 64 moduli patterns of the 8^4
-    # grid, once for all its directions.
+    # The second-order orthocomplement of an outer optimal vertex is empty, so
+    # its probe scans no grid; a not-optimal probe solves the 64 moduli
+    # patterns of the 8^4 grid, once for all its directions.
     counts, inside = [], []
     ratio_on_grid, eigh = optimality._ratio_on_grid, np.linalg.eigh
 
@@ -506,3 +528,125 @@ def test_grid_ratios_solve_once_per_moduli_pattern(monkeypatch, p, grid_eighs):
     report = optimality_probe(p, n_directions=4)
     assert report.verdict == ("optimal" if p is _V_1B0_OUTER else "not_optimal")
     assert counts == grid_eighs
+
+
+def _face_point(kind: str, theta: float, u: float, v: float) -> MapParams:
+    """A point of the proper face ``kind`` at ``theta``, placed by u and v in
+    [0.1, 0.9] and at least 0.02 away from every other face (E_T may miss
+    that margin; callers drop such draws)."""
+    pth = cp_threshold(theta)
+    r = pth - 1.0
+    t = 0.2 * 25.0**v  # in [0.2, 5], log-uniform in v
+    if kind == "f_abc":  # a in (2 - pth, pth), (p2) strict where a < 1
+        a = 2.0 - pth + 2.0 * r * u
+        rest = pth - a
+        half = math.sqrt(max(rest * rest / 4.0 - (1.0 - a) ** 2, 0.0)) if a < 1.0 else rest / 2.0
+        b = rest / 2.0 - half + 2.0 * half * v
+        abc = (a, b, rest - b)
+    elif kind in ("f_ab", "f_ac"):
+        a = 1.02 + 1.38 * u
+        lo = max(0.02, pth - a + 0.02)
+        b = lo + (2.4 - lo) * v
+        abc = (a, b, 0.0)
+    elif kind == "f_bc":
+        abc = (0.0, t, (1.02 + 1.5 * u) / t)
+    elif kind == "e_a":
+        abc = (pth + 0.02 + (2.48 - pth) * u, 0.0, 0.0)
+    elif kind in ("e_b", "e_c"):
+        abc = (1.0, r + 0.02 + (2.48 - r) * u, 0.0)
+    elif kind in ("e_ab", "e_ac"):
+        abc = (1.0 + r * u, pth - 1.0 - r * u, 0.0)
+    elif kind == "e_t":
+        a = 0.05 + 0.9 * u
+        abc = (a, (1.0 - a) * t, (1.0 - a) / t)
+    elif kind == "v_0t":
+        abc = (0.0, t, 1.0 / t)
+    elif kind == "v_param_t":
+        abc = boundary_parametrization(theta, t)
+    else:
+        abc = {"v_p00": (pth, 0.0, 0.0), "v_1b0": (1.0, r, 0.0), "v_10c": (1.0, 0.0, r)}[kind]
+    a, b, c = abc
+    return MapParams(a, c, b, theta) if kind in ("f_ac", "e_c", "e_ac") else MapParams(a, b, c, theta)
+
+
+#: The proper faces without the spanning property.
+_NON_SPANNING = (
+    "f_abc", "f_ab", "f_ac", "f_bc", "e_a", "e_b", "e_c", "e_ab", "e_ac", "v_p00", "v_1b0", "v_10c",
+)
+_BRANCH_ANGLES = {"middle": (0.4, -0.9), "outer": (1.7, -2.6)}
+
+
+@pytest.mark.parametrize("branch", sorted(_BRANCH_ANGLES))
+@pytest.mark.parametrize("kind", _NON_SPANNING)
+def test_probe_matches_the_property_table(kind, branch):
+    # E_B and E_C are a vertex plus a CP map on the b (or c) slots; a direction
+    # with any weight on the diagonal slots has kernel limit 0, so the
+    # first-order space hid their subtractable directions from the probe.
+    for theta, (u, v) in zip(_BRANCH_ANGLES[branch], ((0.3, 0.6), (0.7, 0.25))):
+        p = _face_point(kind, theta, u, v)
+        face = classify_face(p)
+        assert face.kind.value == kind
+        row = face_properties(face)
+        assert not row.spanning
+        report = optimality_probe(p, n_directions=4)
+        assert report.verdict == ("optimal" if row.optimal else "not_optimal"), (p, report.max_subtractable)
+        assert (report.direction_count == 0) == row.optimal
+
+
+_PROPER = _NON_SPANNING + ("e_t", "v_0t", "v_param_t")
+_ANGLE = st.one_of(
+    st.floats(0.05, np.pi / 3 - 0.05),
+    st.floats(np.pi / 3 + 0.05, 2 * np.pi / 3 - 0.05),
+    st.floats(2 * np.pi / 3 + 0.05, np.pi - 0.05),
+)
+
+
+@settings(max_examples=80)
+@given(
+    kind=st.sampled_from(_PROPER),
+    theta=_ANGLE,
+    sign=st.sampled_from((1.0, -1.0)),
+    u=st.floats(0.1, 0.9),
+    v=st.floats(0.1, 0.9),
+)
+def test_second_order_space_is_empty_exactly_on_optimal_faces(kind, theta, sign, u, v):
+    p = _face_point(kind, sign * theta, u, v)
+    if kind == "e_t":
+        assume(p.a + p.b + p.c > cp_threshold(p.theta) + 0.02)
+    face = classify_face(p)
+    assert face.kind.value == kind
+    assert (orthocomplement_basis(p) == []) == face_properties(face).optimal
+
+
+@pytest.mark.parametrize(
+    "theta0, sides", ((math.pi / 3, (-1.0, 1.0)), (-math.pi / 3, (-1.0, 1.0)), (math.pi, (-1.0,)))
+)
+def test_second_order_space_is_refused_below_the_threshold_gap(theta0, sides):
+    # Near +-pi/3 and pi, cp_threshold - 1 is about 1.7 eps: the rows that
+    # empty the vertices' space shrink with it and the rounding of the other
+    # faces' rows grows, so below _THRESHOLD_GAP the space is refused (exit
+    # 2), and above it every face keeps the dimension it has far from the gap.
+    # (F_ABC points this near the gap fail the kernel sampler's membership
+    # check, with or without the gap; ROADMAP lists it.)
+    kinds = tuple(kind for kind in _NON_SPANNING if kind != "f_abc")
+    for side in sides:
+        for eps in (1e-9, 1e-8, 3e-8, 5e-7):
+            theta = theta0 + side * eps
+            assert cp_threshold(theta) - 1.0 < optimality._THRESHOLD_GAP
+            for kind in kinds:
+                with pytest.raises(UnsupportedThetaError, match="not resolved"):
+                    orthocomplement_basis(_face_point(kind, theta, 0.3, 0.6))
+            for kind in ("v_1b0", "v_10c"):
+                p = _face_point(kind, theta, 0.3, 0.6)
+                assert classify_face(p).kind.value == kind
+                with pytest.raises(UnsupportedThetaError):
+                    classify_optimality(p)
+        for eps in (7e-7, 3e-6):
+            theta = theta0 + side * eps
+            assert cp_threshold(theta) - 1.0 > optimality._THRESHOLD_GAP
+            for kind in kinds:
+                far = len(orthocomplement_basis(_face_point(kind, theta0 + side * 1e-3, 0.3, 0.6)))
+                assert len(orthocomplement_basis(_face_point(kind, theta, 0.3, 0.6))) == far, (kind, eps)
+            for kind in ("v_1b0", "v_10c"):
+                p = _face_point(kind, theta, 0.3, 0.6)
+                assert classify_optimality(p).evidence["optimal"] == "empty second-order orthocomplement"
