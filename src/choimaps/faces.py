@@ -7,10 +7,12 @@ cut out by conditions (p1)/(p2) has four 2-dimensional faces, six kinds of
 bodies of ``positivity`` that work on floats and arrays alike, decides the
 finest face containing a point: the first rule that holds wins, from the
 exterior through the vertices, the 1- and 2-dimensional faces to the
-interior, so lower-dimensional faces win within ``FACE_TOL``.
-``classify_face`` runs the table at one point, ``classify_faces`` over a
-grid.  The property table records which faces carry the spanning /
-co-spanning / optimality properties.
+interior, so lower-dimensional faces win within ``FACE_TOL``; the
+spanning surface pieces E_T and V_PARAM_T need b, c > 0, not b, c >
+``FACE_TOL``.  ``classify_face`` runs the table at one point,
+``classify_faces`` over a grid.  The property table records which faces
+carry the spanning / co-spanning / optimality properties; ``row_of``, a
+point's row, is the only decider of spanning and co-spanning.
 """
 
 from __future__ import annotations
@@ -137,13 +139,14 @@ def _face_table(a, b, c, pth):
     a_from_1, a_past_1, inner_bc = a >= 1.0 - tol, a > 1.0 + tol, (b > tol) & (c > tol)
     bc, square = surface_sides(a, b, c)
     on_sum, on_surface = on_sum_at(a, b, c, pth), on_surface_at(a, b, c)
+    spanning_surface = (b > 0.0) & (c > 0.0) & on_surface  # no band: the curve reaches b, c < tol
     return (
         (K.EXTERIOR, np.logical_not(positive_at(a, b, c, pth)), False, None),
         (K.V_P00, (abs(a - pth) <= tol) & b0 & c0, True, None),
         (K.V_10C, a1 & b0 & (abs(c - q) <= tol), True, None),
         (K.V_1B0, a1 & (abs(b - q) <= tol) & c0, True, None),
         (K.V_0T, a0 & (b > tol) & (abs(bc - 1.0) <= tol), True, lambda: b),
-        (K.V_PARAM_T, inner_bc & on_surface & on_sum, True, lambda: np.sqrt(b / c)),
+        (K.V_PARAM_T, spanning_surface & on_sum, True, lambda: np.sqrt(b / c)),
         (K.E_A, b0 & c0 & (a >= pth - tol), a > pth + tol, None),
         (K.E_B, a1 & c0 & (b >= q - tol), b > q + tol, None),
         (K.E_C, a1 & b0 & (c >= q - tol), c > q + tol, None),
@@ -152,7 +155,7 @@ def _face_table(a, b, c, pth):
         (K.E_AC, b0 & (abs(a + c - pth) <= tol) & a_from_1 & (a <= pth + tol),
          a_past_1 & (a < pth - tol), None),
         # the spanning piece of the surface (0 <= a < 1), off the sum face
-        (K.E_T, (a < 1.0 - tol) & inner_bc & (a + b + c > pth + tol) & on_surface, True,
+        (K.E_T, (a < 1.0 - tol) & spanning_surface & (a + b + c > pth + tol), True,
          lambda: b / (1.0 - a)),
         (K.F_AB, c0 & a_from_1 & (a + b >= pth - tol), a_past_1 & (a + b > pth + tol), None),
         (K.F_AC, b0 & a_from_1 & (a + c >= pth - tol), a_past_1 & (a + c > pth + tol), None),
@@ -204,3 +207,9 @@ def face_properties(label: FaceLabel | FaceKind) -> PropertyRow:
     if row is None:
         raise NotAFaceError(f"{kind} is not a proper face")
     return row
+
+
+def row_of(label: FaceLabel | FaceKind) -> PropertyRow:
+    """Property-table row of a positive point's face, all false at INTERIOR."""
+    kind = label.kind if isinstance(label, FaceLabel) else label
+    return _ALL_N if kind is FaceKind.INTERIOR else face_properties(kind)

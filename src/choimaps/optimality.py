@@ -46,7 +46,6 @@ from .faces import (
     FaceKind,
     FaceLabel,
     PropertyRow,
-    face_properties,
     require_generic_theta,
 )
 from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, HESSIAN_FLOOR, INCLUSION_SLACK
@@ -469,30 +468,26 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
     """Property-table row for a positive map, with the evidence source of
     each flag recorded.
 
-    Spanning flags come from the closed forms with rank/determinant
-    evidence; the optimal flag of every optimal, non-spanning row (the two
-    vertices with first coordinate 1, in every theta branch) comes from
-    ``optimality_probe``, whose empty second-order orthocomplement certifies
-    it (UnsupportedThetaError while cp_threshold - 1 < _THRESHOLD_GAP,
-    where that space is not resolved); the co-optimality disproof on the
+    The row is the face's, as the point's kernel record carries it (all
+    false at INTERIOR): it decides the spanning flags, as it does for
+    ``has_spanning_property`` and ``has_cospanning_property``, whose
+    rank/determinant evidence is recorded beside them.  The optimal flag
+    of every optimal, non-spanning row (the two vertices with first
+    coordinate 1, in every theta branch) comes from ``optimality_probe``,
+    whose empty second-order orthocomplement certifies it
+    (UnsupportedThetaError while cp_threshold - 1 < _THRESHOLD_GAP, where
+    that space is not resolved); the co-optimality disproof on the
     sum-threshold face runs the explicit subtraction when the point is on
     its unit-first-coordinate slice.
     """
-    face = _kernel_point(p).face
+    k = _kernel_point(p)
+    face, row = k.face, k.row
     evidence: dict = {"face": face.kind.value}
     if face.kind is FaceKind.INTERIOR:
         evidence["optimal"] = "interior point: smallest face is the whole body"
-        return OptimalityClassification(face, PropertyRow(False, False, False, False), evidence)
+        return OptimalityClassification(face, row, evidence)
 
-    row = face_properties(face)
-    span = has_spanning_property(p)
-    cospan = has_cospanning_property(p)
-    if span.has_property != row.spanning or cospan.has_property != row.co_spanning:
-        raise InternalConsistencyError(
-            f"closed-form spanning flags ({span.has_property}, {cospan.has_property}) disagree "
-            f"with the table row ({row.spanning}, {row.co_spanning}) at {p}"
-        )
-    for key, r in (("spanning", span), ("co_spanning", cospan)):
+    for key, r in (("spanning", has_spanning_property(p)), ("co_spanning", has_cospanning_property(p))):
         closed = {"rank": r.rank, "det_abs": r.det_abs, "det_closed_form": r.det_closed_form}
         evidence[key] = {"source": "closed form", **closed}
 

@@ -8,9 +8,11 @@ it at fixed phase choices gives square matrices whose determinants have
 closed-form absolute values, used here as regression oracles.
 
 Each point gets one record, built once and cached by its parameters: its
-face, its kernel case, its membership-checked kernel sample and the
-sample's tensors.  Every function here, and the optimality code, reads that
-record; the spanning and co-spanning reports are cached the same way.
+face and that face's property-table row, its kernel case, its
+membership-checked kernel sample and the sample's tensors.  The row alone
+decides spanning and co-spanning; the sample's rank and determinants are
+evidence beside it.  Every function here, and the optimality code, reads
+that record; the spanning and co-spanning reports are cached the same way.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, NotPositiveMapError, UnsupportedCaseError
-from .faces import FaceKind, FaceLabel, classify_face, require_generic_theta
-from .linalg import FACE_TOL, INCLUSION_SLACK, RESIDUE_REL, Array, numeric_rank
+from .faces import FaceKind, FaceLabel, PropertyRow, classify_face, require_generic_theta, row_of
+from .linalg import INCLUSION_SLACK, RESIDUE_REL, Array, numeric_rank
 from .maps import MapParams, choi_matrix
-from .positivity import _apply_kernel, _kernel_matrix, is_positive, on_sum_at, on_surface_at
+from .positivity import _apply_kernel, _kernel_matrix, is_positive
 
 #: Unimodular phase samples of the nine canonical determinant columns: pairs
 #: feed the three-vector boundary families, triples the equal-modulus family.
@@ -69,10 +71,6 @@ class ProductVector:
     def partial_conjugate(self) -> "ProductVector":
         """xi (x) conj(eta)."""
         return ProductVector(self.xi, self.eta.conj())
-
-    def projector(self) -> Array:
-        z = self.tensor()
-        return np.outer(z, z.conj())
 
 
 def kernel_membership(p: MapParams, pv: ProductVector) -> bool:
@@ -184,13 +182,13 @@ _KERNEL_CASE = {
 
 @dataclass(frozen=True)
 class _KernelPoint:
-    """What the kernel code knows about one positive map: its threshold, its
-    face, its kernel case, its membership-checked generic kernel sample, and
-    the sample's (n, 9) tensors xi (x) eta and partial conjugates
-    xi (x) conj(eta)."""
+    """What the kernel code knows about one positive map: its face, the
+    face's property-table row (all false at INTERIOR), its kernel case, its
+    membership-checked generic kernel sample, and the sample's (n, 9)
+    tensors xi (x) eta and partial conjugates xi (x) conj(eta)."""
 
-    pth: float
     face: FaceLabel
+    row: PropertyRow
     case: str | None
     sample: tuple[ProductVector, ...]
     tensors: Array
@@ -202,7 +200,7 @@ def _kernel_point(p: MapParams) -> _KernelPoint:
     """The record of ``p``, built once per point.  Raises
     UnsupportedThetaError at an endpoint angle and NotPositiveMapError when
     the map is not positive."""
-    pth = require_generic_theta(p.theta)
+    require_generic_theta(p.theta)
     if not is_positive(p):
         raise NotPositiveMapError(f"map {p} is not positive")
     face = classify_face(p)
@@ -211,7 +209,7 @@ def _kernel_point(p: MapParams) -> _KernelPoint:
     tensors, conjugate_tensors = _tensors(sample), _tensors(sample, conjugate=True)
     for x in [tensors, conjugate_tensors] + [f for pv in sample for f in (pv.xi, pv.eta)]:
         x.flags.writeable = False  # shared by every caller of the cache
-    return _KernelPoint(pth, face, case, tuple(sample), tensors, conjugate_tensors)
+    return _KernelPoint(face, row_of(face), case, tuple(sample), tensors, conjugate_tensors)
 
 
 def _tensors(vectors: list[ProductVector], conjugate: bool = False) -> Array:
@@ -261,10 +259,10 @@ def sampled_kernel_vectors(p: MapParams) -> list[ProductVector]:
 
 @dataclass(frozen=True)
 class SpanningReport:
-    """Closed-form verdict plus numeric evidence (rank of the sampled kernel,
-    and |det| of the nine canonical columns against its closed form when a
-    determinant case applies).  Both determinants are None when either one
-    is not a finite double."""
+    """The face row's verdict plus numeric evidence (rank of the sampled
+    kernel, and |det| of the nine canonical columns against its closed form
+    when a determinant case applies).  Both determinants are None when
+    either one is not a finite double."""
 
     has_property: bool
     case: str | None
@@ -339,21 +337,20 @@ def cospanning_det_closed_form(p: MapParams) -> float | None:
 def has_spanning_property(p: MapParams) -> SpanningReport:
     """Spanning verdict (kernel spans the 9-dimensional tensor space).
 
-    Closed form: 0 <= a < 1 and b*c = (1 - a)^2.  Evidence: rank of the
-    sampled kernel and, in the determinant cases, |det| of the nine
-    canonical columns against the closed form.  Built once per point, like
-    its record.  Raises NotPositiveMapError when the map is not positive:
-    spanning is defined only for positive maps.
+    The verdict is the face row's spanning flag: true on E_T, V_0T and
+    V_PARAM_T (the surface b*c = (1 - a)^2, 0 <= a < 1), false elsewhere.
+    Evidence: rank of the sampled kernel and, in the determinant cases,
+    |det| of the nine canonical columns against the closed form.  Built
+    once per point, like its record.  Raises NotPositiveMapError when the
+    map is not positive: spanning is defined only for positive maps.
     """
     k = _kernel_point(p)
-    verdict = p.a < 1.0 - FACE_TOL and on_surface_at(*p.abc)
-
     cols = None
     det_closed = spanning_det_closed_form(p)
     if det_closed is not None:
         family = _copositive_family if k.case == "iii" else _surface_family
         cols = _nine_columns([pv for al, be in DEFAULT_PAIRS for pv in family(p, al, be)])
-    return _report(verdict, k, False, cols, det_closed)
+    return _report(k.row.spanning, k, False, cols, det_closed)
 
 
 def cospanning_columns(p: MapParams) -> Array | None:
@@ -378,14 +375,11 @@ def cospanning_columns(p: MapParams) -> Array | None:
 def has_cospanning_property(p: MapParams) -> SpanningReport:
     """Co-spanning verdict (partial conjugates of the kernel span).
 
-    Closed form: either the sum-threshold surface piece
-    2 - pth <= a <= 1, b*c = (1 - a)^2, a + b + c = pth, or the coordinate
-    piece 1 <= a <= pth, b*c = 0, a + b + c = pth.  Built once per point,
-    like its record.  Raises NotPositiveMapError when the map is not
-    positive: co-spanning is defined only for positive maps.
+    The verdict is the face row's co-spanning flag: true on the
+    sum-threshold pieces V_PARAM_T, V_1B0, V_10C, E_AB, E_AC and V_P00,
+    false elsewhere.  Evidence as for ``has_spanning_property``.  Built
+    once per point, like its record.  Raises NotPositiveMapError when the
+    map is not positive: co-spanning is defined only for positive maps.
     """
     k = _kernel_point(p)
-    surface_piece = p.a >= 2.0 - k.pth - FACE_TOL and on_surface_at(*p.abc)
-    coordinate_piece = 1.0 - FACE_TOL <= p.a <= k.pth + FACE_TOL and min(p.b, p.c) <= FACE_TOL
-    verdict = on_sum_at(*p.abc, k.pth) and (surface_piece or coordinate_piece)
-    return _report(verdict, k, True, cospanning_columns(p), cospanning_det_closed_form(p))
+    return _report(k.row.co_spanning, k, True, cospanning_columns(p), cospanning_det_closed_form(p))

@@ -4,9 +4,11 @@ No verdict of the package reaches them, so they live beside the tests as
 independent references: the map itself entry by entry, the pairing with a
 family member, the phase circulant that decides complete positivity, the
 probe's subtractable weights by one eigensolve per vector, the closed-form
-optimality certificate of the two vertices with first coordinate 1 from the
-probe families of the paper's proof, and the kernel vectors and the
-equal-subtraction restriction of the {6,8} edge states.
+spanning and co-spanning conditions (the package reads both flags off the
+face's property-table row), the closed-form optimality certificate of the
+two vertices with first coordinate 1 from the probe families of the
+paper's proof, and the kernel vectors and the equal-subtraction restriction
+of the {6,8} edge states.
 """
 
 import cmath
@@ -17,8 +19,8 @@ import numpy as np
 from choimaps import InternalConsistencyError, MapParams, OutOfRangeError, UnsupportedThetaError
 from choimaps import choi_matrix, edge_state, pairing_value, partial_transpose
 from choimaps.faces import require_generic_theta
-from choimaps.linalg import CERTIFIED_ZERO, EIG_FLOOR, INCLUSION_SLACK, RESIDUE_ABS, require_hermitian
-from choimaps.positivity import _apply_kernel, _kernel_matrix
+from choimaps.linalg import CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK, RESIDUE_ABS, require_hermitian
+from choimaps.positivity import _apply_kernel, _kernel_matrix, on_sum_at, on_surface_at
 
 
 def apply_map(p: MapParams, x) -> np.ndarray:
@@ -74,6 +76,22 @@ def phase_circulant(a: float, theta: float) -> np.ndarray:
         m[u, v] = -e
         m[v, u] = -e.conjugate()
     return m
+
+
+def spans_closed_form(p: MapParams) -> bool:
+    """The paper's spanning condition: 0 <= a < 1 and b*c = (1 - a)^2, within
+    ``FACE_TOL``."""
+    return bool(p.a < 1.0 - FACE_TOL and on_surface_at(*p.abc))
+
+
+def cospans_closed_form(p: MapParams) -> bool:
+    """The paper's co-spanning condition, within ``FACE_TOL``: a + b + c = pth
+    and either the surface piece 2 - pth <= a <= 1, b*c = (1 - a)^2, or the
+    coordinate piece 1 <= a <= pth, b*c = 0."""
+    pth = require_generic_theta(p.theta)
+    surface_piece = p.a >= 2.0 - pth - FACE_TOL and on_surface_at(*p.abc)
+    coordinate_piece = 1.0 - FACE_TOL <= p.a <= pth + FACE_TOL and min(p.b, p.c) <= FACE_TOL
+    return bool(on_sum_at(*p.abc, pth) and (surface_piece or coordinate_piece))
 
 
 def _probe_families(theta: float, vertex: str):

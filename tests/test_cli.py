@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -12,8 +13,10 @@ import numpy as np
 import pytest
 
 import choimaps
-from choimaps import MapParams, cp_threshold
+from choimaps import FaceKind, MapParams, boundary_parametrization, build_witness, cp_threshold
+from choimaps import is_positive
 from choimaps.cli import _EXIT_CODES, main, parse_angle
+from choimaps.faces import row_of
 from choimaps.positivity import BlockPositivityReport
 from choimaps.reporting import ReportDocument, render_plain
 
@@ -161,6 +164,104 @@ class TestClassify:
         assert main(["classify", "1", "0", "0.7320508075688772", "pi/6", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["flags"]["face"] == "v_10c"
         assert reports == [False, True] and krons == []
+
+
+def _classify_flags(capsys, abc, theta) -> dict:
+    """``classify --json`` at (a, b, c; theta): exit 0, and at a positive
+    point the six property flags equal to the row of the face it reports."""
+    code = main(["classify", *map(repr, abc), repr(theta), "--json"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    flags = json.loads(captured.out)["flags"]
+    if flags["positive"]:
+        row, names = row_of(FaceKind(flags["face"])), ["spanning", "co_spanning", "bi_spanning"]
+        if flags["face"] != "interior":  # no optimality flags at an interior point
+            names += ["optimal", "co_optimal", "bi_optimal"]
+        for name in names:
+            assert flags[name] is getattr(row, name), (abc, flags)
+    return flags
+
+
+class TestFaceBands:
+    """Points whose b or c lies inside the FACE_TOL band: the face alone
+    decides their spanning flags, so they classify without an internal
+    error and with the face's row."""
+
+    @pytest.mark.parametrize("theta", [math.pi / 6, -0.3, 2.0, -2.5])
+    def test_boundary_curve_reads_v_param_t(self, theta, capsys):
+        # at |log10 t| >= 5, b or c falls below FACE_TOL; it exited 5 there
+        for k in range(-8, 9):
+            t = 10.0**k
+            flags = _classify_flags(capsys, boundary_parametrization(theta, t), theta)
+            assert flags["face"] == "v_param_t" and flags["bi_spanning"] and flags["bi_optimal"]
+            assert math.isfinite(flags["face_t"]) and flags["face_t"] == pytest.approx(t, rel=1e-9)
+
+    @pytest.mark.parametrize("theta", [0.05, 0.3, -0.7, 1.0])
+    def test_witness_parameters_read_v_param_t(self, theta, capsys):
+        for b in (1e-7, 1e-5, 1e5, 1e7):
+            p = build_witness(theta, b).normalized_params
+            flags = _classify_flags(capsys, p.abc, p.theta)
+            assert flags["face"] == "v_param_t" and flags["bi_spanning"]
+
+    @pytest.mark.parametrize("kind", ["v_p00", "v_0t", "e_ab", "e_ac"])
+    def test_half_band_moves_classify(self, kind, capsys):
+        # coordinates moved by half of FACE_TOL, one at a time and together;
+        # (5e-10, 2, 0.5; pi/6) exited 5 with its spanning flag against the
+        # V_0T row, and so did V_P00, E_AB and E_AC with two moved coordinates
+        theta = math.pi / 6
+        pth = cp_threshold(theta)
+        abc = {
+            "v_p00": (pth, 0.0, 0.0),
+            "v_0t": (0.0, 2.0, 0.5),
+            "e_ab": (1.2, pth - 1.2, 0.0),
+            "e_ac": (1.2, 0.0, pth - 1.2),
+        }[kind]
+        moved = 0
+        for steps in itertools.product((0.0, 5e-10, -5e-10), repeat=3):
+            point = [x + step for x, step in zip(abc, steps)]
+            if not any(steps) or min(point) < 0.0 or not is_positive(MapParams(*point, theta)):
+                continue
+            _classify_flags(capsys, point, theta)
+            assert main(["spanning", *map(repr, point), repr(theta)]) == 0
+            assert capsys.readouterr().err == ""
+            moved += 1
+        assert moved >= 7
+
+    @pytest.mark.parametrize("b, c", [(1.0, 1e-12), (2.0, 1e-12), (1.0, 9e-10), (2.0, 9e-10)])
+    def test_surface_with_c_in_the_band_reads_e_t(self, b, c, capsys):
+        # b*c = (1 - a)^2 with c below FACE_TOL: it read interior, with a
+        # spanning flag that the interior row denies
+        flags = _classify_flags(capsys, (1.0 - math.sqrt(b * c), b, c), math.pi / 6)
+        assert flags["face"] == "e_t" and flags["spanning"] and flags["optimal"]
+
+    @pytest.mark.parametrize(
+        "a, b, c, face",
+        [
+            (0.99998, 2.0, 5e-10, "interior"),
+            (0.99998, 2.0, 1e-12, "exterior"),
+            (0.99999, 5e-10, None, "f_abc"),
+            (0.99999, 1e-12, None, "exterior"),
+            # 1.5e-11 below the curve in a: off the band in the roots b^(1/4),
+            # c^(1/4) and (1 - a)^(1/2) that its kernel family is built from
+            (0.99997, 5e-10, 1.8 * (1.0 + 1e-6), "interior"),
+            (0.99997, 5e-10, 1.8 * (1.0 + 1e-7), "e_t"),
+        ],
+    )
+    def test_off_curve_points_with_both_sides_in_the_band(self, a, b, c, face, capsys):
+        # b*c and (1 - a)^2 are both below FACE_TOL without the point being on
+        # the surface: it keeps the face it has off the band (c = None puts it
+        # on the sum face), in both orders of b and c
+        theta = math.pi / 6
+        c = cp_threshold(theta) - a - b if c is None else c
+        for abc in ((a, b, c), (a, c, b)):
+            assert _classify_flags(capsys, abc, theta)["face"] == face
+
+    @pytest.mark.xfail(strict=True, reason="kernel families built at the raw b fail membership")
+    def test_vertex_with_b_in_the_band_classifies(self, capsys):
+        # V_10C with b = 5e-10: the case ii family has entries b^(1/4) ~ 4.7e-3,
+        # far from the vertex's kernel, and fails its membership check (exit 5)
+        theta = math.pi / 6
+        assert main(["classify", "1", "5e-10", repr(cp_threshold(theta) - 1.0), "pi/6"]) == 0
 
 
 @pytest.mark.parametrize(

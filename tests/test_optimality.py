@@ -618,6 +618,18 @@ def test_second_order_space_is_empty_exactly_on_optimal_faces(kind, theta, sign,
     assert (orthocomplement_basis(p) == []) == face_properties(face).optimal
 
 
+@pytest.mark.parametrize("theta0, side", ((math.pi / 3, -1.0), (math.pi / 3, 1.0), (-math.pi / 3, 1.0), (math.pi, -1.0)))
+@pytest.mark.parametrize("u", (0.1, 0.3))
+def test_sum_face_near_the_unit_threshold_keeps_its_face(theta0, side, u):
+    # cp_threshold - 1 is small here, so b*c and (1 - a)^2 are both below
+    # FACE_TOL on the sum face; in the roots of the surface band the point is
+    # off the surface, so it reads f_abc and its case iv sample is in the kernel
+    for eps in (1e-8, 1e-6, 3e-5):
+        p = _face_point("f_abc", theta0 + side * eps, u, 0.6)
+        cls = classify_optimality(p)
+        assert cls.face.kind is FaceKind.F_ABC and cls.row == face_properties(FaceKind.F_ABC), eps
+
+
 @pytest.mark.parametrize(
     "theta0, sides", ((math.pi / 3, (-1.0, 1.0)), (-math.pi / 3, (-1.0, 1.0)), (math.pi, (-1.0,)))
 )
@@ -626,14 +638,11 @@ def test_second_order_space_is_refused_below_the_threshold_gap(theta0, sides):
     # empty the vertices' space shrink with it and the rounding of the other
     # faces' rows grows, so below _THRESHOLD_GAP the space is refused (exit
     # 2), and above it every face keeps the dimension it has far from the gap.
-    # (F_ABC points this near the gap fail the kernel sampler's membership
-    # check, with or without the gap; ROADMAP lists it.)
-    kinds = tuple(kind for kind in _NON_SPANNING if kind != "f_abc")
     for side in sides:
         for eps in (1e-9, 1e-8, 3e-8, 5e-7):
             theta = theta0 + side * eps
             assert cp_threshold(theta) - 1.0 < optimality._THRESHOLD_GAP
-            for kind in kinds:
+            for kind in _NON_SPANNING:
                 with pytest.raises(UnsupportedThetaError, match="not resolved"):
                     orthocomplement_basis(_face_point(kind, theta, 0.3, 0.6))
             for kind in ("v_1b0", "v_10c"):
@@ -644,7 +653,7 @@ def test_second_order_space_is_refused_below_the_threshold_gap(theta0, sides):
         for eps in (7e-7, 3e-6):
             theta = theta0 + side * eps
             assert cp_threshold(theta) - 1.0 > optimality._THRESHOLD_GAP
-            for kind in kinds:
+            for kind in _NON_SPANNING:
                 far = len(orthocomplement_basis(_face_point(kind, theta0 + side * 1e-3, 0.3, 0.6)))
                 assert len(orthocomplement_basis(_face_point(kind, theta, 0.3, 0.6))) == far, (kind, eps)
             for kind in ("v_1b0", "v_10c"):

@@ -10,16 +10,14 @@ from choimaps import (
     MapParams,
     NotPositiveMapError,
     ProductVector,
-    PropertyRow,
     boundary_parametrization,
     classify_face,
     cp_threshold,
-    face_properties,
     has_cospanning_property,
     has_spanning_property,
     kernel_membership,
 )
-from choimaps.faces import FACE_KINDS, classify_faces
+from choimaps.faces import FACE_KINDS, classify_faces, row_of
 from choimaps.spanning import (
     DEFAULT_TRIPLES,
     GENERIC_PAIRS,
@@ -31,7 +29,7 @@ from choimaps.spanning import (
     sampled_kernel_vectors,
     spanning_det_closed_form,
 )
-from lemmas import pairing
+from lemmas import cospans_closed_form, pairing, spans_closed_form
 
 
 def surface_point(rng, theta):
@@ -259,8 +257,9 @@ def test_product_vector_validation():
 
 
 # ---------------------------------------------------------------------------
-# Property test: on every boundary piece the face table, the spanning closed
-# forms and the sampled-kernel rank tell the same story.
+# Property test: on every boundary piece, and 0.05 inside it along each axis,
+# the face table, the paper's spanning closed forms and the sampled-kernel
+# rank tell the same story.
 # ---------------------------------------------------------------------------
 
 #: Fractional distance kept from the ends of each piece, and additive distance
@@ -367,10 +366,12 @@ def test_face_table_spanning_closed_forms_and_kernel_rank_agree(piece, data):
         assert FACE_KINDS[codes[k]] is label.kind
         assert interiors[k] == label.interior_of_face
         assert (None if math.isnan(ts[k]) else ts[k]) == label.t_value
-    interior = kind is FaceKind.INTERIOR
-    row = PropertyRow(False, False, False, False) if interior else face_properties(face)
-    span, cospan = has_spanning_property(p), has_cospanning_property(p)
-    assert span.has_property is row.spanning
-    assert cospan.has_property is row.co_spanning
-    assert (span.rank == 9) is row.spanning
-    assert (cospan.rank == 9) is row.co_spanning
+    inside = MapParams(*(x + 0.05 for x in abc), th)
+    assert classify_face(inside).kind is FaceKind.INTERIOR
+    for q in (p, inside):
+        row = row_of(classify_face(q))
+        span, cospan = has_spanning_property(q), has_cospanning_property(q)
+        assert span.has_property is row.spanning is spans_closed_form(q), q
+        assert cospan.has_property is row.co_spanning is cospans_closed_form(q), q
+        assert (span.rank == 9) is row.spanning
+        assert (cospan.rank == 9) is row.co_spanning
