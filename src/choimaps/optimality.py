@@ -213,23 +213,25 @@ def _ratio_on_grid(w: Array, matrices: Array, xi: Array, run: int) -> Array:
         return np.where(denom > 0, 1.0 / denom, np.inf)
 
 
-def _dinkelbach(w: Array, v: Array, xi: Array, ratios: Array, run: int, bound: float) -> float:
+def _dinkelbach(w: Array, v: Array, xi: Array, patterns: Array, ratios: Array, run: int, bound: float) -> float:
     """Smallest ratio of the direction ``v`` reached by Dinkelbach rounds (W.
-    Dinkelbach, Management Science 13:492, 1967) from the ``_sphere_grid``
-    vectors ``xi`` of phase-run length ``run`` with their ``ratios``: one
-    ``_descend`` iteration on W - r v v*, r the smallest ratio so far, then
-    the exact ratios at the new xi; no round raises r.  Stops after _ROUNDS
-    rounds, when r falls by less than _DINKELBACH_STOP r, or at a tenth of
-    the zero weight CERTIFIED_ZERO.
+    Dinkelbach, Management Science 13:492, 1967) from the (n, 3)
+    ``_sphere_grid`` vectors ``xi`` with their (n,) pattern ids ``patterns``,
+    phase-run length ``run`` and (n,) ``ratios``: one ``_descend`` iteration
+    on W - r v v*, r the smallest ratio so far, then the exact ratios at the
+    new xi; no round raises r.  Stops after _ROUNDS rounds, when r falls by
+    less than _DINKELBACH_STOP r, or at a tenth of the zero weight
+    CERTIFIED_ZERO.
     r starts at min(best grid ratio, ``bound``), the direction's exact kernel
     limit (an infimum along curves into kernel vectors, so never below the
     true infimum): the first round asks whether any product vector beats it,
     and where the descended starts do not, the rounds stop at ``bound``.
-    The starts are the best cells of the 20 best moduli patterns
-    (``_distinct_starts``), so a descent drawn to a kernel vector (where the
-    ratio only tends to its kernel limit) does not decide alone.
+    The starts are the best cells of the 20 best moduli patterns, found by
+    the grid's pattern ids (``_distinct_starts``), so a descent drawn to a
+    kernel vector (where the ratio only tends to its kernel limit) does not
+    decide alone.
     """
-    starts = _distinct_starts(ratios, xi, run, 20)
+    starts = _distinct_starts(ratios, patterns, run, 20)
     xi, r = xi[starts], min(float(ratios[starts[0]]), bound)
     vv = np.outer(v, v.conj())
     for _ in range(_ROUNDS):
@@ -359,11 +361,11 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
         for d in range(len(directions)):
             per_direction[d] = min(_kernel_limit_ratio(mu[k], e[k], rows[k, d]) for k in range(len(mu)))
 
-    xi_grid, _ = _sphere_grid(_GRID_N, _GRID_N)
+    xi_grid, _, patterns = _sphere_grid(_GRID_N, _GRID_N)
     run = _GRID_N * _GRID_N
     grid_ratios = _ratio_on_grid(w, directions.reshape(-1, 3, 3), xi_grid, run)
     for d, ratios in enumerate(grid_ratios):
-        per_direction[d] = _dinkelbach(w, directions[d], xi_grid, ratios, run, per_direction[d])
+        per_direction[d] = _dinkelbach(w, directions[d], xi_grid, patterns, ratios, run, per_direction[d])
     per_direction = np.minimum(per_direction, _P_MAX)
     top = int(np.argmax(per_direction))
     best = float(per_direction[top])

@@ -144,14 +144,17 @@ _COVARIANT = np.array(
 
 
 @functools.lru_cache(maxsize=4)
-def _sphere_grid(polar_n: int, phase_n: int) -> tuple[Array, Array]:
+def _sphere_grid(polar_n: int, phase_n: int) -> tuple[Array, Array, Array]:
     """Deterministic grid on unit vectors of C^3 (first coordinate real).
 
-    Returns (unit vectors, rank-1 projectors); the two polar angles take
-    polar_n values in [0, pi/2] inclusive and the two phases phase_n values
-    in [0, 2pi).  Cells are ij-ordered over (phi_1, phi_2, psi_1, psi_2):
-    each run of phase_n^2 consecutive cells holds the phase copies of one
-    |xi|.  With phase_n = 1 the vectors are real: the grid of moduli.
+    Returns read-only (unit vectors, rank-1 projectors, pattern ids) of
+    shapes (n, 3), (n, 3, 3) and (n,), n = polar_n^2 phase_n^2; the two
+    polar angles take polar_n values in [0, pi/2] inclusive and the two
+    phases phase_n values in [0, 2pi).  Cells are ij-ordered over (phi_1,
+    phi_2, psi_1, psi_2): each run of phase_n^2 consecutive cells holds the
+    phase copies of one |xi|.  With phase_n = 1 the vectors are real: the
+    grid of moduli.  Two cells share a pattern id iff their moduli rounded
+    to 9 digits agree; the ids are built once per cached grid.
     """
     phi = np.linspace(0.0, math.pi / 2.0, polar_n)
     psi = np.linspace(0.0, 2.0 * math.pi, phase_n, endpoint=False)
@@ -165,32 +168,37 @@ def _sphere_grid(polar_n: int, phase_n: int) -> tuple[Array, Array]:
         axis=1,
     )
     projectors = np.einsum("ni,nj->nij", xi, xi.conj())
-    return xi, projectors
+    patterns = np.unique(np.round(np.abs(xi), 9), axis=0, return_inverse=True)[1]
+    for shared in (xi, projectors, patterns):  # one copy serves every caller
+        shared.flags.writeable = False
+    return xi, projectors, patterns
 
 
-def _scan_grid(w: Array, grid_n: int) -> tuple[Array, Array, int]:
-    """The oracle's grid for ``w`` at ``grid_n``: (unit vectors, projectors,
-    phase-run length).  A covariant W (exactly zero off ``_COVARIANT``) gets
-    the moduli grid of 4(grid_n - 1) + 1 polar angles, whose cells include
-    every |xi| of the full grid; any other W the full grid_n^4 grid."""
+def _scan_grid(w: Array, grid_n: int) -> tuple[Array, Array, Array, int]:
+    """The oracle's grid for ``w`` at ``grid_n``: the ``_sphere_grid``
+    (unit vectors, projectors, pattern ids) and its phase-run length.  A
+    covariant W (exactly zero off ``_COVARIANT``) gets the moduli grid of
+    4(grid_n - 1) + 1 polar angles, whose cells include every |xi| of the
+    full grid; any other W the full grid_n^4 grid."""
     if np.any(w[~_COVARIANT]):
         return (*_sphere_grid(grid_n, grid_n), grid_n * grid_n)
     return (*_sphere_grid(4 * (grid_n - 1) + 1, 1), 1)
 
 
-def _distinct_starts(values: Array, xi: Array, run: int, k: int) -> Array:
+def _distinct_starts(values: Array, patterns: Array, run: int, k: int) -> Array:
     """Indices of the best cell of each of the ``k`` best moduli patterns
-    |xi| of the ``_sphere_grid`` vectors ``xi`` with ``values``, best first;
-    ``run`` is the grid's phase-run length phase_n^2.  The family map
-    commutes with diagonal phases, Phi(DXD*) = D Phi(X) D*, so the best cells
-    are phase copies of one cell whose descents end at one point.  Each run of
-    phase copies gives its first smallest cell, ranked stably; the runs at
-    phi_1 = 0 share one rounded |xi| and count once.
+    of a ``_sphere_grid``, best first, given the (n,) cell ``values`` and
+    the grid's (n,) pattern ids ``patterns``; ``run`` is its phase-run
+    length phase_n^2.  The family map commutes with diagonal phases,
+    Phi(DXD*) = D Phi(X) D*, so the best cells are phase copies of one cell
+    whose descents end at one point.  Each run of phase copies gives its
+    first smallest cell, ranked stably, and each pattern its first ranked
+    cell, so ties go to the first cell; the runs at phi_1 = 0 share one id.
     """
     rows = values.reshape(-1, run)
     best = np.argmin(rows, axis=1) + run * np.arange(len(rows))
     best = best[np.argsort(values[best], kind="stable")]
-    _, first = np.unique(np.round(np.abs(xi[best]), 9), axis=0, return_index=True)
+    _, first = np.unique(patterns[best], return_index=True)
     return best[np.sort(first)[:k]]
 
 
@@ -355,13 +363,13 @@ def block_positivity_oracle(w, grid_n: int = 16) -> BlockPositivityReport:
     """Minimize the smallest eigenvalue of the map with the 9x9 Choi matrix
     ``w`` applied to rank-1 projectors, over the unit sphere of C^3: of the
     grid cells (``_scan_grid``), ranked by the closed-form smallest
-    eigenvalue, the best cell of each of the 10 best moduli patterns
-    (``_distinct_starts``) starts ``_descend`` for at most _REFINE_STEPS
-    iterations.  A covariant W, zero off ``_COVARIANT``, has a spectrum of
-    Phi(xi xi*) that depends on |xi| only, so it scans the real moduli grid
-    of (4(grid_n - 1) + 1)^2 cells; any other W scans the grid_n^4 cells of
-    moduli and phases.  Reported values come from LAPACK at the reported
-    point, and ties resolve to the lexicographically first cell.  Raises
+    eigenvalue, the best cell of each of the 10 best moduli patterns (by the
+    grid's pattern ids, ``_distinct_starts``) starts ``_descend`` for at
+    most _REFINE_STEPS iterations.  A covariant W, zero off ``_COVARIANT``,
+    has a spectrum of Phi(xi xi*) that depends on |xi| only, so it scans the
+    real moduli grid of (4(grid_n - 1) + 1)^2 cells; any other W scans the
+    grid_n^4 cells of moduli and phases.  Reported values come from LAPACK
+    at the reported point, and ties resolve to the first cell.  Raises
     OutOfRangeError unless grid_n >= 1, NonHermitianError unless ``w`` is a
     finite Hermitian matrix and ValueError unless it is 9x9.
     """
@@ -371,13 +379,13 @@ def block_positivity_oracle(w, grid_n: int = 16) -> BlockPositivityReport:
     if w.shape != (9, 9):
         raise ValueError(f"expected a 9x9 Choi matrix, got {w.shape}")
     kernel = _kernel_matrix(w)
-    xi_grid, projectors, run = _scan_grid(w, grid_n)
+    xi_grid, projectors, patterns, run = _scan_grid(w, grid_n)
     images = _apply_kernel(kernel, projectors)
     # scanned in blocks, so its temporaries stay small next to ``images``
     values = np.concatenate(
         [_smallest_eigenvalues(images[k : k + 4096]) for k in range(0, len(images), 4096)]
     )
-    starts = _distinct_starts(values, xi_grid, run, 10)
+    starts = _distinct_starts(values, patterns, run, 10)
 
     evals, evecs = np.linalg.eigh(images[starts[:1]])
     grid_value, grid_xi, grid_vec = float(evals[0, 0]), xi_grid[starts[0]], evecs[0, :, 0]

@@ -453,15 +453,15 @@ def test_seeded_rounds_never_lose(p):
     w = choi_matrix(p)
     basis = np.array(orthocomplement_basis(p))
     directions = _directions(len(basis), 4) @ basis
-    xi, _ = _sphere_grid(8, 8)
+    xi, _, patterns = _sphere_grid(8, 8)
     ratios = _ratio_on_grid(w, directions.reshape(-1, 3, 3), xi, 64)
     vectors = sampled_kernel_vectors(p)
     mu, e, jac = _kernel_models(w, vectors)
     rows = _penalty_rows(jac, directions)
     for d, v in enumerate(directions):
         limit = min(_kernel_limit_ratio(mu[k], e[k], rows[k, d]) for k in range(len(vectors)))
-        seeded = _dinkelbach(w, v, xi, ratios[d], 64, limit)
-        unseeded = _dinkelbach(w, v, xi, ratios[d], 64, math.inf)
+        seeded = _dinkelbach(w, v, xi, patterns, ratios[d], 64, limit)
+        unseeded = _dinkelbach(w, v, xi, patterns, ratios[d], 64, math.inf)
         assert seeded <= min(limit, unseeded) * (1 + 1e-12)
 
 
@@ -495,7 +495,7 @@ def test_ratio_on_grid_matches_the_full_eigensolve(cells):
 def test_ratio_on_grid_needs_a_covariant_choi_matrix():
     w = choi_matrix(_F_AB)
     w[0, 1] = w[1, 0] = 1e-3  # slot (0, 0, 0, 1): {0, 1} != {0, 0}
-    xi, _ = _sphere_grid(8, 8)
+    xi = _sphere_grid(8, 8)[0]
     with pytest.raises(InternalConsistencyError, match="covariant"):
         _ratio_on_grid(w, np.eye(3)[None], xi, 64)
 

@@ -502,7 +502,7 @@ def _checked_oracle(w, **kwargs):
     up to rounding are ordered by rounding, so the check is against the
     first-ranked cell, not the smallest rounded value."""
     report = block_positivity_oracle(w, **kwargs)
-    _, projectors, _ = _scan_grid(w, kwargs.get("grid_n", 16))
+    _, projectors, _, _ = _scan_grid(w, kwargs.get("grid_n", 16))
     assert report.grid_points == len(projectors)
     images = _apply_kernel(_kernel_matrix(w), projectors)
     exact = np.linalg.eigh(images)[0][:, 0]
@@ -556,9 +556,9 @@ def test_descent_leaves_a_coordinate_saddle():
     )
     w = np.zeros((9, 9), dtype=complex)
     w[np.ix_([0, 4, 8], [0, 4, 8])] = g
-    xi, projectors = _sphere_grid(8, 8)
+    xi, projectors, patterns = _sphere_grid(8, 8)
     values = _smallest_eigenvalues(_apply_kernel(_kernel_matrix(w), projectors))
-    start = xi[_distinct_starts(values, xi, 8 * 8, 1)]
+    start = xi[_distinct_starts(values, patterns, 8 * 8, 1)]
     assert start[0, 2] == 0.0
     final, value, _ = _descend(w, start, 200)
     assert -0.32218 < value[0] < -0.32216
@@ -610,9 +610,9 @@ def _status(value):
 def _full_grid_minimum(w, grid_n=16):
     """The oracle's minimum on the full grid_n^4 grid of moduli and phases,
     rebuilt from its parts: the reference for the moduli grid."""
-    xi, projectors = _sphere_grid(grid_n, grid_n)
+    xi, projectors, patterns = _sphere_grid(grid_n, grid_n)
     images = _apply_kernel(_kernel_matrix(w), projectors)
-    starts = _distinct_starts(_smallest_eigenvalues(images), xi, grid_n * grid_n, 10)
+    starts = _distinct_starts(_smallest_eigenvalues(images), patterns, grid_n * grid_n, 10)
     grid = np.linalg.eigvalsh(images[starts[0]])[0]
     return min(grid, _descend(w, xi[starts], 200)[1].min())
 
@@ -677,11 +677,11 @@ def test_projected_f_abc_matrix_reads_negative_on_the_moduli_grid():
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_sphere_grid_moduli_are_constant_on_each_run_of_phase_cells(n):
-    xi, _ = _sphere_grid(n, n)
+    xi = _sphere_grid(n, n)[0]
     moduli = np.abs(xi).reshape(n * n, n * n, 3)
     assert np.abs(moduli - moduli[:, :1]).max() <= 1e-15
     # the moduli grid of a covariant W holds every |xi| of the full grid
-    real, _ = _sphere_grid(4 * (n - 1) + 1, 1)
+    real = _sphere_grid(4 * (n - 1) + 1, 1)[0]
     assert not np.any(real.imag)
     full = {tuple(m) for m in np.round(moduli[:, 0], 12)}
     assert full <= {tuple(m) for m in np.round(real.real, 12)}
@@ -696,22 +696,50 @@ def _reference_starts(values, xi, k):
 
 
 @pytest.mark.parametrize(
-    "polar_n, phase_n, k", [(8, 8, 20), (16, 16, 10), (61, 1, 10)], ids=["8-20", "16-10", "moduli-61-10"]
+    "polar_n, phase_n, k",
+    [(8, 8, 20), (16, 16, 10), (61, 1, 10), (29, 1, 10), (8, 8, 100)],
+    ids=["8-20", "16-10", "moduli-61-10", "moduli-29-10", "8-past-the-patterns"],
 )
 def test_distinct_starts_match_the_rule_over_all_cells(polar_n, phase_n, k):
-    xi, _ = _sphere_grid(polar_n, phase_n)
+    # (29, 1) is the moduli grid of the probe's grid-8 oracle checks; the
+    # 8^4 grid has 57 patterns, so k = 100 keeps every pattern
+    xi, _, patterns = _sphere_grid(polar_n, phase_n)
     rng = np.random.default_rng(polar_n)
     noise = rng.normal(size=len(xi))
-    samples = [noise, np.round(noise, 1)]  # the rounded copy has many ties
+    samples = [noise, np.round(noise, 1), np.zeros(len(xi))]  # many ties, then every cell tied
     for point in (_F_ABC, _F_AB, (1.5, 0.5, 0.0, np.pi / 6)):
         p = MapParams(*point)
         basis = np.array(orthocomplement_basis(p))
         directions = _directions(len(basis), 2) @ basis
         samples += list(_ratio_on_grid(choi_matrix(p), directions.reshape(-1, 3, 3), xi, phase_n * phase_n))
     for values in samples:
-        np.testing.assert_array_equal(
-            _distinct_starts(values, xi, phase_n * phase_n, k), _reference_starts(values, xi, k)
-        )
+        starts = _distinct_starts(values, patterns, phase_n * phase_n, k)
+        np.testing.assert_array_equal(starts, _reference_starts(values, xi, k))
+        assert len(starts) == min(k, len(np.unique(patterns)))
+
+
+@pytest.mark.parametrize("polar_n, phase_n", [(8, 8), (16, 16), (29, 1), (61, 1)])
+def test_cells_share_a_pattern_id_iff_their_rounded_moduli_agree(polar_n, phase_n):
+    xi, _, patterns = _sphere_grid(polar_n, phase_n)
+    rows = [tuple(row) for row in np.round(np.abs(xi), 9)]
+    pairs = set(zip(rows, patterns.tolist()))
+    # one id per row and one row per id
+    assert len(pairs) == len(set(rows)) == len(set(patterns.tolist()))
+
+
+@pytest.mark.parametrize("polar_n, phase_n", [(8, 8), (61, 1)])
+def test_cached_grids_are_read_only(polar_n, phase_n):
+    for shared in _sphere_grid(polar_n, phase_n):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0
+
+
+def test_a_second_oracle_call_builds_no_grid():
+    w = edge_state(1.0, np.pi / 6)
+    assert block_positivity_oracle(w).grid_points == 61**2
+    misses = _sphere_grid.cache_info().misses
+    block_positivity_oracle(w)
+    assert _sphere_grid.cache_info().misses == misses
 
 
 @settings(max_examples=40)
