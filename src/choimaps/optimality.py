@@ -18,7 +18,13 @@ limit, the infimum along curves into the sampled kernel vectors, so a valid
 upper bound; then ratios on the grid, and Dinkelbach rounds, each one
 iteration of the oracle's descent (at most _ROUNDS per direction), from the
 smaller of its best grid ratio and its limit; the first round tests whether
-any product vector beats the limit.
+any product vector beats the limit.  The kernel limits of every direction
+at every kernel vector come from one stacked eigensolve.
+
+A best weight r above CERTIFIED_SIGN along v is checked on both sides with
+one search: the oracle finds W - (r/2) v v* nonnegative, and one 3x3
+eigensolve at the rounds' best xi pairs W - 2r v v* negatively with an
+explicit product vector (``OptimalityProbeReport.verification``).
 
 A family Choi matrix is covariant (``positivity._COVARIANT``):
 Phi(D X D*) = D Phi(X) D* for diagonal unitaries D (Cho, Kye and Lee, Linear
@@ -160,6 +166,18 @@ class OptimalityProbeReport:
     By the certified sign: 'optimal' needs every direction at or below
     CERTIFIED_ZERO; 'not_optimal' needs one above CERTIFIED_SIGN whose half
     subtraction the oracle certified nonnegative; else 'inconclusive'.
+
+    ``verification`` holds the evidence: {"reason": ...} where the empty
+    second-order orthocomplement certified 'optimal', and for a weight r
+    above CERTIFIED_SIGN along ``witness_direction`` v:
+    ``oracle_at_half``, the oracle's minimum of W - (r/2) v v* over product
+    vectors (its nonnegativity shows r/2 subtractable, and decides the
+    verdict); ``xi_at_double``, the unit xi of the smallest ratio of v the
+    probe evaluated; and ``pairing_at_double``, the smallest eigenvalue of
+    the map of W - min(2r, _P_MAX) v v* at xi xi*, which is its pairing
+    with xi (x) eta, eta the conjugate of that eigenvector: a negative value
+    shows explicitly that twice the weight cannot be subtracted.  Empty
+    otherwise.
     """
 
     direction_count: int
@@ -213,7 +231,9 @@ def _ratio_on_grid(w: Array, matrices: Array, xi: Array, run: int) -> Array:
         return np.where(denom > 0, 1.0 / denom, np.inf)
 
 
-def _dinkelbach(w: Array, v: Array, xi: Array, patterns: Array, ratios: Array, run: int, bound: float) -> float:
+def _dinkelbach(
+    w: Array, v: Array, xi: Array, patterns: Array, ratios: Array, run: int, bound: float
+) -> tuple[float, Array]:
     """Smallest ratio of the direction ``v`` reached by Dinkelbach rounds (W.
     Dinkelbach, Management Science 13:492, 1967) from the (n, 3)
     ``_sphere_grid`` vectors ``xi`` with their (n,) pattern ids ``patterns``,
@@ -230,18 +250,26 @@ def _dinkelbach(w: Array, v: Array, xi: Array, patterns: Array, ratios: Array, r
     the grid's pattern ids (``_distinct_starts``), so a descent drawn to a
     kernel vector (where the ratio only tends to its kernel limit) does not
     decide alone.
+    Returns r and the unit xi of the smallest ratio evaluated, over the
+    starts and every round's descended vectors: W - p v v* pairs negatively
+    with a product vector xi (x) eta for every p above that ratio.
     """
     starts = _distinct_starts(ratios, patterns, run, 20)
     xi, r = xi[starts], min(float(ratios[starts[0]]), bound)
+    best_xi, best_ratio = xi[0], float(ratios[starts[0]])
     vv = np.outer(v, v.conj())
     for _ in range(_ROUNDS):
         if not CERTIFIED_ZERO / 10 < r < math.inf:
             break
         xi = _descend(w - r * vv, xi, 1)[0]
-        r, previous = min(r, float(_ratio_on_grid(w, v.reshape(1, 3, 3), xi, 1).min())), r
+        reached = _ratio_on_grid(w, v.reshape(1, 3, 3), xi, 1)[0]
+        k = int(np.argmin(reached))
+        if reached[k] < best_ratio:
+            best_xi, best_ratio = xi[k], float(reached[k])
+        r, previous = min(r, best_ratio), r
         if r > previous - _DINKELBACH_STOP * previous:
             break
-    return r
+    return r, best_xi
 
 
 # -- exact ratio limits at the sampled kernel vectors -----------------------
@@ -299,21 +327,23 @@ def _penalty_rows(jac: Array, directions: Array) -> Array:
     return np.stack([amp.real, amp.imag], axis=2)
 
 
-def _kernel_limit_ratio(mu: Array, e: Array, rows: Array) -> float:
-    """Infimum of Q2 / |L d|^2 from the eigendecomposition of Q2 and the
-    penalty rows L: the reciprocal largest eigenvalue of L Q2^+ L^T.  The
+def _kernel_limit_ratio(mu: Array, e: Array, rows: Array) -> Array:
+    """Each direction's smallest kernel limit: the infimum of Q2 / |L d|^2
+    at each kernel vector, from the eigendecompositions (mu, e) of its Q2
+    (``_kernel_models``) and the (nvec, ndir, 2, 12) penalty rows L
+    (``_penalty_rows``), is the reciprocal largest eigenvalue of
+    L Q2^+ L^T, and the (ndir,) result is its minimum over the vectors, from
+    one ``eigvalsh`` over the (nvec, ndir) stack of 2x2 matrices.  The
     directions come from the second-order orthocomplement, so L vanishes on
     the null space of Q2 to the RANK_REL cut (which _THRESHOLD_GAP keeps
-    resolved) and only its positive part counts."""
-    if float(np.linalg.norm(rows)) < INCLUSION_SLACK:
-        return math.inf
-    b = rows @ e
-    pos = ~_hessian_null(mu)
-    if not pos.any():
-        return math.inf
-    m2 = (b[:, pos] / mu[pos]) @ b[:, pos].T
-    top = float(np.linalg.eigvalsh(m2)[-1])
-    return 1.0 / top if top > _TINY else math.inf
+    resolved) and only its positive part counts: the null entries of Q2^+
+    are masked to zero.  Rows below INCLUSION_SLACK, and top eigenvalues at
+    or below _TINY, leave the limit infinite."""
+    b = rows @ e[:, None]
+    scaled = np.divide(b, mu[:, None, None], out=np.zeros_like(b), where=~_hessian_null(mu)[:, None, None])
+    top = np.linalg.eigvalsh(scaled @ b.transpose(0, 1, 3, 2))[..., -1]
+    live = (top > _TINY) & (np.linalg.norm(rows, axis=(2, 3)) >= INCLUSION_SLACK)
+    return np.divide(1.0, top, out=np.full_like(top, math.inf), where=live).min(axis=0)
 
 
 def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeReport:
@@ -332,8 +362,11 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
     pattern, by covariance), and ``_dinkelbach`` rounds from the smaller of
     the best grid ratio and the limit; the first round tests whether any
     product vector beats the limit.  No direction counts above ``_P_MAX``.  A
-    candidate above the not-optimal threshold is re-verified against the
-    block-positivity oracle.  Raises OutOfRangeError unless
+    best weight r above CERTIFIED_SIGN is 'not_optimal' when the
+    block-positivity oracle certifies W - (r/2) v v* nonnegative; the
+    tightness of r is shown without a second search, by one eigensolve of
+    the map of W - min(2r, _P_MAX) v v* at the rounds' best xi (the keys of
+    ``OptimalityProbeReport.verification``).  Raises OutOfRangeError unless
     n_directions >= 1, and UnsupportedThetaError where
     ``orthocomplement_basis`` does.
     """
@@ -354,18 +387,20 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
         )
 
     directions = _directions(len(basis), n_directions) @ basis  # (ndir, 9)
-    per_direction = np.full(len(directions), math.inf)
-    if model is not None:
+    if model is None:
+        per_direction = np.full(len(directions), math.inf)
+    else:
         mu, e, jac = model
-        rows = _penalty_rows(jac, directions)
-        for d in range(len(directions)):
-            per_direction[d] = min(_kernel_limit_ratio(mu[k], e[k], rows[k, d]) for k in range(len(mu)))
+        per_direction = _kernel_limit_ratio(mu, e, _penalty_rows(jac, directions))
 
     xi_grid, _, patterns = _sphere_grid(_GRID_N, _GRID_N)
     run = _GRID_N * _GRID_N
     grid_ratios = _ratio_on_grid(w, directions.reshape(-1, 3, 3), xi_grid, run)
+    argmin_xi = np.empty((len(directions), 3), dtype=complex)
     for d, ratios in enumerate(grid_ratios):
-        per_direction[d] = _dinkelbach(w, directions[d], xi_grid, patterns, ratios, run, per_direction[d])
+        per_direction[d], argmin_xi[d] = _dinkelbach(
+            w, directions[d], xi_grid, patterns, ratios, run, per_direction[d]
+        )
     per_direction = np.minimum(per_direction, _P_MAX)
     top = int(np.argmax(per_direction))
     best = float(per_direction[top])
@@ -378,8 +413,13 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
     elif best > CERTIFIED_SIGN:
         vv = np.outer(best_dir, best_dir.conj())
         keep = block_positivity_oracle(w - 0.5 * best * vv, grid_n=_GRID_N)
-        brk = block_positivity_oracle(w - min(2.0 * best, _P_MAX) * vv, grid_n=_GRID_N).min_value
-        verification = {"oracle_at_half": keep.min_value, "oracle_at_double": brk}
+        xi = argmin_xi[top]
+        image = _apply_kernel(_kernel_matrix(w - min(2.0 * best, _P_MAX) * vv), np.outer(xi, xi.conj()))
+        verification = {
+            "oracle_at_half": keep.min_value,
+            "pairing_at_double": float(np.linalg.eigvalsh(image)[0, 0]),
+            "xi_at_double": xi,
+        }
         if keep.status == "nonnegative":
             verdict = "not_optimal"
     return OptimalityProbeReport(

@@ -3,7 +3,8 @@
 No verdict of the package reaches them, so they live beside the tests as
 independent references: the map itself entry by entry, the pairing with a
 family member, the phase circulant that decides complete positivity, the
-probe's subtractable weights by one eigensolve per vector, the closed-form
+probe's subtractable weights by one eigensolve per vector, its kernel
+limits by one eigensolve per kernel vector and direction, the closed-form
 spanning and co-spanning conditions (the package reads both flags off the
 face's property-table row), the closed-form optimality certificate of the
 two vertices with first coordinate 1 from the probe families of the
@@ -20,6 +21,7 @@ from choimaps import InternalConsistencyError, MapParams, OutOfRangeError, Unsup
 from choimaps import choi_matrix, edge_state, pairing_value, partial_transpose
 from choimaps.faces import require_generic_theta
 from choimaps.linalg import CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK, RESIDUE_ABS, require_hermitian
+from choimaps.optimality import _TINY, _hessian_null
 from choimaps.positivity import _apply_kernel, _kernel_matrix, on_sum_at, on_surface_at
 
 
@@ -61,6 +63,23 @@ def full_grid_ratios(w, matrices, xi) -> np.ndarray:
     denom = np.sum(beta2 / lam_floor[None, :, :], axis=2)
     with np.errstate(divide="ignore"):
         return np.where(denom > 0, 1.0 / denom, np.inf)
+
+
+def kernel_limit_ratio(mu, e, rows) -> float:
+    """One kernel vector's limit for one direction: the reciprocal largest
+    eigenvalue of L Q2^+ L^T, from the eigendecomposition (mu, e) of its
+    Hessian Q2 and the (2, 12) penalty rows L, over the Hessian's non-null
+    eigenvalues only (infinite where L or that part vanishes).  The package
+    stacks every (vector, direction) pair into one eigensolve instead."""
+    if float(np.linalg.norm(rows)) < INCLUSION_SLACK:
+        return math.inf
+    b = rows @ e
+    pos = ~_hessian_null(mu)
+    if not pos.any():
+        return math.inf
+    m2 = (b[:, pos] / mu[pos]) @ b[:, pos].T
+    top = float(np.linalg.eigvalsh(m2)[-1])
+    return 1.0 / top if top > _TINY else math.inf
 
 
 def phase_circulant(a: float, theta: float) -> np.ndarray:

@@ -28,6 +28,7 @@ from choimaps import (
 )
 from choimaps import optimality, positivity
 from choimaps.errors import InternalConsistencyError
+from choimaps.linalg import CERTIFIED_SIGN
 from choimaps.optimality import (
     _dinkelbach,
     _directions,
@@ -38,7 +39,7 @@ from choimaps.optimality import (
 )
 from choimaps.positivity import _sphere_grid
 from choimaps.spanning import ProductVector, _kernel_point, sampled_kernel_vectors
-from lemmas import apply_map, full_grid_ratios, vertex_optimality_analytic
+from lemmas import apply_map, full_grid_ratios, kernel_limit_ratio, vertex_optimality_analytic
 
 
 PTH = cp_threshold(np.pi / 6)
@@ -143,8 +144,11 @@ class TestProbe:
         assert report.max_subtractable > 1e-6
         assert report.witness_direction is not None
         assert report.verification["oracle_at_half"] >= -1e-9
-        # tightness: doubling the subtraction breaks block-positivity
-        assert report.verification["oracle_at_double"] < -1e-9
+        # tightness: doubling the subtraction breaks block-positivity at an
+        # explicit product vector, found by the rounds, not by a second search
+        assert report.verification["pairing_at_double"] < -1e-9
+        assert report.verification["xi_at_double"].shape == (3,)
+        assert "oracle_at_double" not in report.verification
 
     def test_completely_positive_map_not_optimal(self):
         report = optimality_probe(MapParams(2.0, 0, 0, np.pi / 6))
@@ -455,14 +459,41 @@ def test_seeded_rounds_never_lose(p):
     directions = _directions(len(basis), 4) @ basis
     xi, _, patterns = _sphere_grid(8, 8)
     ratios = _ratio_on_grid(w, directions.reshape(-1, 3, 3), xi, 64)
-    vectors = sampled_kernel_vectors(p)
-    mu, e, jac = _kernel_models(w, vectors)
-    rows = _penalty_rows(jac, directions)
+    mu, e, jac = _kernel_models(w, sampled_kernel_vectors(p))
+    limits = _kernel_limit_ratio(mu, e, _penalty_rows(jac, directions))
     for d, v in enumerate(directions):
-        limit = min(_kernel_limit_ratio(mu[k], e[k], rows[k, d]) for k in range(len(vectors)))
-        seeded = _dinkelbach(w, v, xi, patterns, ratios[d], 64, limit)
-        unseeded = _dinkelbach(w, v, xi, patterns, ratios[d], 64, math.inf)
-        assert seeded <= min(limit, unseeded) * (1 + 1e-12)
+        seeded = _dinkelbach(w, v, xi, patterns, ratios[d], 64, limits[d])[0]
+        unseeded, reached = _dinkelbach(w, v, xi, patterns, ratios[d], 64, math.inf)
+        assert seeded <= min(limits[d], unseeded) * (1 + 1e-12)
+        # unseeded, the smallest ratio is attained at the vector returned
+        at = _ratio_on_grid(w, v.reshape(1, 3, 3), reached[None], 1)[0, 0]
+        assert abs(at - unseeded) <= 1e-12 * unseeded
+
+
+_V_P00 = MapParams(_PTH, 0, 0, np.pi / 6)
+_E_B = MapParams(1, _PTH - 1 + 0.3, 0, np.pi / 6)
+
+
+@pytest.mark.parametrize("ndir", [1, 4, 64])
+@pytest.mark.parametrize("p", [_F_AB, _E_AB, _V_P00, _E_B], ids=["f_ab", "e_ab", "v_p00", "e_b"])
+def test_stacked_kernel_limits_match_the_loop(p, ndir):
+    # one eigvalsh over every (kernel vector, direction) against one per pair
+    w = choi_matrix(p)
+    basis = np.array(orthocomplement_basis(p))
+    directions = _directions(len(basis), ndir) @ basis
+    mu, e, jac = _kernel_models(w, sampled_kernel_vectors(p))
+    rows = _penalty_rows(jac, directions)
+    loop = np.array([[kernel_limit_ratio(m, v, r) for r in rows_k] for m, v, rows_k in zip(mu, e, rows)])
+
+    def assert_close(got, want):
+        assert got.shape == want.shape and np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * want[finite])
+
+    assert np.isfinite(loop.min(axis=0)).any()
+    assert_close(_kernel_limit_ratio(mu, e, rows), loop.min(axis=0))
+    for k in range(len(mu)):  # a single kernel vector
+        assert_close(_kernel_limit_ratio(mu[k : k + 1], e[k : k + 1], rows[k : k + 1]), loop[k])
 
 
 def _random_unit(rng, n):
@@ -487,9 +518,14 @@ def test_ratio_on_grid_matches_the_full_eigensolve(cells):
         w = choi_matrix(p)
         matrices = (rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))) / 3.0
         got, want = _ratio_on_grid(w, matrices, xi, run), full_grid_ratios(w, matrices, xi)
-        assert np.array_equal(np.isinf(got), np.isinf(want))
-        finite = np.isfinite(want)
-        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * want[finite])
+        # one direction at a time too: (ndir, n, 3) @ (n, 3, 3) must not
+        # broadcast silently at ndir = 1
+        alone = np.vstack([_ratio_on_grid(w, m[None], xi, run) for m in matrices])
+        for ratios in (got, alone):
+            assert ratios.shape == want.shape
+            assert np.array_equal(np.isinf(ratios), np.isinf(want))
+            finite = np.isfinite(want)
+            assert np.all(np.abs(ratios[finite] - want[finite]) <= 1e-12 * want[finite])
 
 
 def test_ratio_on_grid_needs_a_covariant_choi_matrix():
@@ -528,6 +564,39 @@ def test_grid_ratios_solve_once_per_moduli_pattern(monkeypatch, p, grid_eighs):
     report = optimality_probe(p, n_directions=4)
     assert report.verdict == ("optimal" if p is _V_1B0_OUTER else "not_optimal")
     assert counts == grid_eighs
+
+
+@pytest.mark.parametrize("p", [_V_1B0_OUTER, _F_AB, _E_AB], ids=["v_1b0_outer", "f_ab", "e_ab"])
+def test_probe_searches_once_and_solves_its_kernel_limits_once(monkeypatch, p):
+    # A not-optimal probe runs one oracle search (W - r/2 vv*) and two
+    # eigvalsh calls: one over the stack of every kernel limit, one at the
+    # rounds' product vector for W - 2r vv*.  An empty-space vertex runs none.
+    oracles, limit_eigs, eigs, inside = [], [], [], []
+    oracle, limits = optimality.block_positivity_oracle, optimality._kernel_limit_ratio
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_oracle(*args, **kwargs):
+        oracles.append(1)
+        return oracle(*args, **kwargs)
+
+    def counting_limits(*args):
+        inside.append(True)
+        try:
+            return limits(*args)
+        finally:
+            inside.pop()
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        (limit_eigs if inside else eigs).append(1)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(optimality, "block_positivity_oracle", counting_oracle)
+    monkeypatch.setattr(optimality, "_kernel_limit_ratio", counting_limits)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    report = optimality_probe(p, n_directions=4)
+    vertex = p is _V_1B0_OUTER
+    assert report.verdict == ("optimal" if vertex else "not_optimal")
+    assert (len(oracles), len(limit_eigs), len(eigs)) == ((0, 0, 0) if vertex else (1, 1, 1))
 
 
 def _face_point(kind: str, theta: float, u: float, v: float) -> MapParams:
@@ -569,6 +638,20 @@ def _face_point(kind: str, theta: float, u: float, v: float) -> MapParams:
     return MapParams(a, c, b, theta) if kind in ("f_ac", "e_c", "e_ac") else MapParams(a, b, c, theta)
 
 
+def _pairing_at_double(p: MapParams, report) -> float:
+    """The pairing of W - min(2r, _P_MAX) vv* with z = xi (x) eta, xi the
+    report's ``xi_at_double`` and eta its best partner, as the plain 9x9 form
+    z^T W conj(z): for fixed xi it is eta* N eta with the 3x3 block sum
+    N = sum_ij conj(xi_i) xi_j W[(j, .), (i, .)], whose smallest eigenvector
+    is eta."""
+    r, v, xi = report.max_subtractable, report.witness_direction, report.verification["xi_at_double"]
+    w = choi_matrix(p) - min(2.0 * r, optimality._P_MAX) * np.outer(v, v.conj())
+    n = np.einsum("i,j,jlik->kl", xi.conj(), xi, w.reshape(3, 3, 3, 3))
+    eta = np.linalg.eigh(n)[1][:, 0]
+    z = np.kron(xi, eta)
+    return float((z @ w @ z.conj()).real)
+
+
 #: The proper faces without the spanning property.
 _NON_SPANNING = (
     "f_abc", "f_ab", "f_ac", "f_bc", "e_a", "e_b", "e_c", "e_ab", "e_ac", "v_p00", "v_1b0", "v_10c",
@@ -591,6 +674,10 @@ def test_probe_matches_the_property_table(kind, branch):
         report = optimality_probe(p, n_directions=4)
         assert report.verdict == ("optimal" if row.optimal else "not_optimal"), (p, report.max_subtractable)
         assert (report.direction_count == 0) == row.optimal
+        if not row.optimal:
+            pairing = _pairing_at_double(p, report)
+            assert pairing < -CERTIFIED_SIGN, (p, pairing)
+            assert abs(pairing - report.verification["pairing_at_double"]) <= 1e-12 * max(1.0, abs(pairing))
 
 
 _PROPER = _NON_SPANNING + ("e_t", "v_0t", "v_param_t")
