@@ -15,11 +15,16 @@ infimum over product vectors of the ratio (pairing with the map) /
 violations are cubically suppressed and the plain bisection-on-the-oracle
 test loses resolution.  The probe first takes each direction's exact kernel
 limit, the infimum along curves into the sampled kernel vectors, so a valid
-upper bound; then ratios on the grid, and Dinkelbach rounds, each one
-iteration of the oracle's descent (at most _ROUNDS per direction), from the
-smaller of its best grid ratio and its limit; the first round tests whether
-any product vector beats the limit.  The kernel limits of every direction
-at every kernel vector come from one stacked eigensolve.
+upper bound; then ratios on the grid, and Dinkelbach rounds from the smaller
+of its best grid ratio and its limit; the first round tests whether any
+product vector beats the limit.  The rounds of all directions run as one
+batch: a round is one iteration of the oracle's descent over the starts of
+every live direction, each start on W - r v v* as a rank-one term on the
+shared kernel of W, and a direction leaves the batch when its own stop rule
+fires (at most _ROUNDS rounds).  Directions pass through the kernel limits,
+the grid ratios and the rounds in blocks of _BLOCK, so the probe's memory
+does not grow with their number; a block's kernel limits at every kernel
+vector come from one stacked eigensolve.
 
 A best weight r above CERTIFIED_SIGN along v is checked on both sides with
 one search: the oracle finds W - (r/2) v v* nonnegative, and one 3x3
@@ -37,6 +42,7 @@ by D.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -77,6 +83,7 @@ _TINY = 1e-300  # a top eigenvalue at or below it leaves the kernel limit infini
 _P_MAX = 10.0  # cap on each direction's subtractable weight in ``optimality_probe``
 _GRID_N = 8  # the probe's sphere grid, and its oracle checks
 _ROUNDS = 250  # cap on each direction's Dinkelbach rounds
+_BLOCK = 64  # directions per block of the probe: its temporaries do not grow past one block
 # cp_threshold - 1 below which ``orthocomplement_basis`` is not resolved: at
 # the vertices the rows that empty it are about 0.26 (cp_threshold - 1) of
 # the largest, and on other faces rounding leaves rows of about
@@ -201,13 +208,36 @@ def _directions(dim: int, n: int) -> Array:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def _ratio_on_grid(w: Array, matrices: Array, xi: Array, run: int) -> Array:
+def _polar(xi: Array) -> tuple[Array, Array]:
+    """The moduli |xi| and conjugate phases conj(xi / |xi|) (1 where
+    xi_k = 0) of the (n, 3) vectors ``xi``."""
+    modulus = np.abs(xi)
+    return modulus, np.divide(xi, modulus, out=np.ones_like(xi), where=modulus > 0.0).conj()
+
+
+@functools.lru_cache(maxsize=1)
+def _probe_grid() -> tuple[Array, Array, tuple[Array, Array]]:
+    """The probe's ``_sphere_grid`` of _GRID_N: its unit vectors, its
+    pattern ids and their ``_polar`` parts, built once and read-only like
+    the grid, since every probe shares them."""
+    xi, _, patterns = _sphere_grid(_GRID_N, _GRID_N)
+    polar = _polar(xi)
+    for part in polar:
+        part.flags.writeable = False
+    return xi, patterns, polar
+
+
+def _ratio_on_grid(
+    w: Array, matrices: Array, xi: Array, run: int, polar: tuple[Array, Array] | None = None
+) -> Array:
     """(ndir, n) largest subtractable weights 1/(b* A^+ b), A = Phi(xi xi*),
-    b = m^T xi, for the (ndir, 3, 3) direction ``matrices`` at the (n, 3)
-    unit vectors ``xi``: the largest p with A - p b b* PSD.  Eigenvalues of A
-    below the eigenvalue floor EIG_FLOOR max(1, lambda_max) are raised to it,
-    which only raises ratios: near a kernel vector the ratio of two vanishing
-    terms is rounding noise, and the exact kernel limits cover those points.
+    b = m^T xi, for the (ndir, 3, 3) direction ``matrices``: at the (n, 3)
+    unit vectors ``xi`` that every direction shares, or at (ndir, n, 3)
+    ``xi``, each direction at its own n vectors; the largest p with
+    A - p b b* PSD.  Eigenvalues of A below the eigenvalue floor
+    EIG_FLOOR max(1, lambda_max) are raised to it, which only raises ratios:
+    near a kernel vector the ratio of two vanishing terms is rounding noise,
+    and the exact kernel limits cover those points.
 
     The Choi matrix ``w`` must vanish off ``_COVARIANT`` (every family Choi
     matrix does; InternalConsistencyError otherwise), so the map commutes
@@ -216,59 +246,79 @@ def _ratio_on_grid(w: Array, matrices: Array, xi: Array, run: int) -> Array:
     Each run of ``run`` consecutive vectors shares one |xi| (the phase copies
     of a ``_sphere_grid`` cell, or run 1 for any vectors), so ``eigh`` runs
     once per run, on the real moduli, and the phases rotate b instead.
+    Shared vectors take every direction's b in one GEMM, xi @ (3, 3 ndir);
+    then b* A^+ b is the squared norm of (D* b)^T conj(U) Lambda^(-1/2), one
+    batched matmul per moduli pattern.  ``polar`` is ``_polar(xi)`` where the
+    caller keeps it (the probe's cached grid).
     """
     if np.any(w[~_COVARIANT]):
         raise InternalConsistencyError("grid ratios need a Choi matrix that vanishes off the covariant slots")
-    modulus = np.abs(xi)
+    cells = xi.reshape(-1, 3)
+    modulus, phase = _polar(cells) if polar is None else polar
     lead = modulus[::run]
     lam, u = np.linalg.eigh(_apply_kernel(_kernel_matrix(w), lead[:, :, None] * lead[:, None, :]))
     lam_floor = np.maximum(lam, EIG_FLOOR * np.maximum(lam[:, -1:], 1.0))
-    phase = np.divide(xi, modulus, out=np.ones_like(xi), where=modulus > 0.0)
-    rotated = (phase.conj() * (xi @ matrices)).reshape(len(matrices), len(lead), run, 3)
-    beta2 = np.abs(rotated @ u.conj()) ** 2
-    denom = np.sum(beta2 / lam_floor[:, None, :], axis=3).reshape(len(matrices), -1)
+    whiten = u.conj() / np.sqrt(lam_floor)[:, None, :]
+    if xi.ndim == 3:
+        b = (xi @ matrices).reshape(-1, 1, 3)
+    else:
+        b = (xi @ matrices.transpose(1, 0, 2).reshape(3, -1)).reshape(len(xi), -1, 3)
+    b *= phase[:, None, :]  # D* b, in place: the stack of b is the largest array
+    beta = np.abs(b.reshape(len(lead), -1, 3) @ whiten)
+    denom = np.sum(beta * beta, axis=2).reshape(len(cells), -1)
     with np.errstate(divide="ignore"):
-        return np.where(denom > 0, 1.0 / denom, np.inf)
+        ratios = np.where(denom > 0, 1.0 / denom, np.inf)
+    return ratios.reshape(len(matrices), -1) if xi.ndim == 3 else ratios.T
 
 
 def _dinkelbach(
-    w: Array, v: Array, xi: Array, patterns: Array, ratios: Array, run: int, bound: float
-) -> tuple[float, Array]:
-    """Smallest ratio of the direction ``v`` reached by Dinkelbach rounds (W.
-    Dinkelbach, Management Science 13:492, 1967) from the (n, 3)
-    ``_sphere_grid`` vectors ``xi`` with their (n,) pattern ids ``patterns``,
-    phase-run length ``run`` and (n,) ``ratios``: one ``_descend`` iteration
-    on W - r v v*, r the smallest ratio so far, then the exact ratios at the
-    new xi; no round raises r.  Stops after _ROUNDS rounds, when r falls by
-    less than _DINKELBACH_STOP r, or at a tenth of the zero weight
-    CERTIFIED_ZERO.
-    r starts at min(best grid ratio, ``bound``), the direction's exact kernel
-    limit (an infimum along curves into kernel vectors, so never below the
-    true infimum): the first round asks whether any product vector beats it,
-    and where the descended starts do not, the rounds stop at ``bound``.
-    The starts are the best cells of the 20 best moduli patterns, found by
-    the grid's pattern ids (``_distinct_starts``), so a descent drawn to a
-    kernel vector (where the ratio only tends to its kernel limit) does not
-    decide alone.
-    Returns r and the unit xi of the smallest ratio evaluated, over the
-    starts and every round's descended vectors: W - p v v* pairs negatively
-    with a product vector xi (x) eta for every p above that ratio.
+    w: Array, directions: Array, xi: Array, patterns: Array, ratios: Array, run: int, bounds: Array
+) -> tuple[Array, Array]:
+    """Smallest ratio of each of the (ndir, 9) ``directions`` reached by
+    Dinkelbach rounds (W. Dinkelbach, Management Science 13:492, 1967) from
+    the (n, 3) ``_sphere_grid`` vectors ``xi`` with their (n,) pattern ids
+    ``patterns``, phase-run length ``run`` and (ndir, n) ``ratios``.  Each
+    direction v keeps its own r, the smallest ratio so far, and its own
+    starts; a round is one ``_descend`` iteration of every live direction's
+    starts at once, each start on W - r v v* as the descent's per-start
+    rank-one term on the shared kernel of W, then the exact ratios of each
+    direction at its own new vectors, from one paired ``_ratio_on_grid``
+    call; no round raises r.  A direction leaves the batch after _ROUNDS
+    rounds, when its r falls by less than _DINKELBACH_STOP r, or at a tenth
+    of the zero weight CERTIFIED_ZERO.
+    r starts at min(best grid ratio, bound), the direction's exact kernel
+    limit in ``bounds`` (an infimum along curves into kernel vectors, so
+    never below the true infimum): the first round asks whether any product
+    vector beats it, and where the descended starts do not, the rounds stop
+    at the bound.  The starts are the best cells of the 20 best moduli
+    patterns, found by the grid's pattern ids (``_distinct_starts``), so a
+    descent drawn to a kernel vector (where the ratio only tends to its
+    kernel limit) does not decide alone.
+    Returns the (ndir,) r and the (ndir, 3) unit xi of each direction's
+    smallest ratio evaluated, over its starts and every round's descended
+    vectors: W - p v v* pairs negatively with a product vector xi (x) eta
+    for every p above that ratio.
     """
-    starts = _distinct_starts(ratios, patterns, run, 20)
-    xi, r = xi[starts], min(float(ratios[starts[0]]), bound)
-    best_xi, best_ratio = xi[0], float(ratios[starts[0]])
-    vv = np.outer(v, v.conj())
+    starts = np.array([_distinct_starts(row, patterns, run, 20) for row in ratios])
+    best_ratio = ratios[np.arange(len(ratios)), starts[:, 0]]
+    r, best_xi = np.minimum(best_ratio, bounds), xi[starts[:, 0]]
+    xi, k = xi[starts], starts.shape[1]
+    done = np.zeros(len(directions), dtype=bool)
     for _ in range(_ROUNDS):
-        if not CERTIFIED_ZERO / 10 < r < math.inf:
+        live = np.flatnonzero(~done & (CERTIFIED_ZERO / 10 < r) & (r < math.inf))
+        if not len(live):
             break
-        xi = _descend(w - r * vv, xi, 1)[0]
-        reached = _ratio_on_grid(w, v.reshape(1, 3, 3), xi, 1)[0]
-        k = int(np.argmin(reached))
-        if reached[k] < best_ratio:
-            best_xi, best_ratio = xi[k], float(reached[k])
-        r, previous = min(r, best_ratio), r
-        if r > previous - _DINKELBACH_STOP * previous:
-            break
+        rank_one = (np.repeat(directions[live], k, axis=0), np.repeat(r[live], k))
+        moved = _descend(w, xi[live].reshape(-1, 3), 1, rank_one)[0].reshape(-1, k, 3)
+        xi[live] = moved
+        reached = _ratio_on_grid(w, directions[live].reshape(-1, 3, 3), moved, 1)
+        low = np.argmin(reached, axis=1)
+        ratio = reached[np.arange(len(live)), low]
+        better = ratio < best_ratio[live]
+        best_ratio[live[better]], best_xi[live[better]] = ratio[better], moved[better, low[better]]
+        previous = r[live]
+        r[live] = np.minimum(previous, best_ratio[live])
+        done[live] = r[live] > previous - _DINKELBACH_STOP * previous
     return r, best_xi
 
 
@@ -357,12 +407,15 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
     the infimum over product vectors of the pairing ratio.  The exact limits
     at all kernel vectors come first, from the ``_kernel_models`` that built
     the space; each is the infimum along curves into a kernel vector, so a
-    valid upper bound.  Then every direction gets its ratios on the grid of
-    _GRID_N, in one ``_ratio_on_grid`` call (one eigensolve per moduli
-    pattern, by covariance), and ``_dinkelbach`` rounds from the smaller of
-    the best grid ratio and the limit; the first round tests whether any
-    product vector beats the limit.  No direction counts above ``_P_MAX``.  A
-    best weight r above CERTIFIED_SIGN is 'not_optimal' when the
+    valid upper bound.  Then the directions get their ratios on the grid of
+    _GRID_N in one ``_ratio_on_grid`` call (one eigensolve per moduli
+    pattern, by covariance), and ``_dinkelbach`` rounds, all directions in
+    one batch, from the smaller of the best grid ratio and the limit; the
+    first round tests whether any product vector beats the limit.  Limits,
+    grid ratios and rounds take the directions in blocks of _BLOCK, so a
+    probe of many directions holds the temporaries of one block.  No
+    direction counts above ``_P_MAX``.  A best weight r above
+    CERTIFIED_SIGN is 'not_optimal' when the
     block-positivity oracle certifies W - (r/2) v v* nonnegative; the
     tightness of r is shown without a second search, by one eigensolve of
     the map of W - min(2r, _P_MAX) v v* at the rounds' best xi (the keys of
@@ -387,20 +440,20 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
         )
 
     directions = _directions(len(basis), n_directions) @ basis  # (ndir, 9)
-    if model is None:
-        per_direction = np.full(len(directions), math.inf)
-    else:
-        mu, e, jac = model
-        per_direction = _kernel_limit_ratio(mu, e, _penalty_rows(jac, directions))
-
-    xi_grid, _, patterns = _sphere_grid(_GRID_N, _GRID_N)
+    xi_grid, patterns, polar = _probe_grid()
     run = _GRID_N * _GRID_N
-    grid_ratios = _ratio_on_grid(w, directions.reshape(-1, 3, 3), xi_grid, run)
+    per_direction = np.empty(len(directions))
     argmin_xi = np.empty((len(directions), 3), dtype=complex)
-    for d, ratios in enumerate(grid_ratios):
-        per_direction[d], argmin_xi[d] = _dinkelbach(
-            w, directions[d], xi_grid, patterns, ratios, run, per_direction[d]
-        )
+    for lo in range(0, len(directions), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        part = directions[block]
+        if model is None:
+            limits = np.full(len(part), math.inf)
+        else:
+            mu, e, jac = model
+            limits = _kernel_limit_ratio(mu, e, _penalty_rows(jac, part))
+        ratios = _ratio_on_grid(w, part.reshape(-1, 3, 3), xi_grid, run, polar)
+        per_direction[block], argmin_xi[block] = _dinkelbach(w, part, xi_grid, patterns, ratios, run, limits)
     per_direction = np.minimum(per_direction, _P_MAX)
     top = int(np.argmax(per_direction))
     best = float(per_direction[top])

@@ -20,7 +20,9 @@ acts on a stack of projectors as one matmul with a 9x9 kernel matrix; it is
 the package's only way to apply a map.  The optimality probe shares the
 descent, ``_descend``, and its second-order model of the pairing on the
 product manifold, ``_pairing_model``: the Newton step takes it at every
-start, the probe at every kernel vector.
+start, the probe at every kernel vector.  The probe's rounds descend
+W - r v v* with a different (v, r) per start, as a rank-one term on the
+shared kernel of W.
 
 A Choi matrix that vanishes off the covariant slots ``_COVARIANT`` (every
 family Choi matrix, edge state and witness) gives a map with
@@ -270,7 +272,9 @@ def _product_jacobian(a: Array, b: Array, da: Array, db: Array) -> Array:
     return np.concatenate([first, second], axis=2)
 
 
-def _pairing_model(w: Array, a: Array, b: Array, da: Array, db: Array) -> tuple[Array, Array, Array]:
+def _pairing_model(
+    w: Array, a: Array, b: Array, da: Array, db: Array, rank_one: tuple[Array, Array] | None = None
+) -> tuple[Array, Array, Array]:
     """The second-order model of the pairing y* W y on the product manifold,
     at the n points y = a (x) b along y(x) = (a + da x_a) (x) (b + db x_b),
     batched over the (n, 3) factors and the (n, 3, k) complex tangent bases.
@@ -279,20 +283,33 @@ def _pairing_model(w: Array, a: Array, b: Array, da: Array, db: Array) -> tuple[
     g = 2 Re(J* W y) and the symmetric Q = Re(J* W J) plus the da (x) db
     cross block, so that y(x)* W y(x) = y* W y + g.x + x^T Q x + O(|x|^3)
     in the 2k real coordinates x = (x_a, x_b).
+
+    With ``rank_one`` = (v, r), the (n, 9) vectors and (n,) weights of a
+    rank-one term per point, point s models W - r_s v_s v_s* on the shared
+    W: r (v* y) v leaves W y and r Re((J* v)(v* J)) leaves Q.
     """
     n, k = len(a), da.shape[2]
     jac = _product_jacobian(a, b, da, db)
-    wy = (a[:, :, None] * b[:, None, :]).reshape(n, 9) @ w.T
+    y = (a[:, :, None] * b[:, None, :]).reshape(n, 9)
+    wy = y @ w.T
     jac_h = jac.conj().transpose(0, 2, 1)
+    if rank_one is not None:
+        v, r = rank_one
+        wy -= (r * np.sum(v.conj() * y, axis=1))[:, None] * v
     grad = 2.0 * (jac_h @ wy[:, :, None])[:, :, 0].real
     q = (jac_h @ (w @ jac)).real
+    if rank_one is not None:
+        jv = (jac_h @ v[:, :, None])[:, :, 0]
+        q -= r[:, None, None] * (jv[:, :, None] * jv.conj()[:, None, :]).real
     cross = (da.transpose(0, 2, 1) @ wy.conj().reshape(n, 3, 3) @ db).real
     q[:, :k, k:] += cross
     q[:, k:, :k] += cross.transpose(0, 2, 1)
     return jac, grad, q
 
 
-def _newton_candidates(w: Array, xi: Array, value: Array, evecs: Array) -> list[Array]:
+def _newton_candidates(
+    w: Array, xi: Array, value: Array, evecs: Array, rank_one: tuple[Array, Array] | None = None
+) -> list[Array]:
     """Second-order candidates for the next first factor of each start.
 
     With a = conj(xi) and b = conj(eta), the smallest eigenvector of
@@ -302,13 +319,14 @@ def _newton_candidates(w: Array, xi: Array, value: Array, evecs: Array) -> list[
     of the complements of a and b, the ``_pairing_model`` g and Q give the
     pairing on the unit sphere as h + g.x + x^T (Q - h I) x.  Returns the
     Newton step with |eigenvalues| of Q - h I (so a saddle repels it), and,
-    where it has negative curvature, steps of 0.5 and 0.05 along it.
+    where it has negative curvature, steps of 0.5 and 0.05 along it.  The
+    per-start ``rank_one`` term of ``_descend`` passes to the model.
     """
     a, b = xi.conj(), evecs[:, :, 0]
     a_perp = np.linalg.eigh(a[:, :, None] * xi[:, None, :])[1][:, :, :2]
     da = np.concatenate([a_perp, 1j * a_perp], axis=2)
     db = np.concatenate([evecs[:, :, 1:], 1j * evecs[:, :, 1:]], axis=2)
-    _, grad, q = _pairing_model(w, a, b, da, db)
+    _, grad, q = _pairing_model(w, a, b, da, db, rank_one)
     q -= value[:, None, None] * np.eye(8)
 
     mu, e = np.linalg.eigh(q)
@@ -324,7 +342,15 @@ def _newton_candidates(w: Array, xi: Array, value: Array, evecs: Array) -> list[
     return out
 
 
-def _descend(w: Array, xi: Array, steps: int) -> tuple[Array, Array, Array]:
+def _drop_rank_one(images: Array, c: Array, r: Array) -> None:
+    """Subtract r_s c_s c_s* from each 3x3 matrix of the stack ``images``,
+    in place, for the (n, 3) vectors ``c`` and (n,) weights ``r``."""
+    images -= r[:, None, None] * (c[:, :, None] * c.conj()[:, None, :])
+
+
+def _descend(
+    w: Array, xi: Array, steps: int, rank_one: tuple[Array, Array] | None = None
+) -> tuple[Array, Array, Array]:
     """Batched descent on the pairing of ``w`` with the product projector
     of xi (x) eta, from the unit vectors ``xi``; returns the final xi, the
     smallest eigenvalue of Phi(xi xi*) (LAPACK) and its eigenvectors.  Each
@@ -334,9 +360,21 @@ def _descend(w: Array, xi: Array, steps: int) -> tuple[Array, Array, Array]:
     lowest exact value, so no value increases; the Newton steps leave the
     saddles where the alternating step alone stalls.  Stops when no start
     decreases by more than _DESCENT_STOP * max(1, |value|) or after ``steps``.
+
+    With ``rank_one`` = (v, r), the (n, 9) vectors and (n,) weights of one
+    rank-one term per start, start s descends the pairing of
+    W - r_s v_s v_s* on the one shared kernel of W: with V_s = v_s as a 3x3
+    matrix, the first-factor map loses r_s c c*, c = V_s^T xi, and the
+    second-factor map loses r_s c c*, c = V_s eta.  Without it every step is
+    the plain descent on W.
     """
     kernel = _kernel_matrix(w)
-    evals, evecs = np.linalg.eigh(_apply_kernel(kernel, xi[:, :, None] * xi.conj()[:, None, :]))
+    images = _apply_kernel(kernel, xi[:, :, None] * xi.conj()[:, None, :])
+    if rank_one is not None:
+        v, r = rank_one
+        mats = v.reshape(-1, 3, 3)
+        _drop_rank_one(images, (xi[:, None, :] @ mats)[:, 0], r)
+    evals, evecs = np.linalg.eigh(images)
     value = evals[:, 0]
     rows = np.arange(len(xi))
     for _ in range(steps):
@@ -345,12 +383,15 @@ def _descend(w: Array, xi: Array, steps: int) -> tuple[Array, Array, Array]:
         # by a smallest eigenvector.
         vec = evecs[:, :, 0]
         second = _apply_kernel(kernel.T, vec.conj()[:, :, None] * vec[:, None, :])
+        if rank_one is not None:
+            _drop_rank_one(second, (mats @ vec.conj()[:, :, None])[:, :, 0], r)
         alternating = np.linalg.eigh(second)[1][:, :, 0].conj()
-        candidates = np.stack([alternating, *_newton_candidates(w, xi, value, evecs)], axis=1)
+        candidates = np.stack([alternating, *_newton_candidates(w, xi, value, evecs, rank_one)], axis=1)
         flat = candidates.reshape(-1, 3)
-        cand_evals, cand_evecs = np.linalg.eigh(
-            _apply_kernel(kernel, flat[:, :, None] * flat.conj()[:, None, :])
-        )
+        images = _apply_kernel(kernel, flat[:, :, None] * flat.conj()[:, None, :])
+        if rank_one is not None:
+            _drop_rank_one(images, (candidates @ mats).reshape(-1, 3), np.repeat(r, candidates.shape[1]))
+        cand_evals, cand_evecs = np.linalg.eigh(images)
         pick = np.argmin(cand_evals[:, 0].reshape(len(xi), -1), axis=1) + rows * candidates.shape[1]
         previous = value
         xi, value, evecs = flat[pick], cand_evals[pick, 0], cand_evecs[pick]

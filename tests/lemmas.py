@@ -4,7 +4,8 @@ No verdict of the package reaches them, so they live beside the tests as
 independent references: the map itself entry by entry, the pairing with a
 family member, the phase circulant that decides complete positivity, the
 probe's subtractable weights by one eigensolve per vector, its kernel
-limits by one eigensolve per kernel vector and direction, the closed-form
+limits by one eigensolve per kernel vector and direction, its Dinkelbach
+rounds one direction at a time on the explicit W - r v v*, the closed-form
 spanning and co-spanning conditions (the package reads both flags off the
 face's property-table row), the closed-form optimality certificate of the
 two vertices with first coordinate 1 from the probe families of the
@@ -21,8 +22,8 @@ from choimaps import InternalConsistencyError, MapParams, OutOfRangeError, Unsup
 from choimaps import choi_matrix, edge_state, pairing_value, partial_transpose
 from choimaps.faces import require_generic_theta
 from choimaps.linalg import CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK, RESIDUE_ABS, require_hermitian
-from choimaps.optimality import _TINY, _hessian_null
-from choimaps.positivity import _apply_kernel, _kernel_matrix, on_sum_at, on_surface_at
+from choimaps.optimality import _DINKELBACH_STOP, _ROUNDS, _TINY, _hessian_null, _ratio_on_grid
+from choimaps.positivity import _apply_kernel, _descend, _distinct_starts, _kernel_matrix, on_sum_at, on_surface_at
 
 
 def apply_map(p: MapParams, x) -> np.ndarray:
@@ -226,3 +227,31 @@ def equal_subtraction_restriction(b: float, theta: float) -> bool:
     bound_b = 2.0 - math.sqrt(3.0) + math.sqrt(6.0 * math.sqrt(3.0) - 6.0)
     bound_t = (3.0 + math.sqrt(21.0)) / 8.0
     return b + 1.0 / b <= bound_b and math.cos(theta / 2.0) <= bound_t
+
+
+def dinkelbach_reference(w, v, xi, patterns, ratios, run: int, bound: float):
+    """One direction's Dinkelbach rounds, one direction at a time: from the
+    best cells of the 20 best moduli patterns of the grid ``xi`` by its
+    ``ratios``, r = min(best grid ratio, ``bound``), each round one
+    ``_descend`` iteration on the explicit matrix W - r v v* and the exact
+    ratios at the new vectors; stops after _ROUNDS rounds, when r falls by
+    less than _DINKELBACH_STOP r, or at a tenth of CERTIFIED_ZERO.  Returns
+    r and the unit xi of the smallest ratio evaluated.  The package runs
+    every direction's rounds in one batch, with W - r v v* as a rank-one
+    term on the shared kernel of W."""
+    starts = _distinct_starts(ratios, patterns, run, 20)
+    xi, r = xi[starts], min(float(ratios[starts[0]]), bound)
+    best_xi, best_ratio = xi[0], float(ratios[starts[0]])
+    vv = np.outer(v, v.conj())
+    for _ in range(_ROUNDS):
+        if not CERTIFIED_ZERO / 10 < r < math.inf:
+            break
+        xi = _descend(w - r * vv, xi, 1)[0]
+        reached = _ratio_on_grid(w, v.reshape(1, 3, 3), xi, 1)[0]
+        k = int(np.argmin(reached))
+        if reached[k] < best_ratio:
+            best_xi, best_ratio = xi[k], float(reached[k])
+        r, previous = min(r, best_ratio), r
+        if r > previous - _DINKELBACH_STOP * previous:
+            break
+    return r, best_xi

@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from choimaps import (
     orthocomplement_basis,
     subtraction_budget,
 )
-from choimaps import optimality, positivity
+from choimaps import optimality
 from choimaps.errors import InternalConsistencyError
 from choimaps.linalg import CERTIFIED_SIGN
 from choimaps.optimality import (
@@ -39,7 +41,8 @@ from choimaps.optimality import (
 )
 from choimaps.positivity import _sphere_grid
 from choimaps.spanning import ProductVector, _kernel_point, sampled_kernel_vectors
-from lemmas import apply_map, full_grid_ratios, kernel_limit_ratio, vertex_optimality_analytic
+import lemmas
+from lemmas import apply_map, dinkelbach_reference, full_grid_ratios, kernel_limit_ratio, vertex_optimality_analytic
 
 
 PTH = cp_threshold(np.pi / 6)
@@ -405,30 +408,25 @@ def test_refined_weight_is_tight(p):
 _F_ABC = MapParams(1, (_PTH - 1) / 3, 2 * (_PTH - 1) / 3, np.pi / 6)
 
 
+def _count_descents(monkeypatch, module):
+    """The number of starts of each ``_descend`` call made through ``module``."""
+    starts, descend = [], module._descend
+
+    def counting(w, xi, *args):
+        starts.append(len(xi))
+        return descend(w, xi, *args)
+
+    monkeypatch.setattr(module, "_descend", counting)
+    return starts
+
+
 def test_e_ab_rounds_start_at_the_kernel_limit(monkeypatch):
     # Started from the grid ratio instead, the rounds crawl towards the
     # kernel limit for 28-34 descent iterations per direction.
-    rounds, inside = [], []  # descent iterations of each _dinkelbach call
-    newton = positivity._newton_candidates
-
-    def counting_newton(*args):
-        if inside:
-            rounds[-1] += 1
-        return newton(*args)
-
-    def counting_dinkelbach(*args):
-        rounds.append(0)
-        inside.append(True)
-        try:
-            return _dinkelbach(*args)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(positivity, "_newton_candidates", counting_newton)
-    monkeypatch.setattr(optimality, "_dinkelbach", counting_dinkelbach)
+    rounds = _count_descents(monkeypatch, optimality)  # one per round of the batch
     assert optimality_probe(_E_AB, n_directions=4).verdict == "not_optimal"
-    assert len(rounds) == 4
-    assert max(rounds) <= 2
+    assert 1 <= len(rounds) <= 2
+    assert rounds[0] == 4 * 20  # every direction's 20 starts in the first round
 
 
 # At this f_ab point (a bench/strata draw) the unseeded rounds of directions
@@ -437,6 +435,18 @@ def test_e_ab_rounds_start_at_the_kernel_limit(monkeypatch):
 # limits 0.36632 and 0.34496 in their first round and stop.  The largest
 # direction, and so max_subtractable, is the same either way.
 _F_AB_BELOW_LIMIT = MapParams(1.125292359574031, 2.082723915475503, 0.0, -1.393597384786379)
+
+
+def _probe_parts(p, ndir):
+    """The probe's own directions, grid, grid ratios and kernel limits."""
+    w = choi_matrix(p)
+    basis = np.array(orthocomplement_basis(p))
+    directions = _directions(len(basis), ndir) @ basis
+    xi, _, patterns = _sphere_grid(8, 8)
+    ratios = _ratio_on_grid(w, directions.reshape(-1, 3, 3), xi, 64)
+    mu, e, jac = _kernel_models(w, sampled_kernel_vectors(p))
+    limits = _kernel_limit_ratio(mu, e, _penalty_rows(jac, directions))
+    return w, directions, xi, patterns, ratios, limits
 
 
 @pytest.mark.parametrize(
@@ -454,20 +464,13 @@ _F_AB_BELOW_LIMIT = MapParams(1.125292359574031, 2.082723915475503, 0.0, -1.3935
 )
 def test_seeded_rounds_never_lose(p):
     # The probe's own directions, grid and kernel limits (n_directions=4).
-    w = choi_matrix(p)
-    basis = np.array(orthocomplement_basis(p))
-    directions = _directions(len(basis), 4) @ basis
-    xi, _, patterns = _sphere_grid(8, 8)
-    ratios = _ratio_on_grid(w, directions.reshape(-1, 3, 3), xi, 64)
-    mu, e, jac = _kernel_models(w, sampled_kernel_vectors(p))
-    limits = _kernel_limit_ratio(mu, e, _penalty_rows(jac, directions))
-    for d, v in enumerate(directions):
-        seeded = _dinkelbach(w, v, xi, patterns, ratios[d], 64, limits[d])[0]
-        unseeded, reached = _dinkelbach(w, v, xi, patterns, ratios[d], 64, math.inf)
-        assert seeded <= min(limits[d], unseeded) * (1 + 1e-12)
-        # unseeded, the smallest ratio is attained at the vector returned
-        at = _ratio_on_grid(w, v.reshape(1, 3, 3), reached[None], 1)[0, 0]
-        assert abs(at - unseeded) <= 1e-12 * unseeded
+    w, directions, xi, patterns, ratios, limits = _probe_parts(p, 4)
+    seeded = _dinkelbach(w, directions, xi, patterns, ratios, 64, limits)[0]
+    unseeded, reached = _dinkelbach(w, directions, xi, patterns, ratios, 64, np.full(4, math.inf))
+    assert np.all(seeded <= np.minimum(limits, unseeded) * (1 + 1e-12))
+    # unseeded, each smallest ratio is attained at the vector returned for it
+    at = _ratio_on_grid(w, directions.reshape(-1, 3, 3), reached[:, None], 1)[:, 0]
+    assert np.all(np.abs(at - unseeded) <= 1e-12 * unseeded)
 
 
 _V_P00 = MapParams(_PTH, 0, 0, np.pi / 6)
@@ -496,6 +499,93 @@ def test_stacked_kernel_limits_match_the_loop(p, ndir):
         assert_close(_kernel_limit_ratio(mu[k : k + 1], e[k : k + 1], rows[k : k + 1]), loop[k])
 
 
+_REFERENCE_POINTS = {"f_ab": _F_AB, "f_abc": _F_ABC, "e_ab": _E_AB, "v_p00": _V_P00, "e_b": _E_B}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_rounds(name, seeded):
+    """The per-direction reference r at the probe's 64 directions of a point;
+    ``_directions`` is a prefix-stable sequence, so fewer directions are its
+    first rows."""
+    w, directions, xi, patterns, ratios, limits = _probe_parts(_REFERENCE_POINTS[name], 64)
+    bounds = limits if seeded else np.full(len(limits), math.inf)
+    return np.array(
+        [dinkelbach_reference(w, v, xi, patterns, ratios[d], 64, bounds[d])[0] for d, v in enumerate(directions)]
+    )
+
+
+@pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded"])
+@pytest.mark.parametrize("ndir", [1, 4, 64])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_POINTS))
+def test_batched_rounds_match_the_per_direction_reference(name, ndir, seeded):
+    # one batch of rounds, W - r vv* a rank-one term per start, against one
+    # direction at a time on the explicit W - r vv*
+    w, directions, xi, patterns, ratios, limits = _probe_parts(_REFERENCE_POINTS[name], ndir)
+    bounds = limits if seeded else np.full(ndir, math.inf)
+    got, reached = _dinkelbach(w, directions, xi, patterns, ratios, 64, bounds)
+    want = _reference_rounds(name, seeded)[:ndir]
+    assert got.shape == want.shape and reached.shape == (ndir, 3)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * want[finite])
+
+
+def _reference_round_counts(monkeypatch, p):
+    """Each direction's rounds at the probe's 4 directions, by the reference."""
+    w, directions, xi, patterns, ratios, limits = _probe_parts(p, 4)
+    counts = []
+    for d, v in enumerate(directions):
+        descents = _count_descents(monkeypatch, lemmas)
+        dinkelbach_reference(w, v, xi, patterns, ratios[d], 64, limits[d])
+        counts.append(len(descents))
+        monkeypatch.undo()
+    return counts
+
+
+@pytest.mark.parametrize("p", [_F_AB, _F_ABC, _E_AB, _V_P00, _E_B], ids=["f_ab", "f_abc", "e_ab", "v_p00", "e_b"])
+def test_not_optimal_probe_descends_once_per_round_of_the_batch(monkeypatch, p):
+    # max(rounds) descents, not their sum: every live direction's starts go
+    # into one _descend call per round
+    rounds = _reference_round_counts(monkeypatch, p)
+    descents = _count_descents(monkeypatch, optimality)
+    assert optimality_probe(p, n_directions=4).verdict == "not_optimal"
+    assert len(descents) == max(rounds)
+    assert sorted(descents, reverse=True) == descents  # directions only leave the batch
+    assert [n // 20 for n in descents] == [sum(r > k for r in rounds) for k in range(max(rounds))]
+    if p is _E_AB:
+        assert rounds == [1, 1, 1, 1] and descents == [80]
+    if p is _F_AB:
+        assert sum(rounds) > max(rounds)
+
+
+def test_probe_memory_is_bounded_by_its_blocks():
+    # directions go through the kernel limits, the grid ratios and the rounds
+    # in blocks of 64, so 512 directions keep the temporaries of one block
+    p = MapParams(1.2, 1.5, 0, -1.0)
+    assert classify_face(p).kind is FaceKind.F_AB
+    optimality_probe(p, n_directions=1)  # the cached grids are built outside the measurement
+    peaks = []
+    for ndir in (64, 512):
+        tracemalloc.start()
+        try:
+            assert optimality_probe(p, n_directions=ndir).verdict == "not_optimal"
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_probe_grid_is_built_once_and_read_only():
+    xi, patterns, (modulus, phase) = optimality._probe_grid()
+    grid = _sphere_grid(optimality._GRID_N, optimality._GRID_N)
+    assert xi is grid[0] and patterns is grid[2]
+    assert np.array_equal(modulus, np.abs(xi)) and np.allclose(modulus * phase.conj(), xi, rtol=0, atol=1e-15)
+    for shared in (modulus, phase):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0
+    assert optimality._probe_grid()[2][0] is modulus
+
+
 def _random_unit(rng, n):
     xi = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
     return xi / np.linalg.norm(xi, axis=1)[:, None]
@@ -521,11 +611,33 @@ def test_ratio_on_grid_matches_the_full_eigensolve(cells):
         # one direction at a time too: (ndir, n, 3) @ (n, 3, 3) must not
         # broadcast silently at ndir = 1
         alone = np.vstack([_ratio_on_grid(w, m[None], xi, run) for m in matrices])
+        # the moduli and phases the probe keeps for its grid give the same bits
+        assert np.array_equal(_ratio_on_grid(w, matrices, xi, run, optimality._polar(xi)), got)
         for ratios in (got, alone):
             assert ratios.shape == want.shape
             assert np.array_equal(np.isinf(ratios), np.isinf(want))
             finite = np.isfinite(want)
             assert np.all(np.abs(ratios[finite] - want[finite]) <= 1e-12 * want[finite])
+
+
+def test_paired_ratios_match_the_shared_call_per_direction():
+    # (ndir, n, 3) vectors: each direction at its own vectors, as the rounds
+    # call it, against one shared call per direction
+    rng = np.random.default_rng(42)
+    xi = _random_unit(rng, 5 * 20)
+    xi[:10, 1:] = 0.0  # zero coordinates take the phase 1
+    xi /= np.linalg.norm(xi, axis=1)[:, None]
+    xi = xi.reshape(5, 20, 3)
+    for p in (_F_AB, _E_AB, _V_P00):
+        w = choi_matrix(p)
+        matrices = (rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))) / 3.0
+        paired = _ratio_on_grid(w, matrices, xi, 1)
+        assert paired.shape == (5, 20)
+        for d in range(5):
+            shared = _ratio_on_grid(w, matrices[d : d + 1], xi[d], 1)[0]
+            assert np.array_equal(np.isinf(paired[d]), np.isinf(shared))
+            finite = np.isfinite(shared)
+            assert np.all(np.abs(paired[d][finite] - shared[finite]) <= 1e-12 * shared[finite])
 
 
 def test_ratio_on_grid_needs_a_covariant_choi_matrix():
@@ -543,14 +655,15 @@ _V_1B0_OUTER = MapParams(1, cp_threshold(2.0) - 1, 0, 2.0)
 def test_grid_ratios_solve_once_per_moduli_pattern(monkeypatch, p, grid_eighs):
     # The second-order orthocomplement of an outer optimal vertex is empty, so
     # its probe scans no grid; a not-optimal probe solves the 64 moduli
-    # patterns of the 8^4 grid, once for all its directions.
+    # patterns of the 8^4 grid, once for all its directions (one block); the
+    # rounds' paired calls at each direction's own vectors are not counted.
     counts, inside = [], []
     ratio_on_grid, eigh = optimality._ratio_on_grid, np.linalg.eigh
 
-    def counting_ratio_on_grid(w, matrices, xi, run):
+    def counting_ratio_on_grid(w, matrices, xi, *args):
         inside.append(len(xi) == 8**4)
         try:
-            return ratio_on_grid(w, matrices, xi, run)
+            return ratio_on_grid(w, matrices, xi, *args)
         finally:
             inside.pop()
 
@@ -569,8 +682,9 @@ def test_grid_ratios_solve_once_per_moduli_pattern(monkeypatch, p, grid_eighs):
 @pytest.mark.parametrize("p", [_V_1B0_OUTER, _F_AB, _E_AB], ids=["v_1b0_outer", "f_ab", "e_ab"])
 def test_probe_searches_once_and_solves_its_kernel_limits_once(monkeypatch, p):
     # A not-optimal probe runs one oracle search (W - r/2 vv*) and two
-    # eigvalsh calls: one over the stack of every kernel limit, one at the
-    # rounds' product vector for W - 2r vv*.  An empty-space vertex runs none.
+    # eigvalsh calls: one over the stack of every kernel limit of its one
+    # block of directions, one at the product vector its batched rounds
+    # return for W - 2r vv*.  An empty-space vertex runs none.
     oracles, limit_eigs, eigs, inside = [], [], [], []
     oracle, limits = optimality.block_positivity_oracle, optimality._kernel_limit_ratio
     eigvalsh = np.linalg.eigvalsh

@@ -495,6 +495,49 @@ def test_pairing_model_matches_the_einsum_reference():
     assert np.abs(grad - 2.0 * np.einsum("nik,ni->nk", jac.conj(), wy).real).max() <= 1e-12 * scale
 
 
+def _rank_one_terms(rng, n):
+    """Seeded unit vectors v and weights r of one rank-one term per point."""
+    v = rng.normal(size=(n, 9)) + 1j * rng.normal(size=(n, 9))
+    return v / np.linalg.norm(v, axis=1)[:, None], rng.uniform(0.1, 0.6, n)
+
+
+def test_pairing_model_rank_one_term_matches_the_explicit_matrix():
+    # point s modelled with (v_s, r_s) against the model of W - r_s v_s v_s*
+    rng = np.random.default_rng(23)
+    n, k = 10, 4
+    w = choi_matrix(MapParams(1.5, 0.5, 0.0, np.pi / 6))
+    a, b = (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)) for _ in range(2))
+    da, db = (rng.normal(size=(n, 3, k)) + 1j * rng.normal(size=(n, 3, k)) for _ in range(2))
+    v, r = _rank_one_terms(rng, n)
+    jac, grad, q = _pairing_model(w, a, b, da, db, (v, r))
+    for s in range(n):
+        one = slice(s, s + 1)
+        want = _pairing_model(w - r[s] * np.outer(v[s], v[s].conj()), a[one], b[one], da[one], db[one])
+        for got_part, want_part in zip((jac[s], grad[s], q[s]), want):
+            assert np.abs(got_part - want_part[0]).max() <= 1e-12 * max(1.0, np.abs(want_part).max())
+
+
+@pytest.mark.parametrize("steps", [1, 200])
+@pytest.mark.parametrize("abc", [(1.5, 0.5, 0.0), (1.2, 0.3, 0.23), (2.0, 0.0, 0.0)])
+def test_descent_rank_one_term_matches_the_explicit_matrix(abc, steps):
+    # start s descends W - r_s v_s v_s* on the shared kernel of W.  At one step
+    # every start's vector and value match the descent of the explicit matrix;
+    # at 200 the values do, while the vectors stop anywhere in a flat
+    # minimum, to about sqrt(eps), and the batch stops when no start moves
+    rng = np.random.default_rng(24)
+    n = 12
+    w = choi_matrix(MapParams(*abc, np.pi / 6))
+    xi = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    xi /= np.linalg.norm(xi, axis=1)[:, None]
+    v, r = _rank_one_terms(rng, n)
+    got_xi, got_value, _ = _descend(w, xi, steps, (v, r))
+    for s in range(n):
+        want_xi, want_value, _ = _descend(w - r[s] * np.outer(v[s], v[s].conj()), xi[s : s + 1], steps)
+        assert abs(got_value[s] - want_value[0]) <= 1e-12 * max(1.0, abs(want_value[0]))
+        if steps == 1:
+            assert np.abs(got_xi[s] - want_xi[0]).max() <= 1e-12
+
+
 def _checked_oracle(w, **kwargs):
     """The oracle's report, after checking that the closed-form ranking puts
     a cell at the exact (LAPACK) grid minimum first, and that ``refined``
