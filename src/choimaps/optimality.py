@@ -74,8 +74,7 @@ from .positivity import (
     block_positivity_oracle,
     is_positive,
 )
-from .spanning import ProductVector, _kernel_point, has_cospanning_property, has_spanning_property
-from .spanning import sampled_kernel_vectors
+from .spanning import ProductVector, _kernel_point, sampled_kernel_vectors
 
 _MIN_DRAW_NORM = 1e-6  # ``_directions`` drops draws this close to zero
 _DINKELBACH_STOP = 1e-9  # relative fall of the ratio below which the rounds stop
@@ -565,11 +564,11 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
 
     The row is the face's, as the point's kernel record carries it (all
     false at INTERIOR): it decides the spanning flags, as it does for
-    ``has_spanning_property`` and ``has_cospanning_property``, whose
-    rank/determinant evidence is recorded beside them.  The optimal flag
-    of every optimal, non-spanning row (the two vertices with first
-    coordinate 1, in every theta branch) comes from ``optimality_probe``,
-    whose empty second-order orthocomplement certifies it
+    ``has_spanning_property`` and ``has_cospanning_property``.  The optimal
+    flag of every optimal, non-spanning row (the two vertices with first
+    coordinate 1, in every theta branch) comes from ``optimality_probe`` at
+    the record's face coordinates, whose empty second-order
+    orthocomplement certifies it
     (UnsupportedThetaError while cp_threshold - 1 < _THRESHOLD_GAP, where
     that space is not resolved); the co-optimality disproof on the
     sum-threshold face runs the explicit subtraction when the point is on
@@ -582,14 +581,10 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
         evidence["optimal"] = "interior point: smallest face is the whole body"
         return OptimalityClassification(face, row, evidence)
 
-    for key, r in (("spanning", has_spanning_property(p)), ("co_spanning", has_cospanning_property(p))):
-        closed = {"rank": r.rank, "det_abs": r.det_abs, "det_closed_form": r.det_closed_form}
-        evidence[key] = {"source": "closed form", **closed}
-
     if row.spanning:
         evidence["optimal"] = "spanning property implies optimality"
     elif row.optimal:
-        report = optimality_probe(p)
+        report = optimality_probe(k.params)
         if report.verdict != "optimal":
             raise InternalConsistencyError(
                 f"numeric probe verdict {report.verdict} at the optimal face point {p}: "

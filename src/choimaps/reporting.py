@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def round_real(x: float) -> float:

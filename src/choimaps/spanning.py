@@ -1,16 +1,16 @@
-"""Product vectors annihilated by the pairing, and the rank/determinant
-evidence behind the spanning and co-spanning verdicts.
+"""Product vectors annihilated by the pairing, and the rank evidence behind
+the spanning and co-spanning verdicts.
 
 A product vector xi (x) eta is in the kernel of a positive map when the map
 applied to the projector of xi kills the conjugate of eta.  On the boundary
-pieces of the positivity body the kernel is known in closed form; sampling
-it at fixed phase choices gives square matrices whose determinants have
-closed-form absolute values, used here as regression oracles.
+pieces of the positivity body the kernel is known in closed form and is
+sampled at fixed phase choices.
 
 Each point gets one record, built once and cached by its parameters: its
-face and that face's property-table row, its kernel case, its
-membership-checked kernel sample and the sample's tensors.  The row alone
-decides spanning and co-spanning; the sample's rank and determinants are
+face and that face's property-table row, the face's own coordinates of the
+point, its kernel case, its membership-checked kernel sample at those
+coordinates and the sample's tensors.  The row alone decides spanning and
+co-spanning; the sample's rank, and the gap around the rank cut, are
 evidence beside it.  Every function here, and the optimality code, reads
 that record; the spanning and co-spanning reports are cached the same way.
 """
@@ -26,12 +26,12 @@ import numpy as np
 
 from .errors import InternalConsistencyError, NotPositiveMapError, UnsupportedCaseError
 from .faces import FaceKind, FaceLabel, PropertyRow, classify_face, require_generic_theta, row_of
-from .linalg import INCLUSION_SLACK, RESIDUE_REL, Array, numeric_rank
+from .linalg import INCLUSION_SLACK, RANK_REL, RESIDUE_REL, Array
 from .maps import MapParams, choi_matrix
 from .positivity import _apply_kernel, _kernel_matrix, is_positive
 
-#: Unimodular phase samples of the nine canonical determinant columns: pairs
-#: feed the three-vector boundary families, triples the equal-modulus family.
+#: Unimodular phase samples of the kernel families: pairs feed the
+#: three-vector boundary families, triples the equal-modulus family.
 DEFAULT_PAIRS = ((1.0, 1.0), (1.0, -1.0), (1.0, 1j))
 DEFAULT_TRIPLES = ((1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1j, -1j))
 
@@ -180,15 +180,39 @@ _KERNEL_CASE = {
 }
 
 
+#: The face's own coordinates of a point labelled with each kind, from its
+#: (a, b, c) and cp_threshold: a vertex takes all three, E_AB and E_AC put b
+#: (or c) on the sum face, and every other face sets what its rule pins to
+#: 0 or 1 to exactly that value (kinds not listed pin nothing).  The face
+#: table puts a point within FACE_TOL of a face on that face, so its kernel
+#: is sampled there.
+_ON_FACE = {
+    FaceKind.V_P00: lambda a, b, c, pth: (pth, 0.0, 0.0),
+    FaceKind.V_10C: lambda a, b, c, pth: (1.0, 0.0, pth - 1.0),
+    FaceKind.V_1B0: lambda a, b, c, pth: (1.0, pth - 1.0, 0.0),
+    FaceKind.V_0T: lambda a, b, c, pth: (0.0, b, c),
+    FaceKind.E_A: lambda a, b, c, pth: (a, 0.0, 0.0),
+    FaceKind.E_B: lambda a, b, c, pth: (1.0, b, 0.0),
+    FaceKind.E_C: lambda a, b, c, pth: (1.0, 0.0, c),
+    FaceKind.E_AB: lambda a, b, c, pth: (a, pth - a, 0.0),
+    FaceKind.E_AC: lambda a, b, c, pth: (a, 0.0, pth - a),
+    FaceKind.F_AB: lambda a, b, c, pth: (a, b, 0.0),
+    FaceKind.F_AC: lambda a, b, c, pth: (a, 0.0, c),
+    FaceKind.F_BC: lambda a, b, c, pth: (0.0, b, c),
+}
+
+
 @dataclass(frozen=True)
 class _KernelPoint:
     """What the kernel code knows about one positive map: its face, the
-    face's property-table row (all false at INTERIOR), its kernel case, its
-    membership-checked generic kernel sample, and the sample's (n, 9)
+    face's property-table row (all false at INTERIOR), the point at the
+    face's own coordinates (``_ON_FACE``), its kernel case, its
+    membership-checked generic kernel sample there, and the sample's (n, 9)
     tensors xi (x) eta and partial conjugates xi (x) conj(eta)."""
 
     face: FaceLabel
     row: PropertyRow
+    params: MapParams
     case: str | None
     sample: tuple[ProductVector, ...]
     tensors: Array
@@ -200,16 +224,18 @@ def _kernel_point(p: MapParams) -> _KernelPoint:
     """The record of ``p``, built once per point.  Raises
     UnsupportedThetaError at an endpoint angle and NotPositiveMapError when
     the map is not positive."""
-    require_generic_theta(p.theta)
+    pth = require_generic_theta(p.theta)
     if not is_positive(p):
         raise NotPositiveMapError(f"map {p} is not positive")
     face = classify_face(p)
+    on_face = _ON_FACE.get(face.kind)
+    params = p if on_face is None else MapParams(*on_face(*p.abc, pth), p.theta)
     case = _KERNEL_CASE.get(face.kind)
-    sample = _case_vectors(p, case)
+    sample = _case_vectors(params, case)
     tensors, conjugate_tensors = _tensors(sample), _tensors(sample, conjugate=True)
     for x in [tensors, conjugate_tensors] + [f for pv in sample for f in (pv.xi, pv.eta)]:
         x.flags.writeable = False  # shared by every caller of the cache
-    return _KernelPoint(face, row_of(face), case, tuple(sample), tensors, conjugate_tensors)
+    return _KernelPoint(face, row_of(face), params, case, tuple(sample), tensors, conjugate_tensors)
 
 
 def _tensors(vectors: list[ProductVector], conjugate: bool = False) -> Array:
@@ -246,9 +272,9 @@ def _case_vectors(p: MapParams, case: str | None) -> list[ProductVector]:
 
 def sampled_kernel_vectors(p: MapParams) -> list[ProductVector]:
     """Kernel sample rich enough for span computations, for any positive
-    map: the closed-form family at generic phases when the parameters lie on
-    a boundary case, otherwise just the coordinate vectors (possibly none,
-    for strictly interior maps)."""
+    map, at its face's own coordinates: the closed-form family at generic
+    phases when the parameters lie on a boundary case, otherwise just the
+    coordinate vectors (possibly none, for strictly interior maps)."""
     return list(_kernel_point(p).sample)
 
 
@@ -259,78 +285,31 @@ def sampled_kernel_vectors(p: MapParams) -> list[ProductVector]:
 
 @dataclass(frozen=True)
 class SpanningReport:
-    """The face row's verdict plus numeric evidence (rank of the sampled
-    kernel, and |det| of the nine canonical columns against its closed form
-    when a determinant case applies).  Both determinants are None when
-    either one is not a finite double."""
+    """The face row's verdict plus the rank evidence of the point's kernel
+    sample (partially conjugated for co-spanning): its ``rank`` and the gap
+    around the rank cut, the singular values on either side of RANK_REL
+    relative to the largest, padded with zeros to nine.  ``largest_dropped``
+    is None at rank 9; all three are None when the sample is empty."""
 
     has_property: bool
     case: str | None
     rank: int | None
-    det_abs: float | None
-    det_closed_form: float | None
+    smallest_kept: float | None
+    largest_dropped: float | None
 
     def __bool__(self) -> bool:
         return self.has_property
 
 
-def _report(
-    verdict: bool, k: _KernelPoint, conjugate: bool, cols: Array | None, det_closed: float | None
-) -> SpanningReport:
-    """The report, with |det| of the canonical columns when given and the
-    rank of the (partially conjugated) sample."""
-    det_abs = None
-    if cols is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            det_abs = float(abs(np.linalg.det(cols)))
-    if any(x is not None and not math.isfinite(x) for x in (det_abs, det_closed)):
-        det_abs = det_closed = None
-    rank = numeric_rank(k.conjugate_tensors if conjugate else k.tensors) if k.sample else None
-    return SpanningReport(verdict, k.case, rank, det_abs, det_closed)
-
-
-def _nine_columns(vectors: list[ProductVector], conjugate: bool = False) -> Array | None:
-    return _tensors(vectors, conjugate).T if len(vectors) == 9 else None
-
-
-def spanning_det_closed_form(p: MapParams) -> float | None:
-    """Closed-form |det| of the nine canonical kernel columns, when defined;
-    inf when it overflows a double.  Raises NotPositiveMapError on a map
-    that is not positive (it used to return None there)."""
-    case = _kernel_point(p).case
-    b, c = p.b, p.c
-    try:
-        if case in ("i", "ii"):
-            return 64.0 * b**4.5 * c**2.25 * abs(1.0 + cmath.exp(-3j * p.theta))
-        if case == "iii":
-            return 64.0 * b**3 * abs(1.0 + b**3 * cmath.exp(3j * p.theta))
-    except OverflowError:
-        return math.inf
-    return None
-
-
-def cospanning_det_closed_form(p: MapParams) -> float | None:
-    """Closed-form |det| of the partially conjugated canonical columns on the
-    sum-threshold surface case, branchwise in theta.  Raises
-    NotPositiveMapError on a map that is not positive (it used to return
-    None there)."""
-    if _kernel_point(p).case != "ii":
-        return None
-    third = math.pi / 3.0
-    if -math.pi < p.theta < -third:
-        shift = p.theta + 2.0 * third
-    elif -third < p.theta < third:
-        shift = p.theta
-    else:
-        shift = p.theta - 2.0 * third
-    b, c = p.b, p.c
-    return (
-        16.0
-        * math.sqrt(2.0)
-        * b**2.25
-        * c**0.75
-        * abs((math.sqrt(b) - math.sqrt(c) * cmath.exp(1j * shift)) ** 3 * (1.0 + cmath.exp(3j * p.theta)))
-    )
+def _report(verdict: bool, k: _KernelPoint, conjugate: bool) -> SpanningReport:
+    """The report, from one SVD of the (partially conjugated) sample."""
+    if not k.sample:
+        return SpanningReport(verdict, k.case, None, None, None)
+    s = np.linalg.svd(k.conjugate_tensors if conjugate else k.tensors, compute_uv=False)
+    s = np.concatenate([s / s[0], np.zeros(9 - len(s))])
+    rank = int(np.count_nonzero(s > RANK_REL))
+    dropped = float(s[rank]) if rank < 9 else None
+    return SpanningReport(verdict, k.case, rank, float(s[rank - 1]), dropped)
 
 
 @functools.lru_cache(maxsize=32)
@@ -339,36 +318,13 @@ def has_spanning_property(p: MapParams) -> SpanningReport:
 
     The verdict is the face row's spanning flag: true on E_T, V_0T and
     V_PARAM_T (the surface b*c = (1 - a)^2, 0 <= a < 1), false elsewhere.
-    Evidence: rank of the sampled kernel and, in the determinant cases,
-    |det| of the nine canonical columns against the closed form.  Built
-    once per point, like its record.  Raises NotPositiveMapError when the
-    map is not positive: spanning is defined only for positive maps.
+    Evidence: the rank of the sampled kernel and the gap around the rank
+    cut.  Built once per point, like its record.  Raises
+    NotPositiveMapError when the map is not positive: spanning is defined
+    only for positive maps.
     """
     k = _kernel_point(p)
-    cols = None
-    det_closed = spanning_det_closed_form(p)
-    if det_closed is not None:
-        family = _copositive_family if k.case == "iii" else _surface_family
-        cols = _nine_columns([pv for al, be in DEFAULT_PAIRS for pv in family(p, al, be)])
-    return _report(k.row.spanning, k, False, cols, det_closed)
-
-
-def cospanning_columns(p: MapParams) -> Array | None:
-    """The nine partially conjugated canonical kernel columns on the
-    sum-threshold surface case: six surface vectors at phase pairs
-    (1, +-1) plus the three default equal-modulus triples.  Raises
-    NotPositiveMapError on a map that is not positive (it used to return
-    None there)."""
-    if _kernel_point(p).case != "ii":
-        return None
-    vectors = []
-    for al, be in ((1.0, 1.0), (1.0, -1.0)):
-        vectors.extend(_surface_family(p, al, be))
-    if len(vectors) != 6:
-        return None
-    for al, be, ga in DEFAULT_TRIPLES:
-        vectors.append(_equal_modulus_vector(p.theta, al, be, ga))
-    return _nine_columns(vectors, conjugate=True)
+    return _report(k.row.spanning, k, False)
 
 
 @functools.lru_cache(maxsize=32)
@@ -377,9 +333,10 @@ def has_cospanning_property(p: MapParams) -> SpanningReport:
 
     The verdict is the face row's co-spanning flag: true on the
     sum-threshold pieces V_PARAM_T, V_1B0, V_10C, E_AB, E_AC and V_P00,
-    false elsewhere.  Evidence as for ``has_spanning_property``.  Built
-    once per point, like its record.  Raises NotPositiveMapError when the
-    map is not positive: co-spanning is defined only for positive maps.
+    false elsewhere.  Evidence: the rank of the partially conjugated sample
+    and the gap around the rank cut.  Built once per point, like its
+    record.  Raises NotPositiveMapError when the map is not positive:
+    co-spanning is defined only for positive maps.
     """
     k = _kernel_point(p)
-    return _report(k.row.co_spanning, k, True, cospanning_columns(p), cospanning_det_closed_form(p))
+    return _report(k.row.co_spanning, k, True)

@@ -7,10 +7,12 @@ probe's subtractable weights by one eigensolve per vector, its kernel
 limits by one eigensolve per kernel vector and direction, its Dinkelbach
 rounds one direction at a time on the explicit W - r v v*, the closed-form
 spanning and co-spanning conditions (the package reads both flags off the
-face's property-table row), the closed-form optimality certificate of the
-two vertices with first coordinate 1 from the probe families of the
-paper's proof, and the kernel vectors and the equal-subtraction restriction
-of the {6,8} edge states.
+face's property-table row), the paper's closed-form |det| of the nine
+canonical kernel columns and of their partial conjugates (the package's
+evidence is the sample's rank and the gap around its cut), the
+closed-form optimality certificate of the two vertices with first
+coordinate 1 from the probe families of the paper's proof, and the kernel
+vectors and the equal-subtraction restriction of the {6,8} edge states.
 """
 
 import cmath
@@ -24,6 +26,8 @@ from choimaps.faces import require_generic_theta
 from choimaps.linalg import CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK, RESIDUE_ABS, require_hermitian
 from choimaps.optimality import _DINKELBACH_STOP, _ROUNDS, _TINY, _hessian_null, _ratio_on_grid
 from choimaps.positivity import _apply_kernel, _descend, _distinct_starts, _kernel_matrix, on_sum_at, on_surface_at
+from choimaps.spanning import DEFAULT_PAIRS, DEFAULT_TRIPLES, _copositive_family, _equal_modulus_vector
+from choimaps.spanning import _kernel_point, _surface_family, _tensors
 
 
 def apply_map(p: MapParams, x) -> np.ndarray:
@@ -112,6 +116,80 @@ def cospans_closed_form(p: MapParams) -> bool:
     surface_piece = p.a >= 2.0 - pth - FACE_TOL and on_surface_at(*p.abc)
     coordinate_piece = 1.0 - FACE_TOL <= p.a <= pth + FACE_TOL and min(p.b, p.c) <= FACE_TOL
     return bool(on_sum_at(*p.abc, pth) and (surface_piece or coordinate_piece))
+
+
+def _nine_columns(vectors, conjugate: bool = False) -> np.ndarray | None:
+    """The 9x9 matrix whose columns are the tensors of nine product vectors
+    (or their partial conjugates); None unless exactly nine are given."""
+    return _tensors(vectors, conjugate).T if len(vectors) == 9 else None
+
+
+def spanning_columns(p: MapParams) -> np.ndarray | None:
+    """The nine canonical kernel columns in the determinant cases: the
+    surface family (cases i and ii) or the copositive family (case iii) at
+    ``DEFAULT_PAIRS``; None in the other cases, or where the surface family
+    loses a member."""
+    case = _kernel_point(p).case
+    if case not in ("i", "ii", "iii"):
+        return None
+    family = _copositive_family if case == "iii" else _surface_family
+    return _nine_columns([pv for al, be in DEFAULT_PAIRS for pv in family(p, al, be)])
+
+
+def spanning_det_closed_form(p: MapParams) -> float | None:
+    """Closed-form |det| of ``spanning_columns``, when defined; inf when it
+    overflows a double.  Raises NotPositiveMapError on a map that is not
+    positive."""
+    case = _kernel_point(p).case
+    b, c = p.b, p.c
+    try:
+        if case in ("i", "ii"):
+            return 64.0 * b**4.5 * c**2.25 * abs(1.0 + cmath.exp(-3j * p.theta))
+        if case == "iii":
+            return 64.0 * b**3 * abs(1.0 + b**3 * cmath.exp(3j * p.theta))
+    except OverflowError:
+        return math.inf
+    return None
+
+
+def cospanning_columns(p: MapParams) -> np.ndarray | None:
+    """The nine partially conjugated canonical kernel columns on the
+    sum-threshold surface case: six surface vectors at phase pairs
+    (1, +-1) plus the three default equal-modulus triples.  Raises
+    NotPositiveMapError on a map that is not positive."""
+    if _kernel_point(p).case != "ii":
+        return None
+    vectors = []
+    for al, be in ((1.0, 1.0), (1.0, -1.0)):
+        vectors.extend(_surface_family(p, al, be))
+    if len(vectors) != 6:
+        return None
+    for al, be, ga in DEFAULT_TRIPLES:
+        vectors.append(_equal_modulus_vector(p.theta, al, be, ga))
+    return _nine_columns(vectors, conjugate=True)
+
+
+def cospanning_det_closed_form(p: MapParams) -> float | None:
+    """Closed-form |det| of ``cospanning_columns`` on the sum-threshold
+    surface case, branchwise in theta.  Raises NotPositiveMapError on a map
+    that is not positive."""
+    if _kernel_point(p).case != "ii":
+        return None
+    third = math.pi / 3.0
+    if -math.pi < p.theta < -third:
+        shift = p.theta + 2.0 * third
+    elif -third < p.theta < third:
+        shift = p.theta
+    else:
+        shift = p.theta - 2.0 * third
+    b, c = p.b, p.c
+    return (
+        16.0
+        * math.sqrt(2.0)
+        * b**2.25
+        * c**0.75
+        * abs((math.sqrt(b) - math.sqrt(c) * cmath.exp(1j * shift)) ** 3 * (1.0 + cmath.exp(3j * p.theta)))
+    )
 
 
 def _probe_families(theta: float, vertex: str):

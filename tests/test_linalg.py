@@ -164,14 +164,17 @@ def test_no_assert_statements_in_the_package():
 #: reaches ``optimality_probe``, which the benchmark also calls, through
 #: ``classify_optimality``), the parametrization the benchmark checks its
 #: sampler against, the public one-vector kernel check (the benchmark
-#: traces it by name; the kernel sample is checked in one batch) and the
+#: traces it by name; the kernel sample is checked in one batch), the
 #: public second-order orthocomplement (traced by name too; the probe takes
-#: it together with its kernel model from one ``_second_order`` call).
+#: it together with its kernel model from one ``_second_order`` call) and
+#: the public numeric rank (the spanning reports cut their own SVD at the
+#: same RANK_REL, since they also report the gap around the cut).
 _ROOTS = (
     ("cli", "main"),
     ("faces", "boundary_parametrization"),
     ("spanning", "kernel_membership"),
     ("optimality", "orthocomplement_basis"),
+    ("linalg", "numeric_rank"),
 )
 
 

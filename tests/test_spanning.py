@@ -24,12 +24,10 @@ from choimaps.spanning import (
     GENERIC_TRIPLES,
     _equal_modulus_vector,
     _kernel_point,
-    cospanning_columns,
-    cospanning_det_closed_form,
     sampled_kernel_vectors,
-    spanning_det_closed_form,
 )
-from lemmas import cospans_closed_form, pairing, spans_closed_form
+from lemmas import cospanning_columns, cospanning_det_closed_form, cospans_closed_form, pairing
+from lemmas import spanning_columns, spanning_det_closed_form, spans_closed_form
 
 
 def surface_point(rng, theta):
@@ -130,12 +128,13 @@ class TestKernelFamily:
 
 class TestSpanningProperty:
     def test_surface_case_instance(self):
-        report = has_spanning_property(MapParams(0.5, 1, 0.25, np.pi / 6))
+        p = MapParams(0.5, 1, 0.25, np.pi / 6)
+        report = has_spanning_property(p)
         assert report
         assert report.case == "i"
         assert report.rank == 9
-        assert report.det_abs == pytest.approx(4.0, abs=1e-8)
-        assert report.det_closed_form == pytest.approx(4.0, abs=1e-8)
+        assert abs(np.linalg.det(spanning_columns(p))) == pytest.approx(4.0, abs=1e-8)
+        assert spanning_det_closed_form(p) == pytest.approx(4.0, abs=1e-8)
 
     def test_vertex_is_not_spanning(self):
         th = np.pi / 6
@@ -144,11 +143,12 @@ class TestSpanningProperty:
         assert report.rank is not None and report.rank < 9
 
     def test_copositive_case_instance(self):
-        report = has_spanning_property(MapParams(0, 2, 0.5, np.pi / 6))
+        p = MapParams(0, 2, 0.5, np.pi / 6)
+        report = has_spanning_property(p)
         assert report
         expected = 512 * np.sqrt(65.0)
-        assert report.det_abs == pytest.approx(expected, rel=1e-8)
-        assert report.det_closed_form == pytest.approx(expected, rel=1e-8)
+        assert abs(np.linalg.det(spanning_columns(p))) == pytest.approx(expected, rel=1e-8)
+        assert spanning_det_closed_form(p) == pytest.approx(expected, rel=1e-8)
         assert report.rank == 9
 
     def test_det_oracle_on_random_surface_points(self):
@@ -156,9 +156,9 @@ class TestSpanningProperty:
         for _ in range(50):
             th = generic_theta(rng)
             p = surface_point(rng, th)
-            report = has_spanning_property(p)
-            assert report
-            assert report.det_abs == pytest.approx(report.det_closed_form, rel=1e-8)
+            assert has_spanning_property(p)
+            det = abs(np.linalg.det(spanning_columns(p)))
+            assert det == pytest.approx(spanning_det_closed_form(p), rel=1e-8)
 
     def test_verdict_matches_rank_on_family_points(self):
         rng = np.random.default_rng(3)
@@ -172,10 +172,12 @@ class TestSpanningProperty:
 class TestCospanningProperty:
     def test_sum_surface_point(self):
         a, b, c = boundary_parametrization(np.pi / 6, 1.0)
-        report = has_cospanning_property(MapParams(a, b, c, np.pi / 6))
+        p = MapParams(a, b, c, np.pi / 6)
+        report = has_cospanning_property(p)
         assert report
         assert report.rank == 9
-        assert report.det_abs == pytest.approx(report.det_closed_form, rel=1e-8)
+        det = abs(np.linalg.det(cospanning_columns(p)))
+        assert det == pytest.approx(cospanning_det_closed_form(p), rel=1e-8)
 
     def test_sum_face_interior_is_not_cospanning(self):
         th = np.pi / 6
@@ -208,10 +210,10 @@ class TestCospanningProperty:
             if a > 1 - 1e-3 or a < 2 - cp_threshold(th) + 1e-3:
                 pass  # keep interior margin but all curve points qualify
             p = MapParams(a, b, c, th)
-            report = has_cospanning_property(p)
-            assert report
-            assert report.det_abs == pytest.approx(report.det_closed_form, rel=1e-8)
-            assert report.det_abs > 1e-10  # nonvanishing below threshold 2
+            assert has_cospanning_property(p)
+            det = abs(np.linalg.det(cospanning_columns(p)))
+            assert det == pytest.approx(cospanning_det_closed_form(p), rel=1e-8)
+            assert det > 1e-10  # nonvanishing below threshold 2
             count += 1
 
     def test_columns_exist_only_on_sum_surface_case(self):
@@ -259,7 +261,7 @@ def test_product_vector_validation():
 # ---------------------------------------------------------------------------
 # Property test: on every boundary piece, and 0.05 inside it along each axis,
 # the face table, the paper's spanning closed forms and the sampled-kernel
-# rank tell the same story.
+# rank tell the same story, with the rank cut in a wide gap.
 # ---------------------------------------------------------------------------
 
 #: Fractional distance kept from the ends of each piece, and additive distance
@@ -267,6 +269,8 @@ def test_product_vector_validation():
 MARGIN = 0.02
 
 _thetas = st.floats(-np.pi, np.pi).filter(lambda th: 1 + 1e-3 <= cp_threshold(th) <= 2 - 1e-3)
+#: Angles at which every piece is also drawn: both signs, all three theta branches.
+FIXED_THETAS = (math.pi / 6, -0.7, 2.0, -2.6)
 _fractions = st.floats(MARGIN, 1 - MARGIN)
 _ratios = st.floats(0.2, 5.0)
 
@@ -305,6 +309,20 @@ def _e_b(draw, th):
     return 1.0, cp_threshold(th) - 1 + MARGIN + 2 * draw(_fractions), 0.0
 
 
+def _f_ab(draw, th):
+    a = 1 + MARGIN + 2 * draw(_fractions)
+    return a, max(MARGIN, cp_threshold(th) - a + MARGIN) + 2 * draw(_fractions), 0.0
+
+
+def _f_bc(draw, th):
+    t = draw(_ratios)
+    return 0.0, t, (1 + MARGIN + 2 * draw(_fractions)) / t
+
+
+def _e_a(draw, th):
+    return cp_threshold(th) + MARGIN + 2 * draw(_fractions), 0.0, 0.0
+
+
 def _v_0t(draw, th):
     t = draw(_ratios)
     return 0.0, t, 1 / t
@@ -329,6 +347,10 @@ BOUNDARY_PIECES = {
     "e_t": (_e_t, FaceKind.E_T),
     "curve": (_curve, FaceKind.V_PARAM_T),
     "sum_face": (_sum_face, FaceKind.F_ABC),
+    "f_ab": (_f_ab, FaceKind.F_AB),
+    "f_ac": (_swap_bc(_f_ab), FaceKind.F_AC),
+    "f_bc": (_f_bc, FaceKind.F_BC),
+    "e_a": (_e_a, FaceKind.E_A),
     "e_ab": (_e_ab, FaceKind.E_AB),
     "e_ac": (_swap_bc(_e_ab), FaceKind.E_AC),
     "e_b": (_e_b, FaceKind.E_B),
@@ -368,10 +390,21 @@ def test_face_table_spanning_closed_forms_and_kernel_rank_agree(piece, data):
         assert (None if math.isnan(ts[k]) else ts[k]) == label.t_value
     inside = MapParams(*(x + 0.05 for x in abc), th)
     assert classify_face(inside).kind is FaceKind.INTERIOR
-    for q in (p, inside):
+    points = [p, inside]
+    for fixed in FIXED_THETAS:  # the piece once more at each fixed angle
+        abc = sampler(data.draw, fixed)
+        if abc is not None:
+            points.append(MapParams(*abc, fixed))
+            assert classify_face(points[-1]).kind is kind
+    for q in points:
         row = row_of(classify_face(q))
         span, cospan = has_spanning_property(q), has_cospanning_property(q)
         assert span.has_property is row.spanning is spans_closed_form(q), q
         assert cospan.has_property is row.co_spanning is cospans_closed_form(q), q
         assert (span.rank == 9) is row.spanning
         assert (cospan.rank == 9) is row.co_spanning
+        for report in (span, cospan):  # kept singular values far above the cut, dropped ones far below
+            if report.rank is not None:
+                assert report.smallest_kept >= 1e-3, (q, report)
+                assert (report.largest_dropped is None) is (report.rank == 9)
+                assert report.rank == 9 or report.largest_dropped <= 1e-12, (q, report)
