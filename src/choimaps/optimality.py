@@ -113,13 +113,15 @@ def orthocomplement_basis(p: MapParams) -> list[Array]:
     The rows J x are restricted to B, and where they vanish there (to
     RANK_REL of their largest norm) B itself is returned, so the directions
     drawn from it do not depend on them.  Empty for maps with the spanning
-    property.  Raises UnsupportedCaseError when no kernel vector is known,
-    and UnsupportedThetaError when B is not empty and cp_threshold - 1 is
+    property.  The map is taken at its face's own coordinates (the kernel
+    record's ``params``), where the sample is built.  Raises
+    UnsupportedCaseError when no kernel vector is known, and
+    UnsupportedThetaError when B is not empty and cp_threshold - 1 is
     below _THRESHOLD_GAP: the rows that reduce B then shrink with
     cp_threshold - 1 while their rounding noise grows, and no cut tells
     them apart.
     """
-    return list(_second_order(p, choi_matrix(p))[0])
+    return list(_second_order(p, choi_matrix(_kernel_point(p).params))[0])
 
 
 def _second_order(p: MapParams, w: Array) -> tuple[Array, tuple[Array, Array, Array] | None]:
@@ -402,8 +404,10 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
     An empty ``orthocomplement_basis`` is the certificate: the verdict is
     'optimal' with no direction drawn (the spanning property included).
     Otherwise directions sweep the unit sphere of that space (the full space
-    when no kernel vector is known).  Per direction the measured quantity is
-    the infimum over product vectors of the pairing ratio.  The exact limits
+    when no kernel vector is known).  Like that space, the map is taken at
+    its face's own coordinates (the kernel record's ``params``).  Per
+    direction the measured quantity is the infimum over product vectors of
+    the pairing ratio.  The exact limits
     at all kernel vectors come first, from the ``_kernel_models`` that built
     the space; each is the infimum along curves into a kernel vector, so a
     valid upper bound.  Then the directions get their ratios on the grid of
@@ -424,7 +428,7 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
     """
     if n_directions < 1:
         raise OutOfRangeError(f"n_directions must be >= 1, got {n_directions}")
-    w = choi_matrix(p)
+    w = choi_matrix(_kernel_point(p).params)
 
     try:
         basis, model = _second_order(p, w)

@@ -15,7 +15,8 @@ applied to rank-1 projectors, and never trusts a closed form of the map.  It
 ranks a deterministic grid on the unit sphere of C^3 by the closed-form
 smallest eigenvalue of a 3x3 Hermitian matrix, then runs a batched descent
 from the best cells that alternates exact minimizations over the two factors
-of the product vector and adds second-order (Newton) steps on both.  The map
+of the product vector and adds second-order (Newton) steps on the first, the
+second eliminated through its exact eigenvalues.  The map
 acts on a stack of projectors as one matmul with a 9x9 kernel matrix; it is
 the package's only way to apply a map.  The optimality probe shares the
 descent, ``_descend``, and its second-order model of the pairing on the
@@ -307,30 +308,54 @@ def _pairing_model(
     return jac, grad, q
 
 
+def _complement_basis(a: Array) -> Array:
+    """(n, 3, 2) orthonormal bases of the complements of the (n, 3) unit
+    vectors ``a``, in closed form: the last two columns of the Householder
+    reflection H = I - u u* / (1 + |a_1|), u = a + e^{i arg a_1} e_1, which
+    is Hermitian and unitary and maps a to -e^{i arg a_1} e_1 (e^{i arg 0}
+    is 1)."""
+    u = a.copy()
+    u[:, 0] += np.exp(1j * np.angle(a[:, 0]))
+    scale = 1.0 / (1.0 + np.abs(a[:, 0]))
+    return np.eye(3)[:, 1:] - u[:, :, None] * (scale[:, None] * a[:, 1:].conj())[:, None, :]
+
+
 def _newton_candidates(
-    w: Array, xi: Array, value: Array, evecs: Array, rank_one: tuple[Array, Array] | None = None
+    w: Array, xi: Array, evals: Array, evecs: Array, rank_one: tuple[Array, Array] | None = None
 ) -> list[Array]:
     """Second-order candidates for the next first factor of each start.
 
     With a = conj(xi) and b = conj(eta), the smallest eigenvector of
-    Phi(xi xi*) in ``evecs`` (whose other two columns span b's complement),
-    the pairing is y* W y at y = a (x) b, with value h = ``value``.  Along
-    da = A(t_1 + i t_2) and db = B(t_3 + i t_4), A and B orthonormal bases
-    of the complements of a and b, the ``_pairing_model`` g and Q give the
-    pairing on the unit sphere as h + g.x + x^T (Q - h I) x.  Returns the
-    Newton step with |eigenvalues| of Q - h I (so a saddle repels it), and,
-    where it has negative curvature, steps of 0.5 and 0.05 along it.  The
-    per-start ``rank_one`` term of ``_descend`` passes to the model.
+    Phi(xi xi*) in ``evecs``, whose other two columns span b's complement,
+    the pairing is y* W y at y = a (x) b, with value h, the smallest of the
+    ``evals``.  Along da = A(t_1 + i t_2) and db = B(t_3 + i t_4), A the
+    closed-form basis of a's complement (``_complement_basis``) and B those
+    two columns, the ``_pairing_model`` g and Q give the pairing on the unit
+    sphere as h + g.x + x^T (Q - h I) x in x = (x_a, x_b).  Only x_a moves
+    the candidate, and the eta block is known: b is an eigenvector of the
+    image, so g_b = 0 and (Q - h I)_bb = D = diag(l_2 - h, l_3 - h, l_2 - h,
+    l_3 - h) from the other two ``evals``, with or without the rank-one
+    term.  So x_b is eliminated by the Schur complement
+    S = (Q - h I)_aa - Q_ab D^-1 Q_ba, its gaps floored at EIG_FLOOR times
+    the model's largest entry plus _TINY (l_2 = h stays finite), and one
+    4x4 eigensolve of S gives the Newton step with |eigenvalues| of S (so a
+    saddle repels it), and, where S has negative curvature, steps of 0.5 and
+    0.05 along it.  Where Q - h I is positive definite the step's x_a is
+    that of the joint 8x8 model, by block elimination.  The per-start
+    ``rank_one`` term of ``_descend`` passes to the model.
     """
     a, b = xi.conj(), evecs[:, :, 0]
-    a_perp = np.linalg.eigh(a[:, :, None] * xi[:, None, :])[1][:, :, :2]
+    a_perp = _complement_basis(a)
     da = np.concatenate([a_perp, 1j * a_perp], axis=2)
     db = np.concatenate([evecs[:, :, 1:], 1j * evecs[:, :, 1:]], axis=2)
     _, grad, q = _pairing_model(w, a, b, da, db, rank_one)
-    q -= value[:, None, None] * np.eye(8)
+    h = evals[:, :1]
+    gaps = np.maximum(evals[:, 1:] - h, EIG_FLOOR * np.abs(q).max(axis=(1, 2))[:, None] + _TINY)
+    q_ab, d = q[:, :4, 4:], np.tile(gaps, 2)
+    schur = q[:, :4, :4] - h[:, :, None] * np.eye(4) - (q_ab / d[:, None, :]) @ q_ab.transpose(0, 2, 1)
 
-    mu, e = np.linalg.eigh(q)
-    slope = np.einsum("nkl,nk->nl", e, grad)
+    mu, e = np.linalg.eigh(schur)
+    slope = np.einsum("nkl,nk->nl", e, grad[:, :4])
     floor = EIG_FLOOR * np.abs(mu).max(axis=1, keepdims=True) + _TINY
     steps = [-np.einsum("nkl,nl->nk", e, slope / (2.0 * np.maximum(np.abs(mu), floor)))]
     downhill = np.where(slope[:, :1] > 0.0, -e[:, :, 0], e[:, :, 0])
@@ -358,7 +383,10 @@ def _descend(
     eigenvector of Phi(xi xi*), then xi at that of the second-factor map
     M(eta)) and the Newton steps of ``_newton_candidates``, and keeps the
     lowest exact value, so no value increases; the Newton steps leave the
-    saddles where the alternating step alone stalls.  Stops when no start
+    saddles where the alternating step alone stalls.  Every eigensolve of
+    Phi(xi xi*) keeps its full eigenvalue triple, from which the Newton step
+    takes eta's block of the model, so it solves a 4x4 Schur complement in
+    xi alone (its gaps floored at EIG_FLOOR relative).  Stops when no start
     decreases by more than _DESCENT_STOP * max(1, |value|) or after ``steps``.
 
     With ``rank_one`` = (v, r), the (n, 9) vectors and (n,) weights of one
@@ -375,7 +403,6 @@ def _descend(
         mats = v.reshape(-1, 3, 3)
         _drop_rank_one(images, (xi[:, None, :] @ mats)[:, 0], r)
     evals, evecs = np.linalg.eigh(images)
-    value = evals[:, 0]
     rows = np.arange(len(xi))
     for _ in range(steps):
         # With vec = conj(eta) the pairing is vec* Phi(xi xi*) vec, and also
@@ -386,18 +413,18 @@ def _descend(
         if rank_one is not None:
             _drop_rank_one(second, (mats @ vec.conj()[:, :, None])[:, :, 0], r)
         alternating = np.linalg.eigh(second)[1][:, :, 0].conj()
-        candidates = np.stack([alternating, *_newton_candidates(w, xi, value, evecs, rank_one)], axis=1)
+        candidates = np.stack([alternating, *_newton_candidates(w, xi, evals, evecs, rank_one)], axis=1)
         flat = candidates.reshape(-1, 3)
         images = _apply_kernel(kernel, flat[:, :, None] * flat.conj()[:, None, :])
         if rank_one is not None:
             _drop_rank_one(images, (candidates @ mats).reshape(-1, 3), np.repeat(r, candidates.shape[1]))
         cand_evals, cand_evecs = np.linalg.eigh(images)
         pick = np.argmin(cand_evals[:, 0].reshape(len(xi), -1), axis=1) + rows * candidates.shape[1]
-        previous = value
-        xi, value, evecs = flat[pick], cand_evals[pick, 0], cand_evecs[pick]
-        if not np.any(previous - value > _DESCENT_STOP * np.maximum(1.0, np.abs(value))):
+        previous = evals[:, 0]
+        xi, evals, evecs = flat[pick], cand_evals[pick], cand_evecs[pick]
+        if not np.any(previous - evals[:, 0] > _DESCENT_STOP * np.maximum(1.0, np.abs(evals[:, 0]))):
             break
-    return xi, value, evecs
+    return xi, evals[:, 0], evecs
 
 
 def block_positivity_oracle(w, grid_n: int = 16) -> BlockPositivityReport:

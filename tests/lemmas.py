@@ -5,7 +5,8 @@ independent references: the map itself entry by entry, the pairing with a
 family member, the phase circulant that decides complete positivity, the
 probe's subtractable weights by one eigensolve per vector, its kernel
 limits by one eigensolve per kernel vector and direction, its Dinkelbach
-rounds one direction at a time on the explicit W - r v v*, the closed-form
+rounds one direction at a time on the explicit W - r v v*, the descent's
+Newton step from the joint model in both factors, the closed-form
 spanning and co-spanning conditions (the package reads both flags off the
 face's property-table row), the paper's closed-form |det| of the nine
 canonical kernel columns and of their partial conjugates (the package's
@@ -25,7 +26,9 @@ from choimaps import choi_matrix, edge_state, pairing_value, partial_transpose
 from choimaps.faces import require_generic_theta
 from choimaps.linalg import CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK, RESIDUE_ABS, require_hermitian
 from choimaps.optimality import _DINKELBACH_STOP, _ROUNDS, _TINY, _hessian_null, _ratio_on_grid
-from choimaps.positivity import _apply_kernel, _descend, _distinct_starts, _kernel_matrix, on_sum_at, on_surface_at
+from choimaps import positivity
+from choimaps.positivity import _apply_kernel, _descend, _distinct_starts, _kernel_matrix, _pairing_model
+from choimaps.positivity import on_sum_at, on_surface_at
 from choimaps.spanning import DEFAULT_PAIRS, DEFAULT_TRIPLES, _copositive_family, _equal_modulus_vector
 from choimaps.spanning import _kernel_point, _surface_family, _tensors
 
@@ -333,3 +336,31 @@ def dinkelbach_reference(w, v, xi, patterns, ratios, run: int, bound: float):
         if r > previous - _DINKELBACH_STOP * previous:
             break
     return r, best_xi
+
+
+def newton_candidates_joint(w, xi, value, evecs, rank_one=None):
+    """The descent's Newton candidates from the joint 8x8 model in
+    x = (x_a, x_b): a = conj(xi) with its complement from the eigenvectors
+    of the projector conj(xi) xi^T, the saddle-free Newton step with the
+    |eigenvalues| of Q - h I floored at EIG_FLOOR of the largest, and steps
+    of 0.5 and 0.05 along its most negative curvature; only x_a moves the
+    candidate.  Returns the three candidates and the (n, 8) eigenvalues of
+    Q - h I.  The package eliminates x_b instead (a 4x4 Schur complement),
+    which gives the same x_a wherever Q - h I is positive definite."""
+    a, b = xi.conj(), evecs[:, :, 0]
+    a_perp = np.linalg.eigh(a[:, :, None] * xi[:, None, :])[1][:, :, :2]
+    da = np.concatenate([a_perp, 1j * a_perp], axis=2)
+    db = np.concatenate([evecs[:, :, 1:], 1j * evecs[:, :, 1:]], axis=2)
+    _, grad, q = _pairing_model(w, a, b, da, db, rank_one)
+    q -= value[:, None, None] * np.eye(8)
+    mu, e = np.linalg.eigh(q)
+    slope = np.einsum("nkl,nk->nl", e, grad)
+    floor = EIG_FLOOR * np.abs(mu).max(axis=1, keepdims=True) + positivity._TINY
+    steps = [-np.einsum("nkl,nl->nk", e, slope / (2.0 * np.maximum(np.abs(mu), floor)))]
+    downhill = np.where(slope[:, :1] > 0.0, -e[:, :, 0], e[:, :, 0])
+    steps += [np.where(mu[:, :1] < 0.0, size * downhill, 0.0) for size in (0.5, 0.05)]
+    out = []
+    for x in steps:
+        moved = a + np.einsum("nik,nk->ni", a_perp, x[:, 0:2] + 1j * x[:, 2:4])
+        out.append((moved / np.linalg.norm(moved, axis=1)[:, None]).conj())
+    return out, mu

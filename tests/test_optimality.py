@@ -179,6 +179,17 @@ class TestProbe:
         report = optimality_probe(MapParams(1, pth - 1, 0, th))
         assert report.verdict == "optimal"
 
+    def test_band_point_is_probed_at_its_face_coordinates(self):
+        # a = 1 + 5e-10 puts the point in V_10C's band; the map and its kernel
+        # sample are both taken at (1, 0, p_theta - 1), where the space is
+        # empty.  The map at the raw coordinates left 4.0e-9 subtractable.
+        p = MapParams(1.0000000005, 0, 0.7497633207351782, -2.6)
+        assert _kernel_point(p).params == MapParams(1.0, 0.0, cp_threshold(-2.6) - 1.0, -2.6)
+        report = optimality_probe(p)
+        assert report.verdict == "optimal"
+        assert report.direction_count == 0
+        assert orthocomplement_basis(p) == []
+
 
 class TestCooptimalitySubtraction:
     def test_instance(self):

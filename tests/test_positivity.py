@@ -27,16 +27,19 @@ from choimaps.optimality import _directions, _ratio_on_grid, orthocomplement_bas
 from choimaps.positivity import (
     _COVARIANT,
     _apply_kernel,
+    _complement_basis,
     _descend,
     _distinct_starts,
+    _drop_rank_one,
     _kernel_matrix,
+    _newton_candidates,
     _pairing_model,
     _scan_grid,
     _smallest_eigenvalues,
     _sphere_grid,
     on_surface_at,
 )
-from lemmas import apply_map, pairing
+from lemmas import apply_map, newton_candidates_joint, pairing
 
 
 def random_params(rng, amax=2.5):
@@ -536,6 +539,97 @@ def test_descent_rank_one_term_matches_the_explicit_matrix(abc, steps):
         assert abs(got_value[s] - want_value[0]) <= 1e-12 * max(1.0, abs(want_value[0]))
         if steps == 1:
             assert np.abs(got_xi[s] - want_xi[0]).max() <= 1e-12
+
+
+def _descent_points(w, n, seed, rank_one, steps):
+    """(xi, rank_one, evals, evecs) after ``steps`` descent steps from ``n``
+    seeded unit vectors, on W or with one seeded rank-one term per start;
+    the eigenpairs are those of the images the descent sees."""
+    rng = np.random.default_rng(seed)
+    xi = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    xi /= np.linalg.norm(xi, axis=1)[:, None]
+    terms = _rank_one_terms(rng, n) if rank_one else None
+    xi = _descend(w, xi, steps, terms)[0]
+    images = _apply_kernel(_kernel_matrix(w), xi[:, :, None] * xi.conj()[:, None, :])
+    if terms is not None:
+        v, r = terms
+        _drop_rank_one(images, (xi[:, None, :] @ v.reshape(-1, 3, 3))[:, 0], r)
+    evals, evecs = np.linalg.eigh(images)
+    return xi, terms, evals, evecs
+
+
+def _random_hermitian(seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    return (g + g.conj().T) / 2
+
+
+@pytest.mark.parametrize("rank_one", [False, True])
+@pytest.mark.parametrize("w", [choi_matrix(MapParams(1.2, 0.3, 0.23, np.pi / 6)), _random_hermitian(25)],
+                         ids=["family", "random"])
+def test_pairing_model_eta_block_is_the_image_spectrum(w, rank_one):
+    # eta is the smallest eigenvector of the image and db spans the other two,
+    # so the model's eta block is diag(l_2, l_3, l_2, l_3) and g_b = 0
+    xi, terms, evals, evecs = _descent_points(w, 40, 26, rank_one, 3)
+    a_perp = _complement_basis(xi.conj())
+    da = np.concatenate([a_perp, 1j * a_perp], axis=2)
+    db = np.concatenate([evecs[:, :, 1:], 1j * evecs[:, :, 1:]], axis=2)
+    _, grad, q = _pairing_model(w, xi.conj(), evecs[:, :, 0], da, db, terms)
+    scale = np.abs(q).max()
+    want = np.stack([np.diag(np.tile(lam[1:], 2)) for lam in evals])
+    assert np.abs(q[:, 4:, 4:] - want).max() <= 1e-12 * scale
+    assert np.abs(grad[:, 4:]).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("rank_one", [False, True])
+@pytest.mark.parametrize("seed", [27, 28])
+def test_newton_step_matches_the_joint_model_where_it_is_convex(seed, rank_one):
+    # eliminating x_b by the Schur complement is block elimination: wherever
+    # Q - h I is positive definite, well above the floor, the candidates of
+    # the 4x4 step are those of the joint 8x8 step
+    w = _random_hermitian(seed)
+    xi, terms, evals, evecs = _descent_points(w, 200, seed, rank_one, 0)
+    got = _newton_candidates(w, xi, evals, evecs, terms)
+    want, mu = newton_candidates_joint(w, xi, evals[:, 0], evecs, terms)
+    convex = mu[:, 0] > 1e-6 * np.abs(mu).max(axis=1)
+    assert convex.sum() >= 10
+    for got_x, want_x in zip(got, want):
+        assert np.abs(got_x[convex] - want_x[convex]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.7, np.pi, -2.0])
+def test_complement_basis_is_orthonormal_and_orthogonal(phase):
+    rng = np.random.default_rng(29)
+    a = rng.normal(size=(30, 3)) + 1j * rng.normal(size=(30, 3))
+    a[0] = [0.0, 1.0, 0.0]
+    a[1] = [np.exp(1j * phase), 0.0, 0.0]
+    a[2] = [0.0, 0.0, np.exp(1j * phase)]
+    a[3] = [1e-300, np.exp(1j * phase) / np.sqrt(2), 1 / np.sqrt(2)]
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    basis = _complement_basis(a)
+    assert basis.shape == (30, 3, 2)
+    assert np.abs(basis.conj().transpose(0, 2, 1) @ basis - np.eye(2)).max() <= 2e-15
+    assert np.abs(np.einsum("nik,ni->nk", basis.conj(), a)).max() <= 2e-15
+
+
+def test_one_descent_iteration_solves_one_4x4_stack(monkeypatch):
+    # one iteration at n starts: the images, the second-factor maps, the
+    # Newton step's Schur complements and the 4n candidate images; no joint
+    # 8x8 model and no eigensolve of a projector for a's complement
+    shapes, eigh = [], np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    n = 20
+    xi = np.random.default_rng(30).normal(size=(n, 3)) + 0j
+    xi /= np.linalg.norm(xi, axis=1)[:, None]
+    for rank_one in (None, _rank_one_terms(np.random.default_rng(31), n)):
+        shapes.clear()
+        _descend(choi_matrix(MapParams(1.2, 0.3, 0.23, np.pi / 6)), xi, 1, rank_one)
+        assert shapes == [(n, 3, 3), (n, 3, 3), (n, 4, 4), (4 * n, 3, 3)]
 
 
 def _checked_oracle(w, **kwargs):
