@@ -15,16 +15,20 @@ infimum over product vectors of the ratio (pairing with the map) /
 violations are cubically suppressed and the plain bisection-on-the-oracle
 test loses resolution.  The probe first takes each direction's exact kernel
 limit, the infimum along curves into the sampled kernel vectors, so a valid
-upper bound; then ratios on the grid, and Dinkelbach rounds from the smaller
-of its best grid ratio and its limit; the first round tests whether any
-product vector beats the limit.  The rounds of all directions run as one
-batch: a round is one iteration of the oracle's descent over the starts of
-every live direction, each start on W - r v v* as a rank-one term on the
-shared kernel of W, and a direction leaves the batch when its own stop rule
-fires (at most _ROUNDS rounds).  Directions pass through the kernel limits,
-the grid ratios and the rounds in blocks of _BLOCK, so the probe's memory
-does not grow with their number; a block's kernel limits at every kernel
-vector come from one stacked eigensolve.
+upper bound; then ratios on the grid, and r0, the smaller of its best grid
+ratio and its limit, where its Dinkelbach rounds would start; the first
+round tests whether any product vector beats the limit.  Only the largest
+weight over the directions is reported, and no round raises r, so only the
+directions whose r0 can still reach it are refined: the leader (largest
+r0) alone, then in one batch every other direction whose r0 reaches the
+largest refined value; every other direction keeps its r0.  A batch's
+round is one iteration of the oracle's descent over the starts of every
+live direction, each start on W - r v v* as a rank-one term on the shared
+kernel of W, and a direction leaves the batch when its own stop rule fires
+(at most _ROUNDS rounds).  Directions pass through the kernel limits, the
+grid ratios and the rounds in blocks of _BLOCK, so the probe's memory does
+not grow with their number; a block's kernel limits at every kernel vector
+come from one stacked eigensolve.
 
 A best weight r above CERTIFIED_SIGN along v is checked on both sides with
 one search: the oracle finds W - (r/2) v v* nonnegative, and one 3x3
@@ -166,10 +170,14 @@ def _second_order(p: MapParams, w: Array) -> tuple[Array, tuple[Array, Array, Ar
 class OptimalityProbeReport:
     """Largest subtractable weight found over the probed directions.
 
-    ``max_subtractable`` is the minimum of finitely many evaluated ratios
-    and exact kernel limits, so it is an upper bound on the weight that can
-    be subtracted along its best direction, reproducible only to about
-    _DINKELBACH_STOP relative.
+    ``max_subtractable`` is the largest weight over the directions, each the
+    minimum of finitely many evaluated ratios and exact kernel limits, so it
+    is an upper bound on the weight that can be subtracted along its best
+    direction, reproducible only to about _DINKELBACH_STOP relative.  A
+    direction's weight is its r0 (the smaller of its best grid ratio and its
+    kernel limit) unless that r0 can still reach the largest; the reported
+    maximum is always the value of a direction refined by the Dinkelbach
+    rounds.
 
     By the certified sign: 'optimal' needs every direction at or below
     CERTIFIED_ZERO; 'not_optimal' needs one above CERTIFIED_SIGN whose half
@@ -412,12 +420,18 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
     the space; each is the infimum along curves into a kernel vector, so a
     valid upper bound.  Then the directions get their ratios on the grid of
     _GRID_N in one ``_ratio_on_grid`` call (one eigensolve per moduli
-    pattern, by covariance), and ``_dinkelbach`` rounds, all directions in
-    one batch, from the smaller of the best grid ratio and the limit; the
-    first round tests whether any product vector beats the limit.  Limits,
-    grid ratios and rounds take the directions in blocks of _BLOCK, so a
-    probe of many directions holds the temporaries of one block.  No
-    direction counts above ``_P_MAX``.  A best weight r above
+    pattern, by covariance), and r0, the smaller of the best grid ratio and
+    the limit, capped at ``_P_MAX``.  ``_dinkelbach`` rounds start at r0 and
+    never raise it, so a direction whose r0 is below a refined direction's
+    weight cannot be the largest: the leader (largest r0, the first on a
+    tie) is refined alone, then every other direction whose r0 reaches the
+    largest refined weight so far (carried across blocks), in one batch;
+    every other direction keeps its r0 and the grid xi of its best ratio.
+    The maximum, its first direction and its xi are those of every
+    direction refined.  The first round tests whether any product vector
+    beats the limit.  Limits, grid ratios and rounds take the directions in
+    blocks of _BLOCK, so a probe of many directions holds the temporaries of
+    one block.  No direction counts above ``_P_MAX``.  A best weight r above
     CERTIFIED_SIGN is 'not_optimal' when the
     block-positivity oracle certifies W - (r/2) v v* nonnegative; the
     tightness of r is shown without a second search, by one eigensolve of
@@ -447,16 +461,27 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
     run = _GRID_N * _GRID_N
     per_direction = np.empty(len(directions))
     argmin_xi = np.empty((len(directions), 3), dtype=complex)
+    largest = -math.inf  # the largest refined value so far, over every block
     for lo in range(0, len(directions), _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        part = directions[block]
+        part = directions[lo : lo + _BLOCK]
         if model is None:
             limits = np.full(len(part), math.inf)
         else:
             mu, e, jac = model
             limits = _kernel_limit_ratio(mu, e, _penalty_rows(jac, part))
         ratios = _ratio_on_grid(w, part.reshape(-1, 3, 3), xi_grid, run, polar)
-        per_direction[block], argmin_xi[block] = _dinkelbach(w, part, xi_grid, patterns, ratios, run, limits)
+        # r0, where each direction's rounds would start: they never raise it
+        r0 = np.minimum(np.minimum(ratios.min(axis=1), limits), _P_MAX)
+        value, at = per_direction[lo : lo + _BLOCK], argmin_xi[lo : lo + _BLOCK]
+        value[:], at[:] = r0, xi_grid[np.argmin(ratios, axis=1)]
+        others = np.arange(len(part)) != np.argmax(r0)
+        for pick in (~others, others):  # the leader alone, then every other direction still in reach
+            chosen = np.flatnonzero(pick & (r0 >= largest))
+            if len(chosen):
+                value[chosen], at[chosen] = _dinkelbach(
+                    w, part[chosen], xi_grid, patterns, ratios[chosen], run, limits[chosen]
+                )
+                largest = max(largest, min(float(value[chosen].max()), _P_MAX))
     per_direction = np.minimum(per_direction, _P_MAX)
     top = int(np.argmax(per_direction))
     best = float(per_direction[top])

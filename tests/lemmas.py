@@ -5,7 +5,9 @@ independent references: the map itself entry by entry, the pairing with a
 family member, the phase circulant that decides complete positivity, the
 probe's subtractable weights by one eigensolve per vector, its kernel
 limits by one eigensolve per kernel vector and direction, its Dinkelbach
-rounds one direction at a time on the explicit W - r v v*, the descent's
+rounds one direction at a time on the explicit W - r v v*, the probe with
+every direction refined (the package refines only the directions that can
+still be the largest), the descent's
 Newton step from the joint model in both factors, the closed-form
 spanning and co-spanning conditions (the package reads both flags off the
 face's property-table row), the paper's closed-form |det| of the nine
@@ -21,11 +23,13 @@ import math
 
 import numpy as np
 
-from choimaps import InternalConsistencyError, MapParams, OutOfRangeError, UnsupportedThetaError
+from choimaps import InternalConsistencyError, MapParams, OutOfRangeError, UnsupportedCaseError, UnsupportedThetaError
 from choimaps import choi_matrix, edge_state, pairing_value, partial_transpose
 from choimaps.faces import require_generic_theta
-from choimaps.linalg import CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK, RESIDUE_ABS, require_hermitian
-from choimaps.optimality import _DINKELBACH_STOP, _ROUNDS, _TINY, _hessian_null, _ratio_on_grid
+from choimaps.linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK, RESIDUE_ABS
+from choimaps.linalg import require_hermitian
+from choimaps import optimality
+from choimaps.optimality import _DINKELBACH_STOP, _P_MAX, _ROUNDS, _TINY, _hessian_null, _ratio_on_grid
 from choimaps import positivity
 from choimaps.positivity import _apply_kernel, _descend, _distinct_starts, _kernel_matrix, _pairing_model
 from choimaps.positivity import on_sum_at, on_surface_at
@@ -336,6 +340,59 @@ def dinkelbach_reference(w, v, xi, patterns, ratios, run: int, bound: float):
         if r > previous - _DINKELBACH_STOP * previous:
             break
     return r, best_xi
+
+
+def refine_every_direction(p: MapParams, n_directions: int):
+    """The probe's directions refined one and all: its ``n_directions``
+    directions, kernel limits and grid ratios, and ``_dinkelbach`` over
+    every direction, in blocks of _BLOCK, each weight capped at _P_MAX.
+    Returns the Choi matrix at the face's coordinates, the (ndir, 9)
+    directions, the (ndir,) capped weights and the (ndir, 3) unit xi of
+    each direction's smallest ratio."""
+    w = choi_matrix(_kernel_point(p).params)
+    try:
+        basis, model = optimality._second_order(p, w)
+    except UnsupportedCaseError:
+        basis, model = np.eye(9, dtype=complex), None
+    directions = optimality._directions(len(basis), n_directions) @ basis
+    xi, patterns, polar = optimality._probe_grid()
+    run = optimality._GRID_N**2
+    weights, reached = [], []
+    for lo in range(0, len(directions), optimality._BLOCK):
+        part = directions[lo : lo + optimality._BLOCK]
+        if model is None:
+            limits = np.full(len(part), math.inf)
+        else:
+            limits = optimality._kernel_limit_ratio(model[0], model[1], optimality._penalty_rows(model[2], part))
+        ratios = _ratio_on_grid(w, part.reshape(-1, 3, 3), xi, run, polar)
+        r, at = optimality._dinkelbach(w, part, xi, patterns, ratios, run, limits)
+        weights.append(np.minimum(r, _P_MAX))
+        reached.append(at)
+    return w, directions, np.concatenate(weights), np.concatenate(reached)
+
+
+def probe_reference(w, directions, weights, xi):
+    """The probe's verdict from every direction's refined ``weights``
+    (``refine_every_direction``): the first direction of the largest weight
+    r, 'optimal' at or below CERTIFIED_ZERO, and above CERTIFIED_SIGN the
+    oracle on W - (r/2) v v* and the smallest eigenvalue of the map of
+    W - min(2r, _P_MAX) v v* at that direction's xi.  Returns (verdict, r,
+    index of the direction, verification)."""
+    top = int(np.argmax(weights))
+    r, v = float(weights[top]), directions[top]
+    if r <= CERTIFIED_ZERO:
+        return "optimal", r, top, {}
+    if r <= CERTIFIED_SIGN:
+        return "inconclusive", r, top, {}
+    vv = np.outer(v, v.conj())
+    keep = positivity.block_positivity_oracle(w - 0.5 * r * vv, grid_n=optimality._GRID_N)
+    image = _apply_kernel(_kernel_matrix(w - min(2.0 * r, _P_MAX) * vv), np.outer(xi[top], xi[top].conj()))
+    verification = {
+        "oracle_at_half": keep.min_value,
+        "pairing_at_double": float(np.linalg.eigvalsh(image)[0, 0]),
+        "xi_at_double": xi[top],
+    }
+    return ("not_optimal" if keep.status == "nonnegative" else "inconclusive"), r, top, verification
 
 
 def newton_candidates_joint(w, xi, value, evecs, rank_one=None):

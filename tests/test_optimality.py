@@ -434,10 +434,10 @@ def _count_descents(monkeypatch, module):
 def test_e_ab_rounds_start_at_the_kernel_limit(monkeypatch):
     # Started from the grid ratio instead, the rounds crawl towards the
     # kernel limit for 28-34 descent iterations per direction.
-    rounds = _count_descents(monkeypatch, optimality)  # one per round of the batch
+    rounds = _count_descents(monkeypatch, optimality)  # one per round
     assert optimality_probe(_E_AB, n_directions=4).verdict == "not_optimal"
     assert 1 <= len(rounds) <= 2
-    assert rounds[0] == 4 * 20  # every direction's 20 starts in the first round
+    assert rounds == [20] * len(rounds)  # the leader's 20 starts: no other direction can reach it
 
 
 # At this f_ab point (a bench/strata draw) the unseeded rounds of directions
@@ -541,32 +541,116 @@ def test_batched_rounds_match_the_per_direction_reference(name, ndir, seeded):
     assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * want[finite])
 
 
-def _reference_round_counts(monkeypatch, p):
-    """Each direction's rounds at the probe's 4 directions, by the reference."""
+def _reference_schedule(monkeypatch, p):
+    """Each direction's rounds and refined weight at the probe's 4
+    directions, by the reference, and the r0 its rounds start from, each
+    weight capped at _P_MAX."""
     w, directions, xi, patterns, ratios, limits = _probe_parts(p, 4)
-    counts = []
+    rounds, refined = [], []
     for d, v in enumerate(directions):
         descents = _count_descents(monkeypatch, lemmas)
-        dinkelbach_reference(w, v, xi, patterns, ratios[d], 64, limits[d])
-        counts.append(len(descents))
+        refined.append(dinkelbach_reference(w, v, xi, patterns, ratios[d], 64, limits[d])[0])
+        rounds.append(len(descents))
         monkeypatch.undo()
-    return counts
+    r0 = np.minimum(np.minimum(ratios.min(axis=1), limits), optimality._P_MAX)
+    return rounds, r0, np.minimum(refined, optimality._P_MAX)
 
 
 @pytest.mark.parametrize("p", [_F_AB, _F_ABC, _E_AB, _V_P00, _E_B], ids=["f_ab", "f_abc", "e_ab", "v_p00", "e_b"])
 def test_not_optimal_probe_descends_once_per_round_of_the_batch(monkeypatch, p):
-    # max(rounds) descents, not their sum: every live direction's starts go
-    # into one _descend call per round
-    rounds = _reference_round_counts(monkeypatch, p)
+    # The leader, the direction of the largest r0, is refined alone; then
+    # every other direction whose r0 reaches the leader's refined weight, in
+    # one batch: one _descend call per round of each, max(rounds) for the
+    # batch, not their sum.  The rest cannot be the largest: no round
+    # raises r0.
+    rounds, r0, refined = _reference_schedule(monkeypatch, p)
+    leader = int(np.argmax(r0))
+    batch = [rounds[d] for d in range(4) if d != leader and r0[d] >= refined[leader]]
     descents = _count_descents(monkeypatch, optimality)
     assert optimality_probe(p, n_directions=4).verdict == "not_optimal"
-    assert len(descents) == max(rounds)
-    assert sorted(descents, reverse=True) == descents  # directions only leave the batch
-    assert [n // 20 for n in descents] == [sum(r > k for r in rounds) for k in range(max(rounds))]
+    assert len(descents) == rounds[leader] + max(batch, default=0)
+    assert descents[: rounds[leader]] == [20] * rounds[leader]
+    tail = descents[rounds[leader] :]
+    assert sorted(tail, reverse=True) == tail  # directions only leave the batch
+    assert [n // 20 for n in tail] == [sum(r > k for r in batch) for k in range(max(batch, default=0))]
     if p is _E_AB:
-        assert rounds == [1, 1, 1, 1] and descents == [80]
+        assert rounds == [1, 1, 1, 1] and descents == [20]
+    if p is _E_B:  # a direction besides the leader can still reach it
+        assert len(batch) == 1 and len(tail) == batch[0]
     if p is _F_AB:
-        assert sum(rounds) > max(rounds)
+        assert sum(descents) < 20 * sum(rounds)
+
+
+#: (refined directions, descended starts) per probe at the reference points,
+#: at 4 and at 64 directions.  With every direction refined the counts were
+#: 4 and 64 directions, and 80-320 and 1,280-5,320 starts.
+_PROBE_COUNTS = {
+    "f_ab": {4: (1, 80), 64: (1, 80)},
+    "f_abc": {4: (1, 60), 64: (1, 40)},
+    "e_ab": {4: (1, 20), 64: (1, 20)},
+    "v_p00": {4: (1, 20), 64: (1, 20)},
+    "e_b": {4: (2, 160), 64: (1, 100)},
+}
+
+
+@pytest.mark.parametrize("ndir", [4, 64])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_POINTS))
+def test_probe_refines_only_the_directions_that_can_be_the_largest(monkeypatch, name, ndir):
+    # counts, not times: a pruning regression shows here whatever the host
+    refined, dinkelbach = [], optimality._dinkelbach
+
+    def counting(w, directions, *args):
+        refined.append(len(directions))
+        return dinkelbach(w, directions, *args)
+
+    monkeypatch.setattr(optimality, "_dinkelbach", counting)
+    starts = _count_descents(monkeypatch, optimality)
+    assert optimality_probe(_REFERENCE_POINTS[name], n_directions=ndir).verdict == "not_optimal"
+    assert (sum(refined), sum(starts)) == _PROBE_COUNTS[name][ndir]
+
+
+@functools.lru_cache(maxsize=None)
+def _every_direction_refined(p, total):
+    """``lemmas.refine_every_direction`` at ``total`` directions; fewer are
+    its first rows, since ``_directions`` is prefix-stable."""
+    return lemmas.refine_every_direction(p, total)
+
+
+def _assert_probe_matches_every_direction_refined(p, ndir, total=512):
+    w, directions, weights, xi = _every_direction_refined(p, total)
+    verdict, r, top, verification = lemmas.probe_reference(w, directions[:ndir], weights[:ndir], xi[:ndir])
+    report = optimality_probe(p, n_directions=ndir)
+    assert report.verdict == verdict
+    assert np.flatnonzero((directions[:ndir] == report.witness_direction).all(axis=1)).tolist() == [top]
+    assert abs(report.max_subtractable - r) <= 1e-12 * r
+    assert report.verification.keys() == verification.keys()
+    if verification:
+        got, want = report.verification["pairing_at_double"], verification["pairing_at_double"]
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert np.abs(report.verification["xi_at_double"] - verification["xi_at_double"]).max() <= 1e-12
+    return verdict, top
+
+
+@pytest.mark.parametrize("ndir", [4, 64, 512])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_POINTS))
+def test_probe_matches_every_direction_refined(name, ndir):
+    # a direction left at its r0 can never have been the largest
+    assert _assert_probe_matches_every_direction_refined(_REFERENCE_POINTS[name], ndir)[0] == "not_optimal"
+
+
+@pytest.mark.parametrize(
+    "p, top",
+    [(MapParams(20, 20, 20, 0.5), 0), (MapParams(10, 8, 8, 0.5), 2)],
+    ids=["every_r0_capped", "leader_not_the_largest"],
+)
+def test_probe_keeps_the_first_largest_direction_where_weights_tie(p, top):
+    # Interior points: no kernel vector, so every kernel limit is infinite,
+    # and the weights tie at _P_MAX.  At (10, 8, 8) the leader, the first
+    # direction of r0 = _P_MAX, is refined below it, and the first of the
+    # batch that stays at _P_MAX is reported, as with every direction refined.
+    assert classify_face(p).kind is FaceKind.INTERIOR
+    assert _assert_probe_matches_every_direction_refined(p, 8, total=8) == ("not_optimal", top)
+    assert optimality_probe(p, n_directions=8).max_subtractable == optimality._P_MAX
 
 
 def test_probe_memory_is_bounded_by_its_blocks():
