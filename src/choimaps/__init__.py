@@ -10,6 +10,7 @@ from .errors import (
     NotPositiveMapError,
     OutOfRangeError,
     ThetaOutOfRangeError,
+    UndecidedError,
     UnsupportedCaseError,
     UnsupportedThetaError,
 )
@@ -35,8 +36,10 @@ from .optimality import (
     subtraction_budget,
 )
 from .positivity import (
+    BlockPositivityCertificate,
     BlockPositivityReport,
     block_positivity_oracle,
+    certify_block_positivity,
     is_completely_copositive,
     is_completely_positive,
     is_positive,

@@ -41,3 +41,8 @@ class InternalConsistencyError(RuntimeError):
     disagree, or a constructed object lacks a property it must have.  The
     message carries the failing evidence.  This is a defect of the program,
     not of its input."""
+
+
+class UndecidedError(RuntimeError):
+    """A bounded certificate reached its stated work cap before it could
+    decide; the message names the cap and the work done."""

@@ -8,7 +8,8 @@ row-major index identification (i, j) -> 3*i + j of the tensor factors.
 The roles: membership slack (an equality of exact arithmetic passes within
 it, so boundary points of closed sets are members), the face band, the rank
 cut, eigenvalue floors, self-check residues (two routes to one quantity, or
-a quantity zero in exact arithmetic) and the certified sign of a minimum.
+a quantity zero in exact arithmetic), the certified sign of a minimum and the
+rounding bound of a subdivision certificate.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ RESIDUE_REL = 1e-9  # self-check residue, relative to the scale of the quantity
 STATIONARY_REL = 1e-8  # first-order residue at a kernel vector, itself within RESIDUE_REL
 CERTIFIED_SIGN = 1e-6  # certified sign: a minimum below -CERTIFIED_SIGN is negative
 CERTIFIED_ZERO = 1e-9  # ... at or above -CERTIFIED_ZERO nonnegative; a weight at most it is zero
+SUBDIVISION_ROUNDING = 4e-15  # rounding bound per subdivision level of a Bernstein coefficient, in its scale
 
 
 def as_complex(m) -> Array:

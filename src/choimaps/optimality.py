@@ -20,8 +20,9 @@ ratio and its limit, where its Dinkelbach rounds would start; the first
 round tests whether any product vector beats the limit.  Only the largest
 weight over the directions is reported, and no round raises r, so only the
 directions whose r0 can still reach it are refined: the leader (largest
-r0) alone, then in one batch every other direction whose r0 reaches the
-largest refined value; every other direction keeps its r0.  A batch's
+r0) alone, then in one batch every other direction whose r0 exceeds the
+largest refined value, or ties it before the first direction holding it
+(ties go to the first); every other direction keeps its r0.  A batch's
 round is one iteration of the oracle's descent over the starts of every
 live direction, each start on W - r v v* as a rank-one term on the shared
 kernel of W, and a direction leaves the batch when its own stop rule fires
@@ -424,8 +425,9 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
     the limit, capped at ``_P_MAX``.  ``_dinkelbach`` rounds start at r0 and
     never raise it, so a direction whose r0 is below a refined direction's
     weight cannot be the largest: the leader (largest r0, the first on a
-    tie) is refined alone, then every other direction whose r0 reaches the
-    largest refined weight so far (carried across blocks), in one batch;
+    tie) is refined alone, then every other direction whose r0 exceeds the
+    largest refined weight so far (carried across blocks), or ties it
+    before the first direction holding it, in one batch;
     every other direction keeps its r0 and the grid xi of its best ratio.
     The maximum, its first direction and its xi are those of every
     direction refined.  The first round tests whether any product vector
@@ -461,7 +463,7 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
     run = _GRID_N * _GRID_N
     per_direction = np.empty(len(directions))
     argmin_xi = np.empty((len(directions), 3), dtype=complex)
-    largest = -math.inf  # the largest refined value so far, over every block
+    largest, holder = -math.inf, 0  # the largest refined value so far, over every block, and its first direction
     for lo in range(0, len(directions), _BLOCK):
         part = directions[lo : lo + _BLOCK]
         if model is None:
@@ -474,14 +476,19 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
         r0 = np.minimum(np.minimum(ratios.min(axis=1), limits), _P_MAX)
         value, at = per_direction[lo : lo + _BLOCK], argmin_xi[lo : lo + _BLOCK]
         value[:], at[:] = r0, xi_grid[np.argmin(ratios, axis=1)]
-        others = np.arange(len(part)) != np.argmax(r0)
+        index = lo + np.arange(len(part))
+        others = index != lo + np.argmax(r0)
         for pick in (~others, others):  # the leader alone, then every other direction still in reach
-            chosen = np.flatnonzero(pick & (r0 >= largest))
+            # a direction after the holder can at best tie it, and ties go to the first
+            chosen = np.flatnonzero(pick & ((r0 > largest) | ((r0 == largest) & (index < holder))))
             if len(chosen):
                 value[chosen], at[chosen] = _dinkelbach(
                     w, part[chosen], xi_grid, patterns, ratios[chosen], run, limits[chosen]
                 )
-                largest = max(largest, min(float(value[chosen].max()), _P_MAX))
+                capped = np.minimum(value[chosen], _P_MAX)
+                first = int(np.argmax(capped))
+                if capped[first] > largest or (capped[first] == largest and index[chosen[first]] < holder):
+                    largest, holder = float(capped[first]), int(index[chosen[first]])
     per_direction = np.minimum(per_direction, _P_MAX)
     top = int(np.argmax(per_direction))
     best = float(per_direction[top])

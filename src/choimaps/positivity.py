@@ -33,6 +33,20 @@ depends on the moduli |xi| only, and the oracle scans a finer real grid of
 moduli instead of the phase copies (Cho, Kye and Lee, Linear Algebra Appl.
 171, 1992); the optimality probe's grid ratios solve once per moduli
 pattern for the same reason.  Any other Choi matrix gets the full grid.
+
+For a covariant W block-positivity is also decided exactly, without a
+search, by ``certify_block_positivity``: Phi(xi xi*) is unitarily similar to
+M(u), u = |xi|^2 on the simplex, with diagonal L_j(u) = sum_i u_i
+W[i,j,i,j] and off-diagonal sqrt(u_j u_l) W[j,j,l,l], so the leading minors
+of M(u) + eps (sum u) I, eps = CERTIFIED_ZERO, are forms of degree 1, 2 and
+3 in u.  Their Bernstein coefficients (exact values rounded once) are
+subdivided until every one exceeds the rounding bound, (k + 1)
+SUBDIVISION_ROUNDING times the minor's largest root coefficient at depth k
+(certified: lambda_min >= -eps |xi|^2), or a corner minor lies below minus
+it (negative, with an explicit |xi|); a search that would pass _CELL_CAP
+triangles raises UndecidedError.  Witness validation uses it; the
+optimality probe's W - (r/2) v v* is in general not covariant, and its
+check keeps the oracle.
 """
 
 from __future__ import annotations
@@ -44,8 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRangeError
-from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK
+from .errors import OutOfRangeError, UndecidedError
+from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK, SUBDIVISION_ROUNDING
 from .linalg import Array, require_hermitian
 from .maps import MapParams, cp_threshold
 
@@ -474,3 +488,198 @@ def block_positivity_oracle(w, grid_n: int = 16) -> BlockPositivityReport:
         grid_points=len(xi_grid),
         refined=refined,
     )
+
+
+# ---------------------------------------------------------------------------
+# Subdivision certificate for a covariant W.
+# ---------------------------------------------------------------------------
+
+
+_CELL_CAP = 16384  # cells the certificate examines at most before it gives up
+
+
+@dataclass(frozen=True)
+class BlockPositivityCertificate:
+    """Outcome of ``certify_block_positivity``.
+
+    ``status`` is 'certified' (lambda_min Phi(xi xi*) >= -CERTIFIED_ZERO
+    |xi|^2 for every xi, proved) or 'negative'; a negative one carries the
+    moduli ``u`` = |xi|^2 of a simplex point where a shifted minor is
+    negative and ``value``, the smallest eigenvalue of Phi(xi xi*) at
+    xi = sqrt(u) by LAPACK.  ``cells`` counts the triangles examined and
+    ``depth`` the subdivision levels below the simplex; both depend on W
+    only, not on the machine.
+    """
+
+    status: str
+    cells: int
+    depth: int
+    u: Array | None = None
+    value: float | None = None
+
+
+@functools.lru_cache(maxsize=1)
+def _subdivision() -> tuple[Array, Array, Array, tuple]:
+    """The fixed tables of the certificate, built on first use.
+
+    A triangle's state is a row of 28: its Bernstein coefficients of
+    degrees 1, 2 and 3 (3 + 6 + 10 columns, multi-indices in
+    ``combinations_with_replacement`` order), then its three vertices in u
+    (9 columns).  Returns the (28, 112) block-diagonal matrix taking a state
+    to its four children's, child by child; the columns and vertices of the
+    nine corner coefficients; and each coefficient column's (degree,
+    multi-index, multinomial n!/alpha!).
+
+    Midpoint subdivision gives the three corner triangles, then the middle
+    one; ``children`` holds each child's vertices in the parent's
+    barycentric coordinates.  A child coefficient is the polar form at child
+    vertices, each a dyadic convex combination of the parent's, so by
+    multilinearity each row is a convex combination of the parent's
+    coefficients with dyadic weights, exact in floats; the child vertices
+    are exact dyadic midpoints too.
+    """
+    children = np.array(
+        [
+            [[1, 0, 0], [0.5, 0.5, 0], [0.5, 0, 0.5]],
+            [[0.5, 0.5, 0], [0, 1, 0], [0, 0.5, 0.5]],
+            [[0.5, 0, 0.5], [0, 0.5, 0.5], [0, 0, 1]],
+            [[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]],
+        ]
+    )
+    matrix = np.zeros((28, 4, 28))
+    corners, vertices, columns, at = [], [], [], 0
+    for n in (1, 2, 3):
+        index = list(itertools.combinations_with_replacement(range(3), n))
+        column = {alpha: at + k for k, alpha in enumerate(index)}
+        for c, child in enumerate(children):
+            for beta in index:
+                for js in itertools.product(range(3), repeat=n):
+                    weight = math.prod(child[i, j] for i, j in zip(beta, js))
+                    matrix[column[tuple(sorted(js))], c, column[beta]] += weight
+        for alpha in index:
+            columns.append((n, alpha, math.factorial(n) // math.prod(math.factorial(alpha.count(i)) for i in range(3))))
+        corners += [column[(k,) * n] for k in range(3)]
+        vertices += range(3)
+        at += len(index)
+    for c, child in enumerate(children):
+        matrix[19:, c, 19:] = np.kron(child.T, np.eye(3))
+    tables = (matrix.reshape(28, 112), np.array(corners), np.array(vertices))
+    for table in tables:
+        table.flags.writeable = False
+    return (*tables, tuple(columns))
+
+
+def _times(*forms: dict) -> dict:
+    """Product of forms in u, each {sorted multi-index: integer coefficient}."""
+    out = {(): 1}
+    for form in forms:
+        product: dict = {}
+        for a, x in out.items():
+            for b, y in form.items():
+                key = tuple(sorted(a + b))
+                product[key] = product.get(key, 0) + x * y
+        out = product
+    return out
+
+
+def _root_coefficients(w: Array, columns: tuple) -> Array:
+    """The 19 Bernstein coefficients on the simplex of the leading minors
+    d_0, m_2 = d_0 d_1 - |W_01|^2 u_0 u_1 and
+    d_2 m_2 + 2 Re(W_01 W_12 W_20) u_0 u_1 u_2 - |W_12|^2 u_1 u_2 d_0
+    - |W_02|^2 u_0 u_2 d_1 of M(u) + eps (sum u) I, d_j = L_j(u) + eps sum u,
+    in ``_subdivision``'s columns, each the exact value rounded once.  Every
+    entry is a double, so an integer times 2^-k for one k: the monomial
+    coefficients c_alpha are exact integers at scale 2^(nk), and b_alpha =
+    c_alpha alpha!/n! is one correctly rounded integer division."""
+    w01, w12, w20 = w[0, 4], w[4, 8], w[8, 0]
+    reals = [*w.diagonal().real.tolist(), CERTIFIED_ZERO, w01.real, w01.imag, w12.real, w12.imag, w20.real, w20.imag]
+    ratios = [float(x).as_integer_ratio() for x in reals]
+    k = max(den.bit_length() for _, den in ratios) - 1
+    ints = [num << (k + 1 - den.bit_length()) for num, den in ratios]
+    eps, (r01, i01, r12, i12, r20, i20) = ints[9], ints[10:]
+    d = [{(i,): ints[3 * i + j] + eps for i in range(3)} for j in range(3)]
+    q01, q12, q02 = r01 * r01 + i01 * i01, r12 * r12 + i12 * i12, r20 * r20 + i20 * i20
+    m2 = _times(d[0], d[1])
+    m2[(0, 1)] -= q01
+    m3 = _times(m2, d[2])
+    m3[(0, 1, 2)] += 2 * (r01 * r12 * r20 - r01 * i12 * i20 - i01 * r12 * i20 - i01 * i12 * r20)
+    for key, x in (*_times(d[0], {(1, 2): -q12}).items(), *_times(d[1], {(0, 2): -q02}).items()):
+        m3[key] += x
+    forms = {1: d[0], 2: m2, 3: m3}
+    return np.array([forms[n][alpha] / (multinomial << n * k) for n, alpha, multinomial in columns])
+
+
+def certify_block_positivity(w) -> BlockPositivityCertificate:
+    """Decide lambda_min Phi(xi xi*) >= -CERTIFIED_ZERO |xi|^2 for the map
+    with the covariant 9x9 Choi matrix ``w`` by Bernstein subdivision on
+    the simplex (J. Garloff, 1986), with a stated rounding bound.
+
+    Covariance makes Phi(xi xi*) unitarily similar to M(u) at u = |xi|^2:
+    diagonal L_j(u) = sum_i u_i W[i,j,i,j], off-diagonal
+    sqrt(u_j u_l) W[j,j,l,l].  With eps = CERTIFIED_ZERO the leading minors
+    of M(u) + eps (sum u) I are forms of degree 1, 2 and 3 in u
+    (``_root_coefficients``); the cubic carries 2 Re(W_01 W_12 W_20)
+    u_0 u_1 u_2.  By Sylvester's criterion the claim holds iff all three are
+    positive on the simplex, and a negative leading minor anywhere makes
+    lambda_min < -eps there (interlacing).  Their Bernstein coefficients on
+    a triangle are their polar forms at its vertices, and the corner ones
+    are the minors' values.  Each level splits every undecided triangle into
+    four by the fixed dyadic tables of ``_subdivision``, one matmul for all
+    triangles.  A triangle is decided when every coefficient exceeds the
+    rounding bound: at depth k, (k + 1) SUBDIVISION_ROUNDING times the
+    minor's scale, its largest root coefficient in magnitude, floored at
+    the smallest normal double so that underflow is covered too.  The root
+    coefficients are exact values rounded once, and each level adds less
+    than one more step, since a subdivision row is a convex combination
+    (a dot product of at most 10 terms).  The search ends 'certified' when
+    no triangle is left, and 'negative' at the first level where a corner
+    minor lies below minus the bound; the result then carries that
+    corner's u (the lowest by LAPACK, if several) and the LAPACK smallest
+    eigenvalue of Phi(xi xi*) at xi = sqrt(u), through ``_apply_kernel``.
+    Where M(u) + eps I has two eigenvalues near eps at one u, the cubic
+    minor is of order eps^2 there and can stay under the bound: the family
+    members with b = c = 0 are not decided.
+
+    Raises UndecidedError when the next level would take the triangles
+    examined past _CELL_CAP, so time and memory stay bounded (W = -eps I,
+    whose shifted minors vanish identically, ends there); OutOfRangeError
+    when a minor's coefficient overflows a double; NonHermitianError unless
+    ``w`` is a finite Hermitian matrix; and ValueError unless it is 9x9 and
+    exactly zero off ``_COVARIANT``.
+    """
+    w = require_hermitian(w)
+    if w.shape != (9, 9):
+        raise ValueError(f"expected a 9x9 Choi matrix, got {w.shape}")
+    if np.any(w[~_COVARIANT]):
+        raise ValueError("the certificate needs a covariant Choi matrix, exactly zero off positivity._COVARIANT")
+    matrix, corners, vertices, columns = _subdivision()
+    try:
+        coefficients = _root_coefficients(w, columns)
+    except OverflowError:
+        raise OutOfRangeError("a minor's Bernstein coefficient overflows a double") from None
+    magnitude = np.abs(coefficients)
+    scale = np.array([magnitude[:3].max(), magnitude[3:9].max(), magnitude[9:].max()]).repeat([3, 6, 10])
+    scale = SUBDIVISION_ROUNDING * np.maximum(scale, np.finfo(float).tiny)
+    states = np.concatenate([coefficients, np.eye(3).ravel()])[None]
+    count, depth = 1, 0
+    while True:
+        bound = (depth + 1) * scale
+        low = states[:, corners] < -bound[corners]
+        if low.any():
+            cell, corner = np.nonzero(low)
+            u = states[:, 19:].reshape(-1, 3, 3)[cell, vertices[corner]]
+            xi = np.sqrt(u)
+            values = np.linalg.eigvalsh(_apply_kernel(_kernel_matrix(w), xi[:, :, None] * xi[:, None, :]))[:, 0]
+            k = int(np.argmin(values))
+            return BlockPositivityCertificate("negative", count, depth, u[k], float(values[k]))
+        undecided = ~np.all(states[:, :19] > bound, axis=1)
+        live = int(undecided.sum())
+        if not live:
+            return BlockPositivityCertificate("certified", count, depth)
+        if count + 4 * live > _CELL_CAP:
+            raise UndecidedError(
+                f"block-positivity certificate undecided after {count} cells at depth {depth}: "
+                f"{4 * live} more would pass the cap of {_CELL_CAP}"
+            )
+        states = (states[undecided] @ matrix).reshape(4 * live, 28)
+        count, depth = count + 4 * live, depth + 1

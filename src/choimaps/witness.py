@@ -35,11 +35,12 @@ from .errors import (
     NoDetectingChoiceError,
     OutOfRangeError,
     ThetaOutOfRangeError,
+    UndecidedError,
 )
 from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, FACE_TOL, INCLUSION_SLACK, RESIDUE_REL, Array
 from .linalg import hermitian_eigenvalues, partial_transpose
 from .maps import MapParams, cp_threshold, edge_state, pairing_value
-from .positivity import block_positivity_oracle
+from .positivity import certify_block_positivity
 from .spanning import has_cospanning_property, has_spanning_property
 
 
@@ -149,9 +150,18 @@ def detection_closed_form(theta: float, b: float, alpha_tilde: float,
 
 
 def _validate(spec: WitnessSpec) -> None:
-    """Check the trace pairing against ``detection_closed_form``, and that the
-    constructed witness is block-positive but neither PSD nor co-PSD, with
-    normalized parameters on the bi-spanning boundary piece."""
+    """Check the trace pairing against ``detection_closed_form``, that the
+    constructed witness is neither PSD nor co-PSD, that it is block-positive,
+    and that its normalized parameters lie on the bi-spanning boundary piece.
+
+    Block-positivity is proved, not searched for: the witness is covariant,
+    so ``certify_block_positivity`` decides lambda_min Phi(xi xi*) >=
+    -CERTIFIED_ZERO |xi|^2 from the leading minors of M(u) +
+    CERTIFIED_ZERO (sum u) I, forms of degree 1, 2 and 3 in u = |xi|^2, by
+    Bernstein subdivision: every coefficient must exceed the rounding bound
+    (k + 1) SUBDIVISION_ROUNDING times its minor's scale at depth k, within
+    _CELL_CAP triangles.  A negative verdict or an undecided search raises
+    InternalConsistencyError."""
     where = f"theta={spec.theta!r}, b={spec.b!r}, alpha~={spec.alpha_tilde!r}"
     closed = detection_closed_form(spec.theta, spec.b, spec.alpha_tilde, spec.b_slot, spec.c_slot)
     # the terms cancel, so the residue is relative to the sum of their sizes,
@@ -168,10 +178,14 @@ def _validate(spec: WitnessSpec) -> None:
             raise InternalConsistencyError(
                 f"witness at {where} is {name} within tolerance (smallest eigenvalue {low!r})"
             )
-    report = block_positivity_oracle(spec.matrix)
-    if report.status == "negative":
+    try:
+        certificate = certify_block_positivity(spec.matrix)
+    except UndecidedError as exc:
+        raise InternalConsistencyError(f"witness at {where}: {exc}") from None
+    if certificate.status == "negative":
         raise InternalConsistencyError(
-            f"witness at {where} failed the block-positivity oracle: minimum {report.min_value!r}"
+            f"witness at {where} failed the block-positivity certificate: minimum {certificate.value!r} "
+            f"at |xi|^2 = {certificate.u.tolist()!r}"
         )
     if not has_spanning_property(spec.normalized_params).has_property:
         raise InternalConsistencyError(

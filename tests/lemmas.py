@@ -15,11 +15,15 @@ canonical kernel columns and of their partial conjugates (the package's
 evidence is the sample's rank and the gap around its cut), the
 closed-form optimality certificate of the two vertices with first
 coordinate 1 from the probe families of the paper's proof, and the kernel
-vectors and the equal-subtraction restriction of the {6,8} edge states.
+vectors and the equal-subtraction restriction of the {6,8} edge states,
+and the Bernstein coefficients of the certificate's shifted minors as exact
+polar forms.
 """
 
 import cmath
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -421,3 +425,43 @@ def newton_candidates_joint(w, xi, value, evecs, rank_one=None):
         moved = a + np.einsum("nik,nk->ni", a_perp, x[:, 0:2] + 1j * x[:, 2:4])
         out.append((moved / np.linalg.norm(moved, axis=1)[:, None]).conj())
     return out, mu
+
+
+def bernstein_polar_forms(w) -> list[list[Fraction]]:
+    """Exact Bernstein coefficients on the simplex of the leading minors of
+    M(u) + eps (sum u) I (eps = CERTIFIED_ZERO) of a covariant Choi matrix,
+    degree by degree, in ``combinations_with_replacement`` order: each is
+    the minor's symmetric polar form at the vertices e_alpha, in Fractions.
+    Every term of a minor is a product of linear forms l_1 ... l_n in u,
+    whose polar form is the mean over orderings of l_1(x_s1) ... l_n(x_sn);
+    the package takes monomial coefficients over multinomials instead."""
+    w = np.asarray(w)
+    eps = Fraction(CERTIFIED_ZERO)
+    d = [[Fraction(float(w[3 * i + j, 3 * i + j].real)) + eps for i in range(3)] for j in range(3)]
+    z = [complex(w[0, 4]), complex(w[4, 8]), complex(w[8, 0])]
+    re, im = [Fraction(x.real) for x in z], [Fraction(x.imag) for x in z]
+    q01, q12, q02 = (re[k] ** 2 + im[k] ** 2 for k in range(3))
+    t = 2 * (re[0] * re[1] * re[2] - re[0] * im[1] * im[2] - im[0] * re[1] * im[2] - im[0] * im[1] * re[2])
+    e = [[Fraction(int(i == k)) for i in range(3)] for k in range(3)]
+    minors = [
+        [(1, [d[0]])],
+        [(1, [d[0], d[1]]), (-q01, [e[0], e[1]])],
+        [
+            (1, [d[0], d[1], d[2]]),
+            (t, [e[0], e[1], e[2]]),
+            (-q12, [d[0], e[1], e[2]]),
+            (-q02, [e[0], d[1], e[2]]),
+            (-q01, [e[0], e[1], d[2]]),
+        ],
+    ]
+    out = []
+    for n, terms in zip((1, 2, 3), minors):
+        row = []
+        for alpha in itertools.combinations_with_replacement(range(3), n):
+            total = Fraction(0)
+            for order in itertools.permutations(alpha):
+                for c, forms in terms:
+                    total += c * math.prod((form[i] for form, i in zip(forms, order)), start=Fraction(1))
+            row.append(total / math.factorial(n))
+        out.append(row)
+    return out

@@ -17,7 +17,7 @@ from choimaps import FaceKind, MapParams, boundary_parametrization, build_witnes
 from choimaps import is_positive
 from choimaps.cli import _EXIT_CODES, main, parse_angle
 from choimaps.faces import row_of
-from choimaps.positivity import BlockPositivityReport
+from choimaps.positivity import BlockPositivityCertificate
 from choimaps.reporting import ReportDocument, render_plain
 
 
@@ -382,16 +382,16 @@ class TestWitness:
         # a validation failure is a program defect: exit 5, one stderr line
         import choimaps.witness
 
-        def negative_oracle(w, *args, **kwargs):
-            return BlockPositivityReport(-0.5, np.eye(3)[0], np.eye(3)[1], 1, False)
+        def negative_certificate(w):
+            return BlockPositivityCertificate("negative", 5, 1, np.array([0.5, 0.5, 0.0]), -0.5)
 
-        monkeypatch.setattr(choimaps.witness, "block_positivity_oracle", negative_oracle)
+        monkeypatch.setattr(choimaps.witness, "certify_block_positivity", negative_certificate)
         assert main(["witness", "pi/6", "1.0"]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("witness: internal consistency check failed: ")
-        assert "block-positivity oracle: minimum -0.5" in captured.err
+        assert "block-positivity certificate: minimum -0.5" in captured.err
         assert "Traceback" not in captured.err
 
 

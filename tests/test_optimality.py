@@ -653,6 +653,27 @@ def test_probe_keeps_the_first_largest_direction_where_weights_tie(p, top):
     assert optimality_probe(p, n_directions=8).max_subtractable == optimality._P_MAX
 
 
+@pytest.mark.parametrize(
+    "p, batches",
+    [(MapParams(20, 20, 20, 0.5), [1]), (MapParams(10, 8, 8, 0.5), [1, 5])],
+    ids=["every_r0_capped", "leader_not_the_largest"],
+)
+def test_probe_refines_no_direction_that_can_only_tie(monkeypatch, p, batches):
+    # At (20, 20, 20) the leader keeps _P_MAX, and every later direction's
+    # r0 = _P_MAX can at best tie it (8 were refined when ties were).  At
+    # (10, 8, 8) the leader falls below _P_MAX, so the five directions of
+    # r0 = _P_MAX still exceed it.
+    refined, dinkelbach = [], optimality._dinkelbach
+
+    def counting(w, directions, *args):
+        refined.append(len(directions))
+        return dinkelbach(w, directions, *args)
+
+    monkeypatch.setattr(optimality, "_dinkelbach", counting)
+    assert optimality_probe(p, n_directions=8).max_subtractable == optimality._P_MAX
+    assert refined == batches
+
+
 def test_probe_memory_is_bounded_by_its_blocks():
     # directions go through the kernel limits, the grid ratios and the rounds
     # in blocks of 64, so 512 directions keep the temporaries of one block
