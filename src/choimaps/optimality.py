@@ -13,41 +13,20 @@ Elsewhere, per direction the largest subtractable weight equals the
 infimum over product vectors of the ratio (pairing with the map) /
 (pairing with the direction), which stays meaningful even where boundary
 violations are cubically suppressed and the plain bisection-on-the-oracle
-test loses resolution.  The probe first takes each direction's exact kernel
-limit, the infimum along curves into the sampled kernel vectors, so a valid
-upper bound; then ratios on the grid, and r0, the smaller of its best grid
-ratio and its limit, where its Dinkelbach rounds would start; the first
-round tests whether any product vector beats the limit.  Only the largest
-weight over the directions is reported, and no round raises r, so only the
-directions whose r0 can still reach it are refined: the leader (largest
-r0) alone, then in one batch every other direction whose r0 exceeds the
-largest refined value, or ties it before the first direction holding it
-(ties go to the first); every other direction keeps its r0.  A batch's
-round is one iteration of the oracle's descent over the starts of every
-live direction, each start on W - r v v* as a rank-one term on the shared
-kernel of W, and a direction leaves the batch when its own stop rule fires
-(at most _ROUNDS rounds).  Directions pass through the kernel limits, the
-grid ratios and the rounds in blocks of _BLOCK, so the probe's memory does
-not grow with their number; a block's kernel limits at every kernel vector
-come from one stacked eigensolve.
-
-A best weight r above CERTIFIED_SIGN along v is checked on both sides with
+test loses resolution.  ``optimality_probe`` bounds it from above by each
+direction's exact kernel limit and its ratios on the oracle's grid (one
+eigensolve per moduli pattern, by the covariance of the ``positivity``
+module docstring), refines by Dinkelbach rounds on the oracle's descent
+only the directions that can still hold the largest weight (its docstring
+states the rule), and checks the best weight r along v on both sides with
 one search: the oracle finds W - (r/2) v v* nonnegative, and one 3x3
 eigensolve at the rounds' best xi pairs W - 2r v v* negatively with an
 explicit product vector (``OptimalityProbeReport.verification``).
-
-A family Choi matrix is covariant (``positivity._COVARIANT``):
-Phi(D X D*) = D Phi(X) D* for diagonal unitaries D (Cho, Kye and Lee, Linear
-Algebra Appl. 171, 1992).  With D = diag(xi / |xi|), Phi(xi xi*) is then
-D Phi(|xi| |xi|^T) D*, so the ratios solve one Hermitian eigenproblem per
-moduli pattern |xi| (64 on the grid of 4096 cells) and rotate the direction
-by D.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -70,12 +49,14 @@ from .linalg import RANK_REL, RESIDUE_ABS, STATIONARY_REL, Array
 from .maps import MapParams, choi_matrix, cp_threshold
 from .positivity import (
     _COVARIANT,
+    _GRID_N,
     _apply_kernel,
     _descend,
     _distinct_starts,
+    _grid,
     _kernel_matrix,
     _pairing_model,
-    _sphere_grid,
+    _polar,
     block_positivity_oracle,
     is_positive,
 )
@@ -85,7 +66,6 @@ _MIN_DRAW_NORM = 1e-6  # ``_directions`` drops draws this close to zero
 _DINKELBACH_STOP = 1e-9  # relative fall of the ratio below which the rounds stop
 _TINY = 1e-300  # a top eigenvalue at or below it leaves the kernel limit infinite
 _P_MAX = 10.0  # cap on each direction's subtractable weight in ``optimality_probe``
-_GRID_N = 8  # the probe's sphere grid, and its oracle checks
 _ROUNDS = 250  # cap on each direction's Dinkelbach rounds
 _BLOCK = 64  # directions per block of the probe: its temporaries do not grow past one block
 # cp_threshold - 1 below which ``orthocomplement_basis`` is not resolved: at
@@ -174,11 +154,9 @@ class OptimalityProbeReport:
     ``max_subtractable`` is the largest weight over the directions, each the
     minimum of finitely many evaluated ratios and exact kernel limits, so it
     is an upper bound on the weight that can be subtracted along its best
-    direction, reproducible only to about _DINKELBACH_STOP relative.  A
-    direction's weight is its r0 (the smaller of its best grid ratio and its
-    kernel limit) unless that r0 can still reach the largest; the reported
-    maximum is always the value of a direction refined by the Dinkelbach
-    rounds.
+    direction, reproducible only to about _DINKELBACH_STOP relative.  The
+    reported maximum is always the value of a direction refined by the
+    Dinkelbach rounds (``optimality_probe`` states which are).
 
     By the certified sign: 'optimal' needs every direction at or below
     CERTIFIED_ZERO; 'not_optimal' needs one above CERTIFIED_SIGN whose half
@@ -218,25 +196,6 @@ def _directions(dim: int, n: int) -> Array:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def _polar(xi: Array) -> tuple[Array, Array]:
-    """The moduli |xi| and conjugate phases conj(xi / |xi|) (1 where
-    xi_k = 0) of the (n, 3) vectors ``xi``."""
-    modulus = np.abs(xi)
-    return modulus, np.divide(xi, modulus, out=np.ones_like(xi), where=modulus > 0.0).conj()
-
-
-@functools.lru_cache(maxsize=1)
-def _probe_grid() -> tuple[Array, Array, tuple[Array, Array]]:
-    """The probe's ``_sphere_grid`` of _GRID_N: its unit vectors, its
-    pattern ids and their ``_polar`` parts, built once and read-only like
-    the grid, since every probe shares them."""
-    xi, _, patterns = _sphere_grid(_GRID_N, _GRID_N)
-    polar = _polar(xi)
-    for part in polar:
-        part.flags.writeable = False
-    return xi, patterns, polar
-
-
 def _ratio_on_grid(
     w: Array, matrices: Array, xi: Array, run: int, polar: tuple[Array, Array] | None = None
 ) -> Array:
@@ -250,16 +209,16 @@ def _ratio_on_grid(
     and the exact kernel limits cover those points.
 
     The Choi matrix ``w`` must vanish off ``_COVARIANT`` (every family Choi
-    matrix does; InternalConsistencyError otherwise), so the map commutes
-    with diagonal unitaries: with D = diag(xi / |xi|) (1 where xi_k = 0),
-    A = D Phi(|xi| |xi|^T) D*, and b* A^+ b = (D* b)* Phi(|xi| |xi|^T)^+ (D* b).
-    Each run of ``run`` consecutive vectors shares one |xi| (the phase copies
-    of a ``_sphere_grid`` cell, or run 1 for any vectors), so ``eigh`` runs
-    once per run, on the real moduli, and the phases rotate b instead.
-    Shared vectors take every direction's b in one GEMM, xi @ (3, 3 ndir);
-    then b* A^+ b is the squared norm of (D* b)^T conj(U) Lambda^(-1/2), one
-    batched matmul per moduli pattern.  ``polar`` is ``_polar(xi)`` where the
-    caller keeps it (the probe's cached grid).
+    matrix does; InternalConsistencyError otherwise): by covariance
+    (``positivity`` module docstring), with D = diag(xi / |xi|) (1 where
+    xi_k = 0), b* A^+ b = (D* b)* Phi(|xi| |xi|^T)^+ (D* b).  Each run of
+    ``run`` consecutive vectors shares one |xi| (the phase copies of a grid
+    cell, or run 1 for any vectors), so ``eigh`` runs once per run, on the
+    real moduli, and the phases rotate b instead.  Shared vectors take every
+    direction's b in one GEMM, xi @ (3, 3 ndir); then b* A^+ b is the
+    squared norm of (D* b)^T conj(U) Lambda^(-1/2), one batched matmul per
+    moduli pattern.  ``polar`` is ``_polar(xi)`` where the caller keeps it
+    (the cached ``_grid``).
     """
     if np.any(w[~_COVARIANT]):
         raise InternalConsistencyError("grid ratios need a Choi matrix that vanishes off the covariant slots")
@@ -281,13 +240,10 @@ def _ratio_on_grid(
     return ratios.reshape(len(matrices), -1) if xi.ndim == 3 else ratios.T
 
 
-def _dinkelbach(
-    w: Array, directions: Array, xi: Array, patterns: Array, ratios: Array, run: int, bounds: Array
-) -> tuple[Array, Array]:
+def _dinkelbach(w: Array, directions: Array, ratios: Array, bounds: Array) -> tuple[Array, Array]:
     """Smallest ratio of each of the (ndir, 9) ``directions`` reached by
     Dinkelbach rounds (W. Dinkelbach, Management Science 13:492, 1967) from
-    the (n, 3) ``_sphere_grid`` vectors ``xi`` with their (n,) pattern ids
-    ``patterns``, phase-run length ``run`` and (ndir, n) ``ratios``.  Each
+    the cells of ``_grid``, with their (ndir, n) ``ratios``.  Each
     direction v keeps its own r, the smallest ratio so far, and its own
     starts; a round is one ``_descend`` iteration of every live direction's
     starts at once, each start on W - r v v* as the descent's per-start
@@ -301,15 +257,15 @@ def _dinkelbach(
     never below the true infimum): the first round asks whether any product
     vector beats it, and where the descended starts do not, the rounds stop
     at the bound.  The starts are the best cells of the 20 best moduli
-    patterns, found by the grid's pattern ids (``_distinct_starts``), so a
-    descent drawn to a kernel vector (where the ratio only tends to its
-    kernel limit) does not decide alone.
+    patterns (``_distinct_starts``), so a descent drawn to a kernel vector
+    (where the ratio only tends to its kernel limit) does not decide alone.
     Returns the (ndir,) r and the (ndir, 3) unit xi of each direction's
     smallest ratio evaluated, over its starts and every round's descended
     vectors: W - p v v* pairs negatively with a product vector xi (x) eta
     for every p above that ratio.
     """
-    starts = np.array([_distinct_starts(row, patterns, run, 20) for row in ratios])
+    xi = _grid()[0]
+    starts = np.array([_distinct_starts(row, 20) for row in ratios])
     best_ratio = ratios[np.arange(len(ratios)), starts[:, 0]]
     r, best_xi = np.minimum(best_ratio, bounds), xi[starts[:, 0]]
     xi, k = xi[starts], starts.shape[1]
@@ -459,8 +415,7 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
         )
 
     directions = _directions(len(basis), n_directions) @ basis  # (ndir, 9)
-    xi_grid, patterns, polar = _probe_grid()
-    run = _GRID_N * _GRID_N
+    xi_grid, _, _, modulus, phase = _grid()
     per_direction = np.empty(len(directions))
     argmin_xi = np.empty((len(directions), 3), dtype=complex)
     largest, holder = -math.inf, 0  # the largest refined value so far, over every block, and its first direction
@@ -471,7 +426,7 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
         else:
             mu, e, jac = model
             limits = _kernel_limit_ratio(mu, e, _penalty_rows(jac, part))
-        ratios = _ratio_on_grid(w, part.reshape(-1, 3, 3), xi_grid, run, polar)
+        ratios = _ratio_on_grid(w, part.reshape(-1, 3, 3), xi_grid, _GRID_N * _GRID_N, (modulus, phase))
         # r0, where each direction's rounds would start: they never raise it
         r0 = np.minimum(np.minimum(ratios.min(axis=1), limits), _P_MAX)
         value, at = per_direction[lo : lo + _BLOCK], argmin_xi[lo : lo + _BLOCK]
@@ -482,9 +437,7 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
             # a direction after the holder can at best tie it, and ties go to the first
             chosen = np.flatnonzero(pick & ((r0 > largest) | ((r0 == largest) & (index < holder))))
             if len(chosen):
-                value[chosen], at[chosen] = _dinkelbach(
-                    w, part[chosen], xi_grid, patterns, ratios[chosen], run, limits[chosen]
-                )
+                value[chosen], at[chosen] = _dinkelbach(w, part[chosen], ratios[chosen], limits[chosen])
                 capped = np.minimum(value[chosen], _P_MAX)
                 first = int(np.argmax(capped))
                 if capped[first] > largest or (capped[first] == largest and index[chosen[first]] < holder):
@@ -500,7 +453,7 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
         verdict = "optimal"
     elif best > CERTIFIED_SIGN:
         vv = np.outer(best_dir, best_dir.conj())
-        keep = block_positivity_oracle(w - 0.5 * best * vv, grid_n=_GRID_N)
+        keep = block_positivity_oracle(w - 0.5 * best * vv)
         xi = argmin_xi[top]
         image = _apply_kernel(_kernel_matrix(w - min(2.0 * best, _P_MAX) * vv), np.outer(xi, xi.conj()))
         verification = {
@@ -604,9 +557,9 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
     flag of every optimal, non-spanning row (the two vertices with first
     coordinate 1, in every theta branch) comes from ``optimality_probe`` at
     the record's face coordinates, whose empty second-order
-    orthocomplement certifies it
-    (UnsupportedThetaError while cp_threshold - 1 < _THRESHOLD_GAP, where
-    that space is not resolved); the co-optimality disproof on the
+    orthocomplement certifies it (InternalConsistencyError where it is not
+    empty; UnsupportedThetaError while cp_threshold - 1 < _THRESHOLD_GAP,
+    where that space is not resolved); the co-optimality disproof on the
     sum-threshold face runs the explicit subtraction when the point is on
     its unit-first-coordinate slice.
     """
@@ -621,12 +574,13 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
         evidence["optimal"] = "spanning property implies optimality"
     elif row.optimal:
         report = optimality_probe(k.params)
-        if report.verdict != "optimal":
+        if report.direction_count:
             raise InternalConsistencyError(
-                f"numeric probe verdict {report.verdict} at the optimal face point {p}: "
+                f"nonempty second-order orthocomplement (dimension {len(orthocomplement_basis(k.params))}) "
+                f"at the optimal face point {p}: probe verdict {report.verdict}, "
                 f"max subtractable {report.max_subtractable!r}"
             )
-        evidence["optimal"] = report.verification.get("reason", "numeric subtraction probe")
+        evidence["optimal"] = report.verification["reason"]
     else:
         evidence["optimal"] = "facial structure (smallest face contains CP maps)"
 

@@ -12,27 +12,27 @@ The boundary pieces of the body are the equality cases: ``on_sum_at`` and
 
 The block-positivity oracle minimizes the smallest eigenvalue of the map
 applied to rank-1 projectors, and never trusts a closed form of the map.  It
-ranks a deterministic grid on the unit sphere of C^3 by the closed-form
-smallest eigenvalue of a 3x3 Hermitian matrix, then runs a batched descent
-from the best cells that alternates exact minimizations over the two factors
-of the product vector and adds second-order (Newton) steps on the first, the
-second eliminated through its exact eigenvalues.  The map
+ranks the one deterministic grid ``_grid`` on the unit sphere of C^3 by the
+closed-form smallest eigenvalue of a 3x3 Hermitian matrix, then runs a
+batched descent from the best cells that alternates exact minimizations over
+the two factors of the product vector and adds second-order (Newton) steps
+on the first, the second eliminated through its exact eigenvalues.  The map
 acts on a stack of projectors as one matmul with a 9x9 kernel matrix; it is
 the package's only way to apply a map.  The optimality probe shares the
-descent, ``_descend``, and its second-order model of the pairing on the
-product manifold, ``_pairing_model``: the Newton step takes it at every
-start, the probe at every kernel vector.  The probe's rounds descend
+grid, the descent, ``_descend``, and its second-order model of the pairing
+on the product manifold, ``_pairing_model``: the Newton step takes it at
+every start, the probe at every kernel vector.  The probe's rounds descend
 W - r v v* with a different (v, r) per start, as a rank-one term on the
 shared kernel of W.
 
-A Choi matrix that vanishes off the covariant slots ``_COVARIANT`` (every
-family Choi matrix, edge state and witness) gives a map with
-Phi(DXD*) = D Phi(X) D* for diagonal unitaries D.  Writing xi = D|xi|,
-Phi(xi xi*) is then unitarily similar to Phi(|xi| |xi|^T), so its spectrum
-depends on the moduli |xi| only, and the oracle scans a finer real grid of
-moduli instead of the phase copies (Cho, Kye and Lee, Linear Algebra Appl.
-171, 1992); the optimality probe's grid ratios solve once per moduli
-pattern for the same reason.  Any other Choi matrix gets the full grid.
+Covariance.  A Choi matrix that vanishes off the covariant slots
+``_COVARIANT`` (every family Choi matrix, edge state and witness) gives a
+map with Phi(DXD*) = D Phi(X) D* for diagonal unitaries D (Cho, Kye and Lee,
+Linear Algebra Appl. 171, 1992).  Writing xi = D|xi|, Phi(xi xi*) is then
+D Phi(|xi| |xi|^T) D*, so its spectrum depends on the moduli |xi| only: the
+grid's phase copies of one |xi| share their values, the start rule keeps one
+start per moduli pattern, and the probe's grid ratios solve once per
+pattern.
 
 For a covariant W block-positivity is also decided exactly, without a
 search, by ``certify_block_positivity``: Phi(xi xi*) is unitarily similar to
@@ -66,6 +66,7 @@ from .maps import MapParams, cp_threshold
 _DESCENT_STOP = 1e-15  # relative decrease below which ``_descend`` stops
 _TINY = 1e-300  # keeps the Newton floor positive where every curvature vanishes
 _REFINE_STEPS = 200  # cap on the oracle's descent iterations
+_GRID_N = 8  # polar angles and phases of ``_grid``, the oracle's and the probe's
 
 
 # One body per predicate, on the coordinates and pth = cp_threshold(theta)
@@ -129,18 +130,13 @@ class BlockPositivityReport:
     """Outcome of the grid + descent minimization of the smallest
     eigenvalue of the map applied to rank-1 projectors.
 
-    ``min_value`` is the refined minimum, ``argmin_xi``/``argmin_eta`` the
-    unit product-vector factors witnessing it, ``grid_points`` the number of
-    grid cells scanned (grid_n^4 on the full grid, (4(grid_n - 1) + 1)^2 on
-    the moduli grid of a covariant W) and ``refined`` whether the descent
-    improved on the best grid cell.
+    ``min_value`` is the descended minimum and ``argmin_xi``/``argmin_eta``
+    the unit product-vector factors witnessing it.
     """
 
     min_value: float
     argmin_xi: Array
     argmin_eta: Array
-    grid_points: int
-    refined: bool
 
     @property
     def status(self) -> str:
@@ -160,18 +156,16 @@ _COVARIANT = np.array(
 ).reshape(9, 9)
 
 
-@functools.lru_cache(maxsize=4)
 def _sphere_grid(polar_n: int, phase_n: int) -> tuple[Array, Array, Array]:
     """Deterministic grid on unit vectors of C^3 (first coordinate real).
 
-    Returns read-only (unit vectors, rank-1 projectors, pattern ids) of
-    shapes (n, 3), (n, 3, 3) and (n,), n = polar_n^2 phase_n^2; the two
-    polar angles take polar_n values in [0, pi/2] inclusive and the two
-    phases phase_n values in [0, 2pi).  Cells are ij-ordered over (phi_1,
-    phi_2, psi_1, psi_2): each run of phase_n^2 consecutive cells holds the
-    phase copies of one |xi|.  With phase_n = 1 the vectors are real: the
-    grid of moduli.  Two cells share a pattern id iff their moduli rounded
-    to 9 digits agree; the ids are built once per cached grid.
+    Returns (unit vectors, rank-1 projectors, pattern ids) of shapes (n, 3),
+    (n, 3, 3) and (n,), n = polar_n^2 phase_n^2; the two polar angles take
+    polar_n values in [0, pi/2] inclusive and the two phases phase_n values
+    in [0, 2pi).  Cells are ij-ordered over (phi_1, phi_2, psi_1, psi_2):
+    each run of phase_n^2 consecutive cells holds the phase copies of one
+    |xi|.  With phase_n = 1 the vectors are real: the grid of moduli.  Two
+    cells share a pattern id iff their moduli rounded to 9 digits agree.
     """
     phi = np.linspace(0.0, math.pi / 2.0, polar_n)
     psi = np.linspace(0.0, 2.0 * math.pi, phase_n, endpoint=False)
@@ -186,36 +180,42 @@ def _sphere_grid(polar_n: int, phase_n: int) -> tuple[Array, Array, Array]:
     )
     projectors = np.einsum("ni,nj->nij", xi, xi.conj())
     patterns = np.unique(np.round(np.abs(xi), 9), axis=0, return_inverse=True)[1]
-    for shared in (xi, projectors, patterns):  # one copy serves every caller
-        shared.flags.writeable = False
     return xi, projectors, patterns
 
 
-def _scan_grid(w: Array, grid_n: int) -> tuple[Array, Array, Array, int]:
-    """The oracle's grid for ``w`` at ``grid_n``: the ``_sphere_grid``
-    (unit vectors, projectors, pattern ids) and its phase-run length.  A
-    covariant W (exactly zero off ``_COVARIANT``) gets the moduli grid of
-    4(grid_n - 1) + 1 polar angles, whose cells include every |xi| of the
-    full grid; any other W the full grid_n^4 grid."""
-    if np.any(w[~_COVARIANT]):
-        return (*_sphere_grid(grid_n, grid_n), grid_n * grid_n)
-    return (*_sphere_grid(4 * (grid_n - 1) + 1, 1), 1)
+def _polar(xi: Array) -> tuple[Array, Array]:
+    """The moduli |xi| and conjugate phases conj(xi / |xi|) (1 where
+    xi_k = 0) of the (n, 3) vectors ``xi``."""
+    modulus = np.abs(xi)
+    return modulus, np.divide(xi, modulus, out=np.ones_like(xi), where=modulus > 0.0).conj()
 
 
-def _distinct_starts(values: Array, patterns: Array, run: int, k: int) -> Array:
+@functools.lru_cache(maxsize=1)
+def _grid() -> tuple[Array, Array, Array, Array, Array]:
+    """The one sphere grid of the oracle and the probe, ``_sphere_grid`` at
+    _GRID_N (unit vectors, projectors, pattern ids), and the ``_polar``
+    parts (moduli, conjugate phases) of its vectors: built on first use,
+    once, and read-only, since every caller shares them."""
+    xi, projectors, patterns = _sphere_grid(_GRID_N, _GRID_N)
+    shared = (xi, projectors, patterns, *_polar(xi))
+    for part in shared:
+        part.flags.writeable = False
+    return shared
+
+
+def _distinct_starts(values: Array, k: int) -> Array:
     """Indices of the best cell of each of the ``k`` best moduli patterns
-    of a ``_sphere_grid``, best first, given the (n,) cell ``values`` and
-    the grid's (n,) pattern ids ``patterns``; ``run`` is its phase-run
-    length phase_n^2.  The family map commutes with diagonal phases,
-    Phi(DXD*) = D Phi(X) D*, so the best cells are phase copies of one cell
-    whose descents end at one point.  Each run of phase copies gives its
-    first smallest cell, ranked stably, and each pattern its first ranked
-    cell, so ties go to the first cell; the runs at phi_1 = 0 share one id.
+    of ``_grid``, best first, given its (n,) cell ``values``: for a covariant
+    map the best cells are phase copies of one cell whose descents end at
+    one point.  Each run of _GRID_N^2 phase copies gives its first smallest
+    cell, ranked stably, and each pattern id its first ranked cell, so ties
+    go to the first cell; the runs at phi_1 = 0 share one id.
     """
+    run = _GRID_N * _GRID_N
     rows = values.reshape(-1, run)
     best = np.argmin(rows, axis=1) + run * np.arange(len(rows))
     best = best[np.argsort(values[best], kind="stable")]
-    _, first = np.unique(patterns[best], return_index=True)
+    _, first = np.unique(_grid()[2][best], return_index=True)
     return best[np.sort(first)[:k]]
 
 
@@ -441,53 +441,27 @@ def _descend(
     return xi, evals[:, 0], evecs
 
 
-def block_positivity_oracle(w, grid_n: int = 16) -> BlockPositivityReport:
+def block_positivity_oracle(w) -> BlockPositivityReport:
     """Minimize the smallest eigenvalue of the map with the 9x9 Choi matrix
     ``w`` applied to rank-1 projectors, over the unit sphere of C^3: of the
-    grid cells (``_scan_grid``), ranked by the closed-form smallest
-    eigenvalue, the best cell of each of the 10 best moduli patterns (by the
-    grid's pattern ids, ``_distinct_starts``) starts ``_descend`` for at
-    most _REFINE_STEPS iterations.  A covariant W, zero off ``_COVARIANT``,
-    has a spectrum of Phi(xi xi*) that depends on |xi| only, so it scans the
-    real moduli grid of (4(grid_n - 1) + 1)^2 cells; any other W scans the
-    grid_n^4 cells of moduli and phases.  Reported values come from LAPACK
-    at the reported point, and ties resolve to the first cell.  Raises
-    OutOfRangeError unless grid_n >= 1, NonHermitianError unless ``w`` is a
-    finite Hermitian matrix and ValueError unless it is 9x9.
+    _GRID_N^4 cells of moduli and phases of ``_grid``, ranked by the
+    closed-form smallest eigenvalue, the best cell of each of the 10 best
+    moduli patterns (``_distinct_starts``) starts ``_descend`` for at most
+    _REFINE_STEPS iterations, and the best descended start is reported.
+    Its value comes from LAPACK at the reported point, and ties resolve to
+    the first start.  Raises NonHermitianError unless ``w`` is a finite
+    Hermitian matrix and ValueError unless it is 9x9.
     """
-    if grid_n < 1:
-        raise OutOfRangeError(f"grid_n must be >= 1, got {grid_n}")
     w = require_hermitian(w)
     if w.shape != (9, 9):
         raise ValueError(f"expected a 9x9 Choi matrix, got {w.shape}")
-    kernel = _kernel_matrix(w)
-    xi_grid, projectors, patterns, run = _scan_grid(w, grid_n)
-    images = _apply_kernel(kernel, projectors)
-    # scanned in blocks, so its temporaries stay small next to ``images``
-    values = np.concatenate(
-        [_smallest_eigenvalues(images[k : k + 4096]) for k in range(0, len(images), 4096)]
-    )
-    starts = _distinct_starts(values, patterns, run, 10)
-
-    evals, evecs = np.linalg.eigh(images[starts[:1]])
-    grid_value, grid_xi, grid_vec = float(evals[0, 0]), xi_grid[starts[0]], evecs[0, :, 0]
-    xi, value, evecs = _descend(w, xi_grid[starts], _REFINE_STEPS)
-
+    xi_grid, projectors = _grid()[:2]
+    values = _smallest_eigenvalues(_apply_kernel(_kernel_matrix(w), projectors))
+    xi, value, evecs = _descend(w, xi_grid[_distinct_starts(values, 10)], _REFINE_STEPS)
     best = int(np.argmin(value))
-    refined = bool(value[best] < grid_value)
-    if refined:
-        min_value, xi_best, vec_best = float(value[best]), xi[best], evecs[best, :, 0]
-    else:
-        min_value, xi_best, vec_best = grid_value, grid_xi, grid_vec
     # pairing(z z*, map) = <map(xi xi*) eta_bar, eta_bar>, so eta is the
     # conjugate of the minimizing eigenvector.
-    return BlockPositivityReport(
-        min_value=min_value,
-        argmin_xi=xi_best,
-        argmin_eta=vec_best.conj(),
-        grid_points=len(xi_grid),
-        refined=refined,
-    )
+    return BlockPositivityReport(float(value[best]), xi[best], evecs[best, :, 0].conj())
 
 
 # ---------------------------------------------------------------------------

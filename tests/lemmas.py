@@ -16,11 +16,14 @@ evidence is the sample's rank and the gap around its cut), the
 closed-form optimality certificate of the two vertices with first
 coordinate 1 from the probe families of the paper's proof, and the kernel
 vectors and the equal-subtraction restriction of the {6,8} edge states,
-and the Bernstein coefficients of the certificate's shifted minors as exact
-polar forms.
+the Bernstein coefficients of the certificate's shifted minors as exact
+polar forms, and the block-positivity oracle on the finer moduli grid of a
+covariant Choi matrix (the package scans one grid of moduli and phases for
+every matrix).
 """
 
 import cmath
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -35,7 +38,8 @@ from choimaps.linalg import require_hermitian
 from choimaps import optimality
 from choimaps.optimality import _DINKELBACH_STOP, _P_MAX, _ROUNDS, _TINY, _hessian_null, _ratio_on_grid
 from choimaps import positivity
-from choimaps.positivity import _apply_kernel, _descend, _distinct_starts, _kernel_matrix, _pairing_model
+from choimaps.positivity import _COVARIANT, BlockPositivityReport, _apply_kernel, _descend, _distinct_starts
+from choimaps.positivity import _kernel_matrix, _pairing_model, _smallest_eigenvalues, _sphere_grid
 from choimaps.positivity import on_sum_at, on_surface_at
 from choimaps.spanning import DEFAULT_PAIRS, DEFAULT_TRIPLES, _copositive_family, _equal_modulus_vector
 from choimaps.spanning import _kernel_point, _surface_family, _tensors
@@ -318,9 +322,9 @@ def equal_subtraction_restriction(b: float, theta: float) -> bool:
     return b + 1.0 / b <= bound_b and math.cos(theta / 2.0) <= bound_t
 
 
-def dinkelbach_reference(w, v, xi, patterns, ratios, run: int, bound: float):
+def dinkelbach_reference(w, v, ratios, bound: float):
     """One direction's Dinkelbach rounds, one direction at a time: from the
-    best cells of the 20 best moduli patterns of the grid ``xi`` by its
+    best cells of the 20 best moduli patterns of the oracle's grid by their
     ``ratios``, r = min(best grid ratio, ``bound``), each round one
     ``_descend`` iteration on the explicit matrix W - r v v* and the exact
     ratios at the new vectors; stops after _ROUNDS rounds, when r falls by
@@ -328,8 +332,8 @@ def dinkelbach_reference(w, v, xi, patterns, ratios, run: int, bound: float):
     r and the unit xi of the smallest ratio evaluated.  The package runs
     every direction's rounds in one batch, with W - r v v* as a rank-one
     term on the shared kernel of W."""
-    starts = _distinct_starts(ratios, patterns, run, 20)
-    xi, r = xi[starts], min(float(ratios[starts[0]]), bound)
+    starts = _distinct_starts(ratios, 20)
+    xi, r = positivity._grid()[0][starts], min(float(ratios[starts[0]]), bound)
     best_xi, best_ratio = xi[0], float(ratios[starts[0]])
     vv = np.outer(v, v.conj())
     for _ in range(_ROUNDS):
@@ -359,8 +363,7 @@ def refine_every_direction(p: MapParams, n_directions: int):
     except UnsupportedCaseError:
         basis, model = np.eye(9, dtype=complex), None
     directions = optimality._directions(len(basis), n_directions) @ basis
-    xi, patterns, polar = optimality._probe_grid()
-    run = optimality._GRID_N**2
+    xi, _, _, modulus, phase = positivity._grid()
     weights, reached = [], []
     for lo in range(0, len(directions), optimality._BLOCK):
         part = directions[lo : lo + optimality._BLOCK]
@@ -368,8 +371,8 @@ def refine_every_direction(p: MapParams, n_directions: int):
             limits = np.full(len(part), math.inf)
         else:
             limits = optimality._kernel_limit_ratio(model[0], model[1], optimality._penalty_rows(model[2], part))
-        ratios = _ratio_on_grid(w, part.reshape(-1, 3, 3), xi, run, polar)
-        r, at = optimality._dinkelbach(w, part, xi, patterns, ratios, run, limits)
+        ratios = _ratio_on_grid(w, part.reshape(-1, 3, 3), xi, positivity._GRID_N**2, (modulus, phase))
+        r, at = optimality._dinkelbach(w, part, ratios, limits)
         weights.append(np.minimum(r, _P_MAX))
         reached.append(at)
     return w, directions, np.concatenate(weights), np.concatenate(reached)
@@ -389,7 +392,7 @@ def probe_reference(w, directions, weights, xi):
     if r <= CERTIFIED_SIGN:
         return "inconclusive", r, top, {}
     vv = np.outer(v, v.conj())
-    keep = positivity.block_positivity_oracle(w - 0.5 * r * vv, grid_n=optimality._GRID_N)
+    keep = positivity.block_positivity_oracle(w - 0.5 * r * vv)
     image = _apply_kernel(_kernel_matrix(w - min(2.0 * r, _P_MAX) * vv), np.outer(xi[top], xi[top].conj()))
     verification = {
         "oracle_at_half": keep.min_value,
@@ -465,3 +468,60 @@ def bernstein_polar_forms(w) -> list[list[Fraction]]:
             row.append(total / math.factorial(n))
         out.append(row)
     return out
+
+
+def reference_starts(values, keys, k: int):
+    """The oracle's start rule over all cells: rank every cell stably by its
+    ``values`` and keep the first cell of each key (a pattern id, or a row
+    of rounded moduli), best first, at most ``k``."""
+    order = np.argsort(values, kind="stable")
+    _, first = np.unique(np.asarray(keys)[order], axis=0, return_index=True)
+    return order[np.sort(first)[:k]]
+
+
+@functools.lru_cache(maxsize=4)
+def shared_sphere_grid(polar_n: int, phase_n: int):
+    """``_sphere_grid`` at (polar_n, phase_n), built once per size and
+    read-only, since every reference that scans it shares it."""
+    parts = _sphere_grid(polar_n, phase_n)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
+def full_grid_minimum(w, grid_n: int = 16) -> float:
+    """The oracle's minimum of any Choi matrix ``w`` on the full grid_n^4
+    grid of moduli and phases: the best of its cells and of 200 descent
+    iterations from the best cell of each of its 10 best moduli patterns.
+    An audit at a finer grid than the package's, and the reference for the
+    moduli grid."""
+    xi, projectors, patterns = shared_sphere_grid(grid_n, grid_n)
+    images = _apply_kernel(_kernel_matrix(w), projectors)
+    starts = reference_starts(_smallest_eigenvalues(images), patterns, 10)
+    grid = np.linalg.eigvalsh(images[starts[0]])[0]
+    return float(min(grid, _descend(w, xi[starts], 200)[1].min()))
+
+
+def moduli_oracle(w, grid_n: int = 16) -> BlockPositivityReport:
+    """The block-positivity oracle on the moduli grid of a covariant Choi
+    matrix ``w`` (exactly zero off ``_COVARIANT``; ValueError otherwise).
+    By covariance the spectrum of Phi(xi xi*) depends on |xi| only, so the
+    real grid of 4(grid_n - 1) + 1 polar angles, which holds every |xi| of
+    the grid_n^4 grid of moduli and phases, replaces the phase copies (Cho,
+    Kye and Lee, Linear Algebra Appl. 171, 1992).  Its cells are ranked by
+    the closed-form smallest eigenvalue, the best cell of each of the 10
+    best moduli patterns starts 200 descent iterations, and the report is
+    the best descended start, or the best cell where no start went below its
+    LAPACK value."""
+    w = require_hermitian(w)
+    if np.any(w[~_COVARIANT]):
+        raise ValueError("the moduli grid needs a covariant Choi matrix")
+    xi_grid, projectors, patterns = shared_sphere_grid(4 * (grid_n - 1) + 1, 1)
+    images = _apply_kernel(_kernel_matrix(w), projectors)
+    starts = reference_starts(_smallest_eigenvalues(images), patterns, 10)
+    evals, evecs = np.linalg.eigh(images[starts[0]])
+    xi, value, vecs = _descend(w, xi_grid[starts], 200)
+    best = int(np.argmin(value))
+    if value[best] < evals[0]:
+        return BlockPositivityReport(float(value[best]), xi[best], vecs[best, :, 0].conj())
+    return BlockPositivityReport(float(evals[0]), xi_grid[starts[0]], evecs[:, 0].conj())

@@ -26,7 +26,7 @@ from choimaps import (
 )
 from choimaps.linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, FACE_TOL, SUBDIVISION_ROUNDING
 from choimaps.positivity import _CELL_CAP, _COVARIANT, _apply_kernel, _kernel_matrix, _root_coefficients, _subdivision
-from lemmas import bernstein_polar_forms
+from lemmas import bernstein_polar_forms, moduli_oracle
 
 #: Covariant Choi matrices with their minors of very different sizes: a
 #: witness, the witness at theta = 1e-6 and alpha~ = lo (cubic coefficients at most
@@ -161,7 +161,7 @@ def test_certificate_agrees_with_the_oracle_on_witnesses(theta):
     for b in (0.1, 1.0, 7.0):
         w = build_witness(theta, b).matrix
         assert certify_block_positivity(w).status == "certified"
-        assert block_positivity_oracle(w).status == "nonnegative"
+        assert moduli_oracle(w).status == block_positivity_oracle(w).status == "nonnegative"
 
 
 def test_exterior_point_is_negative_within_a_few_levels():

@@ -559,6 +559,6 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_builds_no_grid():
-    # the oracle's grids are built on first use, so no scan work moves into import
-    code = "import choimaps.cli, choimaps.positivity as p; print(p._sphere_grid.cache_info().currsize)"
+    # the one grid is built on first use, so no scan work moves into import
+    code = "import choimaps.cli, choimaps.positivity as p; print(p._grid.cache_info().currsize)"
     assert _fresh_output(code) == "0"

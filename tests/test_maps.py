@@ -6,7 +6,6 @@ from choimaps import (
     NonHermitianError,
     OutOfRangeError,
     ThetaOutOfRangeError,
-    block_positivity_oracle,
     boundary_parametrization,
     choi_matrix,
     cp_threshold,
@@ -253,12 +252,11 @@ _VERTEX = MapParams(2.0, 0.0, 0.0, np.pi / 6)
         lambda: boundary_parametrization(np.pi / 6, 0.0),
         lambda: boundary_parametrization(np.pi / 6, np.inf),
         lambda: boundary_parametrization(np.pi / 6, 1e200),
-        lambda: block_positivity_oracle(np.eye(9), grid_n=0),
         lambda: optimality_probe(_VERTEX, n_directions=0),
     ],
     ids=["edge_state", "edge_kernel_vectors", "equal_subtraction_restriction",
          "boundary_parametrization", "boundary_parametrization_inf", "boundary_parametrization_huge",
-         "oracle_grid", "probe_directions"],
+         "probe_directions"],
 )
 def test_bad_scalar_argument_is_out_of_range(call):
     with pytest.raises(OutOfRangeError):

@@ -39,10 +39,11 @@ from choimaps.optimality import (
     _penalty_rows,
     _ratio_on_grid,
 )
-from choimaps.positivity import _sphere_grid
+from choimaps.positivity import _COVARIANT, BlockPositivityReport, _grid, _polar, _sphere_grid
 from choimaps.spanning import ProductVector, _kernel_point, sampled_kernel_vectors
 import lemmas
-from lemmas import apply_map, dinkelbach_reference, full_grid_ratios, kernel_limit_ratio, vertex_optimality_analytic
+from lemmas import apply_map, dinkelbach_reference, full_grid_minimum, full_grid_ratios, kernel_limit_ratio
+from lemmas import moduli_oracle, vertex_optimality_analytic
 
 
 PTH = cp_threshold(np.pi / 6)
@@ -361,16 +362,12 @@ _F_AB = MapParams(1.5, 0.5, 0, np.pi / 6)
     [
         ("probe", {"n_directions": 0}),
         ("probe", {"n_directions": -3}),
-        ("oracle", {"grid_n": 0}),
     ],
 )
 def test_bad_budgets_are_value_errors(call, kwargs):
     # n_directions=0 used to report 'optimal' for this not-optimal map
     with pytest.raises(ValueError, match="must be"):
-        if call == "probe":
-            optimality_probe(_F_AB, **kwargs)
-        else:
-            block_positivity_oracle(choi_matrix(_F_AB), **kwargs)
+        optimality_probe(_F_AB, **kwargs)
 
 
 @pytest.mark.parametrize("dim", [2, 9])
@@ -409,11 +406,16 @@ def test_refined_weight_is_tight(p):
     assert r > 1e-6
     # no sampled product vector beats the refined weight ...
     assert r <= _sampled_ratio_minimum(p, v) + 1e-12 * r
-    # ... half of it can be subtracted, and twice it cannot
+    # ... half of it can be subtracted, and twice it cannot: by the oracle,
+    # and by the finer 16^4 grid (W - r vv* is not covariant here)
     vv = np.outer(v, v.conj())
     w = choi_matrix(p)
-    assert block_positivity_oracle(w - 0.5 * r * vv).min_value >= -1e-9
-    assert block_positivity_oracle(w - 2.0 * r * vv).min_value < -1e-9
+    half, double = w - 0.5 * r * vv, w - 2.0 * r * vv
+    assert np.any(half[~_COVARIANT])
+    assert block_positivity_oracle(half).min_value >= -1e-9
+    assert full_grid_minimum(half) >= -1e-9
+    assert block_positivity_oracle(double).min_value < -1e-9
+    assert full_grid_minimum(double) < -1e-9
 
 
 _F_ABC = MapParams(1, (_PTH - 1) / 3, 2 * (_PTH - 1) / 3, np.pi / 6)
@@ -449,15 +451,14 @@ _F_AB_BELOW_LIMIT = MapParams(1.125292359574031, 2.082723915475503, 0.0, -1.3935
 
 
 def _probe_parts(p, ndir):
-    """The probe's own directions, grid, grid ratios and kernel limits."""
+    """The probe's own directions, grid ratios and kernel limits."""
     w = choi_matrix(p)
     basis = np.array(orthocomplement_basis(p))
     directions = _directions(len(basis), ndir) @ basis
-    xi, _, patterns = _sphere_grid(8, 8)
-    ratios = _ratio_on_grid(w, directions.reshape(-1, 3, 3), xi, 64)
+    ratios = _ratio_on_grid(w, directions.reshape(-1, 3, 3), _grid()[0], 64)
     mu, e, jac = _kernel_models(w, sampled_kernel_vectors(p))
     limits = _kernel_limit_ratio(mu, e, _penalty_rows(jac, directions))
-    return w, directions, xi, patterns, ratios, limits
+    return w, directions, ratios, limits
 
 
 @pytest.mark.parametrize(
@@ -475,9 +476,9 @@ def _probe_parts(p, ndir):
 )
 def test_seeded_rounds_never_lose(p):
     # The probe's own directions, grid and kernel limits (n_directions=4).
-    w, directions, xi, patterns, ratios, limits = _probe_parts(p, 4)
-    seeded = _dinkelbach(w, directions, xi, patterns, ratios, 64, limits)[0]
-    unseeded, reached = _dinkelbach(w, directions, xi, patterns, ratios, 64, np.full(4, math.inf))
+    w, directions, ratios, limits = _probe_parts(p, 4)
+    seeded = _dinkelbach(w, directions, ratios, limits)[0]
+    unseeded, reached = _dinkelbach(w, directions, ratios, np.full(4, math.inf))
     assert np.all(seeded <= np.minimum(limits, unseeded) * (1 + 1e-12))
     # unseeded, each smallest ratio is attained at the vector returned for it
     at = _ratio_on_grid(w, directions.reshape(-1, 3, 3), reached[:, None], 1)[:, 0]
@@ -518,10 +519,10 @@ def _reference_rounds(name, seeded):
     """The per-direction reference r at the probe's 64 directions of a point;
     ``_directions`` is a prefix-stable sequence, so fewer directions are its
     first rows."""
-    w, directions, xi, patterns, ratios, limits = _probe_parts(_REFERENCE_POINTS[name], 64)
+    w, directions, ratios, limits = _probe_parts(_REFERENCE_POINTS[name], 64)
     bounds = limits if seeded else np.full(len(limits), math.inf)
     return np.array(
-        [dinkelbach_reference(w, v, xi, patterns, ratios[d], 64, bounds[d])[0] for d, v in enumerate(directions)]
+        [dinkelbach_reference(w, v, ratios[d], bounds[d])[0] for d, v in enumerate(directions)]
     )
 
 
@@ -531,9 +532,9 @@ def _reference_rounds(name, seeded):
 def test_batched_rounds_match_the_per_direction_reference(name, ndir, seeded):
     # one batch of rounds, W - r vv* a rank-one term per start, against one
     # direction at a time on the explicit W - r vv*
-    w, directions, xi, patterns, ratios, limits = _probe_parts(_REFERENCE_POINTS[name], ndir)
+    w, directions, ratios, limits = _probe_parts(_REFERENCE_POINTS[name], ndir)
     bounds = limits if seeded else np.full(ndir, math.inf)
-    got, reached = _dinkelbach(w, directions, xi, patterns, ratios, 64, bounds)
+    got, reached = _dinkelbach(w, directions, ratios, bounds)
     want = _reference_rounds(name, seeded)[:ndir]
     assert got.shape == want.shape and reached.shape == (ndir, 3)
     assert np.array_equal(np.isinf(got), np.isinf(want))
@@ -545,11 +546,11 @@ def _reference_schedule(monkeypatch, p):
     """Each direction's rounds and refined weight at the probe's 4
     directions, by the reference, and the r0 its rounds start from, each
     weight capped at _P_MAX."""
-    w, directions, xi, patterns, ratios, limits = _probe_parts(p, 4)
+    w, directions, ratios, limits = _probe_parts(p, 4)
     rounds, refined = [], []
     for d, v in enumerate(directions):
         descents = _count_descents(monkeypatch, lemmas)
-        refined.append(dinkelbach_reference(w, v, xi, patterns, ratios[d], 64, limits[d])[0])
+        refined.append(dinkelbach_reference(w, v, ratios[d], limits[d])[0])
         rounds.append(len(descents))
         monkeypatch.undo()
     r0 = np.minimum(np.minimum(ratios.min(axis=1), limits), optimality._P_MAX)
@@ -692,14 +693,12 @@ def test_probe_memory_is_bounded_by_its_blocks():
 
 
 def test_probe_grid_is_built_once_and_read_only():
-    xi, patterns, (modulus, phase) = optimality._probe_grid()
-    grid = _sphere_grid(optimality._GRID_N, optimality._GRID_N)
-    assert xi is grid[0] and patterns is grid[2]
-    assert np.array_equal(modulus, np.abs(xi)) and np.allclose(modulus * phase.conj(), xi, rtol=0, atol=1e-15)
-    for shared in (modulus, phase):
-        with pytest.raises(ValueError, match="read-only"):
-            shared[0] = 0
-    assert optimality._probe_grid()[2][0] is modulus
+    # the probe, its rounds and its oracle check share the oracle's one grid
+    optimality_probe(_F_AB, n_directions=4)
+    misses, shared = _grid.cache_info().misses, _grid()
+    assert optimality_probe(_F_AB, n_directions=4).verdict == "not_optimal"
+    assert _grid.cache_info().misses == misses and all(a is b for a, b in zip(_grid(), shared))
+    assert not any(part.flags.writeable for part in shared)
 
 
 def _random_unit(rng, n):
@@ -728,7 +727,7 @@ def test_ratio_on_grid_matches_the_full_eigensolve(cells):
         # broadcast silently at ndir = 1
         alone = np.vstack([_ratio_on_grid(w, m[None], xi, run) for m in matrices])
         # the moduli and phases the probe keeps for its grid give the same bits
-        assert np.array_equal(_ratio_on_grid(w, matrices, xi, run, optimality._polar(xi)), got)
+        assert np.array_equal(_ratio_on_grid(w, matrices, xi, run, _polar(xi)), got)
         for ratios in (got, alone):
             assert ratios.shape == want.shape
             assert np.array_equal(np.isinf(ratios), np.isinf(want))
@@ -908,6 +907,34 @@ def test_probe_matches_the_property_table(kind, branch):
             pairing = _pairing_at_double(p, report)
             assert pairing < -CERTIFIED_SIGN, (p, pairing)
             assert abs(pairing - report.verification["pairing_at_double"]) <= 1e-12 * max(1.0, abs(pairing))
+
+
+def test_optimal_vertex_with_a_nonempty_space_is_an_internal_error(monkeypatch):
+    # only the empty second-order orthocomplement certifies the optimal
+    # vertices: a space of dimension 2 is refused, whatever the probe finds in it
+    p = MapParams(1, PTH - 1, 0, np.pi / 6)
+    assert classify_optimality(p).evidence["optimal"] == "empty second-order orthocomplement"
+    monkeypatch.setattr(optimality, "_second_order", lambda *args: (np.eye(9, dtype=complex)[:2], None))
+    with pytest.raises(InternalConsistencyError, match=r"nonempty second-order orthocomplement \(dimension 2\)"):
+        classify_optimality(p)
+
+
+@pytest.mark.parametrize("ndir", [4, 64])
+def test_e_a_half_check_agrees_with_the_moduli_grid(ndir):
+    # An E_A probe's W - (r/2) vv* is covariant, the one covariant matrix the
+    # program gives the oracle: its status on the one grid of moduli and
+    # phases is the status on the moduli grid of the same resolution.
+    rng = np.random.default_rng(26)
+    for _ in range(6):
+        theta = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, np.pi - 0.05)
+        p = _face_point("e_a", theta, rng.uniform(0.05, 0.95), 0.5)
+        assert classify_face(p).kind is FaceKind.E_A
+        report = optimality_probe(p, n_directions=ndir)
+        r, v = report.max_subtractable, report.witness_direction
+        half = choi_matrix(_kernel_point(p).params) - 0.5 * r * np.outer(v, v.conj())
+        assert not np.any(half[~_COVARIANT])
+        at_half = BlockPositivityReport(report.verification["oracle_at_half"], v, v).status
+        assert at_half == moduli_oracle(half, 8).status, (p, report.verification)
 
 
 _PROPER = _NON_SPANNING + ("e_t", "v_0t", "v_param_t")

@@ -33,13 +33,13 @@ from choimaps.positivity import (
     _drop_rank_one,
     _kernel_matrix,
     _newton_candidates,
+    _grid,
     _pairing_model,
-    _scan_grid,
     _smallest_eigenvalues,
     _sphere_grid,
     on_surface_at,
 )
-from lemmas import apply_map, newton_candidates_joint, pairing
+from lemmas import apply_map, full_grid_minimum, moduli_oracle, newton_candidates_joint, pairing, reference_starts, shared_sphere_grid
 
 
 def random_params(rng, amax=2.5):
@@ -360,12 +360,13 @@ class TestBlockPositivityOracle:
     def test_vertex_map_is_block_positive(self):
         th = np.pi / 6
         w = choi_matrix(MapParams(1, cp_threshold(th) - 1, 0, th))
-        report = block_positivity_oracle(w, grid_n=10)
-        assert report.min_value >= -1e-6
+        for report in (moduli_oracle(w, 10), block_positivity_oracle(w)):
+            assert report.min_value >= -1e-6
 
     def test_violating_map_yields_witness(self):
         p = MapParams(0.5, 0.1, 0.1, np.pi / 6)
-        report = block_positivity_oracle(choi_matrix(p), grid_n=10)
+        assert moduli_oracle(choi_matrix(p), 10).status == "negative"
+        report = block_positivity_oracle(choi_matrix(p))
         assert report.min_value < -1e-4
         assert report.status == "negative"
         # the reported product vector reproduces the reported minimum
@@ -376,16 +377,14 @@ class TestBlockPositivityOracle:
         assert np.linalg.norm(report.argmin_eta) == pytest.approx(1.0, abs=1e-12)
 
     def test_psd_matrix_is_block_positive(self):
-        # the edge state is covariant, so it scans the moduli grid; a local
-        # unitary U (x) V turns it into a PSD matrix that is not, which scans
-        # the full grid
+        # the edge state is covariant; a local unitary U (x) V turns it into
+        # a PSD matrix that is not
         w = edge_state(1.0, np.pi / 6)
         u = np.kron(*_random_unitaries(np.random.default_rng(0), 2))
-        for m, cells in ((w, 29**2), (u @ w @ u.conj().T, 8**4)):
-            report = block_positivity_oracle(m, grid_n=8)
+        for m in (w, u @ w @ u.conj().T):
+            report = block_positivity_oracle(m)
             assert report.min_value >= -1e-9
             assert report.status == "nonnegative"
-            assert report.grid_points == cells
 
     @pytest.mark.parametrize(
         "value, status",
@@ -398,7 +397,7 @@ class TestBlockPositivityOracle:
         ],
     )
     def test_status_at_the_certified_sign_edges(self, value, status):
-        report = BlockPositivityReport(float(value), np.ones(3), np.ones(3), 1, False)
+        report = BlockPositivityReport(float(value), np.ones(3), np.ones(3))
         assert report.status == status
 
 
@@ -632,20 +631,20 @@ def test_one_descent_iteration_solves_one_4x4_stack(monkeypatch):
         assert shapes == [(n, 3, 3), (n, 3, 3), (n, 4, 4), (4 * n, 3, 3)]
 
 
-def _checked_oracle(w, **kwargs):
+def _checked_oracle(w):
     """The oracle's report, after checking that the closed-form ranking puts
-    a cell at the exact (LAPACK) grid minimum first, and that ``refined``
-    says whether the descent went below that cell's exact value.  Cells tied
-    up to rounding are ordered by rounding, so the check is against the
-    first-ranked cell, not the smallest rounded value."""
-    report = block_positivity_oracle(w, **kwargs)
-    _, projectors, _, _ = _scan_grid(w, kwargs.get("grid_n", 16))
-    assert report.grid_points == len(projectors)
-    images = _apply_kernel(_kernel_matrix(w), projectors)
+    a cell at the exact (LAPACK) grid minimum first, and that the descent
+    ends at or below that cell's exact value, to rounding: no descent step
+    raises its start's value.  Cells tied up to rounding are ordered by
+    rounding, so the check is against the first-ranked cell, not the
+    smallest rounded value."""
+    report = block_positivity_oracle(w)
+    images = _apply_kernel(_kernel_matrix(w), _grid()[1])
     exact = np.linalg.eigh(images)[0][:, 0]
     best = exact[np.argmin(_smallest_eigenvalues(images))]
-    assert best <= exact.min() + 1e-12 * max(1.0, np.abs(w).max())
-    assert report.refined == (report.min_value < best)
+    scale = 1e-12 * max(1.0, np.abs(w).max())
+    assert best <= exact.min() + scale
+    assert report.min_value <= best + scale
     return report
 
 
@@ -659,7 +658,7 @@ def test_oracle_minimum_is_sandwiched(seed, family):
     else:
         g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
         w = (g + g.conj().T) / 2
-    report = _checked_oracle(w, grid_n=8)
+    report = _checked_oracle(w)
     xi, eta = rng.normal(size=(2, 200, 3)) + 1j * rng.normal(size=(2, 200, 3))
     xi /= np.linalg.norm(xi, axis=1)[:, None]
     eta /= np.linalg.norm(eta, axis=1)[:, None]
@@ -671,19 +670,19 @@ def test_oracle_minimum_is_sandwiched(seed, family):
     assert abs(value - report.min_value) <= 1e-10 * max(1.0, np.abs(w).max())
 
 
-def test_oracle_refined_flag_on_boundary_maps():
+def test_oracle_ranks_and_descends_on_boundary_maps():
     th = np.pi / 6
     for p in (MapParams(1, cp_threshold(th) - 1, 0, th), MapParams(0.5, 1, 0.25, th),
               MapParams(0.5, 0.1, 0.1, th), MapParams(2, 0, 0, th)):
-        _checked_oracle(choi_matrix(p), grid_n=8)
-    _checked_oracle(edge_state(1.0, th), grid_n=8)
+        _checked_oracle(choi_matrix(p))
+    _checked_oracle(edge_state(1.0, th))
 
 
 def test_descent_leaves_a_coordinate_saddle():
     # W on the diagonal tensor slots only.  The best cell of the full grid 8
     # has xi_3 = 0, a subspace the alternating step never leaves.  Its best
     # point there (-0.32171) is a saddle; the minimum needs xi_3 != 0.  The
-    # oracle scans the moduli grid for this covariant W and reaches it too.
+    # oracle and the moduli grid of this covariant W reach it too.
     g = np.array(
         [
             [0.53, -0.81 + 0.05j, -0.18 - 1.14j],
@@ -695,14 +694,14 @@ def test_descent_leaves_a_coordinate_saddle():
     w[np.ix_([0, 4, 8], [0, 4, 8])] = g
     xi, projectors, patterns = _sphere_grid(8, 8)
     values = _smallest_eigenvalues(_apply_kernel(_kernel_matrix(w), projectors))
-    start = xi[_distinct_starts(values, patterns, 8 * 8, 1)]
+    start = xi[_distinct_starts(values, 1)]
     assert start[0, 2] == 0.0
     final, value, _ = _descend(w, start, 200)
     assert -0.32218 < value[0] < -0.32216
     assert abs(final[0, 2]) > 0.1
-    report = _checked_oracle(w, grid_n=8)
-    assert -0.32218 < report.min_value < -0.32216
-    assert abs(report.argmin_xi[2]) > 0.1
+    for report in (_checked_oracle(w), moduli_oracle(w, 8)):
+        assert -0.32218 < report.min_value < -0.32216
+        assert abs(report.argmin_xi[2]) > 0.1
 
 
 _F_ABC = (0.37412049805440506, 0.895179117126941, 0.4935846058809257, -0.49188934318176736)
@@ -732,32 +731,21 @@ def _fix_first_matrix(point, dim, row, weight):
 )
 def test_oracle_finds_the_negative_beside_a_kernel_vector(point, dim, row, weight):
     w = _fix_first_matrix(point, dim, row, weight)
+    # off the covariant slots by rounding (f_abc) or by construction (f_ab)
+    assert np.any(w[~_COVARIANT])
     report = block_positivity_oracle(w)
     assert report.status == "negative"
-    # off the covariant slots by rounding (f_abc) or by construction (f_ab)
-    assert report.grid_points == 16**4
     z = np.kron(report.argmin_xi, report.argmin_eta)
     assert pairing_value(np.outer(z, z.conj()), w) == pytest.approx(report.min_value, abs=1e-12)
 
 
 def _status(value):
-    return BlockPositivityReport(float(value), np.ones(3), np.ones(3), 1, False).status
-
-
-def _full_grid_minimum(w, grid_n=16):
-    """The oracle's minimum on the full grid_n^4 grid of moduli and phases,
-    rebuilt from its parts: the reference for the moduli grid."""
-    xi, projectors, patterns = _sphere_grid(grid_n, grid_n)
-    images = _apply_kernel(_kernel_matrix(w), projectors)
-    starts = _distinct_starts(_smallest_eigenvalues(images), patterns, grid_n * grid_n, 10)
-    grid = np.linalg.eigvalsh(images[starts[0]])[0]
-    return min(grid, _descend(w, xi[starts], 200)[1].min())
+    return BlockPositivityReport(float(value), np.ones(3), np.ones(3)).status
 
 
 def _assert_grids_agree(w):
-    report = block_positivity_oracle(w)
-    assert report.grid_points == 61**2
-    full = _full_grid_minimum(w)
+    report = moduli_oracle(w)
+    full = full_grid_minimum(w)
     assert report.status == _status(full)
     assert report.min_value <= full + 1e-12 * max(1.0, np.abs(w).max())
     return report, full
@@ -780,15 +768,6 @@ def test_covariant_slots_are_where_the_map_commutes_with_diagonal_phases():
         commutes[r, s] = np.abs(gap).max() <= 1e-12
     np.testing.assert_array_equal(commutes, _COVARIANT)
     assert commutes.sum() == 15
-
-
-def test_any_off_slot_entry_takes_the_full_grid():
-    w = edge_state(1.0, np.pi / 6)
-    assert block_positivity_oracle(w).grid_points == 61**2
-    assert not _COVARIANT[0, 1]
-    w[0, 1] += 1e-300
-    w[1, 0] += 1e-300
-    assert block_positivity_oracle(w).grid_points == 16**4
 
 
 @pytest.mark.parametrize("theta", [np.pi / 6, -np.pi / 6, 0.9, -0.9])
@@ -824,35 +803,22 @@ def test_sphere_grid_moduli_are_constant_on_each_run_of_phase_cells(n):
     assert full <= {tuple(m) for m in np.round(real.real, 12)}
 
 
-def _reference_starts(values, xi, k):
-    """The start rule over all cells: rank every cell stably and keep the
-    first cell of each rounded |xi|, best first."""
-    order = np.argsort(values, kind="stable")
-    _, first = np.unique(np.round(np.abs(xi[order]), 9), axis=0, return_index=True)
-    return order[np.sort(first)[:k]]
-
-
-@pytest.mark.parametrize(
-    "polar_n, phase_n, k",
-    [(8, 8, 20), (16, 16, 10), (61, 1, 10), (29, 1, 10), (8, 8, 100)],
-    ids=["8-20", "16-10", "moduli-61-10", "moduli-29-10", "8-past-the-patterns"],
-)
-def test_distinct_starts_match_the_rule_over_all_cells(polar_n, phase_n, k):
-    # (29, 1) is the moduli grid of the probe's grid-8 oracle checks; the
-    # 8^4 grid has 57 patterns, so k = 100 keeps every pattern
-    xi, _, patterns = _sphere_grid(polar_n, phase_n)
-    rng = np.random.default_rng(polar_n)
+@pytest.mark.parametrize("k", [20, 100], ids=["8-20", "8-past-the-patterns"])
+def test_distinct_starts_match_the_rule_over_all_cells(k):
+    # the 8^4 grid has 57 patterns, so k = 100 keeps every pattern
+    xi = _grid()[0]
+    rng = np.random.default_rng(8)
     noise = rng.normal(size=len(xi))
     samples = [noise, np.round(noise, 1), np.zeros(len(xi))]  # many ties, then every cell tied
     for point in (_F_ABC, _F_AB, (1.5, 0.5, 0.0, np.pi / 6)):
         p = MapParams(*point)
         basis = np.array(orthocomplement_basis(p))
         directions = _directions(len(basis), 2) @ basis
-        samples += list(_ratio_on_grid(choi_matrix(p), directions.reshape(-1, 3, 3), xi, phase_n * phase_n))
+        samples += list(_ratio_on_grid(choi_matrix(p), directions.reshape(-1, 3, 3), xi, 64))
     for values in samples:
-        starts = _distinct_starts(values, patterns, phase_n * phase_n, k)
-        np.testing.assert_array_equal(starts, _reference_starts(values, xi, k))
-        assert len(starts) == min(k, len(np.unique(patterns)))
+        starts = _distinct_starts(values, k)
+        np.testing.assert_array_equal(starts, reference_starts(values, np.round(np.abs(xi), 9), k))
+        assert len(starts) == min(k, 57)
 
 
 @pytest.mark.parametrize("polar_n, phase_n", [(8, 8), (16, 16), (29, 1), (61, 1)])
@@ -866,17 +832,26 @@ def test_cells_share_a_pattern_id_iff_their_rounded_moduli_agree(polar_n, phase_
 
 @pytest.mark.parametrize("polar_n, phase_n", [(8, 8), (61, 1)])
 def test_cached_grids_are_read_only(polar_n, phase_n):
-    for shared in _sphere_grid(polar_n, phase_n):
+    # (8, 8): the package's one grid, the oracle's and the probe's, with the
+    # probe's polar parts; (61, 1): the moduli grid of the test reference
+    if (polar_n, phase_n) == (8, 8):
+        xi, projectors, patterns, modulus, phase = cached = _grid()
+        assert np.array_equal(modulus, np.abs(xi)) and np.allclose(modulus * phase.conj(), xi, rtol=0, atol=1e-15)
+    else:
+        xi, projectors, patterns = cached = shared_sphere_grid(polar_n, phase_n)
+    for part, built in zip((xi, projectors, patterns), _sphere_grid(polar_n, phase_n)):
+        assert np.array_equal(part, built)
+    for shared in cached:
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 0
 
 
 def test_a_second_oracle_call_builds_no_grid():
     w = edge_state(1.0, np.pi / 6)
-    assert block_positivity_oracle(w).grid_points == 61**2
-    misses = _sphere_grid.cache_info().misses
     block_positivity_oracle(w)
-    assert _sphere_grid.cache_info().misses == misses
+    misses = _grid.cache_info().misses
+    block_positivity_oracle(w)
+    assert _grid.cache_info().misses == misses
 
 
 @settings(max_examples=40)
@@ -887,8 +862,8 @@ def test_oracle_status_agrees_with_the_closed_form(abc, theta):
     assume(abs(a + b + c - cp_threshold(theta)) >= 0.02)
     assume(a > 1.0 or abs(b * c - (1.0 - a) ** 2) >= 0.02)
     p = MapParams(a, b, c, theta)
-    report = block_positivity_oracle(choi_matrix(p))
-    assert (report.status == "nonnegative") == is_positive(p)
+    for report in (moduli_oracle(choi_matrix(p)), block_positivity_oracle(choi_matrix(p))):
+        assert (report.status == "nonnegative") == is_positive(p)
 
 
 class TestIndecomposability:
