@@ -60,7 +60,7 @@ from .positivity import (
     block_positivity_oracle,
     is_positive,
 )
-from .spanning import ProductVector, _kernel_point, sampled_kernel_vectors
+from .spanning import _kernel_point
 
 _MIN_DRAW_NORM = 1e-6  # ``_directions`` drops draws this close to zero
 _DINKELBACH_STOP = 1e-9  # relative fall of the ratio below which the rounds stop
@@ -113,15 +113,15 @@ def _second_order(p: MapParams, w: Array) -> tuple[Array, tuple[Array, Array, Ar
     """The (k, 9) basis rows of ``orthocomplement_basis`` at the map with
     Choi matrix ``w``, and the kernel vectors' model (mu, e, J) of
     ``_kernel_models`` (None when the first-order space is empty)."""
-    vectors = sampled_kernel_vectors(p)
-    if not vectors:
+    k = _kernel_point(p)
+    if not len(k.xi):
         raise UnsupportedCaseError(
             f"no known kernel structure for {p.abc} at theta={p.theta}"
         )
     # The subtraction penalty at a product vector z is |v^T z|^2, so the
     # orthogonality that keeps kernel pairings at zero is the unconjugated
     # bilinear one: v must annihilate every kernel tensor under v^T z.
-    _, s, vh = np.linalg.svd(_kernel_point(p).tensors)
+    _, s, vh = np.linalg.svd(k.tensors)
     basis = vh[np.count_nonzero(s > RANK_REL * s[0]):].conj()
     if not len(basis):
         return basis, None
@@ -131,7 +131,7 @@ def _second_order(p: MapParams, w: Array) -> tuple[Array, tuple[Array, Array, Ar
             f"the second-order orthocomplement is not resolved at theta={p.theta}: "
             f"cp_threshold - 1 = {gap!r} is below {_THRESHOLD_GAP!r}"
         )
-    model = _kernel_models(w, vectors)
+    model = _kernel_models(w, k.xi, k.eta)
     mu, e, jac = model
     # one row J x per Hessian null vector x, zero rows elsewhere
     rows = (jac @ (e * _hessian_null(mu)[:, None, :])).transpose(0, 2, 1).reshape(-1, 9)
@@ -304,20 +304,19 @@ def _dinkelbach(w: Array, directions: Array, ratios: Array, bounds: Array) -> tu
 _CONJUGATE_BASIS = np.hstack([np.eye(3), -1j * np.eye(3)])[None]
 
 
-def _kernel_models(w: Array, vectors: list[ProductVector]) -> tuple[Array, Array, Array]:
-    """The second-order model at the (nonempty) sampled kernel ``vectors``,
-    from one ``_pairing_model`` call over all of them: the
-    eigendecompositions (mu, e) of the 12x12 real Hessians Q2 of the map
-    pairing along the product manifold, in the coordinates
+def _kernel_models(w: Array, xi: Array, eta: Array) -> tuple[Array, Array, Array]:
+    """The second-order model at the (nonempty) sampled kernel vectors with
+    (n, 3) factors ``xi`` and ``eta``, from one ``_pairing_model`` call over
+    all of them: the eigendecompositions (mu, e) of the 12x12 real Hessians
+    Q2 of the map pairing along the product manifold, in the coordinates
     x = (Re dxi, Im dxi, Re deta, Im deta), and the (nvec, 9, 12) Jacobians J
     of z0 = xi0 (x) eta0 in those coordinates.  Raises
     InternalConsistencyError unless every vector is stationary: the gradient
     may not exceed STATIONARY_REL times the scale |W conj(z0)| |z0| (at
     least 1)."""
-    a = np.array([pv.xi for pv in vectors]).conj()
-    b = np.array([pv.eta for pv in vectors]).conj()
+    a, b = xi.conj(), eta.conj()
     jac, grad, q = _pairing_model(w, a, b, _CONJUGATE_BASIS, _CONJUGATE_BASIS)
-    y = (a[:, :, None] * b[:, None, :]).reshape(len(vectors), 9)
+    y = (a[:, :, None] * b[:, None, :]).reshape(len(a), 9)
     scale = np.maximum(1.0, np.linalg.norm(y @ w.T, axis=1) * np.linalg.norm(y, axis=1))
     slope = np.linalg.norm(grad, axis=1)
     for norm, bound in zip(slope, STATIONARY_REL * scale):
@@ -555,13 +554,13 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
     false at INTERIOR): it decides the spanning flags, as it does for
     ``has_spanning_property`` and ``has_cospanning_property``.  The optimal
     flag of every optimal, non-spanning row (the two vertices with first
-    coordinate 1, in every theta branch) comes from ``optimality_probe`` at
-    the record's face coordinates, whose empty second-order
+    coordinate 1, in every theta branch) comes from ``optimality_probe`` on
+    the same record, at its face coordinates, whose empty second-order
     orthocomplement certifies it (InternalConsistencyError where it is not
     empty; UnsupportedThetaError while cp_threshold - 1 < _THRESHOLD_GAP,
     where that space is not resolved); the co-optimality disproof on the
     sum-threshold face runs the explicit subtraction when the point is on
-    its unit-first-coordinate slice.
+    its unit-first-coordinate slice, at the slice's own coordinates.
     """
     k = _kernel_point(p)
     face, row = k.face, k.row
@@ -573,10 +572,10 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
     if row.spanning:
         evidence["optimal"] = "spanning property implies optimality"
     elif row.optimal:
-        report = optimality_probe(k.params)
+        report = optimality_probe(p)
         if report.direction_count:
             raise InternalConsistencyError(
-                f"nonempty second-order orthocomplement (dimension {len(orthocomplement_basis(k.params))}) "
+                f"nonempty second-order orthocomplement (dimension {len(orthocomplement_basis(p))}) "
                 f"at the optimal face point {p}: probe verdict {report.verdict}, "
                 f"max subtractable {report.max_subtractable!r}"
             )
@@ -588,7 +587,12 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
     if row.co_spanning:
         evidence["co_optimal"] = "co-spanning property implies co-optimality"
     elif face.kind is FaceKind.F_ABC and unit_slice:
-        sub = cooptimality_subtraction(p)
+        # at the slice's own coordinates: a = 1, and the residual of the sum
+        # face moved onto the larger of b and c, so both stay positive
+        b, c = p.b, p.c
+        rest = cp_threshold(p.theta) - 1.0 - b - c
+        b, c = (b + rest, c) if b >= c else (b, c + rest)
+        sub = cooptimality_subtraction(MapParams(1.0, b, c, p.theta))
         evidence["co_optimal"] = {
             "source": "explicit copositive subtraction",
             "weight": sub.p_value,

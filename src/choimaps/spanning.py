@@ -9,10 +9,11 @@ sampled at fixed phase choices.
 Each point gets one record, built once and cached by its parameters: its
 face and that face's property-table row, the face's own coordinates of the
 point, its kernel case, its membership-checked kernel sample at those
-coordinates and the sample's tensors.  The row alone decides spanning and
+coordinates as two arrays of factors, the sample's tensors, and the
+spanning and co-spanning reports.  The row alone decides spanning and
 co-spanning; the sample's rank, and the gap around the rank cut, are
-evidence beside it.  Every function here, and the optimality code, reads
-that record; the spanning and co-spanning reports are cached the same way.
+evidence beside it.  The record is the one per-point cache: every function
+here, and the optimality code, reads it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ GENERIC_TRIPLES = DEFAULT_TRIPLES + tuple(
 
 @dataclass(frozen=True)
 class ProductVector:
-    """A pair (xi, eta) of nonzero complex 3-vectors standing for xi (x) eta."""
+    """A pair (xi, eta) of nonzero complex 3-vectors standing for xi (x) eta:
+    the validated input of ``kernel_membership``."""
 
     xi: Array
     eta: Array
@@ -64,27 +66,17 @@ class ProductVector:
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "eta", eta)
 
-    def tensor(self) -> Array:
-        """The 9-vector with index convention (i, j) -> 3*i + j."""
-        return np.kron(self.xi, self.eta)
-
-    def partial_conjugate(self) -> "ProductVector":
-        """xi (x) conj(eta)."""
-        return ProductVector(self.xi, self.eta.conj())
-
 
 def kernel_membership(p: MapParams, pv: ProductVector) -> bool:
     """True iff Phi(xi xi*) annihilates conj(eta), to the residue RESIDUE_REL |xi|^2 |eta|."""
     if not is_positive(p):
         raise NotPositiveMapError(f"map {p} is not positive")
-    return bool(_in_kernel(p, [pv])[0])
+    return bool(_in_kernel(p, pv.xi[None], pv.eta[None])[0])
 
 
-def _in_kernel(p: MapParams, vectors: list[ProductVector]) -> Array:
-    """The ``kernel_membership`` check of each of the ``vectors``, with one
-    kernel matrix and one batched residue."""
-    xi = np.array([pv.xi for pv in vectors]).reshape(-1, 3)
-    eta = np.array([pv.eta for pv in vectors]).reshape(-1, 3)
+def _in_kernel(p: MapParams, xi: Array, eta: Array) -> Array:
+    """The ``kernel_membership`` check of each row pair of the (n, 3) factors
+    ``xi`` and ``eta``, with one kernel matrix and one batched residue."""
     images = _apply_kernel(_kernel_matrix(choi_matrix(p)), xi[:, :, None] * xi.conj()[:, None, :])
     residue = np.linalg.norm(images @ eta.conj()[:, :, None], axis=(1, 2))
     scale = np.sum(np.abs(xi) ** 2, axis=1) * np.linalg.norm(eta, axis=1)
@@ -92,40 +84,36 @@ def _in_kernel(p: MapParams, vectors: list[ProductVector]) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form kernel families on the boundary cases.
+# Closed-form kernel families on the boundary cases.  Each returns its
+# vectors as (xi, eta) rows of three complex scalars each.
 # ---------------------------------------------------------------------------
 
 
-def _surface_family(p: MapParams, alpha: complex, beta: complex) -> list[ProductVector]:
-    """Kernel vectors on the surface b*c = (1 - a)^2 with 0 < a <= 1."""
+def _surface_family(p: MapParams, alpha: complex, beta: complex) -> list[tuple]:
+    """Kernel vectors on the surface b*c = (1 - a)^2 with 0 < a <= 1 (a
+    factor vanishes where b or c does)."""
     a, b, c = p.abc
     e = cmath.exp(-1j * p.theta)
     root = math.sqrt(max(1.0 - a, 0.0))
     b4, c4, sb = b**0.25, c**0.25, math.sqrt(b)
     al, be = complex(alpha), complex(beta)
-    raw = [
+    return [
         ((b4 * al, c4 * be, 0.0), (al.conjugate() * e * root, be.conjugate() * sb, 0.0)),
         ((c4 * be, 0.0, b4 * al), (be.conjugate() * sb, 0.0, al.conjugate() * e * root)),
         ((0.0, b4 * al, c4 * be), (0.0, al.conjugate() * e * root, be.conjugate() * sb)),
     ]
-    out = []
-    for xi, eta in raw:
-        if np.linalg.norm(xi) > 0 and np.linalg.norm(eta) > 0:
-            out.append(ProductVector(np.array(xi), np.array(eta)))
-    return out
 
 
-def _copositive_family(p: MapParams, alpha: complex, beta: complex) -> list[ProductVector]:
+def _copositive_family(p: MapParams, alpha: complex, beta: complex) -> list[tuple]:
     """Kernel vectors at a = 0, b*c = 1."""
     b = p.b
     e = cmath.exp(1j * p.theta)
     al, be = complex(alpha), complex(beta)
-    raw = [
+    return [
         ((al, be, 0.0), (al.conjugate(), e * be.conjugate() * b, 0.0)),
         ((be, 0.0, al), (e * be.conjugate() * b, 0.0, al.conjugate())),
         ((0.0, al, be), (0.0, al.conjugate(), e * be.conjugate() * b)),
     ]
-    return [ProductVector(np.array(xi), np.array(eta)) for xi, eta in raw]
 
 
 _OMEGA = cmath.exp(2j * math.pi / 3)
@@ -144,29 +132,25 @@ def _phase_twist(theta: float) -> tuple[complex, complex]:
     raise UnsupportedCaseError(f"no phase branch at theta={theta}")
 
 
-def _equal_modulus_vector(theta: float, alpha: complex, beta: complex, gamma: complex) -> ProductVector:
+def _equal_modulus_vector(theta: float, alpha: complex, beta: complex, gamma: complex) -> tuple:
     """Kernel vector (alpha, beta, gamma) (x) twisted conjugate, valid on the
     sum-threshold face."""
     u, v = _phase_twist(theta)
-    xi = np.array([alpha, beta, gamma], dtype=complex)
-    eta = np.array(
-        [np.conj(alpha), np.conj(beta) * u, np.conj(gamma) * v], dtype=complex
-    )
-    return ProductVector(xi, eta)
+    return (alpha, beta, gamma), (np.conj(alpha), np.conj(beta) * u, np.conj(gamma) * v)
 
 
-def _axis_vectors(p: MapParams) -> list[ProductVector]:
+def _axis_vectors(p: MapParams) -> list[tuple]:
     """Coordinate kernel vectors e_i (x) e_j present whenever the diagonal of
     the map on e_i e_i* has a zero entry."""
     a, b, c = p.abc
     diag_rows = ((a, c, b), (b, a, c), (c, b, a))
     basis = np.eye(3, dtype=complex)
-    out = []
-    for i, row in enumerate(diag_rows):
-        for j, val in enumerate(row):
-            if val <= INCLUSION_SLACK:
-                out.append(ProductVector(basis[i], basis[j]))
-    return out
+    return [
+        (basis[i], basis[j])
+        for i, row in enumerate(diag_rows)
+        for j, val in enumerate(row)
+        if val <= INCLUSION_SLACK
+    ]
 
 
 #: Closed-form kernel case of each face: (i) the surface off the sum face,
@@ -202,80 +186,35 @@ _ON_FACE = {
 }
 
 
-@dataclass(frozen=True)
-class _KernelPoint:
-    """What the kernel code knows about one positive map: its face, the
-    face's property-table row (all false at INTERIOR), the point at the
-    face's own coordinates (``_ON_FACE``), its kernel case, its
-    membership-checked generic kernel sample there, and the sample's (n, 9)
-    tensors xi (x) eta and partial conjugates xi (x) conj(eta)."""
-
-    face: FaceLabel
-    row: PropertyRow
-    params: MapParams
-    case: str | None
-    sample: tuple[ProductVector, ...]
-    tensors: Array
-    conjugate_tensors: Array
-
-
-@functools.lru_cache(maxsize=32)
-def _kernel_point(p: MapParams) -> _KernelPoint:
-    """The record of ``p``, built once per point.  Raises
-    UnsupportedThetaError at an endpoint angle and NotPositiveMapError when
-    the map is not positive."""
-    pth = require_generic_theta(p.theta)
-    if not is_positive(p):
-        raise NotPositiveMapError(f"map {p} is not positive")
-    face = classify_face(p)
-    on_face = _ON_FACE.get(face.kind)
-    params = p if on_face is None else MapParams(*on_face(*p.abc, pth), p.theta)
-    case = _KERNEL_CASE.get(face.kind)
-    sample = _case_vectors(params, case)
-    tensors, conjugate_tensors = _tensors(sample), _tensors(sample, conjugate=True)
-    for x in [tensors, conjugate_tensors] + [f for pv in sample for f in (pv.xi, pv.eta)]:
-        x.flags.writeable = False  # shared by every caller of the cache
-    return _KernelPoint(face, row_of(face), params, case, tuple(sample), tensors, conjugate_tensors)
-
-
-def _tensors(vectors: list[ProductVector], conjugate: bool = False) -> Array:
-    """The (n, 9) tensors xi (x) eta of the ``vectors``, or xi (x) conj(eta)."""
-    xi = np.array([pv.xi for pv in vectors]).reshape(-1, 3)
-    eta = np.array([pv.eta for pv in vectors]).reshape(-1, 3)
-    return (xi[:, :, None] * (eta.conj() if conjugate else eta)[:, None, :]).reshape(-1, 9)
-
-
-def _case_vectors(p: MapParams, case: str | None) -> list[ProductVector]:
-    """Membership-checked kernel vectors of the case at the generic phases
-    ``GENERIC_PAIRS`` and ``GENERIC_TRIPLES``, plus the coordinate vectors
-    (only those off the cases)."""
-    vectors: list[ProductVector] = []
+def _case_vectors(p: MapParams, case: str | None) -> tuple[Array, Array]:
+    """The (n, 3) factors xi and eta of the case's kernel vectors at the
+    generic phases ``GENERIC_PAIRS`` and ``GENERIC_TRIPLES``, plus the
+    coordinate vectors (only those off the cases), stacked in that order,
+    without the rows whose xi or eta vanishes, and membership-checked in one
+    batch.  Rich enough for span computations; for strictly interior maps
+    possibly empty."""
+    rows: list[tuple] = []
     if case in ("i", "ii"):
         for al, be in GENERIC_PAIRS:
-            vectors.extend(_surface_family(p, al, be))
+            rows.extend(_surface_family(p, al, be))
     if case == "iii":
         for al, be in GENERIC_PAIRS:
-            vectors.extend(_copositive_family(p, al, be))
+            rows.extend(_copositive_family(p, al, be))
     if case in ("ii", "iv"):
-        for al, be, ga in GENERIC_TRIPLES:
-            vectors.append(_equal_modulus_vector(p.theta, al, be, ga))
-    vectors.extend(_axis_vectors(p))
+        rows.extend(_equal_modulus_vector(p.theta, *phases) for phases in GENERIC_TRIPLES)
+    rows.extend(_axis_vectors(p))
+    pairs = np.array(rows, dtype=complex).reshape(-1, 2, 3)
+    pairs = pairs[np.all(np.linalg.norm(pairs, axis=2) > 0, axis=1)]
+    xi, eta = pairs[:, 0], pairs[:, 1]
 
-    source = "axis" if case is None else f"case {case} family"
-    for pv, member in zip(vectors, _in_kernel(p, vectors)):
-        if not member:
-            raise InternalConsistencyError(
-                f"{source} vector xi={pv.xi}, eta={pv.eta} failed kernel membership for {p}"
-            )
-    return vectors
-
-
-def sampled_kernel_vectors(p: MapParams) -> list[ProductVector]:
-    """Kernel sample rich enough for span computations, for any positive
-    map, at its face's own coordinates: the closed-form family at generic
-    phases when the parameters lie on a boundary case, otherwise just the
-    coordinate vectors (possibly none, for strictly interior maps)."""
-    return list(_kernel_point(p).sample)
+    member = _in_kernel(p, xi, eta)
+    if not member.all():
+        source = "axis" if case is None else f"case {case} family"
+        i = int(np.argmin(member))  # the first vector that failed
+        raise InternalConsistencyError(
+            f"{source} vector xi={xi[i]}, eta={eta[i]} failed kernel membership for {p}"
+        )
+    return xi, eta
 
 
 # ---------------------------------------------------------------------------
@@ -301,42 +240,84 @@ class SpanningReport:
         return self.has_property
 
 
-def _report(verdict: bool, k: _KernelPoint, conjugate: bool) -> SpanningReport:
-    """The report, from one SVD of the (partially conjugated) sample."""
-    if not k.sample:
-        return SpanningReport(verdict, k.case, None, None, None)
-    s = np.linalg.svd(k.conjugate_tensors if conjugate else k.tensors, compute_uv=False)
+def _report(verdict: bool, case: str | None, tensors: Array) -> SpanningReport:
+    """The report, from one SVD of the (n, 9) ``tensors`` of the sample
+    (partially conjugated for co-spanning)."""
+    if not len(tensors):
+        return SpanningReport(verdict, case, None, None, None)
+    s = np.linalg.svd(tensors, compute_uv=False)
     s = np.concatenate([s / s[0], np.zeros(9 - len(s))])
     rank = int(np.count_nonzero(s > RANK_REL))
     dropped = float(s[rank]) if rank < 9 else None
-    return SpanningReport(verdict, k.case, rank, float(s[rank - 1]), dropped)
+    return SpanningReport(verdict, case, rank, float(s[rank - 1]), dropped)
+
+
+@dataclass(frozen=True)
+class _KernelPoint:
+    """What the kernel code knows about one positive map, the one cache per
+    point: its face, the face's property-table row (all false at INTERIOR),
+    the point at the face's own coordinates (``_ON_FACE``), its kernel case,
+    its membership-checked generic kernel sample there as the read-only
+    (n, 3) factors ``xi`` and ``eta`` (``_case_vectors``), the sample's
+    read-only (n, 9) tensors xi (x) eta, and its spanning and co-spanning
+    reports, the latter from the partial conjugates xi (x) conj(eta)."""
+
+    face: FaceLabel
+    row: PropertyRow
+    params: MapParams
+    case: str | None
+    xi: Array
+    eta: Array
+    tensors: Array
+    spanning: SpanningReport
+    co_spanning: SpanningReport
 
 
 @functools.lru_cache(maxsize=32)
+def _kernel_point(p: MapParams) -> _KernelPoint:
+    """The record of ``p``, built once per point.  Raises
+    UnsupportedThetaError at an endpoint angle and NotPositiveMapError when
+    the map is not positive."""
+    pth = require_generic_theta(p.theta)
+    if not is_positive(p):
+        raise NotPositiveMapError(f"map {p} is not positive")
+    face = classify_face(p)
+    row = row_of(face)
+    on_face = _ON_FACE.get(face.kind)
+    params = p if on_face is None else MapParams(*on_face(*p.abc, pth), p.theta)
+    case = _KERNEL_CASE.get(face.kind)
+    xi, eta = _case_vectors(params, case)
+    tensors = (xi[:, :, None] * eta[:, None, :]).reshape(-1, 9)
+    conjugates = (xi[:, :, None] * eta.conj()[:, None, :]).reshape(-1, 9)
+    for x in (xi, eta, tensors):
+        x.flags.writeable = False  # shared by every caller of the cache
+    return _KernelPoint(
+        face, row, params, case, xi, eta, tensors,
+        _report(row.spanning, case, tensors), _report(row.co_spanning, case, conjugates),
+    )
+
+
 def has_spanning_property(p: MapParams) -> SpanningReport:
     """Spanning verdict (kernel spans the 9-dimensional tensor space).
 
     The verdict is the face row's spanning flag: true on E_T, V_0T and
     V_PARAM_T (the surface b*c = (1 - a)^2, 0 <= a < 1), false elsewhere.
     Evidence: the rank of the sampled kernel and the gap around the rank
-    cut.  Built once per point, like its record.  Raises
-    NotPositiveMapError when the map is not positive: spanning is defined
-    only for positive maps.
+    cut.  The report is the point's record's.  Raises NotPositiveMapError
+    when the map is not positive: spanning is defined only for positive
+    maps.
     """
-    k = _kernel_point(p)
-    return _report(k.row.spanning, k, False)
+    return _kernel_point(p).spanning
 
 
-@functools.lru_cache(maxsize=32)
 def has_cospanning_property(p: MapParams) -> SpanningReport:
     """Co-spanning verdict (partial conjugates of the kernel span).
 
     The verdict is the face row's co-spanning flag: true on the
     sum-threshold pieces V_PARAM_T, V_1B0, V_10C, E_AB, E_AC and V_P00,
     false elsewhere.  Evidence: the rank of the partially conjugated sample
-    and the gap around the rank cut.  Built once per point, like its
-    record.  Raises NotPositiveMapError when the map is not positive:
-    co-spanning is defined only for positive maps.
+    and the gap around the rank cut.  The report is the point's record's.
+    Raises NotPositiveMapError when the map is not positive: co-spanning is
+    defined only for positive maps.
     """
-    k = _kernel_point(p)
-    return _report(k.row.co_spanning, k, True)
+    return _kernel_point(p).co_spanning

@@ -12,7 +12,8 @@ Newton step from the joint model in both factors, the closed-form
 spanning and co-spanning conditions (the package reads both flags off the
 face's property-table row), the paper's closed-form |det| of the nine
 canonical kernel columns and of their partial conjugates (the package's
-evidence is the sample's rank and the gap around its cut), the
+evidence is the sample's rank and the gap around its cut), the tensors
+of a kernel sample by one kron per vector (the package broadcasts), the
 closed-form optimality certificate of the two vertices with first
 coordinate 1 from the probe families of the paper's proof, and the kernel
 vectors and the equal-subtraction restriction of the {6,8} edge states,
@@ -31,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from choimaps import InternalConsistencyError, MapParams, OutOfRangeError, UnsupportedCaseError, UnsupportedThetaError
-from choimaps import choi_matrix, edge_state, pairing_value, partial_transpose
+from choimaps import ProductVector, choi_matrix, edge_state, pairing_value, partial_transpose
 from choimaps.faces import require_generic_theta
 from choimaps.linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK, RESIDUE_ABS
 from choimaps.linalg import require_hermitian
@@ -42,7 +43,7 @@ from choimaps.positivity import _COVARIANT, BlockPositivityReport, _apply_kernel
 from choimaps.positivity import _kernel_matrix, _pairing_model, _smallest_eigenvalues, _sphere_grid
 from choimaps.positivity import on_sum_at, on_surface_at
 from choimaps.spanning import DEFAULT_PAIRS, DEFAULT_TRIPLES, _copositive_family, _equal_modulus_vector
-from choimaps.spanning import _kernel_point, _surface_family, _tensors
+from choimaps.spanning import _kernel_point, _surface_family
 
 
 def apply_map(p: MapParams, x) -> np.ndarray:
@@ -133,10 +134,28 @@ def cospans_closed_form(p: MapParams) -> bool:
     return bool(on_sum_at(*p.abc, pth) and (surface_piece or coordinate_piece))
 
 
-def _nine_columns(vectors, conjugate: bool = False) -> np.ndarray | None:
-    """The 9x9 matrix whose columns are the tensors of nine product vectors
-    (or their partial conjugates); None unless exactly nine are given."""
-    return _tensors(vectors, conjugate).T if len(vectors) == 9 else None
+def product_tensors(xi, eta, conjugate: bool = False) -> np.ndarray:
+    """The (n, 9) tensors xi (x) eta of the row pairs of the (n, 3) factors
+    ``xi`` and ``eta`` (xi (x) conj(eta) when ``conjugate``), one
+    ``np.kron`` per row: the package builds them by broadcasting."""
+    pairs = zip(np.asarray(xi, dtype=complex), np.asarray(eta, dtype=complex))
+    return np.array([np.kron(x, e.conj() if conjugate else e) for x, e in pairs]).reshape(-1, 9)
+
+
+def kernel_vectors(p: MapParams) -> list[ProductVector]:
+    """The row pairs of the point's kernel record, each as a validated
+    ``ProductVector``."""
+    k = _kernel_point(p)
+    return [ProductVector(x, e) for x, e in zip(k.xi, k.eta)]
+
+
+def _nine_columns(rows, conjugate: bool = False) -> np.ndarray | None:
+    """The 9x9 matrix whose columns are the tensors of nine kernel-family
+    (xi, eta) rows (or their partial conjugates); None unless exactly nine
+    rows have no vanishing factor."""
+    pairs = np.array(rows, dtype=complex).reshape(-1, 2, 3)
+    pairs = pairs[np.all(np.linalg.norm(pairs, axis=2) > 0, axis=1)]
+    return product_tensors(pairs[:, 0], pairs[:, 1], conjugate).T if len(pairs) == 9 else None
 
 
 def spanning_columns(p: MapParams) -> np.ndarray | None:
@@ -148,7 +167,7 @@ def spanning_columns(p: MapParams) -> np.ndarray | None:
     if case not in ("i", "ii", "iii"):
         return None
     family = _copositive_family if case == "iii" else _surface_family
-    return _nine_columns([pv for al, be in DEFAULT_PAIRS for pv in family(p, al, be)])
+    return _nine_columns([row for al, be in DEFAULT_PAIRS for row in family(p, al, be)])
 
 
 def spanning_det_closed_form(p: MapParams) -> float | None:
@@ -174,14 +193,12 @@ def cospanning_columns(p: MapParams) -> np.ndarray | None:
     NotPositiveMapError on a map that is not positive."""
     if _kernel_point(p).case != "ii":
         return None
-    vectors = []
+    rows = []
     for al, be in ((1.0, 1.0), (1.0, -1.0)):
-        vectors.extend(_surface_family(p, al, be))
-    if len(vectors) != 6:
-        return None
+        rows.extend(_surface_family(p, al, be))
     for al, be, ga in DEFAULT_TRIPLES:
-        vectors.append(_equal_modulus_vector(p.theta, al, be, ga))
-    return _nine_columns(vectors, conjugate=True)
+        rows.append(_equal_modulus_vector(p.theta, al, be, ga))
+    return _nine_columns(rows, conjugate=True)
 
 
 def cospanning_det_closed_form(p: MapParams) -> float | None:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import choimaps
-from choimaps import FaceKind, MapParams, boundary_parametrization, build_witness, cp_threshold
+from choimaps import FaceKind, MapParams, boundary_parametrization, build_witness, classify_face, cp_threshold
 from choimaps import is_positive
 from choimaps.cli import _EXIT_CODES, main, parse_angle
 from choimaps.faces import row_of
@@ -136,35 +136,35 @@ class TestClassify:
         import choimaps.spanning as spanning
 
         p = MapParams(0.5, 1, 0.25, parse_angle("pi/6"))
-        expected = len(spanning.sampled_kernel_vectors(p))
+        expected = len(spanning._kernel_point(p).xi)
         spanning._kernel_point.cache_clear()
         calls = []
         original = spanning._in_kernel
 
-        def counted(p, vectors):
-            calls.append(len(vectors))
-            return original(p, vectors)
+        def counted(p, xi, eta):
+            calls.append(len(xi))
+            return original(p, xi, eta)
 
         monkeypatch.setattr(spanning, "_in_kernel", counted)
         assert main(["classify", "0.5", "1", "0.25", "pi/6", "--json"]) == 0
         assert calls == [expected] and expected == 18  # one batched check
 
     def test_each_spanning_report_built_once(self, capsys, monkeypatch):
-        # each report is built once and printed once, under evidence, and the
-        # sample's tensors are built once by broadcasting, not by kron
+        # each report is built once, with the point's one record, and printed
+        # once, under evidence; the sample's tensors are built once by
+        # broadcasting, not by kron
         import choimaps.spanning as spanning
 
         spanning._kernel_point.cache_clear()
-        spanning.has_spanning_property.cache_clear()
-        spanning.has_cospanning_property.cache_clear()
         reports, krons = [], []
         report, kron = spanning._report, np.kron
-        monkeypatch.setattr(spanning, "_report", lambda *args: reports.append(args[2]) or report(*args))
+        monkeypatch.setattr(spanning, "_report", lambda *args: reports.append(args[0]) or report(*args))
         monkeypatch.setattr(np, "kron", lambda *args: krons.append(1) or kron(*args))
         assert main(["classify", "1", "0", "0.7320508075688772", "pi/6", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["flags"]["face"] == "v_10c" and doc["schema_version"] == "2"
         assert reports == [False, True] and krons == []
+        assert spanning._kernel_point.cache_info().misses == 1
         assert set(doc["evidence"]["optimality"]) == {"face", "optimal", "co_optimal"}
         for key, rank in (("spanning", 7), ("co_spanning", 9)):
             assert list(doc["evidence"][key]) == ["has_property", "case", "rank", "smallest_kept", "largest_dropped"]
@@ -276,6 +276,84 @@ class TestFaceBands:
         theta = math.pi / 6
         assert main(["classify", "1", "5e-10", repr(cp_threshold(theta) - 1.0), "pi/6"]) == 0
         assert main(["classify", "1.0000000005", "0", "0.7497633207351782", "-2.6"]) == 0
+
+
+#: A step just inside FACE_TOL (1e-9) and outside RESIDUE_ABS (1e-10).
+_BAND_STEP = 6e-10
+
+
+def _face_stratum_point(stratum: str, theta: float) -> tuple[float, float, float]:
+    """(a, b, c) of one point of each face stratum at ``theta``."""
+    pth = cp_threshold(theta)
+    a = 1.0 + 0.4 * (pth - 1.0)
+    b_share = 0.3 if theta > 0 else 0.8  # on the a = 1 slice b is the smaller, or the larger
+    return {
+        "f_abc": (a, 0.3 * (pth - a), 0.7 * (pth - a)),
+        "f_abc_a1": (1.0, b_share * (pth - 1.0), (1.0 - b_share) * (pth - 1.0)),
+        "f_ab": (1.5, 1.2, 0.0),
+        "f_bc": (0.0, 1.3, 1.5 / 1.3),
+        "e_a": (pth + 0.5, 0.0, 0.0),
+        "e_b": (1.0, pth - 0.5, 0.0),
+        "e_ab": (a, pth - a, 0.0),
+        "e_t": (0.3, 0.7 * 2.0, 0.7 / 2.0),
+        "v_p00": (pth, 0.0, 0.0),
+        "v_10c": (1.0, 0.0, pth - 1.0),
+        "v_1b0": (1.0, pth - 1.0, 0.0),
+        "v_param_t": boundary_parametrization(theta, 1.7),
+        "v_0t": (0.0, 1.7, 1.0 / 1.7),
+    }[stratum]
+
+
+#: The angles of each face stratum's points: one in the middle theta branch
+#: and one outer, of opposite signs, except for the strata of one branch.
+_BAND_THETAS = {
+    **dict.fromkeys(("f_abc_a1", "v_10c", "v_1b0"), (math.pi / 6, -0.7)),
+    **dict.fromkeys(("v_10c_outer", "v_1b0_outer"), (2.5, -2.6)),
+    **dict.fromkeys(
+        ("f_abc", "f_ab", "f_bc", "e_a", "e_b", "e_ab", "e_t", "v_p00", "v_param_t", "v_0t"), (math.pi / 6, -2.6)
+    ),
+}
+
+
+@pytest.mark.parametrize("stratum", _BAND_THETAS)
+def test_face_band_perturbations_exit_0(stratum, capsys):
+    # every coordinate of a face point moved by 0 or +-_BAND_STEP: classify
+    # (and spanning, where the moved map is positive) exit 0 without a
+    # traceback; on the a = 1 slice of F_ABC classify exited 5, or raised
+    # UnsupportedCaseError out of main, while the copositive subtraction ran
+    # at the raw coordinates
+    for theta in _BAND_THETAS[stratum]:
+        face = stratum.removesuffix("_outer").removesuffix("_a1")
+        base = _face_stratum_point(stratum.removesuffix("_outer"), theta)
+        assert classify_face(MapParams(*base, theta)).kind is FaceKind(face)
+        for steps in itertools.product((0.0, _BAND_STEP, -_BAND_STEP), repeat=3):
+            point = [x + step for x, step in zip(base, steps)]
+            if min(point) < 0.0:
+                continue
+            positive = is_positive(MapParams(*point, theta))
+            for kind in ("classify", "spanning") if positive else ("classify",):
+                code = main([kind, *map(repr, point), repr(theta)])
+                assert code == 0, (kind, point, theta, capsys.readouterr().err)
+            capsys.readouterr()
+
+
+#: Band points of the surface b*c = (1 - a)^2 where the case i or ii kernel
+#: family, built at the raw coordinates, fails its membership self-check:
+#: drawn from the E_T, V_PARAM_T and V_0T strata and moved by _BAND_STEP;
+#: each labels itself E_T or V_PARAM_T.
+_SURFACE_BAND_EXIT_5 = [
+    (0.43276100706969317, 0.23670678388951374, 1.3593192026514844, -2.9101780830788346),
+    (6e-10, 0.20892591624958412, 4.786385627486587, 0.35783876081535837),
+    (0.7814158006876489, 0.04566790446250858, 1.0462282678436197, 0.35783876081535837),
+    (0.8923352363866587, 0.02755596144159452, 0.4206603887758828, -0.8362159691438379),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="surface-band kernel families are built off the surface")
+@pytest.mark.parametrize("point", _SURFACE_BAND_EXIT_5, ids=["e_t", "e_t_from_v_0t", "v_param_t", "v_param_t_2"])
+def test_surface_band_points_exit_0(point, capsys):
+    for kind in ("classify", "spanning"):
+        assert main([kind, *map(repr, point)]) == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

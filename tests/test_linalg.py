@@ -160,6 +160,22 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_the_package_caches_are_the_record_and_the_two_tables():
+    # one cache per point (its kernel record, which carries both spanning
+    # reports) and one per fixed table (the sphere grid and the certificate's
+    # subdivision tables); any other cache would hold a second copy of what
+    # one of them holds
+    src = Path(choimaps.__file__).parent
+    cached = sorted(
+        f"{path.stem}.{node.name}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if any("cache" in ast.unparse(decorator) for decorator in node.decorator_list)
+    )
+    assert cached == ["positivity._grid", "positivity._subdivision", "spanning._kernel_point"]
+
+
 #: What a verdict reaches from outside the package: the command line (it
 #: reaches ``optimality_probe``, which the benchmark also calls, through
 #: ``classify_optimality``), the parametrization the benchmark checks its

@@ -40,10 +40,10 @@ from choimaps.optimality import (
     _ratio_on_grid,
 )
 from choimaps.positivity import _COVARIANT, BlockPositivityReport, _grid, _polar, _sphere_grid
-from choimaps.spanning import ProductVector, _kernel_point, sampled_kernel_vectors
+from choimaps.spanning import _kernel_point
 import lemmas
 from lemmas import apply_map, dinkelbach_reference, full_grid_minimum, full_grid_ratios, kernel_limit_ratio
-from lemmas import moduli_oracle, vertex_optimality_analytic
+from lemmas import moduli_oracle, product_tensors, vertex_optimality_analytic
 
 
 PTH = cp_threshold(np.pi / 6)
@@ -92,15 +92,14 @@ class TestOrthocomplement:
         # the same rank and the same first-order orthocomplement; only the
         # vertex's second-order rows reduce it further
         p = MapParams(*abc, np.pi / 6)
-        rows = np.array([pv.tensor() for pv in sampled_kernel_vectors(p)])
+        k = _kernel_point(p)
+        rows = product_tensors(k.xi, k.eta)
         s = np.linalg.svd(rows, compute_uv=False)
         assert not np.any((s > 1e-12 * s[0]) & (s < 1e-4 * s[0])), s / s[0]
-        # the point's record holds the same tensors, and their partial
-        # conjugates, read-only because every caller of the cache shares them
-        k = _kernel_point(p)
-        conjugates = np.array([pv.partial_conjugate().tensor() for pv in sampled_kernel_vectors(p)])
-        assert np.array_equal(rows, k.tensors) and np.array_equal(conjugates, k.conjugate_tensors)
-        assert not (k.tensors.flags.writeable or k.conjugate_tensors.flags.writeable)
+        # the point's record holds the same tensors, read-only, with its
+        # factors, because every caller of the cache shares them
+        assert np.array_equal(rows, k.tensors)
+        assert not any(x.flags.writeable for x in (k.xi, k.eta, k.tensors))
         vertex = abc[0] == 1.0
         assert len(orthocomplement_basis(p)) == (0 if vertex else 9 - numeric_rank(rows))
 
@@ -333,11 +332,12 @@ def test_batched_kernel_hessian_matches_loop():
     for abc in ((1, pth - 1, 0), (1.2, (pth - 1.2) / 2, (pth - 1.2) / 2), (1.5, 0.5, 0)):
         p = MapParams(*abc, th)
         w = choi_matrix(p)
-        vectors = sampled_kernel_vectors(p)[::4]
-        mu, e, jac = _kernel_models(w, vectors)
+        record = _kernel_point(p)
+        xi, eta = record.xi[::4], record.eta[::4]
+        mu, e, jac = _kernel_models(w, xi, eta)
         rows = _penalty_rows(jac, directions)
-        for k, pv in enumerate(vectors):
-            h, tangents = _loop_hessian(w, pv.xi, pv.eta)
+        for k in range(len(xi)):
+            h, tangents = _loop_hessian(w, xi[k], eta[k])
             assert np.abs((e[k] * mu[k]) @ e[k].T - h).max() <= 1e-12 * max(1.0, np.abs(h).max())
             assert np.abs(jac[k] - tangents.T).max() <= 1e-12
             amp = directions @ tangents.T
@@ -347,11 +347,12 @@ def test_batched_kernel_hessian_matches_loop():
 def test_non_stationary_point_is_an_internal_error():
     p = MapParams(1.5, 0.5, 0, np.pi / 6)
     w = choi_matrix(p)
-    xi = eta = np.array([1.0, 0.5, 0.25], dtype=complex)
+    k = _kernel_point(p)
+    other = np.array([1.0, 0.5, 0.25], dtype=complex)
     # every vector is checked, not only the first
-    vectors = [sampled_kernel_vectors(p)[0], ProductVector(xi, eta)]
+    xi, eta = np.array([k.xi[0], other]), np.array([k.eta[0], other])
     with pytest.raises(InternalConsistencyError, match="not stationary"):
-        _kernel_models(w, vectors)
+        _kernel_models(w, xi, eta)
 
 
 _F_AB = MapParams(1.5, 0.5, 0, np.pi / 6)
@@ -456,7 +457,8 @@ def _probe_parts(p, ndir):
     basis = np.array(orthocomplement_basis(p))
     directions = _directions(len(basis), ndir) @ basis
     ratios = _ratio_on_grid(w, directions.reshape(-1, 3, 3), _grid()[0], 64)
-    mu, e, jac = _kernel_models(w, sampled_kernel_vectors(p))
+    record = _kernel_point(p)
+    mu, e, jac = _kernel_models(w, record.xi, record.eta)
     limits = _kernel_limit_ratio(mu, e, _penalty_rows(jac, directions))
     return w, directions, ratios, limits
 
@@ -496,7 +498,8 @@ def test_stacked_kernel_limits_match_the_loop(p, ndir):
     w = choi_matrix(p)
     basis = np.array(orthocomplement_basis(p))
     directions = _directions(len(basis), ndir) @ basis
-    mu, e, jac = _kernel_models(w, sampled_kernel_vectors(p))
+    record = _kernel_point(p)
+    mu, e, jac = _kernel_models(w, record.xi, record.eta)
     rows = _penalty_rows(jac, directions)
     loop = np.array([[kernel_limit_ratio(m, v, r) for r in rows_k] for m, v, rows_k in zip(mu, e, rows)])
 

@@ -24,9 +24,9 @@ from choimaps.spanning import (
     GENERIC_TRIPLES,
     _equal_modulus_vector,
     _kernel_point,
-    sampled_kernel_vectors,
 )
-from lemmas import cospanning_columns, cospanning_det_closed_form, cospans_closed_form, pairing
+from lemmas import cospanning_columns, cospanning_det_closed_form, cospans_closed_form, kernel_vectors, pairing
+from lemmas import product_tensors
 from lemmas import spanning_columns, spanning_det_closed_form, spans_closed_form
 
 
@@ -51,7 +51,7 @@ def generic_theta(rng):
 class TestKernelMembership:
     def test_surface_family_member(self):
         p = MapParams(0.5, 1, 0.25, np.pi / 6)
-        pv = sampled_kernel_vectors(p)[0]
+        pv = kernel_vectors(p)[0]
         assert kernel_membership(p, pv)
 
     def test_basis_tensor_not_in_kernel(self):
@@ -75,7 +75,7 @@ class TestKernelFamily:
     def test_surface_case_nine_members(self):
         # three members per phase pair: nine at the three default pairs
         p = MapParams(0.5, 1, 0.25, np.pi / 6)
-        vectors = sampled_kernel_vectors(p)
+        vectors = kernel_vectors(p)
         assert len(vectors) == 3 * len(GENERIC_PAIRS)
         for pv in vectors:
             assert kernel_membership(p, pv)
@@ -83,7 +83,7 @@ class TestKernelFamily:
     def test_copositive_case_members(self):
         # three vectors per phase pair plus the three diagonal axis vectors
         p = MapParams(0, 2, 0.5, np.pi / 6)
-        vectors = sampled_kernel_vectors(p)
+        vectors = kernel_vectors(p)
         assert len(vectors) == 3 * len(GENERIC_PAIRS) + 3
         for pv in vectors:
             assert kernel_membership(p, pv)
@@ -92,24 +92,23 @@ class TestKernelFamily:
         th = np.pi / 6
         pth = cp_threshold(th)
         p = MapParams(1.2, (pth - 1.2) / 2, (pth - 1.2) / 2, th)
-        vectors = sampled_kernel_vectors(p)
-        assert len(vectors) == len(GENERIC_TRIPLES)
-        for pv in vectors:
-            assert np.allclose(np.abs(pv.xi), np.abs(pv.xi)[0])
+        xi = _kernel_point(p).xi
+        assert len(xi) == len(GENERIC_TRIPLES)
+        assert np.allclose(np.abs(xi), np.abs(xi[:, :1]))
 
     def test_generic_interior_unsupported(self):
         # a strictly interior map is in no kernel case and has no kernel vector
         p = MapParams(2, 2, 2, np.pi / 6)
         assert has_spanning_property(p).case is None
-        assert sampled_kernel_vectors(p) == []
+        assert _kernel_point(p).xi.shape == _kernel_point(p).eta.shape == (0, 3)
 
     def test_zero_pairing_invariant(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             th = generic_theta(rng)
             p = surface_point(rng, th)
-            for pv in sampled_kernel_vectors(p):
-                z = pv.tensor()
+            k = _kernel_point(p)
+            for z in product_tensors(k.xi, k.eta):
                 value = pairing(np.outer(z, z.conj()), p)
                 scale = float(np.vdot(z, z).real)
                 assert abs(value) <= 1e-9 * max(1.0, scale)
@@ -122,7 +121,7 @@ class TestKernelFamily:
             a, b, c = boundary_parametrization(th, 1.3)
             p = MapParams(a, b, c, th)
             for al, be, ga in DEFAULT_TRIPLES:
-                pv = _equal_modulus_vector(th, al, be, ga)
+                pv = ProductVector(*_equal_modulus_vector(th, al, be, ga))
                 assert kernel_membership(p, pv)
 
 
@@ -241,21 +240,22 @@ class TestCaseDetection:
 class TestSampledKernel:
     def test_axis_fallback_off_the_cases(self):
         p = MapParams(1.5, 0.5, 0, np.pi / 6)
-        vectors = sampled_kernel_vectors(p)
+        vectors = kernel_vectors(p)
         assert len(vectors) == 3
         for pv in vectors:
             assert kernel_membership(p, pv)
 
     def test_empty_for_strict_interior(self):
-        assert sampled_kernel_vectors(MapParams(2, 2, 2, np.pi / 6)) == []
+        assert kernel_vectors(MapParams(2, 2, 2, np.pi / 6)) == []
 
 
 def test_product_vector_validation():
     with pytest.raises(ValueError):
         ProductVector(np.zeros(3), np.ones(3))
-    pv = ProductVector(np.array([1, 0, 0]), np.array([0, 1j, 0]))
-    assert pv.tensor()[1] == 1j
-    assert pv.partial_conjugate().eta[1] == -1j
+    with pytest.raises(ValueError):
+        ProductVector(np.ones(2), np.ones(3))
+    pv = ProductVector([1, 0, 0], np.array([0, 1j, 0]))
+    assert pv.xi.dtype == pv.eta.dtype == complex and pv.eta[1] == 1j
 
 
 # ---------------------------------------------------------------------------
@@ -408,3 +408,19 @@ def test_face_table_spanning_closed_forms_and_kernel_rank_agree(piece, data):
                 assert report.smallest_kept >= 1e-3, (q, report)
                 assert (report.largest_dropped is None) is (report.rank == 9)
                 assert report.rank == 9 or report.largest_dropped <= 1e-12, (q, report)
+
+
+@pytest.mark.parametrize("piece", BOUNDARY_PIECES)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_every_record_row_passes_the_public_membership_check(piece, data):
+    # each row pair of the point's record, wrapped as the validated public
+    # ProductVector, passes the one-vector kernel check
+    sampler, _ = BOUNDARY_PIECES[piece]
+    th = data.draw(_thetas, label="theta")
+    abc = sampler(data.draw, th)
+    assume(abc is not None)
+    p = MapParams(*abc, th)
+    vectors = kernel_vectors(p)
+    assert len(vectors) == len(_kernel_point(p).tensors)
+    assert all(kernel_membership(p, pv) for pv in vectors)
