@@ -14,20 +14,21 @@ infimum over product vectors of the ratio (pairing with the map) /
 (pairing with the direction), which stays meaningful even where boundary
 violations are cubically suppressed and the plain bisection-on-the-oracle
 test loses resolution.  ``optimality_probe`` bounds it from above by each
-direction's exact kernel limit and its ratios on the oracle's grid (one
-eigensolve per moduli pattern, by the covariance of the ``positivity``
-module docstring), refines by Dinkelbach rounds on the oracle's descent
-only the directions that can still hold the largest weight (its docstring
-states the rule), and checks the best weight r along v on both sides with
-one search: the oracle finds W - (r/2) v v* nonnegative, and one 3x3
-eigensolve at the rounds' best xi pairs W - 2r v v* negatively with an
-explicit product vector (``OptimalityProbeReport.verification``).
+direction's exact kernel limit and its ratios on the oracle's grid (by the
+covariance paragraph of the ``positivity`` module docstring), refines by
+Dinkelbach rounds on the oracle's descent only the directions that can
+still hold the largest weight (its docstring states the rule), and checks
+the best weight r along v on both sides with one search: the oracle finds
+W - (r/2) v v* nonnegative, and one 3x3 eigensolve at the rounds' best xi
+pairs W - 2r v v* negatively with an explicit product vector
+(``OptimalityProbeReport.verification``).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,14 +50,12 @@ from .linalg import RANK_REL, RESIDUE_ABS, STATIONARY_REL, Array
 from .maps import MapParams, choi_matrix, cp_threshold
 from .positivity import (
     _COVARIANT,
-    _GRID_N,
     _apply_kernel,
     _descend,
     _distinct_starts,
     _grid,
     _kernel_matrix,
     _pairing_model,
-    _polar,
     block_positivity_oracle,
     is_positive,
 )
@@ -68,6 +67,7 @@ _TINY = 1e-300  # a top eigenvalue at or below it leaves the kernel limit infini
 _P_MAX = 10.0  # cap on each direction's subtractable weight in ``optimality_probe``
 _ROUNDS = 250  # cap on each direction's Dinkelbach rounds
 _BLOCK = 64  # directions per block of the probe: its temporaries do not grow past one block
+_MAX_DIRECTIONS = 64 * _BLOCK  # cap on the probe's directions, all drawn at once before the blocks
 # cp_threshold - 1 below which ``orthocomplement_basis`` is not resolved: at
 # the vertices the rows that empty it are about 0.26 (cp_threshold - 1) of
 # the largest, and on other faces rounding leaves rows of about
@@ -196,13 +196,11 @@ def _directions(dim: int, n: int) -> Array:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def _ratio_on_grid(
-    w: Array, matrices: Array, xi: Array, run: int, polar: tuple[Array, Array] | None = None
-) -> Array:
+def _ratio_on_grid(w: Array, matrices: Array, xi: Array | None = None) -> Array:
     """(ndir, n) largest subtractable weights 1/(b* A^+ b), A = Phi(xi xi*),
-    b = m^T xi, for the (ndir, 3, 3) direction ``matrices``: at the (n, 3)
-    unit vectors ``xi`` that every direction shares, or at (ndir, n, 3)
-    ``xi``, each direction at its own n vectors; the largest p with
+    b = m^T xi, for the (ndir, 3, 3) direction ``matrices``: at the n cells
+    of ``_grid`` that every direction shares (``xi`` None), or at (ndir, n,
+    3) ``xi``, each direction at its own n vectors; the largest p with
     A - p b b* PSD.  Eigenvalues of A below the eigenvalue floor
     EIG_FLOOR max(1, lambda_max) are raised to it, which only raises ratios:
     near a kernel vector the ratio of two vanishing terms is rounding noise,
@@ -210,34 +208,35 @@ def _ratio_on_grid(
 
     The Choi matrix ``w`` must vanish off ``_COVARIANT`` (every family Choi
     matrix does; InternalConsistencyError otherwise): by covariance
-    (``positivity`` module docstring), with D = diag(xi / |xi|) (1 where
-    xi_k = 0), b* A^+ b = (D* b)* Phi(|xi| |xi|^T)^+ (D* b).  Each run of
-    ``run`` consecutive vectors shares one |xi| (the phase copies of a grid
-    cell, or run 1 for any vectors), so ``eigh`` runs once per run, on the
-    real moduli, and the phases rotate b instead.  Shared vectors take every
-    direction's b in one GEMM, xi @ (3, 3 ndir); then b* A^+ b is the
-    squared norm of (D* b)^T conj(U) Lambda^(-1/2), one batched matmul per
-    moduli pattern.  ``polar`` is ``_polar(xi)`` where the caller keeps it
-    (the cached ``_grid``).
+    (``positivity`` module docstring) ``eigh`` runs on real moduli only, once
+    per moduli row of the grid, whose ratios are one GEMM, or once per
+    vector, with D = diag(xi / |xi|) (1 where xi_k = 0) rotating b; both
+    take the squared norm of the whitened D* b.
     """
     if np.any(w[~_COVARIANT]):
         raise InternalConsistencyError("grid ratios need a Choi matrix that vanishes off the covariant slots")
-    cells = xi.reshape(-1, 3)
-    modulus, phase = _polar(cells) if polar is None else polar
-    lead = modulus[::run]
-    lam, u = np.linalg.eigh(_apply_kernel(_kernel_matrix(w), lead[:, :, None] * lead[:, None, :]))
+    if xi is None:
+        moduli, phases = _grid()[3:]
+    else:
+        modulus = np.abs(xi)
+        moduli = modulus.reshape(-1, 3)
+    lam, u = np.linalg.eigh(_apply_kernel(_kernel_matrix(w), moduli[:, :, None] * moduli[:, None, :]))
     lam_floor = np.maximum(lam, EIG_FLOOR * np.maximum(lam[:, -1:], 1.0))
     whiten = u.conj() / np.sqrt(lam_floor)[:, None, :]
-    if xi.ndim == 3:
-        b = (xi @ matrices).reshape(-1, 1, 3)
+    if xi is None:
+        rows = matrices[:, None] * (phases[:, :, None] * phases.conj()[:, None, :])
+        cols = (moduli[:, :, None, None] * whiten[:, None]).transpose(1, 2, 0, 3)
+        beta = rows.reshape(-1, 9) @ cols.reshape(9, -1)  # rows (direction, pattern), columns (moduli row, l)
+        shape = (len(matrices), len(phases), len(moduli))
     else:
-        b = (xi @ matrices.transpose(1, 0, 2).reshape(3, -1)).reshape(len(xi), -1, 3)
-    b *= phase[:, None, :]  # D* b, in place: the stack of b is the largest array
-    beta = np.abs(b.reshape(len(lead), -1, 3) @ whiten)
-    denom = np.sum(beta * beta, axis=2).reshape(len(cells), -1)
+        phase = np.divide(xi, modulus, out=np.ones_like(xi), where=modulus > 0.0).conj()
+        beta = ((xi @ matrices) * phase).reshape(-1, 1, 3) @ whiten
+        shape = xi.shape[:2]
+    parts = beta.view(np.float64).reshape(*shape, -1)  # the real and imaginary parts of each beta
+    denom = np.einsum("...i,...i->...", parts, parts)
     with np.errstate(divide="ignore"):
         ratios = np.where(denom > 0, 1.0 / denom, np.inf)
-    return ratios.reshape(len(matrices), -1) if xi.ndim == 3 else ratios.T
+    return ratios if xi is not None else ratios.transpose(0, 2, 1).reshape(len(matrices), -1)
 
 
 def _dinkelbach(w: Array, directions: Array, ratios: Array, bounds: Array) -> tuple[Array, Array]:
@@ -277,7 +276,7 @@ def _dinkelbach(w: Array, directions: Array, ratios: Array, bounds: Array) -> tu
         rank_one = (np.repeat(directions[live], k, axis=0), np.repeat(r[live], k))
         moved = _descend(w, xi[live].reshape(-1, 3), 1, rank_one)[0].reshape(-1, k, 3)
         xi[live] = moved
-        reached = _ratio_on_grid(w, directions[live].reshape(-1, 3, 3), moved, 1)
+        reached = _ratio_on_grid(w, directions[live].reshape(-1, 3, 3), moved)
         low = np.argmin(reached, axis=1)
         ratio = reached[np.arange(len(live)), low]
         better = ratio < best_ratio[live]
@@ -375,9 +374,9 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
     at all kernel vectors come first, from the ``_kernel_models`` that built
     the space; each is the infimum along curves into a kernel vector, so a
     valid upper bound.  Then the directions get their ratios on the grid of
-    _GRID_N in one ``_ratio_on_grid`` call (one eigensolve per moduli
-    pattern, by covariance), and r0, the smaller of the best grid ratio and
-    the limit, capped at ``_P_MAX``.  ``_dinkelbach`` rounds start at r0 and
+    _GRID_N in one ``_ratio_on_grid`` call (the covariance paragraph of the
+    ``positivity`` module docstring), and r0, the smaller of the best grid
+    ratio and the limit, capped at ``_P_MAX``.  ``_dinkelbach`` rounds start at r0 and
     never raise it, so a direction whose r0 is below a refined direction's
     weight cannot be the largest: the leader (largest r0, the first on a
     tie) is refined alone, then every other direction whose r0 exceeds the
@@ -394,11 +393,12 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
     tightness of r is shown without a second search, by one eigensolve of
     the map of W - min(2r, _P_MAX) v v* at the rounds' best xi (the keys of
     ``OptimalityProbeReport.verification``).  Raises OutOfRangeError unless
-    n_directions >= 1, and UnsupportedThetaError where
-    ``orthocomplement_basis`` does.
+    n_directions is an integer in [1, _MAX_DIRECTIONS], and
+    UnsupportedThetaError where ``orthocomplement_basis`` does.
     """
-    if n_directions < 1:
-        raise OutOfRangeError(f"n_directions must be >= 1, got {n_directions}")
+    integral = isinstance(n_directions, numbers.Integral) and not isinstance(n_directions, bool)
+    if not (integral and 1 <= n_directions <= _MAX_DIRECTIONS):
+        raise OutOfRangeError(f"n_directions must be an integer in [1, {_MAX_DIRECTIONS}], got {n_directions!r}")
     w = choi_matrix(_kernel_point(p).params)
 
     try:
@@ -414,7 +414,7 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
         )
 
     directions = _directions(len(basis), n_directions) @ basis  # (ndir, 9)
-    xi_grid, _, _, modulus, phase = _grid()
+    xi_grid = _grid()[0]
     per_direction = np.empty(len(directions))
     argmin_xi = np.empty((len(directions), 3), dtype=complex)
     largest, holder = -math.inf, 0  # the largest refined value so far, over every block, and its first direction
@@ -425,7 +425,7 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
         else:
             mu, e, jac = model
             limits = _kernel_limit_ratio(mu, e, _penalty_rows(jac, part))
-        ratios = _ratio_on_grid(w, part.reshape(-1, 3, 3), xi_grid, _GRID_N * _GRID_N, (modulus, phase))
+        ratios = _ratio_on_grid(w, part.reshape(-1, 3, 3))
         # r0, where each direction's rounds would start: they never raise it
         r0 = np.minimum(np.minimum(ratios.min(axis=1), limits), _P_MAX)
         value, at = per_direction[lo : lo + _BLOCK], argmin_xi[lo : lo + _BLOCK]

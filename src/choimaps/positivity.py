@@ -32,7 +32,12 @@ Linear Algebra Appl. 171, 1992).  Writing xi = D|xi|, Phi(xi xi*) is then
 D Phi(|xi| |xi|^T) D*, so its spectrum depends on the moduli |xi| only: the
 grid's phase copies of one |xi| share their values, the start rule keeps one
 start per moduli pattern, and the probe's grid ratios solve once per
-pattern.
+pattern.  A cell of ``_grid`` is xi = m o P, a moduli row m times a phase
+pattern P, so with Phi(m m^T) = U Lambda U* the ratio's b* Phi(xi xi*)^+ b,
+b = M^T xi for a direction matrix M, is the squared norm of
+sum_jk P_j M_jk conj(P_k) m_j (conj(U) Lambda^(-1/2))_k,: : a 9-entry row
+per (direction, phase pattern) times a 9x3 block per moduli row, one GEMM
+over the grid.
 
 For a covariant W block-positivity is also decided exactly, without a
 search, by ``certify_block_positivity``: Phi(xi xi*) is unitarily similar to
@@ -156,48 +161,38 @@ _COVARIANT = np.array(
 ).reshape(9, 9)
 
 
-def _sphere_grid(polar_n: int, phase_n: int) -> tuple[Array, Array, Array]:
+def _sphere_grid(polar_n: int, phase_n: int) -> tuple[Array, Array, Array, Array, Array]:
     """Deterministic grid on unit vectors of C^3 (first coordinate real).
 
-    Returns (unit vectors, rank-1 projectors, pattern ids) of shapes (n, 3),
-    (n, 3, 3) and (n,), n = polar_n^2 phase_n^2; the two polar angles take
+    Returns (unit vectors, rank-1 projectors, pattern ids, moduli rows,
+    phase patterns) of shapes (n, 3), (n, 3, 3), (n,), (polar_n^2, 3) and
+    (phase_n^2, 3), n = polar_n^2 phase_n^2; the two polar angles take
     polar_n values in [0, pi/2] inclusive and the two phases phase_n values
     in [0, 2pi).  Cells are ij-ordered over (phi_1, phi_2, psi_1, psi_2):
+    cell i phase_n^2 + j is the moduli row i times the phase pattern j, so
     each run of phase_n^2 consecutive cells holds the phase copies of one
     |xi|.  With phase_n = 1 the vectors are real: the grid of moduli.  Two
     cells share a pattern id iff their moduli rounded to 9 digits agree.
     """
     phi = np.linspace(0.0, math.pi / 2.0, polar_n)
     psi = np.linspace(0.0, 2.0 * math.pi, phase_n, endpoint=False)
-    f1, f2, s1, s2 = (g.ravel() for g in np.meshgrid(phi, phi, psi, psi, indexing="ij"))
-    xi = np.stack(
-        [
-            np.cos(f1) + 0j,
-            np.sin(f1) * np.cos(f2) * np.exp(1j * s1),
-            np.sin(f1) * np.sin(f2) * np.exp(1j * s2),
-        ],
-        axis=1,
-    )
+    f1, f2 = (g.ravel() for g in np.meshgrid(phi, phi, indexing="ij"))
+    s1, s2 = (g.ravel() for g in np.meshgrid(psi, psi, indexing="ij"))
+    moduli = np.stack([np.cos(f1), np.sin(f1) * np.cos(f2), np.sin(f1) * np.sin(f2)], axis=1)
+    phases = np.stack([np.ones_like(s1), np.exp(1j * s1), np.exp(1j * s2)], axis=1)
+    xi = (moduli[:, None, :] * phases).reshape(-1, 3)
     projectors = np.einsum("ni,nj->nij", xi, xi.conj())
     patterns = np.unique(np.round(np.abs(xi), 9), axis=0, return_inverse=True)[1]
-    return xi, projectors, patterns
-
-
-def _polar(xi: Array) -> tuple[Array, Array]:
-    """The moduli |xi| and conjugate phases conj(xi / |xi|) (1 where
-    xi_k = 0) of the (n, 3) vectors ``xi``."""
-    modulus = np.abs(xi)
-    return modulus, np.divide(xi, modulus, out=np.ones_like(xi), where=modulus > 0.0).conj()
+    return xi, projectors, patterns, moduli, phases
 
 
 @functools.lru_cache(maxsize=1)
 def _grid() -> tuple[Array, Array, Array, Array, Array]:
     """The one sphere grid of the oracle and the probe, ``_sphere_grid`` at
-    _GRID_N (unit vectors, projectors, pattern ids), and the ``_polar``
-    parts (moduli, conjugate phases) of its vectors: built on first use,
-    once, and read-only, since every caller shares them."""
-    xi, projectors, patterns = _sphere_grid(_GRID_N, _GRID_N)
-    shared = (xi, projectors, patterns, *_polar(xi))
+    _GRID_N with its moduli rows and phase patterns, which the probe's grid
+    ratios factor through (covariance paragraph of the module docstring):
+    built on first use, once, and read-only, since every caller shares it."""
+    shared = _sphere_grid(_GRID_N, _GRID_N)
     for part in shared:
         part.flags.writeable = False
     return shared

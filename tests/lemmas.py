@@ -75,8 +75,8 @@ def pairing(a, p: MapParams) -> float:
 def full_grid_ratios(w, matrices, xi) -> np.ndarray:
     """The probe's (ndir, n) subtractable weights 1/(b* A^+ b), A = Phi(xi xi*),
     b = m^T xi, with the eigenvalue floor EIG_FLOOR max(1, lambda_max), by one
-    ``eigh`` of A at every vector: the package solves once per moduli pattern
-    |xi| and rotates b by the phases instead."""
+    ``eigh`` of A at every vector: the package solves once per moduli row
+    |xi| and takes the grid's phases into one GEMM instead."""
     lam, u = np.linalg.eigh(_apply_kernel(_kernel_matrix(w), xi[:, :, None] * xi.conj()[:, None, :]))
     lam_floor = np.maximum(lam, EIG_FLOOR * np.maximum(lam[:, -1:], 1.0))
     directions_b = np.einsum("dji,nj->dni", matrices, xi)
@@ -357,7 +357,7 @@ def dinkelbach_reference(w, v, ratios, bound: float):
         if not CERTIFIED_ZERO / 10 < r < math.inf:
             break
         xi = _descend(w - r * vv, xi, 1)[0]
-        reached = _ratio_on_grid(w, v.reshape(1, 3, 3), xi, 1)[0]
+        reached = _ratio_on_grid(w, v.reshape(1, 3, 3), xi[None])[0]
         k = int(np.argmin(reached))
         if reached[k] < best_ratio:
             best_xi, best_ratio = xi[k], float(reached[k])
@@ -380,7 +380,6 @@ def refine_every_direction(p: MapParams, n_directions: int):
     except UnsupportedCaseError:
         basis, model = np.eye(9, dtype=complex), None
     directions = optimality._directions(len(basis), n_directions) @ basis
-    xi, _, _, modulus, phase = positivity._grid()
     weights, reached = [], []
     for lo in range(0, len(directions), optimality._BLOCK):
         part = directions[lo : lo + optimality._BLOCK]
@@ -388,7 +387,7 @@ def refine_every_direction(p: MapParams, n_directions: int):
             limits = np.full(len(part), math.inf)
         else:
             limits = optimality._kernel_limit_ratio(model[0], model[1], optimality._penalty_rows(model[2], part))
-        ratios = _ratio_on_grid(w, part.reshape(-1, 3, 3), xi, positivity._GRID_N**2, (modulus, phase))
+        ratios = _ratio_on_grid(w, part.reshape(-1, 3, 3))
         r, at = optimality._dinkelbach(w, part, ratios, limits)
         weights.append(np.minimum(r, _P_MAX))
         reached.append(at)
@@ -512,7 +511,7 @@ def full_grid_minimum(w, grid_n: int = 16) -> float:
     iterations from the best cell of each of its 10 best moduli patterns.
     An audit at a finer grid than the package's, and the reference for the
     moduli grid."""
-    xi, projectors, patterns = shared_sphere_grid(grid_n, grid_n)
+    xi, projectors, patterns = shared_sphere_grid(grid_n, grid_n)[:3]
     images = _apply_kernel(_kernel_matrix(w), projectors)
     starts = reference_starts(_smallest_eigenvalues(images), patterns, 10)
     grid = np.linalg.eigvalsh(images[starts[0]])[0]
@@ -533,7 +532,7 @@ def moduli_oracle(w, grid_n: int = 16) -> BlockPositivityReport:
     w = require_hermitian(w)
     if np.any(w[~_COVARIANT]):
         raise ValueError("the moduli grid needs a covariant Choi matrix")
-    xi_grid, projectors, patterns = shared_sphere_grid(4 * (grid_n - 1) + 1, 1)
+    xi_grid, projectors, patterns = shared_sphere_grid(4 * (grid_n - 1) + 1, 1)[:3]
     images = _apply_kernel(_kernel_matrix(w), projectors)
     starts = reference_starts(_smallest_eigenvalues(images), patterns, 10)
     evals, evecs = np.linalg.eigh(images[starts[0]])

@@ -1,5 +1,6 @@
 import cmath
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from choimaps import (
     FaceKind,
     MapParams,
     NotPositiveMapError,
+    OutOfRangeError,
     UnsupportedCaseError,
     UnsupportedThetaError,
     block_positivity_oracle,
@@ -39,7 +41,7 @@ from choimaps.optimality import (
     _penalty_rows,
     _ratio_on_grid,
 )
-from choimaps.positivity import _COVARIANT, BlockPositivityReport, _grid, _polar, _sphere_grid
+from choimaps.positivity import _COVARIANT, BlockPositivityReport, _grid
 from choimaps.spanning import _kernel_point
 import lemmas
 from lemmas import apply_map, dinkelbach_reference, full_grid_minimum, full_grid_ratios, kernel_limit_ratio
@@ -371,6 +373,28 @@ def test_bad_budgets_are_value_errors(call, kwargs):
         optimality_probe(_F_AB, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "n", [2.5, "4", True, optimality._MAX_DIRECTIONS + 1, 10**12], ids=["float", "str", "bool", "cap", "huge"]
+)
+def test_probe_refuses_a_count_it_cannot_draw(monkeypatch, n):
+    # every direction is drawn at once before the blocks, so a count above the
+    # cap is refused before anything is drawn or allocated
+    monkeypatch.setattr(optimality, "_directions", lambda *args: pytest.fail("directions drawn"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(OutOfRangeError, match="n_directions must be an integer"):
+            optimality_probe(_F_AB, n_directions=n)
+        assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
+
+
+def test_probe_cap_keeps_every_count_in_use():
+    # 512 directions is the largest count the tests probe; numpy integers count
+    assert 512 <= optimality._MAX_DIRECTIONS == 64 * optimality._BLOCK
+    assert optimality_probe(_F_AB, n_directions=np.int64(4)).verdict == "not_optimal"
+
+
 @pytest.mark.parametrize("dim", [2, 9])
 @pytest.mark.parametrize("n", [1, 64])
 def test_directions_are_distinct_deterministic_unit_vectors(dim, n):
@@ -456,7 +480,7 @@ def _probe_parts(p, ndir):
     w = choi_matrix(p)
     basis = np.array(orthocomplement_basis(p))
     directions = _directions(len(basis), ndir) @ basis
-    ratios = _ratio_on_grid(w, directions.reshape(-1, 3, 3), _grid()[0], 64)
+    ratios = _ratio_on_grid(w, directions.reshape(-1, 3, 3))
     record = _kernel_point(p)
     mu, e, jac = _kernel_models(w, record.xi, record.eta)
     limits = _kernel_limit_ratio(mu, e, _penalty_rows(jac, directions))
@@ -483,7 +507,7 @@ def test_seeded_rounds_never_lose(p):
     unseeded, reached = _dinkelbach(w, directions, ratios, np.full(4, math.inf))
     assert np.all(seeded <= np.minimum(limits, unseeded) * (1 + 1e-12))
     # unseeded, each smallest ratio is attained at the vector returned for it
-    at = _ratio_on_grid(w, directions.reshape(-1, 3, 3), reached[:, None], 1)[:, 0]
+    at = _ratio_on_grid(w, directions.reshape(-1, 3, 3), reached[:, None])[:, 0]
     assert np.all(np.abs(at - unseeded) <= 1e-12 * unseeded)
 
 
@@ -702,6 +726,10 @@ def test_probe_grid_is_built_once_and_read_only():
     assert optimality_probe(_F_AB, n_directions=4).verdict == "not_optimal"
     assert _grid.cache_info().misses == misses and all(a is b for a, b in zip(_grid(), shared))
     assert not any(part.flags.writeable for part in shared)
+    # the grid ratios' factors: cell 64 i + j is the moduli row i times the phase pattern j
+    xi, _, _, moduli, phases = shared
+    assert moduli.shape == phases.shape == (64, 3) and not np.any(moduli < 0.0)
+    assert np.array_equal((moduli[:, None, :] * phases).reshape(-1, 3), xi)
 
 
 def _random_unit(rng, n):
@@ -711,10 +739,11 @@ def _random_unit(rng, n):
 
 @pytest.mark.parametrize("cells", ["grid", "random"])
 def test_ratio_on_grid_matches_the_full_eigensolve(cells):
-    # one eigh per moduli pattern and phase-rotated b against one eigh per vector
+    # one eigh per moduli row and one GEMM over the grid's phase patterns, or
+    # one eigh per vector and phase-rotated b, against one eigh per vector;
+    # 65 directions are more than one block of the probe
     rng = np.random.default_rng(41)
-    xi = _sphere_grid(8, 8)[0] if cells == "grid" else _random_unit(rng, 500)
-    run = 64 if cells == "grid" else 1
+    xi = _grid()[0] if cells == "grid" else _random_unit(rng, 500)
     if cells == "random":  # zero coordinates take the phase 1
         xi[:50, 0] = 0.0
         xi[50:100, 1:] = 0.0
@@ -722,25 +751,29 @@ def test_ratio_on_grid_matches_the_full_eigensolve(cells):
     points = [MapParams(*rng.uniform(0.0, 2.5, 3), rng.uniform(-np.pi, np.pi)) for _ in range(40)]
     positive = [p for p in points if is_positive(p)][:6]  # the probe's maps are positive
     assert len(positive) == 6
-    for p in positive:
+
+    def ratios_of(w, matrices):  # the grid route, or the paired route with the vectors repeated per direction
+        if cells == "grid":
+            return _ratio_on_grid(w, matrices)
+        return _ratio_on_grid(w, matrices, np.repeat(xi[None], len(matrices), axis=0))
+
+    for p, ndir in itertools.product(positive, (1, 4, 64, 65)):
         w = choi_matrix(p)
-        matrices = (rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))) / 3.0
-        got, want = _ratio_on_grid(w, matrices, xi, run), full_grid_ratios(w, matrices, xi)
-        # one direction at a time too: (ndir, n, 3) @ (n, 3, 3) must not
+        matrices = (rng.normal(size=(ndir, 3, 3)) + 1j * rng.normal(size=(ndir, 3, 3))) / 3.0
+        got, want = ratios_of(w, matrices), full_grid_ratios(w, matrices, xi)
+        # one direction at a time too: the (ndir, ...) stacks must not
         # broadcast silently at ndir = 1
-        alone = np.vstack([_ratio_on_grid(w, m[None], xi, run) for m in matrices])
-        # the moduli and phases the probe keeps for its grid give the same bits
-        assert np.array_equal(_ratio_on_grid(w, matrices, xi, run, _polar(xi)), got)
-        for ratios in (got, alone):
-            assert ratios.shape == want.shape
-            assert np.array_equal(np.isinf(ratios), np.isinf(want))
-            finite = np.isfinite(want)
-            assert np.all(np.abs(ratios[finite] - want[finite]) <= 1e-12 * want[finite])
+        alone = np.vstack([ratios_of(w, m[None]) for m in matrices[:5]])
+        for ratios, reference in ((got, want), (alone, want[:5])):
+            assert ratios.shape == reference.shape
+            assert np.array_equal(np.isinf(ratios), np.isinf(reference))
+            finite = np.isfinite(reference)
+            assert np.all(np.abs(ratios[finite] - reference[finite]) <= 1e-12 * reference[finite])
 
 
 def test_paired_ratios_match_the_shared_call_per_direction():
     # (ndir, n, 3) vectors: each direction at its own vectors, as the rounds
-    # call it, against one shared call per direction
+    # call it, against one call per direction
     rng = np.random.default_rng(42)
     xi = _random_unit(rng, 5 * 20)
     xi[:10, 1:] = 0.0  # zero coordinates take the phase 1
@@ -749,10 +782,10 @@ def test_paired_ratios_match_the_shared_call_per_direction():
     for p in (_F_AB, _E_AB, _V_P00):
         w = choi_matrix(p)
         matrices = (rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))) / 3.0
-        paired = _ratio_on_grid(w, matrices, xi, 1)
+        paired = _ratio_on_grid(w, matrices, xi)
         assert paired.shape == (5, 20)
         for d in range(5):
-            shared = _ratio_on_grid(w, matrices[d : d + 1], xi[d], 1)[0]
+            shared = _ratio_on_grid(w, matrices[d : d + 1], xi[d : d + 1])[0]
             assert np.array_equal(np.isinf(paired[d]), np.isinf(shared))
             finite = np.isfinite(shared)
             assert np.all(np.abs(paired[d][finite] - shared[finite]) <= 1e-12 * shared[finite])
@@ -761,9 +794,9 @@ def test_paired_ratios_match_the_shared_call_per_direction():
 def test_ratio_on_grid_needs_a_covariant_choi_matrix():
     w = choi_matrix(_F_AB)
     w[0, 1] = w[1, 0] = 1e-3  # slot (0, 0, 0, 1): {0, 1} != {0, 0}
-    xi = _sphere_grid(8, 8)[0]
-    with pytest.raises(InternalConsistencyError, match="covariant"):
-        _ratio_on_grid(w, np.eye(3)[None], xi, 64)
+    for xi in (None, _grid()[0][None]):  # the grid, and vectors per direction
+        with pytest.raises(InternalConsistencyError, match="covariant"):
+            _ratio_on_grid(w, np.eye(3)[None], xi)
 
 
 _V_1B0_OUTER = MapParams(1, cp_threshold(2.0) - 1, 0, 2.0)
@@ -778,10 +811,10 @@ def test_grid_ratios_solve_once_per_moduli_pattern(monkeypatch, p, grid_eighs):
     counts, inside = [], []
     ratio_on_grid, eigh = optimality._ratio_on_grid, np.linalg.eigh
 
-    def counting_ratio_on_grid(w, matrices, xi, *args):
-        inside.append(len(xi) == 8**4)
+    def counting_ratio_on_grid(w, matrices, xi=None):
+        inside.append(xi is None)
         try:
-            return ratio_on_grid(w, matrices, xi, *args)
+            return ratio_on_grid(w, matrices, xi)
         finally:
             inside.pop()
 

@@ -692,7 +692,7 @@ def test_descent_leaves_a_coordinate_saddle():
     )
     w = np.zeros((9, 9), dtype=complex)
     w[np.ix_([0, 4, 8], [0, 4, 8])] = g
-    xi, projectors, patterns = _sphere_grid(8, 8)
+    xi, projectors, patterns = _sphere_grid(8, 8)[:3]
     values = _smallest_eigenvalues(_apply_kernel(_kernel_matrix(w), projectors))
     start = xi[_distinct_starts(values, 1)]
     assert start[0, 2] == 0.0
@@ -814,7 +814,7 @@ def test_distinct_starts_match_the_rule_over_all_cells(k):
         p = MapParams(*point)
         basis = np.array(orthocomplement_basis(p))
         directions = _directions(len(basis), 2) @ basis
-        samples += list(_ratio_on_grid(choi_matrix(p), directions.reshape(-1, 3, 3), xi, 64))
+        samples += list(_ratio_on_grid(choi_matrix(p), directions.reshape(-1, 3, 3)))
     for values in samples:
         starts = _distinct_starts(values, k)
         np.testing.assert_array_equal(starts, reference_starts(values, np.round(np.abs(xi), 9), k))
@@ -823,7 +823,7 @@ def test_distinct_starts_match_the_rule_over_all_cells(k):
 
 @pytest.mark.parametrize("polar_n, phase_n", [(8, 8), (16, 16), (29, 1), (61, 1)])
 def test_cells_share_a_pattern_id_iff_their_rounded_moduli_agree(polar_n, phase_n):
-    xi, _, patterns = _sphere_grid(polar_n, phase_n)
+    xi, _, patterns = _sphere_grid(polar_n, phase_n)[:3]
     rows = [tuple(row) for row in np.round(np.abs(xi), 9)]
     pairs = set(zip(rows, patterns.tolist()))
     # one id per row and one row per id
@@ -833,13 +833,13 @@ def test_cells_share_a_pattern_id_iff_their_rounded_moduli_agree(polar_n, phase_
 @pytest.mark.parametrize("polar_n, phase_n", [(8, 8), (61, 1)])
 def test_cached_grids_are_read_only(polar_n, phase_n):
     # (8, 8): the package's one grid, the oracle's and the probe's, with the
-    # probe's polar parts; (61, 1): the moduli grid of the test reference
-    if (polar_n, phase_n) == (8, 8):
-        xi, projectors, patterns, modulus, phase = cached = _grid()
-        assert np.array_equal(modulus, np.abs(xi)) and np.allclose(modulus * phase.conj(), xi, rtol=0, atol=1e-15)
-    else:
-        xi, projectors, patterns = cached = shared_sphere_grid(polar_n, phase_n)
-    for part, built in zip((xi, projectors, patterns), _sphere_grid(polar_n, phase_n)):
+    # moduli rows and phase patterns of the probe's grid ratios; (61, 1): the
+    # moduli grid of the test reference
+    cached = _grid() if (polar_n, phase_n) == (8, 8) else shared_sphere_grid(polar_n, phase_n)
+    xi, _, _, moduli, phases = cached
+    assert np.array_equal(moduli, np.abs(xi[:: phase_n * phase_n]).real)
+    assert np.allclose(np.abs(phases), 1.0, rtol=0, atol=1e-15)
+    for part, built in zip(cached, _sphere_grid(polar_n, phase_n)):
         assert np.array_equal(part, built)
     for shared in cached:
         with pytest.raises(ValueError, match="read-only"):
