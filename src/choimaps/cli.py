@@ -80,12 +80,16 @@ FIGURE3_MAX_ROWS = 1_000_000
 SWEEP_MAX_N = 2000
 
 _ANGLE_RE = re.compile(r"^([+-]?)(\d+)?pi(?:/(\d+))?$")
+#: Arguments that are negative values, not options.
+_NEGATIVE_RE = re.compile(r"^-(?:\d|\.|pi)", re.IGNORECASE)
 
 
 def parse_angle(text: str) -> float:
     """Parse an angle: finite decimal radians or a rational multiple of pi
     such as 'pi/6', '-2pi/3' or '2pi'.  Raises ValueError on any other text,
-    'inf' and 'nan' included."""
+    'inf' and 'nan' included.  A negative literal works in place on the
+    command line (``classify 1 0.5 0.5 -pi/6``): the parser takes it for a
+    value, not an option."""
     s = text.strip().lower().replace(" ", "")
     m = _ANGLE_RE.match(s)
     if m:
@@ -105,7 +109,12 @@ def _fmt(x: float) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures mapped to exit code 1, which takes a token
+    of ``-`` then a digit, ``.`` or ``pi`` (``-pi/6``, ``-2e-3``) for a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_RE
 
     def error(self, message):  # noqa: D102
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -210,7 +219,8 @@ def _sweep(theta: float, grid_n: int, plane: str, box: float, out: str) -> int:
     """Write the face and the cp / ccp / positive flags of each point of a
     grid_n^2 grid on ``plane`` over [0, box]^2, or over [0, pth]^2 on the
     simplex (keeping c = pth - a - b >= -INCLUSION_SLACK, clipped at 0), classified by
-    ``classify_faces`` in blocks of whole outer-axis rows."""
+    ``classify_faces`` in blocks of whole outer-axis rows.  Each block formats
+    its distinct simplex coordinates c once."""
     if not 1 <= grid_n <= SWEEP_MAX_N:
         raise OutOfRangeError(f"grid_n must be in [1, {SWEEP_MAX_N}], got {grid_n}")
     if not 0.0 <= box < math.inf:
@@ -239,7 +249,8 @@ def _sweep(theta: float, grid_n: int, plane: str, box: float, out: str) -> int:
                 z = pth - x - y
                 keep = z >= -INCLUSION_SLACK
                 i, j, x, y, z = i[keep], j[keep], x[keep], y[keep], np.maximum(z[keep], 0.0)
-                coords[2], texts[2] = z, [_fmt(v) for v in z]
+                values, inverse = np.unique(z, return_inverse=True)
+                coords[2], texts[2] = z, np.array([_fmt(v) for v in values], dtype=object)[inverse]
             coords[slots[0]], coords[slots[1]] = x, y
             texts[slots[0]], texts[slots[1]] = labels[i], labels[j]
             a, b, c = coords
@@ -319,7 +330,8 @@ def build_parser() -> _Parser:
     pv.add_argument("grid_n", type=int)
     pv.add_argument("--out", required=True)
     pv.add_argument("--plane", choices=("abc_simplex", "ab", "ac", "bc"), default="abc_simplex")
-    pv.add_argument("--box", type=float, default=2.5)
+    pv.add_argument("--box", type=float, default=2.5, help=(
+        "the grid covers [0, box]^2 on ab, ac and bc; abc_simplex ignores it (its axis is [0, p_theta])"))
     pv.set_defaults(func=cmd_sweep)
 
     pf = sub.add_parser("figure-data", help="emit figure data CSV")

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,8 +16,9 @@ import pytest
 import choimaps
 from choimaps import FaceKind, MapParams, boundary_parametrization, build_witness, classify_face, cp_threshold
 from choimaps import is_positive
-from choimaps.cli import _EXIT_CODES, main, parse_angle
+from choimaps.cli import _BLOCK, _EXIT_CODES, _fmt, main, parse_angle
 from choimaps.faces import row_of
+from choimaps.linalg import INCLUSION_SLACK
 from choimaps.positivity import BlockPositivityCertificate
 from choimaps.reporting import ReportDocument, render_plain
 
@@ -54,6 +56,58 @@ def test_non_finite_angle_is_usage_error(argv, tmp_path, capsys):
     assert "invalid parse_angle value" in captured.err
     assert "Traceback" not in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, theta",
+    [
+        (["classify", "1", "0.5", "0.5", "-pi/6", "--json"], -math.pi / 6),
+        (["spanning", "1", "0.5", "0.5", "-pi/6", "--json"], -math.pi / 6),
+        (["classify", "1", "0.5", "0.5", "-3pi/4", "--json"], -3 * math.pi / 4),
+        (["witness", "-pi/6", "2", "--json"], -math.pi / 6),
+        (["witness", "-.5", "2", "--json"], -0.5),
+        (["witness", "-5e-1", "2", "--json"], -0.5),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "value",
+)
+def test_negative_angle_literal_is_a_value(argv, theta, capsys):
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["theta"] == pytest.approx(theta, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "argv", [["sweep", "-pi/6", "3"], ["figure-data", "2", "--theta", "-pi/6", "--points", "3"]], ids=" ".join
+)
+def test_negative_angle_literal_reaches_the_csv(argv, tmp_path):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert {row.split(",")[3] for row in out.read_text().splitlines()[1:]} == {"-0.523598775598299"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["witness", "pi/6", "-2e-3"], "requires b > 0"),
+        (["witness", "pi/6", "2", "--alpha-tilde", "-.5"], "alpha~ must lie in"),
+        (["classify", "1", "-2e-3", "0.5", "pi/6"], "nonnegative"),
+        (["sweep", "pi/6", "5", "--plane", "ab", "--box", "-1", "--out", "x.csv"], "box must be"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "error",
+)
+def test_negative_literal_gets_its_own_error(argv, message, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: ") and message in err
+    assert "error:" not in err  # the command's own message, not argparse's
+
+
+def test_options_still_parse_beside_negative_literals(capsys):
+    assert main(["classify", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: choimaps classify")
+    assert main(["classify", "1", "1", "1", "pi/6", "-x"]) == 1
+    assert capsys.readouterr().err == "choimaps: error: unrecognized arguments: -x\n"
+    assert main(["classify", "-x", "1", "1", "pi/6"]) == 1
+    assert capsys.readouterr().err.startswith("choimaps classify: error: ")
 
 
 class TestClassify:
@@ -505,6 +559,45 @@ class TestSweep:
 
     def test_io_error(self):
         assert main(["sweep", "pi/6", "5", "--out", "/nonexistent/dir/x.csv"]) == 4
+
+    @pytest.mark.parametrize("theta", ["0.5", "2.2", "-2.2"])  # one per branch of p_theta
+    def test_multi_block_simplex_matches_formatting_each_c(self, theta, tmp_path):
+        # the reference formats every c on its own; at these angles the
+        # anti-diagonal a + b = p_theta has cells where c rounds to -1 ulp
+        # (printed 0) and to +1 ulp (printed as itself)
+        n = 155
+        assert -(-n // (_BLOCK // n)) == 6  # blocks of whole rows
+        out = tmp_path / "s.csv"
+        assert main(["sweep", theta, str(n), "--out", str(out)]) == 0
+        pth = cp_threshold(float(theta))
+        axis = np.linspace(0.0, pth, n)
+        want, ulps = [], {"0": 0, "+": 0}
+        for x in axis:
+            for y in axis:
+                z = pth - x - y
+                if z >= -INCLUSION_SLACK:
+                    want.append(f"{_fmt(x)},{_fmt(y)},{_fmt(max(z, 0.0))}")
+                    if 0 < abs(z) < 1e-15:
+                        ulps["0" if z < 0 else "+"] += 1
+                        assert want[-1].endswith(",0" if z < 0 else f",{_fmt(z)}")
+        assert min(ulps.values()) > 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.rsplit(",", 5)[0] for row in rows] == want
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path):
+        out = str(tmp_path / "s.csv")
+        main(["sweep", "pi/6", "20", "--out", out])  # first-use work out of the count
+        peaks = []
+        for n in ("200", "800"):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "pi/6", n, "--out", out]) == 0
+                held, peak = tracemalloc.get_traced_memory()
+                peaks.append(peak)
+            finally:
+                tracemalloc.stop()
+            assert held < 200_000  # no table outlives the sweep (a value cache held 0.76 MB at 800)
+        assert peaks[1] < 1.5 * peaks[0]
 
 
 class TestFigureData:
