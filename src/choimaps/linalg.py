@@ -8,8 +8,9 @@ row-major index identification (i, j) -> 3*i + j of the tensor factors.
 The roles: membership slack (an equality of exact arithmetic passes within
 it, so boundary points of closed sets are members), the face band, the rank
 cut, eigenvalue floors, self-check residues (two routes to one quantity, or
-a quantity zero in exact arithmetic), the certified sign of a minimum and the
-rounding bound of a subdivision certificate.
+a quantity zero in exact arithmetic), the certified sign of a minimum, the
+rounding bound of a subdivision certificate and the tiny value that keeps a
+floor or a divisor positive where every term vanishes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ STATIONARY_REL = 1e-8  # first-order residue at a kernel vector, itself within R
 CERTIFIED_SIGN = 1e-6  # certified sign: a minimum below -CERTIFIED_SIGN is negative
 CERTIFIED_ZERO = 1e-9  # ... at or above -CERTIFIED_ZERO nonnegative; a weight at most it is zero
 SUBDIVISION_ROUNDING = 4e-15  # rounding bound per subdivision level of a Bernstein coefficient, in its scale
+_TINY = 1e-300  # the Newton floor stays above it; a top eigenvalue at or below it leaves a kernel limit infinite
 
 
 def as_complex(m) -> Array:

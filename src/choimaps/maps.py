@@ -112,6 +112,12 @@ def pairing_value(a, c) -> float:
     return v.real
 
 
+def _edge_angle(theta: float) -> bool:
+    """True iff 0 < |theta| < pi/3: the angles of the edge states, their
+    witnesses and the copositive subtraction."""
+    return 0.0 < abs(theta) < math.pi / 3.0
+
+
 def edge_state(b: float, theta: float) -> Array:
     """The PPT entangled edge state with parameters (2cos theta, b, 1/b; theta),
     as its unnormalized Choi matrix.
@@ -119,7 +125,7 @@ def edge_state(b: float, theta: float) -> Array:
     Defined for 0 < |theta| < pi/3 and b > 0; the matrix is PSD with PSD
     partial transpose and rank pair {8, 6}.
     """
-    if not 0.0 < abs(theta) < math.pi / 3.0:
+    if not _edge_angle(theta):
         raise ThetaOutOfRangeError(f"edge state requires 0 < |theta| < pi/3, got {theta}")
     if not b > 0:
         raise OutOfRangeError(f"edge state requires b > 0, got {b}")

@@ -13,15 +13,9 @@ Elsewhere, per direction the largest subtractable weight equals the
 infimum over product vectors of the ratio (pairing with the map) /
 (pairing with the direction), which stays meaningful even where boundary
 violations are cubically suppressed and the plain bisection-on-the-oracle
-test loses resolution.  ``optimality_probe`` bounds it from above by each
-direction's exact kernel limit and its ratios on the oracle's grid (by the
-covariance paragraph of the ``positivity`` module docstring), refines by
-Dinkelbach rounds on the oracle's descent only the directions that can
-still hold the largest weight (its docstring states the rule), and checks
-the best weight r along v on both sides with one search: the oracle finds
-W - (r/2) v v* nonnegative, and one 3x3 eigensolve at the rounds' best xi
-pairs W - 2r v v* negatively with an explicit product vector
-(``OptimalityProbeReport.verification``).
+test loses resolution.  ``optimality_probe`` searches for it (its
+docstring states the bounds and the pruning rule, and
+``OptimalityProbeReport`` the verification keys).
 """
 
 from __future__ import annotations
@@ -46,8 +40,8 @@ from .faces import (
     require_generic_theta,
 )
 from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, HESSIAN_FLOOR, INCLUSION_SLACK
-from .linalg import RANK_REL, RESIDUE_ABS, STATIONARY_REL, Array
-from .maps import MapParams, choi_matrix, cp_threshold
+from .linalg import _TINY, RANK_REL, RESIDUE_ABS, STATIONARY_REL, Array
+from .maps import MapParams, _edge_angle, choi_matrix, cp_threshold
 from .positivity import (
     _COVARIANT,
     _apply_kernel,
@@ -63,7 +57,6 @@ from .spanning import _kernel_point
 
 _MIN_DRAW_NORM = 1e-6  # ``_directions`` drops draws this close to zero
 _DINKELBACH_STOP = 1e-9  # relative fall of the ratio below which the rounds stop
-_TINY = 1e-300  # a top eigenvalue at or below it leaves the kernel limit infinite
 _P_MAX = 10.0  # cap on each direction's subtractable weight in ``optimality_probe``
 _ROUNDS = 250  # cap on each direction's Dinkelbach rounds
 _BLOCK = 64  # directions per block of the probe: its temporaries do not grow past one block
@@ -73,12 +66,13 @@ _MAX_DIRECTIONS = 64 * _BLOCK  # cap on the probe's directions, all drawn at onc
 # the largest, and on other faces rounding leaves rows of about
 # 4e-16 / (cp_threshold - 1); at the bound each is 25 times from RANK_REL
 _THRESHOLD_GAP = 1e-6
+_EMPTY_SPACE = "empty second-order orthocomplement"  # the evidence of an optimal, non-spanning map
 
 
 def subtraction_budget(theta: float) -> float:
     """Largest copositive-subtraction weight keeping the rotated angle inside
     (-pi/3, pi/3): the positive solution of arg(e^{i theta} - t) = +-pi/3."""
-    if not 0.0 < abs(theta) < math.pi / 3.0:
+    if not _edge_angle(theta):
         raise UnsupportedThetaError(f"budget defined for 0 < |theta| < pi/3, got {theta}")
     return math.cos(theta) - abs(math.sin(theta)) / math.sqrt(3.0)
 
@@ -98,21 +92,21 @@ def orthocomplement_basis(p: MapParams) -> list[Array]:
     The rows J x are restricted to B, and where they vanish there (to
     RANK_REL of their largest norm) B itself is returned, so the directions
     drawn from it do not depend on them.  Empty for maps with the spanning
-    property.  The map is taken at its face's own coordinates (the kernel
-    record's ``params``), where the sample is built.  Raises
+    property.  The map is the kernel record's Choi matrix, at the face's
+    own coordinates where the sample is built.  Raises
     UnsupportedCaseError when no kernel vector is known, and
     UnsupportedThetaError when B is not empty and cp_threshold - 1 is
     below _THRESHOLD_GAP: the rows that reduce B then shrink with
     cp_threshold - 1 while their rounding noise grows, and no cut tells
     them apart.
     """
-    return list(_second_order(p, choi_matrix(_kernel_point(p).params))[0])
+    return list(_second_order(p)[0])
 
 
-def _second_order(p: MapParams, w: Array) -> tuple[Array, tuple[Array, Array, Array] | None]:
-    """The (k, 9) basis rows of ``orthocomplement_basis`` at the map with
-    Choi matrix ``w``, and the kernel vectors' model (mu, e, J) of
-    ``_kernel_models`` (None when the first-order space is empty)."""
+def _second_order(p: MapParams) -> tuple[Array, tuple[Array, Array, Array] | None]:
+    """The (k, 9) basis rows of ``orthocomplement_basis`` at ``p``, and the
+    kernel vectors' model (mu, e, J) of ``_kernel_models`` at the record's
+    Choi matrix (None when the first-order space is empty)."""
     k = _kernel_point(p)
     if not len(k.xi):
         raise UnsupportedCaseError(
@@ -131,7 +125,7 @@ def _second_order(p: MapParams, w: Array) -> tuple[Array, tuple[Array, Array, Ar
             f"the second-order orthocomplement is not resolved at theta={p.theta}: "
             f"cp_threshold - 1 = {gap!r} is below {_THRESHOLD_GAP!r}"
         )
-    model = _kernel_models(w, k.xi, k.eta)
+    model = _kernel_models(k.choi, k.xi, k.eta)
     mu, e, jac = model
     # one row J x per Hessian null vector x, zero rows elsewhere
     rows = (jac @ (e * _hessian_null(mu)[:, None, :])).transpose(0, 2, 1).reshape(-1, 9)
@@ -162,8 +156,8 @@ class OptimalityProbeReport:
     CERTIFIED_ZERO; 'not_optimal' needs one above CERTIFIED_SIGN whose half
     subtraction the oracle certified nonnegative; else 'inconclusive'.
 
-    ``verification`` holds the evidence: {"reason": ...} where the empty
-    second-order orthocomplement certified 'optimal', and for a weight r
+    ``verification`` holds the evidence: {"reason": _EMPTY_SPACE} where the
+    empty second-order orthocomplement certified 'optimal', and for a weight r
     above CERTIFIED_SIGN along ``witness_direction`` v:
     ``oracle_at_half``, the oracle's minimum of W - (r/2) v v* over product
     vectors (its nonnegativity shows r/2 subtractable, and decides the
@@ -367,16 +361,16 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
     An empty ``orthocomplement_basis`` is the certificate: the verdict is
     'optimal' with no direction drawn (the spanning property included).
     Otherwise directions sweep the unit sphere of that space (the full space
-    when no kernel vector is known).  Like that space, the map is taken at
-    its face's own coordinates (the kernel record's ``params``).  Per
-    direction the measured quantity is the infimum over product vectors of
-    the pairing ratio.  The exact limits
-    at all kernel vectors come first, from the ``_kernel_models`` that built
-    the space; each is the infimum along curves into a kernel vector, so a
-    valid upper bound.  Then the directions get their ratios on the grid of
-    _GRID_N in one ``_ratio_on_grid`` call (the covariance paragraph of the
-    ``positivity`` module docstring), and r0, the smaller of the best grid
-    ratio and the limit, capped at ``_P_MAX``.  ``_dinkelbach`` rounds start at r0 and
+    when no kernel vector is known).  Like that space, the map is the kernel
+    record's Choi matrix, at its face's own coordinates.  Per direction the
+    measured quantity is the infimum over product vectors of the pairing
+    ratio.  The exact limits at all kernel vectors come first, from the
+    ``_kernel_models`` that built the space; each is the infimum along
+    curves into a kernel vector, so a valid upper bound.  Then the
+    directions get their ratios on the cells of ``_grid`` in one
+    ``_ratio_on_grid`` call (the covariance paragraph of the ``positivity``
+    module docstring), and r0, the smaller of the best grid ratio and the
+    limit, capped at ``_P_MAX``.  ``_dinkelbach`` rounds start at r0 and
     never raise it, so a direction whose r0 is below a refined direction's
     weight cannot be the largest: the leader (largest r0, the first on a
     tie) is refined alone, then every other direction whose r0 exceeds the
@@ -399,10 +393,10 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
     integral = isinstance(n_directions, numbers.Integral) and not isinstance(n_directions, bool)
     if not (integral and 1 <= n_directions <= _MAX_DIRECTIONS):
         raise OutOfRangeError(f"n_directions must be an integer in [1, {_MAX_DIRECTIONS}], got {n_directions!r}")
-    w = choi_matrix(_kernel_point(p).params)
+    w = _kernel_point(p).choi
 
     try:
-        basis, model = _second_order(p, w)
+        basis, model = _second_order(p)
     except UnsupportedCaseError:
         basis, model = np.eye(9, dtype=complex), None
     if not len(basis):
@@ -410,7 +404,7 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
             direction_count=0,
             max_subtractable=0.0,
             verdict="optimal",
-            verification={"reason": "empty second-order orthocomplement"},
+            verification={"reason": _EMPTY_SPACE},
         )
 
     directions = _directions(len(basis), n_directions) @ basis  # (ndir, 9)
@@ -504,7 +498,7 @@ def cooptimality_subtraction(p: MapParams) -> CooptimalitySubtraction:
         and b > INCLUSION_SLACK
         and c > INCLUSION_SLACK
         and abs(b + c - (pth - 1.0)) <= FACE_TOL
-        and 0.0 < abs(p.theta) < math.pi / 3.0
+        and _edge_angle(p.theta)
     ):
         raise UnsupportedCaseError(
             "subtraction requires an interior sum-threshold point (1, b, c; theta) "
@@ -554,13 +548,14 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
     false at INTERIOR): it decides the spanning flags, as it does for
     ``has_spanning_property`` and ``has_cospanning_property``.  The optimal
     flag of every optimal, non-spanning row (the two vertices with first
-    coordinate 1, in every theta branch) comes from ``optimality_probe`` on
-    the same record, at its face coordinates, whose empty second-order
-    orthocomplement certifies it (InternalConsistencyError where it is not
-    empty; UnsupportedThetaError while cp_threshold - 1 < _THRESHOLD_GAP,
-    where that space is not resolved); the co-optimality disproof on the
-    sum-threshold face runs the explicit subtraction when the point is on
-    its unit-first-coordinate slice, at the slice's own coordinates.
+    coordinate 1, in every theta branch) is certified by the empty
+    second-order orthocomplement of the same record (``_second_order``), at
+    its face coordinates, with no search (InternalConsistencyError where it
+    is not empty; UnsupportedThetaError while cp_threshold - 1 <
+    _THRESHOLD_GAP, where that space is not resolved); the co-optimality
+    disproof on the sum-threshold face runs the explicit subtraction when
+    the point is on its unit-first-coordinate slice, at the slice's own
+    coordinates.
     """
     k = _kernel_point(p)
     face, row = k.face, k.row
@@ -572,18 +567,16 @@ def classify_optimality(p: MapParams) -> OptimalityClassification:
     if row.spanning:
         evidence["optimal"] = "spanning property implies optimality"
     elif row.optimal:
-        report = optimality_probe(p)
-        if report.direction_count:
+        dimension = len(_second_order(p)[0])
+        if dimension:
             raise InternalConsistencyError(
-                f"nonempty second-order orthocomplement (dimension {len(orthocomplement_basis(p))}) "
-                f"at the optimal face point {p}: probe verdict {report.verdict}, "
-                f"max subtractable {report.max_subtractable!r}"
+                f"nonempty second-order orthocomplement (dimension {dimension}) at the optimal face point {p}"
             )
-        evidence["optimal"] = report.verification["reason"]
+        evidence["optimal"] = _EMPTY_SPACE
     else:
         evidence["optimal"] = "facial structure (smallest face contains CP maps)"
 
-    unit_slice = abs(p.a - 1.0) <= FACE_TOL and 0.0 < abs(p.theta) < math.pi / 3.0
+    unit_slice = abs(p.a - 1.0) <= FACE_TOL and _edge_angle(p.theta)
     if row.co_spanning:
         evidence["co_optimal"] = "co-spanning property implies co-optimality"
     elif face.kind is FaceKind.F_ABC and unit_slice:

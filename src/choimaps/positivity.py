@@ -40,16 +40,8 @@ per (direction, phase pattern) times a 9x3 block per moduli row, one GEMM
 over the grid.
 
 For a covariant W block-positivity is also decided exactly, without a
-search, by ``certify_block_positivity``: Phi(xi xi*) is unitarily similar to
-M(u), u = |xi|^2 on the simplex, with diagonal L_j(u) = sum_i u_i
-W[i,j,i,j] and off-diagonal sqrt(u_j u_l) W[j,j,l,l], so the leading minors
-of M(u) + eps (sum u) I, eps = CERTIFIED_ZERO, are forms of degree 1, 2 and
-3 in u.  Their Bernstein coefficients (exact values rounded once) are
-subdivided until every one exceeds the rounding bound, (k + 1)
-SUBDIVISION_ROUNDING times the minor's largest root coefficient at depth k
-(certified: lambda_min >= -eps |xi|^2), or a corner minor lies below minus
-it (negative, with an explicit |xi|); a search that would pass _CELL_CAP
-triangles raises UndecidedError.  Witness validation uses it; the
+search, by ``certify_block_positivity`` (its docstring states the minors,
+the rounding bound and the cap).  Witness validation uses it; the
 optimality probe's W - (r/2) v v* is in general not covariant, and its
 check keeps the oracle.
 """
@@ -65,11 +57,10 @@ import numpy as np
 
 from .errors import OutOfRangeError, UndecidedError
 from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK, SUBDIVISION_ROUNDING
-from .linalg import Array, require_hermitian
+from .linalg import _TINY, Array, require_hermitian
 from .maps import MapParams, cp_threshold
 
 _DESCENT_STOP = 1e-15  # relative decrease below which ``_descend`` stops
-_TINY = 1e-300  # keeps the Newton floor positive where every curvature vanishes
 _REFINE_STEPS = 200  # cap on the oracle's descent iterations
 _GRID_N = 8  # polar angles and phases of ``_grid``, the oracle's and the probe's
 

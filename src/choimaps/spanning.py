@@ -6,14 +6,11 @@ applied to the projector of xi kills the conjugate of eta.  On the boundary
 pieces of the positivity body the kernel is known in closed form and is
 sampled at fixed phase choices.
 
-Each point gets one record, built once and cached by its parameters: its
-face and that face's property-table row, the face's own coordinates of the
-point, its kernel case, its membership-checked kernel sample at those
-coordinates as two arrays of factors, the sample's tensors, and the
-spanning and co-spanning reports.  The row alone decides spanning and
-co-spanning; the sample's rank, and the gap around the rank cut, are
-evidence beside it.  The record is the one per-point cache: every function
-here, and the optimality code, reads it.
+Each point gets one record, ``_KernelPoint`` (its docstring lists what it
+holds), built once and cached by its parameters.  The row alone decides
+spanning and co-spanning; the sample's rank, and the gap around the rank
+cut, are evidence beside it.  The record is the one per-point cache: every
+function here, and the optimality code, reads it.
 """
 
 from __future__ import annotations
@@ -71,13 +68,14 @@ def kernel_membership(p: MapParams, pv: ProductVector) -> bool:
     """True iff Phi(xi xi*) annihilates conj(eta), to the residue RESIDUE_REL |xi|^2 |eta|."""
     if not is_positive(p):
         raise NotPositiveMapError(f"map {p} is not positive")
-    return bool(_in_kernel(p, pv.xi[None], pv.eta[None])[0])
+    return bool(_in_kernel(choi_matrix(p), pv.xi[None], pv.eta[None])[0])
 
 
-def _in_kernel(p: MapParams, xi: Array, eta: Array) -> Array:
-    """The ``kernel_membership`` check of each row pair of the (n, 3) factors
-    ``xi`` and ``eta``, with one kernel matrix and one batched residue."""
-    images = _apply_kernel(_kernel_matrix(choi_matrix(p)), xi[:, :, None] * xi.conj()[:, None, :])
+def _in_kernel(w: Array, xi: Array, eta: Array) -> Array:
+    """The ``kernel_membership`` check, at the map with Choi matrix ``w``, of
+    each row pair of the (n, 3) factors ``xi`` and ``eta``, with one kernel
+    matrix and one batched residue."""
+    images = _apply_kernel(_kernel_matrix(w), xi[:, :, None] * xi.conj()[:, None, :])
     residue = np.linalg.norm(images @ eta.conj()[:, :, None], axis=(1, 2))
     scale = np.sum(np.abs(xi) ** 2, axis=1) * np.linalg.norm(eta, axis=1)
     return residue <= RESIDUE_REL * scale
@@ -190,9 +188,8 @@ def _case_vectors(p: MapParams, case: str | None) -> tuple[Array, Array]:
     """The (n, 3) factors xi and eta of the case's kernel vectors at the
     generic phases ``GENERIC_PAIRS`` and ``GENERIC_TRIPLES``, plus the
     coordinate vectors (only those off the cases), stacked in that order,
-    without the rows whose xi or eta vanishes, and membership-checked in one
-    batch.  Rich enough for span computations; for strictly interior maps
-    possibly empty."""
+    without the rows whose xi or eta vanishes.  Rich enough for span
+    computations; for strictly interior maps possibly empty."""
     rows: list[tuple] = []
     if case in ("i", "ii"):
         for al, be in GENERIC_PAIRS:
@@ -205,16 +202,7 @@ def _case_vectors(p: MapParams, case: str | None) -> tuple[Array, Array]:
     rows.extend(_axis_vectors(p))
     pairs = np.array(rows, dtype=complex).reshape(-1, 2, 3)
     pairs = pairs[np.all(np.linalg.norm(pairs, axis=2) > 0, axis=1)]
-    xi, eta = pairs[:, 0], pairs[:, 1]
-
-    member = _in_kernel(p, xi, eta)
-    if not member.all():
-        source = "axis" if case is None else f"case {case} family"
-        i = int(np.argmin(member))  # the first vector that failed
-        raise InternalConsistencyError(
-            f"{source} vector xi={xi[i]}, eta={eta[i]} failed kernel membership for {p}"
-        )
-    return xi, eta
+    return pairs[:, 0], pairs[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +245,17 @@ class _KernelPoint:
     """What the kernel code knows about one positive map, the one cache per
     point: its face, the face's property-table row (all false at INTERIOR),
     the point at the face's own coordinates (``_ON_FACE``), its kernel case,
-    its membership-checked generic kernel sample there as the read-only
-    (n, 3) factors ``xi`` and ``eta`` (``_case_vectors``), the sample's
-    read-only (n, 9) tensors xi (x) eta, and its spanning and co-spanning
-    reports, the latter from the partial conjugates xi (x) conj(eta)."""
+    and there its read-only Choi matrix ``choi``, its generic kernel sample
+    as the read-only (n, 3) factors ``xi`` and ``eta`` (``_case_vectors``,
+    checked against ``choi`` in one batch), the sample's read-only (n, 9)
+    tensors xi (x) eta, and its spanning and co-spanning reports, the
+    latter from the partial conjugates xi (x) conj(eta)."""
 
     face: FaceLabel
     row: PropertyRow
     params: MapParams
     case: str | None
+    choi: Array
     xi: Array
     eta: Array
     tensors: Array
@@ -286,13 +276,21 @@ def _kernel_point(p: MapParams) -> _KernelPoint:
     on_face = _ON_FACE.get(face.kind)
     params = p if on_face is None else MapParams(*on_face(*p.abc, pth), p.theta)
     case = _KERNEL_CASE.get(face.kind)
+    choi = choi_matrix(params)
     xi, eta = _case_vectors(params, case)
+    member = _in_kernel(choi, xi, eta)
+    if not member.all():
+        source = "axis" if case is None else f"case {case} family"
+        i = int(np.argmin(member))  # the first vector that failed
+        raise InternalConsistencyError(
+            f"{source} vector xi={xi[i]}, eta={eta[i]} failed kernel membership for {params}"
+        )
     tensors = (xi[:, :, None] * eta[:, None, :]).reshape(-1, 9)
     conjugates = (xi[:, :, None] * eta.conj()[:, None, :]).reshape(-1, 9)
-    for x in (xi, eta, tensors):
+    for x in (choi, xi, eta, tensors):
         x.flags.writeable = False  # shared by every caller of the cache
     return _KernelPoint(
-        face, row, params, case, xi, eta, tensors,
+        face, row, params, case, choi, xi, eta, tensors,
         _report(row.spanning, case, tensors), _report(row.co_spanning, case, conjugates),
     )
 

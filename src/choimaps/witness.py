@@ -39,13 +39,13 @@ from .errors import (
 )
 from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, FACE_TOL, INCLUSION_SLACK, RESIDUE_REL, Array
 from .linalg import hermitian_eigenvalues, partial_transpose
-from .maps import MapParams, cp_threshold, edge_state, pairing_value
+from .maps import MapParams, _edge_angle, cp_threshold, edge_state, pairing_value
 from .positivity import certify_block_positivity
 from .spanning import has_cospanning_property, has_spanning_property
 
 
 def _check_theta(theta: float) -> float:
-    if not 0.0 < abs(theta) < math.pi / 3.0:
+    if not _edge_angle(theta):
         raise ThetaOutOfRangeError(f"witness construction requires 0 < |theta| < pi/3, got {theta}")
     return math.cos(theta / 2.0)
 
@@ -155,12 +155,8 @@ def _validate(spec: WitnessSpec) -> None:
     and that its normalized parameters lie on the bi-spanning boundary piece.
 
     Block-positivity is proved, not searched for: the witness is covariant,
-    so ``certify_block_positivity`` decides lambda_min Phi(xi xi*) >=
-    -CERTIFIED_ZERO |xi|^2 from the leading minors of M(u) +
-    CERTIFIED_ZERO (sum u) I, forms of degree 1, 2 and 3 in u = |xi|^2, by
-    Bernstein subdivision: every coefficient must exceed the rounding bound
-    (k + 1) SUBDIVISION_ROUNDING times its minor's scale at depth k, within
-    _CELL_CAP triangles.  A negative verdict or an undecided search raises
+    so ``certify_block_positivity`` decides it (its docstring states the
+    rule).  A negative verdict or an undecided search raises
     InternalConsistencyError."""
     where = f"theta={spec.theta!r}, b={spec.b!r}, alpha~={spec.alpha_tilde!r}"
     closed = detection_closed_form(spec.theta, spec.b, spec.alpha_tilde, spec.b_slot, spec.c_slot)

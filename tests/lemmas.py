@@ -35,9 +35,9 @@ from choimaps import InternalConsistencyError, MapParams, OutOfRangeError, Unsup
 from choimaps import ProductVector, choi_matrix, edge_state, pairing_value, partial_transpose
 from choimaps.faces import require_generic_theta
 from choimaps.linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK, RESIDUE_ABS
-from choimaps.linalg import require_hermitian
+from choimaps.linalg import _TINY, require_hermitian
 from choimaps import optimality
-from choimaps.optimality import _DINKELBACH_STOP, _P_MAX, _ROUNDS, _TINY, _hessian_null, _ratio_on_grid
+from choimaps.optimality import _DINKELBACH_STOP, _P_MAX, _ROUNDS, _hessian_null, _ratio_on_grid
 from choimaps import positivity
 from choimaps.positivity import _COVARIANT, BlockPositivityReport, _apply_kernel, _descend, _distinct_starts
 from choimaps.positivity import _kernel_matrix, _pairing_model, _smallest_eigenvalues, _sphere_grid
@@ -376,7 +376,7 @@ def refine_every_direction(p: MapParams, n_directions: int):
     each direction's smallest ratio."""
     w = choi_matrix(_kernel_point(p).params)
     try:
-        basis, model = optimality._second_order(p, w)
+        basis, model = optimality._second_order(p)
     except UnsupportedCaseError:
         basis, model = np.eye(9, dtype=complex), None
     directions = optimality._directions(len(basis), n_directions) @ basis
@@ -435,7 +435,7 @@ def newton_candidates_joint(w, xi, value, evecs, rank_one=None):
     q -= value[:, None, None] * np.eye(8)
     mu, e = np.linalg.eigh(q)
     slope = np.einsum("nkl,nk->nl", e, grad)
-    floor = EIG_FLOOR * np.abs(mu).max(axis=1, keepdims=True) + positivity._TINY
+    floor = EIG_FLOOR * np.abs(mu).max(axis=1, keepdims=True) + _TINY
     steps = [-np.einsum("nkl,nl->nk", e, slope / (2.0 * np.maximum(np.abs(mu), floor)))]
     downhill = np.where(slope[:, :1] > 0.0, -e[:, :, 0], e[:, :, 0])
     steps += [np.where(mu[:, :1] < 0.0, size * downhill, 0.0) for size in (0.5, 0.05)]

@@ -195,9 +195,9 @@ class TestClassify:
         calls = []
         original = spanning._in_kernel
 
-        def counted(p, xi, eta):
+        def counted(w, xi, eta):
             calls.append(len(xi))
-            return original(p, xi, eta)
+            return original(w, xi, eta)
 
         monkeypatch.setattr(spanning, "_in_kernel", counted)
         assert main(["classify", "0.5", "1", "0.25", "pi/6", "--json"]) == 0

@@ -177,16 +177,19 @@ def test_the_package_caches_are_the_record_and_the_two_tables():
 
 
 #: What a verdict reaches from outside the package: the command line (it
-#: reaches ``optimality_probe``, which the benchmark also calls, through
-#: ``classify_optimality``), the parametrization the benchmark checks its
-#: sampler against, the public one-vector kernel check (the benchmark
-#: traces it by name; the kernel sample is checked in one batch), the
-#: public second-order orthocomplement (traced by name too; the probe takes
-#: it together with its kernel model from one ``_second_order`` call) and
-#: the public numeric rank (the spanning reports cut their own SVD at the
-#: same RANK_REL, since they also report the gap around the cut).
+#: certifies the optimal vertices from the second-order space and runs no
+#: search), the subtraction probe, which the benchmark's optimality workload
+#: calls (it alone reaches the grid, the descent, the oracle and the
+#: Dinkelbach rounds), the parametrization the benchmark checks its sampler
+#: against, the public one-vector kernel check (the benchmark traces it by
+#: name; the kernel sample is checked in one batch), the public second-order
+#: orthocomplement (traced by name too; the probe and the command line take
+#: the space from ``_second_order``) and the public numeric rank (the
+#: spanning reports cut their own SVD at the same RANK_REL, since they also
+#: report the gap around the cut).
 _ROOTS = (
     ("cli", "main"),
+    ("optimality", "optimality_probe"),
     ("faces", "boundary_parametrization"),
     ("spanning", "kernel_membership"),
     ("optimality", "orthocomplement_basis"),
@@ -221,13 +224,12 @@ def _definitions(tree: ast.Module) -> tuple[dict[str, list[ast.AST]], list[ast.A
     return defs, statements, bindings
 
 
-def test_every_definition_is_reached_by_a_verdict():
-    # Each top-level definition of the package is reached from the command
-    # line, from a module-level statement, or from a function the benchmark
-    # calls, through the names it uses resolved by each module's own
-    # ``from .x import y`` bindings (so ``np.kron`` never reads as a package
-    # ``kron``).  The package namespace (``__init__``) is not a root: code
-    # that only tests reach belongs in tests/.
+def _reach(roots, statements: bool) -> tuple[dict, set]:
+    """The package's modules (stem -> ``_definitions``) and the (module,
+    name) definitions reached from ``roots`` (and from every module-level
+    statement when ``statements``), through the names each reached
+    definition uses, resolved by each module's own ``from .x import y``
+    bindings (so ``np.kron`` never reads as a package ``kron``)."""
     src = Path(choimaps.__file__).parent
     modules = {path.stem: _definitions(ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))}
 
@@ -239,9 +241,9 @@ def test_every_definition_is_reached_by_a_verdict():
             module, name = modules[module][2][name]
         return module, name
 
-    reached = set(_ROOTS)
-    todo = [(module, node) for module, (_, statements, _) in modules.items() for node in statements]
-    todo += [(module, node) for module, name in _ROOTS for node in modules[module][0][name]]
+    reached = set(roots)
+    todo = [(module, node) for module, (_, nodes, _) in modules.items() if statements for node in nodes]
+    todo += [(module, node) for module, name in roots for node in modules[module][0][name]]
     while todo:
         module, node = todo.pop()
         for used in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}:
@@ -249,12 +251,35 @@ def test_every_definition_is_reached_by_a_verdict():
             if target is not None and target not in reached:
                 reached.add(target)
                 todo += [(target[0], d) for d in modules[target[0]][0][target[1]]]
+    return modules, reached
 
+
+def test_every_definition_is_reached_by_a_verdict():
+    # Each top-level definition of the package is reached from the command
+    # line, from a module-level statement, or from a function the benchmark
+    # calls.  The package namespace (``__init__``) is not a root: code that
+    # only tests reach belongs in tests/.
+    modules, reached = _reach(_ROOTS, statements=True)
     unreached = sorted(
         f"{module}.{name}" for module, (defs, _, _) in modules.items() for name in defs
         if (module, name) not in reached
     )
     assert unreached == [], "reached by no verdict: " + ", ".join(unreached)
+
+
+def test_the_command_line_reaches_no_search_code():
+    # ``classify`` certifies the optimal vertices from the exact second-order
+    # space, so no command reaches the probe, its grid ratios and rounds, or
+    # the oracle's grid and descent.
+    modules, reached = _reach([("cli", "main")], statements=False)
+    search = [("optimality", name) for name in (
+        "optimality_probe", "_dinkelbach", "_ratio_on_grid", "_directions", "_kernel_limit_ratio",
+    )] + [("positivity", name) for name in (
+        "block_positivity_oracle", "_descend", "_newton_candidates", "_grid", "_distinct_starts",
+        "_smallest_eigenvalues",
+    )]
+    assert all(name in modules[module][0] for module, name in search)
+    assert sorted(f"{module}.{name}" for module, name in search if (module, name) in reached) == []
 
 
 def test_eigenvalue_sum_matches_trace():

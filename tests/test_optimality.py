@@ -950,7 +950,7 @@ def test_optimal_vertex_with_a_nonempty_space_is_an_internal_error(monkeypatch):
     # vertices: a space of dimension 2 is refused, whatever the probe finds in it
     p = MapParams(1, PTH - 1, 0, np.pi / 6)
     assert classify_optimality(p).evidence["optimal"] == "empty second-order orthocomplement"
-    monkeypatch.setattr(optimality, "_second_order", lambda *args: (np.eye(9, dtype=complex)[:2], None))
+    monkeypatch.setattr(optimality, "_second_order", lambda p: (np.eye(9, dtype=complex)[:2], None))
     with pytest.raises(InternalConsistencyError, match=r"nonempty second-order orthocomplement \(dimension 2\)"):
         classify_optimality(p)
 
