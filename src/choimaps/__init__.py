@@ -23,7 +23,7 @@ from .faces import (
     classify_faces,
     face_properties,
 )
-from .linalg import hermitian_eigenvalues, numeric_rank, partial_transpose
+from .linalg import hermitian_eigenvalues, partial_transpose
 from .maps import MapParams, choi_matrix, cp_threshold, edge_state, pairing_value
 from .optimality import (
     CooptimalitySubtraction,
@@ -32,7 +32,6 @@ from .optimality import (
     classify_optimality,
     cooptimality_subtraction,
     optimality_probe,
-    orthocomplement_basis,
     subtraction_budget,
 )
 from .positivity import (
@@ -44,13 +43,7 @@ from .positivity import (
     is_completely_positive,
     is_positive,
 )
-from .spanning import (
-    ProductVector,
-    SpanningReport,
-    has_cospanning_property,
-    has_spanning_property,
-    kernel_membership,
-)
+from .spanning import SpanningReport, has_cospanning_property, has_spanning_property
 from .witness import (
     WitnessSpec,
     alpha_range,

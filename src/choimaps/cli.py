@@ -254,8 +254,9 @@ def _sweep(theta: float, grid_n: int, plane: str, box: float, out: str) -> int:
             coords[slots[0]], coords[slots[1]] = x, y
             texts[slots[0]], texts[slots[1]] = labels[i], labels[j]
             a, b, c = coords
-            codes = classify_faces(a, b, c, theta)[0].astype(int) * 4
-            codes += 2 * completely_positive_at(a, cp_pth) + completely_copositive_at(b, c)
+            codes = classify_faces(a, b, c, theta).astype(int) * 4
+            with np.errstate(over="ignore"):  # b * c = inf is above the threshold, as it should be
+                codes += 2 * completely_positive_at(a, cp_pth) + completely_copositive_at(b, c)
             yield "\n".join(
                 [f"{ta},{tb},{tc}{tails[k]}" for ta, tb, tc, k in zip(*texts, codes.tolist())]
             )

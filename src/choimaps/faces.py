@@ -178,26 +178,20 @@ def classify_face(p: MapParams) -> FaceLabel:
 FACE_KINDS = tuple(FaceKind)
 
 
-def classify_faces(a, b, c, theta: float) -> tuple[Array, Array, Array]:
+def classify_faces(a, b, c, theta: float) -> Array:
     """The face table over coordinate arrays (broadcast together) at one
-    angle: the kind codes (indices into ``FACE_KINDS``), the interior-of-face
-    flags and the t values (NaN where the kind has none), equal point by
-    point to ``classify_face``.  Raises OutOfRangeError unless every
-    coordinate is finite and nonnegative, and UnsupportedThetaError."""
+    angle: the kind codes (indices into ``FACE_KINDS``), equal point by
+    point to the kind of ``classify_face``.  Raises OutOfRangeError unless
+    every coordinate is finite and nonnegative, and UnsupportedThetaError."""
     pth = require_generic_theta(normalize_angle(theta))
     a, b, c = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c)))
     if not all(np.all(np.isfinite(x) & (x >= 0.0)) for x in (a, b, c)):
         raise OutOfRangeError("a, b and c must be finite and nonnegative")
-    codes, interiors = np.full(a.shape, -1, np.int8), np.zeros(a.shape, bool)
-    ts = np.full(a.shape, np.nan)
-    with np.errstate(all="ignore"):  # t formulas off their rule, products near overflow
-        for kind, member, interior, t in _face_table(a, b, c, pth):
-            hit = (codes < 0) & member
-            codes[hit] = FACE_KINDS.index(kind)
-            interiors = np.where(hit, interior, interiors)
-            if t is not None:
-                ts = np.where(hit, t(), ts)
-    return codes, interiors, ts
+    codes = np.full(a.shape, -1, np.int8)
+    with np.errstate(all="ignore"):  # products near overflow
+        for kind, member, _, _ in _face_table(a, b, c, pth):
+            codes[(codes < 0) & member] = FACE_KINDS.index(kind)
+    return codes
 
 
 def face_properties(label: FaceLabel | FaceKind) -> PropertyRow:

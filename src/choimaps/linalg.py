@@ -65,20 +65,6 @@ def hermitian_eigenvalues(m) -> Array:
     return np.linalg.eigvalsh(require_hermitian(m))
 
 
-def numeric_rank(m) -> int:
-    """Number of singular values above ``RANK_REL`` relative to the largest.
-
-    The zero matrix has rank 0.
-    """
-    m = as_complex(m)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_REL * s[0]))
-
-
 def partial_transpose(m) -> Array:
     """Transpose the second tensor factor of a 9x9 matrix.
 

@@ -2,9 +2,9 @@
 subtracted from a map while it stays block-positive.
 
 Candidate directions live in the second-order orthocomplement of the
-sampled kernel product vectors (``orthocomplement_basis``): orthogonal to
-every kernel vector, and to the image of every null direction of the
-pairing's Hessian there.  Where that space is empty, no direction can be
+sampled kernel product vectors (``_second_order``): orthogonal to every
+kernel vector, and to the image of every null direction of the pairing's
+Hessian there.  Where that space is empty, no direction can be
 subtracted and the map is optimal without the spanning property; this
 decides both non-spanning optimal vertices in every theta branch, except
 within _THRESHOLD_GAP of cp_threshold = 1, where the space is refused.
@@ -61,7 +61,7 @@ _P_MAX = 10.0  # cap on each direction's subtractable weight in ``optimality_pro
 _ROUNDS = 250  # cap on each direction's Dinkelbach rounds
 _BLOCK = 64  # directions per block of the probe: its temporaries do not grow past one block
 _MAX_DIRECTIONS = 64 * _BLOCK  # cap on the probe's directions, all drawn at once before the blocks
-# cp_threshold - 1 below which ``orthocomplement_basis`` is not resolved: at
+# cp_threshold - 1 below which ``_second_order`` is not resolved: at
 # the vertices the rows that empty it are about 0.26 (cp_threshold - 1) of
 # the largest, and on other faces rounding leaves rows of about
 # 4e-16 / (cp_threshold - 1); at the bound each is 25 times from RANK_REL
@@ -77,16 +77,19 @@ def subtraction_budget(theta: float) -> float:
     return math.cos(theta) - abs(math.sin(theta)) / math.sqrt(3.0)
 
 
-def orthocomplement_basis(p: MapParams) -> list[Array]:
-    """Orthonormal basis of the second-order orthocomplement of the sampled
-    kernel product vectors z0: the directions v with v^T z0 = 0 and
-    v^T J x = 0 for every x in the null space (``_hessian_null``) of the
-    Hessian Q2 of the map pairing at every z0, J the Jacobian of z0 on the
-    product manifold (``_kernel_models``).  Along a curve into z0 with
-    tangent x the pairing is then O(s^3), while subtracting r v v* costs
-    r s^2 |v^T J x|^2, so every direction that can be subtracted with a
-    positive weight lies in this space: an empty space certifies optimality,
-    and a too small kernel sample can only enlarge it.
+def _second_order(p: MapParams) -> tuple[Array, tuple[Array, Array, Array] | None]:
+    """The second-order orthocomplement of the sampled kernel product
+    vectors z0 at ``p``, as (k, 9) orthonormal basis rows, and the kernel
+    vectors' model (mu, e, J) of ``_kernel_models`` at the record's Choi
+    matrix (None when the first-order space is empty).
+
+    The space holds the directions v with v^T z0 = 0 and v^T J x = 0 for
+    every x in the null space (``_hessian_null``) of the Hessian Q2 of the
+    map pairing at every z0, J the Jacobian of z0 on the product manifold.
+    Along a curve into z0 with tangent x the pairing is then O(s^3), while
+    subtracting r v v* costs r s^2 |v^T J x|^2, so every direction that can
+    be subtracted with a positive weight lies in this space: an empty space
+    certifies optimality, and a too small kernel sample can only enlarge it.
 
     The first-order space B (v^T z0 = 0) comes from the sample's tensors.
     The rows J x are restricted to B, and where they vanish there (to
@@ -100,13 +103,6 @@ def orthocomplement_basis(p: MapParams) -> list[Array]:
     cp_threshold - 1 while their rounding noise grows, and no cut tells
     them apart.
     """
-    return list(_second_order(p)[0])
-
-
-def _second_order(p: MapParams) -> tuple[Array, tuple[Array, Array, Array] | None]:
-    """The (k, 9) basis rows of ``orthocomplement_basis`` at ``p``, and the
-    kernel vectors' model (mu, e, J) of ``_kernel_models`` at the record's
-    Choi matrix (None when the first-order space is empty)."""
     k = _kernel_point(p)
     if not len(k.xi):
         raise UnsupportedCaseError(
@@ -358,7 +354,7 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
     """Probe whether a completely positive direction can be subtracted from
     the map while keeping it block-positive.
 
-    An empty ``orthocomplement_basis`` is the certificate: the verdict is
+    An empty ``_second_order`` space is the certificate: the verdict is
     'optimal' with no direction drawn (the spanning property included).
     Otherwise directions sweep the unit sphere of that space (the full space
     when no kernel vector is known).  Like that space, the map is the kernel
@@ -388,7 +384,7 @@ def optimality_probe(p: MapParams, n_directions: int = 64) -> OptimalityProbeRep
     the map of W - min(2r, _P_MAX) v v* at the rounds' best xi (the keys of
     ``OptimalityProbeReport.verification``).  Raises OutOfRangeError unless
     n_directions is an integer in [1, _MAX_DIRECTIONS], and
-    UnsupportedThetaError where ``orthocomplement_basis`` does.
+    UnsupportedThetaError where ``_second_order`` does.
     """
     integral = isinstance(n_directions, numbers.Integral) and not isinstance(n_directions, bool)
     if not (integral and 1 <= n_directions <= _MAX_DIRECTIONS):

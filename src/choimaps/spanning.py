@@ -45,40 +45,21 @@ GENERIC_TRIPLES = DEFAULT_TRIPLES + tuple(
 )
 
 
-@dataclass(frozen=True)
-class ProductVector:
-    """A pair (xi, eta) of nonzero complex 3-vectors standing for xi (x) eta:
-    the validated input of ``kernel_membership``."""
-
-    xi: Array
-    eta: Array
-
-    def __post_init__(self) -> None:
-        xi = np.asarray(self.xi, dtype=complex)
-        eta = np.asarray(self.eta, dtype=complex)
-        if xi.shape != (3,) or eta.shape != (3,):
-            raise ValueError("product vector factors must be complex 3-vectors")
-        if np.linalg.norm(xi) == 0 or np.linalg.norm(eta) == 0:
-            raise ValueError("product vector factors must be nonzero")
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "eta", eta)
-
-
-def kernel_membership(p: MapParams, pv: ProductVector) -> bool:
-    """True iff Phi(xi xi*) annihilates conj(eta), to the residue RESIDUE_REL |xi|^2 |eta|."""
-    if not is_positive(p):
-        raise NotPositiveMapError(f"map {p} is not positive")
-    return bool(_in_kernel(choi_matrix(p), pv.xi[None], pv.eta[None])[0])
-
-
 def _in_kernel(w: Array, xi: Array, eta: Array) -> Array:
-    """The ``kernel_membership`` check, at the map with Choi matrix ``w``, of
-    each row pair of the (n, 3) factors ``xi`` and ``eta``, with one kernel
-    matrix and one batched residue."""
-    images = _apply_kernel(_kernel_matrix(w), xi[:, :, None] * xi.conj()[:, None, :])
+    """Whether Phi(xi xi*) annihilates conj(eta), to the residue
+    RESIDUE_REL |xi|^2 |eta|, at the map with Choi matrix ``w``, for each
+    row pair of the (n, 3) nonzero factors ``xi`` and ``eta``, with one
+    kernel matrix and one batched residue.  The residue has degree 1 in W,
+    2 in xi and 1 in eta, so it is taken on factors scaled to unit largest
+    entry and on W over its largest entry, against the bound scaled alike:
+    no coordinate up to the largest double overflows it."""
+    top = np.abs(w).max()
+    xi = xi / np.abs(xi).max(axis=1, keepdims=True)
+    eta = eta / np.abs(eta).max(axis=1, keepdims=True)
+    images = _apply_kernel(_kernel_matrix(w / top), xi[:, :, None] * xi.conj()[:, None, :])
     residue = np.linalg.norm(images @ eta.conj()[:, :, None], axis=(1, 2))
     scale = np.sum(np.abs(xi) ** 2, axis=1) * np.linalg.norm(eta, axis=1)
-    return residue <= RESIDUE_REL * scale
+    return residue <= RESIDUE_REL * scale / top
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +182,7 @@ def _case_vectors(p: MapParams, case: str | None) -> tuple[Array, Array]:
         rows.extend(_equal_modulus_vector(p.theta, *phases) for phases in GENERIC_TRIPLES)
     rows.extend(_axis_vectors(p))
     pairs = np.array(rows, dtype=complex).reshape(-1, 2, 3)
-    pairs = pairs[np.all(np.linalg.norm(pairs, axis=2) > 0, axis=1)]
+    pairs = pairs[np.any(pairs != 0, axis=2).all(axis=1)]
     return pairs[:, 0], pairs[:, 1]
 
 

@@ -14,6 +14,8 @@ face's property-table row), the paper's closed-form |det| of the nine
 canonical kernel columns and of their partial conjugates (the package's
 evidence is the sample's rank and the gap around its cut), the tensors
 of a kernel sample by one kron per vector (the package broadcasts), the
+one-vector kernel check and the numeric rank (the package checks each
+sample in one batch and cuts its own SVDs at the same RANK_REL), the
 closed-form optimality certificate of the two vertices with first
 coordinate 1 from the probe families of the paper's proof, and the kernel
 vectors and the equal-subtraction restriction of the {6,8} edge states,
@@ -32,9 +34,10 @@ from fractions import Fraction
 import numpy as np
 
 from choimaps import InternalConsistencyError, MapParams, OutOfRangeError, UnsupportedCaseError, UnsupportedThetaError
-from choimaps import ProductVector, choi_matrix, edge_state, pairing_value, partial_transpose
+from choimaps import choi_matrix, edge_state, pairing_value, partial_transpose
 from choimaps.faces import require_generic_theta
-from choimaps.linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK, RESIDUE_ABS
+from choimaps.linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK, RANK_REL
+from choimaps.linalg import RESIDUE_ABS, RESIDUE_REL
 from choimaps.linalg import _TINY, require_hermitian
 from choimaps import optimality
 from choimaps.optimality import _DINKELBACH_STOP, _P_MAX, _ROUNDS, _hessian_null, _ratio_on_grid
@@ -142,11 +145,29 @@ def product_tensors(xi, eta, conjugate: bool = False) -> np.ndarray:
     return np.array([np.kron(x, e.conj() if conjugate else e) for x, e in pairs]).reshape(-1, 9)
 
 
-def kernel_vectors(p: MapParams) -> list[ProductVector]:
-    """The row pairs of the point's kernel record, each as a validated
-    ``ProductVector``."""
+def kernel_vectors(p: MapParams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (xi, eta) row pairs of the point's kernel record."""
     k = _kernel_point(p)
-    return [ProductVector(x, e) for x, e in zip(k.xi, k.eta)]
+    return list(zip(k.xi, k.eta))
+
+
+def in_kernel(p: MapParams, xi, eta) -> bool:
+    """Whether Phi(xi xi*) annihilates conj(eta), to the residue
+    RESIDUE_REL |xi|^2 |eta|, with Phi read off ``choi_matrix(p)`` for the
+    one vector: the package checks a record's whole sample in one batch,
+    through its kernel matrix, on factors scaled against overflow."""
+    xi, eta = np.asarray(xi, dtype=complex), np.asarray(eta, dtype=complex)
+    image = np.einsum("ik,ijkl->jl", np.outer(xi, xi.conj()), choi_matrix(p).reshape(3, 3, 3, 3))
+    residue = np.linalg.norm(image @ eta.conj())
+    return bool(residue <= RESIDUE_REL * np.vdot(xi, xi).real * np.linalg.norm(eta))
+
+
+def numeric_rank(m) -> int:
+    """Number of singular values above RANK_REL relative to the largest (0
+    for the zero matrix): the package cuts its own SVDs at the same
+    RANK_REL, since its reports also give the gap around the cut."""
+    s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
+    return int(np.count_nonzero(s > RANK_REL * s[0])) if len(s) and s[0] > 0.0 else 0
 
 
 def _nine_columns(rows, conjugate: bool = False) -> np.ndarray | None:

@@ -21,6 +21,7 @@ from choimaps.faces import row_of
 from choimaps.linalg import INCLUSION_SLACK
 from choimaps.positivity import BlockPositivityCertificate
 from choimaps.reporting import ReportDocument, render_plain
+from choimaps.spanning import _in_kernel, _kernel_point
 
 
 class TestParseAngle:
@@ -461,6 +462,39 @@ def test_near_overflow_coordinate_classifies(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["flags"]["face"] == "e_a"
     assert out["flags"]["cp"] is True
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "1", "1e300", "0", "0.5"],  # E_B
+        ["classify", "1", "1.7976931348623157e308", "0", "0.5"],
+        ["spanning", "1.0000000001", "1e308", "0", "-2.2"],
+        ["spanning", "0", "1e200", "1e-200", "0.5"],  # V_0T: the residue was inf <= inf
+        ["classify", "0", "1e160", "1e-160", "0.5"],
+    ],
+    ids=" ".join,
+)
+def test_huge_coordinates_pass_the_kernel_check_without_overflow(argv, capsys):
+    # the record's kernel self-check scales W and each factor to unit largest
+    # entry, so no residue overflows, and it still refuses a product vector
+    # off the kernel
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    k = _kernel_point(MapParams(*map(float, argv[1:4]), parse_angle(argv[4])))
+    ones = np.ones((1, 3), dtype=complex)
+    assert _in_kernel(k.choi, k.xi, k.eta).all()
+    assert not _in_kernel(k.choi, ones, ones).any()
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_over_a_huge_box_warns_nothing(tmp_path, capsys):
+    # b * c overflows to inf at the far corner, which is completely copositive
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "0.5", "10", "--plane", "bc", "--box", "1e308", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[-1].split(",")[5:7] == ["0", "1"]
 
 
 class TestWitness:

@@ -11,13 +11,12 @@ from choimaps import (
     cp_threshold,
     edge_state,
     hermitian_eigenvalues,
-    numeric_rank,
     optimality_probe,
     pairing_value,
     partial_transpose,
 )
 from choimaps.linalg import INCLUSION_SLACK
-from lemmas import apply_map, edge_kernel_vectors, equal_subtraction_restriction, pairing, phase_circulant
+from lemmas import apply_map, edge_kernel_vectors, equal_subtraction_restriction, numeric_rank, pairing, phase_circulant
 
 
 def random_params(rng, amax=2.5):

@@ -25,9 +25,7 @@ from choimaps import (
     cp_threshold,
     face_properties,
     is_positive,
-    numeric_rank,
     optimality_probe,
-    orthocomplement_basis,
     subtraction_budget,
 )
 from choimaps import optimality
@@ -40,12 +38,13 @@ from choimaps.optimality import (
     _kernel_models,
     _penalty_rows,
     _ratio_on_grid,
+    _second_order,
 )
 from choimaps.positivity import _COVARIANT, BlockPositivityReport, _grid
 from choimaps.spanning import _kernel_point
 import lemmas
 from lemmas import apply_map, dinkelbach_reference, full_grid_minimum, full_grid_ratios, kernel_limit_ratio
-from lemmas import moduli_oracle, product_tensors, vertex_optimality_analytic
+from lemmas import moduli_oracle, numeric_rank, product_tensors, vertex_optimality_analytic
 
 
 PTH = cp_threshold(np.pi / 6)
@@ -67,16 +66,16 @@ class TestOrthocomplement:
                 first_order = vh[7:].conj()
                 assert np.abs(first_order[:, off]).max() <= 1e-9
                 assert np.abs(first_order[:, [0, 4, 8]].sum(axis=1)).max() <= 1e-9
-                assert orthocomplement_basis(p) == []
+                assert len(_second_order(p)[0]) == 0
 
     def test_spanning_point_has_empty_basis(self):
         a, b, c = boundary_parametrization(np.pi / 6, 2.0)
-        assert orthocomplement_basis(MapParams(a, b, c, np.pi / 6)) == []
+        assert len(_second_order(MapParams(a, b, c, np.pi / 6))[0]) == 0
 
     def test_sum_face_interior_dimension(self):
         th = np.pi / 6
         pth = cp_threshold(th)
-        basis = orthocomplement_basis(MapParams(1.2, (pth - 1.2) / 2, (pth - 1.2) / 2, th))
+        basis = _second_order(MapParams(1.2, (pth - 1.2) / 2, (pth - 1.2) / 2, th))[0]
         assert len(basis) == 2
 
     @pytest.mark.parametrize(
@@ -103,11 +102,11 @@ class TestOrthocomplement:
         assert np.array_equal(rows, k.tensors)
         assert not any(x.flags.writeable for x in (k.xi, k.eta, k.tensors))
         vertex = abc[0] == 1.0
-        assert len(orthocomplement_basis(p)) == (0 if vertex else 9 - numeric_rank(rows))
+        assert len(_second_order(p)[0]) == (0 if vertex else 9 - numeric_rank(rows))
 
     def test_strict_interior_unsupported(self):
         with pytest.raises(UnsupportedCaseError):
-            orthocomplement_basis(MapParams(2, 2, 2, np.pi / 6))
+            _second_order(MapParams(2, 2, 2, np.pi / 6))
 
 
 class TestVertexAnalytic:
@@ -190,7 +189,7 @@ class TestProbe:
         report = optimality_probe(p)
         assert report.verdict == "optimal"
         assert report.direction_count == 0
-        assert orthocomplement_basis(p) == []
+        assert len(_second_order(p)[0]) == 0
 
 
 class TestCooptimalitySubtraction:
@@ -478,7 +477,7 @@ _F_AB_BELOW_LIMIT = MapParams(1.125292359574031, 2.082723915475503, 0.0, -1.3935
 def _probe_parts(p, ndir):
     """The probe's own directions, grid ratios and kernel limits."""
     w = choi_matrix(p)
-    basis = np.array(orthocomplement_basis(p))
+    basis = _second_order(p)[0]
     directions = _directions(len(basis), ndir) @ basis
     ratios = _ratio_on_grid(w, directions.reshape(-1, 3, 3))
     record = _kernel_point(p)
@@ -520,7 +519,7 @@ _E_B = MapParams(1, _PTH - 1 + 0.3, 0, np.pi / 6)
 def test_stacked_kernel_limits_match_the_loop(p, ndir):
     # one eigvalsh over every (kernel vector, direction) against one per pair
     w = choi_matrix(p)
-    basis = np.array(orthocomplement_basis(p))
+    basis = _second_order(p)[0]
     directions = _directions(len(basis), ndir) @ basis
     record = _kernel_point(p)
     mu, e, jac = _kernel_models(w, record.xi, record.eta)
@@ -995,7 +994,7 @@ def test_second_order_space_is_empty_exactly_on_optimal_faces(kind, theta, sign,
         assume(p.a + p.b + p.c > cp_threshold(p.theta) + 0.02)
     face = classify_face(p)
     assert face.kind.value == kind
-    assert (orthocomplement_basis(p) == []) == face_properties(face).optimal
+    assert (len(_second_order(p)[0]) == 0) == face_properties(face).optimal
 
 
 @pytest.mark.parametrize("theta0, side", ((math.pi / 3, -1.0), (math.pi / 3, 1.0), (-math.pi / 3, 1.0), (math.pi, -1.0)))
@@ -1024,7 +1023,7 @@ def test_second_order_space_is_refused_below_the_threshold_gap(theta0, sides):
             assert cp_threshold(theta) - 1.0 < optimality._THRESHOLD_GAP
             for kind in _NON_SPANNING:
                 with pytest.raises(UnsupportedThetaError, match="not resolved"):
-                    orthocomplement_basis(_face_point(kind, theta, 0.3, 0.6))
+                    _second_order(_face_point(kind, theta, 0.3, 0.6))
             for kind in ("v_1b0", "v_10c"):
                 p = _face_point(kind, theta, 0.3, 0.6)
                 assert classify_face(p).kind.value == kind
@@ -1034,8 +1033,8 @@ def test_second_order_space_is_refused_below_the_threshold_gap(theta0, sides):
             theta = theta0 + side * eps
             assert cp_threshold(theta) - 1.0 > optimality._THRESHOLD_GAP
             for kind in _NON_SPANNING:
-                far = len(orthocomplement_basis(_face_point(kind, theta0 + side * 1e-3, 0.3, 0.6)))
-                assert len(orthocomplement_basis(_face_point(kind, theta, 0.3, 0.6))) == far, (kind, eps)
+                far = len(_second_order(_face_point(kind, theta0 + side * 1e-3, 0.3, 0.6))[0])
+                assert len(_second_order(_face_point(kind, theta, 0.3, 0.6))[0]) == far, (kind, eps)
             for kind in ("v_1b0", "v_10c"):
                 p = _face_point(kind, theta, 0.3, 0.6)
                 assert classify_optimality(p).evidence["optimal"] == "empty second-order orthocomplement"

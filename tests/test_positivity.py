@@ -23,7 +23,7 @@ from choimaps import (
     partial_transpose,
 )
 from choimaps.linalg import CERTIFIED_ZERO, INCLUSION_SLACK, RESIDUE_REL
-from choimaps.optimality import _directions, _ratio_on_grid, orthocomplement_basis
+from choimaps.optimality import _directions, _ratio_on_grid, _second_order
 from choimaps.positivity import (
     _COVARIANT,
     _apply_kernel,
@@ -712,7 +712,7 @@ def _fix_first_matrix(point, dim, row, weight):
     """W - weight v v* at a family point, v a probe direction in the
     orthocomplement of dimension ``dim``."""
     p = MapParams(*point)
-    basis = np.array(orthocomplement_basis(p))
+    basis = _second_order(p)[0]
     assert len(basis) == dim
     v = (_directions(dim, 16) @ basis)[row]
     return choi_matrix(p) - weight * np.outer(v, v.conj())
@@ -812,7 +812,7 @@ def test_distinct_starts_match_the_rule_over_all_cells(k):
     samples = [noise, np.round(noise, 1), np.zeros(len(xi))]  # many ties, then every cell tied
     for point in (_F_ABC, _F_AB, (1.5, 0.5, 0.0, np.pi / 6)):
         p = MapParams(*point)
-        basis = np.array(orthocomplement_basis(p))
+        basis = _second_order(p)[0]
         directions = _directions(len(basis), 2) @ basis
         samples += list(_ratio_on_grid(choi_matrix(p), directions.reshape(-1, 3, 3)))
     for values in samples:

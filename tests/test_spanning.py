@@ -9,13 +9,11 @@ from choimaps import (
     FaceKind,
     MapParams,
     NotPositiveMapError,
-    ProductVector,
     boundary_parametrization,
     classify_face,
     cp_threshold,
     has_cospanning_property,
     has_spanning_property,
-    kernel_membership,
 )
 from choimaps.faces import FACE_KINDS, classify_faces, row_of
 from choimaps.spanning import (
@@ -25,8 +23,8 @@ from choimaps.spanning import (
     _equal_modulus_vector,
     _kernel_point,
 )
-from lemmas import cospanning_columns, cospanning_det_closed_form, cospans_closed_form, kernel_vectors, pairing
-from lemmas import product_tensors
+from lemmas import cospanning_columns, cospanning_det_closed_form, cospans_closed_form, in_kernel, kernel_vectors
+from lemmas import pairing, product_tensors
 from lemmas import spanning_columns, spanning_det_closed_form, spans_closed_form
 
 
@@ -51,24 +49,22 @@ def generic_theta(rng):
 class TestKernelMembership:
     def test_surface_family_member(self):
         p = MapParams(0.5, 1, 0.25, np.pi / 6)
-        pv = kernel_vectors(p)[0]
-        assert kernel_membership(p, pv)
+        assert in_kernel(p, *kernel_vectors(p)[0])
 
     def test_basis_tensor_not_in_kernel(self):
         e1 = np.array([1.0, 0, 0], dtype=complex)
-        assert not kernel_membership(MapParams(1, 1, 0, 0), ProductVector(e1, e1))
+        assert not in_kernel(MapParams(1, 1, 0, 0), e1, e1)
 
     def test_equal_modulus_member_on_sum_face(self):
         th = np.pi / 6
         pth = cp_threshold(th)
         p = MapParams(1, (pth - 1) / 2, (pth - 1) / 2, th)
-        pv = ProductVector(np.ones(3, complex), np.ones(3, complex))
-        assert kernel_membership(p, pv)
+        assert in_kernel(p, np.ones(3, complex), np.ones(3, complex))
 
     def test_requires_positive_map(self):
-        e1 = np.array([1.0, 0, 0], dtype=complex)
+        # kernel vectors are defined only for positive maps: the record refuses the rest
         with pytest.raises(NotPositiveMapError):
-            kernel_membership(MapParams(0.1, 0.1, 0.1, np.pi / 6), ProductVector(e1, e1))
+            _kernel_point(MapParams(0.1, 0.1, 0.1, np.pi / 6))
 
 
 class TestKernelFamily:
@@ -77,16 +73,16 @@ class TestKernelFamily:
         p = MapParams(0.5, 1, 0.25, np.pi / 6)
         vectors = kernel_vectors(p)
         assert len(vectors) == 3 * len(GENERIC_PAIRS)
-        for pv in vectors:
-            assert kernel_membership(p, pv)
+        for xi, eta in vectors:
+            assert in_kernel(p, xi, eta)
 
     def test_copositive_case_members(self):
         # three vectors per phase pair plus the three diagonal axis vectors
         p = MapParams(0, 2, 0.5, np.pi / 6)
         vectors = kernel_vectors(p)
         assert len(vectors) == 3 * len(GENERIC_PAIRS) + 3
-        for pv in vectors:
-            assert kernel_membership(p, pv)
+        for xi, eta in vectors:
+            assert in_kernel(p, xi, eta)
 
     def test_sum_face_interior_only_equal_modulus(self):
         th = np.pi / 6
@@ -121,8 +117,7 @@ class TestKernelFamily:
             a, b, c = boundary_parametrization(th, 1.3)
             p = MapParams(a, b, c, th)
             for al, be, ga in DEFAULT_TRIPLES:
-                pv = ProductVector(*_equal_modulus_vector(th, al, be, ga))
-                assert kernel_membership(p, pv)
+                assert in_kernel(p, *_equal_modulus_vector(th, al, be, ga))
 
 
 class TestSpanningProperty:
@@ -242,20 +237,11 @@ class TestSampledKernel:
         p = MapParams(1.5, 0.5, 0, np.pi / 6)
         vectors = kernel_vectors(p)
         assert len(vectors) == 3
-        for pv in vectors:
-            assert kernel_membership(p, pv)
+        for xi, eta in vectors:
+            assert in_kernel(p, xi, eta)
 
     def test_empty_for_strict_interior(self):
         assert kernel_vectors(MapParams(2, 2, 2, np.pi / 6)) == []
-
-
-def test_product_vector_validation():
-    with pytest.raises(ValueError):
-        ProductVector(np.zeros(3), np.ones(3))
-    with pytest.raises(ValueError):
-        ProductVector(np.ones(2), np.ones(3))
-    pv = ProductVector([1, 0, 0], np.array([0, 1j, 0]))
-    assert pv.xi.dtype == pv.eta.dtype == complex and pv.eta[1] == 1j
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +368,10 @@ def test_face_table_spanning_closed_forms_and_kernel_rank_agree(piece, data):
     batch = rng.uniform(0.0, 2.5, size=(32, 3))
     slot = data.draw(st.integers(0, len(batch) - 1), label="slot")
     batch[slot] = abc
-    codes, interiors, ts = classify_faces(*batch.T, th)
+    codes = classify_faces(*batch.T, th)
     for k, row in enumerate(batch):
         label = face if k == slot else classify_face(MapParams(*row, th))
         assert FACE_KINDS[codes[k]] is label.kind
-        assert interiors[k] == label.interior_of_face
-        assert (None if math.isnan(ts[k]) else ts[k]) == label.t_value
     inside = MapParams(*(x + 0.05 for x in abc), th)
     assert classify_face(inside).kind is FaceKind.INTERIOR
     points = [p, inside]
@@ -414,8 +398,8 @@ def test_face_table_spanning_closed_forms_and_kernel_rank_agree(piece, data):
 @settings(max_examples=10)
 @given(data=st.data())
 def test_every_record_row_passes_the_public_membership_check(piece, data):
-    # each row pair of the point's record, wrapped as the validated public
-    # ProductVector, passes the one-vector kernel check
+    # each row pair of the point's record passes the one-vector kernel check
+    # read off the Choi matrix at the point's own coordinates
     sampler, _ = BOUNDARY_PIECES[piece]
     th = data.draw(_thetas, label="theta")
     abc = sampler(data.draw, th)
@@ -423,4 +407,4 @@ def test_every_record_row_passes_the_public_membership_check(piece, data):
     p = MapParams(*abc, th)
     vectors = kernel_vectors(p)
     assert len(vectors) == len(_kernel_point(p).tensors)
-    assert all(kernel_membership(p, pv) for pv in vectors)
+    assert all(in_kernel(p, xi, eta) for xi, eta in vectors)
