@@ -196,31 +196,55 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-#: Coordinates (0 = a, 1 = b, 2 = c) that the two grid axes of each sweep plane carry.
-_PLANE_AXES = {"abc_simplex": (0, 1), "ab": (0, 1), "ac": (0, 2), "bc": (1, 2)}
+#: Per sweep plane: the coordinates (0 = a, 1 = b, 2 = c) that its two grid
+#: axes carry, and the texts of a grid row (outer) and of a column (inner).
+_PLANES = {
+    "abc_simplex": ((0, 1), "{}", ",{},"),  # c goes between the column and the tail
+    "ab": ((0, 1), "{}", ",{},0"),
+    "ac": ((0, 2), "{}", ",0,{}"),
+    "bc": ((1, 2), "0,{}", ",{}"),
+}
 
 #: Grid points classified per block, which bounds the memory of a sweep.
 _BLOCK = 1 << 12
 
 
-def _write_lines(path: str, lines) -> int:
-    """Write each line of the iterable ``lines`` to ``path`` as it is produced."""
+def _write_lines(path: str, chunks) -> int:
+    """Write each chunk of the iterable ``chunks``, text of whole lines that
+    ends in a newline, to ``path`` as it is produced."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         sys.stderr.write(f"error: cannot write {path}: {exc}\n")
         return EXIT_IO
     return EXIT_OK
 
 
+def _join_rows(*pieces) -> str:
+    """The rows whose k-th piece is ``pieces[k]``: one text for every row, or
+    an object array of one text per row.  The last piece, which ends each
+    row with its newline, is such an array."""
+    k = len(pieces)
+    row = np.empty(k * len(pieces[-1]), dtype=object)
+    for n, piece in enumerate(pieces):
+        row[n::k] = piece
+    return "".join(row.tolist())
+
+
 def _sweep(theta: float, grid_n: int, plane: str, box: float, out: str) -> int:
     """Write the face and the cp / ccp / positive flags of each point of a
     grid_n^2 grid on ``plane`` over [0, box]^2, or over [0, pth]^2 on the
     simplex (keeping c = pth - a - b >= -INCLUSION_SLACK, clipped at 0), classified by
-    ``classify_faces`` in blocks of whole outer-axis rows.  Each block formats
-    its distinct simplex coordinates c once."""
+    ``classify_faces`` in blocks of whole outer-axis rows.
+
+    A row is the text of its grid row (``a``, or ``0,b`` on bc), the text of
+    its column (``,b,0``, ``,0,c``, ``,c``, or ``,b,`` on the simplex) and
+    one of 68 tails ``,theta,face,cp,ccp,positive`` and a newline, one per
+    (face, cp, ccp).  On the simplex the text of c goes before the tail:
+    each block formats its distinct c values once.  The row and column
+    texts are formatted once per sweep, and each block is one join."""
     if not 1 <= grid_n <= SWEEP_MAX_N:
         raise OutOfRangeError(f"grid_n must be in [1, {SWEEP_MAX_N}], got {grid_n}")
     if not 0.0 <= box < math.inf:
@@ -229,39 +253,40 @@ def _sweep(theta: float, grid_n: int, plane: str, box: float, out: str) -> int:
     pth = cp_threshold(theta)
     simplex = plane == "abc_simplex"
     axis = np.linspace(0.0, pth if simplex else box, grid_n)
-    labels = np.array([_fmt(x) for x in axis], dtype=object)
-    slots = _PLANE_AXES[plane]
+    slots, outer_form, inner_form = _PLANES[plane]
+    labels = [_fmt(x) for x in axis.tolist()]
+    outer = np.array([outer_form.format(t) for t in labels], dtype=object)
+    inner = np.array([inner_form.format(t) for t in labels], dtype=object)
     cp_pth = cp_threshold(normalize_angle(theta))  # the threshold MapParams would use
     # one row tail per (face, cp, ccp); positive is every face but exterior
-    tails = [
-        f",{_fmt(theta)},{kind.value},{cp},{ccp},{int(kind is not FaceKind.EXTERIOR)}"
+    tails = np.array([
+        f",{_fmt(theta)},{kind.value},{cp},{ccp},{int(kind is not FaceKind.EXTERIOR)}\n"
         for kind in FACE_KINDS for cp in (0, 1) for ccp in (0, 1)
-    ]
+    ], dtype=object)
 
-    def lines():
-        yield "a,b,c,theta,face,cp,ccp,positive"
+    def blocks():
+        yield "a,b,c,theta,face,cp,ccp,positive\n"
         step = max(1, _BLOCK // grid_n)
         for start in range(0, grid_n, step):
             i, j = np.divmod(np.arange(start * grid_n, min(start + step, grid_n) * grid_n), grid_n)
             x, y = axis[i], axis[j]
-            coords, texts = [np.zeros_like(x)] * 3, [["0"] * len(x)] * 3
+            coords = [np.zeros_like(x)] * 3
             if simplex:
                 z = pth - x - y
                 keep = z >= -INCLUSION_SLACK
                 i, j, x, y, z = i[keep], j[keep], x[keep], y[keep], np.maximum(z[keep], 0.0)
                 values, inverse = np.unique(z, return_inverse=True)
-                coords[2], texts[2] = z, np.array([_fmt(v) for v in values], dtype=object)[inverse]
+                coords[2] = z
+                c_texts = np.array([_fmt(v) for v in values.tolist()], dtype=object)[inverse]
             coords[slots[0]], coords[slots[1]] = x, y
-            texts[slots[0]], texts[slots[1]] = labels[i], labels[j]
             a, b, c = coords
             codes = classify_faces(a, b, c, theta).astype(int) * 4
             with np.errstate(over="ignore"):  # b * c = inf is above the threshold, as it should be
                 codes += 2 * completely_positive_at(a, cp_pth) + completely_copositive_at(b, c)
-            yield "\n".join(
-                [f"{ta},{tb},{tc}{tails[k]}" for ta, tb, tc, k in zip(*texts, codes.tolist())]
-            )
+            middle = (c_texts,) if simplex else ()
+            yield _join_rows(outer[i], inner[j], *middle, tails[codes])
 
-    return _write_lines(out, lines())
+    return _write_lines(out, blocks())
 
 
 def cmd_sweep(args) -> int:
@@ -273,8 +298,8 @@ def cmd_figure_data(args) -> int:
         raise OutOfRangeError(f"points must be in [2, 100000], got {args.points}")
     if args.figure == "1":
         thetas = np.linspace(-math.pi, math.pi, args.points)
-        lines = [f"{_fmt(th)},{_fmt(cp_threshold(th))}" for th in thetas]
-        return _write_lines(args.out, ["theta,p_theta", *lines])
+        lines = [f"{_fmt(th)},{_fmt(cp_threshold(th))}\n" for th in thetas]
+        return _write_lines(args.out, ["theta,p_theta\n" + "".join(lines)])
     if args.figure == "2":
         if args.points > SWEEP_MAX_N:
             raise OutOfRangeError(f"figure 2 takes points in [2, {SWEEP_MAX_N}], got {args.points}")
@@ -287,17 +312,17 @@ def cmd_figure_data(args) -> int:
         )
 
     def scans():
-        yield "label,theta,a,b,c,positive"
+        yield "label,theta,a,b,c,positive\n"
         axis = np.linspace(0.0, 2.5, args.points)
-        labels = [_fmt(x) for x in axis]
+        labels = [_fmt(x) for x in axis.tolist()]
         b, c = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
-        pairs = [f"{tb},{tc}," for tb in labels for tc in labels]
+        pairs = np.array([f"{tb},{tc}," for tb in labels for tc in labels], dtype=object)
+        flags = np.array(["0\n", "1\n"], dtype=object)
         for label, th in (("p=1", math.pi / 3.0), ("1<p<2", args.theta), ("p=2", 0.0)):
             pth = cp_threshold(normalize_angle(th))
             for a, ta in zip(axis, labels):
-                head = f"{label},{_fmt(th)},{ta},"
-                flags = positive_at(a, b, c, pth).tolist()
-                yield "\n".join([head + bc + "01"[f] for bc, f in zip(pairs, flags)])
+                positive = positive_at(a, b, c, pth).astype(int)
+                yield _join_rows(f"{label},{_fmt(th)},{ta},", pairs, flags[positive])
 
     return _write_lines(args.out, scans())
 

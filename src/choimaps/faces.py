@@ -187,10 +187,12 @@ def classify_faces(a, b, c, theta: float) -> Array:
     a, b, c = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c)))
     if not all(np.all(np.isfinite(x) & (x >= 0.0)) for x in (a, b, c)):
         raise OutOfRangeError("a, b and c must be finite and nonnegative")
-    codes = np.full(a.shape, -1, np.int8)
+    codes = np.empty(a.shape, np.int8)
     with np.errstate(all="ignore"):  # products near overflow
-        for kind, member, _, _ in _face_table(a, b, c, pth):
-            codes[(codes < 0) & member] = FACE_KINDS.index(kind)
+        # last rule first, so the first rule that holds writes last; the
+        # interior's rule holds everywhere and fills every code
+        for kind, member, _, _ in reversed(_face_table(a, b, c, pth)):
+            codes[member] = FACE_KINDS.index(kind)
     return codes
 
 

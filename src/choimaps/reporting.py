@@ -7,6 +7,7 @@ digits, so serialize -> parse -> serialize is byte-stable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +16,11 @@ SCHEMA_VERSION = "2"
 
 
 def round_real(x: float) -> float:
-    """Round to 15 significant digits (the serialization grid)."""
-    return float(f"{float(x):.15g}")
+    """Round to 15 significant digits (the serialization grid), keeping a
+    finite x that would round to infinity (|x| above 1.79769313486231e308)."""
+    x = float(x)
+    rounded = float(f"{x:.15g}")
+    return x if math.isinf(rounded) and math.isfinite(x) else rounded
 
 
 def _canonical(value):

@@ -456,6 +456,25 @@ def test_huge_coordinates_give_strict_json(argv, capsys):
             assert value is None or (isinstance(value, float) and math.isfinite(value)), (key, field)
 
 
+class TestLargestFiniteCoordinate:
+    # the largest double rounds to inf at 15 digits; the report keeps it
+    ARGV = ["classify", "1", "1.7976931348623157e308", "0", "0.5"]
+
+    def test_json_is_strict(self, capsys):
+        assert main([*self.ARGV, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert out["params"]["b"] == 1.7976931348623157e308
+
+    def test_plain_report_has_no_inf(self, capsys):
+        assert main(self.ARGV) == 0
+        assert "inf" not in capsys.readouterr().out
+
+    def test_serialization_is_byte_stable(self, capsys):
+        assert main([*self.ARGV, "--json"]) == 0
+        text = capsys.readouterr().out.rstrip("\n")
+        assert ReportDocument.from_json(text).to_json() == text
+
+
 def test_near_overflow_coordinate_classifies(capsys):
     # symmetrizing the Choi matrix must not overflow before halving
     assert main(["classify", "1e308", "0", "0", "pi/6", "--json"]) == 0
@@ -619,19 +638,21 @@ class TestSweep:
         assert [row.rsplit(",", 5)[0] for row in rows] == want
 
     def test_memory_is_bounded_by_the_block(self, tmp_path):
+        # the per-axis row and column texts grow with grid_n, the blocks do not
         out = str(tmp_path / "s.csv")
-        main(["sweep", "pi/6", "20", "--out", out])  # first-use work out of the count
-        peaks = []
-        for n in ("200", "800"):
-            tracemalloc.start()
-            try:
-                assert main(["sweep", "pi/6", n, "--out", out]) == 0
-                held, peak = tracemalloc.get_traced_memory()
-                peaks.append(peak)
-            finally:
-                tracemalloc.stop()
-            assert held < 200_000  # no table outlives the sweep (a value cache held 0.76 MB at 800)
-        assert peaks[1] < 1.5 * peaks[0]
+        for plane in ("abc_simplex", "ab"):
+            main(["sweep", "pi/6", "20", "--plane", plane, "--out", out])  # first-use work out of the count
+            peaks = []
+            for n in ("200", "800"):
+                tracemalloc.start()
+                try:
+                    assert main(["sweep", "pi/6", n, "--plane", plane, "--out", out]) == 0
+                    held, peak = tracemalloc.get_traced_memory()
+                    peaks.append(peak)
+                finally:
+                    tracemalloc.stop()
+                assert held < 200_000, plane  # no table outlives the sweep (a value cache held 0.76 MB at 800)
+            assert peaks[1] < 1.5 * peaks[0], plane
 
 
 class TestFigureData:
@@ -702,6 +723,12 @@ GOLDEN_CSV = {
     ("sweep", "pi/6", "25", "--plane", "bc"): "540dfbf8cf75a60f2a31c6e58ced5cbe8e6fb8319325c9f64f43e4f11074eecb",
     ("figure-data", "2", "--points", "15"): "792c4ef77af0dd383b4b8fe4386ebacdd81a7e4777aebbf03c4196907ee6788a",
     ("figure-data", "3", "--points", "6"): "a1c851dd906c052471ac68485f82919e2b6bd23fcf57f3922f6bacffdbbd4519",
+    # entries that span blocks: 3 blocks on each plane, 6 on the simplex
+    ("sweep", "pi/6", "110", "--plane", "ab"): "79251d12c3486f47590977229971c116cf2380dfc094c60d0a32e20229c63f2b",
+    ("sweep", "pi/6", "110", "--plane", "ac"): "54b9cb4922092076110a708d51e71ec126006e75550d5556be03674e0b40f35e",
+    ("sweep", "pi/6", "110", "--plane", "bc"): "af0db1ed11d05f8ac69488e4f8213cd8d9fe4b743c2bc8bbc1c74c59fdab3251",
+    ("sweep", "2.2", "155"): "4f7ab692cc101a2ed899b813364ae661972fcc6e69a476fe6b2f315d063774fd",
+    ("figure-data", "3", "--points", "20"): "1642c230004b0eef616761299241fdfe11a3c14e8cf214c219e667c5536c05df",
 }
 
 
