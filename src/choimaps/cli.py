@@ -29,7 +29,6 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -53,8 +52,8 @@ from .positivity import (
     is_positive,
     positive_at,
 )
-from .reporting import ReportDocument, render_plain
-from .spanning import has_cospanning_property, has_spanning_property
+from .reporting import ReportDocument, real_text, render_plain
+from .spanning import SpanningReport, has_cospanning_property, has_spanning_property
 from .witness import build_witness
 
 EXIT_OK = 0
@@ -104,10 +103,6 @@ def parse_angle(text: str) -> float:
     return value
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1, which takes a token
     of ``-`` then a digit, ``.`` or ``pi`` (``-pi/6``, ``-2e-3``) for a value."""
@@ -120,6 +115,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _point(p: MapParams) -> dict:
+    return {"a": p.a, "b": p.b, "c": p.c, "theta": p.theta}
+
+
+def _rank_evidence(r: SpanningReport) -> dict:
+    return {
+        "has_property": r.has_property,
+        "case": r.case,
+        "rank": r.rank,
+        "smallest_kept": r.smallest_kept,
+        "largest_dropped": r.largest_dropped,
+    }
+
+
 def _spanning_parts(p: MapParams) -> tuple[dict, dict]:
     """Flags and evidence of the spanning and co-spanning reports of ``p``."""
     span, cospan = has_spanning_property(p), has_cospanning_property(p)
@@ -128,11 +137,13 @@ def _spanning_parts(p: MapParams) -> tuple[dict, dict]:
         "co_spanning": cospan.has_property,
         "bi_spanning": span.has_property and cospan.has_property,
     }
-    return flags, {"spanning": asdict(span), "co_spanning": asdict(cospan)}
+    return flags, {"spanning": _rank_evidence(span), "co_spanning": _rank_evidence(cospan)}
 
 
 def _classification_document(p: MapParams) -> ReportDocument:
     w = choi_matrix(p)
+    # W and its partial transpose: one validated, batched eigensolve
+    choi_eigenvalues, pt_eigenvalues = hermitian_eigenvalues(np.stack([w, partial_transpose(w)])).tolist()
     face = classify_face(p)
     flags: dict = {
         "cp": is_completely_positive(p),
@@ -144,8 +155,8 @@ def _classification_document(p: MapParams) -> ReportDocument:
     }
     evidence: dict = {
         "cp_threshold": cp_threshold(p.theta),
-        "choi_eigenvalues": list(hermitian_eigenvalues(w)),
-        "partial_transpose_eigenvalues": list(hermitian_eigenvalues(partial_transpose(w))),
+        "choi_eigenvalues": choi_eigenvalues,
+        "partial_transpose_eigenvalues": pt_eigenvalues,
     }
     if flags["positive"]:
         span_flags, span_evidence = _spanning_parts(p)
@@ -156,7 +167,7 @@ def _classification_document(p: MapParams) -> ReportDocument:
             row = cls.row
             flags.update(optimal=row.optimal, co_optimal=row.co_optimal, bi_optimal=row.bi_optimal)
             evidence["optimality"] = cls.evidence
-    return ReportDocument(params=asdict(p), flags=flags, evidence=evidence)
+    return ReportDocument(params=_point(p), flags=flags, evidence=evidence)
 
 
 def _emit(doc: ReportDocument, as_json: bool) -> None:
@@ -170,7 +181,7 @@ def cmd_classify(args) -> int:
 
 def cmd_spanning(args) -> int:
     p = MapParams(args.a, args.b, args.c, args.theta)
-    _emit(ReportDocument(asdict(p), *_spanning_parts(p)), args.json)
+    _emit(ReportDocument(_point(p), *_spanning_parts(p)), args.json)
     return EXIT_OK
 
 
@@ -186,7 +197,7 @@ def cmd_witness(args) -> int:
             "b_slot": spec.b_slot,
             "c_slot": spec.c_slot,
             "scale": spec.scale,
-            "normalized_params": asdict(spec.normalized_params),
+            "normalized_params": _point(spec.normalized_params),
         },
     )
     _emit(doc, args.json)
@@ -254,14 +265,15 @@ def _sweep(theta: float, grid_n: int, plane: str, box: float, out: str) -> int:
     simplex = plane == "abc_simplex"
     axis = np.linspace(0.0, pth if simplex else box, grid_n)
     slots, outer_form, inner_form = _PLANES[plane]
-    labels = [_fmt(x) for x in axis.tolist()]
+    labels = [real_text(x) for x in axis.tolist()]
     outer = np.array([outer_form.format(t) for t in labels], dtype=object)
     inner = np.array([inner_form.format(t) for t in labels], dtype=object)
     cp_pth = cp_threshold(normalize_angle(theta))  # the threshold MapParams would use
     # one row tail per (face, cp, ccp); positive is every face but exterior
+    theta_text = real_text(theta)
+    kinds = [(f",{theta_text},{kind.value},", int(kind is not FaceKind.EXTERIOR)) for kind in FACE_KINDS]
     tails = np.array([
-        f",{_fmt(theta)},{kind.value},{cp},{ccp},{int(kind is not FaceKind.EXTERIOR)}\n"
-        for kind in FACE_KINDS for cp in (0, 1) for ccp in (0, 1)
+        f"{head}{cp},{ccp},{positive}\n" for head, positive in kinds for cp in (0, 1) for ccp in (0, 1)
     ], dtype=object)
 
     def blocks():
@@ -277,7 +289,7 @@ def _sweep(theta: float, grid_n: int, plane: str, box: float, out: str) -> int:
                 i, j, x, y, z = i[keep], j[keep], x[keep], y[keep], np.maximum(z[keep], 0.0)
                 values, inverse = np.unique(z, return_inverse=True)
                 coords[2] = z
-                c_texts = np.array([_fmt(v) for v in values.tolist()], dtype=object)[inverse]
+                c_texts = np.array([real_text(v) for v in values.tolist()], dtype=object)[inverse]
             coords[slots[0]], coords[slots[1]] = x, y
             a, b, c = coords
             codes = classify_faces(a, b, c, theta).astype(int) * 4
@@ -298,7 +310,7 @@ def cmd_figure_data(args) -> int:
         raise OutOfRangeError(f"points must be in [2, 100000], got {args.points}")
     if args.figure == "1":
         thetas = np.linspace(-math.pi, math.pi, args.points)
-        lines = [f"{_fmt(th)},{_fmt(cp_threshold(th))}\n" for th in thetas]
+        lines = [f"{real_text(th)},{real_text(cp_threshold(th))}\n" for th in thetas]
         return _write_lines(args.out, ["theta,p_theta\n" + "".join(lines)])
     if args.figure == "2":
         if args.points > SWEEP_MAX_N:
@@ -314,7 +326,7 @@ def cmd_figure_data(args) -> int:
     def scans():
         yield "label,theta,a,b,c,positive\n"
         axis = np.linspace(0.0, 2.5, args.points)
-        labels = [_fmt(x) for x in axis.tolist()]
+        labels = [real_text(x) for x in axis.tolist()]
         b, c = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
         pairs = np.array([f"{tb},{tc}," for tb in labels for tc in labels], dtype=object)
         flags = np.array(["0\n", "1\n"], dtype=object)
@@ -322,7 +334,7 @@ def cmd_figure_data(args) -> int:
             pth = cp_threshold(normalize_angle(th))
             for a, ta in zip(axis, labels):
                 positive = positive_at(a, b, c, pth).astype(int)
-                yield _join_rows(f"{label},{_fmt(th)},{ta},", pairs, flags[positive])
+                yield _join_rows(f"{label},{real_text(th)},{ta},", pairs, flags[positive])
 
     return _write_lines(args.out, scans())
 

@@ -42,23 +42,26 @@ def as_complex(m) -> Array:
 
 
 def require_hermitian(m) -> Array:
-    """Validate a finite square matrix, Hermitian within RESIDUE_ABS, and
-    return the symmetrized matrix; raises NonHermitianError otherwise.
+    """Validate a finite square matrix, or a stack of them, Hermitian within
+    RESIDUE_ABS, and return the symmetrized matrix; raises NonHermitianError
+    otherwise.
 
     The halves are summed, not halved after summing, so entries near the
     largest double do not overflow (halving a normal double is exact)."""
     m = as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise NonHermitianError(f"matrix is not square: shape {m.shape}")
+    adjoint = m.conj().swapaxes(-2, -1)
     with np.errstate(invalid="ignore"):  # an inf or NaN entry gives a NaN defect
-        defect = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+        defect = float(np.abs(m - adjoint).max()) if m.size else 0.0
     if not defect <= RESIDUE_ABS:
         raise NonHermitianError(f"matrix is not Hermitian: defect {defect:.3e} > {RESIDUE_ABS:.1e}")
-    return m / 2 + m.conj().T / 2
+    return m / 2 + adjoint / 2
 
 
 def hermitian_eigenvalues(m) -> Array:
-    """Eigenvalues of a Hermitian matrix, ascending.
+    """Eigenvalues of a Hermitian matrix, ascending, or of each matrix of a
+    stack.
 
     Raises NonHermitianError unless ``require_hermitian`` accepts ``m``.
     """

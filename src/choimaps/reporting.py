@@ -1,7 +1,16 @@
 """Machine-readable report documents for the command-line interface.
 
-Documents serialize to JSON with every real written at 15 significant
-digits, so serialize -> parse -> serialize is byte-stable.
+Every real of a report, and of a CSV the command line writes, is written
+at 15 significant digits (``real_text``), so serialize -> parse ->
+serialize is byte-stable.
+
+A document is written in one walk over its values as built: ``to_json``
+rounds each real with ``round_real`` as it writes it and gives the bytes
+of ``json.dumps(..., indent=2)`` over the rounded document (float
+``repr``, ``NaN`` and ``Infinity``, ASCII-escaped keys and strings, ``{}``
+and ``[]`` for empty containers, a two-space indent).  A tuple or array is
+written as a list, a numpy scalar as its Python value and a complex as
+``{"re": ..., "im": ...}``.  ``render_plain`` walks the same values.
 """
 
 from __future__ import annotations
@@ -9,37 +18,79 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 SCHEMA_VERSION = "2"
 
 
+def real_text(x: float) -> str:
+    """``x`` at 15 significant digits: the one rounding rule of reports and
+    CSV rows."""
+    return f"{x:.15g}"
+
+
 def round_real(x: float) -> float:
     """Round to 15 significant digits (the serialization grid), keeping a
     finite x that would round to infinity (|x| above 1.79769313486231e308)."""
     x = float(x)
-    rounded = float(f"{x:.15g}")
+    rounded = float(real_text(x))
     return x if math.isinf(rounded) and math.isfinite(x) else rounded
 
 
-def _canonical(value):
-    """Recursively coerce numpy scalars/arrays and round all reals."""
-    if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_canonical(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return round_real(float(value))
+_EXACT = (dict, list, str, bool, int, float, type(None))
+
+
+def _exact(value):
+    """``value`` as a value of one of the types _EXACT (a real is not rounded
+    here): a complex as {"re", "im"}, an array or tuple as a list, a numpy
+    scalar as its Python value; raises TypeError for any other type."""
+    if type(value) in _EXACT:
+        return value
     if isinstance(value, (complex, np.complexfloating)):
-        return {"re": round_real(value.real), "im": round_real(value.imag)}
-    return value
+        return {"re": float(value.real), "im": float(value.imag)}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return list(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_real(x: float) -> str:
+    x = round_real(x)
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _write(value, indent: str, out: list) -> None:
+    """Append the JSON text of ``value``, nested at ``indent``, to ``out``."""
+    kind = type(value)
+    if kind is float:
+        out.append(_json_real(value))
+    elif kind is dict or kind is list:
+        opening, closing = "{}" if kind is dict else "[]"
+        if not value:
+            out.append(opening + closing)
+            return
+        inner = indent + "  "
+        sep = opening + "\n" + inner
+        for key, item in value.items() if kind is dict else enumerate(value):
+            out.append(f"{sep}{encode_basestring_ascii(str(key))}: " if kind is dict else sep)
+            _write(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + closing)
+    elif kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    else:
+        _write(_exact(value), indent, out)
 
 
 @dataclass
@@ -51,16 +102,16 @@ class ReportDocument:
     evidence: dict
     schema_version: str = SCHEMA_VERSION
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "params": _canonical(self.params),
-            "flags": _canonical(self.flags),
-            "evidence": _canonical(self.evidence),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
+        sections = {
+            "schema_version": self.schema_version,
+            "params": self.params,
+            "flags": self.flags,
+            "evidence": self.evidence,
+        }
+        out: list[str] = []
+        _write(sections, "", out)
+        return "".join(out)
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
@@ -68,28 +119,36 @@ class ReportDocument:
 
 
 def render_plain(doc: ReportDocument) -> str:
-    """Human-readable rendering derived from the same document."""
+    """Human-readable rendering of the same values: one line per scalar or
+    list of scalars, each real rounded by ``round_real`` and shown at 10
+    significant digits."""
     lines: list[str] = []
 
+    def scalar(value):
+        value = _exact(value)
+        return round_real(value) if isinstance(value, float) else value
+
+    def text(value) -> str:
+        value = scalar(value)
+        return f"{value:.10g}" if isinstance(value, float) else str(value)
+
     def emit(prefix: str, value) -> None:
+        value = _exact(value)
         if isinstance(value, dict):
             if set(value) == {"re", "im"}:
-                lines.append(f"{prefix}: {value['re']:+.10g}{value['im']:+.10g}j")
+                lines.append(f"{prefix}: {scalar(value['re']):+.10g}{scalar(value['im']):+.10g}j")
                 return
             for k, v in value.items():
                 emit(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(value, list) and value and not isinstance(value[0], (list, dict)):
-            lines.append(f"{prefix}: " + ", ".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in value))
+        elif isinstance(value, list) and value and not isinstance(_exact(value[0]), (list, dict)):
+            lines.append(f"{prefix}: " + ", ".join(text(v) for v in value))
         elif isinstance(value, list):
             for i, v in enumerate(value):
                 emit(f"{prefix}[{i}]", v)
-        elif isinstance(value, float):
-            lines.append(f"{prefix}: {value:.10g}")
         else:
-            lines.append(f"{prefix}: {value}")
+            lines.append(f"{prefix}: {text(value)}")
 
-    d = doc.to_dict()
     for section in ("params", "flags", "evidence"):
         lines.append(f"[{section}]")
-        emit("", d[section])
+        emit("", getattr(doc, section))
     return "\n".join(lines) + "\n"

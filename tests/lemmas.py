@@ -22,12 +22,14 @@ vectors and the equal-subtraction restriction of the {6,8} edge states,
 the Bernstein coefficients of the certificate's shifted minors as exact
 polar forms, and the block-positivity oracle on the finer moduli grid of a
 covariant Choi matrix (the package scans one grid of moduli and phases for
-every matrix).
+every matrix), and the report serializer that the one-walk writer
+replaced (a canonicalized copy of the document through ``json.dumps``).
 """
 
 import cmath
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -45,6 +47,7 @@ from choimaps import positivity
 from choimaps.positivity import _COVARIANT, BlockPositivityReport, _apply_kernel, _descend, _distinct_starts
 from choimaps.positivity import _kernel_matrix, _pairing_model, _smallest_eigenvalues, _sphere_grid
 from choimaps.positivity import on_sum_at, on_surface_at
+from choimaps.reporting import ReportDocument, round_real
 from choimaps.spanning import DEFAULT_PAIRS, DEFAULT_TRIPLES, _copositive_family, _equal_modulus_vector
 from choimaps.spanning import _kernel_point, _surface_family
 
@@ -562,3 +565,29 @@ def moduli_oracle(w, grid_n: int = 16) -> BlockPositivityReport:
     if value[best] < evals[0]:
         return BlockPositivityReport(float(value[best]), xi[best], vecs[best, :, 0].conj())
     return BlockPositivityReport(float(evals[0]), xi_grid[starts[0]], evecs[:, 0].conj())
+
+
+def _canonical(value):
+    """Recursively coerce numpy scalars/arrays and round all reals."""
+    if isinstance(value, dict):
+        return {str(k): _canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [_canonical(v) for v in value.tolist()]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return round_real(float(value))
+    if isinstance(value, (complex, np.complexfloating)):
+        return {"re": round_real(value.real), "im": round_real(value.imag)}
+    return value
+
+
+def report_json(doc: ReportDocument) -> str:
+    """The JSON text of ``doc`` from a canonicalized copy through
+    ``json.dumps(indent=2)``: the package writes it in one walk."""
+    sections = {"params": doc.params, "flags": doc.flags, "evidence": doc.evidence}
+    return json.dumps({"schema_version": doc.schema_version, **_canonical(sections)}, indent=2)

@@ -12,16 +12,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import choimaps
 from choimaps import FaceKind, MapParams, boundary_parametrization, build_witness, classify_face, cp_threshold
 from choimaps import is_positive
-from choimaps.cli import _BLOCK, _EXIT_CODES, _fmt, main, parse_angle
+from choimaps.cli import _BLOCK, _EXIT_CODES, main, parse_angle
 from choimaps.faces import row_of
 from choimaps.linalg import INCLUSION_SLACK
 from choimaps.positivity import BlockPositivityCertificate
-from choimaps.reporting import ReportDocument, render_plain
+from choimaps.reporting import ReportDocument, real_text, render_plain
 from choimaps.spanning import _in_kernel, _kernel_point
+
+from lemmas import report_json
 
 
 class TestParseAngle:
@@ -475,6 +479,31 @@ class TestLargestFiniteCoordinate:
         assert ReportDocument.from_json(text).to_json() == text
 
 
+#: Reals at the edges of the 15-digit rule: signed zeros, subnormals, the
+#: smallest normal, the largest double, nan and the infinities.
+_EDGE_REALS = (0.0, -0.0, 5e-324, -1.5e-323, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf)
+_REALS = st.floats() | st.sampled_from(_EDGE_REALS)
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | _REALS | st.text()
+    | st.builds(np.float64, _REALS) | st.complex_numbers()
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(params=_VALUES, flags=st.dictionaries(st.text(max_size=6), _VALUES, max_size=3), evidence=_VALUES)
+def test_one_walk_writes_the_bytes_of_json_dumps(params, flags, evidence):
+    doc = ReportDocument(params=params, flags=flags, evidence=evidence)
+    text = doc.to_json()
+    assert text == report_json(doc)
+    assert ReportDocument.from_json(text).to_json() == text
+
+
 def test_near_overflow_coordinate_classifies(capsys):
     # symmetrizing the Choi matrix must not overflow before halving
     assert main(["classify", "1e308", "0", "0", "pi/6", "--json"]) == 0
@@ -629,10 +658,10 @@ class TestSweep:
             for y in axis:
                 z = pth - x - y
                 if z >= -INCLUSION_SLACK:
-                    want.append(f"{_fmt(x)},{_fmt(y)},{_fmt(max(z, 0.0))}")
+                    want.append(f"{real_text(x)},{real_text(y)},{real_text(max(z, 0.0))}")
                     if 0 < abs(z) < 1e-15:
                         ulps["0" if z < 0 else "+"] += 1
-                        assert want[-1].endswith(",0" if z < 0 else f",{_fmt(z)}")
+                        assert want[-1].endswith(",0" if z < 0 else f",{real_text(z)}")
         assert min(ulps.values()) > 0
         rows = out.read_text().splitlines()[1:]
         assert [row.rsplit(",", 5)[0] for row in rows] == want
@@ -737,6 +766,58 @@ def test_grid_output_matches_golden_hash(argv, tmp_path):
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV[argv]
+
+
+#: SHA-256 of the stdout of reports written through ``json.dumps`` over a
+#: canonicalized copy of the document; the one-walk writer must reproduce
+#: them byte for byte.  The points: kernel cases i-iv (E_T, V_PARAM_T,
+#: V_0T, F_ABC), an interior and an exterior point, the a = 1 slice of
+#: F_ABC (a co-optimal subtraction dict), V_10C and V_1B0 (the empty
+#: second-order evidence), the largest double, and one witness per sign of
+#: theta and side of b = 1.
+GOLDEN_REPORTS = {
+    ("classify", "0.5", "1", "0.25", "pi/6"): "191215820587d4e68244c1ad39954a2fd8975cb271840466c724c6f92a901992",
+    ("classify", "0.5", "1", "0.25", "pi/6", "--json"): "3ad10705bcc12455edb0d771f8a2d4a0cb3f2de42f8c67c51392780d06f2adb7",
+    ("spanning", "0.5", "1", "0.25", "pi/6", "--json"): "0f9dcf460132676fc58c8567254ac5a0db580a49902cce1b9436982a78523b38",
+    ("classify", "0.5119661282874151", "0.9760677434251699", "0.24401693585629247", "pi/6"): "a5f0a45539d05b9b04ae6ff339f3f5aaecaba2bc7e98bd5a7343f05af8248739",
+    ("classify", "0.5119661282874151", "0.9760677434251699", "0.24401693585629247", "pi/6", "--json"): "d783978f5a7d204f7634534c2ed162d99fd868d2b7ab1052c78f42451c5877fb",
+    ("spanning", "0.5119661282874151", "0.9760677434251699", "0.24401693585629247", "pi/6", "--json"): "53f564594e22b0f286e0a14e1cab0f1cf10159412898a390b44900751c094a67",
+    ("classify", "0", "2", "0.5", "pi/6"): "3c5f1d37545215fb9c3ae099410b57f7095baf96eaae5cdafdeaaaf64983836c",
+    ("classify", "0", "2", "0.5", "pi/6", "--json"): "3238a2664cf839f661efdfcc5723e95257ac4b320781b034c8dc81f7b71e1b9a",
+    ("spanning", "0", "2", "0.5", "pi/6", "--json"): "8e57bcbf7cbcb2e83357f7426dd84be85de21618cd44fa9cf4a806d7745206cd",
+    ("classify", "0.5", "0.6", "0.8106729782512119", "0.3"): "c119dba0c9b1e162fd44470f5db94f1e54c459be59b5145bcc7019a5cc0f397c",
+    ("classify", "0.5", "0.6", "0.8106729782512119", "0.3", "--json"): "2e339699bd1ec47cbaca91b4db1065c216075d7b3d62380a1d7b1fcb70c26f25",
+    ("spanning", "0.5", "0.6", "0.8106729782512119", "0.3", "--json"): "6ff87ac8d21e5d03aa104f116875e523278b0288f46cc0f03b422a412ebab0f7",
+    ("classify", "2", "2", "2", "pi/6"): "ecc46ef067d17897c0f0529e9f8db9a9d0b247437b51692ae2977bee1b39349d",
+    ("classify", "2", "2", "2", "pi/6", "--json"): "d4ada0ca72f538a48aac8bff670266d0b3584276bf393e90e0c1c3280da64e09",
+    ("spanning", "2", "2", "2", "pi/6", "--json"): "3d8e863bf956e0f0d4d5d3c9733baf33318031dc3db9d3b0a01aa36e9424fc46",
+    ("classify", "0.1", "0.1", "0.1", "pi/6"): "b87b7185a9c6144639a92d243866c163bba28fca3902f926b41323a216fc0515",
+    ("classify", "0.1", "0.1", "0.1", "pi/6", "--json"): "afae08b5e94d7a2f2aea3428d75b780200c64b1ad5bfd31209cfa506d806d522",
+    ("classify", "1", "0.3", "0.43205080756887737", "pi/6"): "da09004fbbd60af887091f62ac2293733634ba58e585dc5b6d4b240e6a5391b7",
+    ("classify", "1", "0.3", "0.43205080756887737", "pi/6", "--json"): "0b286166316576a43ae56dae96ca146b3b021325eb795aefa7610bde138101f1",
+    ("spanning", "1", "0.3", "0.43205080756887737", "pi/6", "--json"): "6014e38a03873ff2bba0b83e2a07e29abf695e4071e329ac64e7f74b569e9347",
+    ("classify", "1", "0", "0.7320508075688774", "pi/6"): "d15528029db1cc028aa35433882ce86298d40f6a22301644c812f0acf5591db7",
+    ("classify", "1", "0", "0.7320508075688774", "pi/6", "--json"): "ba16eb4694d1c2146f9bf95de359b7529d6c484ec7e4da92e9534ce46cad4261",
+    ("spanning", "1", "0", "0.7320508075688774", "pi/6", "--json"): "5f63e86ec946bc6f439bf7b03eedf808b42def5386b08ebe7654f12a9fcbe86c",
+    ("classify", "1", "0.7320508075688774", "0", "-pi/6"): "de18e1dd6f8f9205835455ea6bfc35c1da4e992c6eae347ef6923a71227262ab",
+    ("classify", "1", "0.7320508075688774", "0", "-pi/6", "--json"): "be6a5ee1b3c6a9ac10dfc77c73da99620131bfc368a6e628a5af0c6705ac5c4c",
+    ("spanning", "1", "0.7320508075688774", "0", "-pi/6", "--json"): "5007808ff89b049f36bb0ed3328282fc61e32492c07ab3a19514612917c111b0",
+    ("classify", "1", "1.7976931348623157e308", "0", "0.5"): "996c312873ab44769c445189e2e0e1a29b8a10b206559228f58838f9689968a5",
+    ("classify", "1", "1.7976931348623157e308", "0", "0.5", "--json"): "cb2233cc1a7a27bdbb361b10508c60bfbfc57f8c9801bd408ab49f138bf93e2f",
+    ("spanning", "1", "1.7976931348623157e308", "0", "0.5", "--json"): "bfab89139d521000778f4d3721e60bd42c2e8964a1d19a7e1efb4b42171a23f2",
+    ("witness", "pi/6", "0.5", "--json"): "d2af06e3a3338581b9d7d153f5bb351cf7dc1a6eb1c9b7266355a601505b3f86",
+    ("witness", "pi/5", "3", "--json"): "af9b89485608882c44a6b05adc22a5b81689fe92faf763d04e327bf9866dd4ad",
+    ("witness", "-pi/6", "0.2", "--json"): "85d2077d314e02e67abdc36b82373ea8f6855d0fd21dda744c3308c6b68bc67a",
+    ("witness", "-pi/4", "7", "--json"): "0202c5994aca5fa8c53b7bf88a3a05b5556ff5bdbf13dc2307acee003c7c0382",
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_REPORTS, ids=" ".join)
+def test_report_matches_golden_hash(argv, capsys):
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN_REPORTS[argv]
 
 
 class TestSpanningCommand:
