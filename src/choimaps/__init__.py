@@ -6,7 +6,6 @@ from .errors import (
     InternalConsistencyError,
     NoDetectingChoiceError,
     NonHermitianError,
-    NotAFaceError,
     NotPositiveMapError,
     OutOfRangeError,
     ThetaOutOfRangeError,
@@ -21,7 +20,6 @@ from .faces import (
     boundary_parametrization,
     classify_face,
     classify_faces,
-    face_properties,
 )
 from .linalg import hermitian_eigenvalues, partial_transpose
 from .maps import MapParams, choi_matrix, cp_threshold, edge_state, pairing_value

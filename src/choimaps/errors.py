@@ -23,10 +23,6 @@ class UnsupportedCaseError(ValueError):
     product-vector kernel."""
 
 
-class NotAFaceError(ValueError):
-    """The label does not name a proper face."""
-
-
 class OutOfRangeError(ValueError):
     """A scalar parameter lies outside its admissible interval."""
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAFaceError, OutOfRangeError, UnsupportedThetaError
+from .errors import OutOfRangeError, UnsupportedThetaError
 from .linalg import FACE_TOL, INCLUSION_SLACK, Array
 from .maps import MapParams, cp_threshold, normalize_angle
 from .positivity import on_sum_at, on_surface_at, positive_at, surface_sides
@@ -196,16 +196,7 @@ def classify_faces(a, b, c, theta: float) -> Array:
     return codes
 
 
-def face_properties(label: FaceLabel | FaceKind) -> PropertyRow:
-    """Property-table row for a proper face."""
-    kind = label.kind if isinstance(label, FaceLabel) else label
-    row = PROPERTY_TABLE.get(kind)
-    if row is None:
-        raise NotAFaceError(f"{kind} is not a proper face")
-    return row
-
-
 def row_of(label: FaceLabel | FaceKind) -> PropertyRow:
     """Property-table row of a positive point's face, all false at INTERIOR."""
     kind = label.kind if isinstance(label, FaceLabel) else label
-    return _ALL_N if kind is FaceKind.INTERIOR else face_properties(kind)
+    return PROPERTY_TABLE.get(kind, _ALL_N)

@@ -43,11 +43,13 @@ def as_complex(m) -> Array:
 
 def require_hermitian(m) -> Array:
     """Validate a finite square matrix, or a stack of them, Hermitian within
-    RESIDUE_ABS, and return the symmetrized matrix; raises NonHermitianError
+    RESIDUE_ABS, and return it symmetrized; raises NonHermitianError
     otherwise.
 
-    The halves are summed, not halved after summing, so entries near the
-    largest double do not overflow (halving a normal double is exact)."""
+    An exactly Hermitian matrix is returned as it is: halving a subnormal
+    entry rounds it.  Otherwise the halves are summed, not halved after
+    summing, so entries near the largest double do not overflow (halving a
+    normal double is exact)."""
     m = as_complex(m)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise NonHermitianError(f"matrix is not square: shape {m.shape}")
@@ -56,7 +58,7 @@ def require_hermitian(m) -> Array:
         defect = float(np.abs(m - adjoint).max()) if m.size else 0.0
     if not defect <= RESIDUE_ABS:
         raise NonHermitianError(f"matrix is not Hermitian: defect {defect:.3e} > {RESIDUE_ABS:.1e}")
-    return m / 2 + adjoint / 2
+    return m if defect == 0.0 else m / 2 + adjoint / 2
 
 
 def hermitian_eigenvalues(m) -> Array:

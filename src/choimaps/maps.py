@@ -74,25 +74,20 @@ def cp_threshold(theta: float) -> float:
     )
 
 
-# Diagonal of the Choi matrix as (a, b, c)-selectors per global index.
-_DIAG_PATTERN = ("a", "c", "b", "b", "a", "c", "c", "b", "a")
+def _family_matrix(a, b, c, corner: complex) -> Array:
+    """The 9x9 shape of the family: diagonal pattern (a, c, b, b, a, c, c,
+    b, a), ``corner`` at (0,4), (4,8), (8,0) and its conjugate at the
+    transposed slots."""
+    w = np.diag(np.array((a, c, b, b, a, c, c, b, a), dtype=complex))
+    w[(0, 4, 8), (4, 8, 0)] = corner
+    w[(4, 8, 0), (0, 4, 8)] = corner.conjugate()
+    return w
 
 
 def choi_matrix(p: MapParams) -> Array:
-    """The 9x9 Choi matrix of the map named by ``p``.
-
-    Diagonal pattern (a, c, b, b, a, c, c, b, a); entries -e^{i theta} at
-    (0,4), (4,8), (8,0) and their conjugates transposed.
-    """
-    e = complex(math.cos(p.theta), math.sin(p.theta))
-    vals = {"a": p.a, "b": p.b, "c": p.c}
-    w = np.zeros((9, 9), dtype=complex)
-    for k, sel in enumerate(_DIAG_PATTERN):
-        w[k, k] = vals[sel]
-    for u, v in ((0, 4), (4, 8), (8, 0)):
-        w[u, v] = -e
-        w[v, u] = -e.conjugate()
-    return w
+    """The 9x9 Choi matrix of the map named by ``p``: the family's shape
+    with corner -e^{i theta}."""
+    return _family_matrix(p.a, p.b, p.c, -complex(math.cos(p.theta), math.sin(p.theta)))
 
 
 def pairing_value(a, c) -> float:

@@ -1,26 +1,27 @@
 """Machine-readable report documents for the command-line interface.
 
+A report holds plain values only: dict, list, str, bool, int, float and
+None.  The writer refuses any other type (a numpy scalar, a complex, a
+tuple or an array) with TypeError, so the command line converts what it
+computes before it builds a document.
+
 Every real of a report, and of a CSV the command line writes, is written
 at 15 significant digits (``real_text``), so serialize -> parse ->
 serialize is byte-stable.
 
-A document is written in one walk over its values as built: ``to_json``
-rounds each real with ``round_real`` as it writes it and gives the bytes
-of ``json.dumps(..., indent=2)`` over the rounded document (float
-``repr``, ``NaN`` and ``Infinity``, ASCII-escaped keys and strings, ``{}``
-and ``[]`` for empty containers, a two-space indent).  A tuple or array is
-written as a list, a numpy scalar as its Python value and a complex as
-``{"re": ..., "im": ...}``.  ``render_plain`` walks the same values.
+A document is written in one walk over its values: ``to_json`` rounds
+each real with ``round_real`` as it writes it and gives the bytes of
+``json.dumps(..., indent=2)`` over the rounded document (float ``repr``,
+``NaN`` and ``Infinity``, ASCII-escaped keys and strings, ``{}`` and
+``[]`` for empty containers, a two-space indent).  ``render_plain`` walks
+the same values.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-
-import numpy as np
 
 SCHEMA_VERSION = "2"
 
@@ -37,24 +38,6 @@ def round_real(x: float) -> float:
     x = float(x)
     rounded = float(real_text(x))
     return x if math.isinf(rounded) and math.isfinite(x) else rounded
-
-
-_EXACT = (dict, list, str, bool, int, float, type(None))
-
-
-def _exact(value):
-    """``value`` as a value of one of the types _EXACT (a real is not rounded
-    here): a complex as {"re", "im"}, an array or tuple as a list, a numpy
-    scalar as its Python value; raises TypeError for any other type."""
-    if type(value) in _EXACT:
-        return value
-    if isinstance(value, (complex, np.complexfloating)):
-        return {"re": float(value.real), "im": float(value.imag)}
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    if isinstance(value, tuple):
-        return list(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_real(x: float) -> str:
@@ -90,21 +73,21 @@ def _write(value, indent: str, out: list) -> None:
     elif kind is int:
         out.append(int.__repr__(value))
     else:
-        _write(_exact(value), indent, out)
+        raise TypeError(f"Object of type {kind.__name__} is not a plain report value")
 
 
 @dataclass
 class ReportDocument:
-    """A single classification / construction report."""
+    """A single classification / construction report: three sections of
+    plain values, written under the schema version ``SCHEMA_VERSION``."""
 
     params: dict
     flags: dict
     evidence: dict
-    schema_version: str = SCHEMA_VERSION
 
     def to_json(self) -> str:
         sections = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "params": self.params,
             "flags": self.flags,
             "evidence": self.evidence,
@@ -113,10 +96,6 @@ class ReportDocument:
         _write(sections, "", out)
         return "".join(out)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ReportDocument":
-        return cls(**json.loads(text))
-
 
 def render_plain(doc: ReportDocument) -> str:
     """Human-readable rendering of the same values: one line per scalar or
@@ -124,23 +103,14 @@ def render_plain(doc: ReportDocument) -> str:
     significant digits."""
     lines: list[str] = []
 
-    def scalar(value):
-        value = _exact(value)
-        return round_real(value) if isinstance(value, float) else value
-
     def text(value) -> str:
-        value = scalar(value)
-        return f"{value:.10g}" if isinstance(value, float) else str(value)
+        return f"{round_real(value):.10g}" if isinstance(value, float) else str(value)
 
     def emit(prefix: str, value) -> None:
-        value = _exact(value)
         if isinstance(value, dict):
-            if set(value) == {"re", "im"}:
-                lines.append(f"{prefix}: {scalar(value['re']):+.10g}{scalar(value['im']):+.10g}j")
-                return
             for k, v in value.items():
                 emit(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(value, list) and value and not isinstance(_exact(value[0]), (list, dict)):
+        elif isinstance(value, list) and value and not isinstance(value[0], (list, dict)):
             lines.append(f"{prefix}: " + ", ".join(text(v) for v in value))
         elif isinstance(value, list):
             for i, v in enumerate(value):

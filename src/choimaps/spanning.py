@@ -68,31 +68,25 @@ def _in_kernel(w: Array, xi: Array, eta: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 
+def _cyclic(x0: complex, x1: complex, y0: complex, y1: complex) -> list[tuple]:
+    """The three cyclic shifts of (x0, x1, 0) (x) (y0, y1, 0)."""
+    return [((x0, x1, 0.0), (y0, y1, 0.0)), ((x1, 0.0, x0), (y1, 0.0, y0)), ((0.0, x0, x1), (0.0, y0, y1))]
+
+
 def _surface_family(p: MapParams, alpha: complex, beta: complex) -> list[tuple]:
     """Kernel vectors on the surface b*c = (1 - a)^2 with 0 < a <= 1 (a
     factor vanishes where b or c does)."""
     a, b, c = p.abc
     e = cmath.exp(-1j * p.theta)
     root = math.sqrt(max(1.0 - a, 0.0))
-    b4, c4, sb = b**0.25, c**0.25, math.sqrt(b)
     al, be = complex(alpha), complex(beta)
-    return [
-        ((b4 * al, c4 * be, 0.0), (al.conjugate() * e * root, be.conjugate() * sb, 0.0)),
-        ((c4 * be, 0.0, b4 * al), (be.conjugate() * sb, 0.0, al.conjugate() * e * root)),
-        ((0.0, b4 * al, c4 * be), (0.0, al.conjugate() * e * root, be.conjugate() * sb)),
-    ]
+    return _cyclic(b**0.25 * al, c**0.25 * be, al.conjugate() * e * root, be.conjugate() * math.sqrt(b))
 
 
 def _copositive_family(p: MapParams, alpha: complex, beta: complex) -> list[tuple]:
     """Kernel vectors at a = 0, b*c = 1."""
-    b = p.b
-    e = cmath.exp(1j * p.theta)
     al, be = complex(alpha), complex(beta)
-    return [
-        ((al, be, 0.0), (al.conjugate(), e * be.conjugate() * b, 0.0)),
-        ((be, 0.0, al), (e * be.conjugate() * b, 0.0, al.conjugate())),
-        ((0.0, al, be), (0.0, al.conjugate(), e * be.conjugate() * b)),
-    ]
+    return _cyclic(al, be, al.conjugate(), cmath.exp(1j * p.theta) * be.conjugate() * p.b)
 
 
 _OMEGA = cmath.exp(2j * math.pi / 3)
@@ -118,18 +112,12 @@ def _equal_modulus_vector(theta: float, alpha: complex, beta: complex, gamma: co
     return (alpha, beta, gamma), (np.conj(alpha), np.conj(beta) * u, np.conj(gamma) * v)
 
 
-def _axis_vectors(p: MapParams) -> list[tuple]:
-    """Coordinate kernel vectors e_i (x) e_j present whenever the diagonal of
-    the map on e_i e_i* has a zero entry."""
-    a, b, c = p.abc
-    diag_rows = ((a, c, b), (b, a, c), (c, b, a))
+def _axis_vectors(choi: Array) -> list[tuple]:
+    """Coordinate kernel vectors e_i (x) e_j, one for each entry 3i + j of
+    the Choi diagonal (the diagonal of the map on e_i e_i*) at most
+    INCLUSION_SLACK."""
     basis = np.eye(3, dtype=complex)
-    return [
-        (basis[i], basis[j])
-        for i, row in enumerate(diag_rows)
-        for j, val in enumerate(row)
-        if val <= INCLUSION_SLACK
-    ]
+    return [(basis[k // 3], basis[k % 3]) for k in np.flatnonzero(choi.diagonal().real <= INCLUSION_SLACK)]
 
 
 #: Closed-form kernel case of each face: (i) the surface off the sum face,
@@ -165,10 +153,11 @@ _ON_FACE = {
 }
 
 
-def _case_vectors(p: MapParams, case: str | None) -> tuple[Array, Array]:
+def _case_vectors(p: MapParams, case: str | None, choi: Array) -> tuple[Array, Array]:
     """The (n, 3) factors xi and eta of the case's kernel vectors at the
     generic phases ``GENERIC_PAIRS`` and ``GENERIC_TRIPLES``, plus the
-    coordinate vectors (only those off the cases), stacked in that order,
+    coordinate vectors of the Choi matrix ``choi`` of ``p`` (only those off
+    the cases), stacked in that order,
     without the rows whose xi or eta vanishes.  Rich enough for span
     computations; for strictly interior maps possibly empty."""
     rows: list[tuple] = []
@@ -180,7 +169,7 @@ def _case_vectors(p: MapParams, case: str | None) -> tuple[Array, Array]:
             rows.extend(_copositive_family(p, al, be))
     if case in ("ii", "iv"):
         rows.extend(_equal_modulus_vector(p.theta, *phases) for phases in GENERIC_TRIPLES)
-    rows.extend(_axis_vectors(p))
+    rows.extend(_axis_vectors(choi))
     pairs = np.array(rows, dtype=complex).reshape(-1, 2, 3)
     pairs = pairs[np.any(pairs != 0, axis=2).all(axis=1)]
     return pairs[:, 0], pairs[:, 1]
@@ -258,7 +247,7 @@ def _kernel_point(p: MapParams) -> _KernelPoint:
     params = p if on_face is None else MapParams(*on_face(*p.abc, pth), p.theta)
     case = _KERNEL_CASE.get(face.kind)
     choi = choi_matrix(params)
-    xi, eta = _case_vectors(params, case)
+    xi, eta = _case_vectors(params, case, choi)
     member = _in_kernel(choi, xi, eta)
     if not member.all():
         source = "axis" if case is None else f"case {case} family"

@@ -28,8 +28,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     InternalConsistencyError,
     NoDetectingChoiceError,
@@ -39,7 +37,7 @@ from .errors import (
 )
 from .linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, FACE_TOL, INCLUSION_SLACK, RESIDUE_REL, Array
 from .linalg import hermitian_eigenvalues, partial_transpose
-from .maps import MapParams, _edge_angle, cp_threshold, edge_state, pairing_value
+from .maps import MapParams, _edge_angle, _family_matrix, cp_threshold, edge_state, pairing_value
 from .positivity import certify_block_positivity
 from .spanning import has_cospanning_property, has_spanning_property
 
@@ -92,22 +90,13 @@ def solve_beta_gamma(theta: float, alpha_tilde: float) -> tuple[float, float]:
 
 
 def witness_matrix(theta: float, alpha_tilde: float, b_slot: float, c_slot: float) -> Array:
-    """The unnormalized witness ansatz: diagonal pattern
-    (alpha~, c_slot, b_slot, ...) scaled by nothing, off-diagonals
-    1 + e^{-i theta} at (0,4), (4,8), (8,0) and conjugates transposed.
+    """The unnormalized witness ansatz: the family's shape at (a, b, c) =
+    (alpha~, b_slot, c_slot) with corner 1 + e^{-i theta}.
 
     Equals 2cos(theta/2) times the family Choi matrix at parameters
     (alpha~, b_slot, c_slot) / (2cos(theta/2)) and angle pi - theta/2.
     """
-    w = np.zeros((9, 9), dtype=complex)
-    diag = (alpha_tilde, c_slot, b_slot, b_slot, alpha_tilde, c_slot, c_slot, b_slot, alpha_tilde)
-    for k, v in enumerate(diag):
-        w[k, k] = v
-    e = cmath.exp(1j * theta)
-    for u, v in ((0, 4), (4, 8), (8, 0)):
-        w[u, v] = 1.0 + e.conjugate()
-        w[v, u] = 1.0 + e
-    return w
+    return _family_matrix(alpha_tilde, b_slot, c_slot, 1.0 + cmath.exp(1j * theta).conjugate())
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,12 @@ vectors and the equal-subtraction restriction of the {6,8} edge states,
 the Bernstein coefficients of the certificate's shifted minors as exact
 polar forms, and the block-positivity oracle on the finer moduli grid of a
 covariant Choi matrix (the package scans one grid of moduli and phases for
-every matrix), and the report serializer that the one-walk writer
-replaced (a canonicalized copy of the document through ``json.dumps``).
+every matrix), the report serializer that the one-walk writer
+replaced (a canonicalized copy of the document through ``json.dumps``),
+and, entry by entry, the witness ansatz, the two kernel families with
+their three cyclic shifts and the coordinate kernel vectors (the package
+builds the family's shape once, writes the shifts once and reads the
+coordinate vectors off the Choi diagonal).
 """
 
 import cmath
@@ -47,9 +51,8 @@ from choimaps import positivity
 from choimaps.positivity import _COVARIANT, BlockPositivityReport, _apply_kernel, _descend, _distinct_starts
 from choimaps.positivity import _kernel_matrix, _pairing_model, _smallest_eigenvalues, _sphere_grid
 from choimaps.positivity import on_sum_at, on_surface_at
-from choimaps.reporting import ReportDocument, round_real
-from choimaps.spanning import DEFAULT_PAIRS, DEFAULT_TRIPLES, _copositive_family, _equal_modulus_vector
-from choimaps.spanning import _kernel_point, _surface_family
+from choimaps.reporting import SCHEMA_VERSION, ReportDocument, round_real
+from choimaps.spanning import DEFAULT_PAIRS, DEFAULT_TRIPLES, GENERIC_PAIRS, _equal_modulus_vector, _kernel_point
 
 
 def apply_map(p: MapParams, x) -> np.ndarray:
@@ -173,6 +176,79 @@ def numeric_rank(m) -> int:
     return int(np.count_nonzero(s > RANK_REL * s[0])) if len(s) and s[0] > 0.0 else 0
 
 
+def witness_matrix(theta: float, alpha_tilde: float, b_slot: float, c_slot: float) -> np.ndarray:
+    """The unnormalized witness ansatz entry by entry: the package builds it
+    with the family's shape."""
+    w = np.zeros((9, 9), dtype=complex)
+    diag = (alpha_tilde, c_slot, b_slot, b_slot, alpha_tilde, c_slot, c_slot, b_slot, alpha_tilde)
+    for k, v in enumerate(diag):
+        w[k, k] = v
+    e = cmath.exp(1j * theta)
+    for u, v in ((0, 4), (4, 8), (8, 0)):
+        w[u, v] = 1.0 + e.conjugate()
+        w[v, u] = 1.0 + e
+    return w
+
+
+def surface_family(p: MapParams, alpha: complex, beta: complex) -> list[tuple]:
+    """Kernel vectors on the surface b*c = (1 - a)^2 with 0 < a <= 1, their
+    three cyclic shifts written out: the package writes the shifts once."""
+    a, b, c = p.abc
+    e = cmath.exp(-1j * p.theta)
+    root = math.sqrt(max(1.0 - a, 0.0))
+    b4, c4, sb = b**0.25, c**0.25, math.sqrt(b)
+    al, be = complex(alpha), complex(beta)
+    return [
+        ((b4 * al, c4 * be, 0.0), (al.conjugate() * e * root, be.conjugate() * sb, 0.0)),
+        ((c4 * be, 0.0, b4 * al), (be.conjugate() * sb, 0.0, al.conjugate() * e * root)),
+        ((0.0, b4 * al, c4 * be), (0.0, al.conjugate() * e * root, be.conjugate() * sb)),
+    ]
+
+
+def copositive_family(p: MapParams, alpha: complex, beta: complex) -> list[tuple]:
+    """Kernel vectors at a = 0, b*c = 1, their three cyclic shifts written
+    out."""
+    b = p.b
+    e = cmath.exp(1j * p.theta)
+    al, be = complex(alpha), complex(beta)
+    return [
+        ((al, be, 0.0), (al.conjugate(), e * be.conjugate() * b, 0.0)),
+        ((be, 0.0, al), (e * be.conjugate() * b, 0.0, al.conjugate())),
+        ((0.0, al, be), (0.0, al.conjugate(), e * be.conjugate() * b)),
+    ]
+
+
+def axis_vectors(p: MapParams) -> list[tuple]:
+    """Coordinate kernel vectors e_i (x) e_j wherever the diagonal of the map
+    on e_i e_i*, written out from (a, b, c), has a zero entry: the package
+    reads it off the Choi diagonal."""
+    a, b, c = p.abc
+    diag_rows = ((a, c, b), (b, a, c), (c, b, a))
+    basis = np.eye(3, dtype=complex)
+    return [
+        (basis[i], basis[j])
+        for i, row in enumerate(diag_rows)
+        for j, val in enumerate(row)
+        if val <= INCLUSION_SLACK
+    ]
+
+
+def case_factors(p: MapParams) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 3) kernel factors xi and eta of the record of ``p`` in case i,
+    case iii or off the cases, from the written-out families at
+    ``GENERIC_PAIRS`` and the written-out coordinate vectors, stacked in that
+    order without the rows whose xi or eta vanishes.  ValueError in cases ii
+    and iv."""
+    k = _kernel_point(p)
+    if k.case not in (None, "i", "iii"):
+        raise ValueError(f"case {k.case} has no written-out family here")
+    family = {"i": surface_family, "iii": copositive_family}.get(k.case)
+    rows = [row for al, be in GENERIC_PAIRS for row in family(k.params, al, be)] if family else []
+    pairs = np.array(rows + axis_vectors(k.params), dtype=complex).reshape(-1, 2, 3)
+    pairs = pairs[np.any(pairs != 0, axis=2).all(axis=1)]
+    return pairs[:, 0], pairs[:, 1]
+
+
 def _nine_columns(rows, conjugate: bool = False) -> np.ndarray | None:
     """The 9x9 matrix whose columns are the tensors of nine kernel-family
     (xi, eta) rows (or their partial conjugates); None unless exactly nine
@@ -190,7 +266,7 @@ def spanning_columns(p: MapParams) -> np.ndarray | None:
     case = _kernel_point(p).case
     if case not in ("i", "ii", "iii"):
         return None
-    family = _copositive_family if case == "iii" else _surface_family
+    family = copositive_family if case == "iii" else surface_family
     return _nine_columns([row for al, be in DEFAULT_PAIRS for row in family(p, al, be)])
 
 
@@ -219,7 +295,7 @@ def cospanning_columns(p: MapParams) -> np.ndarray | None:
         return None
     rows = []
     for al, be in ((1.0, 1.0), (1.0, -1.0)):
-        rows.extend(_surface_family(p, al, be))
+        rows.extend(surface_family(p, al, be))
     for al, be, ga in DEFAULT_TRIPLES:
         rows.append(_equal_modulus_vector(p.theta, al, be, ga))
     return _nine_columns(rows, conjugate=True)
@@ -568,26 +644,16 @@ def moduli_oracle(w, grid_n: int = 16) -> BlockPositivityReport:
 
 
 def _canonical(value):
-    """Recursively coerce numpy scalars/arrays and round all reals."""
+    """Recursively round all reals of a document of plain values."""
     if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+        return {key: _canonical(v) for key, v in value.items()}
+    if isinstance(value, list):
         return [_canonical(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_canonical(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return round_real(float(value))
-    if isinstance(value, (complex, np.complexfloating)):
-        return {"re": round_real(value.real), "im": round_real(value.imag)}
-    return value
+    return round_real(value) if isinstance(value, float) else value
 
 
 def report_json(doc: ReportDocument) -> str:
     """The JSON text of ``doc`` from a canonicalized copy through
     ``json.dumps(indent=2)``: the package writes it in one walk."""
     sections = {"params": doc.params, "flags": doc.flags, "evidence": doc.evidence}
-    return json.dumps({"schema_version": doc.schema_version, **_canonical(sections)}, indent=2)
+    return json.dumps({"schema_version": SCHEMA_VERSION, **_canonical(sections)}, indent=2)

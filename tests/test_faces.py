@@ -5,13 +5,11 @@ from choimaps import (
     FaceKind,
     FaceLabel,
     MapParams,
-    NotAFaceError,
     OutOfRangeError,
     UnsupportedThetaError,
     boundary_parametrization,
     classify_face,
     cp_threshold,
-    face_properties,
     is_positive,
 )
 from choimaps.faces import FACE_KINDS, PROPERTY_TABLE, classify_faces
@@ -148,25 +146,19 @@ class TestClassifyFaces:
 
 class TestPropertyTable:
     def test_fully_parametrized_vertex_row(self):
-        row = face_properties(FaceKind.V_PARAM_T)
+        row = PROPERTY_TABLE[FaceKind.V_PARAM_T]
         assert row.spanning and row.co_spanning and row.bi_spanning
         assert row.optimal and row.co_optimal and row.bi_optimal
 
     def test_named_vertex_row(self):
-        row = face_properties(FaceKind.V_10C)
+        row = PROPERTY_TABLE[FaceKind.V_10C]
         assert not row.spanning and row.co_spanning
         assert row.optimal and row.co_optimal and row.bi_optimal
         assert not row.bi_spanning
 
     def test_sum_face_row(self):
-        row = face_properties(FaceKind.F_ABC)
+        row = PROPERTY_TABLE[FaceKind.F_ABC]
         assert not any([row.spanning, row.co_spanning, row.optimal, row.co_optimal])
-
-    def test_not_a_face(self):
-        with pytest.raises(NotAFaceError):
-            face_properties(FaceKind.INTERIOR)
-        with pytest.raises(NotAFaceError):
-            face_properties(FaceLabel(FaceKind.EXTERIOR, interior_of_face=False))
 
     def test_implications_hold_on_every_row(self):
         for kind, row in PROPERTY_TABLE.items():
@@ -189,7 +181,7 @@ class TestPropertyTable:
             for a, b, c in pts:
                 label = classify(a, b, c, th)
                 assert label.kind is kind, (kind, (a, b, c), label)
-                rows.add(face_properties(label))
+                rows.add(PROPERTY_TABLE[label.kind])
             assert len(rows) == 1
 
 

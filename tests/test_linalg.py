@@ -284,6 +284,26 @@ def test_the_command_line_reaches_no_search_code():
     assert sorted(f"{module}.{name}" for module, name in search if (module, name) in reached) == []
 
 
+def test_every_module_level_import_is_read():
+    # a name a module imports and never reads is a dependency no code has;
+    # the package namespace (``__init__``) imports only to export
+    src = Path(choimaps.__file__).parent
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        bound = [
+            alias.asname or alias.name.split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        unread += [f"{path.stem}.{name}" for name in bound if name not in read]
+    assert unread == []
+
+
 def test_eigenvalue_sum_matches_trace():
     rng = np.random.default_rng(0)
     for _ in range(50):

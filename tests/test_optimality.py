@@ -23,13 +23,13 @@ from choimaps import (
     classify_optimality,
     cooptimality_subtraction,
     cp_threshold,
-    face_properties,
     is_positive,
     optimality_probe,
     subtraction_budget,
 )
 from choimaps import optimality
 from choimaps.errors import InternalConsistencyError
+from choimaps.faces import PROPERTY_TABLE
 from choimaps.linalg import CERTIFIED_SIGN
 from choimaps.optimality import (
     _dinkelbach,
@@ -294,7 +294,7 @@ class TestClassifyOptimality:
             p = MapParams(*abc, th)
             assert classify_face(p).kind is kind
             cls = classify_optimality(p)
-            assert cls.row == face_properties(kind), kind
+            assert cls.row == PROPERTY_TABLE[kind], kind
 
 
 def test_subtraction_budget_positive_in_branch():
@@ -933,7 +933,7 @@ def test_probe_matches_the_property_table(kind, branch):
         p = _face_point(kind, theta, u, v)
         face = classify_face(p)
         assert face.kind.value == kind
-        row = face_properties(face)
+        row = PROPERTY_TABLE[face.kind]
         assert not row.spanning
         report = optimality_probe(p, n_directions=4)
         assert report.verdict == ("optimal" if row.optimal else "not_optimal"), (p, report.max_subtractable)
@@ -994,7 +994,26 @@ def test_second_order_space_is_empty_exactly_on_optimal_faces(kind, theta, sign,
         assume(p.a + p.b + p.c > cp_threshold(p.theta) + 0.02)
     face = classify_face(p)
     assert face.kind.value == kind
-    assert (len(_second_order(p)[0]) == 0) == face_properties(face).optimal
+    assert (len(_second_order(p)[0]) == 0) == PROPERTY_TABLE[face.kind].optimal
+
+
+@settings(max_examples=80)
+@given(
+    kind=st.sampled_from(("e_t", "e_b", "e_c", "v_0t", "f_ab", "e_a", "f_bc")),
+    theta=_ANGLE,
+    sign=st.sampled_from((1.0, -1.0)),
+    u=st.floats(0.1, 0.9),
+    v=st.floats(0.1, 0.9),
+)
+def test_kernel_factors_are_the_written_out_families_bit_for_bit(kind, theta, sign, u, v):
+    # cases i and iii, and faces whose sample is coordinate vectors only
+    p = _face_point(kind, sign * theta, u, v)
+    if kind == "e_t":
+        assume(p.a + p.b + p.c > cp_threshold(p.theta) + 0.02)
+    k = _kernel_point(p)
+    assert k.face.kind.value == kind
+    xi, eta = lemmas.case_factors(p)
+    assert xi.shape == k.xi.shape and xi.tobytes() == k.xi.tobytes() and eta.tobytes() == k.eta.tobytes()
 
 
 @pytest.mark.parametrize("theta0, side", ((math.pi / 3, -1.0), (math.pi / 3, 1.0), (-math.pi / 3, 1.0), (math.pi, -1.0)))
@@ -1006,7 +1025,7 @@ def test_sum_face_near_the_unit_threshold_keeps_its_face(theta0, side, u):
     for eps in (1e-8, 1e-6, 3e-5):
         p = _face_point("f_abc", theta0 + side * eps, u, 0.6)
         cls = classify_optimality(p)
-        assert cls.face.kind is FaceKind.F_ABC and cls.row == face_properties(FaceKind.F_ABC), eps
+        assert cls.face.kind is FaceKind.F_ABC and cls.row == PROPERTY_TABLE[FaceKind.F_ABC], eps
 
 
 @pytest.mark.parametrize(

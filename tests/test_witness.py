@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import choimaps.witness
 from choimaps import (
@@ -22,6 +24,7 @@ from choimaps import (
 from choimaps.cli import main
 from choimaps.linalg import FACE_TOL
 from choimaps.witness import detection_closed_form, witness_matrix
+import lemmas
 from lemmas import edge_kernel_vectors, equal_subtraction_restriction
 
 
@@ -232,6 +235,22 @@ def test_witness_matrix_layout():
     )
     assert w[0, 4] == pytest.approx(1 + np.exp(-1j * np.pi / 6))
     assert w[4, 0] == pytest.approx(1 + np.exp(1j * np.pi / 6))
+
+
+@given(
+    theta=st.floats(0.01, math.pi / 3 - 0.01),
+    sign=st.sampled_from((1.0, -1.0)),
+    u=st.floats(0.0, 0.99),
+    swap=st.booleans(),
+)
+def test_witness_matrix_is_the_written_out_ansatz_bit_for_bit(theta, sign, u, swap):
+    theta *= sign
+    lo, hi = alpha_range(theta)
+    alpha = lo + (hi * (1.0 - FACE_TOL) - lo) * u
+    slots = solve_beta_gamma(theta, alpha)
+    b_slot, c_slot = slots[::-1] if swap else slots
+    w = witness_matrix(theta, alpha, b_slot, c_slot)
+    assert w.tobytes() == lemmas.witness_matrix(theta, alpha, b_slot, c_slot).tobytes()
 
 
 def test_auto_scan_detects_at_extreme_parameters():
