@@ -216,7 +216,8 @@ _PLANES = {
     "bc": ((1, 2), "0,{}", ",{}"),
 }
 
-#: Grid points classified per block, which bounds the memory of a sweep.
+#: Most grid points classified per block, which bounds the memory of a
+#: sweep; a simplex block holds only the points the sweep keeps.
 _BLOCK = 1 << 12
 
 
@@ -248,7 +249,15 @@ def _sweep(theta: float, grid_n: int, plane: str, box: float, out: str) -> int:
     """Write the face and the cp / ccp / positive flags of each point of a
     grid_n^2 grid on ``plane`` over [0, box]^2, or over [0, pth]^2 on the
     simplex (keeping c = pth - a - b >= -INCLUSION_SLACK, clipped at 0), classified by
-    ``classify_faces`` in blocks of whole outer-axis rows.
+    ``classify_faces`` in blocks of whole outer-axis rows, at most ``_BLOCK``
+    points each.
+
+    A simplex block builds only the columns j <= grid_n - 1 - i of its rows
+    i.  Up to ``SWEEP_MAX_N`` that is exactly the set the c test keeps: the
+    computed c is within a few ulps of pth of its exact value
+    pth (grid_n - 1 - i - j) / (grid_n - 1), which is nonnegative where
+    i + j <= grid_n - 1 and at most -pth / 1999, far below the slack, where
+    i + j >= grid_n.  The test stays all the same.
 
     A row is the text of its grid row (``a``, or ``0,b`` on bc), the text of
     its column (``,b,0``, ``,0,c``, ``,c``, or ``,b,`` on the simplex) and
@@ -276,11 +285,20 @@ def _sweep(theta: float, grid_n: int, plane: str, box: float, out: str) -> int:
         f"{head}{cp},{ccp},{positive}\n" for head, positive in kinds for cp in (0, 1) for ccp in (0, 1)
     ], dtype=object)
 
+    # row i holds its columns j < widths[i]: every column on a plane, those
+    # with i + j <= grid_n - 1 on the simplex
+    widths = grid_n - np.arange(grid_n) if simplex else np.full(grid_n, grid_n)
+    ends = np.cumsum(widths)  # where each row ends in the row-major order of the points
+    firsts = ends - widths
+
     def blocks():
         yield "a,b,c,theta,face,cp,ccp,positive\n"
-        step = max(1, _BLOCK // grid_n)
-        for start in range(0, grid_n, step):
-            i, j = np.divmod(np.arange(start * grid_n, min(start + step, grid_n) * grid_n), grid_n)
+        start = 0
+        while start < grid_n:  # whole rows, at most _BLOCK points
+            stop = max(start + 1, int(np.searchsorted(ends, firsts[start] + _BLOCK, side="right")))
+            i = np.repeat(np.arange(start, stop), widths[start:stop])
+            j = np.arange(firsts[start], ends[stop - 1]) - firsts[i]
+            start = stop
             x, y = axis[i], axis[j]
             coords = [np.zeros_like(x)] * 3
             if simplex:

@@ -132,36 +132,38 @@ def boundary_parametrization(theta: float, t: float) -> tuple[float, float, floa
 
 def _face_table(a, b, c, pth):
     """The ordered face table at nonnegative (a, b, c), floats or arrays:
-    (kind, membership, interior of the face, t) per kind, where t is None or
-    computes the label's parameter (called only where its rule wins)."""
+    (kind, membership, interior of the face, t) per kind, where the interior
+    flag and t (None, or the label's parameter) are callables, computed only
+    where their rule wins, so a grid, which reads kinds alone, computes
+    none."""
     K, tol, q = FaceKind, FACE_TOL, pth - 1.0
     a0, b0, c0, a1 = a <= tol, b <= tol, c <= tol, abs(a - 1.0) <= tol  # bands of 0 and 1
-    a_from_1, a_past_1, inner_bc = a >= 1.0 - tol, a > 1.0 + tol, (b > tol) & (c > tol)
+    a_from_1 = a >= 1.0 - tol
     bc, square = surface_sides(a, b, c)
     on_sum, on_surface = on_sum_at(a, b, c, pth), on_surface_at(a, b, c)
     spanning_surface = (b > 0.0) & (c > 0.0) & on_surface  # no band: the curve reaches b, c < tol
     return (
-        (K.EXTERIOR, np.logical_not(positive_at(a, b, c, pth)), False, None),
-        (K.V_P00, (abs(a - pth) <= tol) & b0 & c0, True, None),
-        (K.V_10C, a1 & b0 & (abs(c - q) <= tol), True, None),
-        (K.V_1B0, a1 & (abs(b - q) <= tol) & c0, True, None),
-        (K.V_0T, a0 & (b > tol) & (abs(bc - 1.0) <= tol), True, lambda: b),
-        (K.V_PARAM_T, spanning_surface & on_sum, True, lambda: np.sqrt(b / c)),
-        (K.E_A, b0 & c0 & (a >= pth - tol), a > pth + tol, None),
-        (K.E_B, a1 & c0 & (b >= q - tol), b > q + tol, None),
-        (K.E_C, a1 & b0 & (c >= q - tol), c > q + tol, None),
+        (K.EXTERIOR, np.logical_not(positive_at(a, b, c, pth)), lambda: False, None),
+        (K.V_P00, (abs(a - pth) <= tol) & b0 & c0, lambda: True, None),
+        (K.V_10C, a1 & b0 & (abs(c - q) <= tol), lambda: True, None),
+        (K.V_1B0, a1 & (abs(b - q) <= tol) & c0, lambda: True, None),
+        (K.V_0T, a0 & (b > tol) & (abs(bc - 1.0) <= tol), lambda: True, lambda: b),
+        (K.V_PARAM_T, spanning_surface & on_sum, lambda: True, lambda: np.sqrt(b / c)),
+        (K.E_A, b0 & c0 & (a >= pth - tol), lambda: a > pth + tol, None),
+        (K.E_B, a1 & c0 & (b >= q - tol), lambda: b > q + tol, None),
+        (K.E_C, a1 & b0 & (c >= q - tol), lambda: c > q + tol, None),
         (K.E_AB, c0 & (abs(a + b - pth) <= tol) & a_from_1 & (a <= pth + tol),
-         a_past_1 & (a < pth - tol), None),
+         lambda: (a > 1.0 + tol) & (a < pth - tol), None),
         (K.E_AC, b0 & (abs(a + c - pth) <= tol) & a_from_1 & (a <= pth + tol),
-         a_past_1 & (a < pth - tol), None),
+         lambda: (a > 1.0 + tol) & (a < pth - tol), None),
         # the spanning piece of the surface (0 <= a < 1), off the sum face
-        (K.E_T, (a < 1.0 - tol) & spanning_surface & (a + b + c > pth + tol), True,
+        (K.E_T, (a < 1.0 - tol) & spanning_surface & (a + b + c > pth + tol), lambda: True,
          lambda: b / (1.0 - a)),
-        (K.F_AB, c0 & a_from_1 & (a + b >= pth - tol), a_past_1 & (a + b > pth + tol), None),
-        (K.F_AC, b0 & a_from_1 & (a + c >= pth - tol), a_past_1 & (a + c > pth + tol), None),
-        (K.F_BC, a0 & (bc >= 1.0 - tol), bc > 1.0 + tol, None),
-        (K.F_ABC, on_sum, inner_bc & (a_past_1 | (bc > square + tol)), None),
-        (K.INTERIOR, True, True, None),
+        (K.F_AB, c0 & a_from_1 & (a + b >= pth - tol), lambda: (a > 1.0 + tol) & (a + b > pth + tol), None),
+        (K.F_AC, b0 & a_from_1 & (a + c >= pth - tol), lambda: (a > 1.0 + tol) & (a + c > pth + tol), None),
+        (K.F_BC, a0 & (bc >= 1.0 - tol), lambda: bc > 1.0 + tol, None),
+        (K.F_ABC, on_sum, lambda: (b > tol) & (c > tol) & ((a > 1.0 + tol) | (bc > square + tol)), None),
+        (K.INTERIOR, True, lambda: True, None),
     )
 
 
@@ -171,7 +173,7 @@ def classify_face(p: MapParams) -> FaceLabel:
     pth = require_generic_theta(p.theta)
     for kind, member, interior, t in _face_table(p.a, p.b, p.c, pth):
         if member:
-            return FaceLabel(kind, None if t is None else float(t()), bool(interior))
+            return FaceLabel(kind, None if t is None else float(t()), bool(interior()))
 
 
 #: Kind of each code that ``classify_faces`` returns.

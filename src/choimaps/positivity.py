@@ -97,8 +97,10 @@ def on_sum_at(a, b, c, pth):
 def on_surface_at(a, b, c):
     """Equality case of (p2) with a <= 1 + FACE_TOL (the mirror branch
     b*c = (a - 1)^2, a > 1 is not on the boundary), within FACE_TOL in the
-    roots its kernel vectors use: (b*c)^(1/4) = (1 - a)^(1/2)."""
-    return (a <= 1.0 + FACE_TOL) & (abs((b * c) ** 0.25 - abs(1.0 - a) ** 0.5) <= FACE_TOL)
+    roots its kernel vectors use: (b*c)^(1/4) = (1 - a)^(1/2).  Both roots
+    are taken by ``np.sqrt``, which is correctly rounded on floats and
+    arrays alike (``**`` is not), so a point and a grid agree bit for bit."""
+    return (a <= 1.0 + FACE_TOL) & (abs(np.sqrt(np.sqrt(b * c)) - np.sqrt(abs(1.0 - a))) <= FACE_TOL)
 
 
 def is_completely_positive(p: MapParams) -> bool:

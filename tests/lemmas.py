@@ -27,7 +27,9 @@ replaced (a canonicalized copy of the document through ``json.dumps``),
 and, entry by entry, the witness ansatz, the two kernel families with
 their three cyclic shifts and the coordinate kernel vectors (the package
 builds the family's shape once, writes the shifts once and reads the
-coordinate vectors off the Choi diagonal).
+coordinate vectors off the Choi diagonal), and the simplex sweep's points
+from square blocks of whole rows filtered by their c (the package builds
+only the columns that the filter keeps).
 """
 
 import cmath
@@ -40,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from choimaps import InternalConsistencyError, MapParams, OutOfRangeError, UnsupportedCaseError, UnsupportedThetaError
-from choimaps import choi_matrix, edge_state, pairing_value, partial_transpose
+from choimaps import choi_matrix, cp_threshold, edge_state, pairing_value, partial_transpose
 from choimaps.faces import require_generic_theta
 from choimaps.linalg import CERTIFIED_SIGN, CERTIFIED_ZERO, EIG_FLOOR, FACE_TOL, INCLUSION_SLACK, RANK_REL
 from choimaps.linalg import RESIDUE_ABS, RESIDUE_REL
@@ -657,3 +659,16 @@ def report_json(doc: ReportDocument) -> str:
     ``json.dumps(indent=2)``: the package writes it in one walk."""
     sections = {"params": doc.params, "flags": doc.flags, "evidence": doc.evidence}
     return json.dumps({"schema_version": SCHEMA_VERSION, **_canonical(sections)}, indent=2)
+
+
+def square_simplex_blocks(theta: float, grid_n: int, block: int):
+    """The (i, j) grid indices of a simplex sweep, block by block: whole
+    rows of the square grid_n^2 grid, block // grid_n rows at a time (one at
+    least), keeping the points with c = pth - a - b >= -INCLUSION_SLACK."""
+    pth = cp_threshold(theta)
+    axis = np.linspace(0.0, pth, grid_n)
+    step = max(1, block // grid_n)
+    for start in range(0, grid_n, step):
+        i, j = np.divmod(np.arange(start * grid_n, min(start + step, grid_n) * grid_n), grid_n)
+        keep = pth - axis[i] - axis[j] >= -INCLUSION_SLACK
+        yield i[keep], j[keep]

@@ -19,13 +19,13 @@ import choimaps
 from choimaps import FaceKind, MapParams, boundary_parametrization, build_witness, classify_face, cp_threshold
 from choimaps import choi_matrix, is_positive, partial_transpose
 from choimaps.cli import _BLOCK, _EXIT_CODES, main, parse_angle
-from choimaps.faces import row_of
+from choimaps.faces import classify_faces, row_of
 from choimaps.linalg import INCLUSION_SLACK
 from choimaps.positivity import BlockPositivityCertificate
 from choimaps.reporting import ReportDocument, real_text, render_plain, round_real
 from choimaps.spanning import _in_kernel, _kernel_point
 
-from lemmas import report_json
+from lemmas import report_json, square_simplex_blocks
 
 
 def _reparsed(text: str) -> ReportDocument:
@@ -670,7 +670,7 @@ class TestSweep:
         # anti-diagonal a + b = p_theta has cells where c rounds to -1 ulp
         # (printed 0) and to +1 ulp (printed as itself)
         n = 155
-        assert -(-n // (_BLOCK // n)) == 6  # blocks of whole rows
+        assert n * (n + 1) // 2 > 2 * _BLOCK  # three blocks of whole rows
         out = tmp_path / "s.csv"
         assert main(["sweep", theta, str(n), "--out", str(out)]) == 0
         pth = cp_threshold(float(theta))
@@ -687,6 +687,45 @@ class TestSweep:
         assert min(ulps.values()) > 0
         rows = out.read_text().splitlines()[1:]
         assert [row.rsplit(",", 5)[0] for row in rows] == want
+
+    @staticmethod
+    def _record_blocks(monkeypatch):
+        """The (a, b) arrays of each ``classify_faces`` call of the sweeps."""
+        calls = []
+
+        def recording(a, b, c, theta):
+            calls.append((a, b))
+            return classify_faces(a, b, c, theta)
+
+        monkeypatch.setattr(choimaps.cli, "classify_faces", recording)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 155, 1000])
+    def test_simplex_blocks_hold_only_kept_points(self, n, tmp_path, monkeypatch):
+        calls = self._record_blocks(monkeypatch)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "0.5", str(n), "--out", str(out)]) == 0
+        pth = cp_threshold(0.5)
+        axis = np.linspace(0.0, pth, n)
+        for k, (a, b) in enumerate(calls):
+            assert len(a) <= _BLOCK
+            assert np.all(pth - a - b >= -INCLUSION_SLACK)
+            if k + 1 < len(calls):  # whole rows, as many as fit: the next row would not
+                next_row = np.searchsorted(axis, calls[k + 1][0][0])
+                assert len(a) + n - next_row > _BLOCK
+        assert sum(len(a) for a, _ in calls) == len(out.read_text().splitlines()) - 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 155, 2000])
+    def test_simplex_points_match_square_blocks(self, n, monkeypatch):
+        # the square blocks filtered by c keep the same points in the same order
+        for theta in ("0.5", "2.2", "-2.2"):
+            calls = self._record_blocks(monkeypatch)
+            assert main(["sweep", theta, str(n), "--out", os.devnull]) == 0
+            axis = np.linspace(0.0, cp_threshold(float(theta)), n)
+            got = [np.concatenate(x) for x in zip(*calls)]
+            want = [axis[np.concatenate(x)] for x in zip(*square_simplex_blocks(float(theta), n, _BLOCK))]
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
     def test_memory_is_bounded_by_the_block(self, tmp_path):
         # the per-axis row and column texts grow with grid_n, the blocks do not
@@ -774,12 +813,16 @@ GOLDEN_CSV = {
     ("sweep", "pi/6", "25", "--plane", "bc"): "540dfbf8cf75a60f2a31c6e58ced5cbe8e6fb8319325c9f64f43e4f11074eecb",
     ("figure-data", "2", "--points", "15"): "792c4ef77af0dd383b4b8fe4386ebacdd81a7e4777aebbf03c4196907ee6788a",
     ("figure-data", "3", "--points", "6"): "a1c851dd906c052471ac68485f82919e2b6bd23fcf57f3922f6bacffdbbd4519",
-    # entries that span blocks: 3 blocks on each plane, 6 on the simplex
+    # entries that span blocks: 3 blocks on each plane and on the simplex
     ("sweep", "pi/6", "110", "--plane", "ab"): "79251d12c3486f47590977229971c116cf2380dfc094c60d0a32e20229c63f2b",
     ("sweep", "pi/6", "110", "--plane", "ac"): "54b9cb4922092076110a708d51e71ec126006e75550d5556be03674e0b40f35e",
     ("sweep", "pi/6", "110", "--plane", "bc"): "af0db1ed11d05f8ac69488e4f8213cd8d9fe4b743c2bc8bbc1c74c59fdab3251",
     ("sweep", "2.2", "155"): "4f7ab692cc101a2ed899b813364ae661972fcc6e69a476fe6b2f315d063774fd",
     ("figure-data", "3", "--points", "20"): "1642c230004b0eef616761299241fdfe11a3c14e8cf214c219e667c5536c05df",
+    # simplex runs whose block edges moved when the blocks took only kept points
+    ("sweep", "0.3", "160"): "f45e13e6461f9488c290e8a689b2196476c29101fc319f4d4981029ab79ef257",
+    ("figure-data", "2", "--points", "300", "--theta", "-2.2"):
+        "903a1b56837f11f51b58810decab406405c2327cc2b9ffa3e38c28e1b4cdf19e",
 }
 
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from choimaps import (
     FaceKind,
@@ -13,6 +17,8 @@ from choimaps import (
     is_positive,
 )
 from choimaps.faces import FACE_KINDS, PROPERTY_TABLE, classify_faces
+from choimaps.linalg import FACE_TOL
+from choimaps.positivity import on_surface_at
 
 
 def classify(a, b, c, th):
@@ -142,6 +148,26 @@ class TestClassifyFaces:
     def test_unsupported_theta(self):
         with pytest.raises(UnsupportedThetaError):
             classify_faces(np.ones(3), 1.0, 1.0, 0.0)
+
+    def test_band_edge_point_gets_one_kind(self):
+        # (b c)^(1/4) by ``**`` rounded one way on this float and the other on
+        # a one-element array, which put the point in and out of E_T's band
+        a, b, c = 0.09986525807529818, 1.2719641671902677, 0.6370010869297356
+        assert classify(a, b, c, np.pi / 6).kind is FACE_KINDS[classify_faces([a], [b], [c], np.pi / 6)[0]]
+
+    @given(b=st.floats(0.01, 4.0), bc=st.floats(1e-6, 0.99), outside=st.booleans())
+    @example(b=1.2719641671902677, bc=1.2719641671902677 * 0.6370010869297356, outside=False)
+    def test_surface_band_edge_agrees_on_floats_and_arrays(self, b, bc, outside):
+        # a at each of the 81 doubles within 40 ulps of the band edge
+        # |(b c)^(1/4) - (1 - a)^(1/2)| = FACE_TOL, inside or outside the surface
+        c = bc / b
+        root = math.sqrt(math.sqrt(b * c)) + (FACE_TOL if outside else -FACE_TOL)
+        edge = 1.0 - root * root
+        for a in edge + np.spacing(edge) * np.arange(-40, 41):
+            a = float(a)
+            point, grid = on_surface_at(a, b, c), on_surface_at(np.array([a]), np.array([b]), np.array([c]))
+            assert bool(point) is bool(grid[0]), (a, b, c)
+            assert classify(a, b, c, np.pi / 6).kind is FACE_KINDS[classify_faces([a], [b], [c], np.pi / 6)[0]]
 
 
 class TestPropertyTable:
