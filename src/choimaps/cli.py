@@ -7,7 +7,9 @@ Exit codes:
      as inf or nan included), a negative or non-finite coordinate
      (OutOfRangeError), `spanning` on a map that is not positive
      (NotPositiveMapError), `witness` with b <= 0, with b so large or so
-     small that the edge state's trace overflows, with b or 1/b so large
+     small that the edge state's trace overflows, with theta so near 0
+     (|theta| below about 2e-8) that cos(theta/2) rounds to 1 and every
+     alpha~ lies in the face band below 2cos(theta/2), with b or 1/b so large
      (beyond about 1e8) that the ansatz's optimal alpha~ lies in the face
      band below 2cos(theta/2), or with a given alpha~ outside its range
      (that band included), and `figure-data 3` with more than 1000000 rows
@@ -26,8 +28,10 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
+import shutil
 import sys
 
 import numpy as np
@@ -53,7 +57,7 @@ from .positivity import (
     positive_at,
 )
 from .reporting import ReportDocument, real_text, render_plain
-from .spanning import SpanningReport, has_cospanning_property, has_spanning_property
+from .spanning import SpanningReport, _kernel_point, has_cospanning_property, has_spanning_property
 from .witness import build_witness
 
 EXIT_OK = 0
@@ -105,10 +109,13 @@ def parse_angle(text: str) -> float:
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1, which takes a token
-    of ``-`` then a digit, ``.`` or ``pi`` (``-pi/6``, ``-2e-3``) for a value."""
+    of ``-`` then a digit, ``.`` or ``pi`` (``-pi/6``, ``-2e-3``) for a value,
+    and whose help formatters are all given the text width ``width``.
+    argparse makes a formatter for every ``add_argument`` and every help or
+    usage text, and one given no width reads the terminal's."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *, width: int, formatter_class=argparse.HelpFormatter, **kwargs):
+        super().__init__(formatter_class=functools.partial(formatter_class, width=width), **kwargs)
         self._negative_number_matcher = _NEGATIVE_RE
 
     def error(self, message):  # noqa: D102
@@ -144,11 +151,13 @@ def _classification_document(p: MapParams) -> ReportDocument:
     w = choi_matrix(p)
     # W and its partial transpose: one validated, batched eigensolve
     choi_eigenvalues, pt_eigenvalues = hermitian_eigenvalues(np.stack([w, partial_transpose(w)])).tolist()
-    face = classify_face(p)
+    positive = is_positive(p)
+    # a positive map's face is its kernel record's, which the spanning parts read
+    face = _kernel_point(p).face if positive else classify_face(p)
     flags: dict = {
         "cp": is_completely_positive(p),
         "ccp": is_completely_copositive(p),
-        "positive": is_positive(p),
+        "positive": positive,
         "face": face.kind.value,
         "face_t": face.t_value,
         "face_interior": face.interior_of_face,
@@ -158,7 +167,7 @@ def _classification_document(p: MapParams) -> ReportDocument:
         "choi_eigenvalues": choi_eigenvalues,
         "partial_transpose_eigenvalues": pt_eigenvalues,
     }
-    if flags["positive"]:
+    if positive:
         span_flags, span_evidence = _spanning_parts(p)
         flags.update(span_flags)
         evidence.update(span_evidence)
@@ -358,10 +367,16 @@ def cmd_figure_data(args) -> int:
 
 
 def build_parser() -> _Parser:
+    # the width a HelpFormatter computes for itself, read once for the build
+    width = shutil.get_terminal_size().columns - 2
     parser = _Parser(
-        prog="choimaps", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+        prog="choimaps", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter,
+        width=width,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # given its prog, argparse formats no usage line to find the prefix "choimaps"
+    sub = parser.add_subparsers(
+        dest="command", required=True, prog=parser.prog, parser_class=functools.partial(_Parser, width=width)
+    )
 
     for name, func, about in (
         ("classify", cmd_classify, "classify one parameter tuple"),

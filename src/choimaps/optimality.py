@@ -307,13 +307,14 @@ def _kernel_models(w: Array, xi: Array, eta: Array) -> tuple[Array, Array, Array
     jac, grad, q = _pairing_model(w, a, b, _CONJUGATE_BASIS, _CONJUGATE_BASIS)
     y = (a[:, :, None] * b[:, None, :]).reshape(len(a), 9)
     scale = np.maximum(1.0, np.linalg.norm(y @ w.T, axis=1) * np.linalg.norm(y, axis=1))
-    slope = np.linalg.norm(grad, axis=1)
-    for norm, bound in zip(slope, STATIONARY_REL * scale):
-        if norm > bound:
-            raise InternalConsistencyError(
-                f"kernel point is not stationary on the product manifold: gradient norm {norm!r} "
-                f"exceeds {bound!r}"
-            )
+    slope, bound = np.linalg.norm(grad, axis=1), STATIONARY_REL * scale
+    moving = np.flatnonzero(slope > bound)
+    if moving.size:
+        i = moving[0]  # the first vector that is not stationary
+        raise InternalConsistencyError(
+            f"kernel point is not stationary on the product manifold: gradient norm {float(slope[i])!r} "
+            f"exceeds {float(bound[i])!r}"
+        )
     mu, e = np.linalg.eigh(q)
     return mu, e, jac.conj()  # y = conj(z0) and x is real, so conj(dy/dx) = dz0/dx
 

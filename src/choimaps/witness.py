@@ -28,6 +28,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     InternalConsistencyError,
     NoDetectingChoiceError,
@@ -50,8 +52,10 @@ def _check_theta(theta: float) -> float:
 
 def alpha_range(theta: float) -> tuple[float, float]:
     """Admissible alpha~ values [lo, hi) = [2t(2 - t - sqrt(3(1-t^2))), 2t)
-    with t = cos(theta/2); always nonempty on the admissible angles.  At lo
-    the roots of ``solve_beta_gamma`` are a double root."""
+    with t = cos(theta/2); nonempty on the admissible angles in exact
+    arithmetic, but [2, 2) in doubles once t rounds to 1 (|theta| below
+    about 2.1e-8).  At lo the roots of ``solve_beta_gamma`` are a double
+    root."""
     t = _check_theta(theta)
     root = math.sqrt(3.0 * (1.0 - t * t))
     return (2.0 * t * (2.0 - t - root), 2.0 * t)
@@ -157,8 +161,9 @@ def _validate(spec: WitnessSpec) -> None:
             f"witness at {where}: trace pairing {spec.detection_value!r} "
             f"differs from the family pairing identity {closed!r}"
         )
-    for name, m in (("PSD", spec.matrix), ("co-PSD", partial_transpose(spec.matrix))):
-        low = hermitian_eigenvalues(m)[0]
+    # W and its partial transpose: one validated, batched eigensolve
+    lows = hermitian_eigenvalues(np.stack([spec.matrix, partial_transpose(spec.matrix)]))[:, 0]
+    for name, low in zip(("PSD", "co-PSD"), lows.tolist()):
         if low >= -CERTIFIED_SIGN:
             raise InternalConsistencyError(
                 f"witness at {where} is {name} within tolerance (smallest eigenvalue {low!r})"
@@ -192,7 +197,9 @@ def build_witness(theta: float, b: float, alpha_tilde: float | None = None) -> W
     ``detects``).  Swapping the roots changes the pairing by
     (b - 1/b)(b_slot - c_slot), so the b slot takes the smaller root when
     b > 1 and the larger one otherwise.  Raises OutOfRangeError when b is so
-    large or small that the edge state's trace overflows, when b is so
+    large or small that the edge state's trace overflows, when theta is so
+    near 0 (|theta| below about 2e-8) that cos(theta/2) rounds to 1 and the
+    whole alpha~ range lies in the face band, when b is so
     extreme that the optimal alpha~* lies in the face band of
     ``solve_beta_gamma``, or when a given alpha~ lies outside its range, and
     InternalConsistencyError when the witness fails ``_validate``.
@@ -206,9 +213,15 @@ def build_witness(theta: float, b: float, alpha_tilde: float | None = None) -> W
             f"the pairing cannot be formed in finite doubles: the edge state's trace is {trace}"
         )
 
+    lo, hi = alpha_range(theta)
+    if not lo < hi * (1.0 - FACE_TOL):
+        # cos(theta/2) is so near 1 that lo reaches the face band at hi
+        raise OutOfRangeError(
+            f"theta={theta!r} is too near 0 for the witness ansatz: its alpha~ range "
+            f"[{lo!r}, {hi!r}) holds no value outside the face band below 2cos(theta/2) = {hi!r}"
+        )
     auto = alpha_tilde is None
     if auto:
-        lo, hi = alpha_range(theta)
         c, d = 2.0 * cp_threshold(theta) - b - 1.0 / b, b - 1.0 / b
         # c / sqrt(c^2 + 3d^2), without overflow; 1 at b = 1
         alpha_tilde = lo + 2.0 / 3.0 * (hi - lo) * (1.0 - c / math.hypot(c, d, d, d))

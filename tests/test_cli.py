@@ -1,9 +1,11 @@
+import argparse
 import hashlib
 import itertools
 import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -16,9 +18,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import choimaps
+import choimaps.cli as cli
 from choimaps import FaceKind, MapParams, boundary_parametrization, build_witness, classify_face, cp_threshold
 from choimaps import choi_matrix, is_positive, partial_transpose
-from choimaps.cli import _BLOCK, _EXIT_CODES, main, parse_angle
+from choimaps.cli import _BLOCK, _EXIT_CODES, build_parser, main, parse_angle
 from choimaps.faces import classify_faces, row_of
 from choimaps.linalg import INCLUSION_SLACK
 from choimaps.positivity import BlockPositivityCertificate
@@ -213,6 +216,22 @@ class TestClassify:
         monkeypatch.setattr(spanning, "_in_kernel", counted)
         assert main(["classify", "0.5", "1", "0.25", "pi/6", "--json"]) == 0
         assert calls == [expected] and expected == 18  # one batched check
+
+    @pytest.mark.parametrize("abc", [("0.5", "1", "0.25"), ("0.2", "0.1", "0.1")])
+    def test_each_point_face_classified_once(self, abc, capsys, monkeypatch):
+        # a positive map's face is read from its kernel record; an exterior
+        # point, which has none, is classified by the command itself
+        import choimaps.spanning as spanning
+
+        spanning._kernel_point.cache_clear()
+        calls = []
+        for module in (cli, spanning):
+            original = module.classify_face
+            monkeypatch.setattr(module, "classify_face", lambda p, f=original: calls.append(p) or f(p))
+        assert main(["classify", *abc, "pi/6", "--json"]) == 0
+        positive = json.loads(capsys.readouterr().out)["flags"]["positive"]
+        assert positive is (abc[0] == "0.5")
+        assert len(calls) == 1
 
     def test_each_spanning_report_built_once(self, capsys, monkeypatch):
         # each report is built once, with the point's one record, and printed
@@ -611,6 +630,22 @@ class TestWitness:
         assert captured.err.startswith(f"witness: b={float(b)!r} is too extreme for the witness ansatz")
         assert "face band" in captured.err and "must lie in" not in captured.err
 
+    @pytest.mark.parametrize("theta", ["1e-10", "1e-8", "-2e-8"])
+    @pytest.mark.parametrize("argv", [["1"], ["2"], ["1", "--alpha-tilde", "1.5"]], ids=" ".join)
+    def test_angle_near_zero_names_the_angle(self, theta, argv, capsys):
+        # cos(theta/2) rounds to 1, so the whole alpha~ range [2, 2) lies in
+        # the face band: the angle is at fault, whatever b is
+        assert main(["witness", theta, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"witness: theta={float(theta)!r} is too near 0 for the witness ansatz")
+        assert "b=" not in captured.err and "too extreme" not in captured.err
+
+    def test_angle_just_off_zero_does_not_detect(self, capsys):
+        assert main(["witness", "5e-8", "1"]) == 3
+        assert "does not detect" in capsys.readouterr().err
+
     def test_nonpositive_b_usage_error(self, capsys):
         assert main(["witness", "pi/6", "0"]) == 1
 
@@ -919,6 +954,43 @@ def test_help_names_every_exit_code(capsys):
     entries = dict(re.findall(r"^  (\d)  (.*?)(?=^  \d  |^\S|\Z)", help_text, re.M | re.S))
     for error, code in _EXIT_CODES.items():
         assert error.__name__ in entries[str(code)], (error.__name__, code)
+
+
+_SUBCOMMANDS = ("classify", "spanning", "witness", "sweep", "figure-data")
+
+
+class _DefaultParser(argparse.ArgumentParser):
+    """The reference parser: argparse's own help formatters, each reading
+    the terminal's width, and the subcommands' prog prefix taken from a
+    formatted usage line, as argparse does when given none."""
+
+    def __init__(self, *, width=None, **kwargs):
+        super().__init__(**kwargs)
+
+    def add_subparsers(self, *, prog=None, **kwargs):
+        return super().add_subparsers(**kwargs)
+
+
+@pytest.mark.parametrize("columns", [50, 80, 200])
+@pytest.mark.parametrize("argv", [["--help"], *([name, "-h"] for name in _SUBCOMMANDS)], ids=" ".join)
+def test_help_is_the_default_formatters_help(argv, columns, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_Parser", _DefaultParser)
+        reference = build_parser()
+    with pytest.raises(SystemExit):
+        reference.parse_args(argv)
+    expected = capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_build_reads_the_terminal_at_most_once_per_parser(monkeypatch):
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *args: calls.append(args) or size(*args))
+    build_parser()
+    assert 1 <= len(calls) <= 1 + len(_SUBCOMMANDS)
 
 
 def _fresh_output(code):

@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -352,8 +353,11 @@ def test_non_stationary_point_is_an_internal_error():
     other = np.array([1.0, 0.5, 0.25], dtype=complex)
     # every vector is checked, not only the first
     xi, eta = np.array([k.xi[0], other]), np.array([k.eta[0], other])
-    with pytest.raises(InternalConsistencyError, match="not stationary"):
+    with pytest.raises(InternalConsistencyError, match="not stationary") as excinfo:
         _kernel_models(w, xi, eta)
+    # the failing vector's norm and bound, written as plain floats
+    norm, bound = re.fullmatch(r".*gradient norm (\S+) exceeds (\S+)", str(excinfo.value)).groups()
+    assert float(norm) > float(bound) > 0
 
 
 _F_AB = MapParams(1.5, 0.5, 0, np.pi / 6)

@@ -170,6 +170,22 @@ class TestBuildWitness:
         assert abs(q.b * q.c - (1 - q.a) ** 2) <= 1e-10
         assert abs(q.a + q.b + q.c - cp_threshold(q.theta)) <= 1e-10
 
+    def test_both_matrices_solved_as_one_stack(self, monkeypatch):
+        shapes = []
+        solve = choimaps.witness.hermitian_eigenvalues
+        monkeypatch.setattr(choimaps.witness, "hermitian_eigenvalues", lambda m: shapes.append(m.shape) or solve(m))
+        build_witness(np.pi / 6, 2.0)
+        assert shapes == [(2, 9, 9)]
+
+    @pytest.mark.parametrize("name, lows", [("PSD", [0.0, -1.0]), ("co-PSD", [-1.0, 0.0])])
+    def test_psd_witness_is_an_internal_error(self, name, lows, monkeypatch):
+        # the first matrix of the stack is W, the second its partial transpose
+        spectra = np.repeat(np.array(lows)[:, None], 9, axis=1)
+        monkeypatch.setattr(choimaps.witness, "hermitian_eigenvalues", lambda m: spectra)
+        with pytest.raises(InternalConsistencyError) as excinfo:
+            build_witness(np.pi / 6, 2.0)
+        assert str(excinfo.value).endswith(f" is {name} within tolerance (smallest eigenvalue 0.0)")
+
     def test_scale_invariance_of_detection_sign(self):
         spec = build_witness(np.pi / 6, 1.0, 1.14)
         rho = edge_state(1.0, np.pi / 6)
